@@ -79,24 +79,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    """Re-emit one file in ``--to``; ``fmt`` passes no ``--to`` and keeps the input syntax."""
+    target = args.to or _syntax_for(args.file, args.syntax)
     model, diags = _parse_files([args.file], args.syntax)
     if has_errors(diags):
         _emit_diagnostics(diags, args.json)
         return EXIT_DIAGNOSTICS
-    emit = cnlbi.emit_cnlbi if args.to == "cnlbi" else asl.emit_asl
-    text, emit_diags = emit(model)
-    _emit_diagnostics(diags + emit_diags, args.json)
-    sys.stdout.write(text)
-    return EXIT_OK
-
-
-def cmd_fmt(args) -> int:
-    syntax = _syntax_for(args.file, args.syntax)
-    model, diags = _parse_files([args.file], syntax)
-    if has_errors(diags):
-        _emit_diagnostics(diags, args.json)
-        return EXIT_DIAGNOSTICS
-    emit = cnlbi.emit_cnlbi if syntax == "cnlbi" else asl.emit_asl
+    emit = cnlbi.emit_cnlbi if target == "cnlbi" else asl.emit_asl
     text, emit_diags = emit(model)
     _emit_diagnostics(diags + emit_diags, args.json)
     sys.stdout.write(text)
@@ -194,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fmt", help="canonical re-emit in the same syntax")
     add_common(p, multi=False)
-    p.set_defaults(func=cmd_fmt)
+    p.set_defaults(func=cmd_convert, to=None)
 
     p = sub.add_parser("gen", help="generate SQL, dashboard manifest, and documentation")
     add_common(p)
@@ -219,8 +208,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as exc:
-        raise exc
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

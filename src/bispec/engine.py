@@ -17,16 +17,11 @@ from pathlib import Path
 
 from . import model as m
 from .diagnostics import Diagnostic, error, warning
+from .plan import Column, EngineError, Filter, Parameter, aggregate_column, column, executable_measures, plan_filters, plan_operation
 
 # Measure results are plain values: int, float, date, or None. Null arises
 # only from empty AVERAGE/MIN/MAX groups and division by zero.
 MeasureValue = object
-
-
-class EngineError(Exception):
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
 
 
 _MANIFEST_LINE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*\"([^\"]+)\"\s*$")
@@ -35,7 +30,7 @@ _MANIFEST_LINE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*\"([^\"]+)\"\s*
 def parse_manifest(path: Path) -> dict[str, str]:
     """Read ``entity_id = "file.csv"`` lines; ``#`` starts a comment."""
     mapping: dict[str, str] = {}
-    for raw_line in path.read_text(encoding="utf-8").splitlines():
+    for raw_line in path.read_text(encoding="utf-8-sig").splitlines():
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -137,7 +132,7 @@ def _load_table(entity: m.DataEntity, model: m.SpecificationModel, path: Path, d
     expected = tuple(a.id for a in stored)
     enums = {a.id: model.enumeration(a.attr_type.name) for a in stored if a.attr_type.kind == "enum"}
 
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = tuple(next(reader))
@@ -214,83 +209,30 @@ def _check_references(cube: Cube, diags: list[Diagnostic]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _chain_to(model: m.SpecificationModel, fact: m.DataEntity, entity_id: str) -> list[tuple[str, str]] | None:
-    """Shortest hop chain (fk attribute, target entity) from the fact to an entity.
-
-    Breadth-first in declaration order, so ties resolve deterministically.
-    """
-    if fact.id == entity_id:
-        return []
-    queue: list[tuple[m.DataEntity, list[tuple[str, str]]]] = [(fact, [])]
-    visited = {fact.id}
-    while queue:
-        current, chain = queue.pop(0)
-        for attr in current.dimension_refs:
-            target_id = attr.dimension_target
-            if target_id in visited:
-                continue
-            extended = chain + [(attr.id, target_id)]
-            if target_id == entity_id:
-                return extended
-            visited.add(target_id)
-            target = model.entity(target_id)
-            if target is not None:
-                queue.append((target, extended))
-    return None
-
-
 @dataclass(frozen=True)
 class Accessor:
+    """Reads a plan ``Column`` from a fact row, following its hop chain."""
+
     chain: tuple[tuple[str, str], ...]
     attribute: str
-    entity: str  # entity owning the final attribute
 
     def __call__(self, row: dict, cube: Cube):
         current = row
-        for fk_attr, target in self.chain:
-            key = current.get(fk_attr)
-            if key is None:
-                return None
-            current = cube.table(target).by_pk[key]
+        try:
+            for fk_attr, target in self.chain:
+                key = current.get(fk_attr)
+                if key is None:
+                    return None
+                current = cube.tables[target].by_pk[key]
+        except KeyError:
+            if target not in cube.tables:
+                raise EngineError("ENG030", f"no data loaded for {target}") from None
+            raise EngineError("ENG004", f"{target} has no row with key {key!r}") from None
         return current.get(self.attribute)
 
 
-def compile_accessor(model: m.SpecificationModel, fact_id: str, path: m.AttributePath) -> Accessor:
-    fact = model.entity(fact_id)
-    segs = path.segments
-
-    if len(segs) == 1:
-        if fact.attribute(segs[0]) is None:
-            raise EngineError("ENG030", f"{fact_id} has no attribute {segs[0]!r}")
-        return Accessor((), segs[0], fact_id)
-
-    head_entity = model.entity(segs[0])
-    if head_entity is None:
-        attr = fact.attribute(segs[0])
-        if attr is None or attr.dimension_target is None or len(segs) != 2:
-            raise EngineError("ENG030", f"cannot resolve path {path} from {fact_id}")
-        return Accessor(((attr.id, attr.dimension_target),), segs[1], attr.dimension_target)
-
-    chain = _chain_to(model, fact, head_entity.id)
-    if chain is None:
-        raise EngineError("ENG030", f"{head_entity.id} is not reachable from {fact_id}")
-    if len(segs) == 2:
-        return Accessor(tuple(chain), segs[1], head_entity.id)
-
-    mid = head_entity.attribute(segs[1])
-    if mid is None or mid.dimension_target is None:
-        raise EngineError("ENG030", f"{segs[0]}.{segs[1]} is not a dimension hop")
-    chain = chain + [(mid.id, mid.dimension_target)]
-    return Accessor(tuple(chain), segs[2], mid.dimension_target)
-
-
-def _resolve_fact(model: m.SpecificationModel, source_id: str) -> str:
-    source = model.data_source(source_id)
-    if source is None:
-        raise EngineError("ENG030", f"unknown entity or cluster {source_id!r}")
-    if isinstance(source, m.DataEntityCluster):
-        return source.main
-    return source.id
+def _accessor(col: Column) -> Accessor:
+    return Accessor(col.chain, col.attribute.id)
 
 
 # ---------------------------------------------------------------------------
@@ -298,58 +240,33 @@ def _resolve_fact(model: m.SpecificationModel, source_id: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _param_name(path: m.AttributePath) -> str:
-    return path.segments[-1]
-
-
-def _coerce_binding(value, attr: m.DataAttribute):
+def _bound_value(filt: Filter, bindings: dict):
+    """The filter's literal, or its parameter's binding coerced to the column type."""
+    param = filt.value
+    if not isinstance(param, Parameter):
+        return param
+    if param.name in bindings:
+        value = bindings[param.name]
+    elif param.path in bindings:
+        value = bindings[param.path]
+    else:
+        raise EngineError(
+            "ENG010", f"unbound parameter {param.name!r} (for {param.path}); supply --bind {param.name}=<value>"
+        )
     if not isinstance(value, str):
         return value
-    kind = attr.attr_type.name if attr.attr_type.kind == "primitive" else None
-    if kind == "Integer":
-        return int(value)
-    if kind == "Decimal":
-        return float(value)
-    if kind == "Boolean":
-        return value.lower() in ("true", "1")
-    if kind == "Date":
-        return date.fromisoformat(value)
-    return value
+    attr = filt.column.attribute
+    try:
+        return _coerce(value, attr, None)
+    except ValueError:
+        raise EngineError(
+            "ENG010", f"parameter {param.name!r} expects {attr.attr_type.name}, got {value!r}"
+        ) from None
 
 
-def _compile_predicate(model: m.SpecificationModel, fact_id: str, pred: m.Predicate, bindings: dict | None):
-    bindings = bindings or {}
-    accessor = compile_accessor(model, fact_id, pred.left)
-    left_entity = model.entity(accessor.entity)
-    left_attr = left_entity.attribute(accessor.attribute)
-
-    right = pred.right
-    if isinstance(right, m.EnumLiteral):
-        target_value = right.value
-        if left_attr.attr_type.kind == "dimension":
-            # Compare through the referenced dimension's enum-typed attribute.
-            dimension = model.entity(left_attr.attr_type.name)
-            role = None
-            if dimension is not None:
-                matches = [
-                    a for a in dimension.attributes
-                    if a.attr_type.kind == "enum" and a.attr_type.name == right.enum
-                ]
-                role = matches[0] if len(matches) == 1 else None
-            if role is None:
-                raise EngineError("ENG030", f"cannot compare {pred.left} against {right}")
-            accessor = Accessor(accessor.chain + ((left_attr.id, left_attr.attr_type.name),), role.id, dimension.id)
-    elif isinstance(right, m.Literal):
-        target_value = right.value
-    else:  # free parameter path
-        name = _param_name(right)
-        if name in bindings:
-            target_value = bindings[name]
-        elif str(right) in bindings:
-            target_value = bindings[str(right)]
-        else:
-            raise EngineError("ENG010", f"unbound parameter {name!r} (for {right}); supply --bind {name}=<value>")
-        target_value = _coerce_binding(target_value, left_attr)
+def _check(filt: Filter, bindings: dict | None):
+    accessor = _accessor(filt.column)
+    target_value = _bound_value(filt, bindings or {})
 
     def check(row: dict, cube: Cube) -> bool:
         return accessor(row, cube) == target_value
@@ -378,15 +295,17 @@ class CubeView:
         return len(self.rows())
 
 
+def _filtered(view: CubeView, filters, bindings: dict | None) -> CubeView:
+    checks = tuple(_check(filt, bindings) for filt in filters)
+    return CubeView(view.cube, view.fact_id, view.filters + checks)
+
+
 def slice_view(view: CubeView, predicate: m.Predicate, bindings: dict | None = None) -> CubeView:
-    check = _compile_predicate(view.cube.model, view.fact_id, predicate, bindings)
-    return CubeView(view.cube, view.fact_id, view.filters + (check,))
+    return dice_view(view, (predicate,), bindings)
 
 
 def dice_view(view: CubeView, predicates, bindings: dict | None = None) -> CubeView:
-    for predicate in predicates:
-        view = slice_view(view, predicate, bindings)
-    return view
+    return _filtered(view, plan_filters(view.cube.model, view.fact_id, predicates), bindings)
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +348,10 @@ def evaluate_measure(view: CubeView, expr, rows: list[dict] | None = None, _stac
 
     if isinstance(expr, m.Aggregate):
         if isinstance(expr.arg, m.Predicate):
-            check = _compile_predicate(model, fact_id, expr.arg, None)
+            (filt,) = plan_filters(model, fact_id, (expr.arg,))
+            check = _check(filt, None)
             return sum(1 for row in rows if check(row, view.cube))
-        accessor = _aggregate_accessor(model, fact_id, expr.arg)
+        accessor = _accessor(aggregate_column(model, fact_id, expr.arg))
         values = [v for v in (accessor(row, view.cube) for row in rows) if v is not None]
         if expr.fn == "COUNT":
             return len(values)
@@ -454,24 +374,6 @@ def evaluate_measure(view: CubeView, expr, rows: list[dict] | None = None, _stac
     raise EngineError("ENG030", f"unsupported measure node {expr!r}")
 
 
-def _aggregate_accessor(model: m.SpecificationModel, fact_id: str, path: m.AttributePath) -> Accessor:
-    accessor = compile_accessor(model, fact_id, path)
-    entity = model.entity(accessor.entity)
-    attr = entity.attribute(accessor.attribute)
-    if attr.attr_type.kind == "dimension":
-        # Aggregating a dimension reference lands on the dimension's single
-        # Date-typed attribute (MIN(scheduled_date) -> Time.date).
-        dimension = model.entity(attr.attr_type.name)
-        dates = [
-            a for a in dimension.attributes
-            if a.attr_type.kind == "primitive" and a.attr_type.name in ("Date", "DateTime")
-        ]
-        if len(dates) != 1:
-            raise EngineError("ENG030", f"aggregation over {path} is ambiguous in {dimension.id}")
-        return Accessor(accessor.chain + ((attr.id, dimension.id),), dates[0].id, dimension.id)
-    return accessor
-
-
 # ---------------------------------------------------------------------------
 # Grouping and results
 # ---------------------------------------------------------------------------
@@ -490,37 +392,32 @@ class ResultTable:
 
 
 def _sort_token(value):
+    """Sort key matching SQL ``ORDER BY``: NULL first, numbers by value."""
     if value is None:
         return (0, "")
     if isinstance(value, bool):
         return (1, str(int(value)))
     if isinstance(value, (int, float)):
-        return (2, f"{float(value):024.9f}")
+        return (2, float(value))
     if isinstance(value, (date, datetime, time)):
         return (3, value.isoformat())
     return (3, str(value))
 
 
-def aggregate(view: CubeView, group_by, measures=None) -> ResultTable:
-    """Group view rows by attribute paths and evaluate measures per group.
+def aggregate(view: CubeView, group_by) -> ResultTable:
+    """Group view rows and evaluate every executable measure per group.
 
-    Roll-up and drill-down are both this operation with a coarser or finer
-    key list; the distinction is reporting metadata only.
+    ``group_by`` holds attribute paths (dotted text or ``AttributePath``) or
+    plan ``Column``s. Roll-up and drill-down are both this operation with a
+    coarser or finer key list; the distinction is reporting metadata only.
     """
     model = view.cube.model
-    fact = model.entity(view.fact_id)
-    paths = [p if isinstance(p, m.AttributePath) else m.AttributePath.parse(p) for p in group_by]
-    accessors = [compile_accessor(model, view.fact_id, p) for p in paths]
-
-    if measures is None:
-        measure_attrs = [a for a in fact.measures if not isinstance(a.measure, m.OpaqueMeasure)]
-    else:
-        measure_attrs = []
-        for name in measures:
-            attr = fact.attribute(name)
-            if attr is None or attr.measure is None:
-                raise EngineError("ENG030", f"unknown measure {name!r} on {fact.id}")
-            measure_attrs.append(attr)
+    keys = [
+        key if isinstance(key, Column) else column(model, view.fact_id, m.AttributePath.parse(str(key)))
+        for key in group_by
+    ]
+    accessors = [_accessor(key) for key in keys]
+    measure_attrs = executable_measures(model.entity(view.fact_id))
 
     groups: dict[tuple, list[dict]] = {}
     for row in view.rows():
@@ -533,7 +430,7 @@ def aggregate(view: CubeView, group_by, measures=None) -> ResultTable:
         cells = [evaluate_measure(view, attr.measure, rows) for attr in measure_attrs]
         result_rows.append(key + tuple(cells))
 
-    key_names = tuple(str(p) for p in paths)
+    key_names = tuple(key.path for key in keys)
     axis = (key_names[0], key_names[1]) if len(key_names) == 2 else None
     return ResultTable(key_names, tuple(a.id for a in measure_attrs), tuple(result_rows), axis)
 
@@ -554,47 +451,19 @@ def pivot(result: ResultTable) -> ResultTable:
 # ---------------------------------------------------------------------------
 
 
-def _label_path(model: m.SpecificationModel, fact: m.DataEntity, dim_id: str) -> m.AttributePath:
-    dim = model.entity(dim_id)
-    label = next((a.id for a in dim.attributes if a.id == "name"), None)
-    if label is None:
-        label = dim.primary_key.id if dim.primary_key else dim.attributes[0].id
-    fk = next((a for a in fact.dimension_refs if a.dimension_target == dim_id), None)
-    if fk is None:
-        raise EngineError("ENG030", f"{fact.id} has no dimension reference to {dim_id}")
-    return m.AttributePath((fk.id, label))
-
-
 def run_use_case(cube: Cube, use_case_id: str, op_id: str, bindings: dict | None = None) -> ResultTable:
-    model = cube.model
-    uc = model.use_case(use_case_id)
-    if uc is None:
-        raise EngineError("ENG030", f"unknown use case {use_case_id!r}")
-    op = next((o for o in uc.operations if o.id == op_id), None)
-    if op is None:
-        raise EngineError("ENG030", f"use case {use_case_id} has no operation {op_id!r}")
-    if op.is_underspecified:
-        raise EngineError("ENG031", f"operation {op_id} is underspecified (decoded from bare action tags)")
-    if uc.data_source is None:
-        raise EngineError("ENG030", f"use case {use_case_id} has no data source")
+    plan = plan_operation(cube.model, use_case_id, op_id)
+    view = cube.view(plan.fact.id)
 
-    fact_id = _resolve_fact(model, uc.data_source)
-    view = cube.view(fact_id)
-    fact = model.entity(fact_id)
-
-    if op.kind in ("Slice", "Dice"):
-        filtered = dice_view(view, op.where_clauses, bindings)
+    if plan.kind in ("Slice", "Dice"):
+        filtered = _filtered(view, plan.filters, bindings)
         rows = filtered.rows()
-        measure_attrs = [a for a in fact.measures if not isinstance(a.measure, m.OpaqueMeasure)]
-        cells = tuple(evaluate_measure(filtered, attr.measure, rows) for attr in measure_attrs)
-        return ResultTable((), ("row_count",) + tuple(a.id for a in measure_attrs), ((len(rows),) + cells,))
+        cells = tuple(evaluate_measure(filtered, attr.measure, rows) for attr in plan.measures)
+        return ResultTable((), ("row_count",) + tuple(a.id for a in plan.measures), ((len(rows),) + cells,))
 
-    if op.kind in ("RollUp", "DrillDown"):
-        return aggregate(view, [op.group_by])
-
-    first = _label_path(model, fact, op.swap[0])
-    second = _label_path(model, fact, op.swap[1])
-    return pivot(aggregate(view, [first, second]))
+    if plan.kind in ("RollUp", "DrillDown"):
+        return aggregate(view, plan.keys)
+    return pivot(aggregate(view, plan.keys))
 
 
 # ---------------------------------------------------------------------------

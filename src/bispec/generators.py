@@ -12,6 +12,7 @@ import json
 
 from . import measure as mx
 from . import model as m
+from .plan import Column, EngineError, Filter, Parameter, Plan, aggregate_column, plan_filters, plan_operation
 from .semantics import schema_shape
 
 _SQL_TYPES = {
@@ -160,39 +161,10 @@ class _JoinSet:
         self.fact = fact
         self.aliases: dict[tuple, tuple[str, str]] = {}  # chain -> (alias, entity id)
 
-    def column(self, path: m.AttributePath) -> str:
-        from .engine import compile_accessor
-
-        accessor = compile_accessor(self.model, self.fact.id, path)
-        return self._column_for(accessor.chain, accessor.attribute)
-
-    def aggregate_column(self, path: m.AttributePath) -> str:
-        from .engine import _aggregate_accessor
-
-        accessor = _aggregate_accessor(self.model, self.fact.id, path)
-        return self._column_for(accessor.chain, accessor.attribute)
-
-    def enum_role_column(self, path: m.AttributePath, enum_id: str) -> str:
-        from .engine import compile_accessor
-        from .semantics import enum_role_attribute
-
-        accessor = compile_accessor(self.model, self.fact.id, path)
-        owner = self.model.entity(accessor.entity)
-        attr = owner.attribute(accessor.attribute)
-        if attr.attr_type.kind == "dimension":
-            dimension = self.model.entity(attr.attr_type.name)
-            role = enum_role_attribute(self.model, dimension, enum_id)
-            if role is None:
-                raise GeneratorError("GEN010", f"cannot compare {path} against enumeration {enum_id}")
-            chain = accessor.chain + ((attr.id, dimension.id),)
-            return self._column_for(chain, role.id)
-        return self._column_for(accessor.chain, accessor.attribute)
-
-    def _column_for(self, chain: tuple, attribute: str) -> str:
-        if not chain:
-            return f'"f".{_ident(attribute)}'
-        alias = self._alias(chain)
-        return f"{alias}.{_ident(attribute)}"
+    def column(self, col: Column) -> str:
+        if not col.chain:
+            return f'"f".{_ident(col.attribute.id)}'
+        return f"{self._alias(col.chain)}.{_ident(col.attribute.id)}"
 
     def _alias(self, chain: tuple) -> str:
         for length in range(1, len(chain) + 1):
@@ -236,67 +208,49 @@ def _measure_sql(joins: _JoinSet, expr) -> str:
         return f"({left} {expr.op} {right})"
     if isinstance(expr, m.Aggregate):
         if isinstance(expr.arg, m.Predicate):
-            condition = _predicate_sql(joins, expr.arg, {})
-            return f"COUNT(CASE WHEN {condition} THEN 1 END)"
-        column = joins.aggregate_column(expr.arg)
+            (filt,) = plan_filters(joins.model, joins.fact.id, (expr.arg,))
+            return f"COUNT(CASE WHEN {_filter_sql(joins, filt)} THEN 1 END)"
+        column = joins.column(aggregate_column(joins.model, joins.fact.id, expr.arg))
         fn = {"COUNT": "COUNT", "SUM": "SUM", "AVERAGE": "AVG", "MIN": "MIN", "MAX": "MAX"}[expr.fn]
         return f"{fn}({column})"
     raise GeneratorError("GEN010", f"measure is not translatable: {expr!r}")
 
 
-def _predicate_sql(joins: _JoinSet, pred: m.Predicate, params: dict) -> str:
-    right = pred.right
-    if isinstance(right, m.EnumLiteral):
-        column = joins.enum_role_column(pred.left, right.enum)
-        return f"{column} = {_sql_string(right.value)}"
-    column = joins.column(pred.left)
-    if isinstance(right, m.Literal):
-        return f"{column} = {_sql_literal(right.value)}"
-    name = right.segments[-1]
-    if name in params and params[name] != str(right):
-        name = "_".join(right.segments)
-    params[name] = str(right)
-    return f"{column} = :{name}"
+def _filter_sql(joins: _JoinSet, filt: Filter) -> str:
+    if isinstance(filt.value, Parameter):
+        return f"{joins.column(filt.column)} = :{filt.value.name}"
+    return f"{joins.column(filt.column)} = {_sql_literal(filt.value)}"
 
 
 def gen_olap_sql(model: m.SpecificationModel, use_case_id: str, op_id: str) -> str:
-    uc = model.use_case(use_case_id)
-    op = next((o for o in uc.operations if o.id == op_id), None) if uc else None
-    if uc is None or op is None:
-        raise GeneratorError("GEN010", f"unknown operation {use_case_id}/{op_id}")
-    if op.is_underspecified:
-        raise GeneratorError(
-            "GEN010", f"operation {op_id} was decoded from bare action tags and carries no predicates"
-        )
-    source = model.data_source(uc.data_source) if uc.data_source else None
-    if source is None:
-        raise GeneratorError("GEN010", f"use case {use_case_id} has no resolvable data source")
-    fact = model.entity(source.main) if isinstance(source, m.DataEntityCluster) else source
+    try:
+        return _plan_sql(model, plan_operation(model, use_case_id, op_id))
+    except EngineError as exc:
+        raise GeneratorError("GEN010", str(exc)) from None
 
+
+def _plan_sql(model: m.SpecificationModel, plan: Plan) -> str:
+    fact = plan.fact
+    op = plan.operation
     joins = _JoinSet(model, fact)
-    header = [f"-- {op.kind}: {use_case_id} / {op_id}"]
+    header = [f"-- {op.kind}: {plan.use_case} / {op.id}"]
     if op.description:
         header.append(f"-- {op.description}")
 
-    if op.kind in ("Slice", "Dice"):
-        params: dict = {}
-        conditions = [_predicate_sql(joins, pred, params) for pred in op.where_clauses]
+    if plan.kind in ("Slice", "Dice"):
+        conditions = [_filter_sql(joins, filt) for filt in plan.filters]
         select = ['SELECT "f".*', f"FROM {_ident(fact.id)} \"f\""]
         select.extend(joins.join_clauses())
         select.append("WHERE " + "\n  AND ".join(conditions))
         return "\n".join(header + select) + ";\n"
 
-    measures = [a for a in fact.measures if not isinstance(a.measure, m.OpaqueMeasure)]
-    if op.kind in ("RollUp", "DrillDown"):
-        key_paths = [op.group_by]
-    else:  # Pivot: grouped over both swap axes; the transpose happens engine-side
-        from .engine import _label_path
-
+    keys = plan.keys
+    if plan.kind == "Pivot":  # grouped over both swap axes; the transpose happens engine-side
         header.append("-- pivot: axes swapped when rendering; cells are unchanged")
-        key_paths = [_label_path(model, fact, op.swap[1]), _label_path(model, fact, op.swap[0])]
+        keys = keys[::-1]
 
-    key_cols = [(joins.column(path), str(path)) for path in key_paths]
-    measure_cols = [(_measure_sql(joins, attr.measure), attr.id) for attr in measures]
+    key_cols = [(joins.column(key), key.path) for key in keys]
+    measure_cols = [(_measure_sql(joins, attr.measure), attr.id) for attr in plan.measures]
     select_list = [f"{expr} AS {_ident(label)}" for expr, label in key_cols + measure_cols]
     query = ["SELECT " + ",\n       ".join(select_list), f"FROM {_ident(fact.id)} \"f\""]
     query.extend(joins.join_clauses())

@@ -757,8 +757,18 @@ def merge_models(models: list[SpecificationModel]) -> SpecificationModel:
 
 @dataclass(frozen=True)
 class ResolvedTarget:
+    """``entity.attribute``, reached from the ``anchor`` entity through ``hop``.
+
+    ``anchor`` is where the path itself starts (the context entity, or the
+    entity its first segment names); ``hop`` is the dimension hop the path
+    spells out, if any. Reaching the anchor from the context is the query
+    planner's job (``plan.hop_chains``).
+    """
+
     entity: str
     attribute: str
+    anchor: str
+    hop: tuple[tuple[str, str], ...]
 
 
 class ResolveError(Exception):
@@ -797,7 +807,7 @@ def resolve(model: SpecificationModel, path: AttributePath, context: str) -> Res
         attr = ctx.attribute(segs[0])
         if attr is None:
             raise ResolveError("UnknownAttribute", segs[0], f"{ctx.id} has no attribute {segs[0]!r}")
-        return ResolvedTarget(ctx.id, attr.id)
+        return ResolvedTarget(ctx.id, attr.id, ctx.id, ())
 
     head = segs[0]
     entity = model.entity(head)
@@ -814,7 +824,7 @@ def resolve(model: SpecificationModel, path: AttributePath, context: str) -> Res
         attr = entity.attribute(segs[1])
         if attr is None:
             raise ResolveError("UnknownAttribute", segs[1], f"{entity.id} has no attribute {segs[1]!r}")
-        return ResolvedTarget(entity.id, attr.id)
+        return ResolvedTarget(entity.id, attr.id, entity.id, ())
 
     mid = entity.attribute(segs[1])
     if mid is None:
@@ -834,7 +844,7 @@ def _hop(model: SpecificationModel, owner: DataEntity, attr: DataAttribute, leaf
     leaf_attr = target.attribute(leaf)
     if leaf_attr is None:
         raise ResolveError("UnknownAttribute", leaf, f"{target.id} has no attribute {leaf!r}")
-    return ResolvedTarget(target.id, leaf_attr.id)
+    return ResolvedTarget(target.id, leaf_attr.id, owner.id, ((attr.id, target.id),))
 
 
 def reachable_entities(model: SpecificationModel, context: str) -> set[str]:
@@ -844,30 +854,13 @@ def reachable_entities(model: SpecificationModel, context: str) -> set[str]:
     every ``uses`` member) and closes over dimension-reference attributes,
     which covers snowflake chains such as fact -> Institution -> City.
     """
-    roots: list[str] = []
+    from .plan import hop_chains  # plan imports this module
+
     source = model.data_source(context)
     if source is None:
         return set()
-    if isinstance(source, DataEntityCluster):
-        roots.append(source.main)
-        roots.extend(source.uses)
-    else:
-        roots.append(source.id)
-
-    seen: set[str] = set()
-    work = [r for r in roots if model.entity(r) is not None]
-    while work:
-        current = work.pop()
-        if current in seen:
-            continue
-        seen.add(current)
-        entity = model.entity(current)
-        if entity is None:
-            continue
-        for attr in entity.dimension_refs:
-            if attr.dimension_target not in seen and model.entity(attr.dimension_target):
-                work.append(attr.dimension_target)
-    return seen
+    roots = (source.main,) + source.uses if isinstance(source, DataEntityCluster) else (source.id,)
+    return {entity_id for root in roots if model.entity(root) is not None for entity_id in hop_chains(model, root)}
 
 
 __all__ = [name for name in dir() if not name.startswith("_")]

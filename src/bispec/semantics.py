@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from . import model as m
 from .diagnostics import Diagnostic, error, sorted_diagnostics, warning
+from .plan import EngineError, date_role_attribute, enum_role_attribute, pivot_axis
 
 _NUMERIC = {"Integer", "Decimal"}
 _RESTRICTION_RE = re.compile(r"\bonly\b", re.IGNORECASE)
@@ -142,21 +143,6 @@ def check_dimensional(model: m.SpecificationModel) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 
-def date_role_attribute(model: m.SpecificationModel, dimension: m.DataEntity) -> m.DataAttribute | None:
-    """The single Date-typed attribute an aggregated dimension hop lands on."""
-    dates = [
-        a for a in dimension.attributes
-        if a.attr_type.kind == "primitive" and a.attr_type.name in ("Date", "DateTime")
-    ]
-    return dates[0] if len(dates) == 1 else None
-
-
-def enum_role_attribute(model: m.SpecificationModel, dimension: m.DataEntity, enum_id: str) -> m.DataAttribute | None:
-    """The single attribute of ``dimension`` typed by the given enumeration."""
-    matches = [a for a in dimension.attributes if a.attr_type.kind == "enum" and a.attr_type.name == enum_id]
-    return matches[0] if len(matches) == 1 else None
-
-
 def check_measures(model: m.SpecificationModel) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     for entity in model.entities:
@@ -253,7 +239,7 @@ def _argument_type(model, entity: m.DataEntity, owner: m.DataAttribute, path: m.
     if attr.attr_type.kind == "dimension":
         dimension = model.entity(attr.attr_type.name)
         if dimension is not None:
-            date_attr = date_role_attribute(model, dimension)
+            date_attr = date_role_attribute(dimension)
             if date_attr is None:
                 diags.append(
                     error(
@@ -297,7 +283,7 @@ def _check_measure_predicate(model, entity: m.DataEntity, owner: m.DataAttribute
                 )
         elif left_attr.attr_type.kind == "dimension":
             dimension = model.entity(left_attr.attr_type.name)
-            if dimension is not None and enum_role_attribute(model, dimension, right.enum) is None:
+            if dimension is not None and enum_role_attribute(dimension, right.enum) is None:
                 diags.append(
                     error(
                         "SEM011",
@@ -397,7 +383,7 @@ def _check_operation(model, uc: m.UseCase, op: m.OlapOperation, source, reachabl
         except m.ResolveError as exc:
             diags.append(error("SEM022", f"{role} {path} in operation {op.id}: {exc}", path.loc or op.loc))
             return None
-        if resolved.entity not in reachable:
+        if resolved.anchor not in reachable:
             diags.append(
                 error("SEM022", f"{role} {path} in operation {op.id} is not reachable from {context}", path.loc or op.loc)
             )
@@ -422,12 +408,16 @@ def _check_operation(model, uc: m.UseCase, op: m.OlapOperation, source, reachabl
     elif op.kind in ("RollUp", "DrillDown"):
         resolve_path(op.group_by, "group-by path")
     else:  # Pivot
+        fact = model.entity(source.main) if isinstance(source, m.DataEntityCluster) else source
         for dim_id in op.swap:
             dim = model.entity(dim_id)
             if dim is None or not dim.is_dimension:
                 diags.append(error("SEM024", f"pivot {op.id} swaps {dim_id!r}, which is not a dimension", op.loc))
-            elif dim_id not in reachable:
-                diags.append(error("SEM024", f"pivot {op.id} swaps {dim_id}, which is not reachable from {context}", op.loc))
+            elif fact is not None:
+                try:
+                    pivot_axis(model, fact, dim_id)
+                except EngineError as exc:
+                    diags.append(error("SEM024", f"pivot {op.id} swaps {dim_id}: {exc}", op.loc))
     return diags
 
 
@@ -460,7 +450,7 @@ def check_ui(model: m.SpecificationModel) -> list[Diagnostic]:
                 except m.ResolveError as exc:
                     diags.append(error("SEM031", f"part {part.id} of {comp.id}: {exc}", part.binding.loc or part.loc))
                     continue
-                if resolved.entity not in reachable:
+                if resolved.anchor not in reachable:
                     diags.append(
                         error(
                             "SEM031",

@@ -1,9 +1,13 @@
+import math
+import sqlite3
+from datetime import date
 from pathlib import Path
 
 import pytest
 
 from bispec import parse_asl, parse_cnlbi
 from bispec.engine import load_cube
+from bispec.generators import gen_schema_sql
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS_CNLBI = ROOT / "corpus" / "medbuddy.cnlbi"
@@ -40,3 +44,38 @@ def cube(medbuddy):
     cube, diags = load_cube(medbuddy, DATA_DIR)
     assert not any(d.is_error for d in diags), [f"{d.code} {d.message}" for d in diags]
     return cube
+
+
+def _sql_value(value):
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, date):
+        return value.isoformat()
+    return value
+
+
+def sqlite_from_cube(model, cube) -> sqlite3.Connection:
+    """An in-memory database built from the generated DDL and the cube's rows."""
+    conn = sqlite3.connect(":memory:")
+    conn.executescript(gen_schema_sql(model))
+    for entity in model.entities:
+        table = cube.table(entity.id)
+        columns = ", ".join(f'"{c}"' for c in table.columns)
+        holes = ", ".join("?" for _ in table.columns)
+        for row in table.rows:
+            values = [_sql_value(row[c]) for c in table.columns]
+            conn.execute(f'INSERT INTO "{entity.id}" ({columns}) VALUES ({holes})', values)
+    conn.commit()
+    return conn
+
+
+def assert_rows_match_sql(result, db_rows, context) -> None:
+    """Engine result == SQLite rows: every column, in row order, floats to 1e-9 relative."""
+    assert len(db_rows) == len(result.rows), context
+    for engine_row, db_row in zip(result.rows, db_rows):
+        for name, value, db_value in zip(result.columns, engine_row, db_row):
+            expected = _sql_value(value)
+            if isinstance(expected, float) and db_value is not None:
+                assert math.isclose(db_value, expected, rel_tol=1e-9), (context, name, engine_row, db_row)
+            else:
+                assert db_value == expected, (context, name, engine_row, db_row)

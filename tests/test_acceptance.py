@@ -9,9 +9,7 @@ import dataclasses
 import json
 import math
 import re
-import sqlite3
 import time
-from datetime import date
 
 import pytest
 
@@ -21,8 +19,9 @@ from bispec.asl import emit_asl
 from bispec.cnlbi import emit_cnlbi
 from bispec.engine import aggregate, dice_view, pivot, run_use_case, slice_view
 from bispec.generators import gen_dashboard_manifest, gen_olap_sql, gen_requirements_doc, gen_schema_sql
+from bispec.plan import plan_operation
 from bispec.semantics import check_model
-from conftest import CORPUS_ASL, CORPUS_CNLBI, DATA_DIR, ROOT
+from conftest import CORPUS_ASL, CORPUS_CNLBI, DATA_DIR, ROOT, assert_rows_match_sql, sqlite_from_cube
 
 
 def ok(number: int, name: str) -> None:
@@ -227,38 +226,50 @@ def test_criterion_4_olap_oracle_equivalence(medbuddy, cube):
     ok(4, "OLAP oracle equivalence")
 
 
-def test_criterion_5_sql_cross_validation(medbuddy, cube):
-    conn = sqlite3.connect(":memory:")
-    conn.executescript(gen_schema_sql(medbuddy))  # generated DDL loads
-    for entity in medbuddy.entities:
-        table = cube.table(entity.id)
-        columns = ", ".join(f'"{c}"' for c in table.columns)
-        holes = ", ".join("?" for _ in table.columns)
-        for row in table.rows:
-            values = [
-                int(v) if isinstance(v, bool) else v.isoformat() if isinstance(v, date) else v
-                for v in (row[c] for c in table.columns)
-            ]
-            conn.execute(f'INSERT INTO "{entity.id}" ({columns}) VALUES ({holes})', values)
+# The corpus declares no Pivot, and no Dice whose parameters share a last
+# segment (``City.id`` and ``RequestState.id`` both end in ``id``).
+CROSS_CHECK_OPS = """
+UseCase CrossChecks is a BIAnalysis
+  actor NationalLevelDataAnalyst,
+  data source AppointmentRequest,
+  performs
+    OLAP Operation StatesByInstitution is a Pivot
+      swap Institution with RequestState
+      described as pivots appointments per institution and request state,
+    OLAP Operation CityAndState is a Dice
+      where Institution.city = City.id and state = RequestState.id
+      described as keeps one city and one request state,
 
-    group_by_ops = [
-        (uc.id, op.id)
-        for uc in medbuddy.use_cases
+  described as it cross-checks the engine against the generated SQL.
+"""
+
+
+def test_criterion_5_sql_cross_validation(medbuddy, cube):
+    extra, diags = parse_cnlbi(CROSS_CHECK_OPS, "cross-checks.cnlbi")
+    assert not [d for d in diags if d.is_error], [f"{d.code} {d.message}" for d in diags]
+    model = m.merge_models([medbuddy, extra])
+    assert not [d for d in check_model(model).diagnostics if d.is_error]
+    merged_cube = dataclasses.replace(cube, model=model)
+    conn = sqlite_from_cube(medbuddy, cube)  # generated DDL loads
+
+    grouped_ops = [
+        (uc.id, op.id, op.kind)
+        for uc in model.use_cases
         for op in uc.operations
-        if op.kind in ("RollUp", "DrillDown")
+        if op.kind in ("RollUp", "DrillDown", "Pivot")
     ]
-    assert group_by_ops
-    for uc_id, op_id in group_by_ops:
-        sql = gen_olap_sql(medbuddy, uc_id, op_id)
-        db_rows = conn.execute(sql).fetchall()
-        engine_result = run_use_case(cube, uc_id, op_id)
-        count_cols = [
-            engine_result.columns.index("CountAppointments"),
-            engine_result.columns.index("CountCancelledAppointments"),
-        ]
-        engine_set = {(row[0], row[count_cols[0]], row[count_cols[1]]) for row in engine_result.rows}
-        db_set = {(row[0], row[count_cols[0]], row[count_cols[1]]) for row in db_rows}
-        assert db_set == engine_set, (uc_id, op_id)
+    assert {kind for _, _, kind in grouped_ops} == {"RollUp", "DrillDown", "Pivot"}
+    for uc_id, op_id, _ in grouped_ops:
+        db_rows = conn.execute(gen_olap_sql(model, uc_id, op_id)).fetchall()
+        assert_rows_match_sql(run_use_case(merged_cube, uc_id, op_id), db_rows, (uc_id, op_id))
+
+    # the engine takes the same bind names as the SQL's placeholders
+    sql = gen_olap_sql(model, "CrossChecks", "CityAndState")
+    plan = plan_operation(model, "CrossChecks", "CityAndState")
+    assert {f.value.name for f in plan.filters} == set(re.findall(r"= :(\w+)", sql)) == {"id", "RequestState_id"}
+    bindings = {"id": "c2", "RequestState_id": "s3"}
+    summary = run_use_case(merged_cube, "CrossChecks", "CityAndState", bindings)
+    assert summary.rows[0][0] == len(conn.execute(sql, bindings).fetchall()) == 2
     conn.close()
     ok(5, "SQL cross-validation")
 

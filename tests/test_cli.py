@@ -126,15 +126,18 @@ def test_olap_runs_a_bound_slice(capsys):
 
 
 def test_olap_without_binding_exits_one(capsys):
-    code, _, err = run(
-        capsys,
-        "olap", str(CORPUS_CNLBI),
-        "--data", str(DATA_DIR),
-        "--usecase", "AnalysisAppointmentsInstitutionOnNationalLevel",
-        "--op", "ScheduledAppointmentsInSpecificYear",
-    )
-    assert code == 1
-    assert "ENG010" in err
+    cases = [([], ["year"]), (["--bind", "year=abc"], ["year", "abc", "Integer"])]  # unbound; not an Integer
+    for binds, named in cases:
+        code, _, err = run(
+            capsys,
+            "olap", str(CORPUS_CNLBI),
+            "--data", str(DATA_DIR),
+            "--usecase", "AnalysisAppointmentsInstitutionOnNationalLevel",
+            "--op", "ScheduledAppointmentsInSpecificYear",
+            *binds,
+        )
+        assert code == 1, binds
+        assert "ENG010" in err and all(word in err for word in named), err
 
 
 def test_olap_table_format(capsys):

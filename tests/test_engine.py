@@ -83,8 +83,22 @@ def test_dangling_foreign_key_reports_eng004(medbuddy, tmp_path):
         (tmp_path / name.name).write_text(name.read_text())
     with (tmp_path / "AppointmentRequest.csv").open("a") as handle:
         handle.write("r99,i1,p999,s1,t1,,10,,false\n")
-    _, diags = load_cube(medbuddy, tmp_path)
+    cube, diags = load_cube(medbuddy, tmp_path)
     assert any(d.code == "ENG004" and "p999" in d.message for d in diags)
+    # querying through the dangling key is a coded error, not a KeyError
+    with pytest.raises(EngineError) as exc:
+        run_use_case(cube, "AnalysisAppointmentsPatientOnNationalLevel", "AppointmentsByAgeGroup")
+    assert exc.value.code == "ENG004"
+    assert "Patient" in str(exc.value) and "p999" in str(exc.value)
+
+
+def test_utf8_bom_on_a_header_is_ignored(medbuddy, tmp_path):
+    for name in DATA_DIR.iterdir():
+        (tmp_path / name.name).write_text(name.read_text())
+    (tmp_path / "City.csv").write_text("\ufeff" + (DATA_DIR / "City.csv").read_text(), encoding="utf-8")
+    cube, diags = load_cube(medbuddy, tmp_path)
+    assert not any(d.is_error for d in diags), [f"{d.code} {d.message}" for d in diags]
+    assert [row["id"] for row in cube.table("City").rows] == ["c1", "c2", "c3"]
 
 
 def test_empty_fact_csv_is_a_valid_cube(medbuddy, tmp_path):

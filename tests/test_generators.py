@@ -1,13 +1,11 @@
 import dataclasses
 import json
 import math
-import sqlite3
-from datetime import date
 
 import pytest
 
 from bispec import model as m, parse_cnlbi
-from bispec.engine import run_use_case
+from bispec.engine import load_cube, run_use_case
 from bispec.generators import (
     GeneratorError,
     gen_dashboard_manifest,
@@ -15,28 +13,13 @@ from bispec.generators import (
     gen_requirements_doc,
     gen_schema_sql,
 )
+from conftest import DATA_DIR, assert_rows_match_sql, sqlite_from_cube
 
 
 @pytest.fixture(scope="module")
 def connection(medbuddy, cube):
     """An in-memory database loaded from the generated DDL plus the fixture."""
-    conn = sqlite3.connect(":memory:")
-    conn.executescript(gen_schema_sql(medbuddy))
-    for entity in medbuddy.entities:
-        table = cube.table(entity.id)
-        columns = ", ".join(f'"{c}"' for c in table.columns)
-        holes = ", ".join("?" for _ in table.columns)
-        for row in table.rows:
-            values = []
-            for column in table.columns:
-                value = row[column]
-                if isinstance(value, bool):
-                    value = int(value)
-                elif isinstance(value, date):
-                    value = value.isoformat()
-                values.append(value)
-            conn.execute(f'INSERT INTO "{entity.id}" ({columns}) VALUES ({holes})', values)
-    conn.commit()
+    conn = sqlite_from_cube(medbuddy, cube)
     yield conn
     conn.close()
 
@@ -153,6 +136,25 @@ def test_group_by_queries_match_engine(connection, medbuddy, cube, uc_id, op_id)
             assert row[avg_col] is None
         else:
             assert math.isclose(row[avg_col], expected, abs_tol=1e-9)
+
+
+def test_negative_and_large_group_keys_sort_like_sql(medbuddy, tmp_path):
+    for name in DATA_DIR.iterdir():
+        (tmp_path / name.name).write_text(name.read_text())
+    ages = {",34,": ",-5,", ",61,": ",-10,", ",8,": f",{10**16},", ",45,": f",{2 * 10**15},"}
+    patients = (DATA_DIR / "Patient.csv").read_text()
+    for old, new in ages.items():
+        patients = patients.replace(old, new)
+    (tmp_path / "Patient.csv").write_text(patients)
+    cube, diags = load_cube(medbuddy, tmp_path)
+    assert not any(d.is_error for d in diags)
+
+    uc_id, op_id = "AnalysisAppointmentsPatientOnNationalLevel", "AppointmentsByAgeGroup"
+    result = run_use_case(cube, uc_id, op_id)
+    assert [row[0] for row in result.rows] == [-10, -5, 2 * 10**15, 10**16]
+    conn = sqlite_from_cube(medbuddy, cube)
+    assert_rows_match_sql(result, conn.execute(gen_olap_sql(medbuddy, uc_id, op_id)).fetchall(), op_id)
+    conn.close()
 
 
 def test_slice_query_uses_named_placeholder(connection, medbuddy, cube):

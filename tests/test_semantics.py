@@ -211,6 +211,32 @@ def test_unknown_path_is_sem022():
     assert "SEM022" in codes(check_use_cases(model))
 
 
+def test_path_through_unreachable_entity_is_sem022():
+    # D is reachable from F, but the path starts at E, which F never references
+    model = parse_ok(
+        """
+DataEntity D is a Reference Dimension with attributes
+  id is a UUID (PrimaryKey),
+  year is an Integer (NotNull).
+DataEntity E is a Reference Dimension with attributes
+  id is a UUID (PrimaryKey),
+  d refers to Dimension D (NotNull).
+DataEntity F is a Transaction Fact with attributes
+  id is a UUID (PrimaryKey),
+  d refers to Dimension D (NotNull),
+  Count is an Integer (operation COUNT(id)).
+Actor A is a User.
+UseCase U is a BIAnalysis
+  actor A,
+  data source F,
+  performs
+    OLAP Operation Op is a Roll-up
+      group by E.d.year.
+"""
+    )
+    assert "SEM022" in codes(check_use_cases(model))
+
+
 def test_slice_with_two_predicates_is_sem023():
     model = use_case_model(extra_ops=" and F.id = 1")
     assert "SEM023" in codes(check_use_cases(model))
@@ -235,12 +261,15 @@ UseCase U is a BIAnalysis
 
 
 def test_pivot_swap_must_name_reachable_dimensions():
-    model = parse_ok(
-        """
-DataEntity D is a Reference Dimension with attributes
-  id is a UUID (PrimaryKey).
+    # Away is unreachable, then reachable only through D: a pivot axis is a
+    # dimension the fact references itself
+    for d_refs in ("", ",\n  away refers to Dimension Away (NotNull)"):
+        model = parse_ok(
+            f"""
 DataEntity Away is a Reference Dimension with attributes
   id is a UUID (PrimaryKey).
+DataEntity D is a Reference Dimension with attributes
+  id is a UUID (PrimaryKey){d_refs}.
 DataEntity F is a Transaction Fact with attributes
   id is a UUID (PrimaryKey),
   d refers to Dimension D (NotNull),
@@ -253,8 +282,8 @@ UseCase U is a BIAnalysis
     OLAP Operation P is a Pivot
       swap D with Away.
 """
-    )
-    assert "SEM024" in codes(check_use_cases(model))
+        )
+        assert codes(check_use_cases(model), "error") == ["SEM024"], d_refs
 
 
 def test_restriction_note_sem040(medbuddy):
