@@ -157,3 +157,28 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["olap"])  # missing required arguments
     assert exc.value.code == 2
+
+
+GOLDEN_OLAP = sorted((CORPUS_CNLBI.parent.parent / "tests" / "golden" / "olap").glob("*.csv"))
+
+
+def test_golden_olap_results_cover_every_corpus_operation(medbuddy):
+    expected = {f"{uc.id}__{op.id}.csv" for uc in medbuddy.use_cases for op in uc.operations}
+    assert {path.name for path in GOLDEN_OLAP} == expected
+
+
+@pytest.mark.parametrize("golden", GOLDEN_OLAP, ids=lambda path: path.stem)
+def test_olap_csv_matches_golden_result(capsys, golden):
+    usecase, _, op = golden.stem.partition("__")
+    code, out, _ = run(
+        capsys,
+        "olap", str(CORPUS_CNLBI),
+        "--data", str(DATA_DIR),
+        "--usecase", usecase,
+        "--op", op,
+        "--bind", "year=2023",
+        "--bind", "id=c2",
+        "--format", "csv",
+    )
+    assert code == 0
+    assert out == golden.read_text(encoding="utf-8")
