@@ -9,7 +9,7 @@ from pathlib import Path
 from . import asl, cnlbi, engine, generators
 from . import model as m
 from .canonical import model_json
-from .diagnostics import Diagnostic, has_errors, render_json, render_text, sorted_diagnostics, want_color
+from .diagnostics import Diagnostic, error, has_errors, render_json, render_text, sorted_diagnostics, want_color, warning
 from .semantics import check_model
 
 EXIT_OK = 0
@@ -109,14 +109,16 @@ def cmd_gen(args) -> int:
     if "queries" in wanted:
         queries_dir = out_dir / "queries"
         queries_dir.mkdir(exist_ok=True)
+        skipped = []
         for uc in model.use_cases:
             for op in uc.operations:
                 try:
                     sql = generators.gen_olap_sql(model, uc.id, op.id)
                 except generators.GeneratorError as exc:
-                    print(f"skipping {uc.id}/{op.id}: {exc.code} {exc}", file=sys.stderr)
+                    skipped.append(warning(exc.code, f"skipping {uc.id}/{op.id}: {exc}"))
                     continue
                 (queries_dir / f"{uc.id}__{op.id}.sql").write_text(sql, encoding="utf-8")
+        _emit_diagnostics(skipped, args.json)
     if "dashboard" in wanted:
         (out_dir / "dashboard.json").write_text(generators.gen_dashboard_manifest(model), encoding="utf-8")
     if "doc" in wanted:
@@ -148,7 +150,7 @@ def cmd_olap(args) -> int:
     try:
         result = engine.run_use_case(cube, args.usecase, args.op, bindings)
     except engine.EngineError as exc:
-        print(f"error {exc.code}: {exc}", file=sys.stderr)
+        _emit_diagnostics([error(exc.code, str(exc))], args.json)
         return EXIT_DIAGNOSTICS
     render = engine.result_to_csv if args.format == "csv" else engine.result_to_table
     sys.stdout.write(render(result))

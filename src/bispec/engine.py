@@ -5,24 +5,26 @@ ids to CSV files. Loading enforces headers, declared types, and referential
 integrity; queries are read-only over the immutable cube. Decimal arithmetic
 is 64-bit float, evaluated left to right, and aggregation iterates rows in
 file order so results are reproducible.
+
+A query compiles its plan once: each column it reads becomes a chain of
+C-level ``map`` calls, and its measures share aggregate leaves by expression.
 """
 
 from __future__ import annotations
 
 import csv
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import date, datetime, time
+from functools import partial, reduce
+from itertools import compress, repeat
+from operator import add, eq, is_not, itemgetter, mul, sub, truediv
 from pathlib import Path
 
 from . import model as m
 from .diagnostics import Diagnostic, error, warning
 from .plan import Column, EngineError, Filter, Parameter, aggregate_column, column, executable_measures, plan_filters, plan_operation
-
-# Measure results are plain values: int, float, date, or None. Null arises
-# only from empty AVERAGE/MIN/MAX groups and division by zero.
-MeasureValue = object
-
 
 _MANIFEST_LINE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*\"([^\"]+)\"\s*$")
 
@@ -47,6 +49,8 @@ class Table:
     columns: tuple[str, ...]
     rows: list[dict]
     by_pk: dict = field(default_factory=dict)
+    # dimension references whose every key was found at load (no ENG004)
+    clean_refs: frozenset = frozenset()
 
 
 @dataclass
@@ -63,35 +67,33 @@ class Cube:
         return CubeView(self, fact_id, ())
 
 
-def _coerce(value: str, attr: m.DataAttribute, enum: m.DataEnumeration | None):
+_BOOLEANS = {"true": True, "1": True, "false": False, "0": False}
+
+
+def _boolean(value: str) -> bool:
+    if value.lower() not in _BOOLEANS:
+        raise ValueError(f"{value!r} is not a boolean")
+    return _BOOLEANS[value.lower()]
+
+
+_PARSERS = {"UUID": str, "String": str, "Integer": int, "Decimal": float, "Boolean": _boolean,
+            "Date": date.fromisoformat, "DateTime": datetime.fromisoformat, "Time": time.fromisoformat}
+
+
+def _coercer(attr: m.DataAttribute, enum: m.DataEnumeration | None):
+    """The parser of one non-empty cell of ``attr``; it raises ValueError."""
     kind = attr.attr_type.kind
-    if kind == "dimension":
-        return value
-    if kind == "enum":
-        if enum is not None and value not in enum.values:
+    if kind == "primitive":
+        return _PARSERS[attr.attr_type.name]
+    if kind == "dimension" or enum is None:
+        return str
+
+    def enum_value(value: str) -> str:
+        if value not in enum.values:
             raise ValueError(f"{value!r} is not a value of enumeration {attr.attr_type.name}")
         return value
-    name = attr.attr_type.name
-    if name in ("UUID", "String"):
-        return value
-    if name == "Integer":
-        return int(value)
-    if name == "Decimal":
-        return float(value)
-    if name == "Boolean":
-        lowered = value.lower()
-        if lowered in ("true", "1"):
-            return True
-        if lowered in ("false", "0"):
-            return False
-        raise ValueError(f"{value!r} is not a boolean")
-    if name == "Date":
-        return date.fromisoformat(value)
-    if name == "DateTime":
-        return datetime.fromisoformat(value)
-    if name == "Time":
-        return time.fromisoformat(value)
-    raise ValueError(f"unsupported type {name}")
+
+    return enum_value
 
 
 def load_cube(model: m.SpecificationModel, data_dir: str | Path) -> tuple[Cube, list[Diagnostic]]:
@@ -130,7 +132,8 @@ def load_cube(model: m.SpecificationModel, data_dir: str | Path) -> tuple[Cube, 
 def _load_table(entity: m.DataEntity, model: m.SpecificationModel, path: Path, diags: list[Diagnostic]) -> Table | None:
     stored = [a for a in entity.attributes if not a.is_measure]
     expected = tuple(a.id for a in stored)
-    enums = {a.id: model.enumeration(a.attr_type.name) for a in stored if a.attr_type.kind == "enum"}
+    coercers = [_coercer(a, model.enumeration(a.attr_type.name) if a.attr_type.kind == "enum" else None) for a in stored]
+    required = [i for i, a in enumerate(stored) if a.not_null]
 
     with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -140,37 +143,19 @@ def _load_table(entity: m.DataEntity, model: m.SpecificationModel, path: Path, d
             diags.append(error("ENG002", f"{path.name}: empty file, expected header {', '.join(expected)}"))
             return None
         if header != expected:
-            diags.append(
-                error(
-                    "ENG002",
-                    f"{path.name}: header mismatch; expected ({', '.join(expected)}) got ({', '.join(header)})",
-                )
-            )
+            got = ", ".join(header)
+            diags.append(error("ENG002", f"{path.name}: header mismatch; expected ({', '.join(expected)}) got ({got})"))
             return None
 
         rows: list[dict] = []
         for line_no, record in enumerate(reader, start=1):
-            if len(record) != len(stored):
-                diags.append(error("ENG003", f"{path.name} row {line_no}: expected {len(stored)} fields"))
-                continue
-            row: dict = {}
-            bad = False
-            for attr, raw in zip(stored, record):
-                if raw == "":
-                    if attr.not_null:
-                        diags.append(
-                            error("ENG003", f"{path.name} row {line_no}, column {attr.id}: null in NOT NULL column")
-                        )
-                        bad = True
-                    row[attr.id] = None
-                    continue
+            if len(record) == len(stored) and ("" not in record or all(map(record.__getitem__, required))):
                 try:
-                    row[attr.id] = _coerce(raw, attr, enums.get(attr.id))
-                except ValueError as exc:
-                    diags.append(error("ENG003", f"{path.name} row {line_no}, column {attr.id}: {exc}"))
-                    bad = True
-            if not bad:
-                rows.append(row)
+                    rows.append({a: coerce(raw) if raw else None for a, coerce, raw in zip(expected, coercers, record)})
+                    continue
+                except ValueError:
+                    pass
+            _reject(f"{path.name} row {line_no}", record, stored, coercers, diags)
 
     table = Table(entity.id, expected, rows)
     pk = entity.primary_key
@@ -184,55 +169,91 @@ def _load_table(entity: m.DataEntity, model: m.SpecificationModel, path: Path, d
     return table
 
 
+def _reject(where: str, record: list[str], stored, coercers, diags: list[Diagnostic]) -> None:
+    """ENG003 for each bad cell of a record that did not load."""
+    if len(record) != len(stored):
+        diags.append(error("ENG003", f"{where}: expected {len(stored)} fields"))
+        return
+    for attr, coerce, raw in zip(stored, coercers, record):
+        try:
+            if raw:
+                coerce(raw)
+            elif attr.not_null:
+                raise ValueError("null in NOT NULL column")
+        except ValueError as exc:
+            diags.append(error("ENG003", f"{where}, column {attr.id}: {exc}"))
+
+
 def _check_references(cube: Cube, diags: list[Diagnostic]) -> None:
     for entity in cube.model.entities:
         table = cube.tables.get(entity.id)
         if table is None:
             continue
+        clean = []
         for attr in entity.dimension_refs:
             target = cube.tables.get(attr.dimension_target)
             if target is None:
                 continue
+            if all(map(target.by_pk.__contains__, filter(_not_none, map(itemgetter(attr.id), table.rows)))):
+                clean.append(attr.id)
+                continue
             for line_no, row in enumerate(table.rows, start=1):
                 key = row.get(attr.id)
                 if key is not None and key not in target.by_pk:
-                    diags.append(
-                        error(
-                            "ENG004",
-                            f"{entity.id} row {line_no}, column {attr.id}: no {attr.dimension_target} row with key {key!r}",
-                        )
-                    )
+                    where = f"{entity.id} row {line_no}, column {attr.id}"
+                    diags.append(error("ENG004", f"{where}: no {attr.dimension_target} row with key {key!r}"))
+        table.clean_refs = frozenset(clean)
 
 
 # ---------------------------------------------------------------------------
-# Path access
+# Column readers
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Accessor:
-    """Reads a plan ``Column`` from a fact row, following its hop chain."""
-
-    chain: tuple[tuple[str, str], ...]
-    attribute: str
-
-    def __call__(self, row: dict, cube: Cube):
-        current = row
-        try:
-            for fk_attr, target in self.chain:
-                key = current.get(fk_attr)
-                if key is None:
-                    return None
-                current = cube.tables[target].by_pk[key]
-        except KeyError:
-            if target not in cube.tables:
-                raise EngineError("ENG030", f"no data loaded for {target}") from None
-            raise EngineError("ENG004", f"{target} has no row with key {key!r}") from None
-        return current.get(self.attribute)
+class _NullRow(dict):
+    # the row a null key hops to: every attribute of it reads as null
+    def __missing__(self, key):
+        return None
 
 
-def _accessor(col: Column) -> Accessor:
-    return Accessor(col.chain, col.attribute.id)
+_NULL_ROW = _NullRow()
+_not_none = partial(is_not, None)
+
+
+def _hop(cube: Cube, owner_id: str, fk: str, target_id: str):
+    """A function from an iterator of ``owner_id.fk`` keys to the rows they name."""
+    owner, target = cube.tables.get(owner_id), cube.tables.get(target_id)
+    by_pk = target.by_pk if target is not None else None
+    if by_pk is not None and owner is not None and fk in owner.clean_refs:
+        return lambda keys: map(by_pk.get, keys, repeat(_NULL_ROW))
+
+    def lookup(key):
+        if key is None:
+            return _NULL_ROW
+        if by_pk is None:
+            raise EngineError("ENG030", f"no data loaded for {target_id}")
+        row = by_pk.get(key)
+        if row is None:
+            raise EngineError("ENG004", f"{target_id} has no row with key {key!r}")
+        return row
+
+    return partial(map, lookup)
+
+
+def _reader(cube: Cube, fact_id: str, col: Column):
+    """A function from fact rows to an iterator of ``col``'s values; ENG004 and
+    ENG030 arise only when a row needs the dangling key or unloaded table."""
+    owners = (fact_id,) + tuple(target for _, target in col.chain)
+    steps = [(itemgetter(fk), _hop(cube, owner, fk, target)) for owner, (fk, target) in zip(owners, col.chain)]
+    # a measure attribute is not stored per row and reads as null
+    leaf = (lambda row: None) if col.attribute.is_measure else itemgetter(col.attribute.id)
+
+    def read(rows):
+        for key_of, hop in steps:
+            rows = hop(map(key_of, rows))
+        return map(leaf, rows)
+
+    return read
 
 
 # ---------------------------------------------------------------------------
@@ -250,28 +271,15 @@ def _bound_value(filt: Filter, bindings: dict):
     elif param.path in bindings:
         value = bindings[param.path]
     else:
-        raise EngineError(
-            "ENG010", f"unbound parameter {param.name!r} (for {param.path}); supply --bind {param.name}=<value>"
-        )
+        bind = f"--bind {param.name}=<value>"
+        raise EngineError("ENG010", f"unbound parameter {param.name!r} (for {param.path}); supply {bind}")
     if not isinstance(value, str):
         return value
     attr = filt.column.attribute
     try:
-        return _coerce(value, attr, None)
+        return _coercer(attr, None)(value)
     except ValueError:
-        raise EngineError(
-            "ENG010", f"parameter {param.name!r} expects {attr.attr_type.name}, got {value!r}"
-        ) from None
-
-
-def _check(filt: Filter, bindings: dict | None):
-    accessor = _accessor(filt.column)
-    target_value = _bound_value(filt, bindings or {})
-
-    def check(row: dict, cube: Cube) -> bool:
-        return accessor(row, cube) == target_value
-
-    return check
+        raise EngineError("ENG010", f"parameter {param.name!r} expects {attr.attr_type.name}, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -280,15 +288,15 @@ class CubeView:
 
     cube: Cube
     fact_id: str
-    filters: tuple = ()
+    filters: tuple = ()  # (reader, value): a row passes when its value == value
 
     def rows(self) -> list[dict]:
         table = self.cube.tables.get(self.fact_id)
         if table is None:
             raise EngineError("ENG030", f"no data loaded for {self.fact_id}")
         out = table.rows
-        for check in self.filters:
-            out = [row for row in out if check(row, self.cube)]
+        for read, value in self.filters:
+            out = list(compress(out, map(eq, read(out), repeat(value))))
         return out
 
     def row_count(self) -> int:
@@ -296,7 +304,7 @@ class CubeView:
 
 
 def _filtered(view: CubeView, filters, bindings: dict | None) -> CubeView:
-    checks = tuple(_check(filt, bindings) for filt in filters)
+    checks = tuple((_reader(view.cube, view.fact_id, f.column), _bound_value(f, bindings or {})) for f in filters)
     return CubeView(view.cube, view.fact_id, view.filters + checks)
 
 
@@ -312,66 +320,91 @@ def dice_view(view: CubeView, predicates, bindings: dict | None = None) -> CubeV
 # Measure evaluation
 # ---------------------------------------------------------------------------
 
+_ARITHMETIC = {"+": add, "-": sub, "*": mul, "/": truediv}
 
-def evaluate_measure(view: CubeView, expr, rows: list[dict] | None = None, _stack: tuple = ()):
-    """Evaluate a measure over a row subset (defaults to the whole view)."""
-    if rows is None:
-        rows = view.rows()
-    model = view.cube.model
-    fact_id = view.fact_id
+# Aggregates over one group's values, nulls dropped. SUM and AVERAGE add left to
+# right (the builtin ``sum`` compensates float error from Python 3.12 on); MIN
+# and MAX keep the first of tied values. Measure results are plain values (int,
+# float, date or None); null arises only from empty AVERAGE/MIN/MAX groups and
+# division by zero.
+_FOLDS = {
+    "COUNT": len,
+    "SUM": lambda values: reduce(add, values, 0),
+    "AVERAGE": lambda values: reduce(add, values, 0.0) / len(values) if values else None,
+    "MIN": lambda values: min(values) if values else None,
+    "MAX": lambda values: max(values) if values else None,
+}
 
-    if isinstance(expr, m.Literal):
-        return expr.value
 
-    if isinstance(expr, m.MeasureRef):
-        if expr.attribute in _stack:
-            raise EngineError("ENG030", f"measure reference cycle at {expr.attribute}")
-        target = model.entity(fact_id).attribute(expr.attribute)
-        if target is None or target.measure is None:
-            raise EngineError("ENG030", f"unknown measure {expr.attribute!r}")
-        return evaluate_measure(view, target.measure, rows, _stack + (expr.attribute,))
+def _arithmetic(op, a, b):
+    """Null when either side is null or a divisor is zero."""
+    return None if a is None or b is None or (op is truediv and b == 0) else op(a, b)
 
-    if isinstance(expr, m.Arithmetic):
-        left = evaluate_measure(view, expr.left, rows, _stack)
-        right = evaluate_measure(view, expr.right, rows, _stack)
-        if left is None or right is None:
-            return None
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if right == 0:
-            return None
-        return left / right
 
-    if isinstance(expr, m.Aggregate):
+def _measure_program(cube: Cube, fact_id: str, exprs):
+    """Compile measures into one function from a group's rows to their values; aggregate
+    leaves are shared by expression and each distinct input is read once per group."""
+    model = cube.model
+    # (chain, attribute id, drop nulls), or None for the rows themselves -> (reader, drop nulls, leaf indices)
+    inputs: dict = {}
+    leaves: dict = {}  # Aggregate -> leaf index
+    folds = []  # leaf index -> function from its input's values to the leaf result
+
+    def add_leaf(expr: m.Aggregate) -> int:
         if isinstance(expr.arg, m.Predicate):
             (filt,) = plan_filters(model, fact_id, (expr.arg,))
-            check = _check(filt, None)
-            return sum(1 for row in rows if check(row, view.cube))
-        accessor = _accessor(aggregate_column(model, fact_id, expr.arg))
-        values = [v for v in (accessor(row, view.cube) for row in rows) if v is not None]
-        if expr.fn == "COUNT":
-            return len(values)
-        if expr.fn == "SUM":
-            total = 0
-            for v in values:
-                total += v
-            return total
-        if not values:
-            return None
-        if expr.fn == "AVERAGE":
-            total = 0.0
-            for v in values:
-                total += v
-            return total / len(values)
-        return min(values) if expr.fn == "MIN" else max(values)
+            value = _bound_value(filt, {})
+            col, drop_nulls, fold = filt.column, False, lambda values: sum(map(eq, values, repeat(value)))
+        else:
+            col = aggregate_column(model, fact_id, expr.arg)
+            drop_nulls, fold = bool(col.chain) or not col.attribute.not_null, _FOLDS[expr.fn]
+            if expr.fn == "COUNT" and not drop_nulls:
+                col = None  # COUNT of a NOT NULL fact column is the number of rows
+        key = None if col is None else (col.chain, col.attribute.id, drop_nulls)
+        if key not in inputs:
+            inputs[key] = (None if col is None else _reader(cube, fact_id, col), drop_nulls, [])
+        inputs[key][2].append(len(folds))
+        folds.append(fold)
+        return len(folds) - 1
 
-    if isinstance(expr, m.OpaqueMeasure):
-        raise EngineError("ENG030", f"opaque measure {expr.text!r} cannot be evaluated")
-    raise EngineError("ENG030", f"unsupported measure node {expr!r}")
+    def compile_node(expr, stack: tuple):
+        """A function from the leaf results to ``expr``'s value."""
+        if isinstance(expr, m.Literal):
+            return lambda results: expr.value
+        if isinstance(expr, m.MeasureRef):
+            if expr.attribute in stack:
+                raise EngineError("ENG030", f"measure reference cycle at {expr.attribute}")
+            target = model.entity(fact_id).attribute(expr.attribute)
+            if target is None or target.measure is None:
+                raise EngineError("ENG030", f"unknown measure {expr.attribute!r}")
+            return compile_node(target.measure, stack + (expr.attribute,))
+        if isinstance(expr, m.Arithmetic):
+            left, right, op = compile_node(expr.left, stack), compile_node(expr.right, stack), _ARITHMETIC[expr.op]
+            return lambda results: _arithmetic(op, left(results), right(results))
+        if isinstance(expr, m.Aggregate):
+            if expr not in leaves:
+                leaves[expr] = add_leaf(expr)
+            return itemgetter(leaves[expr])
+        if isinstance(expr, m.OpaqueMeasure):
+            raise EngineError("ENG030", f"opaque measure {expr.text!r} cannot be evaluated")
+        raise EngineError("ENG030", f"unsupported measure node {expr!r}")
+
+    nodes = [compile_node(expr, ()) for expr in exprs]
+
+    def run(rows: list[dict]) -> tuple:
+        results = [None] * len(folds)
+        for read, drop_nulls, indices in inputs.values():  # one input's values alive at a time
+            values = rows if read is None else list(filter(_not_none, read(rows)) if drop_nulls else read(rows))
+            for i in indices:
+                results[i] = folds[i](values)
+        return tuple(node(results) for node in nodes)
+
+    return run
+
+
+def evaluate_measure(view: CubeView, expr, rows: list[dict] | None = None):
+    """Evaluate a measure over a row subset (defaults to the whole view)."""
+    return _measure_program(view.cube, view.fact_id, (expr,))(view.rows() if rows is None else rows)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -412,23 +445,19 @@ def aggregate(view: CubeView, group_by) -> ResultTable:
     coarser or finer key list; the distinction is reporting metadata only.
     """
     model = view.cube.model
-    keys = [
-        key if isinstance(key, Column) else column(model, view.fact_id, m.AttributePath.parse(str(key)))
-        for key in group_by
-    ]
-    accessors = [_accessor(key) for key in keys]
+    parse = m.AttributePath.parse
+    keys = [key if isinstance(key, Column) else column(model, view.fact_id, parse(str(key))) for key in group_by]
+    readers = [_reader(view.cube, view.fact_id, key) for key in keys]
     measure_attrs = executable_measures(model.entity(view.fact_id))
 
-    groups: dict[tuple, list[dict]] = {}
-    for row in view.rows():
-        key = tuple(acc(row, view.cube) for acc in accessors)
-        groups.setdefault(key, []).append(row)
+    rows = view.rows()
+    groups: dict[tuple, list[dict]] = defaultdict(list)
+    for key, row in zip(zip(*(read(rows) for read in readers)) if readers else repeat((), len(rows)), rows):
+        groups[key].append(row)
 
-    result_rows = []
-    for key in sorted(groups, key=lambda k: tuple(_sort_token(v) for v in k)):
-        rows = groups[key]
-        cells = [evaluate_measure(view, attr.measure, rows) for attr in measure_attrs]
-        result_rows.append(key + tuple(cells))
+    # measures are compiled only when a group needs them, as they were evaluated
+    program = _measure_program(view.cube, view.fact_id, [a.measure for a in measure_attrs]) if groups else None
+    result_rows = [key + program(groups[key]) for key in sorted(groups, key=lambda k: tuple(map(_sort_token, k)))]
 
     key_names = tuple(key.path for key in keys)
     axis = (key_names[0], key_names[1]) if len(key_names) == 2 else None
@@ -456,9 +485,8 @@ def run_use_case(cube: Cube, use_case_id: str, op_id: str, bindings: dict | None
     view = cube.view(plan.fact.id)
 
     if plan.kind in ("Slice", "Dice"):
-        filtered = _filtered(view, plan.filters, bindings)
-        rows = filtered.rows()
-        cells = tuple(evaluate_measure(filtered, attr.measure, rows) for attr in plan.measures)
+        rows = _filtered(view, plan.filters, bindings).rows()
+        cells = _measure_program(cube, plan.fact.id, [attr.measure for attr in plan.measures])(rows)
         return ResultTable((), ("row_count",) + tuple(a.id for a in plan.measures), ((len(rows),) + cells,))
 
     if plan.kind in ("RollUp", "DrillDown"):
@@ -483,23 +511,22 @@ def _cell_text(value, is_key: bool) -> str:
     return str(value)
 
 
+def _text_rows(result: ResultTable) -> list[list[str]]:
+    """The header, then each row as cell text."""
+    key_count = len(result.group_keys)
+    return [list(result.columns)] + [[_cell_text(v, i < key_count) for i, v in enumerate(row)] for row in result.rows]
+
+
 def result_to_csv(result: ResultTable) -> str:
     import io
 
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(result.columns)
-    key_count = len(result.group_keys)
-    for row in result.rows:
-        writer.writerow([_cell_text(v, i < key_count) for i, v in enumerate(row)])
+    csv.writer(buffer, lineterminator="\n").writerows(_text_rows(result))
     return buffer.getvalue()
 
 
 def result_to_table(result: ResultTable) -> str:
-    key_count = len(result.group_keys)
-    rendered = [list(result.columns)]
-    for row in result.rows:
-        rendered.append([_cell_text(v, i < key_count) for i, v in enumerate(row)])
+    rendered = _text_rows(result)
     widths = [max(len(r[i]) for r in rendered) for i in range(len(result.columns))]
     lines = []
     for idx, row in enumerate(rendered):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .diagnostics import Span
 
@@ -677,41 +678,34 @@ class SpecificationModel:
     def empty(cls) -> "SpecificationModel":
         return cls()
 
+    @cached_property
+    def _by_id(self) -> dict[str, dict[str, object]]:
+        """Per construct field, each id's first declaration; planning and the
+        checks look entities up for every path and hop."""
+        index: dict[str, dict[str, object]] = {}
+        for name in ("enumerations", "entities", "clusters", "actors", "use_cases", "ui_containers"):
+            table = index[name] = {}
+            for item in getattr(self, name):
+                table.setdefault(item.id, item)
+        return index
+
     def enumeration(self, enum_id: str) -> DataEnumeration | None:
-        for e in self.enumerations:
-            if e.id == enum_id:
-                return e
-        return None
+        return self._by_id["enumerations"].get(enum_id)
 
     def entity(self, entity_id: str) -> DataEntity | None:
-        for e in self.entities:
-            if e.id == entity_id:
-                return e
-        return None
+        return self._by_id["entities"].get(entity_id)
 
     def cluster(self, cluster_id: str) -> DataEntityCluster | None:
-        for c in self.clusters:
-            if c.id == cluster_id:
-                return c
-        return None
+        return self._by_id["clusters"].get(cluster_id)
 
     def actor(self, actor_id: str) -> Actor | None:
-        for a in self.actors:
-            if a.id == actor_id:
-                return a
-        return None
+        return self._by_id["actors"].get(actor_id)
 
     def use_case(self, uc_id: str) -> UseCase | None:
-        for u in self.use_cases:
-            if u.id == uc_id:
-                return u
-        return None
+        return self._by_id["use_cases"].get(uc_id)
 
     def container(self, container_id: str) -> UIContainer | None:
-        for c in self.ui_containers:
-            if c.id == container_id:
-                return c
-        return None
+        return self._by_id["ui_containers"].get(container_id)
 
     def data_source(self, source_id: str) -> DataEntity | DataEntityCluster | None:
         """Resolve an id that may name an entity or a cluster (entities win)."""

@@ -140,6 +140,24 @@ def test_olap_without_binding_exits_one(capsys):
         assert "ENG010" in err and all(word in err for word in named), err
 
 
+def test_json_flag_makes_every_stderr_line_json(capsys, tmp_path):
+    runs = [
+        ("olap", str(CORPUS_CNLBI), "--data", str(DATA_DIR),
+         "--usecase", "AnalysisAppointmentsInstitutionOnNationalLevel",
+         "--op", "ScheduledAppointmentsInSpecificYear", "--bind", "year=abc"),
+        ("gen", str(CORPUS_ASL), "--out-dir", str(tmp_path / "generated")),
+    ]
+    for argv in runs:
+        _, _, err = run(capsys, *argv, "--json")
+        entries = [json.loads(line) for line in err.splitlines()]
+        assert entries, argv
+        if argv[0] == "olap":
+            assert entries[-1]["code"] == "ENG010" and entries[-1]["severity"] == "error"
+        else:
+            skipped = [e for e in entries if e["message"].startswith("skipping ")]
+            assert len(skipped) == 13 and {(e["code"], e["severity"]) for e in skipped} == {("GEN010", "warning")}
+
+
 def test_olap_table_format(capsys):
     code, out, _ = run(
         capsys,

@@ -1,0 +1,183 @@
+"""Engine, naive oracle and SQLite agree on seeded random MEDBuddy data packages.
+
+Each seed writes a small package for the corpus model: nullable
+``closed_date`` and ``actual_response_time``, negative and very large
+decimals, duplicate dimension labels, and, for some seeds, a 0-row fact or
+a single group. Every corpus operation plus the extra ones below runs in
+the engine, in ``tests/oracle.py`` and as generated SQL in SQLite.
+"""
+
+import csv
+import random
+from datetime import date, timedelta
+
+import pytest
+
+import oracle
+from bispec import check_model, merge_models, parse_cnlbi
+from bispec import model as m
+from bispec.engine import EngineError, aggregate, evaluate_measure, load_cube, run_use_case, slice_view
+from bispec.generators import gen_olap_sql
+from bispec.plan import plan_operation
+from conftest import assert_rows_match_sql, sqlite_from_cube
+
+SEEDS = range(30)
+FACT = "AppointmentRequest"
+
+# Group keys the corpus does not use: a Decimal, a nullable date hop, a pivot.
+EXTRA_OPS = """
+UseCase DifferentialChecks is a BIAnalysis
+  actor NationalLevelDataAnalyst,
+  data source AppointmentRequest,
+  performs
+    OLAP Operation ByInstitutionLatitude is a Roll-up
+      group by Institution.latitude
+      described as rolls up the appointments per institution latitude,
+    OLAP Operation ByClosedYear is a Roll-up
+      group by AppointmentRequest.closed_date.year
+      described as rolls up the appointments per year of closing,
+    OLAP Operation StatesByInstitution is a Pivot
+      swap Institution with RequestState
+      described as pivots appointments per institution and request state,
+
+  described as it widens the differential test.
+"""
+
+DECIMALS = (-1e17, -12345.678, -2.5, -0.25, 0.0, 0.5, 3.75, 1e15, 2e16)
+INSTITUTION_NAMES = ("Hospital A", "Hospital B", "Centro C")  # few names: duplicate labels
+
+
+@pytest.fixture(scope="module")
+def model(medbuddy):
+    extra, diags = parse_cnlbi(EXTRA_OPS, "differential.cnlbi")
+    assert not [d for d in diags if d.is_error], [f"{d.code} {d.message}" for d in diags]
+    merged = merge_models([medbuddy, extra])
+    assert not [d for d in check_model(merged).diagnostics if d.is_error]
+    return merged
+
+
+def _write(directory, entity_id, header, rows):
+    with (directory / f"{entity_id}.csv").open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(["" if v is None else v for v in row] for row in rows)
+
+
+def make_package(seed: int, directory) -> dict:
+    """Write one random package; returns the binds its Slices and Dices take."""
+    rng = random.Random(seed)
+    single = seed % 5 == 1  # one institution in one city: every roll-up has one group
+    cities = [f"c{i}" for i in range(1 if single else rng.randint(1, 4))]
+    institutions = [f"i{i}" for i in range(1 if single else rng.randint(1, 4))]
+    patients = [f"p{i}" for i in range(rng.randint(1, 6))]
+    states = [("s0", "Booked"), ("s1", "Held"), ("s2", "Cancelled")] + ([("s3", "Cancelled")] if seed % 3 == 0 else [])
+    times = []
+    for i in range(rng.randint(1, 6)):
+        day = date(2021, 1, 1) + timedelta(days=rng.randrange(4 * 365))
+        times.append((f"t{i}", day))
+    facts = 0 if seed % 10 == 0 else rng.randint(1, 25)
+
+    def decimal():
+        return repr(rng.choice(DECIMALS) if rng.random() < 0.6 else round(rng.uniform(-90, 90), 4))
+
+    _write(directory, "City", ("id", "latitude", "longitude", "name"),
+           [(c, decimal(), decimal(), f"City {c}") for c in cities])
+    _write(directory, "Time", ("id", "date", "day", "month", "quarter", "semester", "year"),
+           [(t, d.isoformat(), d.day, d.month, (d.month - 1) // 3 + 1, (d.month - 1) // 6 + 1, d.year) for t, d in times])
+    _write(directory, "RequestState", ("id", "is_final", "is_initial", "name"),
+           [(s, str(name != "Booked").lower(), str(name == "Booked").lower(), name) for s, name in states])
+    _write(directory, "Patient", ("id", "nhs_number", "age", "name", "gender", "residence"),
+           [(p, 100 + i, rng.randint(0, 99), f"Patient {p}", rng.choice(("Male", "Female")), rng.choice(cities))
+            for i, p in enumerate(patients)])
+    _write(directory, "Institution", ("id", "code", "name", "latitude", "longitude", "city", "type"),
+           [(i, i.upper(), rng.choice(INSTITUTION_NAMES), decimal(), decimal(), rng.choice(cities),
+             rng.choice(("Hospital", "HealthCentre"))) for i in institutions])
+    fact_rows = []
+    for i in range(facts):
+        closed = rng.random() < 0.7
+        response = rng.choice((rng.randint(-50, 50), 10**12, -(10**12))) if rng.random() < 0.7 else None
+        fact_rows.append((
+            f"f{i}", rng.choice(institutions), rng.choice(patients), rng.choice(states)[0], rng.choice(times)[0],
+            rng.choice(times)[0] if closed else None, rng.randint(0, 100), response, str(closed).lower(),
+        ))
+    _write(directory, FACT, ("id", "institution", "patient", "state", "scheduled_date", "closed_date",
+                             "maximum_response_time", "actual_response_time", "closed"), fact_rows)
+    names = ("City", "Time", "RequestState", "Patient", "Institution", FACT)
+    (directory / "manifest.toml").write_text("".join(f'{n} = "{n}.csv"\n' for n in names), encoding="utf-8")
+    years = sorted({d.year for _, d in times}) + [1999]  # 1999 has no data: an empty slice
+    return {"year": str(rng.choice(years)), "id": rng.choice(cities)}
+
+
+def _oracle_binds(binds):
+    return {"year": int(binds["year"]), "id": binds["id"]}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_engine_oracle_and_sqlite_agree(model, tmp_path, seed):
+    binds = make_package(seed, tmp_path)
+    cube, diags = load_cube(model, tmp_path)
+    assert not [d for d in diags if d.is_error], [f"{d.code} {d.message}" for d in diags]
+    tables = oracle.load_tables(model, tmp_path)
+    conn = sqlite_from_cube(model, cube)
+    measures = [a for a in model.entity(FACT).measures if not isinstance(a.measure, m.OpaqueMeasure)]
+    try:
+        for uc in model.use_cases:
+            for op in uc.operations:
+                context = (seed, uc.id, op.id)
+                plan = plan_operation(model, uc.id, op.id)
+                result = run_use_case(cube, uc.id, op.id, binds)
+                db_rows = conn.execute(gen_olap_sql(model, uc.id, op.id), binds).fetchall()
+                if op.kind in ("Slice", "Dice"):
+                    kept = oracle.filter_rows(model, tables, FACT, op.where_clauses, _oracle_binds(binds))
+                    expected = [oracle.eval_measure(model, tables, FACT, a.measure, kept) for a in measures]
+                    assert result.rows == ((len(kept),) + tuple(expected),), context
+                    assert len(db_rows) == len(kept), context
+                    continue
+                assert_rows_match_sql(result, db_rows, context)
+                paths = [m.AttributePath.parse(key.path) for key in plan.keys]
+                expected = oracle.aggregate(model, tables, FACT, tables[FACT], paths)
+                grouped = aggregate(cube.view(FACT), plan.keys)
+                assert {row[: len(paths)]: row[len(paths):] for row in grouped.rows} == {
+                    key: tuple(values[a.id] for a in measures) for key, values in expected.items()
+                }, context
+    finally:
+        conn.close()
+
+
+# ---------------------------------------------------------------------------
+# Dangling references (ENG004)
+# ---------------------------------------------------------------------------
+
+DANGLING = {
+    # reference -> (column, path through it, aggregate path through it)
+    "patient": (2, "Patient.age", "Patient.age"),  # NOT NULL
+    "closed_date": (5, "AppointmentRequest.closed_date.year", "closed_date"),  # nullable
+}
+
+
+@pytest.mark.parametrize("reference", sorted(DANGLING))
+def test_dangling_reference_is_eng004_for_rollup_slice_and_min_max(model, tmp_path, reference):
+    index, path, aggregated = DANGLING[reference]
+    make_package(2, tmp_path)
+    fact_csv = tmp_path / f"{FACT}.csv"
+    lines = fact_csv.read_text(encoding="utf-8").splitlines()
+    cells = lines[-1].split(",")
+    cells[index] = "zz"
+    lines.append(",".join(["f99"] + cells[1:]))
+    fact_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    cube, diags = load_cube(model, tmp_path)
+    assert [d.code for d in diags if d.is_error] == ["ENG004"]
+    view = cube.view(FACT)
+    queries = {
+        "roll-up": lambda: aggregate(view, [m.AttributePath.parse(path)]),
+        "slice": lambda: slice_view(view, m.Predicate(m.AttributePath.parse(path), m.Literal(2023))).rows(),
+        "MIN": lambda: evaluate_measure(view, m.Aggregate("MIN", m.AttributePath.parse(aggregated))),
+        "MAX": lambda: evaluate_measure(view, m.Aggregate("MAX", m.AttributePath.parse(aggregated))),
+    }
+    for name, query in queries.items():
+        with pytest.raises(EngineError) as exc:
+            query()
+        assert exc.value.code == "ENG004" and "'zz'" in str(exc.value), name
+    # a query that does not read the dangling reference still answers
+    assert aggregate(view, [m.AttributePath.parse("Institution.city")]).rows

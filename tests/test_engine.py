@@ -92,6 +92,28 @@ def test_dangling_foreign_key_reports_eng004(medbuddy, tmp_path):
     assert "Patient" in str(exc.value) and "p999" in str(exc.value)
 
 
+def test_unloaded_dimension_is_eng030_only_when_a_row_reads_it(medbuddy, tmp_path):
+    for name in DATA_DIR.iterdir():
+        if name.name != "Patient.csv":
+            (tmp_path / name.name).write_text(name.read_text())
+    cube, diags = load_cube(medbuddy, tmp_path)
+    assert [d.code for d in diags if d.is_error] == ["ENG001"]
+    patients = "AnalysisAppointmentsPatientOnNationalLevel"
+    with pytest.raises(EngineError) as exc:
+        run_use_case(cube, patients, "AppointmentsByGender")
+    assert exc.value.code == "ENG030" and "Patient" in str(exc.value)
+    # an operation that reads no Patient column still answers
+    assert run_use_case(cube, "AnalysisAppointmentsInstitutionOnNationalLevel", "AppointmentsByInstitutionCity").rows
+
+    # so does every operation over an empty fact
+    header = (DATA_DIR / "AppointmentRequest.csv").read_text().splitlines()[0]
+    (tmp_path / "AppointmentRequest.csv").write_text(header + "\n")
+    cube, _ = load_cube(medbuddy, tmp_path)
+    assert run_use_case(cube, patients, "AppointmentsByGender").rows == ()
+    dice = run_use_case(cube, patients, "ScheduledAppointmentsBySpecificPatientResidenceCityAndYear", {"id": "c1", "year": "2023"})
+    assert dice.rows[0][:3] == (0, 0, 0)
+
+
 def test_utf8_bom_on_a_header_is_ignored(medbuddy, tmp_path):
     for name in DATA_DIR.iterdir():
         (tmp_path / name.name).write_text(name.read_text())
