@@ -455,7 +455,7 @@ def aggregate(view: CubeView, group_by) -> ResultTable:
     for key, row in zip(zip(*(read(rows) for read in readers)) if readers else repeat((), len(rows)), rows):
         groups[key].append(row)
 
-    # measures are compiled only when a group needs them, as they were evaluated
+    # compiled only for a non-empty result, so an empty one raises no measure error
     program = _measure_program(view.cube, view.fact_id, [a.measure for a in measure_attrs]) if groups else None
     result_rows = [key + program(groups[key]) for key in sorted(groups, key=lambda k: tuple(map(_sort_token, k)))]
 
