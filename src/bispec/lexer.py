@@ -5,12 +5,26 @@ passes its own keyword set. Words may contain internal hyphens (``Roll-up``,
 ``x-axis``) and apostrophes (``institution's``) so that those fragments and
 prose descriptions lex as single tokens; a ``-`` with whitespace around it is
 still punctuation, which keeps arithmetic expressions unambiguous.
+
+Character classes follow ``str``: whitespace is ``isspace()``; a word starts
+with ``isalpha()`` or ``_`` and continues with ``isalnum()`` or ``_``; a
+number is decimal digits (``isdecimal()``), with an optional fraction. Any
+other character outside a string or comment is an invalid character
+(``*002``), including numeric characters that are not decimal digits, such
+as ``²``, ``½`` or ``Ⅻ``, at the start of a token.
+
+One compiled pattern per comment style and quote set scans the source.
+Tokens are tuples with their offset and length; a token's line and column
+are computed only when its ``span`` is asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from bisect import bisect_right
+from collections import namedtuple
 from enum import Enum
+from functools import cache
 
 from .diagnostics import Diagnostic, Span, error
 
@@ -25,26 +39,66 @@ class TokenKind(Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: TokenKind
-    text: str
-    span: Span
-    value: object = None  # decoded payload for STRING / NUMBER tokens
+_WORD_KINDS = (TokenKind.KEYWORD, TokenKind.IDENT)
+
+
+class Lines:
+    """Start offsets of the lines of one source file; turns offsets into spans."""
+
+    __slots__ = ("file", "starts")
+
+    def __init__(self, file: str, source: str):
+        self.file = file
+        self.starts = [0, *(m.end() for m in re.finditer("\n", source))]
+
+    def span(self, offset: int, length: int) -> Span:
+        line = bisect_right(self.starts, offset)
+        return Span(self.file, line, offset - self.starts[line - 1] + 1, offset, length)
+
+
+class Token(namedtuple("Token", "kind text value offset length lines")):
+    """One token; ``value`` is the decoded payload of STRING / NUMBER tokens."""
+
+    __slots__ = ()
+
+    @property
+    def end(self) -> int:
+        return self.offset + self.length
+
+    @property
+    def span(self) -> Span:
+        return self.lines.span(self.offset, self.length)
 
     def is_word(self) -> bool:
-        return self.kind in (TokenKind.KEYWORD, TokenKind.IDENT)
+        return self.kind in _WORD_KINDS
 
 
 PUNCT_CHARS = "()[]{},.:;=+-*/"
 
 
-def _is_word_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
+@cache
+def _scanner(block_comments: bool, string_quotes: str) -> re.Pattern:
+    """Skip whitespace, then match one token; only ``end`` matches at the end of input.
 
-
-def _is_word_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
+    Inside a string a backslash escapes the quote or a backslash and is kept
+    before anything else, so a string body can be read only one way and an
+    ``open_string`` is exactly a ``string`` that lacks its closing quote.
+    """
+    bodies = [rf"{q}(?:[^{q}\\\n]|\\[{q}\\]|\\(?![{q}\\]))*" for q in map(re.escape, string_quotes)]
+    strings = "|".join(f"{body}{q}" for body, q in zip(bodies, map(re.escape, string_quotes)))
+    block = r"|/\*(?:[^*]|\*(?!/))*\*/)|(?P<open_comment>/\*[\s\S]*" if block_comments else ""
+    return re.compile(
+        rf"""\s*(?:
+        (?P<word>[^\W\d]\w*(?:[-']\w+)*)
+        |(?P<comment>//[^\n]*{block})
+        |(?P<punct>[{re.escape(PUNCT_CHARS)}])
+        |(?P<string>{strings})
+        |(?P<open_string>{"|".join(bodies)})
+        |(?P<number>\d+(?:\.\d+)?)
+        |(?P<invalid>\S)
+        |(?P<end>\Z))""",
+        re.VERBOSE,
+    )
 
 
 def tokenize(
@@ -57,144 +111,58 @@ def tokenize(
 ) -> tuple[list[Token], list[Diagnostic]]:
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
-    i = 0
-    line = 1
-    line_start = 0
-    n = len(source)
-
-    def span(start: int, start_line: int, start_linestart: int, length: int) -> Span:
-        return Span(file, start_line, start - start_linestart + 1, start, length)
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            line_start = i
-            continue
-        if ch.isspace():
-            i += 1
-            continue
-
-        start, start_line, start_ls = i, line, line_start
-
-        # Line comment.
-        if ch == "/" and source.startswith("//", i):
-            end = source.find("\n", i)
-            end = n if end == -1 else end
-            text = source[i:end]
-            tokens.append(Token(TokenKind.COMMENT, text, span(start, start_line, start_ls, end - i)))
-            i = end
-            continue
-
-        # Block comment (ASL only).
-        if block_comments and source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end == -1:
-                diagnostics.append(
-                    error(f"{code_prefix}003", "unterminated block comment", span(start, start_line, start_ls, n - i))
-                )
-                text = source[i:]
-                i = n
+    lines = Lines(file, source)
+    append = tokens.append
+    new = tuple.__new__  # Token(...) would run namedtuple's Python-level __new__
+    KEYWORD, IDENT, PUNCT = TokenKind.KEYWORD, TokenKind.IDENT, TokenKind.PUNCT
+    pos = 0
+    while True:
+        for m in _scanner(block_comments, string_quotes).finditer(source, pos):
+            group = m.lastgroup
+            start, end = m.span(group)
+            text = m[group]
+            if group == "invalid" or group == "word" and not (text[0].isalpha() or text[0] == "_"):
+                # [^\W\d] also admits numeric characters such as '½'; scan again after the invalid one.
+                diagnostics.append(error(f"{code_prefix}002", f"invalid character {text[0]!r}", lines.span(start, 1)))
+                pos = start + 1
+                break
+            if group == "word":
+                append(new(Token, (KEYWORD if text in keywords else IDENT, text, None, start, end - start, lines)))
+            elif group == "punct":
+                append(new(Token, (PUNCT, text, None, start, 1, lines)))
+            elif group == "string" or group == "open_string":
+                body = text[1:-1] if group == "string" else text[1:]
+                if "\\" in body:
+                    body = re.sub(rf"\\([{re.escape(text[0])}\\])", r"\1", body)
+                if group == "open_string":
+                    diagnostics.append(error(f"{code_prefix}001", "unterminated string literal", lines.span(start, end - start)))
+                append(new(Token, (TokenKind.STRING, text, body, start, end - start, lines)))
+            elif group == "number":
+                value = float(text) if "." in text else int(text)
+                append(new(Token, (TokenKind.NUMBER, text, value, start, end - start, lines)))
+            elif group == "comment" or group == "open_comment":
+                if group == "open_comment":
+                    diagnostics.append(error(f"{code_prefix}003", "unterminated block comment", lines.span(start, end - start)))
+                append(new(Token, (TokenKind.COMMENT, text, None, start, end - start, lines)))
             else:
-                text = source[i : end + 2]
-                i = end + 2
-            line += text.count("\n")
-            if "\n" in text:
-                line_start = start + text.rfind("\n") + 1
-            tokens.append(Token(TokenKind.COMMENT, text, span(start, start_line, start_ls, len(text))))
-            continue
-
-        # Quoted string.
-        if ch in string_quotes:
-            quote = ch
-            j = i + 1
-            buf: list[str] = []
-            closed = False
-            while j < n:
-                c = source[j]
-                if c == "\\" and j + 1 < n and source[j + 1] in (quote, "\\"):
-                    buf.append(source[j + 1])
-                    j += 2
-                    continue
-                if c == quote:
-                    closed = True
-                    j += 1
-                    break
-                if c == "\n":
-                    break
-                buf.append(c)
-                j += 1
-            if not closed:
-                diagnostics.append(
-                    error(f"{code_prefix}001", "unterminated string literal", span(start, start_line, start_ls, j - i))
-                )
-            tokens.append(
-                Token(TokenKind.STRING, source[i:j], span(start, start_line, start_ls, j - i), "".join(buf))
-            )
-            i = j
-            continue
-
-        # Number.
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            is_float = False
-            if j < n - 1 and source[j] == "." and source[j + 1].isdigit():
-                is_float = True
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            text = source[i:j]
-            value: object = float(text) if is_float else int(text)
-            tokens.append(Token(TokenKind.NUMBER, text, span(start, start_line, start_ls, j - i), value))
-            i = j
-            continue
-
-        # Word: identifier or keyword.
-        if _is_word_start(ch):
-            j = i + 1
-            while j < n:
-                c = source[j]
-                if _is_word_char(c):
-                    j += 1
-                elif c in "-'" and j + 1 < n and _is_word_char(source[j + 1]):
-                    j += 2
-                else:
-                    break
-            text = source[i:j]
-            kind = TokenKind.KEYWORD if text in keywords else TokenKind.IDENT
-            tokens.append(Token(kind, text, span(start, start_line, start_ls, j - i)))
-            i = j
-            continue
-
-        if ch in PUNCT_CHARS:
-            tokens.append(Token(TokenKind.PUNCT, ch, span(start, start_line, start_ls, 1)))
-            i += 1
-            continue
-
-        diagnostics.append(
-            error(f"{code_prefix}002", f"invalid character {ch!r}", span(start, start_line, start_ls, 1))
-        )
-        i += 1
-
-    eof_span = Span(file, line, n - line_start + 1, n, 0)
-    tokens.append(Token(TokenKind.EOF, "", eof_span))
-    return tokens, diagnostics
+                append(new(Token, (TokenKind.EOF, "", None, end, 0, lines)))
+                return tokens, diagnostics
 
 
 class Cursor:
-    """Forward-only view over a token list; comments are skipped transparently."""
+    """Forward-only view over a token list; comments are skipped transparently.
+
+    Look-ahead is at most one token: the list ends with a second EOF, so
+    ``peek(1)`` at the EOF is a plain index.
+    """
 
     def __init__(self, tokens: list[Token]):
         self._tokens = [t for t in tokens if t.kind is not TokenKind.COMMENT]
-        self._all = tokens
+        self._tokens.append(self._tokens[-1])
         self.pos = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        idx = min(self.pos + ahead, len(self._tokens) - 1)
-        return self._tokens[idx]
+        return self._tokens[self.pos + ahead]
 
     def next(self) -> Token:
         tok = self._tokens[self.pos]

@@ -30,6 +30,20 @@ class _Name:
         self.path = path
 
 
+class _Arithmetic:
+    """Arithmetic whose operands may still hold _Name placeholders.
+
+    resolve_names() turns it into a validated m.Arithmetic.
+    """
+
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: object, right: object):
+        self.op = op
+        self.left = left
+        self.right = right
+
+
 _AGG_BY_LOWER = {fn.lower(): fn for fn in m.AGGREGATE_FUNCTIONS}
 _AGG_BY_LOWER["avg"] = "AVERAGE"
 
@@ -48,15 +62,12 @@ def parse_path(cur: Cursor) -> m.AttributePath:
         # Dotted paths are written without whitespace; a detached '.' is a
         # declaration terminator, not a segment separator.
         dot, nxt = cur.peek(), cur.peek(1)
-        if dot.span.offset != last.span.offset + last.span.length:
-            break
-        if nxt.span.offset != dot.span.offset + 1:
+        if dot.offset != last.end or nxt.offset != dot.end:
             break
         cur.next()
         last = cur.next()
         segments.append(last.text)
-    span = Span(first.span.file, first.span.line, first.span.col, first.span.offset,
-                last.span.offset + last.span.length - first.span.offset)
+    span = first.lines.span(first.offset, last.end - first.offset)
     try:
         return m.AttributePath(tuple(segments), span)
     except m.ModelError as exc:
@@ -158,26 +169,16 @@ def parse_expression(cur: Cursor) -> object:
     return left
 
 
-def _combine(op: str, left: object, right: object, cur: Cursor) -> m.Arithmetic:
+def _combine(op: str, left: object, right: object, cur: Cursor) -> _Arithmetic:
     # Operands stay as _Name until sibling measures are known.
     for side in (left, right):
-        if not isinstance(side, (m.Aggregate, m.Arithmetic, m.Literal, _Name, m.MeasureRef)):
+        if not isinstance(side, (m.Aggregate, _Arithmetic, m.Literal, _Name, m.MeasureRef)):
             raise ExprSyntaxError("invalid arithmetic operand", cur.peek().span)
-    return _raw_arithmetic(op, left, right)
-
-
-def _raw_arithmetic(op: str, left: object, right: object) -> m.Arithmetic:
-    # Bypass operand validation while _Name placeholders are still present;
-    # resolve_names() re-validates through the real constructor.
-    obj = object.__new__(m.Arithmetic)
-    object.__setattr__(obj, "op", op)
-    object.__setattr__(obj, "left", left)
-    object.__setattr__(obj, "right", right)
-    return obj
+    return _Arithmetic(op, left, right)
 
 
 def resolve_names(expr: object, measure_ids: set[str]) -> object:
-    """Turn _Name placeholders into MeasureRef nodes; reject bare attributes."""
+    """Turn _Name placeholders into MeasureRef nodes and _Arithmetic into m.Arithmetic; reject bare attributes."""
     if isinstance(expr, _Name):
         segs = expr.path.segments
         if len(segs) == 1 and segs[0] in measure_ids:
@@ -187,7 +188,7 @@ def resolve_names(expr: object, measure_ids: set[str]) -> object:
             "and literals may appear in measure arithmetic",
             expr.path.loc,
         )
-    if isinstance(expr, m.Arithmetic):
+    if isinstance(expr, _Arithmetic):
         return m.Arithmetic(expr.op, resolve_names(expr.left, measure_ids), resolve_names(expr.right, measure_ids))
     return expr
 

@@ -4,6 +4,7 @@ from datetime import date
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from bispec import parse_asl, parse_cnlbi
 from bispec.engine import load_cube
@@ -13,6 +14,10 @@ ROOT = Path(__file__).resolve().parent.parent
 CORPUS_CNLBI = ROOT / "corpus" / "medbuddy.cnlbi"
 CORPUS_ASL = ROOT / "corpus" / "medbuddy.asl"
 DATA_DIR = ROOT / "fixtures" / "medbuddy_data"
+
+# Property tests run the same examples on every run and write no example database.
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None, max_examples=100)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

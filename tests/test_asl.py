@@ -60,6 +60,11 @@ def test_unbalanced_bracket_reports_asl011():
     assert "ASL011" in [d.code for d in errors(diags)]
 
 
+def test_numeric_character_outside_a_word_reports_asl002():
+    _, diags = parse_asl("x ²")
+    assert [(d.code, d.span.line, d.span.col) for d in diags if d.code == "ASL002"] == [("ASL002", 1, 3)]
+
+
 def test_malformed_tag_reports_asl021():
     source = """
 UseCaseType BI_Analysis

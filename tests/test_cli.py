@@ -39,6 +39,15 @@ def test_check_failing_document_exits_one(capsys, tmp_path):
     assert "CNL011" in err
 
 
+def test_check_reports_numeric_character_as_invalid(capsys, tmp_path):
+    bad = tmp_path / "bad.cnlbi"
+    bad.write_text("Actor A is a User ².\n")
+    code, _, err = run(capsys, "check", str(bad), "--json")
+    assert code == 1
+    lines = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+    assert any(entry["code"] == "CNL002" and (entry["line"], entry["col"]) == (1, 19) for entry in lines)
+
+
 def test_parse_emits_model_json(capsys):
     code, out, _ = run(capsys, "parse", str(CORPUS_CNLBI), "--emit", "model-json")
     assert code == 0

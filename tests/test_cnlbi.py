@@ -97,6 +97,12 @@ def test_unknown_type_keyword_reports_cnl011():
     assert [d.code for d in errors(diags)] == ["CNL011"]
 
 
+def test_numeric_character_outside_a_word_reports_cnl002():
+    # '²' passes str.isdigit but is no decimal digit; it used to crash int().
+    _, diags = parse_cnlbi("x ²")
+    assert [(d.code, d.span.line, d.span.col) for d in diags if d.code == "CNL002"] == [("CNL002", 1, 3)]
+
+
 def test_malformed_constraint_list_reports_cnl012():
     _, diags = parse_cnlbi("DataEntity X is a Master with attributes a is a UUID (Wibble).")
     assert "CNL012" in [d.code for d in errors(diags)]

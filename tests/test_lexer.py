@@ -1,3 +1,7 @@
+import pytest
+from hypothesis import given, strategies as st
+
+import reference_lexer
 from bispec.cnlbi import KEYWORDS
 from bispec.lexer import TokenKind, tokenize
 
@@ -90,3 +94,47 @@ def test_line_and_column_positions():
     tokens, _ = tokenize(source, KEYWORDS)
     is_tok = [t for t in tokens if t.text == "is"][0]
     assert (is_tok.span.line, is_tok.span.col) == (2, 3)
+
+
+def test_numeric_characters_that_are_not_decimal_digits_are_invalid():
+    tokens, diags = tokenize("x² ² ½ Ⅻ 7", KEYWORDS)
+    assert [(t.kind, t.text, t.value) for t in tokens] == [
+        (TokenKind.IDENT, "x²", None),  # a word continues with any alphanumeric character
+        (TokenKind.NUMBER, "7", 7),
+        (TokenKind.EOF, "", None),
+    ]
+    assert [(d.code, d.message, d.span.col) for d in diags] == [
+        ("CNL002", "invalid character '²'", 4),
+        ("CNL002", "invalid character '½'", 6),
+        ("CNL002", "invalid character 'Ⅻ'", 8),
+    ]
+
+
+# Fragments that exercise every branch of the scanner: quotes and escapes,
+# both comment styles, line breaks that are not "\n", non-ASCII letters,
+# digits and numeric characters, a combining mark and a no-break space.
+_PIECES = (
+    '"', "'", "\\", "//", "/*", "*/", "*", "/", "-", "\n", "\r", "\x0c", " ", "\u00a0",
+    "²", "½", "Ⅻ", "١", "𝟘", "é", "\u0301", "a", "Z", "_", "7", ".", "(", ")", ",", "=", "@",
+    "is", "x-y", "it's",
+)
+
+
+def _observed(result):
+    tokens, diags = result
+    return [(t.kind, t.text, type(t.value), t.value, t.span) for t in tokens], diags
+
+
+@pytest.mark.parametrize("block_comments", [False, True])
+@pytest.mark.parametrize("string_quotes", ['"', "'\""])
+@given(text=st.lists(st.sampled_from(_PIECES), max_size=40).map("".join))
+def test_lexer_agrees_with_character_reference(text, block_comments, string_quotes):
+    options = dict(block_comments=block_comments, string_quotes=string_quotes)
+    tokens, diags = tokenize(text, KEYWORDS, **options)
+    try:
+        expected = reference_lexer.tokenize(text, KEYWORDS, **options)
+    except ValueError:
+        # The reference reads a numeric non-decimal character such as '²' as a number.
+        assert any(d.code == "CNL002" for d in diags)
+        return
+    assert _observed((tokens, diags)) == _observed(expected)
