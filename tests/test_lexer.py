@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import reference_lexer
 from bispec.cnlbi import KEYWORDS
@@ -114,7 +114,7 @@ def test_numeric_characters_that_are_not_decimal_digits_are_invalid():
 # both comment styles, line breaks that are not "\n", non-ASCII letters,
 # digits and numeric characters, a combining mark and a no-break space.
 _PIECES = (
-    '"', "'", "\\", "//", "/*", "*/", "*", "/", "-", "\n", "\r", "\x0c", " ", "\u00a0",
+    '"', "'", "\\", '\\"', "\\'", "\\\\", "//", "/*", "*/", "*", "/", "-", "\n", "\r", "\x0c", " ", "\u00a0",
     "²", "½", "Ⅻ", "١", "𝟘", "é", "\u0301", "a", "Z", "_", "7", ".", "(", ")", ",", "=", "@",
     "is", "x-y", "it's",
 )
@@ -127,14 +127,16 @@ def _observed(result):
 
 @pytest.mark.parametrize("block_comments", [False, True])
 @pytest.mark.parametrize("string_quotes", ['"', "'\""])
-@given(text=st.lists(st.sampled_from(_PIECES), max_size=40).map("".join))
+@given(text=st.lists(st.sampled_from(_PIECES), min_size=4, max_size=60).map("".join))
+@example(text='"a\\"')  # an escaped quote does not close the string
+@example(text="/*/")
 def test_lexer_agrees_with_character_reference(text, block_comments, string_quotes):
     options = dict(block_comments=block_comments, string_quotes=string_quotes)
-    tokens, diags = tokenize(text, KEYWORDS, **options)
+    result = tokenize(text, KEYWORDS, **options)
     try:
         expected = reference_lexer.tokenize(text, KEYWORDS, **options)
     except ValueError:
         # The reference reads a numeric non-decimal character such as '²' as a number.
-        assert any(d.code == "CNL002" for d in diags)
+        assert any(d.code == "CNL002" for d in result[1])
         return
-    assert _observed((tokens, diags)) == _observed(expected)
+    assert _observed(result) == _observed(expected)

@@ -13,9 +13,9 @@ from bispec import check_model, emit_asl, emit_cnlbi, model_json, parse_asl, par
 from bispec.lexer import tokenize
 from conftest import CORPUS_ASL, CORPUS_CNLBI
 
-# Characters that open or close constructs, plus numeric characters that are not digits.
+# Characters that open or close constructs, plus a letter, a digit and a numeric non-digit.
 _INSERTS = '"\'\\/*.,:;()[]{}=-_ \n²é7'
-MUTANTS_PER_FILE = 40
+MUTANTS_PER_FILE = 80
 
 
 def _mutate(text: str, tokens, rng: random.Random) -> str:
