@@ -6,8 +6,11 @@ integrity; queries are read-only over the immutable cube. Decimal arithmetic
 is 64-bit float, evaluated left to right, and aggregation iterates rows in
 file order so results are reproducible.
 
-A query compiles its plan once: each column it reads becomes a chain of
-C-level ``map`` calls, and its measures share aggregate leaves by expression.
+A table is one list per stored attribute, each ending with a null slot. A
+dimension reference holds row positions in its target table, so a hop is a
+C-level ``map`` of ``list.__getitem__``. A view is a list of fact row
+positions, and a query compiles its plan once into column readers over
+positions and measures that share aggregate leaves by expression.
 """
 
 from __future__ import annotations
@@ -15,10 +18,11 @@ from __future__ import annotations
 import csv
 import re
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import date, datetime, time
-from functools import partial, reduce
-from itertools import compress, repeat
+from functools import cached_property, partial, reduce
+from itertools import compress, islice, repeat
 from operator import add, eq, is_not, itemgetter, mul, sub, truediv
 from pathlib import Path
 
@@ -27,6 +31,8 @@ from .diagnostics import Diagnostic, error, warning
 from .plan import Column, EngineError, Filter, Parameter, aggregate_column, column, executable_measures, plan_filters, plan_operation
 
 _MANIFEST_LINE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*\"([^\"]+)\"\s*$")
+
+CHUNK_ROWS = 4096  # CSV records parsed together, one column at a time
 
 
 def parse_manifest(path: Path) -> dict[str, str]:
@@ -45,12 +51,65 @@ def parse_manifest(path: Path) -> dict[str, str]:
 
 @dataclass
 class Table:
+    """One entity's stored attributes as column lists.
+
+    Every column has ``size`` values, one per loaded row in file order, then
+    a null slot. A reference in ``targets`` holds row positions in that table
+    (its null slot for a null key, and the key text for a key in
+    ``dangling``); a reference to a table that did not load holds key text.
+    """
+
     entity_id: str
-    columns: tuple[str, ...]
-    rows: list[dict]
-    by_pk: dict = field(default_factory=dict)
-    # dimension references whose every key was found at load (no ENG004)
-    clean_refs: frozenset = frozenset()
+    data: dict[str, list]  # stored attribute id -> its column, attributes in header order
+    size: int
+    pk: str | None = None
+    targets: dict[str, "Table"] = field(default_factory=dict)
+    dangling: frozenset = frozenset()  # references with a key that names no target row (ENG004)
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        return tuple(self.data)
+
+    @property
+    def rows(self) -> "Rows":
+        return Rows(self, range(self.size))
+
+    def values(self, attr_id: str) -> list:
+        """The column as loaded: a reference reads as its key text."""
+        target = self.targets.get(attr_id)
+        return self.data[attr_id] if target is None else list(map(partial(_key_of, target.pk_values()), self.data[attr_id]))
+
+    def pk_values(self) -> list:
+        """The primary key of each row position, null slot included."""
+        return self.data[self.pk] if self.pk is not None else [None] * (self.size + 1)
+
+
+def _key_of(keys: list, position):
+    # a dangling reference cell holds its key text instead of a position
+    return position if position.__class__ is str else keys[position]
+
+
+class Rows(Sequence):
+    """The rows of ``table`` at ``positions`` as dicts, each built when read;
+    the engine itself never reads them."""
+
+    def __init__(self, table: Table, positions):
+        self.table = table
+        self.positions = positions
+
+    @cached_property
+    def _columns(self) -> list:
+        return [(name, self.table.values(name)) for name in self.table.columns]
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def __getitem__(self, index: int) -> dict:
+        position = self.positions[index]
+        return {name: values[position] for name, values in self._columns}
+
+    def __eq__(self, other):
+        return list(self) == (list(other) if isinstance(other, Rows) else other)
 
 
 @dataclass
@@ -64,7 +123,10 @@ class Cube:
         return self.tables[entity_id]
 
     def view(self, fact_id: str) -> "CubeView":
-        return CubeView(self, fact_id, ())
+        table = self.tables.get(fact_id)
+        if table is None:
+            raise EngineError("ENG030", f"no data loaded for {fact_id}")
+        return CubeView(self, fact_id, range(table.size))
 
 
 _BOOLEANS = {"true": True, "1": True, "false": False, "0": False}
@@ -96,12 +158,38 @@ def _coercer(attr: m.DataAttribute, enum: m.DataEnumeration | None):
     return enum_value
 
 
+def _load_order(model: m.SpecificationModel) -> list[m.DataEntity]:
+    """Every entity after the entities it refers to, else in declaration order
+    (a reference cycle is broken where the walk first meets it)."""
+    order: list[m.DataEntity] = []
+    seen: set[str] = set()
+
+    def visit(entity: m.DataEntity) -> None:
+        if entity.id not in seen:
+            seen.add(entity.id)
+            for attr in entity.dimension_refs:
+                target = model.entity(attr.dimension_target)
+                if target is not None:
+                    visit(target)
+            order.append(entity)
+
+    for entity in model.entities:
+        visit(entity)
+    return order
+
+
 def load_cube(model: m.SpecificationModel, data_dir: str | Path) -> tuple[Cube, list[Diagnostic]]:
-    """Load a data package; the model must already have passed checks clean."""
+    """Load a data package; the model must already have passed checks clean.
+
+    Tables load in reference order, so most references resolve to row
+    positions chunk by chunk; the rest (reference cycles) resolve once every
+    table is in. Diagnostics come per entity in declaration order, then every
+    ENG004 per entity and reference.
+    """
     data_dir = Path(data_dir)
     diags: list[Diagnostic] = []
     manifest_path = data_dir / "manifest.toml"
-    if not manifest_path.exists():
+    if not manifest_path.is_file():
         diags.append(error("ENG001", f"missing manifest: {manifest_path}"))
         return Cube(model, {}), diags
     try:
@@ -115,58 +203,136 @@ def load_cube(model: m.SpecificationModel, data_dir: str | Path) -> tuple[Cube, 
             diags.append(warning("ENG001", f"manifest entry {key!r} matches no entity; ignored"))
 
     tables: dict[str, Table] = {}
-    for entity in model.entities:
+    indexes: dict[str, dict] = {}  # entity id -> {primary key: first row position}
+    table_diags: dict[str, list[Diagnostic]] = {}
+    dangling: dict[tuple[str, str], list[Diagnostic]] = defaultdict(list)  # (entity id, reference) -> ENG004s
+    for entity in _load_order(model):
+        own = table_diags[entity.id] = []
         filename = manifest.get(entity.id)
-        if filename is None or not (data_dir / filename).exists():
-            diags.append(error("ENG001", f"no data file for entity {entity.id}"))
+        if filename is None or not (data_dir / filename).is_file():
+            own.append(error("ENG001", f"no data file for entity {entity.id}"))
             continue
-        table = _load_table(entity, model, data_dir / filename, diags)
+        table = _load_table(entity, model, data_dir / filename, tables, indexes, own, dangling)
         if table is not None:
             tables[entity.id] = table
 
-    cube = Cube(model, tables)
-    _check_references(cube, diags)
-    return cube, diags
+    for table in tables.values():
+        entity = model.entity(table.entity_id)
+        for attr in entity.dimension_refs:
+            target = tables.get(attr.dimension_target)
+            if target is not None and attr.id not in table.targets:  # its target loaded later
+                keys = table.data[attr.id]
+                table.data[attr.id] = _resolve(keys, 0, indexes[target.entity_id], target, entity.id, attr.id, dangling)
+                table.targets[attr.id] = target
+        for attr_id, values in table.data.items():
+            target = table.targets.get(attr_id)
+            values.append(None if target is None else target.size)  # the null slot
+        table.dangling = frozenset(attr for entity_id, attr in dangling if entity_id == table.entity_id)
+
+    for entity in model.entities:
+        diags.extend(table_diags[entity.id])
+    for entity in model.entities:
+        for attr in entity.dimension_refs:
+            diags.extend(dangling.get((entity.id, attr.id), ()))
+    return Cube(model, tables), diags
 
 
-def _load_table(entity: m.DataEntity, model: m.SpecificationModel, path: Path, diags: list[Diagnostic]) -> Table | None:
+def _load_table(entity: m.DataEntity, model: m.SpecificationModel, path: Path, tables: dict[str, Table],
+                indexes: dict[str, dict], diags: list[Diagnostic], dangling) -> Table | None:
+    """Read one CSV in chunks of ``CHUNK_ROWS`` records into column lists (no
+    null slot yet). A reference to a table in ``tables`` resolves chunk by chunk
+    through its index; any other keeps its key text. Duplicate primary keys
+    are reported after the rejected rows; the first row with a key is the one
+    references reach."""
     stored = [a for a in entity.attributes if not a.is_measure]
     expected = tuple(a.id for a in stored)
     coercers = [_coercer(a, model.enumeration(a.attr_type.name) if a.attr_type.kind == "enum" else None) for a in stored]
-    required = [i for i, a in enumerate(stored) if a.not_null]
-
-    with path.open(newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = tuple(next(reader))
-        except StopIteration:
-            diags.append(error("ENG002", f"{path.name}: empty file, expected header {', '.join(expected)}"))
-            return None
-        if header != expected:
-            got = ", ".join(header)
-            diags.append(error("ENG002", f"{path.name}: header mismatch; expected ({', '.join(expected)}) got ({got})"))
-            return None
-
-        rows: list[dict] = []
-        for line_no, record in enumerate(reader, start=1):
-            if len(record) == len(stored) and ("" not in record or all(map(record.__getitem__, required))):
-                try:
-                    rows.append({a: coerce(raw) if raw else None for a, coerce, raw in zip(expected, coercers, record)})
-                    continue
-                except ValueError:
-                    pass
-            _reject(f"{path.name} row {line_no}", record, stored, coercers, diags)
-
-    table = Table(entity.id, expected, rows)
+    refs = [(i, a.id, tables[a.dimension_target]) for i, a in enumerate(stored) if a.dimension_target in tables]
     pk = entity.primary_key
-    if pk is not None:
-        for line_no, row in enumerate(table.rows, start=1):
-            key = row.get(pk.id)
-            if key in table.by_pk:
-                diags.append(error("ENG003", f"{path.name} row {line_no}, column {pk.id}: duplicate primary key {key!r}"))
-            else:
-                table.by_pk[key] = row
-    return table
+    pk_at = expected.index(pk.id) if pk is not None else None
+    index: dict = {}
+    duplicates: list[Diagnostic] = []
+    columns: list[list] = [[] for _ in stored]
+    size = 0
+    reader = None
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                diags.append(error("ENG002", f"{path.name}: empty file, expected header {', '.join(expected)}"))
+                return None
+            if tuple(header) != expected:
+                got = ", ".join(header)
+                diags.append(error("ENG002", f"{path.name}: header mismatch; expected ({', '.join(expected)}) got ({got})"))
+                return None
+            records = 0
+            while chunk := list(islice(reader, CHUNK_ROWS)):
+                count, cells = _parse_chunk(chunk, f"{path.name} row", records + 1, stored, coercers, diags)
+                records += len(chunk)
+                if pk_at is not None:
+                    positions = range(size, size + count)
+                    claimed = list(map(index.setdefault, cells[pk_at], positions))
+                    if claimed != list(positions):
+                        duplicates += [
+                            error("ENG003", f"{path.name} row {position + 1}, column {pk.id}: duplicate primary key {key!r}")
+                            for position, first, key in zip(positions, claimed, cells[pk_at]) if first != position
+                        ]
+                for i, attr_id, target in refs:
+                    cells[i] = _resolve(cells[i], size, indexes[target.entity_id], target, entity.id, attr_id, dangling)
+                for values, new in zip(columns, cells):
+                    values += new
+                size += count
+    except UnicodeDecodeError:
+        diags.append(error("ENG002", f"{path.name} line {_bad_utf8_line(path)}: not UTF-8 text"))
+        return None
+    except csv.Error as exc:
+        diags.append(error("ENG002", f"{path.name} line {reader.line_num}: {exc}"))
+        return None
+    diags += duplicates
+    index.pop(None, None)  # a null key reaches the null slot
+    indexes[entity.id] = index
+    return Table(entity.id, dict(zip(expected, columns)), size, pk.id if pk is not None else None,
+                 {attr_id: target for _, attr_id, target in refs})
+
+
+def _bad_utf8_line(path: Path) -> int:
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+    return 1
+
+
+def _parse_column(coerce, cells: tuple) -> list:
+    if "" in cells:
+        return [coerce(raw) if raw else None for raw in cells]
+    return list(cells) if coerce is str else list(map(coerce, cells))
+
+
+def _parse_chunk(chunk: list, where: str, first: int, stored, coercers, diags: list[Diagnostic]) -> tuple[int, list]:
+    """The chunk's records that load, counted and as one list per column. A
+    chunk holding a bad record goes row by row, and ``_reject`` reports it."""
+    width = len(stored)
+    if set(map(len, chunk)) == {width}:
+        cells = list(zip(*chunk))
+        if not any(attr.not_null and "" in values for attr, values in zip(stored, cells)):
+            try:
+                return len(chunk), [_parse_column(coerce, values) for coerce, values in zip(coercers, cells)]
+            except ValueError:
+                pass
+    required = [i for i, a in enumerate(stored) if a.not_null]
+    rows = []
+    for number, record in enumerate(chunk, start=first):
+        if len(record) == width and ("" not in record or all(map(record.__getitem__, required))):
+            try:
+                rows.append([coerce(raw) if raw else None for coerce, raw in zip(coercers, record)])
+                continue
+            except ValueError:
+                pass
+        _reject(f"{where} {number}", record, stored, coercers, diags)
+    return len(rows), [list(values) for values in zip(*rows)] if rows else [[] for _ in stored]
 
 
 def _reject(where: str, record: list[str], stored, coercers, diags: list[Diagnostic]) -> None:
@@ -184,74 +350,72 @@ def _reject(where: str, record: list[str], stored, coercers, diags: list[Diagnos
             diags.append(error("ENG003", f"{where}, column {attr.id}: {exc}"))
 
 
-def _check_references(cube: Cube, diags: list[Diagnostic]) -> None:
-    for entity in cube.model.entities:
-        table = cube.tables.get(entity.id)
-        if table is None:
-            continue
-        clean = []
-        for attr in entity.dimension_refs:
-            target = cube.tables.get(attr.dimension_target)
-            if target is None:
-                continue
-            if all(map(target.by_pk.__contains__, filter(_not_none, map(itemgetter(attr.id), table.rows)))):
-                clean.append(attr.id)
-                continue
-            for line_no, row in enumerate(table.rows, start=1):
-                key = row.get(attr.id)
-                if key is not None and key not in target.by_pk:
-                    where = f"{entity.id} row {line_no}, column {attr.id}"
-                    diags.append(error("ENG004", f"{where}: no {attr.dimension_target} row with key {key!r}"))
-        table.clean_refs = frozenset(clean)
+def _resolve(keys: list, first: int, index: dict, target: Table, entity_id: str, attr_id: str, dangling) -> list:
+    """Row positions in ``target`` for references whose first row is at position
+    ``first``; a null key gets the null slot and a dangling key keeps its text."""
+    null = target.size
+    positions = list(map(index.get, keys, repeat(null)))
+    if positions.count(null) != keys.count(None):
+        for i, key in enumerate(keys):
+            if key is not None and key not in index:
+                positions[i] = key
+                where = f"{entity_id} row {first + i + 1}, column {attr_id}"
+                dangling[entity_id, attr_id].append(error("ENG004", f"{where}: no {target.entity_id} row with key {key!r}"))
+    return positions
 
 
 # ---------------------------------------------------------------------------
 # Column readers
 # ---------------------------------------------------------------------------
 
-
-class _NullRow(dict):
-    # the row a null key hops to: every attribute of it reads as null
-    def __missing__(self, key):
-        return None
-
-
-_NULL_ROW = _NullRow()
 _not_none = partial(is_not, None)
 
 
-def _hop(cube: Cube, owner_id: str, fk: str, target_id: str):
-    """A function from an iterator of ``owner_id.fk`` keys to the rows they name."""
-    owner, target = cube.tables.get(owner_id), cube.tables.get(target_id)
-    by_pk = target.by_pk if target is not None else None
-    if by_pk is not None and owner is not None and fk in owner.clean_refs:
-        return lambda keys: map(by_pk.get, keys, repeat(_NULL_ROW))
+def _null(position):
+    return None
 
-    def lookup(key):
-        if key is None:
-            return _NULL_ROW
-        if by_pk is None:
-            raise EngineError("ENG030", f"no data loaded for {target_id}")
-        row = by_pk.get(key)
-        if row is None:
-            raise EngineError("ENG004", f"{target_id} has no row with key {key!r}")
-        return row
 
-    return partial(map, lookup)
+def _checked_hop(values: list, target_id: str, position: int):
+    hop = values[position]
+    if hop.__class__ is str:
+        raise EngineError("ENG004", f"{target_id} has no row with key {hop!r}")
+    return hop
+
+
+def _unloaded_hop(target_id: str, key) -> None:
+    """Null for a null key; any other key needs a table that did not load."""
+    if key is not None:
+        raise EngineError("ENG030", f"no data loaded for {target_id}")
 
 
 def _reader(cube: Cube, fact_id: str, col: Column):
-    """A function from fact rows to an iterator of ``col``'s values; ENG004 and
-    ENG030 arise only when a row needs the dangling key or unloaded table."""
-    owners = (fact_id,) + tuple(target for _, target in col.chain)
-    steps = [(itemgetter(fk), _hop(cube, owner, fk, target)) for owner, (fk, target) in zip(owners, col.chain)]
-    # a measure attribute is not stored per row and reads as null
-    leaf = (lambda row: None) if col.attribute.is_measure else itemgetter(col.attribute.id)
+    """A function from fact row positions to an iterator of ``col``'s values;
+    ENG004 and ENG030 arise only when a position needs the dangling key or
+    unloaded table. Every step is a ``map`` over positions."""
+    table = cube.tables[fact_id]
+    steps = []
+    for fk, target_id in col.chain:
+        target = table.targets.get(fk)
+        if target is None:  # the rest of the chain reads null, or raises ENG030
+            steps += [table.data[fk].__getitem__, partial(_unloaded_hop, target_id)]
+            break
+        steps.append(partial(_checked_hop, table.data[fk], target_id) if fk in table.dangling else table.data[fk].__getitem__)
+        table = target
+    else:
+        attr = col.attribute
+        if attr.is_measure:  # not stored per row: reads as null
+            steps.append(_null)
+        elif attr.id in table.targets:  # a reference reads as its key text
+            keys = table.targets[attr.id].pk_values()
+            last = partial(_key_of, keys) if attr.id in table.dangling else keys.__getitem__
+            steps += [table.data[attr.id].__getitem__, last]
+        else:
+            steps.append(table.data[attr.id].__getitem__)
 
-    def read(rows):
-        for key_of, hop in steps:
-            rows = hop(map(key_of, rows))
-        return map(leaf, rows)
+    def read(positions):
+        for step in steps:
+            positions = map(step, positions)
+        return positions
 
     return read
 
@@ -284,28 +448,26 @@ def _bound_value(filt: Filter, bindings: dict):
 
 @dataclass(frozen=True)
 class CubeView:
-    """Read-only slice of a cube: the fact rows satisfying a conjunction."""
+    """Read-only slice of a cube: the positions of the fact rows satisfying a
+    conjunction, in file order, filtered once when the view is made."""
 
     cube: Cube
     fact_id: str
-    filters: tuple = ()  # (reader, value): a row passes when its value == value
+    positions: Sequence[int]
 
-    def rows(self) -> list[dict]:
-        table = self.cube.tables.get(self.fact_id)
-        if table is None:
-            raise EngineError("ENG030", f"no data loaded for {self.fact_id}")
-        out = table.rows
-        for read, value in self.filters:
-            out = list(compress(out, map(eq, read(out), repeat(value))))
-        return out
+    def rows(self) -> Rows:
+        return Rows(self.cube.tables[self.fact_id], self.positions)
 
     def row_count(self) -> int:
-        return len(self.rows())
+        return len(self.positions)
 
 
 def _filtered(view: CubeView, filters, bindings: dict | None) -> CubeView:
-    checks = tuple((_reader(view.cube, view.fact_id, f.column), _bound_value(f, bindings or {})) for f in filters)
-    return CubeView(view.cube, view.fact_id, view.filters + checks)
+    checks = [(_reader(view.cube, view.fact_id, f.column), _bound_value(f, bindings or {})) for f in filters]
+    positions = view.positions
+    for read, value in checks:
+        positions = list(compress(positions, map(eq, read(positions), repeat(value))))
+    return CubeView(view.cube, view.fact_id, positions)
 
 
 def slice_view(view: CubeView, predicate: m.Predicate, bindings: dict | None = None) -> CubeView:
@@ -342,10 +504,11 @@ def _arithmetic(op, a, b):
 
 
 def _measure_program(cube: Cube, fact_id: str, exprs):
-    """Compile measures into one function from a group's rows to their values; aggregate
-    leaves are shared by expression and each distinct input is read once per group."""
+    """Compile measures into one function from a group's row positions to their
+    values; aggregate leaves are shared by expression and each distinct input is
+    read once per group."""
     model = cube.model
-    # (chain, attribute id, drop nulls), or None for the rows themselves -> (reader, drop nulls, leaf indices)
+    # (chain, attribute id, drop nulls), or None for the positions themselves -> (reader, drop nulls, leaf indices)
     inputs: dict = {}
     leaves: dict = {}  # Aggregate -> leaf index
     folds = []  # leaf index -> function from its input's values to the leaf result
@@ -391,10 +554,10 @@ def _measure_program(cube: Cube, fact_id: str, exprs):
 
     nodes = [compile_node(expr, ()) for expr in exprs]
 
-    def run(rows: list[dict]) -> tuple:
+    def run(positions) -> tuple:
         results = [None] * len(folds)
         for read, drop_nulls, indices in inputs.values():  # one input's values alive at a time
-            values = rows if read is None else list(filter(_not_none, read(rows)) if drop_nulls else read(rows))
+            values = positions if read is None else list(filter(_not_none, read(positions)) if drop_nulls else read(positions))
             for i in indices:
                 results[i] = folds[i](values)
         return tuple(node(results) for node in nodes)
@@ -402,9 +565,10 @@ def _measure_program(cube: Cube, fact_id: str, exprs):
     return run
 
 
-def evaluate_measure(view: CubeView, expr, rows: list[dict] | None = None):
-    """Evaluate a measure over a row subset (defaults to the whole view)."""
-    return _measure_program(view.cube, view.fact_id, (expr,))(view.rows() if rows is None else rows)[0]
+def evaluate_measure(view: CubeView, expr, rows: Rows | None = None):
+    """Evaluate a measure over a subset of the view's rows, as ``CubeView.rows()``
+    returns them (defaults to the whole view)."""
+    return _measure_program(view.cube, view.fact_id, (expr,))(view.positions if rows is None else rows.positions)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +614,10 @@ def aggregate(view: CubeView, group_by) -> ResultTable:
     readers = [_reader(view.cube, view.fact_id, key) for key in keys]
     measure_attrs = executable_measures(model.entity(view.fact_id))
 
-    rows = view.rows()
-    groups: dict[tuple, list[dict]] = defaultdict(list)
-    for key, row in zip(zip(*(read(rows) for read in readers)) if readers else repeat((), len(rows)), rows):
-        groups[key].append(row)
+    positions = view.positions
+    groups: dict[tuple, list[int]] = defaultdict(list)  # each in ascending order, so folds run in file order
+    for key, position in zip(zip(*(read(positions) for read in readers)) if readers else repeat(()), positions):
+        groups[key].append(position)
 
     # compiled only for a non-empty result, so an empty one raises no measure error
     program = _measure_program(view.cube, view.fact_id, [a.measure for a in measure_attrs]) if groups else None
@@ -485,9 +649,9 @@ def run_use_case(cube: Cube, use_case_id: str, op_id: str, bindings: dict | None
     view = cube.view(plan.fact.id)
 
     if plan.kind in ("Slice", "Dice"):
-        rows = _filtered(view, plan.filters, bindings).rows()
-        cells = _measure_program(cube, plan.fact.id, [attr.measure for attr in plan.measures])(rows)
-        return ResultTable((), ("row_count",) + tuple(a.id for a in plan.measures), ((len(rows),) + cells,))
+        positions = _filtered(view, plan.filters, bindings).positions
+        cells = _measure_program(cube, plan.fact.id, [attr.measure for attr in plan.measures])(positions)
+        return ResultTable((), ("row_count",) + tuple(a.id for a in plan.measures), ((len(positions),) + cells,))
 
     if plan.kind in ("RollUp", "DrillDown"):
         return aggregate(view, plan.keys)

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 from pathlib import Path
@@ -212,3 +213,50 @@ def test_olap_csv_matches_golden_result(capsys, golden):
     )
     assert code == 0
     assert out == golden.read_text(encoding="utf-8")
+
+
+def _odd_data_package(tmp_path, case: str):
+    """A copy of the fixture package with one odd file; returns its directory."""
+    data = tmp_path / "data"
+    data.mkdir()
+    for path in DATA_DIR.iterdir():
+        (data / path.name).write_bytes(path.read_bytes())
+    city = data / "City.csv"
+    if case == "invalid UTF-8":  # past the first block the decoder reads, so the line is computed
+        lines = [f"c{i},38.5,-9.1,City {i}" for i in range(1, 600)]
+        lines[449] = "c450,38.5,-9.1,Cidade \xe9"
+        city.write_bytes(("id,latitude,longitude,name\n" + "\n".join(lines) + "\n").encode("latin-1"))
+    elif case == "field over the csv limit":
+        city.write_text(f"id,latitude,longitude,name\nc1,38.5,-9.1,Lisboa\nc2,41.1,-8.6,{'x' * (csv.field_size_limit() + 1)}\n")
+    elif case == "data file is a directory":
+        city.unlink()
+        city.mkdir()
+    elif case == "manifest is a directory":
+        (data / "manifest.toml").unlink()
+        (data / "manifest.toml").mkdir()
+    return data
+
+
+ODD_DATA = {
+    "invalid UTF-8": ("ENG002", "City.csv line 451: not UTF-8 text"),
+    "field over the csv limit": ("ENG002", "City.csv line 3: field larger than field limit"),
+    "data file is a directory": ("ENG001", "no data file for entity City"),
+    "manifest is a directory": ("ENG001", "missing manifest: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ODD_DATA))
+def test_odd_data_files_are_coded_diagnostics(capsys, tmp_path, case):
+    data = _odd_data_package(tmp_path, case)
+    code, out, err = run(
+        capsys,
+        "olap", str(CORPUS_CNLBI),
+        "--data", str(data),
+        "--usecase", "AnalysisAppointmentsInstitutionOnNationalLevel",
+        "--op", "AppointmentsByInstitutionCity",
+        "--json",
+    )
+    assert code == 1 and out == ""
+    entries = [json.loads(line) for line in err.splitlines()]
+    expected_code, message = ODD_DATA[case]
+    assert any(e["code"] == expected_code and e["severity"] == "error" and message in e["message"] for e in entries), err

@@ -16,7 +16,7 @@ import pytest
 import oracle
 from bispec import check_model, merge_models, parse_cnlbi
 from bispec import model as m
-from bispec.engine import EngineError, aggregate, evaluate_measure, load_cube, run_use_case, slice_view
+from bispec.engine import EngineError, aggregate, dice_view, evaluate_measure, load_cube, run_use_case, slice_view
 from bispec.generators import gen_olap_sql
 from bispec.plan import plan_operation
 from conftest import assert_rows_match_sql, sqlite_from_cube
@@ -142,6 +142,24 @@ def test_engine_oracle_and_sqlite_agree(model, tmp_path, seed):
                 }, context
     finally:
         conn.close()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_slice_of_a_slice_equals_the_dice_and_the_oracle(model, tmp_path, seed):
+    binds = make_package(seed, tmp_path)
+    cube, _ = load_cube(model, tmp_path)
+    tables = oracle.load_tables(model, tmp_path)
+    dices = [op for uc in model.use_cases for op in uc.operations if op.kind == "Dice"]
+    assert dices
+    for op in dices:
+        first, second = op.where_clauses
+        view = cube.view(FACT)
+        diced = dice_view(view, (first, second), binds)
+        composed = slice_view(slice_view(view, first, binds), second, binds)
+        kept = oracle.filter_rows(model, tables, FACT, (first, second), _oracle_binds(binds))
+        expected = [row["id"] for row in kept]
+        assert [row["id"] for row in diced.rows()] == [row["id"] for row in composed.rows()] == expected, (seed, op.id)
+        assert list(diced.positions) == list(composed.positions), (seed, op.id)
 
 
 # ---------------------------------------------------------------------------

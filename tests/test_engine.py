@@ -5,6 +5,7 @@ import pytest
 
 import oracle
 from bispec import model as m
+from bispec import parse_cnlbi
 from bispec.engine import (
     EngineError,
     aggregate,
@@ -387,3 +388,34 @@ def test_synthetic_pivot_operation(cube, medbuddy):
     assert len(result.group_keys) == 2
     count_col = result.columns.index("CountAppointments")
     assert sum(row[count_col] for row in result.rows) == 10
+
+
+SELF_REFERENCE = """
+DataEntity Employee ("Employee") is a Master Dimension with attributes
+  id is a UUID (PrimaryKey),
+  name is a String (NotNull),
+  manager refers to Dimension Employee
+described as employees.
+
+DataEntity Sale ("Sale") is a Transactional Fact with attributes
+  id is a UUID (PrimaryKey),
+  seller refers to Dimension Employee (NotNull),
+  amount is a Decimal (NotNull),
+  Total is a Decimal (operation SUM(amount))
+described as sales.
+"""
+
+
+def test_self_reference_resolves_once_its_table_has_loaded(tmp_path):
+    # a reference cycle cannot load its target first: manager keys name rows further down the same file
+    model, diags = parse_cnlbi(SELF_REFERENCE, "self_reference.cnlbi")
+    assert not [d for d in diags if d.is_error]
+    (tmp_path / "Employee.csv").write_text("id,name,manager\ne1,Ann,e3\ne2,Bob,e1\ne3,Cid,\ne4,Dan,e9\n")
+    (tmp_path / "Sale.csv").write_text("id,seller,amount\ns1,e1,1.5\ns2,e2,2.5\ns3,e3,3.0\ns4,e2,0.1\n")
+    (tmp_path / "manifest.toml").write_text('Employee = "Employee.csv"\nSale = "Sale.csv"\n')
+    cube, diags = load_cube(model, tmp_path)
+    assert [(d.code, d.message) for d in diags] == [("ENG004", "Employee row 4, column manager: no Employee row with key 'e9'")]
+    assert [row["manager"] for row in cube.table("Employee").rows] == ["e3", "e1", None, "e9"]
+    view = cube.view("Sale")
+    assert aggregate(view, [m.AttributePath.parse("Employee.name")]).rows == (("Ann", 1.5), ("Bob", 2.6), ("Cid", 3.0))
+    assert aggregate(view, [m.AttributePath.parse("Employee.manager")]).rows == ((None, 3.0), ("e1", 2.6), ("e3", 1.5))
