@@ -40,9 +40,14 @@ def SystemExit_usage(message: str) -> SystemExit:
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
+    """A spec file's text, or stdin's for ``-``, decoded as UTF-8."""
+    if path != "-":
+        data = Path(path).read_bytes()
+    elif hasattr(sys.stdin, "buffer"):
+        data = sys.stdin.buffer.read()
+    else:  # a text stream put in place of stdin
         return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    return data.decode("utf-8")
 
 
 def _parse_files(paths: list[str], syntax: str) -> tuple[m.SpecificationModel, list[Diagnostic]]:
@@ -52,8 +57,17 @@ def _parse_files(paths: list[str], syntax: str) -> tuple[m.SpecificationModel, l
         if path == "-" and syntax == "auto":
             raise SystemExit_usage("reading from stdin requires an explicit --syntax")
         chosen = _syntax_for(path, syntax)
-        source = _read_source(path)
         name = "<stdin>" if path == "-" else path
+        unreadable = "CNL000" if chosen == "cnlbi" else "ASL000"
+        try:
+            source = _read_source(path)
+        except UnicodeDecodeError as exc:
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            diags.append(error(unreadable, f"{name} line {line}: not UTF-8 text"))
+            continue
+        except OSError as exc:
+            diags.append(error(unreadable, f"cannot read {name}: {exc.strerror}"))
+            continue
         parse = cnlbi.parse_cnlbi if chosen == "cnlbi" else asl.parse_asl
         model, file_diags = parse(source, name)
         models.append(model)

@@ -121,21 +121,15 @@ def gen_schema_sql(model: m.SpecificationModel) -> str:
                     parts.append(f"CHECK ({_ident(attr.id)} IN ({values}))")
             column_lines.append(" ".join(parts))
 
-            if attr.attr_type.kind == "dimension":
-                target = model.entity(attr.attr_type.name)
+            own = [attr.dimension_target] if attr.dimension_target else []
+            declared = sorted(c.target for c in attr.constraints if c.kind == "ForeignKey")
+            for target_id in own + declared:
+                target = model.entity(target_id)
                 pk = target.primary_key if target else None
                 if pk is not None:
                     table_constraints.append(
                         f"  FOREIGN KEY ({_ident(attr.id)}) REFERENCES {_ident(target.id)} ({_ident(pk.id)})"
                     )
-            for constraint in sorted(attr.constraints, key=lambda c: (c.kind, c.target or "")):
-                if constraint.kind == "ForeignKey":
-                    target = model.entity(constraint.target)
-                    pk = target.primary_key if target else None
-                    if pk is not None:
-                        table_constraints.append(
-                            f"  FOREIGN KEY ({_ident(attr.id)}) REFERENCES {_ident(target.id)} ({_ident(pk.id)})"
-                        )
 
         lines.append(f"CREATE TABLE {_ident(entity.id)} (")
         lines.append(",\n".join(column_lines + table_constraints))

@@ -367,13 +367,15 @@ class DataAttribute:
         kinds = {c.kind for c in self.constraints}
         if self.measure is not None and kinds & {"PrimaryKey", "ForeignKey"}:
             raise ModelError(f"measure attribute {self.id} cannot carry PrimaryKey or ForeignKey")
-        # PrimaryKey subsumes NotNull and Unique; keep the canonical minimum.
-        if "PrimaryKey" in kinds and kinds & {"NotNull", "Unique"}:
-            object.__setattr__(
-                self,
-                "constraints",
-                frozenset(c for c in self.constraints if c.kind not in ("NotNull", "Unique")),
-            )
+        # PrimaryKey subsumes NotNull and Unique, and a dimension reference is
+        # its own ForeignKey; keep the canonical minimum.
+        implied = {"NotNull", "Unique"} if "PrimaryKey" in kinds else set()
+        kept = frozenset(
+            c for c in self.constraints
+            if c.kind not in implied and not (c.kind == "ForeignKey" and c.target == self.dimension_target)
+        )
+        if kept != self.constraints:
+            object.__setattr__(self, "constraints", kept)
 
     @property
     def display_name(self) -> str:
@@ -839,22 +841,6 @@ def _hop(model: SpecificationModel, owner: DataEntity, attr: DataAttribute, leaf
     if leaf_attr is None:
         raise ResolveError("UnknownAttribute", leaf, f"{target.id} has no attribute {leaf!r}")
     return ResolvedTarget(target.id, leaf_attr.id, owner.id, ((attr.id, target.id),))
-
-
-def reachable_entities(model: SpecificationModel, context: str) -> set[str]:
-    """Entity ids reachable from a context by following dimension references.
-
-    Starts at the context entity (a cluster contributes its main entity and
-    every ``uses`` member) and closes over dimension-reference attributes,
-    which covers snowflake chains such as fact -> Institution -> City.
-    """
-    from .plan import hop_chains  # plan imports this module
-
-    source = model.data_source(context)
-    if source is None:
-        return set()
-    roots = (source.main,) + source.uses if isinstance(source, DataEntityCluster) else (source.id,)
-    return {entity_id for root in roots if model.entity(root) is not None for entity_id in hop_chains(model, root)}
 
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -2,9 +2,9 @@
 
 An OLAP operation becomes a frozen ``Plan``: the fact, resolved filter and
 group-key columns, and the measures to evaluate. The engine executes a plan,
-the SQL generator renders the same plan, and the semantic checks use the
-same hop chains and role rules, so the three cannot disagree about what a
-path means.
+the SQL generator renders the same plan, and the semantic checks report
+the planner's own failures, so the three cannot disagree about what a path
+means.
 """
 
 from __future__ import annotations
@@ -40,6 +40,14 @@ def hop_chains(model: m.SpecificationModel, fact_id: str) -> dict[str, tuple[Hop
                 chains[target_id] = chains[current.id] + ((attr.id, target_id),)
                 queue.append(target)
     return chains
+
+
+def source_fact(source: m.DataEntity | m.DataEntityCluster) -> str:
+    """The entity a data source's paths start from: a cluster's ``main``.
+
+    A cluster's ``uses`` list does not widen what a path may reach.
+    """
+    return source.main if isinstance(source, m.DataEntityCluster) else source.id
 
 
 def enum_role_attribute(dimension: m.DataEntity, enum_id: str) -> m.DataAttribute | None:
@@ -104,6 +112,8 @@ class Filter:
 
 def column(model: m.SpecificationModel, fact_id: str, path: m.AttributePath) -> Column:
     """Resolve an attribute path against the fact, through ``model.resolve``."""
+    if model.entity(fact_id) is None:
+        raise EngineError("ENG030", f"unknown entity {fact_id!r}")
     try:
         target = m.resolve(model, path, fact_id)
     except m.ResolveError as exc:
@@ -206,7 +216,7 @@ def plan_operation(model: m.SpecificationModel, use_case_id: str, op_id: str) ->
     if op.is_underspecified:
         raise EngineError("ENG031", f"operation {op_id} was decoded from bare action tags and carries no predicates")
     source = model.data_source(uc.data_source) if uc.data_source else None
-    fact = model.entity(source.main) if isinstance(source, m.DataEntityCluster) else source
+    fact = model.entity(source_fact(source)) if source is not None else None
     if fact is None:
         raise EngineError("ENG030", f"use case {use_case_id} has no resolvable data source")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import model as m
 from .diagnostics import Diagnostic, error, sorted_diagnostics, warning
-from .plan import EngineError, date_role_attribute, enum_role_attribute, pivot_axis
+from .plan import EngineError, aggregate_column, column, pivot_axis, plan_filters, source_fact
 
 _NUMERIC = {"Integer", "Decimal"}
 _RESTRICTION_RE = re.compile(r"\bonly\b", re.IGNORECASE)
@@ -228,42 +228,41 @@ def _infer(model, entity: m.DataEntity, owner: m.DataAttribute, expr, stack: lis
     return None
 
 
-def _argument_type(model, entity: m.DataEntity, owner: m.DataAttribute, path: m.AttributePath, diags) -> str | None:
+def _measure_column(model, entity: m.DataEntity, owner: m.DataAttribute, path: m.AttributePath, diags):
+    """The attribute the planner reads for ``path`` in a measure, or None after SEM022."""
     try:
-        resolved = m.resolve(model, path, entity.id)
-    except m.ResolveError as exc:
+        return column(model, entity.id, path).attribute
+    except EngineError as exc:
         diags.append(error("SEM022", f"in measure {entity.id}.{owner.id}: {exc}", path.loc or owner.loc))
         return None
-    target_entity = model.entity(resolved.entity)
-    attr = target_entity.attribute(resolved.attribute)
-    if attr.attr_type.kind == "dimension":
-        dimension = model.entity(attr.attr_type.name)
-        if dimension is not None:
-            date_attr = date_role_attribute(dimension)
-            if date_attr is None:
-                diags.append(
-                    error(
-                        "SEM012",
-                        f"aggregating {entity.id}.{owner.id} over dimension reference {path} is ambiguous: "
-                        f"{dimension.id} has no single Date attribute",
-                        owner.loc,
-                    )
-                )
-                return None
-            return date_attr.attr_type.name if date_attr.attr_type.name != "DateTime" else "Date"
+
+
+def _argument_type(model, entity: m.DataEntity, owner: m.DataAttribute, path: m.AttributePath, diags) -> str | None:
+    attr = _measure_column(model, entity, owner, path, diags)
+    if attr is None:
         return None
-    if attr.attr_type.kind == "enum":
-        return "String"
-    return attr.attr_type.name
+    if attr.dimension_target is None:
+        return "String" if attr.attr_type.kind == "enum" else attr.attr_type.name
+    if model.entity(attr.dimension_target) is None:
+        return None  # SEM001 reports the reference
+    try:
+        role = aggregate_column(model, entity.id, path).attribute
+    except EngineError as exc:
+        diags.append(
+            error(
+                "SEM012",
+                f"in measure {entity.id}.{owner.id}: {exc}; {attr.dimension_target} has no single Date attribute",
+                owner.loc,
+            )
+        )
+        return None
+    return "Date" if role.attr_type.name == "DateTime" else role.attr_type.name
 
 
 def _check_measure_predicate(model, entity: m.DataEntity, owner: m.DataAttribute, pred: m.Predicate, diags) -> None:
-    try:
-        resolved = m.resolve(model, pred.left, entity.id)
-    except m.ResolveError as exc:
-        diags.append(error("SEM022", f"in measure {entity.id}.{owner.id}: {exc}", pred.left.loc or owner.loc))
+    left_attr = _measure_column(model, entity, owner, pred.left, diags)
+    if left_attr is None:
         return
-    left_attr = model.entity(resolved.entity).attribute(resolved.attribute)
 
     right = pred.right
     if isinstance(right, m.EnumLiteral):
@@ -282,15 +281,11 @@ def _check_measure_predicate(model, entity: m.DataEntity, owner: m.DataAttribute
                     error("SEM011", f"comparison in {entity.id}.{owner.id} mixes enumerations", owner.loc)
                 )
         elif left_attr.attr_type.kind == "dimension":
-            dimension = model.entity(left_attr.attr_type.name)
-            if dimension is not None and enum_role_attribute(dimension, right.enum) is None:
-                diags.append(
-                    error(
-                        "SEM011",
-                        f"comparison in {entity.id}.{owner.id}: {dimension.id} has no single {right.enum}-typed attribute",
-                        owner.loc,
-                    )
-                )
+            try:
+                plan_filters(model, entity.id, (pred,))  # compares through the dimension's enum role
+            except EngineError as exc:
+                if model.entity(left_attr.dimension_target) is not None:  # else SEM001 reports it
+                    diags.append(error("SEM011", f"comparison in {entity.id}.{owner.id}: {exc}", owner.loc))
         else:
             diags.append(
                 error("SEM011", f"comparison in {entity.id}.{owner.id} matches an enum literal against {left_attr.attr_type.name}", owner.loc)
@@ -351,9 +346,8 @@ def check_use_cases(model: m.SpecificationModel) -> list[Diagnostic]:
         elif uc.data_source is not None and source is None:
             diags.append(error("SEM021", f"use case {uc.id} names unknown data source {uc.data_source!r}", uc.loc))
 
-        reachable = m.reachable_entities(model, uc.data_source) if source is not None else set()
         for op in uc.operations:
-            diags.extend(_check_operation(model, uc, op, source, reachable))
+            diags.extend(_check_operation(model, uc, op, source))
 
         if uc.description and _RESTRICTION_RE.search(uc.description):
             diags.append(
@@ -366,7 +360,7 @@ def check_use_cases(model: m.SpecificationModel) -> list[Diagnostic]:
     return diags
 
 
-def _check_operation(model, uc: m.UseCase, op: m.OlapOperation, source, reachable: set[str]) -> list[Diagnostic]:
+def _check_operation(model, uc: m.UseCase, op: m.OlapOperation, source) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     if op.is_underspecified:
         diags.append(
@@ -375,20 +369,14 @@ def _check_operation(model, uc: m.UseCase, op: m.OlapOperation, source, reachabl
         return diags
     if source is None:
         return diags
-    context = uc.data_source
+    fact_id = source_fact(source)
 
-    def resolve_path(path: m.AttributePath, role: str) -> m.ResolvedTarget | None:
+    def plan_path(path: m.AttributePath, role: str, predicate: m.Predicate | None = None) -> None:
+        """SEM022 unless the planner reads ``path``; with ``predicate``, through its enum role hop too."""
         try:
-            resolved = m.resolve(model, path, context)
-        except m.ResolveError as exc:
+            column(model, fact_id, path) if predicate is None else plan_filters(model, fact_id, (predicate,))
+        except EngineError as exc:
             diags.append(error("SEM022", f"{role} {path} in operation {op.id}: {exc}", path.loc or op.loc))
-            return None
-        if resolved.anchor not in reachable:
-            diags.append(
-                error("SEM022", f"{role} {path} in operation {op.id} is not reachable from {context}", path.loc or op.loc)
-            )
-            return None
-        return resolved
 
     if op.kind in ("Slice", "Dice"):
         expected = "exactly 1" if op.kind == "Slice" else "at least 2"
@@ -398,17 +386,21 @@ def _check_operation(model, uc: m.UseCase, op: m.OlapOperation, source, reachabl
                 error("SEM023", f"{op.kind} {op.id} has {count} predicates; {expected} required", op.loc)
             )
         for pred in op.where_clauses:
-            resolve_path(pred.left, "predicate path")
-            if isinstance(pred.right, m.AttributePath):
-                resolve_path(pred.right, "predicate path")
-            elif isinstance(pred.right, m.EnumLiteral):
+            if isinstance(pred.right, m.EnumLiteral):
                 enum = model.enumeration(pred.right.enum)
                 if enum is None or pred.right.value not in enum.values:
                     diags.append(error("SEM013", f"unknown enum literal {pred.right} in operation {op.id}", op.loc))
+                    plan_path(pred.left, "predicate path")
+                else:
+                    plan_path(pred.left, "predicate path", pred)
+            else:
+                plan_path(pred.left, "predicate path")
+                if isinstance(pred.right, m.AttributePath):
+                    plan_path(pred.right, "predicate path")
     elif op.kind in ("RollUp", "DrillDown"):
-        resolve_path(op.group_by, "group-by path")
+        plan_path(op.group_by, "group-by path")
     else:  # Pivot
-        fact = model.entity(source.main) if isinstance(source, m.DataEntityCluster) else source
+        fact = model.entity(fact_id)
         for dim_id in op.swap:
             dim = model.entity(dim_id)
             if dim is None or not dim.is_dimension:
@@ -441,22 +433,12 @@ def check_ui(model: m.SpecificationModel) -> list[Diagnostic]:
             if comp.parts and comp.data_binding is None:
                 diags.append(error("SEM030", f"component {comp.id} has parts but no data binding", comp.loc))
 
-            reachable = m.reachable_entities(model, comp.data_binding) if binding is not None else set()
-            for part in comp.parts:
-                if binding is None:
-                    continue
+            for part in comp.parts if binding is not None else ():
                 try:
-                    resolved = m.resolve(model, part.binding, comp.data_binding)
-                except m.ResolveError as exc:
-                    diags.append(error("SEM031", f"part {part.id} of {comp.id}: {exc}", part.binding.loc or part.loc))
-                    continue
-                if resolved.anchor not in reachable:
+                    column(model, source_fact(binding), part.binding)
+                except EngineError as exc:
                     diags.append(
-                        error(
-                            "SEM031",
-                            f"part {part.id} of {comp.id} binds {part.binding}, not reachable from {comp.data_binding}",
-                            part.binding.loc or part.loc,
-                        )
+                        error("SEM031", f"part {part.id} of {comp.id} binds {part.binding}: {exc}", part.binding.loc or part.loc)
                     )
 
             if comp.chart_subtype is not None:

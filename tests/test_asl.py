@@ -146,6 +146,22 @@ def test_emit_institution_header(medbuddy_asl):
     assert lines == ['DataEntity Institution "Institution" : Master : BI_Dimension [']
 
 
+def test_emit_writes_a_dimension_reference_foreign_key_once():
+    model, diags = parse_asl(
+        """
+DataAttributeType UUID
+DataAttributeType _Dimension
+DataEntity D : Reference : Dimension [ attribute id : UUID [constraints (PrimaryKey)] ]
+DataEntity F : Transaction : Fact [
+  attribute id : UUID [constraints (PrimaryKey)]
+  attribute d : _Dimension [constraints (NotNull ForeignKey(D) ForeignKey(D))] ]
+"""
+    )
+    assert not errors(diags)
+    text, _ = emit_asl(model)
+    assert "attribute d : _Dimension [constraints (NotNull ForeignKey(D))]" in text
+
+
 def test_emit_empty_model_is_empty():
     text, diags = emit_asl(m.SpecificationModel())
     assert text == ""

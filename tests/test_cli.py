@@ -88,6 +88,38 @@ def test_stdin_requires_explicit_syntax(capsys, monkeypatch):
     assert exc.value.code == 2
 
 
+NOT_UTF8 = "Actor A is a User.\n// Lu\xeds\n".encode("latin-1")
+UNREADABLE_SPECS = {
+    "not UTF-8": ("bad.cnlbi", "CNL000", "bad.cnlbi line 2: not UTF-8 text"),
+    "stdin not UTF-8": ("-", "ASL000", "<stdin> line 2: not UTF-8 text"),
+    "missing": ("missing.asl", "ASL000", "missing.asl: No such file or directory"),
+    "directory": ("folder.cnlbi", "CNL000", "folder.cnlbi: Is a directory"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_SPECS))
+def test_unreadable_spec_files_are_coded_diagnostics(capsys, monkeypatch, tmp_path, case):
+    name, expected_code, message = UNREADABLE_SPECS[case]
+    path = name if name == "-" else str(tmp_path / name)
+    if case == "not UTF-8":
+        (tmp_path / name).write_bytes(NOT_UTF8)
+    elif case == "directory":
+        (tmp_path / name).mkdir()
+    syntax = "asl" if name == "-" else "auto"
+    for command in (
+        ["parse"],
+        ["convert", "--to", "asl"],
+        ["gen", "--out-dir", str(tmp_path / "out")],
+        ["olap", "--data", str(DATA_DIR), "--usecase", "U", "--op", "O"],
+    ):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8"))
+        code, out, err = run(capsys, *command, path, "--syntax", syntax, "--json")
+        assert code == 1 and out == "", command
+        entries = [json.loads(line) for line in err.splitlines()]
+        assert [(e["code"], e["severity"]) for e in entries] == [(expected_code, "error")], command
+        assert entries[0]["message"].endswith(message), command
+
+
 def test_fmt_is_idempotent(capsys, tmp_path):
     code, once, _ = run(capsys, "fmt", str(CORPUS_CNLBI))
     assert code == 0

@@ -72,6 +72,20 @@ DataEntity E is a Master Dimension with attributes
     assert '"code" VARCHAR(50)' in sql
 
 
+def test_foreign_key_of_a_dimension_reference_is_written_once():
+    model, diags = parse_cnlbi(
+        """
+DataEntity D is a Reference Dimension with attributes
+  id is a UUID (PrimaryKey).
+DataEntity F is a Transaction Fact with attributes
+  id is a UUID (PrimaryKey),
+  d refers to Dimension D (NotNull, ForeignKey(D)).
+"""
+    )
+    assert not diags
+    assert gen_schema_sql(model).count("FOREIGN KEY") == 1
+
+
 def test_empty_model_emits_header_only():
     sql = gen_schema_sql(m.SpecificationModel())
     assert "CREATE TABLE" not in sql

@@ -1,0 +1,65 @@
+"""Module layout rules for ``src/bispec``, read from the source's syntax trees.
+
+No module imports another module's private (``_``-prefixed) names, and the
+intra-package import graph has no cycle. Imports inside functions count as
+edges too: a deferred import hides a cycle from Python, not from the design.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bispec"
+MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _imports(tree: ast.Module):
+    """(imported bispec module, names taken from it, alias the module is bound to) per import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            relative = node.level == 1
+            if relative and node.module is None:  # from . import model as m
+                for alias in node.names:
+                    yield alias.name, (), alias.asname or alias.name
+            elif relative or (node.module or "").startswith("bispec"):
+                module = node.module if relative else node.module.partition(".")[2] or "__init__"
+                yield module, tuple(alias.name for alias in node.names), None
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("bispec."):
+                    yield alias.name.partition(".")[2], (), alias.asname
+
+
+def test_modules_use_no_private_names_of_other_modules():
+    found = []
+    for name, tree in MODULES.items():
+        aliases = {}
+        for module, names, alias in _imports(tree):
+            found += [f"{name} imports {module}.{n}" for n in names if n.startswith("_")]
+            if alias is not None:
+                aliases[alias] = module
+        found += [
+            f"{name} reads {aliases[node.value.id]}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in aliases and node.attr.startswith("_")
+        ]
+    assert found == []
+
+
+def test_import_graph_has_no_cycle():
+    graph = {name: {module for module, _, _ in _imports(tree) if module != name} for name, tree in MODULES.items()}
+    assert graph["semantics"] >= {"model", "plan"}  # the walk below sees the imports
+    done, path = set(), []
+
+    def visit(name):
+        if name in path:
+            raise AssertionError("import cycle: " + " -> ".join(path[path.index(name):] + [name]))
+        if name not in done:
+            path.append(name)
+            for module in sorted(graph.get(name, ())):
+                visit(module)
+            path.pop()
+            done.add(name)
+
+    for name in sorted(graph):
+        visit(name)

@@ -1,7 +1,8 @@
 import pytest
 
 from bispec import model as m
-from bispec.model import AttributePath, ResolveError, reachable_entities, resolve
+from bispec.model import AttributePath, ResolveError, resolve
+from bispec.plan import hop_chains, source_fact
 
 
 def test_entity_rooted_path_from_cluster_context(medbuddy_asl):
@@ -60,11 +61,11 @@ def test_every_path_resolves_or_raises_exactly_one_error(medbuddy):
 
 
 def test_reachability_closure_includes_snowflake_chain(medbuddy):
-    reachable = reachable_entities(medbuddy, "AppointmentRequest")
+    reachable = set(hop_chains(medbuddy, "AppointmentRequest"))
     # City is two hops away (fact -> Institution -> City)
     assert reachable == {"AppointmentRequest", "Institution", "Patient", "RequestState", "Time", "City"}
 
 
 def test_reachability_from_cluster(medbuddy_asl):
-    reachable = reachable_entities(medbuddy_asl, "Appointments")
+    reachable = set(hop_chains(medbuddy_asl, source_fact(medbuddy_asl.data_source("Appointments"))))
     assert "AppointmentRequest" in reachable and "City" in reachable

@@ -1,4 +1,4 @@
-from bispec import model as m, parse_cnlbi
+from bispec import merge_models, model as m, parse_asl, parse_cnlbi
 from bispec.semantics import (
     check_dimensional,
     check_measures,
@@ -11,6 +11,12 @@ from bispec.semantics import (
 
 def codes(diags, severity=None):
     return [d.code for d in diags if severity is None or d.severity.value == severity]
+
+
+def errors_at(model, source):
+    """Each error of ``check_model`` as (code, the source line its span points at)."""
+    lines = source.splitlines()
+    return [(d.code, lines[d.span.line - 1].strip()) for d in check_model(model).diagnostics if d.is_error]
 
 
 def parse_ok(source):
@@ -153,6 +159,24 @@ DataEntity F is a Transaction Fact with attributes
     assert "SEM012" in codes(check_measures(model))
 
 
+def test_measure_over_unreachable_entity_is_sem022():
+    # E is an entity, but F never references it, so MAX(E.year) has no rows to read
+    source = """
+DataEntity E is a Reference Dimension with attributes
+  id is a UUID (PrimaryKey),
+  year is an Integer (NotNull).
+DataEntity D is a Reference Dimension with attributes
+  id is a UUID (PrimaryKey).
+DataEntity F is a Transaction Fact with attributes
+  id is a UUID (PrimaryKey),
+  d refers to Dimension D (NotNull),
+  Latest is an Integer (operation MAX(E.year)).
+"""
+    model = parse_ok(source)
+    assert errors_at(model, source) == [("SEM022", "Latest is an Integer (operation MAX(E.year)).")]
+    assert "in measure F.Latest" in check_measures(model)[0].message
+
+
 def use_case_model(extra_ops="", description="analyses everything"):
     return parse_ok(
         f"""
@@ -235,6 +259,77 @@ UseCase U is a BIAnalysis
 """
     )
     assert "SEM022" in codes(check_use_cases(model))
+
+
+def test_enum_literal_without_role_attribute_is_sem022():
+    # D has no States-typed attribute, so F.d = States.Cancelled has nothing to compare
+    source = """
+Data enumeration States with values Open and Cancelled.
+DataEntity D is a Reference Dimension with attributes
+  id is a UUID (PrimaryKey),
+  year is an Integer (NotNull).
+DataEntity F is a Transaction Fact with attributes
+  id is a UUID (PrimaryKey),
+  d refers to Dimension D (NotNull),
+  Count is an Integer (operation COUNT(id)).
+Actor A is a User.
+UseCase U is a BIAnalysis
+  actor A,
+  data source F,
+  performs
+    OLAP Operation Op is a Slice
+      where F.d = States.Cancelled.
+"""
+    assert errors_at(parse_ok(source), source) == [("SEM022", "where F.d = States.Cancelled.")]
+
+
+CLUSTER_SOURCE = """
+DataEntity D is a Reference Dimension with attributes
+  id is a UUID (PrimaryKey).
+DataEntity X is a Reference Dimension with attributes
+  id is a UUID (PrimaryKey),
+  name is a String (NotNull).
+DataEntity F is a Transaction Fact with attributes
+  id is a UUID (PrimaryKey),
+  d refers to Dimension D (NotNull),
+  Count is an Integer (operation COUNT(id)).
+Actor A is a User.
+UseCase U is a BIAnalysis
+  actor A,
+  data source C,
+  performs
+    OLAP Operation Op is a Roll-up
+      group by {group_by}.
+UIContainer Page is a Main Window
+that contains
+UIComponent T is a Table
+  data binding to C,
+  with columns {column}.
+"""
+
+
+def cluster_model(group_by="F.id", column="F.id"):
+    """CLUSTER_SOURCE plus cluster C, whose main F never references its member X."""
+    source = CLUSTER_SOURCE.format(group_by=group_by, column=column)
+    cluster, diags = parse_asl("DataEntityCluster C : Transaction [ main F uses D, X ]")
+    assert not diags
+    return merge_models([parse_ok(source), cluster]), source
+
+
+def test_cluster_uses_member_the_fact_does_not_reach_is_sem022():
+    model, source = cluster_model(group_by="X.name")
+    assert errors_at(model, source) == [("SEM022", "group by X.name.")]
+
+
+def test_cluster_whose_main_is_another_cluster_is_reported_not_raised():
+    # Paths start at the main entity; "Inner" names none, so each path is an error
+    model, _ = cluster_model()
+    inner = m.DataEntityCluster(id="Inner", entity_type="Transaction", main="F")
+    outer = m.DataEntityCluster(id="C", entity_type="Transaction", main="Inner")
+    import dataclasses
+
+    broken = dataclasses.replace(model, clusters=(outer, inner))
+    assert sorted(codes(check_model(broken).diagnostics, "error")) == ["SEM004", "SEM022", "SEM031"]
 
 
 def test_slice_with_two_predicates_is_sem023():
@@ -336,6 +431,12 @@ UIComponent C is a Table
 """
     )
     assert "SEM031" in codes(check_ui(model))
+
+
+def test_part_bound_through_cluster_member_the_fact_does_not_reach_is_sem031():
+    model, source = cluster_model(column="X.name")
+    assert errors_at(model, source) == [("SEM031", "with columns X.name.")]
+    assert codes(check_ui(cluster_model()[0])) == []
 
 
 def test_pie_chart_missing_value_part_is_sem032():

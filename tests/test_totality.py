@@ -1,16 +1,18 @@
 """Parsing is total: mutated corpus text never makes the pipeline raise.
 
 Each mutant of a corpus file goes through parse, check_model, model_json
-and both emitters. Errors must come back as diagnostics; the test asserts
-only that no call raises.
+and both emitters. Errors must come back as diagnostics, so no call may
+raise; and a mutant that parses and checks without error must plan and
+translate every operation that is not underspecified.
 """
 
 import random
 
 import pytest
 
-from bispec import check_model, emit_asl, emit_cnlbi, model_json, parse_asl, parse_cnlbi
+from bispec import check_model, emit_asl, emit_cnlbi, gen_olap_sql, model_json, parse_asl, parse_cnlbi
 from bispec.lexer import tokenize
+from bispec.plan import plan_operation
 from conftest import CORPUS_ASL, CORPUS_CNLBI
 
 # Characters that open or close constructs, plus a letter, a digit and a numeric non-digit.
@@ -49,8 +51,14 @@ def test_mutated_corpus_never_raises(path, parse):
     rng = random.Random(20231)
     for _ in range(MUTANTS_PER_FILE):
         text = _mutate(source, tokens, rng)
-        model, _ = parse(text, str(path))
-        check_model(model)
+        model, diags = parse(text, str(path))
+        report = check_model(model)
         model_json(model)
         emit_cnlbi(model)
         emit_asl(model)
+        if report.ok and not any(d.is_error for d in diags):
+            for uc in model.use_cases:
+                for op in uc.operations:
+                    if not op.is_underspecified:
+                        plan_operation(model, uc.id, op.id)
+                        gen_olap_sql(model, uc.id, op.id)
