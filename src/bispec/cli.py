@@ -114,29 +114,36 @@ def cmd_gen(args) -> int:
     if has_errors(diags):
         return EXIT_DIAGNOSTICS
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     wanted = set(args.only) if args.only else {"sql", "queries", "dashboard", "doc"}
-
+    files: dict[str, str] = {}  # path under the output directory -> text
     if "sql" in wanted:
-        (out_dir / "schema.sql").write_text(generators.gen_schema_sql(model), encoding="utf-8")
+        files["schema.sql"] = generators.gen_schema_sql(model)
     if "queries" in wanted:
-        queries_dir = out_dir / "queries"
-        queries_dir.mkdir(exist_ok=True)
         skipped = []
         for uc in model.use_cases:
             for op in uc.operations:
                 try:
-                    sql = generators.gen_olap_sql(model, uc.id, op.id)
+                    files[f"queries/{uc.id}__{op.id}.sql"] = generators.gen_olap_sql(model, uc.id, op.id)
                 except generators.GeneratorError as exc:
                     skipped.append(warning(exc.code, f"skipping {uc.id}/{op.id}: {exc}"))
-                    continue
-                (queries_dir / f"{uc.id}__{op.id}.sql").write_text(sql, encoding="utf-8")
         _emit_diagnostics(skipped, args.json)
     if "dashboard" in wanted:
-        (out_dir / "dashboard.json").write_text(generators.gen_dashboard_manifest(model), encoding="utf-8")
+        files["dashboard.json"] = generators.gen_dashboard_manifest(model)
     if "doc" in wanted:
-        (out_dir / "requirements.md").write_text(generators.gen_requirements_doc(model), encoding="utf-8")
+        files["requirements.md"] = generators.gen_requirements_doc(model)
+
+    target = out_dir = Path(args.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if "queries" in wanted:
+            target = out_dir / "queries"
+            target.mkdir(exist_ok=True)
+        for name, text in files.items():
+            target = out_dir / name
+            target.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        _emit_diagnostics([error("GEN020", f"cannot write {target}: {exc.strerror}")], args.json)
+        return EXIT_DIAGNOSTICS
     return EXIT_OK
 
 

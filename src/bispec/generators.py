@@ -8,10 +8,9 @@ declarations.
 
 from __future__ import annotations
 
-import json
-
 from . import measure as mx
 from . import model as m
+from .canonical import indented_json
 from .plan import Column, EngineError, Filter, Parameter, Plan, aggregate_column, plan_filters, plan_operation
 from .semantics import schema_shape
 
@@ -315,7 +314,7 @@ def gen_dashboard_manifest(model: m.SpecificationModel) -> str:
                 ],
             }
         )
-    return json.dumps({"version": 1, "containers": containers}, indent=2, ensure_ascii=False) + "\n"
+    return indented_json({"version": 1, "containers": containers}) + "\n"
 
 
 # ---------------------------------------------------------------------------

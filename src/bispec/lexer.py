@@ -170,23 +170,29 @@ class Cursor:
             self.pos += 1
         return tok
 
+    # The helpers below index the list themselves: the parsers call them for
+    # nearly every token. An EOF token matches no punctuation mark or word.
     def at_eof(self) -> bool:
-        return self.peek().kind is TokenKind.EOF
+        return self._tokens[self.pos].kind is TokenKind.EOF
 
     def at_punct(self, text: str) -> bool:
-        tok = self.peek()
+        tok = self._tokens[self.pos]
         return tok.kind is TokenKind.PUNCT and tok.text == text
 
     def at_word(self, *texts: str) -> bool:
-        tok = self.peek()
-        return tok.is_word() and tok.text in texts
+        tok = self._tokens[self.pos]
+        return tok.kind in _WORD_KINDS and tok.text in texts
 
     def eat_punct(self, text: str) -> Token | None:
-        if self.at_punct(text):
-            return self.next()
+        tok = self._tokens[self.pos]
+        if tok.kind is TokenKind.PUNCT and tok.text == text:
+            self.pos += 1
+            return tok
         return None
 
     def eat_word(self, *texts: str) -> Token | None:
-        if self.at_word(*texts):
-            return self.next()
+        tok = self._tokens[self.pos]
+        if tok.kind in _WORD_KINDS and tok.text in texts:
+            self.pos += 1
+            return tok
         return None

@@ -9,8 +9,10 @@ locations ride along on ``loc`` fields but never participate in equality.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 from .diagnostics import Span
 
@@ -664,6 +666,9 @@ class VocabularyExtension:
         _require_identifier(self.id, "extension id")
 
 
+Hop = tuple[str, str]  # (dimension-reference attribute id, referenced entity id)
+
+
 @dataclass(frozen=True)
 class SpecificationModel:
     """Root aggregate: the style-independent instance every syntax maps onto."""
@@ -708,6 +713,35 @@ class SpecificationModel:
 
     def container(self, container_id: str) -> UIContainer | None:
         return self._by_id["ui_containers"].get(container_id)
+
+    @cached_property
+    def _hop_chains(self) -> dict[str, Mapping[str, tuple[Hop, ...]]]:
+        """``hop_chains`` per fact id, filled as facts are asked for."""
+        return {}
+
+    def hop_chains(self, fact_id: str) -> Mapping[str, tuple[Hop, ...]]:
+        """Shortest hop chain from ``fact_id`` to every entity it reaches.
+
+        Breadth-first over dimension references in declaration order, so ties
+        resolve deterministically. Walked once per fact and model; empty when
+        ``fact_id`` names no entity.
+        """
+        chains = self._hop_chains.get(fact_id)
+        if chains is None:
+            found: dict[str, tuple[Hop, ...]] = {}
+            fact = self.entity(fact_id)
+            if fact is not None:
+                found[fact_id] = ()
+                queue = [fact]
+                for current in queue:
+                    for attr in current.dimension_refs:
+                        target_id = attr.dimension_target
+                        target = self.entity(target_id) if target_id not in found else None
+                        if target is not None:
+                            found[target_id] = found[current.id] + ((attr.id, target_id),)
+                            queue.append(target)
+            chains = self._hop_chains[fact_id] = MappingProxyType(found)
+        return chains
 
     def data_source(self, source_id: str) -> DataEntity | DataEntityCluster | None:
         """Resolve an id that may name an entity or a cluster (entities win)."""
@@ -757,14 +791,14 @@ class ResolvedTarget:
 
     ``anchor`` is where the path itself starts (the context entity, or the
     entity its first segment names); ``hop`` is the dimension hop the path
-    spells out, if any. Reaching the anchor from the context is the query
-    planner's job (``plan.hop_chains``).
+    spells out, if any. The query planner reaches the anchor from the context
+    through ``SpecificationModel.hop_chains``.
     """
 
     entity: str
     attribute: str
     anchor: str
-    hop: tuple[tuple[str, str], ...]
+    hop: tuple[Hop, ...]
 
 
 class ResolveError(Exception):

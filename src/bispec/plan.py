@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 from . import model as m
 
-Hop = tuple[str, str]  # (dimension-reference attribute id, referenced entity id)
-
 
 class EngineError(Exception):
     """Coded query error (ENG0xx), raised while planning or executing."""
@@ -22,24 +20,6 @@ class EngineError(Exception):
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
-
-
-def hop_chains(model: m.SpecificationModel, fact_id: str) -> dict[str, tuple[Hop, ...]]:
-    """Shortest hop chain from ``fact_id`` to every entity it reaches.
-
-    Breadth-first over dimension references in declaration order, so ties
-    resolve deterministically.
-    """
-    chains: dict[str, tuple[Hop, ...]] = {fact_id: ()}
-    queue = [model.entity(fact_id)]
-    for current in queue:
-        for attr in current.dimension_refs:
-            target_id = attr.dimension_target
-            target = model.entity(target_id) if target_id not in chains else None
-            if target is not None:
-                chains[target_id] = chains[current.id] + ((attr.id, target_id),)
-                queue.append(target)
-    return chains
 
 
 def source_fact(source: m.DataEntity | m.DataEntityCluster) -> str:
@@ -85,7 +65,7 @@ class Column:
     """An attribute read from a fact row by following ``chain``."""
 
     path: str  # the path as written; names the result column
-    chain: tuple[Hop, ...]
+    chain: tuple[m.Hop, ...]
     attribute: m.DataAttribute
 
 
@@ -118,8 +98,7 @@ def column(model: m.SpecificationModel, fact_id: str, path: m.AttributePath) -> 
         target = m.resolve(model, path, fact_id)
     except m.ResolveError as exc:
         raise EngineError("ENG030", f"cannot resolve {path} from {fact_id}: {exc}") from None
-    # Measures are evaluated per group; most of their paths start at the fact.
-    chain = () if target.anchor == fact_id else hop_chains(model, fact_id).get(target.anchor)
+    chain = model.hop_chains(fact_id).get(target.anchor)
     if chain is None:
         raise EngineError("ENG030", f"{target.anchor} is not reachable from {fact_id}")
     attribute = model.entity(target.entity).attribute(target.attribute)

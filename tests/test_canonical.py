@@ -2,8 +2,10 @@ import dataclasses
 import json
 import random
 
+from hypothesis import example, given, strategies as st
+
 from bispec import canonicalize, parse_asl, parse_cnlbi
-from bispec.canonical import canonical_dict, model_json
+from bispec.canonical import canonical_dict, indented_json, model_json
 from bispec.model import SpecificationModel
 
 
@@ -95,3 +97,32 @@ def test_canonical_excludes_source_locations(medbuddy, cnlbi_source):
     # but not the canonical form.
     renamed, _ = parse_cnlbi(cnlbi_source, "elsewhere.cnlbi")
     assert canonicalize(renamed) == canonicalize(medbuddy)
+
+
+# Any code point, lone surrogates included, with the characters JSON escapes drawn often.
+_TEXT = st.text(
+    st.characters(exclude_categories=()) | st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800\udfffé€😀\n\t'),
+    max_size=12,
+)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats()
+    | st.sampled_from([-0.0, 1e16, 5e-324, 0.1, -1.5e300, float("inf"), float("-inf"), float("nan")])
+    | _TEXT
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(_VALUES)
+@example({"b": [], "a": {}, "": ()})
+@example([{"z": None, "y": [True, False, -0.0, 1e16, 5e-324, -(10**30)]}, ("\ud800", '"\\')])
+def test_indented_json_equals_json_dumps_with_indent(value):
+    assert indented_json(value) == json.dumps(value, indent=2, ensure_ascii=False)
+

@@ -152,6 +152,33 @@ def test_gen_only_filter(capsys, tmp_path):
     assert not (out_dir / "schema.sql").exists()
 
 
+# Where an output write fails: the blocked path, relative to the output directory, and the reason.
+UNWRITABLE_OUTPUTS = {
+    "out-dir under a file": ("", "Not a directory"),
+    "queries is a file": ("queries", "File exists"),
+    "schema.sql is a directory": ("schema.sql", "Is a directory"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_OUTPUTS))
+def test_gen_write_failures_are_coded_diagnostics(capsys, tmp_path, case):
+    blocked, reason = UNWRITABLE_OUTPUTS[case]
+    out_dir = tmp_path / "out"
+    if case == "out-dir under a file":
+        (tmp_path / "file").write_text("")
+        out_dir = tmp_path / "file" / "out"
+    elif case == "queries is a file":
+        out_dir.mkdir()
+        (out_dir / "queries").write_text("")
+    else:
+        (out_dir / "schema.sql").mkdir(parents=True)
+    code, out, err = run(capsys, "gen", str(CORPUS_CNLBI), "--out-dir", str(out_dir), "--json")
+    assert code == 1 and out == ""
+    entries = [json.loads(line) for line in err.splitlines()]
+    failures = [e for e in entries if e["severity"] == "error"]
+    assert [(e["code"], e["message"]) for e in failures] == [("GEN020", f"cannot write {out_dir / blocked}: {reason}")]
+
+
 def test_olap_runs_a_bound_slice(capsys):
     code, out, _ = run(
         capsys,
@@ -245,6 +272,30 @@ def test_olap_csv_matches_golden_result(capsys, golden):
     )
     assert code == 0
     assert out == golden.read_text(encoding="utf-8")
+
+
+# `gen` and `parse --emit model-json` output for each corpus file, recorded
+# before the canonical writer and hop-chain memo changed; each byte must stay.
+GOLDEN = Path(__file__).parent / "golden"
+CORPUS_FILES = [CORPUS_CNLBI, CORPUS_ASL]
+
+
+def _tree(folder: Path) -> dict[str, bytes]:
+    return {path.relative_to(folder).as_posix(): path.read_bytes() for path in sorted(folder.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("corpus", CORPUS_FILES, ids=lambda path: path.name)
+def test_gen_output_matches_golden(capsys, tmp_path, corpus):
+    code, _, _ = run(capsys, "gen", str(corpus), "--out-dir", str(tmp_path))
+    assert code == 0
+    assert _tree(tmp_path) == _tree(GOLDEN / "gen" / corpus.name)
+
+
+@pytest.mark.parametrize("corpus", CORPUS_FILES, ids=lambda path: path.name)
+def test_model_json_matches_golden(capsys, corpus):
+    code, out, _ = run(capsys, "parse", str(corpus), "--emit", "model-json")
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / "model" / f"{corpus.name}.json").read_bytes()
 
 
 def _odd_data_package(tmp_path, case: str):

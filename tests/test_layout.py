@@ -3,6 +3,8 @@
 No module imports another module's private (``_``-prefixed) names, and the
 intra-package import graph has no cycle. Imports inside functions count as
 edges too: a deferred import hides a cycle from Python, not from the design.
+No module calls ``json.dumps`` with ``indent``, which selects the pure-Python
+encoder; ``canonical.indented_json`` writes the same text.
 """
 
 import ast
@@ -63,3 +65,15 @@ def test_import_graph_has_no_cycle():
 
     for name in sorted(graph):
         visit(name)
+
+
+def test_no_module_calls_json_dumps_with_indent():
+    found = [
+        f"{name} line {node.lineno}"
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", None) == "dumps" or getattr(node.func, "id", None) == "dumps")
+        and any(keyword.arg == "indent" for keyword in node.keywords)
+    ]
+    assert found == []

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
 from bispec import model as m
+from bispec import parse_cnlbi
 from bispec.model import AttributePath, ResolveError, resolve
-from bispec.plan import hop_chains, source_fact
+from bispec.plan import source_fact
 
 
 def test_entity_rooted_path_from_cluster_context(medbuddy_asl):
@@ -61,11 +64,56 @@ def test_every_path_resolves_or_raises_exactly_one_error(medbuddy):
 
 
 def test_reachability_closure_includes_snowflake_chain(medbuddy):
-    reachable = set(hop_chains(medbuddy, "AppointmentRequest"))
+    reachable = set(medbuddy.hop_chains("AppointmentRequest"))
     # City is two hops away (fact -> Institution -> City)
     assert reachable == {"AppointmentRequest", "Institution", "Patient", "RequestState", "Time", "City"}
 
 
 def test_reachability_from_cluster(medbuddy_asl):
-    reachable = set(hop_chains(medbuddy_asl, source_fact(medbuddy_asl.data_source("Appointments"))))
+    reachable = set(medbuddy_asl.hop_chains(source_fact(medbuddy_asl.data_source("Appointments"))))
     assert "AppointmentRequest" in reachable and "City" in reachable
+
+
+def _fresh_walk(model, fact_id):
+    """Breadth-first hop chains, walked again with no memo."""
+    chains = {fact_id: ()}
+    queue = [model.entity(fact_id)]
+    for current in queue:
+        for attr in current.dimension_refs:
+            target = model.entity(attr.dimension_target)
+            if target is not None and target.id not in chains:
+                chains[target.id] = chains[current.id] + ((attr.id, target.id),)
+                queue.append(target)
+    return chains
+
+
+@pytest.mark.parametrize("fixture", ["medbuddy", "medbuddy_asl"])
+def test_memoised_hop_chains_equal_a_fresh_walk_for_every_entity(request, fixture):
+    model = request.getfixturevalue(fixture)
+    for entity in model.entities:
+        first = model.hop_chains(entity.id)
+        assert list(first.items()) == list(_fresh_walk(model, entity.id).items())  # breadth-first order too
+        assert model.hop_chains(entity.id) is first  # walked once
+
+
+def test_hop_chains_are_read_only(medbuddy):
+    with pytest.raises(TypeError):
+        medbuddy.hop_chains("AppointmentRequest")["City"] = ()
+
+
+def test_hop_chains_of_an_unknown_entity_are_empty(medbuddy):
+    assert dict(medbuddy.hop_chains("Nope")) == {}
+    assert dict(m.SpecificationModel().hop_chains("Nope")) == {}
+
+
+def test_models_never_share_hop_chains(cnlbi_source):
+    first, _ = parse_cnlbi(cnlbi_source, "a.cnlbi")
+    second, _ = parse_cnlbi(cnlbi_source, "b.cnlbi")
+    assert first == second
+    assert first.hop_chains("AppointmentRequest") is not second.hop_chains("AppointmentRequest")
+    # A model with no reference to City reaches no City, whatever the full model cached.
+    cut = m.SpecificationModel(
+        entities=tuple(replace(e, attributes=tuple(a for a in e.attributes if a.dimension_target != "City")) for e in first.entities)
+    )
+    assert "City" in first.hop_chains("AppointmentRequest")
+    assert "City" not in cut.hop_chains("AppointmentRequest")
