@@ -40,14 +40,14 @@ def SystemExit_usage(message: str) -> SystemExit:
 
 
 def _read_source(path: str) -> str:
-    """A spec file's text, or stdin's for ``-``, decoded as UTF-8."""
+    """A spec file's text, or stdin's for ``-``, decoded as UTF-8 less a leading BOM."""
     if path != "-":
         data = Path(path).read_bytes()
     elif hasattr(sys.stdin, "buffer"):
         data = sys.stdin.buffer.read()
     else:  # a text stream put in place of stdin
         return sys.stdin.read()
-    return data.decode("utf-8")
+    return data.decode("utf-8-sig")
 
 
 def _parse_files(paths: list[str], syntax: str) -> tuple[m.SpecificationModel, list[Diagnostic]]:

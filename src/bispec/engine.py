@@ -23,12 +23,12 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, time
 from functools import cached_property, partial, reduce
 from itertools import compress, islice, repeat
-from operator import add, eq, is_not, itemgetter, mul, sub, truediv
+from operator import add, eq, is_not, itemgetter, methodcaller, mul, sub, truediv
 from pathlib import Path
 
 from . import model as m
 from .diagnostics import Diagnostic, error, warning
-from .plan import Column, EngineError, Filter, Parameter, aggregate_column, column, executable_measures, plan_filters, plan_operation
+from .plan import Column, EngineError, Filter, Parameter, column, executable_measures, measure_program, plan_filters, plan_operation
 
 _MANIFEST_LINE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*\"([^\"]+)\"\s*$")
 
@@ -38,7 +38,11 @@ CHUNK_ROWS = 4096  # CSV records parsed together, one column at a time
 def parse_manifest(path: Path) -> dict[str, str]:
     """Read ``entity_id = "file.csv"`` lines; ``#`` starts a comment."""
     mapping: dict[str, str] = {}
-    for raw_line in path.read_text(encoding="utf-8-sig").splitlines():
+    try:
+        lines = path.read_text(encoding="utf-8-sig").splitlines()
+    except UnicodeDecodeError:
+        raise EngineError("ENG001", f"{path.name} line {_bad_utf8_line(path)}: not UTF-8 text") from None
+    for raw_line in lines:
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -158,33 +162,14 @@ def _coercer(attr: m.DataAttribute, enum: m.DataEnumeration | None):
     return enum_value
 
 
-def _load_order(model: m.SpecificationModel) -> list[m.DataEntity]:
-    """Every entity after the entities it refers to, else in declaration order
-    (a reference cycle is broken where the walk first meets it)."""
-    order: list[m.DataEntity] = []
-    seen: set[str] = set()
-
-    def visit(entity: m.DataEntity) -> None:
-        if entity.id not in seen:
-            seen.add(entity.id)
-            for attr in entity.dimension_refs:
-                target = model.entity(attr.dimension_target)
-                if target is not None:
-                    visit(target)
-            order.append(entity)
-
-    for entity in model.entities:
-        visit(entity)
-    return order
-
-
 def load_cube(model: m.SpecificationModel, data_dir: str | Path) -> tuple[Cube, list[Diagnostic]]:
     """Load a data package; the model must already have passed checks clean.
 
-    Tables load in reference order, so most references resolve to row
-    positions chunk by chunk; the rest (reference cycles) resolve once every
-    table is in. Diagnostics come per entity in declaration order, then every
-    ENG004 per entity and reference.
+    Tables load in ``model.reference_order()``, the order of the DDL, so most
+    references resolve to row positions chunk by chunk; the rest (reference
+    cycles and self-references) resolve once every table is in. Diagnostics
+    come per entity in declaration order, then every ENG004 per entity and
+    reference.
     """
     data_dir = Path(data_dir)
     diags: list[Diagnostic] = []
@@ -206,7 +191,8 @@ def load_cube(model: m.SpecificationModel, data_dir: str | Path) -> tuple[Cube, 
     indexes: dict[str, dict] = {}  # entity id -> {primary key: first row position}
     table_diags: dict[str, list[Diagnostic]] = {}
     dangling: dict[tuple[str, str], list[Diagnostic]] = defaultdict(list)  # (entity id, reference) -> ENG004s
-    for entity in _load_order(model):
+    ordered, cyclic = model.reference_order()
+    for entity in ordered + cyclic:
         own = table_diags[entity.id] = []
         filename = manifest.get(entity.id)
         if filename is None or not (data_dir / filename).is_file():
@@ -503,56 +489,38 @@ def _arithmetic(op, a, b):
     return None if a is None or b is None or (op is truediv and b == 0) else op(a, b)
 
 
+def _root(node):
+    """A function from the leaf results to a measure program root's value."""
+    if isinstance(node, int):
+        return itemgetter(node)
+    if isinstance(node, m.Literal):
+        return lambda results: node.value
+    op, left, right = _ARITHMETIC[node[0]], _root(node[1]), _root(node[2])
+    return lambda results: _arithmetic(op, left(results), right(results))
+
+
 def _measure_program(cube: Cube, fact_id: str, exprs):
-    """Compile measures into one function from a group's row positions to their
-    values; aggregate leaves are shared by expression and each distinct input is
-    read once per group."""
-    model = cube.model
+    """Compile the planner's measure program into one function from a group's
+    row positions to the measures' values; each distinct input is read once
+    per group."""
+    program = measure_program(cube.model, fact_id, exprs)
     # (chain, attribute id, drop nulls), or None for the positions themselves -> (reader, drop nulls, leaf indices)
     inputs: dict = {}
-    leaves: dict = {}  # Aggregate -> leaf index
     folds = []  # leaf index -> function from its input's values to the leaf result
-
-    def add_leaf(expr: m.Aggregate) -> int:
-        if isinstance(expr.arg, m.Predicate):
-            (filt,) = plan_filters(model, fact_id, (expr.arg,))
-            value = _bound_value(filt, {})
-            col, drop_nulls, fold = filt.column, False, lambda values: sum(map(eq, values, repeat(value)))
+    for index, leaf in enumerate(program.leaves):
+        if isinstance(leaf.input, Filter):
+            col, drop_nulls, fold = leaf.input.column, False, methodcaller("count", _bound_value(leaf.input, {}))
         else:
-            col = aggregate_column(model, fact_id, expr.arg)
-            drop_nulls, fold = bool(col.chain) or not col.attribute.not_null, _FOLDS[expr.fn]
-            if expr.fn == "COUNT" and not drop_nulls:
+            col = leaf.input
+            drop_nulls, fold = bool(col.chain) or not col.attribute.not_null, _FOLDS[leaf.fn]
+            if leaf.fn == "COUNT" and not drop_nulls:
                 col = None  # COUNT of a NOT NULL fact column is the number of rows
         key = None if col is None else (col.chain, col.attribute.id, drop_nulls)
         if key not in inputs:
             inputs[key] = (None if col is None else _reader(cube, fact_id, col), drop_nulls, [])
-        inputs[key][2].append(len(folds))
+        inputs[key][2].append(index)
         folds.append(fold)
-        return len(folds) - 1
-
-    def compile_node(expr, stack: tuple):
-        """A function from the leaf results to ``expr``'s value."""
-        if isinstance(expr, m.Literal):
-            return lambda results: expr.value
-        if isinstance(expr, m.MeasureRef):
-            if expr.attribute in stack:
-                raise EngineError("ENG030", f"measure reference cycle at {expr.attribute}")
-            target = model.entity(fact_id).attribute(expr.attribute)
-            if target is None or target.measure is None:
-                raise EngineError("ENG030", f"unknown measure {expr.attribute!r}")
-            return compile_node(target.measure, stack + (expr.attribute,))
-        if isinstance(expr, m.Arithmetic):
-            left, right, op = compile_node(expr.left, stack), compile_node(expr.right, stack), _ARITHMETIC[expr.op]
-            return lambda results: _arithmetic(op, left(results), right(results))
-        if isinstance(expr, m.Aggregate):
-            if expr not in leaves:
-                leaves[expr] = add_leaf(expr)
-            return itemgetter(leaves[expr])
-        if isinstance(expr, m.OpaqueMeasure):
-            raise EngineError("ENG030", f"opaque measure {expr.text!r} cannot be evaluated")
-        raise EngineError("ENG030", f"unsupported measure node {expr!r}")
-
-    nodes = [compile_node(expr, ()) for expr in exprs]
+    nodes = [_root(root) for root in program.roots]
 
     def run(positions) -> tuple:
         results = [None] * len(folds)
@@ -581,7 +549,6 @@ class ResultTable:
     group_keys: tuple[str, ...]
     measure_names: tuple[str, ...]
     rows: tuple[tuple, ...]
-    axis_order: tuple[str, str] | None = None
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -623,9 +590,7 @@ def aggregate(view: CubeView, group_by) -> ResultTable:
     program = _measure_program(view.cube, view.fact_id, [a.measure for a in measure_attrs]) if groups else None
     result_rows = [key + program(groups[key]) for key in sorted(groups, key=lambda k: tuple(map(_sort_token, k)))]
 
-    key_names = tuple(key.path for key in keys)
-    axis = (key_names[0], key_names[1]) if len(key_names) == 2 else None
-    return ResultTable(key_names, tuple(a.id for a in measure_attrs), tuple(result_rows), axis)
+    return ResultTable(tuple(key.path for key in keys), tuple(a.id for a in measure_attrs), tuple(result_rows))
 
 
 def pivot(result: ResultTable) -> ResultTable:
@@ -635,8 +600,7 @@ def pivot(result: ResultTable) -> ResultTable:
     swapped_keys = (result.group_keys[1], result.group_keys[0])
     rows = [(row[1], row[0]) + row[2:] for row in result.rows]
     rows.sort(key=lambda r: (_sort_token(r[0]), _sort_token(r[1])))
-    axis = (result.axis_order[1], result.axis_order[0]) if result.axis_order else swapped_keys
-    return ResultTable(swapped_keys, result.measure_names, tuple(rows), axis)
+    return ResultTable(swapped_keys, result.measure_names, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 from . import measure as mx
 from . import model as m
 from .canonical import indented_json
-from .plan import Column, EngineError, Filter, Parameter, Plan, aggregate_column, plan_filters, plan_operation
+from .plan import Column, EngineError, Filter, MeasureProgram, Parameter, Plan, measure_program, plan_operation
 from .semantics import schema_shape
 
 _SQL_TYPES = {
@@ -63,28 +63,12 @@ def _column_type(model: m.SpecificationModel, attr: m.DataAttribute) -> str:
     return "CHAR(36)"
 
 
-def _topological_entities(model: m.SpecificationModel) -> list[m.DataEntity]:
+def _topological_entities(model: m.SpecificationModel) -> tuple[m.DataEntity, ...]:
     """Dimensions before the facts that reference them; GEN001 on cycles."""
-    ids = {e.id for e in model.entities}
-    deps = {e.id: sorted({a.dimension_target for a in e.dimension_refs if a.dimension_target in ids} - {e.id})
-            for e in model.entities}
-    done: list[str] = []
-    done_set: set[str] = set()
-    pending = sorted(ids)
-    while pending:
-        progressed = False
-        remaining = []
-        for entity_id in pending:
-            if all(dep in done_set for dep in deps[entity_id]):
-                done.append(entity_id)
-                done_set.add(entity_id)
-                progressed = True
-            else:
-                remaining.append(entity_id)
-        if not progressed:
-            raise GeneratorError("GEN001", f"reference cycle among entities: {', '.join(remaining)}")
-        pending = remaining
-    return [model.entity(entity_id) for entity_id in done]
+    ordered, cyclic = model.reference_order()
+    if cyclic:
+        raise GeneratorError("GEN001", f"reference cycle among entities: {', '.join(e.id for e in cyclic)}")
+    return ordered
 
 
 def gen_schema_sql(model: m.SpecificationModel) -> str:
@@ -187,26 +171,25 @@ class _JoinSet:
         return clauses
 
 
-def _measure_sql(joins: _JoinSet, expr) -> str:
-    if isinstance(expr, m.Literal):
-        return _sql_literal(expr.value)
-    if isinstance(expr, m.MeasureRef):
-        target = joins.fact.attribute(expr.attribute)
-        return _measure_sql(joins, target.measure)
-    if isinstance(expr, m.Arithmetic):
-        left = _measure_sql(joins, expr.left)
-        right = _measure_sql(joins, expr.right)
-        if expr.op == "/":
+def _measure_sql(joins: _JoinSet, program: MeasureProgram) -> list[str]:
+    """Each root of a measure program as one SQL expression."""
+    leaves = [
+        f"COUNT(CASE WHEN {_filter_sql(joins, leaf.input)} THEN 1 END)" if isinstance(leaf.input, Filter)
+        else f"{'AVG' if leaf.fn == 'AVERAGE' else leaf.fn}({joins.column(leaf.input)})"
+        for leaf in program.leaves
+    ]
+
+    def render(node) -> str:
+        if isinstance(node, int):
+            return leaves[node]
+        if isinstance(node, m.Literal):
+            return _sql_literal(node.value)
+        op, left, right = node[0], render(node[1]), render(node[2])
+        if op == "/":
             return f"(CAST({left} AS REAL) / NULLIF({right}, 0))"
-        return f"({left} {expr.op} {right})"
-    if isinstance(expr, m.Aggregate):
-        if isinstance(expr.arg, m.Predicate):
-            (filt,) = plan_filters(joins.model, joins.fact.id, (expr.arg,))
-            return f"COUNT(CASE WHEN {_filter_sql(joins, filt)} THEN 1 END)"
-        column = joins.column(aggregate_column(joins.model, joins.fact.id, expr.arg))
-        fn = {"COUNT": "COUNT", "SUM": "SUM", "AVERAGE": "AVG", "MIN": "MIN", "MAX": "MAX"}[expr.fn]
-        return f"{fn}({column})"
-    raise GeneratorError("GEN010", f"measure is not translatable: {expr!r}")
+        return f"({left} {op} {right})"
+
+    return [render(root) for root in program.roots]
 
 
 def _filter_sql(joins: _JoinSet, filt: Filter) -> str:
@@ -243,7 +226,8 @@ def _plan_sql(model: m.SpecificationModel, plan: Plan) -> str:
         keys = keys[::-1]
 
     key_cols = [(joins.column(key), key.path) for key in keys]
-    measure_cols = [(_measure_sql(joins, attr.measure), attr.id) for attr in plan.measures]
+    program = measure_program(model, fact.id, [attr.measure for attr in plan.measures])
+    measure_cols = list(zip(_measure_sql(joins, program), (attr.id for attr in plan.measures)))
     select_list = [f"{expr} AS {_ident(label)}" for expr, label in key_cols + measure_cols]
     query = ["SELECT " + ",\n       ".join(select_list), f"FROM {_ident(fact.id)} \"f\""]
     query.extend(joins.join_clauses())

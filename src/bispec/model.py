@@ -743,6 +743,26 @@ class SpecificationModel:
             chains = self._hop_chains[fact_id] = MappingProxyType(found)
         return chains
 
+    def reference_order(self) -> tuple[tuple[DataEntity, ...], tuple[DataEntity, ...]]:
+        """``(ordered, cyclic)``: passes over the sorted entity ids each take every
+        entity whose targets are all taken (a self-reference is no dependency);
+        ``cyclic`` holds, in sorted order, the entities on or behind a cycle."""
+        ids = {e.id for e in self.entities}
+        deps = {e.id: ({a.dimension_target for a in e.dimension_refs} & ids) - {e.id} for e in self.entities}
+        done: dict[str, None] = {}
+        pending = sorted(ids)
+        while pending:
+            remaining = []
+            for entity_id in pending:
+                if deps[entity_id].issubset(done):
+                    done[entity_id] = None
+                else:
+                    remaining.append(entity_id)
+            if len(remaining) == len(pending):
+                break
+            pending = remaining
+        return tuple(map(self.entity, done)), tuple(map(self.entity, pending))
+
     def data_source(self, source_id: str) -> DataEntity | DataEntityCluster | None:
         """Resolve an id that may name an entity or a cluster (entities win)."""
         return self.entity(source_id) or self.cluster(source_id)

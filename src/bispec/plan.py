@@ -1,10 +1,11 @@
 """Query planning: the one place paths, role hops and parameters resolve.
 
 An OLAP operation becomes a frozen ``Plan``: the fact, resolved filter and
-group-key columns, and the measures to evaluate. The engine executes a plan,
-the SQL generator renders the same plan, and the semantic checks report
-the planner's own failures, so the three cannot disagree about what a path
-means.
+group-key columns, and the measures to evaluate. Measures lower into a
+``MeasureProgram`` over shared aggregate leaves. The engine executes a plan
+and its measure program, the SQL generator renders the same plan and
+program, and the semantic checks report the planner's own failures, so the
+three cannot disagree about what a path or a measure means.
 """
 
 from __future__ import annotations
@@ -144,6 +145,65 @@ def plan_filters(model: m.SpecificationModel, fact_id: str, predicates) -> tuple
             value = Parameter(name, str(right))
         filters.append(Filter(col, value))
     return tuple(filters)
+
+
+# ---------------------------------------------------------------------------
+# Measures
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Leaf:
+    """An aggregate the measures share: ``fn`` over a ``Column``, or COUNT of
+    the rows where a ``Filter`` holds."""
+
+    fn: str
+    input: Column | Filter
+
+
+@dataclass(frozen=True)
+class MeasureProgram:
+    """Measures lowered onto one leaf per distinct aggregate. Each root, one per
+    measure, is a leaf index, an ``m.Literal`` or an ``(op, left, right)``
+    tuple of roots; measure references are inlined."""
+
+    leaves: tuple[Leaf, ...]
+    roots: tuple
+
+
+def measure_program(model: m.SpecificationModel, fact_id: str, exprs) -> MeasureProgram:
+    """Lower the fact's measure expressions; ENG030 for a reference cycle, an
+    unknown or opaque measure, or an unsupported node."""
+    leaves: dict[m.Aggregate, int] = {}
+    planned: list[Leaf] = []
+
+    def lower(expr, stack: tuple):
+        if isinstance(expr, m.Literal):
+            return expr
+        if isinstance(expr, m.MeasureRef):
+            if expr.attribute in stack:
+                raise EngineError("ENG030", f"measure reference cycle at {expr.attribute}")
+            target = model.entity(fact_id).attribute(expr.attribute)
+            if target is None or target.measure is None:
+                raise EngineError("ENG030", f"unknown measure {expr.attribute!r}")
+            return lower(target.measure, stack + (expr.attribute,))
+        if isinstance(expr, m.Arithmetic):
+            return (expr.op, lower(expr.left, stack), lower(expr.right, stack))
+        if isinstance(expr, m.Aggregate):
+            index = leaves.setdefault(expr, len(planned))
+            if index == len(planned):
+                if isinstance(expr.arg, m.Predicate):
+                    (source,) = plan_filters(model, fact_id, (expr.arg,))
+                else:
+                    source = aggregate_column(model, fact_id, expr.arg)
+                planned.append(Leaf(expr.fn, source))
+            return index
+        if isinstance(expr, m.OpaqueMeasure):
+            raise EngineError("ENG030", f"opaque measure {expr.text!r} cannot be evaluated")
+        raise EngineError("ENG030", f"unsupported measure node {expr!r}")
+
+    roots = tuple(lower(expr, ()) for expr in exprs)
+    return MeasureProgram(tuple(planned), roots)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,15 @@ def medbuddy_asl(asl_source):
 
 
 @pytest.fixture(scope="session")
+def medbuddy_measure_cycle(cnlbi_source):
+    """The corpus with ``CountAppointments`` reading ``(CancellationRate + 1)``: a
+    measure reference cycle (SEM010) that no query may turn into a RecursionError."""
+    assert cnlbi_source.count("(operation COUNT(id))") == 1
+    model, _ = parse_cnlbi(cnlbi_source.replace("(operation COUNT(id))", "(operation (CancellationRate + 1))"), "cycle.cnlbi")
+    return model
+
+
+@pytest.fixture(scope="session")
 def cube(medbuddy):
     cube, diags = load_cube(medbuddy, DATA_DIR)
     assert not any(d.is_error for d in diags), [f"{d.code} {d.message}" for d in diags]

@@ -89,8 +89,10 @@ def test_stdin_requires_explicit_syntax(capsys, monkeypatch):
 
 
 NOT_UTF8 = "Actor A is a User.\n// Lu\xeds\n".encode("latin-1")
+BOM = "\ufeff".encode("utf-8")
 UNREADABLE_SPECS = {
     "not UTF-8": ("bad.cnlbi", "CNL000", "bad.cnlbi line 2: not UTF-8 text"),
+    "not UTF-8 after a BOM": ("bom.cnlbi", "CNL000", "bom.cnlbi line 2: not UTF-8 text"),
     "stdin not UTF-8": ("-", "ASL000", "<stdin> line 2: not UTF-8 text"),
     "missing": ("missing.asl", "ASL000", "missing.asl: No such file or directory"),
     "directory": ("folder.cnlbi", "CNL000", "folder.cnlbi: Is a directory"),
@@ -101,8 +103,8 @@ UNREADABLE_SPECS = {
 def test_unreadable_spec_files_are_coded_diagnostics(capsys, monkeypatch, tmp_path, case):
     name, expected_code, message = UNREADABLE_SPECS[case]
     path = name if name == "-" else str(tmp_path / name)
-    if case == "not UTF-8":
-        (tmp_path / name).write_bytes(NOT_UTF8)
+    if case.startswith("not UTF-8"):
+        (tmp_path / name).write_bytes((BOM if "BOM" in case else b"") + NOT_UTF8)
     elif case == "directory":
         (tmp_path / name).mkdir()
     syntax = "asl" if name == "-" else "auto"
@@ -118,6 +120,18 @@ def test_unreadable_spec_files_are_coded_diagnostics(capsys, monkeypatch, tmp_pa
         entries = [json.loads(line) for line in err.splitlines()]
         assert [(e["code"], e["severity"]) for e in entries] == [(expected_code, "error")], command
         assert entries[0]["message"].endswith(message), command
+
+
+def test_spec_file_and_stdin_may_start_with_a_bom(capsys, monkeypatch, tmp_path):
+    marked = tmp_path / "medbuddy.cnlbi"
+    marked.write_bytes(BOM + CORPUS_CNLBI.read_bytes())
+    code, out, err = run(capsys, "check", str(marked), "--json")
+    assert (code, out, err.replace(str(marked), str(CORPUS_CNLBI))) == run(capsys, "check", str(CORPUS_CNLBI), "--json")
+    piped = []
+    for prefix in (BOM, b""):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(prefix + CORPUS_CNLBI.read_bytes()), encoding="utf-8"))
+        piped.append(run(capsys, "check", "-", "--syntax", "cnlbi", "--json"))
+    assert piped[0] == piped[1] and piped[0][0] == 0
 
 
 def test_fmt_is_idempotent(capsys, tmp_path):
@@ -314,6 +328,9 @@ def _odd_data_package(tmp_path, case: str):
     elif case == "data file is a directory":
         city.unlink()
         city.mkdir()
+    elif case == "manifest not UTF-8":
+        manifest = data / "manifest.toml"
+        manifest.write_bytes(b"# data package\n# Lu\xeds\n" + manifest.read_bytes())
     elif case == "manifest is a directory":
         (data / "manifest.toml").unlink()
         (data / "manifest.toml").mkdir()
@@ -325,6 +342,7 @@ ODD_DATA = {
     "field over the csv limit": ("ENG002", "City.csv line 3: field larger than field limit"),
     "data file is a directory": ("ENG001", "no data file for entity City"),
     "manifest is a directory": ("ENG001", "missing manifest: "),
+    "manifest not UTF-8": ("ENG001", "manifest.toml line 2: not UTF-8 text"),
 }
 
 

@@ -201,6 +201,12 @@ def test_pivot_query_groups_both_axes(medbuddy):
     assert "pivot" in sql.lower()
 
 
+def test_measure_cycle_reports_gen010(medbuddy_measure_cycle):
+    with pytest.raises(GeneratorError) as exc:
+        gen_olap_sql(medbuddy_measure_cycle, "AnalysisAppointmentsInstitutionOnNationalLevel", "AppointmentsByInstitutionCity")
+    assert (exc.value.code, str(exc.value)) == ("GEN010", "measure reference cycle at CancellationRate")
+
+
 def test_underspecified_operation_reports_gen010(medbuddy_asl):
     with pytest.raises(GeneratorError) as exc:
         gen_olap_sql(medbuddy_asl, "Analysis_Appointments_National_Level", "AppointmentsByInstitutionCity")

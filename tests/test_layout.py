@@ -4,7 +4,9 @@ No module imports another module's private (``_``-prefixed) names, and the
 intra-package import graph has no cycle. Imports inside functions count as
 edges too: a deferred import hides a cycle from Python, not from the design.
 No module calls ``json.dumps`` with ``indent``, which selects the pure-Python
-encoder; ``canonical.indented_json`` writes the same text.
+encoder; ``canonical.indented_json`` writes the same text. The engine and the
+SQL generator never name ``MeasureRef`` or ``Aggregate``: measures reach them
+only as ``plan.measure_program`` lowered them.
 """
 
 import ast
@@ -75,5 +77,15 @@ def test_no_module_calls_json_dumps_with_indent():
         if isinstance(node, ast.Call)
         and (getattr(node.func, "attr", None) == "dumps" or getattr(node.func, "id", None) == "dumps")
         and any(keyword.arg == "indent" for keyword in node.keywords)
+    ]
+    assert found == []
+
+
+def test_engine_and_sql_generator_leave_measure_lowering_to_the_planner():
+    found = [
+        f"{name} line {node.lineno}"
+        for name in ("engine", "generators")
+        for node in ast.walk(MODULES[name])
+        if getattr(node, "attr", getattr(node, "id", None)) in ("MeasureRef", "Aggregate")  # m.Aggregate or Aggregate
     ]
     assert found == []

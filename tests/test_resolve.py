@@ -5,7 +5,7 @@ import pytest
 from bispec import model as m
 from bispec import parse_cnlbi
 from bispec.model import AttributePath, ResolveError, resolve
-from bispec.plan import source_fact
+from bispec.plan import EngineError, Filter, measure_program, source_fact
 
 
 def test_entity_rooted_path_from_cluster_context(medbuddy_asl):
@@ -117,3 +117,33 @@ def test_models_never_share_hop_chains(cnlbi_source):
     )
     assert "City" in first.hop_chains("AppointmentRequest")
     assert "City" not in cut.hop_chains("AppointmentRequest")
+
+
+def test_measure_program_shares_aggregate_leaves(medbuddy):
+    fact = medbuddy.entity("AppointmentRequest")
+    program = measure_program(medbuddy, fact.id, [attr.measure for attr in fact.measures])
+    assert [attr.id for attr in fact.measures] == [
+        "CountAppointments", "CountCancelledAppointments", "CancellationRate", "AvgWaitingTime", "MinDate", "MaxDate"
+    ]
+    assert [leaf.fn for leaf in program.leaves] == ["COUNT", "COUNT", "AVERAGE", "MIN", "MAX"]
+    assert isinstance(program.leaves[1].input, Filter)
+    assert program.roots == (0, 1, ("/", 1, 0), 2, 3, 4)  # CancellationRate reuses both COUNT leaves
+    assert program.leaves[3].input.chain == (("scheduled_date", "Time"),)  # MIN lands on the date role
+
+
+def test_measure_cycle_is_eng030_from_the_planner(medbuddy_measure_cycle):
+    fact = medbuddy_measure_cycle.entity("AppointmentRequest")
+    with pytest.raises(EngineError) as exc:
+        measure_program(medbuddy_measure_cycle, fact.id, [attr.measure for attr in fact.measures])
+    assert (exc.value.code, str(exc.value)) == ("ENG030", "measure reference cycle at CancellationRate")
+
+
+def test_reference_order_puts_targets_first_and_sets_cycles_apart(medbuddy, cnlbi_source):
+    ordered, cyclic = medbuddy.reference_order()
+    assert cyclic == () and sorted(e.id for e in ordered) == sorted(e.id for e in medbuddy.entities)
+    for position, entity in enumerate(ordered):
+        assert {a.dimension_target for a in entity.dimension_refs} <= {e.id for e in ordered[:position]}
+    # Institution.city retargeted: a self-reference is no dependency; a loop through the fact is a cycle
+    for target, expected in (("Institution", []), ("AppointmentRequest", ["AppointmentRequest", "Institution"])):
+        looped, _ = parse_cnlbi(cnlbi_source.replace("city refers to Dimension City", f"city refers to Dimension {target}"), "x")
+        assert [e.id for e in looped.reference_order()[1]] == expected, target
