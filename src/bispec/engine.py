@@ -509,7 +509,7 @@ def _measure_program(cube: Cube, fact_id: str, exprs):
     folds = []  # leaf index -> function from its input's values to the leaf result
     for index, leaf in enumerate(program.leaves):
         if isinstance(leaf.input, Filter):
-            col, drop_nulls, fold = leaf.input.column, False, methodcaller("count", _bound_value(leaf.input, {}))
+            col, drop_nulls, fold = leaf.input.column, False, methodcaller("count", leaf.input.value)
         else:
             col = leaf.input
             drop_nulls, fold = bool(col.chain) or not col.attribute.not_null, _FOLDS[leaf.fn]

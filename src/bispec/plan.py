@@ -72,7 +72,8 @@ class Column:
 
 @dataclass(frozen=True)
 class Parameter:
-    """A free path on a predicate's right side, supplied at run time.
+    """A free path on a where clause's right side, supplied at run time
+    (a measure's predicate may not hold one: measures take no bindings).
 
     ``name`` is the path's last segment, or all its segments joined by
     ``_`` when another parameter of the same operation already took that
@@ -173,7 +174,8 @@ class MeasureProgram:
 
 def measure_program(model: m.SpecificationModel, fact_id: str, exprs) -> MeasureProgram:
     """Lower the fact's measure expressions; ENG030 for a reference cycle, an
-    unknown or opaque measure, or an unsupported node."""
+    unknown or opaque measure, a predicate against a free path (measures take
+    no bindings), or an unsupported node."""
     leaves: dict[m.Aggregate, int] = {}
     planned: list[Leaf] = []
 
@@ -194,6 +196,9 @@ def measure_program(model: m.SpecificationModel, fact_id: str, exprs) -> Measure
             if index == len(planned):
                 if isinstance(expr.arg, m.Predicate):
                     (source,) = plan_filters(model, fact_id, (expr.arg,))
+                    if isinstance(source.value, Parameter):
+                        left, right = expr.arg.left, expr.arg.right
+                        raise EngineError("ENG030", f"measure predicate on {left} compares against the free path {right}")
                 else:
                     source = aggregate_column(model, fact_id, expr.arg)
                 planned.append(Leaf(expr.fn, source))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import model as m
 from .diagnostics import Diagnostic, error, sorted_diagnostics, warning
-from .plan import EngineError, aggregate_column, column, pivot_axis, plan_filters, source_fact
+from .plan import EngineError, aggregate_column, column, measure_program, pivot_axis, plan_filters, source_fact
 
 _NUMERIC = {"Integer", "Decimal"}
 _RESTRICTION_RE = re.compile(r"\bonly\b", re.IGNORECASE)
@@ -149,7 +149,13 @@ def check_measures(model: m.SpecificationModel) -> list[Diagnostic]:
         for attr in entity.measures:
             if isinstance(attr.measure, m.OpaqueMeasure):
                 continue
-            inferred = _infer(model, entity, attr, attr.measure, [attr.id], diags)
+            checked = len(diags)
+            inferred = _infer(model, entity, attr, attr.measure, diags)
+            if len(diags) == checked:  # the planner reports cycles, unknown and opaque references
+                try:
+                    measure_program(model, entity.id, (attr.measure,))
+                except EngineError as exc:
+                    diags.append(error("SEM010", f"in measure {entity.id}.{attr.id}: {exc}", attr.loc))
             if inferred is None:
                 continue
             declared = attr.attr_type.name if attr.attr_type.kind == "primitive" else None
@@ -168,7 +174,7 @@ def check_measures(model: m.SpecificationModel) -> list[Diagnostic]:
     return diags
 
 
-def _infer(model, entity: m.DataEntity, owner: m.DataAttribute, expr, stack: list[str], diags) -> str | None:
+def _infer(model, entity: m.DataEntity, owner: m.DataAttribute, expr, diags) -> str | None:
     if isinstance(expr, m.Literal):
         if isinstance(expr.value, bool):
             return "Boolean"
@@ -178,24 +184,13 @@ def _infer(model, entity: m.DataEntity, owner: m.DataAttribute, expr, stack: lis
             return "Decimal"
         return "String"
 
-    if isinstance(expr, m.MeasureRef):
+    if isinstance(expr, m.MeasureRef):  # the target's declared type
         target = entity.attribute(expr.attribute)
-        if target is None or target.measure is None:
-            diags.append(
-                error("SEM011", f"{entity.id}.{owner.id} references unknown measure {expr.attribute!r}", owner.loc)
-            )
-            return None
-        if expr.attribute in stack:
-            cycle = " -> ".join(stack + [expr.attribute])
-            diags.append(error("SEM010", f"measure reference cycle: {cycle}", owner.loc))
-            return None
-        if isinstance(target.measure, m.OpaqueMeasure):
-            return target.attr_type.name if target.attr_type.kind == "primitive" else None
-        return _infer(model, entity, owner, target.measure, stack + [expr.attribute], diags)
+        return target.attr_type.name if target is not None and target.attr_type.kind == "primitive" else None
 
     if isinstance(expr, m.Arithmetic):
-        left = _infer(model, entity, owner, expr.left, stack, diags)
-        right = _infer(model, entity, owner, expr.right, stack, diags)
+        left = _infer(model, entity, owner, expr.left, diags)
+        right = _infer(model, entity, owner, expr.right, diags)
         if left is None or right is None:
             return None
         for side in (left, right):
@@ -211,7 +206,7 @@ def _infer(model, entity: m.DataEntity, owner: m.DataAttribute, expr, stack: lis
     if isinstance(expr, m.Aggregate):
         if expr.fn == "COUNT":
             if isinstance(expr.arg, m.Predicate):
-                _check_measure_predicate(model, entity, owner, expr.arg, diags)
+                _check_predicate(model, entity.id, expr.arg, f"measure {entity.id}.{owner.id}", owner.loc, "SEM011", diags)
             else:
                 _argument_type(model, entity, owner, expr.arg, diags)
             return "Integer"
@@ -228,23 +223,21 @@ def _infer(model, entity: m.DataEntity, owner: m.DataAttribute, expr, stack: lis
     return None
 
 
-def _measure_column(model, entity: m.DataEntity, owner: m.DataAttribute, path: m.AttributePath, diags):
-    """The attribute the planner reads for ``path`` in a measure, or None after SEM022."""
+def _planned(model, fact_id: str, path: m.AttributePath, context: str, loc, diags, code: str = "SEM022"):
+    """The attribute the planner reads for ``path``, or None after ``code`` ``context: <planner reason>``."""
     try:
-        return column(model, entity.id, path).attribute
+        return column(model, fact_id, path).attribute
     except EngineError as exc:
-        diags.append(error("SEM022", f"in measure {entity.id}.{owner.id}: {exc}", path.loc or owner.loc))
+        diags.append(error(code, f"{context}: {exc}", path.loc or loc))
         return None
 
 
 def _argument_type(model, entity: m.DataEntity, owner: m.DataAttribute, path: m.AttributePath, diags) -> str | None:
-    attr = _measure_column(model, entity, owner, path, diags)
+    attr = _planned(model, entity.id, path, f"in measure {entity.id}.{owner.id}", owner.loc, diags)
     if attr is None:
         return None
     if attr.dimension_target is None:
         return "String" if attr.attr_type.kind == "enum" else attr.attr_type.name
-    if model.entity(attr.dimension_target) is None:
-        return None  # SEM001 reports the reference
     try:
         role = aggregate_column(model, entity.id, path).attribute
     except EngineError as exc:
@@ -259,49 +252,43 @@ def _argument_type(model, entity: m.DataEntity, owner: m.DataAttribute, path: m.
     return "Date" if role.attr_type.name == "DateTime" else role.attr_type.name
 
 
-def _check_measure_predicate(model, entity: m.DataEntity, owner: m.DataAttribute, pred: m.Predicate, diags) -> None:
-    left_attr = _measure_column(model, entity, owner, pred.left, diags)
-    if left_attr is None:
-        return
+def _check_predicate(model, fact_id: str, pred: m.Predicate, where: str, loc, hop_code: str, diags) -> None:
+    """The one rule for a measure's COUNT predicate and an operation's where clause.
 
+    An enum role hop the planner cannot make is ``hop_code``: SEM011 in a
+    measure, SEM022 in an operation.
+    """
+    context = f"predicate path {pred.left} in {where}"
+    left = _planned(model, fact_id, pred.left, context, loc, diags)
     right = pred.right
+    if isinstance(right, m.AttributePath):  # a parameter; the planner refuses one in a measure
+        _planned(model, fact_id, right, f"predicate path {right} in {where}", loc, diags)
+        return
     if isinstance(right, m.EnumLiteral):
         enum = model.enumeration(right.enum)
-        if enum is None:
-            diags.append(error("SEM013", f"unknown enumeration {right.enum!r} in {entity.id}.{owner.id}", owner.loc))
+        if enum is None or right.value not in enum.values:
+            diags.append(error("SEM013", f"unknown enum literal {right} in {where}", loc))
             return
-        if right.value not in enum.values:
-            diags.append(
-                error("SEM013", f"{right.enum} has no value {right.value!r} (in {entity.id}.{owner.id})", owner.loc)
-            )
-            return
-        if left_attr.attr_type.kind == "enum":
-            if left_attr.attr_type.name != right.enum:
-                diags.append(
-                    error("SEM011", f"comparison in {entity.id}.{owner.id} mixes enumerations", owner.loc)
-                )
-        elif left_attr.attr_type.kind == "dimension":
-            try:
-                plan_filters(model, entity.id, (pred,))  # compares through the dimension's enum role
-            except EngineError as exc:
-                if model.entity(left_attr.dimension_target) is not None:  # else SEM001 reports it
-                    diags.append(error("SEM011", f"comparison in {entity.id}.{owner.id}: {exc}", owner.loc))
-        else:
-            diags.append(
-                error("SEM011", f"comparison in {entity.id}.{owner.id} matches an enum literal against {left_attr.attr_type.name}", owner.loc)
-            )
-    elif isinstance(right, m.Literal):
-        left_kind = left_attr.attr_type.name if left_attr.attr_type.kind == "primitive" else left_attr.attr_type.kind
+    if left is None:
+        return
+    kind = left.attr_type.name if left.attr_type.kind == "primitive" else left.attr_type.kind
+    if isinstance(right, m.Literal):
         value = right.value
-        compatible = (
-            (isinstance(value, bool) and left_kind == "Boolean")
-            or (isinstance(value, (int, float)) and not isinstance(value, bool) and left_kind in _NUMERIC)
-            or isinstance(value, str)
-        )
-        if not compatible:
-            diags.append(
-                error("SEM011", f"comparison in {entity.id}.{owner.id}: {value!r} does not match {left_kind}", owner.loc)
-            )
+        if not (
+            isinstance(value, str)
+            or (isinstance(value, bool) and kind == "Boolean")
+            or (isinstance(value, (int, float)) and not isinstance(value, bool) and kind in _NUMERIC)
+        ):
+            diags.append(error("SEM011", f"{context}: {value!r} does not match {left.attr_type.name}", loc))
+    elif kind == "dimension":
+        try:
+            plan_filters(model, fact_id, (pred,))  # compares through the dimension's enum role
+        except EngineError as exc:
+            diags.append(error(hop_code, f"{context}: {exc}", pred.left.loc or loc))
+    elif kind != "enum":
+        diags.append(error("SEM011", f"{context} matches an enum literal against {kind}", loc))
+    elif left.attr_type.name != right.enum:
+        diags.append(error("SEM011", f"{context} mixes enumerations {left.attr_type.name} and {right.enum}", loc))
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +358,6 @@ def _check_operation(model, uc: m.UseCase, op: m.OlapOperation, source) -> list[
         return diags
     fact_id = source_fact(source)
 
-    def plan_path(path: m.AttributePath, role: str, predicate: m.Predicate | None = None) -> None:
-        """SEM022 unless the planner reads ``path``; with ``predicate``, through its enum role hop too."""
-        try:
-            column(model, fact_id, path) if predicate is None else plan_filters(model, fact_id, (predicate,))
-        except EngineError as exc:
-            diags.append(error("SEM022", f"{role} {path} in operation {op.id}: {exc}", path.loc or op.loc))
-
     if op.kind in ("Slice", "Dice"):
         expected = "exactly 1" if op.kind == "Slice" else "at least 2"
         count = len(op.where_clauses)
@@ -386,19 +366,9 @@ def _check_operation(model, uc: m.UseCase, op: m.OlapOperation, source) -> list[
                 error("SEM023", f"{op.kind} {op.id} has {count} predicates; {expected} required", op.loc)
             )
         for pred in op.where_clauses:
-            if isinstance(pred.right, m.EnumLiteral):
-                enum = model.enumeration(pred.right.enum)
-                if enum is None or pred.right.value not in enum.values:
-                    diags.append(error("SEM013", f"unknown enum literal {pred.right} in operation {op.id}", op.loc))
-                    plan_path(pred.left, "predicate path")
-                else:
-                    plan_path(pred.left, "predicate path", pred)
-            else:
-                plan_path(pred.left, "predicate path")
-                if isinstance(pred.right, m.AttributePath):
-                    plan_path(pred.right, "predicate path")
+            _check_predicate(model, fact_id, pred, f"operation {op.id}", op.loc, "SEM022", diags)
     elif op.kind in ("RollUp", "DrillDown"):
-        plan_path(op.group_by, "group-by path")
+        _planned(model, fact_id, op.group_by, f"group-by path {op.group_by} in operation {op.id}", op.loc, diags)
     else:  # Pivot
         fact = model.entity(fact_id)
         for dim_id in op.swap:
@@ -434,12 +404,8 @@ def check_ui(model: m.SpecificationModel) -> list[Diagnostic]:
                 diags.append(error("SEM030", f"component {comp.id} has parts but no data binding", comp.loc))
 
             for part in comp.parts if binding is not None else ():
-                try:
-                    column(model, source_fact(binding), part.binding)
-                except EngineError as exc:
-                    diags.append(
-                        error("SEM031", f"part {part.id} of {comp.id} binds {part.binding}: {exc}", part.binding.loc or part.loc)
-                    )
+                context = f"part {part.id} of {comp.id} binds {part.binding}"
+                _planned(model, source_fact(binding), part.binding, context, part.loc, diags, "SEM031")
 
             if comp.chart_subtype is not None:
                 counts: dict[str, int] = {}

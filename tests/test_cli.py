@@ -49,6 +49,23 @@ def test_check_reports_numeric_character_as_invalid(capsys, tmp_path):
     assert any(entry["code"] == "CNL002" and (entry["line"], entry["col"]) == (1, 19) for entry in lines)
 
 
+def test_check_reports_a_reference_to_an_opaque_measure(capsys, tmp_path):
+    # AvgWaitingTime's expression tag does not parse (ASL022), so CancellationRate cannot be evaluated
+    source = CORPUS_ASL.read_text(encoding="utf-8")
+    spec = tmp_path / "opaque.asl"
+    spec.write_text(
+        source.replace('value "average(actual_response_time)"', 'value "average((("').replace(
+            "(CountCancelledAppointments / CountAppointments)", "(AvgWaitingTime / CountAppointments)"
+        )
+    )
+    code, _, err = run(capsys, "check", str(spec), "--json")
+    assert code == 1
+    entries = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+    assert [(e["code"], e["line"], e["message"]) for e in entries if e["severity"] == "error"] == [
+        ("SEM010", 135, "in measure AppointmentRequest.CancellationRate: opaque measure 'average(((' cannot be evaluated")
+    ]
+
+
 def test_parse_emits_model_json(capsys):
     code, out, _ = run(capsys, "parse", str(CORPUS_CNLBI), "--emit", "model-json")
     assert code == 0

@@ -3,9 +3,12 @@ from dataclasses import replace
 import pytest
 
 from bispec import model as m
-from bispec import parse_cnlbi
+from bispec import check_model, gen_olap_sql, parse_cnlbi
+from bispec.engine import load_cube, run_use_case
+from bispec.generators import GeneratorError
 from bispec.model import AttributePath, ResolveError, resolve
 from bispec.plan import EngineError, Filter, measure_program, source_fact
+from conftest import DATA_DIR
 
 
 def test_entity_rooted_path_from_cluster_context(medbuddy_asl):
@@ -136,6 +139,25 @@ def test_measure_cycle_is_eng030_from_the_planner(medbuddy_measure_cycle):
     with pytest.raises(EngineError) as exc:
         measure_program(medbuddy_measure_cycle, fact.id, [attr.measure for attr in fact.measures])
     assert (exc.value.code, str(exc.value)) == ("ENG030", "measure reference cycle at CancellationRate")
+
+
+def test_measure_predicate_against_a_free_path_is_refused_everywhere(cnlbi_source):
+    # Measures take no bindings, so City.id could never be supplied: check, gen and the engine all refuse it
+    source = cnlbi_source.replace("COUNT(state = States.Cancelled)", "COUNT(institution.city = City.id)")
+    model, _ = parse_cnlbi(source, "free.cnlbi")
+    reason = "measure predicate on institution.city compares against the free path City.id"
+    assert [(d.code, d.message) for d in check_model(model).diagnostics if d.is_error] == [
+        ("SEM010", f"in measure AppointmentRequest.CountCancelledAppointments: {reason}"),
+        ("SEM010", f"in measure AppointmentRequest.CancellationRate: {reason}"),
+    ]
+    roll_up = ("AnalysisAppointmentsInstitutionOnNationalLevel", "AppointmentsByInstitutionCity")
+    with pytest.raises(GeneratorError) as gen_exc:
+        gen_olap_sql(model, *roll_up)
+    assert (gen_exc.value.code, str(gen_exc.value)) == ("GEN010", reason)
+    cube, _ = load_cube(model, DATA_DIR)
+    with pytest.raises(EngineError) as run_exc:
+        run_use_case(cube, *roll_up, {"id": "c1"})
+    assert (run_exc.value.code, str(run_exc.value)) == ("ENG030", reason)
 
 
 def test_reference_order_puts_targets_first_and_sets_cycles_apart(medbuddy, cnlbi_source):

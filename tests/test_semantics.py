@@ -1,4 +1,11 @@
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, strategies as st
+
 from bispec import merge_models, model as m, parse_asl, parse_cnlbi
+from bispec.engine import run_use_case
+from bispec.plan import EngineError, executable_measures, measure_program
 from bispec.semantics import (
     check_dimensional,
     check_measures,
@@ -175,6 +182,93 @@ DataEntity F is a Transaction Fact with attributes
     model = parse_ok(source)
     assert errors_at(model, source) == [("SEM022", "Latest is an Integer (operation MAX(E.year)).")]
     assert "in measure F.Latest" in check_measures(model)[0].message
+
+
+FACT = "AppointmentRequest"
+ROLL_UP = ("AnalysisAppointmentsInstitutionOnNationalLevel", "AppointmentsByInstitutionCity")
+
+
+def with_measures(model, measures):
+    """``model`` with the corpus fact's measures replaced by ``measures``."""
+    fact = model.entity(FACT)
+    attributes = tuple(a for a in fact.attributes if a.measure is None) + tuple(measures)
+    return replace(model, entities=tuple(replace(e, attributes=attributes) if e is fact else e for e in model.entities))
+
+
+def test_measure_cycle_reports_both_members_and_the_type_mismatch(medbuddy_measure_cycle):
+    # CountAppointments reads (CancellationRate + 1): a Decimal declared Integer, and a cycle the planner names
+    found = [(d.code, d.message) for d in check_measures(medbuddy_measure_cycle)]
+    assert found == [
+        ("SEM010", "in measure AppointmentRequest.CountAppointments: measure reference cycle at CancellationRate"),
+        ("SEM011", "measure AppointmentRequest.CountAppointments is declared Integer but computes Decimal"),
+        ("SEM010", "in measure AppointmentRequest.CancellationRate: measure reference cycle at CountAppointments"),
+    ]
+
+
+def test_unknown_and_opaque_measure_references_are_sem010(medbuddy):
+    # Only the model API builds these: both parsers keep an unknown name out of a measure
+    fact = medbuddy.entity(FACT)
+    referencing = {
+        "MinDate": m.MeasureRef("Ghost"),
+        "MaxDate": m.Arithmetic("+", m.MeasureRef("AvgWaitingTime"), m.Literal(0)),
+        "AvgWaitingTime": m.OpaqueMeasure("average((("),
+    }
+    model = with_measures(medbuddy, [
+        replace(a, measure=referencing.get(a.id, a.measure), attr_type=replace(a.attr_type, name="Decimal"))
+        for a in fact.measures
+    ])
+    assert [(d.code, d.message) for d in check_measures(model)] == [
+        ("SEM010", "in measure AppointmentRequest.MinDate: unknown measure 'Ghost'"),
+        ("SEM010", "in measure AppointmentRequest.MaxDate: opaque measure 'average(((' cannot be evaluated"),
+    ]
+
+
+_MEASURE_LEAVES = st.one_of(
+    st.builds(m.Literal, st.integers(0, 9)),
+    st.just(m.Aggregate("COUNT", m.AttributePath(("id",)))),
+    st.just(m.Aggregate("AVERAGE", m.AttributePath(("actual_response_time",)))),
+)
+
+
+@st.composite
+def measure_sets(draw):
+    """Up to 5 measures M0.. over literals, two aggregates, each other (cycles too) and opaque text."""
+    count = draw(st.integers(1, 5))
+    leaves = st.one_of(_MEASURE_LEAVES, st.builds(m.MeasureRef, st.sampled_from([f"M{i}" for i in range(count)])))
+    expressions = st.recursive(
+        leaves, lambda inner: st.builds(m.Arithmetic, st.sampled_from("+-*/"), inner, inner), max_leaves=4
+    )
+    return [
+        m.DataAttribute(
+            f"M{i}",
+            m.AttributeType("primitive", draw(st.sampled_from(["Integer", "Decimal"]))),
+            measure=draw(st.one_of(expressions, st.just(m.OpaqueMeasure("opaque")))),
+        )
+        for i in range(count)
+    ]
+
+
+@given(measure_sets())
+def test_measures_that_check_clean_lower_and_roll_up(medbuddy, cube, measures):
+    """A clean check lowers every executable measure and a roll-up runs; a lowering failure comes with a check error."""
+    model = with_measures(medbuddy, measures)
+    errors = [d for d in check_measures(model) if d.is_error]
+    executable = executable_measures(model.entity(FACT))
+    try:
+        measure_program(model, FACT, [a.measure for a in executable])
+    except EngineError as exc:
+        assert errors, exc
+        return
+    if not errors:
+        result = run_use_case(replace(cube, model=model), *ROLL_UP)
+        assert result.measure_names == tuple(a.id for a in executable)
+
+
+@pytest.mark.parametrize("predicate", ["Patient.gender = States.Booked", "Patient.gender = 5"])
+def test_slice_comparing_a_column_with_a_foreign_value_is_sem011(cnlbi_source, predicate):
+    # The engine compares a Gender column with a States value or a number and keeps no row
+    source = cnlbi_source.replace("where AppointmentRequest.scheduled_date.year = Time.year", f"where {predicate}", 1)
+    assert errors_at(parse_ok(source), source) == [("SEM011", "OLAP Operation ScheduledAppointmentsInSpecificYear is a Slice")]
 
 
 def use_case_model(extra_ops="", description="analyses everything"):

@@ -2,8 +2,9 @@
 
 Each mutant of a corpus file goes through parse, check_model, model_json
 and both emitters. Errors must come back as diagnostics, so no call may
-raise; and a mutant that parses and checks without error must plan and
-translate every operation that is not underspecified.
+raise; and a mutant that parses and checks without error must lower every
+fact's executable measures and plan and translate every operation that is
+not underspecified.
 """
 
 import random
@@ -12,7 +13,7 @@ import pytest
 
 from bispec import check_model, emit_asl, emit_cnlbi, gen_olap_sql, model_json, parse_asl, parse_cnlbi
 from bispec.lexer import tokenize
-from bispec.plan import plan_operation
+from bispec.plan import executable_measures, measure_program, plan_operation
 from conftest import CORPUS_ASL, CORPUS_CNLBI
 
 # Characters that open or close constructs, plus a letter, a digit and a numeric non-digit.
@@ -57,6 +58,8 @@ def test_mutated_corpus_never_raises(path, parse):
         emit_cnlbi(model)
         emit_asl(model)
         if report.ok and not any(d.is_error for d in diags):
+            for fact in model.facts:  # what every roll-up, slice and dice lowers
+                measure_program(model, fact.id, [attr.measure for attr in executable_measures(fact)])
             for uc in model.use_cases:
                 for op in uc.operations:
                     if not op.is_underspecified:
