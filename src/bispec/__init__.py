@@ -10,7 +10,7 @@ from .canonical import canonicalize, model_json
 from .cnlbi import emit_cnlbi, parse_cnlbi
 from .engine import Cube, EngineError, ResultTable, aggregate, dice_view, evaluate_measure, load_cube, pivot, run_use_case, slice_view
 from .generators import GeneratorError, gen_dashboard_manifest, gen_olap_sql, gen_requirements_doc, gen_schema_sql
-from .model import AttributePath, SpecificationModel, merge_models, resolve
+from .model import AttributePath, SpecificationModel, merge_models
 from .semantics import CheckReport, check_model
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "parse_asl",
     "parse_cnlbi",
     "pivot",
-    "resolve",
     "run_use_case",
     "slice_view",
 ]

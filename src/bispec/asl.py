@@ -10,6 +10,7 @@ representable, so emit is lossless.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from . import measure as mx
 from . import model as m
@@ -25,23 +26,6 @@ TOP_LEVEL_WORDS = (
     "UIContainer",
     "component",
 ) + m.EXTENSION_CATEGORIES
-
-KEYWORDS = frozenset(
-    TOP_LEVEL_WORDS
-    + m.PRIMITIVE_TYPES
-    + m.ENTITY_TYPES
-    + ("Transactional", "Fact", "Dimension", "_Dimension")
-    + m.ACTOR_TYPES
-    + m.CONSTRAINT_KINDS
-    + m.USE_CASE_TYPES
-    + (
-        "attribute", "constraints", "description", "values", "main", "uses",
-        "actorInitiates", "supportingActors", "dataEntity", "actions", "tag",
-        "name", "value", "part", "event", "dataBinding", "dataAttributeBinding",
-        "navigationFlowTo", "formula", "details", "arithmetic", "defaultValue",
-        "isA", "stakeholder", "Field", "Window", "MainWindow", "ModalWindow",
-    )
-)
 
 # Terms usable without an in-document extension declaration.
 _ASL_BASE: dict[str, frozenset[str]] = {
@@ -69,7 +53,25 @@ _ACTION_SPELLING = {
     "Pivot": "BI_Pivot",
 }
 
-_TAG_VALUE_KEYWORDS = frozenset(("name", "where", "and", "group", "by", "swap", "with", "dimensions", "description"))
+
+def _tag_cursor(text: str, at: Span) -> Cursor:
+    """A cursor over a tag value. The value is one string token in the file, so
+    every token in it reports at the tag (``at``)."""
+    tokens, lex_diags = tokenize(text, code_prefix="ASL", string_quotes="'\"")
+    if any(d.is_error for d in lex_diags):
+        raise mx.ExprSyntaxError("unreadable tag value", at)
+    lines = SimpleNamespace(span=lambda offset, length: at)
+    return Cursor([tok._replace(lines=lines) for tok in tokens])
+
+
+def _tag_expression(text: str, at: Span) -> object | None:
+    """The measure expression an ``expression`` tag carries; None when it does not parse."""
+    try:
+        cur = _tag_cursor(text, at)
+        expr = mx.parse_expression(cur)
+    except mx.ExprSyntaxError:
+        return None
+    return expr if cur.at_eof() else None
 
 
 class _ParseError(Exception):
@@ -113,7 +115,7 @@ def parse_asl(source: str, file: str = "<asl>") -> tuple[m.SpecificationModel, l
 
 class _Parser:
     def __init__(self, source: str, file: str):
-        tokens, lex_diags = tokenize(source, KEYWORDS, file=file, code_prefix="ASL", block_comments=True)
+        tokens, lex_diags = tokenize(source, file=file, code_prefix="ASL", block_comments=True)
         self.cur = Cursor(tokens)
         self.diags: list[Diagnostic] = list(lex_diags)
         self.registered: dict[str, set[str]] = {cat: set() for cat in m.EXTENSION_CATEGORIES}
@@ -128,10 +130,7 @@ class _Parser:
 
     def recover(self) -> None:
         self.cur.next()
-        while not self.cur.at_eof():
-            tok = self.cur.peek()
-            if tok.kind is TokenKind.KEYWORD and tok.text in TOP_LEVEL_WORDS:
-                return
+        while not self.cur.at_eof() and self.cur.peek().text not in TOP_LEVEL_WORDS:
             self.cur.next()
 
     def ident(self, what: str) -> Token:
@@ -458,7 +457,7 @@ class _Parser:
             measure = None
             if raw.expression_tag is not None:
                 text, tag_span = raw.expression_tag
-                parsed, _ = mx.parse_measure_text(text)
+                parsed = _tag_expression(text, tag_span)
                 if parsed is None:
                     self.diags.append(
                         warning("ASL022", f"unparseable expression {text!r}; measure kept as opaque", tag_span)
@@ -650,10 +649,7 @@ class _Parser:
             return None
 
     def _structured_action(self, op_id: str, kind: str, text: str, span: Span) -> m.OlapOperation:
-        tokens, lex_diags = tokenize(text, _TAG_VALUE_KEYWORDS, file=span.file, code_prefix="ASL", string_quotes="'\"")
-        if any(d.is_error for d in lex_diags):
-            raise mx.ExprSyntaxError("unreadable tag value", span)
-        cur = Cursor(tokens)
+        cur = _tag_cursor(text, span)
         name = description = None
         where: list[m.Predicate] = []
         group_by = None
@@ -928,21 +924,13 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
-def _q(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _sq(text: str) -> str:
-    return "'" + text.replace("\\", "\\\\").replace("'", "\\'") + "'"
-
-
 def _name_part(obj) -> str:
-    return f" {_q(obj.name)}" if obj.name is not None and obj.name != obj.id else ""
+    return f" {mx.literal_text(obj.name)}" if obj.name is not None and obj.name != obj.id else ""
 
 
 def _named(obj) -> str:
     # Top-level ASL declarations always carry their (possibly defaulted) name.
-    return f" {_q(obj.display_name)}"
+    return f" {mx.literal_text(obj.display_name)}"
 
 
 def _collect_declarations(model: m.SpecificationModel) -> list[tuple[str, str, str | None]]:
@@ -997,7 +985,7 @@ def emit_asl(model: m.SpecificationModel) -> tuple[str, list[Diagnostic]]:
     for category, term, description in declarations:
         line = f"{category} {term}"
         if description is not None:
-            line += f" [description {_q(description)}]"
+            line += f" [description {mx.literal_text(description)}]"
         out.append(line)
     if declarations:
         out.append("")
@@ -1014,7 +1002,7 @@ def emit_asl(model: m.SpecificationModel) -> tuple[str, list[Diagnostic]]:
         for attr in entity.attributes:
             out.append(_attribute_line(attr))
         if entity.description is not None:
-            out.append(f"  description {_q(entity.description)}")
+            out.append(f"  description {mx.literal_text(entity.description)}")
         out.append("]")
         out.append("")
 
@@ -1024,7 +1012,7 @@ def emit_asl(model: m.SpecificationModel) -> tuple[str, list[Diagnostic]]:
         if cluster.uses:
             out.append(f"  uses {', '.join(cluster.uses)}")
         if cluster.description is not None:
-            out.append(f"  description {_q(cluster.description)}")
+            out.append(f"  description {mx.literal_text(cluster.description)}")
         out.append("]")
         out.append("")
 
@@ -1035,7 +1023,7 @@ def emit_asl(model: m.SpecificationModel) -> tuple[str, list[Diagnostic]]:
         if actor.stakeholder is not None:
             body.append(f"  stakeholder {actor.stakeholder}")
         if actor.description is not None:
-            body.append(f"  description {_q(actor.description)}")
+            body.append(f"  description {mx.literal_text(actor.description)}")
         head = f"Actor {actor.id}{_named(actor)} : {actor.actor_type}"
         if body:
             out.append(head + " [")
@@ -1058,9 +1046,10 @@ def emit_asl(model: m.SpecificationModel) -> tuple[str, list[Diagnostic]]:
         if uc.action_kinds:
             out.append(f"  actions {', '.join(_ACTION_SPELLING[k] for k in uc.action_kinds)}")
         for op in uc.operations:
-            out.append(f"  tag (name {_q(_action_tag_name(op))} value {_q(_action_tag_value(op))})")
+            name, value = mx.literal_text(_action_tag_name(op)), mx.literal_text(_action_tag_value(op))
+            out.append(f"  tag (name {name} value {value})")
         if uc.description is not None:
-            out.append(f"  description {_q(uc.description)}")
+            out.append(f"  description {mx.literal_text(uc.description)}")
         out.append("]")
         out.append("")
 
@@ -1086,7 +1075,7 @@ def emit_asl(model: m.SpecificationModel) -> tuple[str, list[Diagnostic]]:
         for event in container.events:
             out.append("  " + _event_line(event))
         if container.description is not None:
-            out.append(f"  description {_q(container.description)}")
+            out.append(f"  description {mx.literal_text(container.description)}")
         out.append("]")
         out.append("")
 
@@ -1124,12 +1113,12 @@ def _attribute_line(attr: m.DataAttribute) -> str:
 
 def _measure_item(measure: object) -> str:
     if isinstance(measure, m.OpaqueMeasure):
-        return f'tag (name "expression" value {_q(measure.text)})'
+        return f'tag (name "expression" value {mx.literal_text(measure.text)})'
     if isinstance(measure, m.Aggregate):
         if isinstance(measure.arg, m.Predicate):
             # Strings nested inside tag values use single quotes to avoid escaping.
             text = mx.measure_text(measure, quote="'")
-            return f'tag (name "expression" value {_q(text)})'
+            return f'tag (name "expression" value {mx.literal_text(text)})'
         return f"formula details: {measure.fn.lower()} ({measure.arg})"
     return f"formula arithmetic {mx.measure_text(measure)}"
 
@@ -1141,7 +1130,7 @@ def _action_tag_name(op: m.OlapOperation) -> str:
 def _action_tag_value(op: m.OlapOperation) -> str:
     clauses: list[str] = []
     if op.name is not None and op.name != op.id:
-        clauses.append(f"name {_sq(op.name)}")
+        clauses.append("name " + mx.literal_text(op.name, "'"))
     if op.where_clauses:
         clauses.append("where " + " and ".join(mx.predicate_text(p, "'") for p in op.where_clauses))
     if op.group_by is not None:
@@ -1151,7 +1140,7 @@ def _action_tag_value(op: m.OlapOperation) -> str:
     if op.touched_dimensions:
         clauses.append("dimensions " + ", ".join(op.touched_dimensions))
     if op.description is not None:
-        clauses.append(f"description {_sq(op.description)}")
+        clauses.append("description " + mx.literal_text(op.description, "'"))
     return "; ".join(clauses)
 
 
@@ -1172,15 +1161,15 @@ def _emit_component(out: list[str], comp: m.UIComponent) -> None:
     if comp.data_binding is not None:
         out.append(f"  dataBinding {comp.data_binding}")
     for part in comp.parts:
-        name = f" {_q(part.name)}" if part.name is not None and part.name != part.id else ""
+        name = f" {mx.literal_text(part.name)}" if part.name is not None and part.name != part.id else ""
         out.append(f"  part {part.id}{name} : Field : {part.part_kind} [dataAttributeBinding {part.binding}]")
     for action in sorted(comp.actions):
         out.append(f"  event {action} : Other")
     if comp.navigates_to is not None:
         out.append(f"  event NavigateTo : Submit : Submit_Back [navigationFlowTo {comp.navigates_to}]")
     for tag_name, tag_value in comp.tags:
-        out.append(f"  tag (name {_q(tag_name)} value {_q(tag_value)})")
+        out.append(f"  tag (name {mx.literal_text(tag_name)} value {mx.literal_text(tag_value)})")
     if comp.description is not None:
-        out.append(f"  description {_q(comp.description)}")
+        out.append(f"  description {mx.literal_text(comp.description)}")
     out.append("]")
     out.append("")

@@ -19,32 +19,6 @@ TOP_LEVEL_WORDS = ("DataEntity", "Data", "Actor", "UseCase", "UIContainer", "UIC
 
 _OP_INTRO_WORDS = ("OLAP", "Olap", "Slice", "Dice", "Roll-up", "Drill-down", "Pivot")
 
-KEYWORDS = frozenset(
-    TOP_LEVEL_WORDS
-    + _OP_INTRO_WORDS
-    + m.PRIMITIVE_TYPES
-    + m.ENTITY_TYPES
-    + ("Transactional", "Fact", "Dimension")
-    + m.ACTOR_TYPES
-    + m.CONSTRAINT_KINDS
-    + m.AGGREGATE_FUNCTIONS
-    + m.USE_CASE_TYPES
-    + ("BI_Analysis",)
-    + (
-        "enumeration", "is", "a", "an", "with", "attributes", "values", "and",
-        "described", "as", "refers", "to", "operation", "Operation", "where",
-        "group", "by", "swap", "performs", "actor", "support", "stakeholder",
-        "data", "source", "binding", "that", "contains", "navigates", "extends",
-        "starting", "ending", "at", "columns", "latitude", "longitude", "value",
-        "label", "legend", "location", "area", "segments", "defined",
-        "x-axis", "y-axis", "actions", "default", "Main", "Modal", "Window",
-        "Form", "Table", "List", "Detail", "Filter", "Card",
-        "InteractiveChart",
-    )
-    + m.CHART_SUBTYPES
-    + m.CONTAINER_SUBTYPES
-)
-
 # Single CNL-BI type word -> (component type, component subtype).
 _COMPONENT_TERMS: dict[str, tuple[str, str | None]] = {
     "Form": ("Form", None),
@@ -113,7 +87,7 @@ def parse_cnlbi(source: str, file: str = "<cnlbi>") -> tuple[m.SpecificationMode
 
 class _Parser:
     def __init__(self, source: str, file: str):
-        tokens, lex_diags = tokenize(source, KEYWORDS, file=file, code_prefix="CNL")
+        tokens, lex_diags = tokenize(source, file=file, code_prefix="CNL")
         self.cur = Cursor(tokens)
         self.diags: list[Diagnostic] = list(lex_diags)
 
@@ -130,8 +104,6 @@ class _Parser:
 
     def _at_top_level(self) -> bool:
         tok = self.cur.peek()
-        if tok.kind is not TokenKind.KEYWORD:
-            return False
         if tok.text == "Data":
             return self.cur.peek(1).text == "enumeration"
         return tok.text in TOP_LEVEL_WORDS
@@ -172,12 +144,12 @@ class _Parser:
             tok = self.cur.peek()
             if tok.kind is TokenKind.PUNCT and tok.text in (",", "."):
                 nxt = self.cur.peek(1)
-                if nxt.kind is TokenKind.EOF or (nxt.kind is TokenKind.KEYWORD and nxt.text in hard_stop):
+                if nxt.kind is TokenKind.EOF or nxt.text in hard_stop:
                     self.cur.next()
                     break
                 parts.append(self.cur.next().text)
                 continue
-            if tok.kind is TokenKind.KEYWORD and tok.text in hard_stop and parts:
+            if tok.text in hard_stop and parts:
                 break
             parts.append(self.cur.next().text)
         return _join_prose(parts)
@@ -732,16 +704,12 @@ def _article(word: str) -> str:
     return "an" if word[:1] in "AEIO" else "a"
 
 
-def _quoted(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
 def _opt_paren_name(obj) -> str:
-    return f' ("{obj.name}")' if obj.name is not None and obj.name != obj.id else ""
+    return f" ({mx.literal_text(obj.name)})" if obj.name is not None and obj.name != obj.id else ""
 
 
 def _opt_bare_name(obj) -> str:
-    return f" {_quoted(obj.name)}" if obj.name is not None and obj.name != obj.id else ""
+    return f" {mx.literal_text(obj.name)}" if obj.name is not None and obj.name != obj.id else ""
 
 
 _KIND_WORDS = {"Slice": "Slice", "Dice": "Dice", "RollUp": "Roll-up", "DrillDown": "Drill-down", "Pivot": "Pivot"}
@@ -848,7 +816,7 @@ def emit_cnlbi(model: m.SpecificationModel) -> tuple[str, list[Diagnostic]]:
 
 
 def _attribute_text(attr: m.DataAttribute, warnings: list[Diagnostic], entity_id: str) -> str:
-    name = f' ("{attr.name}")' if attr.name is not None and attr.name != attr.id else ""
+    name = _opt_paren_name(attr)
     if attr.attr_type.kind == "dimension":
         head = f"{attr.id}{name} refers to Dimension {attr.attr_type.name}"
     else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from . import measure as mx
 from . import model as m
 from .canonical import indented_json
-from .plan import Column, EngineError, Filter, MeasureProgram, Parameter, Plan, measure_program, plan_operation
+from .plan import Column, EngineError, Filter, MeasureProgram, Parameter, Plan, column, measure_program, plan_operation, source_fact
 from .semantics import schema_shape
 
 _SQL_TYPES = {
@@ -242,14 +242,18 @@ def _plan_sql(model: m.SpecificationModel, plan: Plan) -> str:
 
 
 def _binding_info(model: m.SpecificationModel, context: str | None, path: m.AttributePath) -> dict:
+    """The part's path and, when the planner reads it from the component's data
+    source, the entity and attribute it lands on."""
     info = {"path": str(path)}
-    if context is not None:
+    source = model.data_source(context) if context is not None else None
+    if source is not None:
+        fact_id = source_fact(source)
         try:
-            resolved = m.resolve(model, path, context)
-            info["entity"] = resolved.entity
-            info["attribute"] = resolved.attribute
-        except m.ResolveError:
-            pass
+            col = column(model, fact_id, path)
+        except EngineError:
+            return info
+        info["entity"] = col.chain[-1][1] if col.chain else fact_id
+        info["attribute"] = col.attribute.id
     return info
 
 

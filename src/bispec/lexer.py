@@ -1,10 +1,11 @@
 """Tokenizer shared by both specification syntaxes.
 
-Keywords are the fixed text fragments of a linguistic style; each frontend
-passes its own keyword set. Words may contain internal hyphens (``Roll-up``,
-``x-axis``) and apostrophes (``institution's``) so that those fragments and
-prose descriptions lex as single tokens; a ``-`` with whitespace around it is
-still punctuation, which keeps arithmetic expressions unambiguous.
+Every word is one token kind; whether it is a fixed fragment of a
+linguistic style or an identifier is up to the parser. Words may contain
+internal hyphens (``Roll-up``, ``x-axis``) and apostrophes
+(``institution's``) so that those fragments and prose descriptions lex as
+single tokens; a ``-`` with whitespace around it is still punctuation, which
+keeps arithmetic expressions unambiguous.
 
 Character classes follow ``str``: whitespace is ``isspace()``; a word starts
 with ``isalpha()`` or ``_`` and continues with ``isalnum()`` or ``_``; a
@@ -30,16 +31,12 @@ from .diagnostics import Diagnostic, Span, error
 
 
 class TokenKind(Enum):
-    KEYWORD = "keyword"
-    IDENT = "ident"
+    WORD = "word"
     STRING = "string"
     NUMBER = "number"
     PUNCT = "punct"
     COMMENT = "comment"
     EOF = "eof"
-
-
-_WORD_KINDS = (TokenKind.KEYWORD, TokenKind.IDENT)
 
 
 class Lines:
@@ -70,7 +67,7 @@ class Token(namedtuple("Token", "kind text value offset length lines")):
         return self.lines.span(self.offset, self.length)
 
     def is_word(self) -> bool:
-        return self.kind in _WORD_KINDS
+        return self.kind is TokenKind.WORD
 
 
 PUNCT_CHARS = "()[]{},.:;=+-*/"
@@ -103,7 +100,6 @@ def _scanner(block_comments: bool, string_quotes: str) -> re.Pattern:
 
 def tokenize(
     source: str,
-    keywords: frozenset[str] = frozenset(),
     file: str = "<input>",
     code_prefix: str = "CNL",
     block_comments: bool = False,
@@ -114,7 +110,7 @@ def tokenize(
     lines = Lines(file, source)
     append = tokens.append
     new = tuple.__new__  # Token(...) would run namedtuple's Python-level __new__
-    KEYWORD, IDENT, PUNCT = TokenKind.KEYWORD, TokenKind.IDENT, TokenKind.PUNCT
+    WORD, PUNCT = TokenKind.WORD, TokenKind.PUNCT
     pos = 0
     while True:
         for m in _scanner(block_comments, string_quotes).finditer(source, pos):
@@ -127,7 +123,7 @@ def tokenize(
                 pos = start + 1
                 break
             if group == "word":
-                append(new(Token, (KEYWORD if text in keywords else IDENT, text, None, start, end - start, lines)))
+                append(new(Token, (WORD, text, None, start, end - start, lines)))
             elif group == "punct":
                 append(new(Token, (PUNCT, text, None, start, 1, lines)))
             elif group == "string" or group == "open_string":
@@ -181,7 +177,7 @@ class Cursor:
 
     def at_word(self, *texts: str) -> bool:
         tok = self._tokens[self.pos]
-        return tok.kind in _WORD_KINDS and tok.text in texts
+        return tok.kind is TokenKind.WORD and tok.text in texts
 
     def eat_punct(self, text: str) -> Token | None:
         tok = self._tokens[self.pos]
@@ -192,7 +188,7 @@ class Cursor:
 
     def eat_word(self, *texts: str) -> Token | None:
         tok = self._tokens[self.pos]
-        if tok.kind in _WORD_KINDS and tok.text in texts:
+        if tok.kind is TokenKind.WORD and tok.text in texts:
             self.pos += 1
             return tok
         return None

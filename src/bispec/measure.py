@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 from . import model as m
-from .diagnostics import Diagnostic, Span
-from .lexer import Cursor, Token, TokenKind, tokenize
+from .diagnostics import Span
+from .lexer import Cursor, Token, TokenKind, tokenize  # noqa: F401 (perfbench/spans.py wraps measure.tokenize)
 
 
 class ExprSyntaxError(Exception):
@@ -193,36 +193,19 @@ def resolve_names(expr: object, measure_ids: set[str]) -> object:
     return expr
 
 
-def parse_measure_text(text: str, file: str = "<expression>", code_prefix: str = "ASL") -> tuple[object | None, list[Diagnostic]]:
-    """Parse a measure expression carried as a raw string (tag payloads)."""
-    tokens, diags = tokenize(text, file=file, code_prefix=code_prefix, string_quotes="\"'")
-    if any(d.is_error for d in diags):
-        return None, diags
-    cur = Cursor(tokens)
-    try:
-        expr = parse_expression(cur)
-    except ExprSyntaxError:
-        return None, []
-    if not cur.at_eof():
-        return None, []
-    return expr, []
-
-
 # ---------------------------------------------------------------------------
 # Printing
 # ---------------------------------------------------------------------------
 
 
-def _quote(text: str, quote: str) -> str:
-    return quote + text.replace("\\", "\\\\").replace(quote, "\\" + quote) + quote
-
-
 def literal_text(value: object, quote: str = '"') -> str:
+    """A literal as both syntaxes write it; a string is quoted with ``quote``,
+    and a backslash or ``quote`` inside it is escaped with a backslash."""
     if isinstance(value, bool):
         return "True" if value else "False"
     if isinstance(value, (int, float)):
         return repr(value)
-    return _quote(str(value), quote)
+    return quote + str(value).replace("\\", "\\\\").replace(quote, "\\" + quote) + quote
 
 
 def operand_text(value: object, quote: str = '"') -> str:

@@ -800,101 +800,4 @@ def merge_models(models: list[SpecificationModel]) -> SpecificationModel:
     return merged
 
 
-# ---------------------------------------------------------------------------
-# Path resolution
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ResolvedTarget:
-    """``entity.attribute``, reached from the ``anchor`` entity through ``hop``.
-
-    ``anchor`` is where the path itself starts (the context entity, or the
-    entity its first segment names); ``hop`` is the dimension hop the path
-    spells out, if any. The query planner reaches the anchor from the context
-    through ``SpecificationModel.hop_chains``.
-    """
-
-    entity: str
-    attribute: str
-    anchor: str
-    hop: tuple[Hop, ...]
-
-
-class ResolveError(Exception):
-    """Path resolution failure; ``code`` names the diagnostic kind."""
-
-    def __init__(self, code: str, segment: str, message: str):
-        super().__init__(message)
-        self.code = code  # UnknownEntity | UnknownAttribute | NotADimensionHop
-        self.segment = segment
-
-
-def _context_entity(model: SpecificationModel, context: str) -> DataEntity:
-    source = model.data_source(context)
-    if source is None:
-        raise ResolveError("UnknownEntity", context, f"unknown entity or cluster {context!r}")
-    if isinstance(source, DataEntityCluster):
-        main = model.entity(source.main)
-        if main is None:
-            raise ResolveError("UnknownEntity", source.main, f"cluster {context} names unknown entity {source.main!r}")
-        return main
-    return source
-
-
-def resolve(model: SpecificationModel, path: AttributePath, context: str) -> ResolvedTarget:
-    """Resolve an attribute path against an entity or cluster context.
-
-    One segment is an attribute of the context entity. Two segments are
-    either ``Entity.attr`` or a hop through a dimension-reference attribute
-    of the context. Three segments are ``Entity.attr.attr`` where the middle
-    attribute must reference a dimension.
-    """
-    segs = path.segments
-    ctx = _context_entity(model, context)
-
-    if len(segs) == 1:
-        attr = ctx.attribute(segs[0])
-        if attr is None:
-            raise ResolveError("UnknownAttribute", segs[0], f"{ctx.id} has no attribute {segs[0]!r}")
-        return ResolvedTarget(ctx.id, attr.id, ctx.id, ())
-
-    head = segs[0]
-    entity = model.entity(head)
-    if entity is None:
-        # Not an entity id: try a hop through a context attribute.
-        attr = ctx.attribute(head)
-        if attr is None:
-            raise ResolveError("UnknownEntity", head, f"unknown entity {head!r}")
-        if len(segs) != 2:
-            raise ResolveError("UnknownEntity", head, f"unknown entity {head!r}")
-        return _hop(model, ctx, attr, segs[1])
-
-    if len(segs) == 2:
-        attr = entity.attribute(segs[1])
-        if attr is None:
-            raise ResolveError("UnknownAttribute", segs[1], f"{entity.id} has no attribute {segs[1]!r}")
-        return ResolvedTarget(entity.id, attr.id, entity.id, ())
-
-    mid = entity.attribute(segs[1])
-    if mid is None:
-        raise ResolveError("UnknownAttribute", segs[1], f"{entity.id} has no attribute {segs[1]!r}")
-    return _hop(model, entity, mid, segs[2])
-
-
-def _hop(model: SpecificationModel, owner: DataEntity, attr: DataAttribute, leaf: str) -> ResolvedTarget:
-    target_id = attr.dimension_target
-    if target_id is None:
-        raise ResolveError(
-            "NotADimensionHop", attr.id, f"{owner.id}.{attr.id} does not reference a dimension"
-        )
-    target = model.entity(target_id)
-    if target is None:
-        raise ResolveError("UnknownEntity", target_id, f"unknown entity {target_id!r}")
-    leaf_attr = target.attribute(leaf)
-    if leaf_attr is None:
-        raise ResolveError("UnknownAttribute", leaf, f"{target.id} has no attribute {leaf!r}")
-    return ResolvedTarget(target.id, leaf_attr.id, owner.id, ((attr.id, target.id),))
-
-
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -93,18 +93,49 @@ class Filter:
 
 
 def column(model: m.SpecificationModel, fact_id: str, path: m.AttributePath) -> Column:
-    """Resolve an attribute path against the fact, through ``model.resolve``."""
-    if model.entity(fact_id) is None:
+    """Resolve an attribute path against the fact: the one path grammar.
+
+    ``attr`` reads the fact. ``Entity.attr`` reads an entity the fact
+    reaches, and ``ref.attr`` hops through a dimension reference of the
+    fact. ``Entity.ref.attr`` hops through a dimension reference of the
+    entity it names. A named entity is reached through ``hop_chains``.
+    """
+    fact = model.entity(fact_id)
+    if fact is None:
         raise EngineError("ENG030", f"unknown entity {fact_id!r}")
-    try:
-        target = m.resolve(model, path, fact_id)
-    except m.ResolveError as exc:
-        raise EngineError("ENG030", f"cannot resolve {path} from {fact_id}: {exc}") from None
-    chain = model.hop_chains(fact_id).get(target.anchor)
+
+    def fail(reason: str) -> EngineError:
+        return EngineError("ENG030", f"cannot resolve {path} from {fact_id}: {reason}")
+
+    segs = path.segments
+    anchor, ref, leaf = fact, None, segs[-1]  # the path starts at anchor and may hop through ref
+    if len(segs) > 1:
+        named = model.entity(segs[0])
+        if named is None:
+            ref = fact.attribute(segs[0])
+            if ref is None or len(segs) != 2:
+                raise fail(f"unknown entity {segs[0]!r}")
+        else:
+            anchor = named
+            if len(segs) == 3:
+                ref = named.attribute(segs[1])
+                if ref is None:
+                    raise fail(f"{named.id} has no attribute {segs[1]!r}")
+    owner, hop = anchor, ()
+    if ref is not None:
+        if ref.dimension_target is None:
+            raise fail(f"{anchor.id}.{ref.id} does not reference a dimension")
+        owner = model.entity(ref.dimension_target)
+        if owner is None:
+            raise fail(f"unknown entity {ref.dimension_target!r}")
+        hop = ((ref.id, owner.id),)
+    attribute = owner.attribute(leaf)
+    if attribute is None:
+        raise fail(f"{owner.id} has no attribute {leaf!r}")
+    chain = model.hop_chains(fact_id).get(anchor.id)
     if chain is None:
-        raise EngineError("ENG030", f"{target.anchor} is not reachable from {fact_id}")
-    attribute = model.entity(target.entity).attribute(target.attribute)
-    return Column(str(path), chain + target.hop, attribute)
+        raise EngineError("ENG030", f"{anchor.id} is not reachable from {fact_id}")
+    return Column(str(path), chain + hop, attribute)
 
 
 def _role_hop(model: m.SpecificationModel, col: Column, role_of, failure: str) -> Column:

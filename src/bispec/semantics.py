@@ -256,8 +256,10 @@ def _check_predicate(model, fact_id: str, pred: m.Predicate, where: str, loc, ho
     """The one rule for a measure's COUNT predicate and an operation's where clause.
 
     An enum role hop the planner cannot make is ``hop_code``: SEM011 in a
-    measure, SEM022 in an operation.
+    measure, SEM022 in an operation. Each finding reports at the predicate,
+    or at ``loc`` when the predicate has no span.
     """
+    loc = pred.loc or loc
     context = f"predicate path {pred.left} in {where}"
     left = _planned(model, fact_id, pred.left, context, loc, diags)
     right = pred.right
@@ -284,7 +286,7 @@ def _check_predicate(model, fact_id: str, pred: m.Predicate, where: str, loc, ho
         try:
             plan_filters(model, fact_id, (pred,))  # compares through the dimension's enum role
         except EngineError as exc:
-            diags.append(error(hop_code, f"{context}: {exc}", pred.left.loc or loc))
+            diags.append(error(hop_code, f"{context}: {exc}", loc))
     elif kind != "enum":
         diags.append(error("SEM011", f"{context} matches an enum literal against {kind}", loc))
     elif left.attr_type.name != right.enum:

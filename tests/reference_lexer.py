@@ -38,7 +38,6 @@ def _is_word_char(ch: str) -> bool:
 
 def tokenize(
     source: str,
-    keywords: frozenset[str] = frozenset(),
     file: str = "<input>",
     code_prefix: str = "CNL",
     block_comments: bool = False,
@@ -141,7 +140,7 @@ def tokenize(
             i = j
             continue
 
-        # Word: identifier or keyword.
+        # Word: a fixed fragment or an identifier alike.
         if _is_word_start(ch):
             j = i + 1
             while j < n:
@@ -153,8 +152,7 @@ def tokenize(
                 else:
                     break
             text = source[i:j]
-            kind = TokenKind.KEYWORD if text in keywords else TokenKind.IDENT
-            tokens.append(Token(kind, text, span(start, start_line, start_ls, j - i)))
+            tokens.append(Token(TokenKind.WORD, text, span(start, start_line, start_ls, j - i)))
             i = j
             continue
 

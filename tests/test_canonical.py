@@ -4,7 +4,7 @@ import random
 
 from hypothesis import example, given, strategies as st
 
-from bispec import canonicalize, parse_asl, parse_cnlbi
+from bispec import canonicalize, emit_asl, emit_cnlbi, parse_asl, parse_cnlbi
 from bispec.canonical import canonical_dict, indented_json, model_json
 from bispec.model import SpecificationModel
 
@@ -126,3 +126,27 @@ _VALUES = st.recursive(
 def test_indented_json_equals_json_dumps_with_indent(value):
     assert indented_json(value) == json.dumps(value, indent=2, ensure_ascii=False)
 
+
+
+def test_display_names_with_quotes_and_backslashes_keep_canonical_bytes(cnlbi_source):
+    # Each name is written escaped in the source; emit must escape it again so the text re-parses to the same model
+    source = (
+        cnlbi_source.replace('("Patient")', r'("Pa\"tient")')
+        .replace('("Request State")', r'("Request \\ State")')
+        .replace("  gender is a Gender", r'  gender ("Gen\"der\\") is a Gender')
+        .replace('"National Level Data Analyst"', r'"National \"Level\" \\ Analyst"')
+        .replace('("Appointments by institution")', r'''("Appointments by \"institution\" \\ it's")''')
+    )
+    model, diags = parse_cnlbi(source, "names.cnlbi")
+    assert not any(d.is_error for d in diags), [f"{d.code}: {d.message}" for d in diags]
+    assert model.entity("Patient").name == 'Pa"tient'
+    assert model.entity("Patient").attribute("gender").name == 'Gen"der\\'
+    assert 'Appointments by "institution" \\ it\'s' in {op.name for uc in model.use_cases for op in uc.operations}
+    expected = canonicalize(model)
+    for emit, parse in ((emit_cnlbi, parse_cnlbi), (emit_asl, parse_asl)):
+        text, _ = emit(model)
+        again, diags = parse(text, "again")
+        assert not any(d.is_error for d in diags), [f"{d.code}: {d.message}" for d in diags]
+        assert emit(again)[0] == text  # a fixed point
+        back, _ = parse_cnlbi(emit_cnlbi(again)[0], "back.cnlbi")
+        assert canonicalize(back) == expected

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from bispec import model as m, parse_cnlbi
+from bispec.plan import column, source_fact
 from bispec.engine import load_cube, run_use_case
 from bispec.generators import (
     GeneratorError,
@@ -251,6 +252,46 @@ def test_manifest_matches_patient_page_elements(medbuddy):
     assert "PatientTable" in ids and "TimeRangeFilter" in ids and "InstitutionPageNavigationButton" in ids
     nav = [c for c in patient["components"] if c["id"] == "InstitutionPageNavigationButton"][0]
     assert nav["navigatesTo"] == "InstitutionOverviewPage"
+
+
+@pytest.mark.parametrize("fixture", ["medbuddy", "medbuddy_asl"])
+def test_manifest_bindings_are_what_the_planner_reads(request, fixture):
+    model = request.getfixturevalue(fixture)
+    manifest = json.loads(gen_dashboard_manifest(model))
+    parts = {(c["id"], p["id"]): p["binding"] for page in manifest["containers"] for c in page["components"] for p in c["parts"]}
+    checked = 0
+    for container in model.ui_containers:
+        for comp in container.components:
+            source = model.data_source(comp.data_binding) if comp.data_binding else None
+            for part in comp.parts if source is not None else ():
+                col = column(model, source_fact(source), part.binding)
+                entity = col.chain[-1][1] if col.chain else source_fact(source)
+                expected = {"path": str(part.binding), "entity": entity, "attribute": col.attribute.id}
+                assert parts[comp.id, part.id] == expected
+                checked += 1
+    assert checked > 10
+
+
+def test_manifest_leaves_an_unreachable_binding_unresolved():
+    # Island exists but F never references it: SEM031 refuses the part, and the manifest names no entity for it
+    model, _ = parse_cnlbi(
+        """
+DataEntity F is a Transaction Fact with attributes
+  id is a UUID (PrimaryKey).
+DataEntity Island is a Reference Dimension with attributes
+  id is a UUID (PrimaryKey).
+UIContainer Page is a Main Window
+that contains
+UIComponent C is a Table
+  data binding to F,
+  with columns Island.id, F.id.
+"""
+    )
+    (component,) = json.loads(gen_dashboard_manifest(model))["containers"][0]["components"]
+    assert [part["binding"] for part in component["parts"]] == [
+        {"path": "Island.id"},
+        {"path": "F.id", "entity": "F", "attribute": "id"},
+    ]
 
 
 def test_empty_model_manifest():

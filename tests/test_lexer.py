@@ -2,7 +2,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import reference_lexer
-from bispec.cnlbi import KEYWORDS
 from bispec.lexer import TokenKind, tokenize
 
 
@@ -10,96 +9,88 @@ def kinds(tokens):
     return [t.kind for t in tokens]
 
 
-def test_fixed_fragments_lex_as_keywords():
-    tokens, diags = tokenize("DataEntity Patient is a Master Dimension", KEYWORDS)
+def test_fixed_fragments_and_identifiers_lex_as_words():
+    tokens, diags = tokenize("DataEntity Patient is a Master Dimension")
     assert not diags
     assert [t.text for t in tokens[:-1]] == ["DataEntity", "Patient", "is", "a", "Master", "Dimension"]
-    assert kinds(tokens) == [
-        TokenKind.KEYWORD,
-        TokenKind.IDENT,
-        TokenKind.KEYWORD,
-        TokenKind.KEYWORD,
-        TokenKind.KEYWORD,
-        TokenKind.KEYWORD,
-        TokenKind.EOF,
-    ]
+    assert kinds(tokens) == [TokenKind.WORD] * 6 + [TokenKind.EOF]
 
 
 def test_empty_input_is_just_eof():
-    tokens, diags = tokenize("", KEYWORDS)
+    tokens, diags = tokenize("")
     assert kinds(tokens) == [TokenKind.EOF]
     assert diags == []
 
 
 def test_attribute_line_token_shapes():
-    tokens, diags = tokenize('name is a String (NotNull),', KEYWORDS)
+    tokens, diags = tokenize('name is a String (NotNull),')
     assert not diags
     assert kinds(tokens)[:-1] == [
-        TokenKind.IDENT,   # attribute ids are not fixed fragments
-        TokenKind.KEYWORD,
-        TokenKind.KEYWORD,
-        TokenKind.KEYWORD,
+        TokenKind.WORD,
+        TokenKind.WORD,
+        TokenKind.WORD,
+        TokenKind.WORD,
         TokenKind.PUNCT,
-        TokenKind.KEYWORD,
+        TokenKind.WORD,
         TokenKind.PUNCT,
         TokenKind.PUNCT,
     ]
 
 
 def test_hyphenated_words_stay_single_tokens():
-    tokens, _ = tokenize("Roll-up x-axis a - b", KEYWORDS)
+    tokens, _ = tokenize("Roll-up x-axis a - b")
     texts = [t.text for t in tokens[:-1]]
     assert texts == ["Roll-up", "x-axis", "a", "-", "b"]
 
 
 def test_apostrophes_in_prose_words():
-    tokens, diags = tokenize("per institution's city", KEYWORDS)
+    tokens, diags = tokenize("per institution's city")
     assert not diags
     assert [t.text for t in tokens[:-1]] == ["per", "institution's", "city"]
 
 
 def test_spans_cover_their_text():
     source = 'DataEntity X is a Master\n  "quoted name" 42'
-    tokens, _ = tokenize(source, KEYWORDS)
+    tokens, _ = tokenize(source)
     for token in tokens[:-1]:
         assert token.span.slice(source) == token.text
 
 
 def test_unterminated_string_reports_cnl001():
-    tokens, diags = tokenize('Actor X "unclosed', KEYWORDS)
+    tokens, diags = tokenize('Actor X "unclosed')
     assert any(d.code == "CNL001" for d in diags)
 
 
 def test_invalid_character_reports_cnl002():
-    _, diags = tokenize("entity @ here", KEYWORDS, code_prefix="CNL")
+    _, diags = tokenize("entity @ here", code_prefix="CNL")
     assert [d.code for d in diags] == ["CNL002"]
 
 
 def test_comments_become_comment_tokens():
-    tokens, _ = tokenize("// leading note\nActor X", KEYWORDS)
+    tokens, _ = tokenize("// leading note\nActor X")
     assert tokens[0].kind is TokenKind.COMMENT
     assert tokens[0].text == "// leading note"
 
 
 def test_block_comments_only_when_enabled():
-    tokens, diags = tokenize("/* note */ Actor", KEYWORDS, block_comments=True)
+    tokens, diags = tokenize("/* note */ Actor", block_comments=True)
     assert tokens[0].kind is TokenKind.COMMENT
     assert not diags
-    tokens, _ = tokenize("/* note */", KEYWORDS, block_comments=False)
+    tokens, _ = tokenize("/* note */", block_comments=False)
     assert tokens[0].kind is TokenKind.PUNCT  # plain '/' token; the parser rejects it
 
 
 def test_line_and_column_positions():
     source = "Actor A\n  is a User"
-    tokens, _ = tokenize(source, KEYWORDS)
+    tokens, _ = tokenize(source)
     is_tok = [t for t in tokens if t.text == "is"][0]
     assert (is_tok.span.line, is_tok.span.col) == (2, 3)
 
 
 def test_numeric_characters_that_are_not_decimal_digits_are_invalid():
-    tokens, diags = tokenize("x² ² ½ Ⅻ 7", KEYWORDS)
+    tokens, diags = tokenize("x² ² ½ Ⅻ 7")
     assert [(t.kind, t.text, t.value) for t in tokens] == [
-        (TokenKind.IDENT, "x²", None),  # a word continues with any alphanumeric character
+        (TokenKind.WORD, "x²", None),  # a word continues with any alphanumeric character
         (TokenKind.NUMBER, "7", 7),
         (TokenKind.EOF, "", None),
     ]
@@ -132,9 +123,9 @@ def _observed(result):
 @example(text="/*/")
 def test_lexer_agrees_with_character_reference(text, block_comments, string_quotes):
     options = dict(block_comments=block_comments, string_quotes=string_quotes)
-    result = tokenize(text, KEYWORDS, **options)
+    result = tokenize(text, **options)
     try:
-        expected = reference_lexer.tokenize(text, KEYWORDS, **options)
+        expected = reference_lexer.tokenize(text, **options)
     except ValueError:
         # The reference reads a numeric non-decimal character such as '²' as a number.
         assert any(d.code == "CNL002" for d in result[1])

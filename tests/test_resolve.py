@@ -1,3 +1,6 @@
+"""The one path grammar, ``plan.column``, and the hop chains it reads."""
+
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -6,64 +9,94 @@ from bispec import model as m
 from bispec import check_model, gen_olap_sql, parse_cnlbi
 from bispec.engine import load_cube, run_use_case
 from bispec.generators import GeneratorError
-from bispec.model import AttributePath, ResolveError, resolve
-from bispec.plan import EngineError, Filter, measure_program, source_fact
+from bispec.model import AttributePath
+from bispec.plan import EngineError, Filter, column, measure_program, source_fact
 from conftest import DATA_DIR
+
+FACT = "AppointmentRequest"
+
+
+def planned(model, fact_id, path):
+    """(entity, attribute) the planner reads for ``path``: the last hop's target, or the fact."""
+    col = column(model, fact_id, AttributePath.parse(path))
+    return (col.chain[-1][1] if col.chain else fact_id), col.attribute.id
+
+
+def refused(model, fact_id, path):
+    with pytest.raises(EngineError) as exc:
+        column(model, fact_id, AttributePath.parse(path))
+    assert exc.value.code == "ENG030"
+    return str(exc.value)
 
 
 def test_entity_rooted_path_from_cluster_context(medbuddy_asl):
-    target = resolve(medbuddy_asl, AttributePath.parse("Institution.city"), "Appointments")
-    assert (target.entity, target.attribute) == ("Institution", "city")
+    fact_id = source_fact(medbuddy_asl.data_source("Appointments"))
+    assert fact_id == FACT
+    assert planned(medbuddy_asl, fact_id, "Institution.city") == ("Institution", "city")
+    assert column(medbuddy_asl, fact_id, AttributePath.parse("Institution.city")).chain == (("institution", "Institution"),)
 
 
 def test_three_segment_path_hops_through_dimension(medbuddy):
-    target = resolve(medbuddy, AttributePath.parse("AppointmentRequest.scheduled_date.year"), "AppointmentRequest")
-    assert (target.entity, target.attribute) == ("Time", "year")
+    col = column(medbuddy, FACT, AttributePath.parse("AppointmentRequest.scheduled_date.year"))
+    assert (col.chain, col.attribute.id) == ((("scheduled_date", "Time"),), "year")
 
 
-def test_unknown_attribute_names_failing_segment(medbuddy):
-    with pytest.raises(ResolveError) as exc:
-        resolve(medbuddy, AttributePath.parse("Institution.bogus"), "AppointmentRequest")
-    assert exc.value.code == "UnknownAttribute"
-    assert exc.value.segment == "bogus"
+@pytest.mark.parametrize(
+    "path, reason",
+    [
+        ("bogus", "AppointmentRequest has no attribute 'bogus'"),
+        ("Institution.bogus", "Institution has no attribute 'bogus'"),
+        ("Institution.bogus.name", "Institution has no attribute 'bogus'"),
+        ("scheduled_date.bogus", "Time has no attribute 'bogus'"),
+        ("Nope.name", "unknown entity 'Nope'"),
+        ("institution.city.name", "unknown entity 'institution'"),  # a fact attribute hops only in two segments
+        ("closed.year", "AppointmentRequest.closed does not reference a dimension"),
+        ("AppointmentRequest.closed.year", "AppointmentRequest.closed does not reference a dimension"),
+    ],
+)
+def test_each_failing_segment_is_eng030_with_its_reason(medbuddy, path, reason):
+    assert refused(medbuddy, FACT, path) == f"cannot resolve {path} from {FACT}: {reason}"
+
+
+def test_named_entity_must_be_reachable_from_the_fact(medbuddy):
+    assert refused(medbuddy, "City", "Institution.name") == "Institution is not reachable from City"
+    assert refused(medbuddy, "Institution", "AppointmentRequest.scheduled_date.year") == (
+        "AppointmentRequest is not reachable from Institution"
+    )
+
+
+def test_unknown_fact_and_unknown_reference_target():
+    assert refused(m.SpecificationModel(), "Nowhere", "x") == "unknown entity 'Nowhere'"
+    model, _ = parse_cnlbi("DataEntity F is a Transaction Fact with attributes\n  id is a UUID (PrimaryKey),\n  g refers to Dimension Ghost.")
+    assert refused(model, "F", "g.name") == "cannot resolve g.name from F: unknown entity 'Ghost'"
 
 
 def test_single_segment_resolves_on_context_entity(medbuddy):
-    target = resolve(medbuddy, AttributePath.parse("closed"), "AppointmentRequest")
-    assert (target.entity, target.attribute) == ("AppointmentRequest", "closed")
+    assert column(medbuddy, FACT, AttributePath.parse("closed")).chain == ()
+    assert planned(medbuddy, FACT, "closed") == (FACT, "closed")
 
 
 def test_two_segment_hop_through_context_attribute(medbuddy):
-    target = resolve(medbuddy, AttributePath.parse("scheduled_date.year"), "AppointmentRequest")
-    assert (target.entity, target.attribute) == ("Time", "year")
+    assert planned(medbuddy, FACT, "scheduled_date.year") == ("Time", "year")
 
 
-def test_non_dimension_middle_segment(medbuddy):
-    with pytest.raises(ResolveError) as exc:
-        resolve(medbuddy, AttributePath.parse("AppointmentRequest.closed.year"), "AppointmentRequest")
-    assert exc.value.code == "NotADimensionHop"
-
-
-def test_unknown_context():
-    model = m.SpecificationModel()
-    with pytest.raises(ResolveError) as exc:
-        resolve(model, AttributePath.parse("x"), "Nowhere")
-    assert exc.value.code == "UnknownEntity"
-
-
-def test_every_path_resolves_or_raises_exactly_one_error(medbuddy):
-    # Totality: all syntactically valid 2-segment combinations over the model
-    # either resolve or raise a ResolveError; nothing else escapes.
-    names = [e.id for e in medbuddy.entities] + ["Nope"]
-    attrs = ["id", "name", "year", "bogus"]
-    for head in names:
-        for leaf in attrs:
-            path = AttributePath((head, leaf))
+@pytest.mark.parametrize("fixture", ["medbuddy", "medbuddy_asl"])
+def test_every_path_plans_or_raises_eng030(request, fixture):
+    # Totality: from every entity, every 1-3 segment combination of entity and attribute ids
+    # either plans onto an attribute of the entity its chain ends at, or is ENG030.
+    model = request.getfixturevalue(fixture)
+    names = sorted({e.id for e in model.entities} | {"id", "name", "year", "city", "institution", "bogus", "Nope"})
+    for fact_id, length in itertools.product([e.id for e in model.entities], (1, 2, 3)):
+        for segments in itertools.product(names, repeat=length):
+            path = AttributePath(segments)
             try:
-                target = resolve(medbuddy, path, "AppointmentRequest")
-                assert medbuddy.entity(target.entity).attribute(target.attribute) is not None
-            except ResolveError as exc:
-                assert exc.code in ("UnknownEntity", "UnknownAttribute", "NotADimensionHop")
+                col = column(model, fact_id, path)
+            except EngineError as exc:
+                assert exc.code == "ENG030"
+                continue
+            owner = model.entity(col.chain[-1][1] if col.chain else fact_id)
+            assert owner.attribute(segments[-1]) is col.attribute
+            assert col.path == str(path)
 
 
 def test_reachability_closure_includes_snowflake_chain(medbuddy):

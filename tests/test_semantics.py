@@ -264,11 +264,35 @@ def test_measures_that_check_clean_lower_and_roll_up(medbuddy, cube, measures):
         assert result.measure_names == tuple(a.id for a in executable)
 
 
-@pytest.mark.parametrize("predicate", ["Patient.gender = States.Booked", "Patient.gender = 5"])
-def test_slice_comparing_a_column_with_a_foreign_value_is_sem011(cnlbi_source, predicate):
+@pytest.mark.parametrize(
+    "predicate, code",
+    [("Patient.gender = States.Booked", "SEM011"), ("Patient.gender = 5", "SEM011"), ("Patient.gender = Gender.Other", "SEM013")],
+)
+def test_slice_comparing_a_column_with_a_foreign_value_is_reported_at_the_predicate(cnlbi_source, predicate, code):
     # The engine compares a Gender column with a States value or a number and keeps no row
     source = cnlbi_source.replace("where AppointmentRequest.scheduled_date.year = Time.year", f"where {predicate}", 1)
-    assert errors_at(parse_ok(source), source) == [("SEM011", "OLAP Operation ScheduledAppointmentsInSpecificYear is a Slice")]
+    assert errors_at(parse_ok(source), source) == [(code, f"where {predicate}")]
+
+
+def asl_errors_at(source):
+    """Each error of ``check_model`` on an ASL source as (code, file, the source line its span points at)."""
+    model, diags = parse_asl(source, "x.asl")
+    assert not any(d.is_error for d in diags), [f"{d.code}: {d.message}" for d in diags]
+    lines = source.splitlines()
+    return [(d.code, d.span.file, lines[d.span.line - 1].strip()) for d in check_model(model).diagnostics if d.is_error]
+
+
+def test_path_in_an_expression_tag_is_reported_at_the_tag(asl_source):
+    source = asl_source.replace('"count(state = States.Cancelled)"', '"count(bogus_attr = States.Cancelled)"')
+    line = next(line.strip() for line in source.splitlines() if "bogus_attr" in line)
+    assert [e for e in asl_errors_at(source) if e[0] == "SEM022"] == [("SEM022", "x.asl", line)]
+
+
+def test_path_in_an_action_tag_where_clause_is_reported_at_the_tag(asl_source):
+    tag = """tag (name "BI-Action:BI_Slice:BogusSlice" value "where bogus_attr = 1")"""
+    first = """  tag (name "BI-Action:BI_Slice:ScheduledAppointmentsInSpecificYear" value "Dimensions:'Time'")"""
+    source = asl_source.replace(first, f"{first}\n  {tag}", 1)
+    assert asl_errors_at(source) == [("SEM022", "x.asl", tag)]
 
 
 def use_case_model(extra_ops="", description="analyses everything"):
