@@ -10,6 +10,7 @@ from . import asl, cnlbi, engine, generators
 from . import model as m
 from .canonical import model_json
 from .diagnostics import Diagnostic, error, has_errors, render_json, render_text, sorted_diagnostics, want_color, warning
+from .plan import Plan, plan_operation
 from .semantics import check_model
 
 EXIT_OK = 0
@@ -169,13 +170,27 @@ def cmd_olap(args) -> int:
         bindings[key] = value
 
     try:
-        result = engine.run_use_case(cube, args.usecase, args.op, bindings)
+        plan = plan_operation(model, args.usecase, args.op)
+        _emit_diagnostics(_unused_bindings(plan, bindings), args.json)
+        result = engine.run_plan(cube, plan, bindings)
     except engine.EngineError as exc:
         _emit_diagnostics([error(exc.code, str(exc))], args.json)
         return EXIT_DIAGNOSTICS
     render = engine.result_to_csv if args.format == "csv" else engine.result_to_table
     sys.stdout.write(render(result))
     return EXIT_OK
+
+
+def _unused_bindings(plan: Plan, bindings: dict) -> list[Diagnostic]:
+    """A warning for each ``--bind`` key that supplies none of the operation's parameters."""
+    params = ", ".join(f"{param.name} ({param.path})" for param in plan.parameters)
+    takes = f"takes {params}" if params else "takes no parameters"
+    used = {param.key(bindings) for param in plan.parameters}
+    return [
+        warning("ENG011", f"--bind {key} is not used by operation {plan.operation.id}, which {takes}")
+        for key in bindings
+        if key not in used
+    ]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,6 +18,7 @@ from .lexer import Cursor, Token, TokenKind, tokenize
 TOP_LEVEL_WORDS = ("DataEntity", "Data", "Actor", "UseCase", "UIContainer", "UIComponent")
 
 _OP_INTRO_WORDS = ("OLAP", "Olap", "Slice", "Dice", "Roll-up", "Drill-down", "Pivot")
+_OP_DESCRIPTION_STOPS = _OP_INTRO_WORDS + ("described", "performs")  # words that end an operation's prose
 
 # Single CNL-BI type word -> (component type, component subtype).
 _COMPONENT_TERMS: dict[str, tuple[str, str | None]] = {
@@ -516,7 +517,7 @@ class _Parser:
                 swap = (first.text, second.text)
             elif self.cur.eat_word("described"):
                 self.expect_word("as")
-                description = self.prose(_OP_INTRO_WORDS + ("described", "performs"))
+                description = self.prose(_OP_DESCRIPTION_STOPS)
                 break
             else:
                 break
@@ -695,6 +696,19 @@ def _join_prose(parts: list[str]) -> str:
     return " ".join(out)
 
 
+def _described(kind: str, owner, warnings: list[Diagnostic], stops: tuple[str, ...] = ()) -> str:
+    """The ``described as`` clause of ``owner``, with CNL030 when its prose would
+    not read back as the same text: the lexer refuses or re-spaces a character,
+    or a keyword that ends the prose (``stops`` or a top-level word) comes
+    after the first word."""
+    text = owner.description
+    tokens, diags = tokenize(text, code_prefix="CNL")
+    words = [tok.text for tok in tokens if tok.kind not in (TokenKind.COMMENT, TokenKind.EOF)]
+    if diags or _join_prose(words) != text or not set(words[1:]).isdisjoint(TOP_LEVEL_WORDS + stops):
+        warnings.append(warning("CNL030", f"description of {kind} {owner.id} does not read back as written in CNL-BI"))
+    return f"described as {text}"
+
+
 # ---------------------------------------------------------------------------
 # Pretty-printer
 # ---------------------------------------------------------------------------
@@ -752,7 +766,7 @@ def emit_cnlbi(model: m.SpecificationModel) -> tuple[str, list[Diagnostic]]:
             lines.append("  " + _attribute_text(attr, warnings, entity.id))
         out.append(",\n".join(lines))
         if entity.description is not None:
-            out.append(f"described as {entity.description}.")
+            out.append(_described("entity", entity, warnings) + ".")
         else:
             out[-1] += "."
         out.append("")
@@ -768,7 +782,7 @@ def emit_cnlbi(model: m.SpecificationModel) -> tuple[str, list[Diagnostic]]:
         if actor.stakeholder is not None:
             line += f", with stakeholder {actor.stakeholder}"
         if actor.description is not None:
-            line += f" described as {actor.description}."
+            line += f" {_described('actor', actor, warnings)}."
         else:
             line += "."
         out.append(line)
@@ -789,7 +803,7 @@ def emit_cnlbi(model: m.SpecificationModel) -> tuple[str, list[Diagnostic]]:
         # operation without its own description cannot capture it.
         if uc.description is not None:
             suffix = "," if uc.operations else "."
-            out.append(f"  described as {uc.description}{suffix}")
+            out.append(f"  {_described('use case', uc, warnings, ('performs',))}{suffix}")
         if uc.operations:
             out.append("  performs")
             for i, op in enumerate(uc.operations):
@@ -855,7 +869,7 @@ def _emit_operation(out: list[str], op: m.OlapOperation, warnings: list[Diagnost
         out.append(f"      // touched dimensions: {', '.join(op.touched_dimensions)}")
         warnings.append(warning("CNL030", f"touched dimensions of operation {op.id} have no CNL-BI syntax"))
     if op.description is not None:
-        out.append(f"      described as {op.description}{'' if last else ','}")
+        out.append(f"      {_described('operation', op, warnings, _OP_DESCRIPTION_STOPS)}{'' if last else ','}")
     elif not last:
         out[-1] += ","
 
@@ -913,7 +927,7 @@ def _emit_component(out, comp: m.UIComponent, warnings, note, last: bool) -> Non
         lines.append(f"  // tag {tag_name} = {tag_value}")
         warnings.append(warning("CNL030", f"tag {tag_name!r} on {comp.id} has no CNL-BI syntax"))
     if comp.description is not None:
-        lines.append(f"  described as {comp.description}")
+        lines.append(f"  {_described('component', comp, warnings)}")
 
     body = ",\n".join(line for line in lines)
     out.append(body + ("." if last else ","))

@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import model as m
 from .diagnostics import Diagnostic, error, warning
-from .plan import Column, EngineError, Filter, Parameter, column, executable_measures, measure_program, plan_filters, plan_operation
+from .plan import Column, EngineError, Filter, Parameter, Plan, column, executable_measures, measure_program, plan_filters, plan_operation
 
 _MANIFEST_LINE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*\"([^\"]+)\"\s*$")
 
@@ -416,13 +416,11 @@ def _bound_value(filt: Filter, bindings: dict):
     param = filt.value
     if not isinstance(param, Parameter):
         return param
-    if param.name in bindings:
-        value = bindings[param.name]
-    elif param.path in bindings:
-        value = bindings[param.path]
-    else:
+    key = param.key(bindings)
+    if key is None:
         bind = f"--bind {param.name}=<value>"
         raise EngineError("ENG010", f"unbound parameter {param.name!r} (for {param.path}); supply {bind}")
+    value = bindings[key]
     if not isinstance(value, str):
         return value
     attr = filt.column.attribute
@@ -609,7 +607,10 @@ def pivot(result: ResultTable) -> ResultTable:
 
 
 def run_use_case(cube: Cube, use_case_id: str, op_id: str, bindings: dict | None = None) -> ResultTable:
-    plan = plan_operation(cube.model, use_case_id, op_id)
+    return run_plan(cube, plan_operation(cube.model, use_case_id, op_id), bindings)
+
+
+def run_plan(cube: Cube, plan: Plan, bindings: dict | None = None) -> ResultTable:
     view = cube.view(plan.fact.id)
 
     if plan.kind in ("Slice", "Dice"):

@@ -2,10 +2,10 @@
 
 An OLAP operation becomes a frozen ``Plan``: the fact, resolved filter and
 group-key columns, and the measures to evaluate. Measures lower into a
-``MeasureProgram`` over shared aggregate leaves. The engine executes a plan
-and its measure program, the SQL generator renders the same plan and
+typed ``MeasureProgram`` over shared aggregate leaves. The engine executes a
+plan and its measure program, the SQL generator renders the same plan and
 program, and the semantic checks report the planner's own failures, so the
-three cannot disagree about what a path or a measure means.
+three cannot disagree about what a path, a predicate or a measure means.
 """
 
 from __future__ import annotations
@@ -16,11 +16,17 @@ from . import model as m
 
 
 class EngineError(Exception):
-    """Coded query error (ENG0xx), raised while planning or executing."""
+    """Coded query error (ENG0xx), raised while planning or executing. A planning
+    failure names its ``rule`` ("path", "date role", "enum role", "type", "enum
+    literal", else "planner") and the ``span`` of the failing path or predicate;
+    ``measure`` names the referenced measure whose own expression failed."""
 
-    def __init__(self, code: str, message: str):
+    def __init__(self, code: str, message: str, rule: str = "planner", span=None):
         super().__init__(message)
         self.code = code
+        self.rule = rule
+        self.span = span
+        self.measure = None
 
 
 def source_fact(source: m.DataEntity | m.DataEntityCluster) -> str:
@@ -56,6 +62,15 @@ def executable_measures(fact: m.DataEntity) -> tuple[m.DataAttribute, ...]:
     return tuple(a for a in fact.measures if not isinstance(a.measure, m.OpaqueMeasure))
 
 
+_NUMERIC = {"Integer", "Decimal"}
+
+
+def _literal_type(value) -> str:
+    if isinstance(value, bool):
+        return "Boolean"
+    return "Integer" if isinstance(value, int) else "Decimal" if isinstance(value, float) else "String"
+
+
 # ---------------------------------------------------------------------------
 # Columns and filters
 # ---------------------------------------------------------------------------
@@ -83,6 +98,10 @@ class Parameter:
     name: str
     path: str
 
+    def key(self, bindings: dict) -> str | None:
+        """The binding key that supplies this parameter: its name, else its path."""
+        return self.name if self.name in bindings else self.path if self.path in bindings else None
+
 
 @dataclass(frozen=True)
 class Filter:
@@ -102,10 +121,10 @@ def column(model: m.SpecificationModel, fact_id: str, path: m.AttributePath) -> 
     """
     fact = model.entity(fact_id)
     if fact is None:
-        raise EngineError("ENG030", f"unknown entity {fact_id!r}")
+        raise EngineError("ENG030", f"unknown entity {fact_id!r}", "path", path.loc)
 
     def fail(reason: str) -> EngineError:
-        return EngineError("ENG030", f"cannot resolve {path} from {fact_id}: {reason}")
+        return EngineError("ENG030", f"cannot resolve {path} from {fact_id}: {reason}", "path", path.loc)
 
     segs = path.segments
     anchor, ref, leaf = fact, None, segs[-1]  # the path starts at anchor and may hop through ref
@@ -134,48 +153,61 @@ def column(model: m.SpecificationModel, fact_id: str, path: m.AttributePath) -> 
         raise fail(f"{owner.id} has no attribute {leaf!r}")
     chain = model.hop_chains(fact_id).get(anchor.id)
     if chain is None:
-        raise EngineError("ENG030", f"{anchor.id} is not reachable from {fact_id}")
+        raise EngineError("ENG030", f"{anchor.id} is not reachable from {fact_id}", "path", path.loc)
     return Column(str(path), chain + hop, attribute)
 
 
-def _role_hop(model: m.SpecificationModel, col: Column, role_of, failure: str) -> Column:
-    """``col``, or when it holds a dimension reference, the dimension's role attribute."""
+def _role_hop(model: m.SpecificationModel, col: Column, role_of) -> Column | None:
+    """``col``, a dimension reference, hopped onto the dimension's role attribute; None without one."""
     ref = col.attribute
-    if ref.dimension_target is None:
-        return col
     dimension = model.entity(ref.dimension_target)
     role = role_of(dimension) if dimension is not None else None
-    if role is None:
-        raise EngineError("ENG030", failure)
-    return Column(col.path, col.chain + ((ref.id, dimension.id),), role)
+    return None if role is None else Column(col.path, col.chain + ((ref.id, dimension.id),), role)
 
 
-def aggregate_column(model: m.SpecificationModel, fact_id: str, path: m.AttributePath) -> Column:
-    """The column an aggregate reads: a dimension reference lands on its date role."""
-    return _role_hop(model, column(model, fact_id, path), date_role_attribute, f"aggregation over {path} is ambiguous")
+def _compared(model: m.SpecificationModel, col: Column, pred: m.Predicate) -> Column:
+    """The column ``pred``'s literal is compared with: ``col``, or for an enum
+    literal against a dimension reference, the dimension's enum role."""
+    right, attr_type = pred.right, col.attribute.attr_type
+    if isinstance(right, m.EnumLiteral):
+        enum = model.enumeration(right.enum)
+        if enum is None or right.value not in enum.values:
+            raise EngineError("ENG030", f"unknown enum literal {right}", "enum literal", pred.loc)
+        if attr_type.kind == "dimension":
+            role = _role_hop(model, col, lambda dim: enum_role_attribute(dim, right.enum))
+            if role is None:
+                reason = f"cannot compare {pred.left} with {right}: {attr_type.name} has no single {right.enum} attribute"
+                raise EngineError("ENG030", reason, "enum role", pred.loc)
+            return role
+        matches, shown = attr_type.kind == "enum" and attr_type.name == right.enum, str(right)
+    else:
+        kind = attr_type.name if attr_type.kind == "primitive" else None
+        value_type, shown = _literal_type(right.value), repr(right.value)
+        matches = value_type in ("String", kind) or (value_type in _NUMERIC and kind in _NUMERIC)
+    if not matches:
+        raise EngineError("ENG030", f"cannot compare {pred.left} ({attr_type.name}) with {shown}", "type", pred.loc)
+    return col
 
 
 def plan_filters(model: m.SpecificationModel, fact_id: str, predicates) -> tuple[Filter, ...]:
-    """Resolve a conjunction of predicates, naming its parameters once."""
+    """Resolve a conjunction of predicates, naming its parameters once. An enum
+    literal must exist and match the column's enumeration or its dimension's
+    enum role, a literal the column's type (any column takes a string), and a
+    parameter's path must resolve."""
     taken: dict[str, str] = {}  # parameter name -> dotted path
     filters = []
     for pred in predicates:
         col = column(model, fact_id, pred.left)
         right = pred.right
-        if isinstance(right, m.EnumLiteral):
-            col = _role_hop(
-                model, col, lambda dim: enum_role_attribute(dim, right.enum), f"cannot compare {pred.left} against {right}"
-            )
-            value = right.value
-        elif isinstance(right, m.Literal):
-            value = right.value
-        else:
+        if isinstance(right, m.AttributePath):
+            column(model, fact_id, right)
             name = right.segments[-1]
             if taken.get(name, str(right)) != str(right):
                 name = "_".join(right.segments)
             taken[name] = str(right)
-            value = Parameter(name, str(right))
-        filters.append(Filter(col, value))
+            filters.append(Filter(col, Parameter(name, str(right))))
+        else:
+            filters.append(Filter(_compared(model, col, pred), right.value))
     return tuple(filters)
 
 
@@ -187,59 +219,97 @@ def plan_filters(model: m.SpecificationModel, fact_id: str, predicates) -> tuple
 @dataclass(frozen=True)
 class Leaf:
     """An aggregate the measures share: ``fn`` over a ``Column``, or COUNT of
-    the rows where a ``Filter`` holds."""
+    the rows where a ``Filter`` holds; ``type`` is its result type."""
 
     fn: str
     input: Column | Filter
+    type: str
 
 
 @dataclass(frozen=True)
 class MeasureProgram:
     """Measures lowered onto one leaf per distinct aggregate. Each root, one per
     measure, is a leaf index, an ``m.Literal`` or an ``(op, left, right)``
-    tuple of roots; measure references are inlined."""
+    tuple of roots; measure references are inlined. ``types`` holds each
+    root's result type, None where a reference's target has no primitive type."""
 
     leaves: tuple[Leaf, ...]
     roots: tuple
+    types: tuple
 
 
 def measure_program(model: m.SpecificationModel, fact_id: str, exprs) -> MeasureProgram:
-    """Lower the fact's measure expressions; ENG030 for a reference cycle, an
-    unknown or opaque measure, a predicate against a free path (measures take
-    no bindings), or an unsupported node."""
+    """Lower and type the fact's measure expressions.
+
+    COUNT is Integer; SUM and AVERAGE need a numeric input and are Decimal;
+    MIN and MAX take their column's type (an enum reads as String, a date
+    role as Date). Arithmetic needs numeric operands and is Integer over
+    Integers except for ``/``, else Decimal. A literal has its own type, a
+    reference its target's declared type. ENG030 for what these rules
+    refuse, a reference cycle, an unknown or opaque measure, a predicate
+    against a free path (measures take no bindings), or an unsupported node.
+    """
+    fact = model.entity(fact_id)
     leaves: dict[m.Aggregate, int] = {}
     planned: list[Leaf] = []
 
     def lower(expr, stack: tuple):
         if isinstance(expr, m.Literal):
-            return expr
+            return expr, _literal_type(expr.value)
         if isinstance(expr, m.MeasureRef):
-            if expr.attribute in stack:
-                raise EngineError("ENG030", f"measure reference cycle at {expr.attribute}")
-            target = model.entity(fact_id).attribute(expr.attribute)
+            name = expr.attribute
+            if name in stack:
+                raise EngineError("ENG030", f"measure reference cycle at {name}")
+            target = fact.attribute(name)
             if target is None or target.measure is None:
-                raise EngineError("ENG030", f"unknown measure {expr.attribute!r}")
-            return lower(target.measure, stack + (expr.attribute,))
+                raise EngineError("ENG030", f"unknown measure {name!r}")
+            if isinstance(target.measure, m.OpaqueMeasure):
+                raise EngineError("ENG030", f"opaque measure {target.measure.text!r} cannot be evaluated")
+            try:
+                root, _ = lower(target.measure, stack + (name,))
+            except EngineError as exc:
+                exc.measure = exc.measure or name  # the innermost reference owns the failure
+                raise
+            return root, target.attr_type.name if target.attr_type.kind == "primitive" else None
         if isinstance(expr, m.Arithmetic):
-            return (expr.op, lower(expr.left, stack), lower(expr.right, stack))
+            (left, left_type), (right, right_type) = lower(expr.left, stack), lower(expr.right, stack)
+            kinds = {left_type, right_type}
+            if None not in kinds and not kinds <= _NUMERIC:
+                reason = f"arithmetic needs numeric operands, got {left_type} {expr.op} {right_type}"
+                raise EngineError("ENG030", reason, "type")
+            kind = None if None in kinds else "Integer" if kinds == {"Integer"} and expr.op != "/" else "Decimal"
+            return (expr.op, left, right), kind
         if isinstance(expr, m.Aggregate):
             index = leaves.setdefault(expr, len(planned))
             if index == len(planned):
-                if isinstance(expr.arg, m.Predicate):
-                    (source,) = plan_filters(model, fact_id, (expr.arg,))
-                    if isinstance(source.value, Parameter):
-                        left, right = expr.arg.left, expr.arg.right
-                        raise EngineError("ENG030", f"measure predicate on {left} compares against the free path {right}")
-                else:
-                    source = aggregate_column(model, fact_id, expr.arg)
-                planned.append(Leaf(expr.fn, source))
-            return index
-        if isinstance(expr, m.OpaqueMeasure):
-            raise EngineError("ENG030", f"opaque measure {expr.text!r} cannot be evaluated")
+                planned.append(_leaf(model, fact_id, expr))
+            return index, planned[index].type
         raise EngineError("ENG030", f"unsupported measure node {expr!r}")
 
-    roots = tuple(lower(expr, ()) for expr in exprs)
-    return MeasureProgram(tuple(planned), roots)
+    lowered = [lower(expr, ()) for expr in exprs]
+    return MeasureProgram(tuple(planned), tuple(root for root, _ in lowered), tuple(kind for _, kind in lowered))
+
+
+def _leaf(model: m.SpecificationModel, fact_id: str, agg: m.Aggregate) -> Leaf:
+    path = agg.arg
+    if isinstance(path, m.Predicate):
+        (source,) = plan_filters(model, fact_id, (path,))
+        if isinstance(source.value, Parameter):
+            raise EngineError("ENG030", f"measure predicate on {path.left} compares against the free path {path.right}")
+        return Leaf(agg.fn, source, "Integer")
+    source = column(model, fact_id, path)
+    attr = source.attribute
+    kind = "String" if attr.attr_type.kind == "enum" else attr.attr_type.name
+    if attr.dimension_target is not None:
+        source, kind = _role_hop(model, source, date_role_attribute), "Date"
+        if source is None:
+            reason = f"aggregation over {path} is ambiguous: {attr.dimension_target} has no single Date attribute"
+            raise EngineError("ENG030", reason, "date role", path.loc)
+    if agg.fn in ("SUM", "AVERAGE"):
+        if kind not in _NUMERIC:
+            raise EngineError("ENG030", f"{agg.fn} over {path} needs a numeric attribute, got {kind}", "type", path.loc)
+        kind = "Decimal"
+    return Leaf(agg.fn, source, "Integer" if agg.fn == "COUNT" else kind)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +336,11 @@ class Plan:
     @property
     def kind(self) -> str:
         return self.operation.kind
+
+    @property
+    def parameters(self) -> tuple[Parameter, ...]:
+        """What ``--bind`` supplies: each filter's parameter, in predicate order."""
+        return tuple(f.value for f in self.filters if isinstance(f.value, Parameter))
 
 
 def pivot_axis(model: m.SpecificationModel, fact: m.DataEntity, dim_id: str) -> m.AttributePath:

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 from . import model as m
 from .diagnostics import Diagnostic, error, sorted_diagnostics, warning
-from .plan import EngineError, aggregate_column, column, measure_program, pivot_axis, plan_filters, source_fact
+from .plan import EngineError, column, executable_measures, measure_program, pivot_axis, plan_filters, source_fact
 
-_NUMERIC = {"Integer", "Decimal"}
 _RESTRICTION_RE = re.compile(r"\bonly\b", re.IGNORECASE)
 
 
@@ -144,153 +143,43 @@ def check_dimensional(model: m.SpecificationModel) -> list[Diagnostic]:
 
 
 def check_measures(model: m.SpecificationModel) -> list[Diagnostic]:
+    """Lower every executable measure through the planner and compare the type it
+    computes with the declared one (Decimal accepts Integer). A lowering
+    failure is reported only at the measure whose own expression fails."""
     diags: list[Diagnostic] = []
     for entity in model.entities:
-        for attr in entity.measures:
-            if isinstance(attr.measure, m.OpaqueMeasure):
-                continue
-            checked = len(diags)
-            inferred = _infer(model, entity, attr, attr.measure, diags)
-            if len(diags) == checked:  # the planner reports cycles, unknown and opaque references
-                try:
-                    measure_program(model, entity.id, (attr.measure,))
-                except EngineError as exc:
-                    diags.append(error("SEM010", f"in measure {entity.id}.{attr.id}: {exc}", attr.loc))
-            if inferred is None:
-                continue
+        for attr, lowered in _lowered(model, entity.id, executable_measures(entity)):
+            where = f"in measure {entity.id}.{attr.id}"
             declared = attr.attr_type.name if attr.attr_type.kind == "primitive" else None
-            if declared is None:
-                diags.append(
-                    error("SEM011", f"measure {entity.id}.{attr.id} must be declared with a primitive type", attr.loc)
-                )
-            elif declared != inferred and not (declared == "Decimal" and inferred == "Integer"):
-                diags.append(
-                    error(
-                        "SEM011",
-                        f"measure {entity.id}.{attr.id} is declared {declared} but computes {inferred}",
-                        attr.loc,
-                    )
-                )
+            if isinstance(lowered, EngineError):
+                if lowered.measure in (None, attr.id):  # else the referenced measure reports it
+                    diags.append(_refused(lowered, where, attr.loc, "SEM011"))
+            elif lowered is not None and declared is None:
+                diags.append(error("SEM011", f"{where}: must be declared with a primitive type", attr.loc))
+            elif lowered not in (None, declared) and (declared, lowered) != ("Decimal", "Integer"):
+                diags.append(error("SEM011", f"{where}: declared {declared} but computes {lowered}", attr.loc))
     return diags
 
 
-def _infer(model, entity: m.DataEntity, owner: m.DataAttribute, expr, diags) -> str | None:
-    if isinstance(expr, m.Literal):
-        if isinstance(expr.value, bool):
-            return "Boolean"
-        if isinstance(expr.value, int):
-            return "Integer"
-        if isinstance(expr.value, float):
-            return "Decimal"
-        return "String"
-
-    if isinstance(expr, m.MeasureRef):  # the target's declared type
-        target = entity.attribute(expr.attribute)
-        return target.attr_type.name if target is not None and target.attr_type.kind == "primitive" else None
-
-    if isinstance(expr, m.Arithmetic):
-        left = _infer(model, entity, owner, expr.left, diags)
-        right = _infer(model, entity, owner, expr.right, diags)
-        if left is None or right is None:
-            return None
-        for side in (left, right):
-            if side not in _NUMERIC:
-                diags.append(
-                    error("SEM011", f"arithmetic in {entity.id}.{owner.id} requires numeric operands, got {side}", owner.loc)
-                )
-                return None
-        if expr.op == "/":
-            return "Decimal"
-        return "Integer" if left == right == "Integer" else "Decimal"
-
-    if isinstance(expr, m.Aggregate):
-        if expr.fn == "COUNT":
-            if isinstance(expr.arg, m.Predicate):
-                _check_predicate(model, entity.id, expr.arg, f"measure {entity.id}.{owner.id}", owner.loc, "SEM011", diags)
-            else:
-                _argument_type(model, entity, owner, expr.arg, diags)
-            return "Integer"
-        arg_type = _argument_type(model, entity, owner, expr.arg, diags)
-        if expr.fn in ("SUM", "AVERAGE"):
-            if arg_type is not None and arg_type not in _NUMERIC:
-                diags.append(
-                    error("SEM011", f"{expr.fn} in {entity.id}.{owner.id} requires a numeric attribute, got {arg_type}", owner.loc)
-                )
-                return None
-            return "Decimal"
-        return arg_type  # MIN/MAX take the argument's type
-
-    return None
-
-
-def _planned(model, fact_id: str, path: m.AttributePath, context: str, loc, diags, code: str = "SEM022"):
-    """The attribute the planner reads for ``path``, or None after ``code`` ``context: <planner reason>``."""
+def _lowered(model, fact_id: str, measures) -> list:
+    """Each measure with the type the planner lowers it to, or with the planner's
+    first failure in it. The measures lower in one call; only when that call
+    fails does each lower on its own, so that every failing measure is found."""
     try:
-        return column(model, fact_id, path).attribute
+        return list(zip(measures, measure_program(model, fact_id, [a.measure for a in measures]).types))
     except EngineError as exc:
-        diags.append(error(code, f"{context}: {exc}", path.loc or loc))
-        return None
+        if len(measures) == 1:
+            return [(measures[0], exc)]
+    return [pair for attr in measures for pair in _lowered(model, fact_id, (attr,))]
 
 
-def _argument_type(model, entity: m.DataEntity, owner: m.DataAttribute, path: m.AttributePath, diags) -> str | None:
-    attr = _planned(model, entity.id, path, f"in measure {entity.id}.{owner.id}", owner.loc, diags)
-    if attr is None:
-        return None
-    if attr.dimension_target is None:
-        return "String" if attr.attr_type.kind == "enum" else attr.attr_type.name
-    try:
-        role = aggregate_column(model, entity.id, path).attribute
-    except EngineError as exc:
-        diags.append(
-            error(
-                "SEM012",
-                f"in measure {entity.id}.{owner.id}: {exc}; {attr.dimension_target} has no single Date attribute",
-                owner.loc,
-            )
-        )
-        return None
-    return "Date" if role.attr_type.name == "DateTime" else role.attr_type.name
+_RULE_CODES = {"path": "SEM022", "date role": "SEM012", "type": "SEM011", "enum literal": "SEM013", "planner": "SEM010"}
 
 
-def _check_predicate(model, fact_id: str, pred: m.Predicate, where: str, loc, hop_code: str, diags) -> None:
-    """The one rule for a measure's COUNT predicate and an operation's where clause.
-
-    An enum role hop the planner cannot make is ``hop_code``: SEM011 in a
-    measure, SEM022 in an operation. Each finding reports at the predicate,
-    or at ``loc`` when the predicate has no span.
-    """
-    loc = pred.loc or loc
-    context = f"predicate path {pred.left} in {where}"
-    left = _planned(model, fact_id, pred.left, context, loc, diags)
-    right = pred.right
-    if isinstance(right, m.AttributePath):  # a parameter; the planner refuses one in a measure
-        _planned(model, fact_id, right, f"predicate path {right} in {where}", loc, diags)
-        return
-    if isinstance(right, m.EnumLiteral):
-        enum = model.enumeration(right.enum)
-        if enum is None or right.value not in enum.values:
-            diags.append(error("SEM013", f"unknown enum literal {right} in {where}", loc))
-            return
-    if left is None:
-        return
-    kind = left.attr_type.name if left.attr_type.kind == "primitive" else left.attr_type.kind
-    if isinstance(right, m.Literal):
-        value = right.value
-        if not (
-            isinstance(value, str)
-            or (isinstance(value, bool) and kind == "Boolean")
-            or (isinstance(value, (int, float)) and not isinstance(value, bool) and kind in _NUMERIC)
-        ):
-            diags.append(error("SEM011", f"{context}: {value!r} does not match {left.attr_type.name}", loc))
-    elif kind == "dimension":
-        try:
-            plan_filters(model, fact_id, (pred,))  # compares through the dimension's enum role
-        except EngineError as exc:
-            diags.append(error(hop_code, f"{context}: {exc}", loc))
-    elif kind != "enum":
-        diags.append(error("SEM011", f"{context} matches an enum literal against {kind}", loc))
-    elif left.attr_type.name != right.enum:
-        diags.append(error("SEM011", f"{context} mixes enumerations {left.attr_type.name} and {right.enum}", loc))
+def _refused(exc: EngineError, where: str, loc, enum_role_code: str) -> Diagnostic:
+    """The planner's failure ``<where>: <reason>``, coded by the rule it names."""
+    code = enum_role_code if exc.rule == "enum role" else _RULE_CODES[exc.rule]
+    return error(code, f"{where}: {exc}", exc.span or loc)
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +257,15 @@ def _check_operation(model, uc: m.UseCase, op: m.OlapOperation, source) -> list[
                 error("SEM023", f"{op.kind} {op.id} has {count} predicates; {expected} required", op.loc)
             )
         for pred in op.where_clauses:
-            _check_predicate(model, fact_id, pred, f"operation {op.id}", op.loc, "SEM022", diags)
+            try:
+                plan_filters(model, fact_id, (pred,))
+            except EngineError as exc:
+                diags.append(_refused(exc, f"in operation {op.id}", pred.loc or op.loc, "SEM022"))
     elif op.kind in ("RollUp", "DrillDown"):
-        _planned(model, fact_id, op.group_by, f"group-by path {op.group_by} in operation {op.id}", op.loc, diags)
+        try:
+            column(model, fact_id, op.group_by)
+        except EngineError as exc:
+            diags.append(_refused(exc, f"in operation {op.id}", op.loc, "SEM022"))
     else:  # Pivot
         fact = model.entity(fact_id)
         for dim_id in op.swap:
@@ -406,8 +301,10 @@ def check_ui(model: m.SpecificationModel) -> list[Diagnostic]:
                 diags.append(error("SEM030", f"component {comp.id} has parts but no data binding", comp.loc))
 
             for part in comp.parts if binding is not None else ():
-                context = f"part {part.id} of {comp.id} binds {part.binding}"
-                _planned(model, source_fact(binding), part.binding, context, part.loc, diags, "SEM031")
+                try:
+                    column(model, source_fact(binding), part.binding)
+                except EngineError as exc:
+                    diags.append(error("SEM031", f"in part {part.id} of {comp.id}: {exc}", exc.span or part.loc))
 
             if comp.chart_subtype is not None:
                 counts: dict[str, int] = {}

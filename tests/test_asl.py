@@ -1,3 +1,5 @@
+import pytest
+
 from bispec import canonicalize, model as m, parse_asl
 from bispec.asl import emit_asl
 from bispec.cnlbi import emit_cnlbi
@@ -221,3 +223,22 @@ def test_structured_action_tags_round_trip_full_operations(medbuddy):
     dice = next(op for op in uc.operations if op.kind == "Dice")
     assert len(dice.where_clauses) == 2
     assert dice.description is not None
+
+
+ENTITY_HEAD = 'DataAttributeType UUID\nDataAttributeType _Dimension\nDataEntity City "City" : Reference [\n'
+
+
+@pytest.mark.parametrize(
+    "code, line",
+    [
+        ("ASL010", "attribute id : UUID [constraints (PrimaryKey Bogus)] ]"),
+        ("ASL012", "attribute home : _Dimension [constraints (NotNull)] ]"),
+        ("ASL023", 'attribute id : UUID [constraints (PrimaryKey) tag (name "colour" value "red")] ]'),
+    ],
+)
+def test_minimal_entity_body_reports_its_code_at_its_line(code, line):
+    # An unknown constraint; a dimension-typed attribute with no ForeignKey; a tag with no model slot
+    source = f"{ENTITY_HEAD}  {line}\n"
+    _, diags = parse_asl(source, "x.asl")
+    lines = source.splitlines()
+    assert [(d.code, d.span.file, lines[d.span.line - 1].strip()) for d in diags] == [(code, "x.asl", line)]

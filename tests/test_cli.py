@@ -241,6 +241,28 @@ def test_olap_without_binding_exits_one(capsys):
         assert "ENG010" in err and all(word in err for word in named), err
 
 
+@pytest.mark.parametrize(
+    "op, used, unused, takes",
+    [
+        ("ScheduledAppointmentsInSpecificYear", ["--bind", "year=2023"], ["--bind", "foo=1"], ("foo", "takes year (Time.year)")),
+        # the name takes precedence, so the path's value is dropped
+        ("ScheduledAppointmentsInSpecificYear", ["--bind", "year=2023"], ["--bind", "Time.year=1"], ("Time.year", "takes year (Time.year)")),
+        ("AppointmentsByInstitutionCity", [], ["--bind", "year=1"], ("year", "takes no parameters")),
+    ],
+    ids=["slice", "slice-name-and-path", "roll-up"],
+)
+def test_olap_warns_about_a_binding_no_parameter_takes(capsys, op, used, unused, takes):
+    argv = ["olap", str(CORPUS_CNLBI), "--data", str(DATA_DIR), "--format", "csv",
+            "--usecase", "AnalysisAppointmentsInstitutionOnNationalLevel", "--op", op, *used]
+    _, expected, _ = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, *unused, "--json")
+    assert (code, out) == (0, expected)  # the result does not change
+    entries = [json.loads(line) for line in err.splitlines()]
+    key, which = takes
+    message = f"--bind {key} is not used by operation {op}, which {which}"
+    assert [(e["severity"], e["message"]) for e in entries if e["code"] == "ENG011"] == [("warning", message)]
+
+
 def test_json_flag_makes_every_stderr_line_json(capsys, tmp_path):
     runs = [
         ("olap", str(CORPUS_CNLBI), "--data", str(DATA_DIR),

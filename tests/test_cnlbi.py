@@ -1,4 +1,6 @@
-from bispec import canonicalize, model as m, parse_cnlbi
+import pytest
+
+from bispec import canonicalize, model as m, parse_asl, parse_cnlbi
 from bispec.cnlbi import emit_cnlbi
 
 
@@ -183,6 +185,50 @@ def test_unrepresentable_constructs_become_comments(medbuddy_asl):
     # and the comments do not break reparsing
     _, diags = parse_cnlbi(text)
     assert not errors(diags)
+
+
+NATIONAL = "Analysis_Appointments_National_Level"
+NATIONAL_DESCRIPTION = 'description "Displays the appointment data by institution at a national level"'
+
+
+def description_reading(medbuddy_asl_text, extra):
+    """(description CNL030s, whether the description reads back) with ``extra`` appended to it."""
+    assert NATIONAL_DESCRIPTION in medbuddy_asl_text
+    source = medbuddy_asl_text.replace(NATIONAL_DESCRIPTION, f'{NATIONAL_DESCRIPTION[:-1]} {extra}"')
+    model, diags = parse_asl(source, "x.asl")
+    assert not errors(diags)
+    text, warnings = emit_cnlbi(model)
+    back, _ = parse_cnlbi(text, "back.cnlbi")
+    read = back.use_case(NATIONAL)
+    reported = [w.message for w in warnings if w.code == "CNL030" and "description" in w.message]
+    return reported, read is not None and read.description == model.use_case(NATIONAL).description
+
+
+@pytest.mark.parametrize(
+    "extra, reads_back",
+    [
+        ("Why are they late?", False),  # characters the lexer refuses: the CNL-BI fails with CNL002
+        ("100% sure", False),
+        ("C:/temp", False),  # punctuation that comes back re-spaced
+        ("x.y", False),
+        ("a (b)", False),
+        ("for each Actor", False),  # a top-level word ends the prose
+        ("1.5 days", True),
+        ("it's fine, really.", True),
+        ("to be - or not", True),
+    ],
+)
+def test_description_is_cnl030_when_it_does_not_read_back(asl_source, extra, reads_back):
+    reported, read = description_reading(asl_source, extra)
+    assert read == reads_back
+    message = f"description of use case {NATIONAL} does not read back as written in CNL-BI"
+    assert reported == ([] if reads_back else [message])
+
+
+def test_corpus_descriptions_read_back_without_cnl030(medbuddy, medbuddy_asl):
+    for model in (medbuddy, medbuddy_asl):
+        _, warnings = emit_cnlbi(model)
+        assert [w for w in warnings if "description" in w.message] == []
 
 
 def test_terminating_period_is_optional():

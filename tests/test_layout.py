@@ -5,8 +5,9 @@ intra-package import graph has no cycle. Imports inside functions count as
 edges too: a deferred import hides a cycle from Python, not from the design.
 No module calls ``json.dumps`` with ``indent``, which selects the pure-Python
 encoder; ``canonical.indented_json`` writes the same text. The engine and the
-SQL generator never name ``MeasureRef`` or ``Aggregate``: measures reach them
-only as ``plan.measure_program`` lowered them.
+SQL generator never name ``MeasureRef`` or ``Aggregate``, and the checks name
+no measure node at all: measures reach them only as ``plan.measure_program``
+lowered and typed them, so no second walk over measures can creep back.
 """
 
 import ast
@@ -81,11 +82,18 @@ def test_no_module_calls_json_dumps_with_indent():
     assert found == []
 
 
-def test_engine_and_sql_generator_leave_measure_lowering_to_the_planner():
-    found = [
-        f"{name} line {node.lineno}"
-        for name in ("engine", "generators")
-        for node in ast.walk(MODULES[name])
-        if getattr(node, "attr", getattr(node, "id", None)) in ("MeasureRef", "Aggregate")  # m.Aggregate or Aggregate
+def _named(module: str, names: tuple[str, ...]) -> list[str]:
+    """The lines of ``module`` that name one of ``names``, bare or as ``m.<name>``."""
+    return [
+        f"{module} line {node.lineno}"
+        for node in ast.walk(MODULES[module])
+        if getattr(node, "attr", getattr(node, "id", None)) in names
     ]
-    assert found == []
+
+
+def test_engine_and_sql_generator_leave_measure_lowering_to_the_planner():
+    assert _named("engine", ("MeasureRef", "Aggregate")) + _named("generators", ("MeasureRef", "Aggregate")) == []
+
+
+def test_checks_see_measures_only_as_the_planner_typed_them():
+    assert _named("semantics", ("MeasureRef", "Aggregate", "Arithmetic", "Literal")) == []

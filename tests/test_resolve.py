@@ -175,13 +175,13 @@ def test_measure_cycle_is_eng030_from_the_planner(medbuddy_measure_cycle):
 
 
 def test_measure_predicate_against_a_free_path_is_refused_everywhere(cnlbi_source):
-    # Measures take no bindings, so City.id could never be supplied: check, gen and the engine all refuse it
+    # Measures take no bindings, so City.id could never be supplied: check, gen and the engine all refuse it.
+    # The check reports it once, at its cause, and not again at CancellationRate, which reads the measure.
     source = cnlbi_source.replace("COUNT(state = States.Cancelled)", "COUNT(institution.city = City.id)")
     model, _ = parse_cnlbi(source, "free.cnlbi")
     reason = "measure predicate on institution.city compares against the free path City.id"
     assert [(d.code, d.message) for d in check_model(model).diagnostics if d.is_error] == [
         ("SEM010", f"in measure AppointmentRequest.CountCancelledAppointments: {reason}"),
-        ("SEM010", f"in measure AppointmentRequest.CancellationRate: {reason}"),
     ]
     roll_up = ("AnalysisAppointmentsInstitutionOnNationalLevel", "AppointmentsByInstitutionCity")
     with pytest.raises(GeneratorError) as gen_exc:
@@ -191,6 +191,22 @@ def test_measure_predicate_against_a_free_path_is_refused_everywhere(cnlbi_sourc
     with pytest.raises(EngineError) as run_exc:
         run_use_case(cube, *roll_up, {"id": "c1"})
     assert (run_exc.value.code, str(run_exc.value)) == ("ENG030", reason)
+
+
+def test_mistyped_literal_predicate_is_refused_by_the_planner(cnlbi_source, cube):
+    # Unchecked, the engine used to compare the Gender column with 5 and keep no row
+    source = cnlbi_source.replace(
+        "where AppointmentRequest.scheduled_date.year = Time.year", "where Patient.gender = 5", 1
+    )
+    model, _ = parse_cnlbi(source, "typed.cnlbi")
+    slice_op = ("AnalysisAppointmentsInstitutionOnNationalLevel", "ScheduledAppointmentsInSpecificYear")
+    reason = "cannot compare Patient.gender (Gender) with 5"
+    with pytest.raises(EngineError) as run_exc:
+        run_use_case(replace(cube, model=model), *slice_op)
+    assert (run_exc.value.code, run_exc.value.rule, str(run_exc.value)) == ("ENG030", "type", reason)
+    with pytest.raises(GeneratorError) as gen_exc:
+        gen_olap_sql(model, *slice_op)
+    assert (gen_exc.value.code, str(gen_exc.value)) == ("GEN010", reason)
 
 
 def test_reference_order_puts_targets_first_and_sets_cycles_apart(medbuddy, cnlbi_source):

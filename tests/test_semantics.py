@@ -184,6 +184,22 @@ DataEntity F is a Transaction Fact with attributes
     assert "in measure F.Latest" in check_measures(model)[0].message
 
 
+@pytest.mark.parametrize(
+    "old, new, first, second",
+    [
+        ("(CountCancelledAppointments / CountAppointments)", "(COUNT(bogus) / COUNT(nope))", "bogus", "nope"),
+        ("where AppointmentRequest.scheduled_date.year = Time.year", "where Patient.bogus = Time.nope", "bogus", "nope"),
+    ],
+    ids=["measure", "predicate"],
+)
+def test_only_the_first_failure_of_a_measure_or_predicate_is_reported(cnlbi_source, old, new, first, second):
+    # The planner stops at the first part it cannot read, so the second bad path is not reported
+    source = cnlbi_source.replace(old, new, 1)
+    diags = [d for d in check_model(parse_ok(source)).diagnostics if d.is_error]
+    assert [d.code for d in diags] == ["SEM022"]
+    assert first in diags[0].message and second not in diags[0].message
+
+
 FACT = "AppointmentRequest"
 ROLL_UP = ("AnalysisAppointmentsInstitutionOnNationalLevel", "AppointmentsByInstitutionCity")
 
@@ -195,12 +211,13 @@ def with_measures(model, measures):
     return replace(model, entities=tuple(replace(e, attributes=attributes) if e is fact else e for e in model.entities))
 
 
-def test_measure_cycle_reports_both_members_and_the_type_mismatch(medbuddy_measure_cycle):
-    # CountAppointments reads (CancellationRate + 1): a Decimal declared Integer, and a cycle the planner names
+def test_measure_cycle_is_reported_at_each_member(medbuddy_measure_cycle):
+    # CountAppointments reads (CancellationRate + 1), which reads CountAppointments: a measure that cannot
+    # lower has no type, so the cycle is all there is to report; CountCancelledAppointments, which only
+    # CancellationRate reads, is clean
     found = [(d.code, d.message) for d in check_measures(medbuddy_measure_cycle)]
     assert found == [
         ("SEM010", "in measure AppointmentRequest.CountAppointments: measure reference cycle at CancellationRate"),
-        ("SEM011", "measure AppointmentRequest.CountAppointments is declared Integer but computes Decimal"),
         ("SEM010", "in measure AppointmentRequest.CancellationRate: measure reference cycle at CountAppointments"),
     ]
 
@@ -448,6 +465,23 @@ def test_cluster_whose_main_is_another_cluster_is_reported_not_raised():
 
     broken = dataclasses.replace(model, clusters=(outer, inner))
     assert sorted(codes(check_model(broken).diagnostics, "error")) == ["SEM004", "SEM022", "SEM031"]
+
+
+def test_bi_analysis_without_operations_warns_sem025():
+    source = """
+DataEntity D is a Reference Dimension with attributes
+  id is a UUID (PrimaryKey).
+DataEntity F is a Transaction Fact with attributes
+  id is a UUID (PrimaryKey),
+  d refers to Dimension D (NotNull).
+Actor A is a User.
+UseCase U is a BIAnalysis
+  actor A,
+  data source F.
+"""
+    lines = source.splitlines()
+    found = [(d.code, d.severity.value, lines[d.span.line - 1]) for d in check_model(parse_ok(source)).diagnostics]
+    assert found == [("SEM025", "warning", "UseCase U is a BIAnalysis")]
 
 
 def test_slice_with_two_predicates_is_sem023():
