@@ -5,27 +5,21 @@ register terms before use, measures arrive as formulas or expression tags,
 clusters group facts with their dimensions, and UI containers reference
 standalone component declarations. Everything the model can hold is
 representable, so emit is lossless.
+
+Each construct's bracketed body is a list of keyword clauses. One loop,
+``_Parser.body``, reads every body; the construct's clause table, built
+once below the parser, maps each keyword to the reader of its clause.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 from . import measure as mx
 from . import model as m
 from .diagnostics import Diagnostic, Span, error, warning
-from .lexer import Cursor, Token, TokenKind, tokenize
-
-TOP_LEVEL_WORDS = (
-    "DataEntity",
-    "DataEnumeration",
-    "DataEntityCluster",
-    "Actor",
-    "UseCase",
-    "UIContainer",
-    "component",
-) + m.EXTENSION_CATEGORIES
+from .lexer import Clauses, Cursor, Parser, Token, TokenKind, tokenize
 
 # Terms usable without an in-document extension declaration.
 _ASL_BASE: dict[str, frozenset[str]] = {
@@ -74,12 +68,6 @@ def _tag_expression(text: str, at: Span) -> object | None:
     return expr if cur.at_eof() else None
 
 
-class _ParseError(Exception):
-    def __init__(self, diag: Diagnostic):
-        super().__init__(diag.message)
-        self.diag = diag
-
-
 @dataclass
 class _RawAttribute:
     id: str
@@ -100,24 +88,24 @@ class _RawComponent:
     name: str | None
     component_type: str
     component_subtype: str | None
-    data_binding: str | None = None
-    parts: list[m.UIPart] = field(default_factory=list)
-    actions: set[str] = field(default_factory=set)
-    nav_candidates: list[str] = field(default_factory=list)
-    tags: list[tuple[str, str]] = field(default_factory=list)
-    description: str | None = None
-    loc: Span | None = None
+    data_binding: str | None
+    parts: list[m.UIPart]
+    actions: set[str]
+    nav_candidates: list[str]
+    tags: list[tuple[str, str]]
+    description: str | None
+    loc: Span
 
 
 def parse_asl(source: str, file: str = "<asl>") -> tuple[m.SpecificationModel, list[Diagnostic]]:
     return _Parser(source, file).parse()
 
 
-class _Parser:
+class _Parser(Parser):
+    prefix = "ASL"
+
     def __init__(self, source: str, file: str):
-        tokens, lex_diags = tokenize(source, file=file, code_prefix="ASL", block_comments=True)
-        self.cur = Cursor(tokens)
-        self.diags: list[Diagnostic] = list(lex_diags)
+        super().__init__(*tokenize(source, file=file, code_prefix="ASL", block_comments=True))
         self.registered: dict[str, set[str]] = {cat: set() for cat in m.EXTENSION_CATEGORIES}
         self.model_extensions: list[m.VocabularyExtension] = []
         self.components: dict[str, _RawComponent] = {}
@@ -125,19 +113,15 @@ class _Parser:
 
     # -- plumbing ----------------------------------------------------------
 
-    def fail(self, code: str, message: str, span: Span | None = None) -> _ParseError:
-        return _ParseError(error(code, message, span if span is not None else self.cur.peek().span))
+    def at_declaration(self) -> bool:
+        return self.cur.peek().text in _DECLARATIONS
 
-    def recover(self) -> None:
-        self.cur.next()
-        while not self.cur.at_eof() and self.cur.peek().text not in TOP_LEVEL_WORDS:
-            self.cur.next()
-
-    def ident(self, what: str) -> Token:
-        tok = self.cur.peek()
-        if tok.is_word() and m.is_identifier(tok.text):
-            return self.cur.next()
-        raise self.fail("ASL010", f"expected {what}, found {tok.text or 'end of input'!r}")
+    def named(self, what: str) -> tuple[Token, str | None]:
+        """``id "name"? :`` after a declaration's keyword: the id token and the name."""
+        ident = self.ident(what)
+        name = self.opt_name()
+        self.expect_punct(":")
+        return ident, name
 
     def opt_name(self) -> str | None:
         if self.cur.peek().kind is TokenKind.STRING:
@@ -150,13 +134,6 @@ class _Parser:
             found = self.cur.peek()
             code = "ASL011" if text in "[]" else "ASL010"
             raise self.fail(code, f"expected {text!r}, found {found.text or 'end of input'!r}")
-        return tok
-
-    def expect_word(self, *words: str) -> Token:
-        tok = self.cur.eat_word(*words)
-        if tok is None:
-            found = self.cur.peek()
-            raise self.fail("ASL010", f"expected {' or '.join(words)!r}, found {found.text or 'end of input'!r}")
         return tok
 
     def term(self, category: str, tok: Token) -> str:
@@ -172,9 +149,15 @@ class _Parser:
             return str(self.cur.next().value)
         raise self.fail("ASL010", f"expected {what} string, found {tok.text or 'end of input'!r}")
 
-    def tag_pair(self) -> tuple[str, str, Span]:
-        """Parse ``tag (name "..." value "...")``; the tag keyword is consumed."""
-        start = self.cur.next()  # tag
+    def listed(self, item) -> list:
+        """``item (, item)*``, each item read by ``item(self)``."""
+        items = [item(self)]
+        while self.cur.eat_punct(","):
+            items.append(item(self))
+        return items
+
+    def tag_pair(self, start: Token) -> tuple[str, str, Span]:
+        """``(name "..." value "...")`` after the ``tag`` keyword ``start``."""
         if self.cur.eat_punct("(") is None:
             raise self.fail("ASL021", "malformed tag: expected '('", start.span)
         if self.cur.eat_word("name") is None:
@@ -186,6 +169,26 @@ class _Parser:
         if self.cur.eat_punct(")") is None:
             raise self.fail("ASL021", "malformed tag: expected ')'", self.cur.peek().span)
         return tag_name, tag_value, start.span
+
+    def body(self, what: str, at: Token, clauses: dict) -> Clauses:
+        """``[ clause* ]``: each clause opens with a keyword of ``clauses``; the
+        keyword is consumed and its reader called with the parser, the keyword
+        and ``at``. ASL011 at ``at`` when the input ends first; a token that
+        opens no clause is reported (ASL010) and skipped."""
+        self.expect_punct("[")
+        found = Clauses()
+        cur = self.cur
+        while not cur.at_punct("]"):
+            if cur.at_eof():
+                raise self.fail("ASL011", f"unbalanced bracket in {what} body", at.span)
+            tok = cur.next()
+            reader = clauses.get(tok.text)
+            if reader is None:
+                self.diags.append(error("ASL010", f"unexpected token {tok.text!r} in {what} body", tok.span))
+            else:
+                found.setdefault(tok.text, []).append(reader(self, tok, at))
+        cur.next()
+        return found
 
     def skip_block(self) -> None:
         """Consume a bracketed block after an error, keeping brackets balanced."""
@@ -203,49 +206,17 @@ class _Parser:
     # -- top level ---------------------------------------------------------
 
     def parse(self) -> tuple[m.SpecificationModel, list[Diagnostic]]:
-        enums: list[m.DataEnumeration] = []
-        entities: list[m.DataEntity] = []
-        clusters: list[m.DataEntityCluster] = []
-        actors: list[m.Actor] = []
-        use_cases: list[m.UseCase] = []
-        raw_containers: list[tuple[dict, list[str]]] = []
-
-        while not self.cur.at_eof():
-            tok = self.cur.peek()
-            try:
-                if tok.text in m.EXTENSION_CATEGORIES:
-                    self.extension()
-                elif tok.text == "DataEnumeration":
-                    enums.append(self.enumeration())
-                elif tok.text == "DataEntity":
-                    entities.append(self.entity())
-                elif tok.text == "DataEntityCluster":
-                    clusters.append(self.cluster())
-                elif tok.text == "Actor":
-                    actors.append(self.actor())
-                elif tok.text == "UseCase":
-                    use_cases.append(self.use_case())
-                elif tok.text == "component":
-                    self.component()
-                elif tok.text == "UIContainer":
-                    raw_containers.append(self.container())
-                else:
-                    raise self.fail("ASL010", f"expected a declaration, found {tok.text!r}", tok.span)
-            except _ParseError as exc:
-                self.diags.append(exc.diag)
-                self.recover()
-
-        containers = self._finalize_containers(raw_containers)
+        found = self.declarations(_DECLARATIONS)
         model = m.SpecificationModel(
-            enumerations=tuple(enums),
-            entities=tuple(entities),
-            clusters=tuple(clusters),
-            actors=tuple(actors),
-            use_cases=tuple(use_cases),
-            ui_containers=tuple(containers),
+            enumerations=tuple(found.get("DataEnumeration", ())),
+            entities=tuple(found.get("DataEntity", ())),
+            clusters=tuple(found.get("DataEntityCluster", ())),
+            actors=tuple(found.get("Actor", ())),
+            use_cases=tuple(found.get("UseCase", ())),
+            ui_containers=tuple(self._finalize_containers(found.get("UIContainer", ()))),
             vocabulary_extensions=tuple(self.model_extensions),
         )
-        return mx.normalize_enum_literals(model), self.diags
+        return m.normalize_enum_literals(model), self.diags
 
     def extension(self) -> None:
         cat_tok = self.cur.next()
@@ -272,73 +243,36 @@ class _Parser:
         name = self.opt_name()
         self.expect_word("values")
         self.expect_punct("(")
-        values = [self.ident("an enumeration value").text]
-        while self.cur.eat_punct(","):
-            values.append(self.ident("an enumeration value").text)
+        values = self.listed(_enum_value)
         self.expect_punct(")")
-        try:
-            return m.DataEnumeration(ident.text, name, tuple(values), start.span)
-        except m.ModelError as exc:
-            raise self.fail("ASL010", str(exc), ident.span)
+        return self.build(ident, m.DataEnumeration, ident.text, name, tuple(values), start.span)
 
     def entity(self) -> m.DataEntity:
         start = self.cur.next()
-        ident = self.ident("an entity id")
-        name = self.opt_name()
-        self.expect_punct(":")
-        type_tok = self.cur.next()
-        entity_type = m.ENTITY_TYPE_ALIASES.get(type_tok.text, type_tok.text)
-        if entity_type not in m.ENTITY_TYPES:
-            raise self.fail("ASL020", f"unknown entity type {type_tok.text!r}", type_tok.span)
-        sub_type = None
-        if self.cur.eat_punct(":"):
-            sub_type = self.term("DataEntitySubType", self.cur.next())
+        ident, name = self.named("an entity id")
+        entity_type = self.one_of("ASL020", "entity type", m.ENTITY_TYPES, m.ENTITY_TYPE_ALIASES)
+        sub_type = self.term("DataEntitySubType", self.cur.next()) if self.cur.eat_punct(":") else None
+        body = self.body("entity", start, _ENTITY)
+        return self.build(
+            ident,
+            m.DataEntity,
+            id=ident.text,
+            entity_type=entity_type,
+            attributes=self._finish_attributes(body.get("attribute", ())),
+            name=name,
+            sub_type=sub_type,
+            description=body.last("description"),
+            loc=start.span,
+        )
 
-        self.expect_punct("[")
-        raw_attrs: list[_RawAttribute] = []
-        description = None
-        while not self.cur.at_punct("]"):
-            if self.cur.at_eof():
-                raise self.fail("ASL011", "unbalanced bracket: entity body never closes", start.span)
-            if self.cur.at_word("attribute"):
-                attr = self.attribute()
-                if attr is not None:
-                    raw_attrs.append(attr)
-            elif self.cur.eat_word("description"):
-                description = self.string("description")
-            else:
-                tok = self.cur.peek()
-                self.diags.append(error("ASL010", f"unexpected token {tok.text!r} in entity body", tok.span))
-                self.cur.next()
-        self.cur.next()  # ]
-
-        attributes = self._finish_attributes(raw_attrs)
-        try:
-            return m.DataEntity(
-                id=ident.text,
-                entity_type=entity_type,
-                attributes=attributes,
-                name=name,
-                sub_type=sub_type,
-                description=description,
-                loc=start.span,
-            )
-        except m.ModelError as exc:
-            raise self.fail("ASL010", str(exc), ident.span)
-
-    def attribute(self) -> _RawAttribute | None:
-        self.cur.next()  # attribute
-        ident = self.ident("an attribute id")
-        name = self.opt_name()
-        self.expect_punct(":")
-
+    def attribute(self) -> _RawAttribute:
+        ident, name = self.named("an attribute id")
         attr_type: m.AttributeType | None = None
         is_dimension = False
         length = None
         type_tok = self.cur.next()
         if type_tok.text == "DataEnumeration":
-            enum_id = self.ident("an enumeration id")
-            attr_type = m.AttributeType.enum(enum_id.text)
+            attr_type = m.AttributeType.enum(self.ident("an enumeration id").text)
         elif type_tok.text == "_Dimension":
             self.term("DataAttributeType", type_tok)
             is_dimension = True
@@ -355,41 +289,19 @@ class _Parser:
                 # semantically it must resolve to an enumeration.
                 attr_type = m.AttributeType.enum(term)
 
-        constraints: list[m.Constraint] = []
-        default: m.Literal | None = None
-        raw_measure: object | None = None
-        expression_tag: tuple[str, Span] | None = None
-
-        if self.cur.at_punct("["):
-            self.cur.next()
-            while not self.cur.at_punct("]"):
-                if self.cur.at_eof():
-                    raise self.fail("ASL011", "unbalanced bracket in attribute body", ident.span)
-                tok = self.cur.peek()
-                if tok.text == "constraints":
-                    self.cur.next()
-                    constraints.extend(self._constraints())
-                elif tok.text == "formula":
-                    self.cur.next()
-                    raw_measure = self._formula(tok)
-                elif tok.text == "tag":
-                    tag_name, tag_value, tag_span = self.tag_pair()
-                    if tag_name == "expression":
-                        expression_tag = (tag_value, tag_span)
-                    else:
-                        self.diags.append(
-                            warning("ASL023", f"tag {tag_name!r} on attribute {ident.text} has no model slot; dropped", tag_span)
-                        )
-                elif tok.text == "defaultValue":
-                    self.cur.next()
-                    default = self._literal()
-                else:
-                    self.diags.append(error("ASL010", f"unexpected token {tok.text!r} in attribute body", tok.span))
-                    self.cur.next()
-            self.cur.next()  # ]
-
+        body = self.body("attribute", ident, _ATTRIBUTE) if self.cur.at_punct("[") else Clauses()
+        expressions = [(value, span) for tag, value, span in body.get("tag", ()) if tag == "expression"]
         return _RawAttribute(
-            ident.text, name, attr_type, is_dimension, length, constraints, default, raw_measure, expression_tag, ident.span
+            ident.text,
+            name,
+            attr_type,
+            is_dimension,
+            length,
+            body.joined("constraints"),
+            body.last("defaultValue"),
+            body.last("formula"),
+            expressions[-1] if expressions else None,
+            ident.span,
         )
 
     def _constraints(self) -> list[m.Constraint]:
@@ -412,20 +324,15 @@ class _Parser:
         return out
 
     def _formula(self, start: Token) -> object | None:
-        if self.cur.eat_word("arithmetic"):
-            try:
-                return mx.parse_expression(self.cur)
-            except mx.ExprSyntaxError as exc:
-                self.diags.append(error("ASL010", f"malformed formula: {exc}", exc.span or start.span))
-                return None
         if self.cur.eat_word("details"):
             self.expect_punct(":")
-            try:
-                return mx.parse_expression(self.cur)
-            except mx.ExprSyntaxError as exc:
-                self.diags.append(error("ASL010", f"malformed formula: {exc}", exc.span or start.span))
-                return None
-        raise self.fail("ASL010", "expected 'arithmetic' or 'details' after formula", start.span)
+        elif not self.cur.eat_word("arithmetic"):
+            raise self.fail("ASL010", "expected 'arithmetic' or 'details' after formula", start.span)
+        try:
+            return mx.parse_expression(self.cur)
+        except mx.ExprSyntaxError as exc:
+            self.diags.append(error("ASL010", f"malformed formula: {exc}", exc.span or start.span))
+            return None
 
     def _literal(self) -> m.Literal:
         tok = self.cur.next()
@@ -495,132 +402,49 @@ class _Parser:
 
     def cluster(self) -> m.DataEntityCluster:
         start = self.cur.next()
-        ident = self.ident("a cluster id")
-        name = self.opt_name()
-        self.expect_punct(":")
-        type_tok = self.cur.next()
-        entity_type = m.ENTITY_TYPE_ALIASES.get(type_tok.text, type_tok.text)
-        if entity_type not in m.ENTITY_TYPES:
-            raise self.fail("ASL020", f"unknown entity type {type_tok.text!r}", type_tok.span)
-
-        self.expect_punct("[")
-        main = None
-        uses: list[str] = []
-        description = None
-        while not self.cur.at_punct("]"):
-            if self.cur.at_eof():
-                raise self.fail("ASL011", "unbalanced bracket in cluster body", start.span)
-            if self.cur.eat_word("main"):
-                main = self.ident("an entity id").text
-            elif self.cur.eat_word("uses"):
-                uses.append(self.ident("an entity id").text)
-                while self.cur.eat_punct(","):
-                    uses.append(self.ident("an entity id").text)
-            elif self.cur.eat_word("description"):
-                description = self.string("description")
-            else:
-                tok = self.cur.peek()
-                self.diags.append(error("ASL010", f"unexpected token {tok.text!r} in cluster body", tok.span))
-                self.cur.next()
-        self.cur.next()
+        ident, name = self.named("a cluster id")
+        entity_type = self.one_of("ASL020", "entity type", m.ENTITY_TYPES, m.ENTITY_TYPE_ALIASES)
+        body = self.body("cluster", start, _CLUSTER)
+        main = body.last("main")
         if main is None:
             raise self.fail("ASL010", f"cluster {ident.text} declares no main entity", ident.span)
-        try:
-            return m.DataEntityCluster(ident.text, entity_type, main, tuple(uses), name, description, start.span)
-        except m.ModelError as exc:
-            raise self.fail("ASL010", str(exc), ident.span)
+        uses = tuple(body.joined("uses"))
+        return self.build(ident, m.DataEntityCluster, ident.text, entity_type, main, uses, name, body.last("description"), start.span)
 
     # -- actors and use cases ----------------------------------------------
 
     def actor(self) -> m.Actor:
         start = self.cur.next()
-        ident = self.ident("an actor id")
-        name = self.opt_name()
-        self.expect_punct(":")
-        type_tok = self.cur.next()
-        if type_tok.text not in m.ACTOR_TYPES:
-            raise self.fail("ASL020", f"unknown actor type {type_tok.text!r}", type_tok.span)
-
-        stakeholder = is_a = description = None
-        if self.cur.at_punct("["):
-            self.cur.next()
-            while not self.cur.at_punct("]"):
-                if self.cur.at_eof():
-                    raise self.fail("ASL011", "unbalanced bracket in actor body", start.span)
-                if self.cur.eat_word("isA"):
-                    is_a = self.ident("an actor id").text
-                elif self.cur.eat_word("stakeholder"):
-                    stakeholder = self.ident("a stakeholder name").text
-                elif self.cur.eat_word("description"):
-                    description = self.string("description")
-                else:
-                    tok = self.cur.peek()
-                    self.diags.append(error("ASL010", f"unexpected token {tok.text!r} in actor body", tok.span))
-                    self.cur.next()
-            self.cur.next()
-        return m.Actor(ident.text, type_tok.text, name, stakeholder, is_a, description, start.span)
+        ident, name = self.named("an actor id")
+        actor_type = self.one_of("ASL020", "actor type", m.ACTOR_TYPES)
+        body = self.body("actor", start, _ACTOR) if self.cur.at_punct("[") else Clauses()
+        return m.Actor(
+            ident.text, actor_type, name, body.last("stakeholder"), body.last("isA"), body.last("description"), start.span
+        )
 
     def use_case(self) -> m.UseCase:
         start = self.cur.next()
-        ident = self.ident("a use case id")
-        name = self.opt_name()
-        self.expect_punct(":")
+        ident, name = self.named("a use case id")
         uc_type = self.term("UseCaseType", self.cur.next())
-
-        primary = data_source = stakeholder = description = None
-        supporting: list[str] = []
-        action_kinds: list[str] = []
-        operations: list[m.OlapOperation] = []
-
-        self.expect_punct("[")
-        while not self.cur.at_punct("]"):
-            if self.cur.at_eof():
-                raise self.fail("ASL011", "unbalanced bracket in use case body", start.span)
-            if self.cur.eat_word("actorInitiates"):
-                primary = self.ident("an actor id").text
-            elif self.cur.eat_word("supportingActors"):
-                supporting.append(self.ident("an actor id").text)
-                while self.cur.eat_punct(","):
-                    supporting.append(self.ident("an actor id").text)
-            elif self.cur.eat_word("dataEntity"):
-                data_source = self.ident("an entity or cluster id").text
-            elif self.cur.eat_word("stakeholder"):
-                stakeholder = self.ident("a stakeholder name").text
-            elif self.cur.eat_word("actions"):
-                action_kinds.append(self.term("ActionType", self.cur.next()))
-                while self.cur.eat_punct(","):
-                    action_kinds.append(self.term("ActionType", self.cur.next()))
-            elif self.cur.at_word("tag"):
-                tag_name, tag_value, tag_span = self.tag_pair()
-                op = self._decode_action_tag(tag_name, tag_value, tag_span)
-                if op is not None:
-                    operations.append(op)
-            elif self.cur.eat_word("description"):
-                description = self.string("description")
-            else:
-                tok = self.cur.peek()
-                self.diags.append(error("ASL010", f"unexpected token {tok.text!r} in use case body", tok.span))
-                self.cur.next()
-        self.cur.next()
-
+        body = self.body("use case", start, _USE_CASE)
+        primary = body.last("actorInitiates")
         if primary is None:
             raise self.fail("ASL010", f"use case {ident.text} declares no actorInitiates", ident.span)
-        try:
-            return m.UseCase(
-                id=ident.text,
-                uc_type=uc_type,
-                primary_actor=primary,
-                name=name,
-                stakeholder=stakeholder,
-                supporting_actors=tuple(supporting),
-                data_source=data_source,
-                action_kinds=tuple(action_kinds),
-                operations=tuple(operations),
-                description=description,
-                loc=start.span,
-            )
-        except m.ModelError as exc:
-            raise self.fail("ASL010", str(exc), ident.span)
+        return self.build(
+            ident,
+            m.UseCase,
+            id=ident.text,
+            uc_type=uc_type,
+            primary_actor=primary,
+            name=name,
+            stakeholder=body.last("stakeholder"),
+            supporting_actors=tuple(body.joined("supportingActors")),
+            data_source=body.last("dataEntity"),
+            action_kinds=tuple(body.joined("actions")),
+            operations=tuple(op for op in body.get("tag", ()) if op is not None),
+            description=body.last("description"),
+            loc=start.span,
+        )
 
     def _decode_action_tag(self, tag_name: str, tag_value: str, span: Span) -> m.OlapOperation | None:
         """Decode BI-Action tags into OLAP operations; other tags are dropped."""
@@ -644,7 +468,7 @@ class _Parser:
                 touched = tuple(d.strip() for d in dims.split(",") if d.strip())
                 return m.OlapOperation(id=op_id, kind=kind, touched_dimensions=touched, loc=span)
             return self._structured_action(op_id, kind, text, span)
-        except (m.ModelError, _ParseError, mx.ExprSyntaxError) as exc:
+        except (m.ModelError, mx.ExprSyntaxError) as exc:
             self.diags.append(warning("ASL021", f"malformed BI-Action tag value {tag_value!r}: {exc}", span))
             return None
 
@@ -698,42 +522,29 @@ class _Parser:
             loc=span,
         )
 
+
     # -- user interface ----------------------------------------------------
 
     def component(self) -> None:
         start = self.cur.next()
-        ident = self.ident("a component id")
-        name = self.opt_name()
-        self.expect_punct(":")
+        ident, name = self.named("a component id")
         comp_type = self.term("UIComponentType", self.cur.next())
-        comp_subtype = None
-        if self.cur.eat_punct(":"):
-            comp_subtype = self.term("UIComponentSubType", self.cur.next())
-
-        raw = _RawComponent(ident.text, name, comp_type, comp_subtype, loc=start.span)
-        self.expect_punct("[")
-        while not self.cur.at_punct("]"):
-            if self.cur.at_eof():
-                raise self.fail("ASL011", "unbalanced bracket in component body", start.span)
-            if self.cur.eat_word("dataBinding"):
-                raw.data_binding = self.ident("a data source id").text
-            elif self.cur.at_word("part"):
-                part = self.part()
-                if part is not None:
-                    raw.parts.append(part)
-            elif self.cur.at_word("event"):
-                self.event(raw)
-            elif self.cur.at_word("tag"):
-                tag_name, tag_value, _ = self.tag_pair()
-                raw.tags.append((tag_name, tag_value))
-            elif self.cur.eat_word("description"):
-                raw.description = self.string("description")
-            else:
-                tok = self.cur.peek()
-                self.diags.append(error("ASL010", f"unexpected token {tok.text!r} in component body", tok.span))
-                self.cur.next()
-        self.cur.next()
-
+        comp_subtype = self.term("UIComponentSubType", self.cur.next()) if self.cur.eat_punct(":") else None
+        body = self.body("component", start, _COMPONENT)
+        events = body.get("event", ())
+        raw = _RawComponent(
+            ident.text,
+            name,
+            comp_type,
+            comp_subtype,
+            body.last("dataBinding"),
+            [part for part in body.get("part", ()) if part is not None],
+            {action for action, _ in events if action is not None},
+            [target for _, target in events if target is not None],
+            body.get("tag", []),
+            body.last("description"),
+            start.span,
+        )
         if raw.id in self.components:
             self.diags.append(error("ASL010", f"duplicate component declaration {raw.id!r}", ident.span))
             return
@@ -741,10 +552,7 @@ class _Parser:
         self.component_order.append(raw.id)
 
     def part(self) -> m.UIPart | None:
-        self.cur.next()  # part
-        ident = self.ident("a part id")
-        name = self.opt_name()
-        self.expect_punct(":")
+        ident, name = self.named("a part id")
         self.cur.next()  # general part type (Field); carried by the style, not the model
         kind = None
         if self.cur.eat_punct(":"):
@@ -767,97 +575,48 @@ class _Parser:
             self.diags.append(error("ASL010", str(exc), ident.span))
             return None
 
-    def event(self, raw: _RawComponent | None = None) -> m.NavigationEvent | None:
-        """Parse an event; on a component it folds into actions/navigation."""
-        self.cur.next()  # event
+    def event(self) -> m.NavigationEvent:
         ident = self.ident("an event id")
         event_type = event_subtype = None
         if self.cur.eat_punct(":"):
             event_type = self.cur.next().text
             if self.cur.eat_punct(":"):
                 event_subtype = self.cur.next().text
-        nav_target = None
-        if self.cur.at_punct("["):
-            self.cur.next()
-            while not self.cur.at_punct("]"):
-                if self.cur.at_eof():
-                    raise self.fail("ASL011", "unbalanced bracket in event body", ident.span)
-                if self.cur.eat_word("navigationFlowTo"):
-                    nav_target = self.ident("a navigation target").text
-                elif self.cur.at_word("tag"):
-                    tag_name, _, tag_span = self.tag_pair()
-                    self.diags.append(
-                        warning("ASL023", f"tag {tag_name!r} on event {ident.text} has no model slot; dropped", tag_span)
-                    )
-                else:
-                    tok = self.cur.peek()
-                    self.diags.append(error("ASL010", f"unexpected token {tok.text!r} in event body", tok.span))
-                    self.cur.next()
-            self.cur.next()
+        body = self.body("event", ident, _EVENT) if self.cur.at_punct("[") else Clauses()
+        return m.NavigationEvent(ident.text, event_type, event_subtype, body.last("navigationFlowTo"), ident.span)
 
-        if raw is None:
-            return m.NavigationEvent(ident.text, event_type, event_subtype, nav_target, ident.span)
-
-        action = m.CHART_ACTION_ALIASES.get(ident.text, ident.text)
+    def component_event(self) -> tuple[str | None, str | None]:
+        """An event on a component: the chart action it names and its navigation target."""
+        event = self.event()
+        action = m.CHART_ACTION_ALIASES.get(event.id, event.id)
         if action in m.CHART_ACTIONS:
-            raw.actions.add(action)
-            if nav_target is not None:
-                raw.nav_candidates.append(nav_target)
-        elif nav_target is not None:
-            raw.nav_candidates.append(nav_target)
-        else:
+            return action, event.navigates_to
+        if event.navigates_to is None:
             self.diags.append(
-                warning("ASL023", f"component event {ident.text} has no model representation; dropped", ident.span)
+                warning("ASL023", f"component event {event.id} has no model representation; dropped", event.loc)
             )
-        return None
+        return None, event.navigates_to
 
-    def container(self) -> tuple[dict, list[str]]:
+    def container(self) -> tuple[m.UIContainer, list[str]]:
+        """The container without its components, and the ids of the components it references."""
         start = self.cur.next()
-        ident = self.ident("a container id")
-        name = self.opt_name()
-        self.expect_punct(":")
-        type_tok = self.cur.next()
-        container_type = m.CONTAINER_TYPE_ALIASES.get(type_tok.text, type_tok.text)
-        if container_type not in m.CONTAINER_TYPES:
-            raise self.fail("ASL020", f"unknown container type {type_tok.text!r}", type_tok.span)
-        container_subtype = None
-        if self.cur.eat_punct(":"):
-            container_subtype = self.term("UIContainerSubType", self.cur.next())
+        ident, name = self.named("a container id")
+        container_type = self.one_of("ASL020", "container type", m.CONTAINER_TYPES, m.CONTAINER_TYPE_ALIASES)
+        container_subtype = self.term("UIContainerSubType", self.cur.next()) if self.cur.eat_punct(":") else None
+        body = self.body("container", start, _CONTAINER)
+        container = m.UIContainer(
+            id=ident.text,
+            container_type=container_type,
+            name=name,
+            container_subtype=container_subtype,
+            events=tuple(body.get("event", ())),
+            description=body.last("description"),
+            loc=start.span,
+        )
+        return container, body.get("component", [])
 
-        refs: list[str] = []
-        events: list[m.NavigationEvent] = []
-        description = None
-        self.expect_punct("[")
-        while not self.cur.at_punct("]"):
-            if self.cur.at_eof():
-                raise self.fail("ASL011", "unbalanced bracket in container body", start.span)
-            if self.cur.eat_word("component"):
-                refs.append(self.ident("a component id").text)
-            elif self.cur.at_word("event"):
-                event = self.event(None)
-                if event is not None:
-                    events.append(event)
-            elif self.cur.eat_word("description"):
-                description = self.string("description")
-            else:
-                tok = self.cur.peek()
-                self.diags.append(error("ASL010", f"unexpected token {tok.text!r} in container body", tok.span))
-                self.cur.next()
-        self.cur.next()
-
-        header = {
-            "id": ident.text,
-            "name": name,
-            "type": container_type,
-            "subtype": container_subtype,
-            "events": events,
-            "description": description,
-            "loc": start.span,
-        }
-        return header, refs
-
-    def _finalize_containers(self, raw_containers: list[tuple[dict, list[str]]]) -> list[m.UIContainer]:
-        container_ids = {header["id"] for header, _ in raw_containers}
+    def _finalize_containers(self, raw_containers) -> list[m.UIContainer]:
+        container_ids = {container.id for container, _ in raw_containers}
         built: dict[str, m.UIComponent] = {}
         referenced: set[str] = set()
 
@@ -887,29 +646,18 @@ class _Parser:
             return built[comp_id]
 
         containers: list[m.UIContainer] = []
-        for header, refs in raw_containers:
+        for container, refs in raw_containers:
             components: list[m.UIComponent] = []
             for ref in refs:
                 comp = build(ref)
                 if comp is None:
                     self.diags.append(
-                        error("ASL020", f"container {header['id']} references unknown component {ref!r}", header["loc"])
+                        error("ASL020", f"container {container.id} references unknown component {ref!r}", container.loc)
                     )
                     continue
                 referenced.add(ref)
                 components.append(comp)
-            containers.append(
-                m.UIContainer(
-                    id=header["id"],
-                    container_type=header["type"],
-                    name=header["name"],
-                    container_subtype=header["subtype"],
-                    components=tuple(components),
-                    events=tuple(header["events"]),
-                    description=header["description"],
-                    loc=header["loc"],
-                )
-            )
+            containers.append(replace(container, components=tuple(components)))
 
         for comp_id in self.component_order:
             if comp_id not in referenced:
@@ -917,6 +665,85 @@ class _Parser:
                     warning("ASL023", f"component {comp_id} is referenced by no container; dropped", self.components[comp_id].loc)
                 )
         return containers
+
+
+# Readers of the clauses of each body, called as reader(parser, keyword, at).
+
+
+def _enum_value(p: _Parser) -> str:
+    return p.ident("an enumeration value").text
+
+
+def _ident(what: str):
+    return lambda p, tok, at: p.ident(what).text
+
+
+def _idents(what: str):
+    def item(p: _Parser) -> str:
+        return p.ident(what).text
+
+    return lambda p, tok, at: p.listed(item)
+
+
+def _action_kind(p: _Parser) -> str:
+    return p.term("ActionType", p.cur.next())
+
+
+def _dropped_tag(owner: str, kept: str | None = None):
+    """A tag reader; every tag but ``kept`` has no model slot on ``owner`` and is dropped (ASL023)."""
+
+    def read(p: _Parser, tok: Token, at: Token) -> tuple[str, str, Span]:
+        tag = p.tag_pair(tok)
+        if tag[0] != kept:
+            p.diags.append(warning("ASL023", f"tag {tag[0]!r} on {owner} {at.text} has no model slot; dropped", tag[2]))
+        return tag
+
+    return read
+
+
+_DESCRIPTION = {"description": lambda p, tok, at: p.string("description")}
+_ENTITY = {"attribute": lambda p, tok, at: p.attribute(), **_DESCRIPTION}
+_ATTRIBUTE = {
+    "constraints": lambda p, tok, at: p._constraints(),
+    "formula": lambda p, tok, at: p._formula(tok),
+    "tag": _dropped_tag("attribute", "expression"),
+    "defaultValue": lambda p, tok, at: p._literal(),
+}
+_CLUSTER = {"main": _ident("an entity id"), "uses": _idents("an entity id"), **_DESCRIPTION}
+_ACTOR = {"isA": _ident("an actor id"), "stakeholder": _ident("a stakeholder name"), **_DESCRIPTION}
+_USE_CASE = {
+    "actorInitiates": _ident("an actor id"),
+    "supportingActors": _idents("an actor id"),
+    "dataEntity": _ident("an entity or cluster id"),
+    "stakeholder": _ident("a stakeholder name"),
+    "actions": lambda p, tok, at: p.listed(_action_kind),
+    "tag": lambda p, tok, at: p._decode_action_tag(*p.tag_pair(tok)),
+    **_DESCRIPTION,
+}
+_COMPONENT = {
+    "dataBinding": _ident("a data source id"),
+    "part": lambda p, tok, at: p.part(),
+    "event": lambda p, tok, at: p.component_event(),
+    "tag": lambda p, tok, at: p.tag_pair(tok)[:2],
+    **_DESCRIPTION,
+}
+_EVENT = {"navigationFlowTo": _ident("a navigation target"), "tag": _dropped_tag("event")}
+_CONTAINER = {
+    "component": _ident("a component id"),
+    "event": lambda p, tok, at: p.event(),
+    **_DESCRIPTION,
+}
+_DECLARATIONS = {
+    "DataEnumeration": _Parser.enumeration,
+    "DataEntity": _Parser.entity,
+    "DataEntityCluster": _Parser.cluster,
+    "Actor": _Parser.actor,
+    "UseCase": _Parser.use_case,
+    "component": _Parser.component,
+    "UIContainer": _Parser.container,
+    **{category: _Parser.extension for category in m.EXTENSION_CATEGORIES},
+}
+
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,11 @@ The style reads as constrained English sentences: fixed fragments such as
 ``is a`` and ``refers to Dimension`` interleave with identifiers. Parsing is
 total; syntax problems become diagnostics and recovery resumes at the next
 top-level keyword so later declarations still land in the model.
+
+Actors, use cases, operations and components end in comma-separated
+clauses. One loop, ``_Parser.clauses``, reads them all; each construct's
+clause table, built once below the parser, maps the phrase that opens a
+clause to the key its value is kept under and the reader of the rest.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 from . import measure as mx
 from . import model as m
 from .diagnostics import Diagnostic, Span, error, warning
-from .lexer import Cursor, Token, TokenKind, tokenize
+from .lexer import Clauses, Parser, Token, TokenKind, tokenize
 
 TOP_LEVEL_WORDS = ("DataEntity", "Data", "Actor", "UseCase", "UIContainer", "UIComponent")
 
@@ -56,19 +61,6 @@ _PHRASE_BY_KIND = {
     "Area": "area",
 }
 
-# Words that start a new component clause; list parsing must not run past them.
-_COMPONENT_CLAUSE_WORDS = frozenset(
-    ("data", "with", "columns", "segments", "starting", "ending", "actions", "that", "described", "and")
-    + tuple(_PART_PHRASES)
-    + TOP_LEVEL_WORDS
-)
-
-
-class _ParseError(Exception):
-    def __init__(self, diag: Diagnostic):
-        super().__init__(diag.message)
-        self.diag = diag
-
 
 @dataclass
 class _RawAttribute:
@@ -82,48 +74,30 @@ class _RawAttribute:
 
 
 def parse_cnlbi(source: str, file: str = "<cnlbi>") -> tuple[m.SpecificationModel, list[Diagnostic]]:
-    parser = _Parser(source, file)
-    return parser.parse()
+    return _Parser(source, file).parse()
 
 
-class _Parser:
+class _Parser(Parser):
+    prefix = "CNL"
+
     def __init__(self, source: str, file: str):
-        tokens, lex_diags = tokenize(source, file=file, code_prefix="CNL")
-        self.cur = Cursor(tokens)
-        self.diags: list[Diagnostic] = list(lex_diags)
+        super().__init__(*tokenize(source, file=file, code_prefix="CNL"))
 
     # -- plumbing ----------------------------------------------------------
 
-    def fail(self, code: str, message: str, span: Span | None = None) -> _ParseError:
-        return _ParseError(error(code, message, span if span is not None else self.cur.peek().span))
-
-    def recover(self) -> None:
-        """Skip to the next top-level keyword so later declarations parse."""
-        self.cur.next()
-        while not self.cur.at_eof() and not self._at_top_level():
-            self.cur.next()
-
-    def _at_top_level(self) -> bool:
+    def at_declaration(self) -> bool:
         tok = self.cur.peek()
         if tok.text == "Data":
             return self.cur.peek(1).text == "enumeration"
         return tok.text in TOP_LEVEL_WORDS
 
-    def ident(self, what: str) -> Token:
-        tok = self.cur.peek()
-        if tok.is_word() and m.is_identifier(tok.text):
-            return self.cur.next()
-        raise self.fail("CNL010", f"expected {what}, found {tok.text or 'end of input'!r}")
-
-    def expect_word(self, *words: str) -> Token:
-        tok = self.cur.eat_word(*words)
-        if tok is None:
-            found = self.cur.peek()
-            raise self.fail("CNL010", f"expected {' or '.join(words)!r}, found {found.text or 'end of input'!r}")
-        return tok
-
-    def article(self) -> None:
+    def named(self, what: str) -> tuple[Token, str | None]:
+        """``id name? is a`` after a declaration's keyword: the id token and the name."""
+        ident = self.ident(what)
+        name = self.opt_name()
+        self.expect_word("is")
         self.cur.eat_word("a", "an")
+        return ident, name
 
     def opt_name(self) -> str | None:
         # Either "name" or ("name"); both appear in the corpus.
@@ -155,50 +129,67 @@ class _Parser:
             parts.append(self.cur.next().text)
         return _join_prose(parts)
 
+    def description(self, stops: tuple[str, ...]) -> str:
+        """``as`` and the prose after a consumed ``described``."""
+        self.expect_word("as")
+        return self.prose(stops)
+
+    def clauses(self, table: dict, stops: tuple[str, ...] = (), and_opens: bool = False) -> Clauses:
+        """Comma-separated clauses, each opening with a one- or two-word phrase
+        of ``table``, which maps it to the key its value is kept under and the
+        reader of the rest; with ``and_opens`` an ``and`` may precede a phrase.
+        The list ends at a word that opens no clause, or after ``described as``
+        prose running to ``stops``, unless ``table`` reads ``described`` itself."""
+        found = Clauses()
+        cur = self.cur
+        while True:
+            cur.eat_punct(",")
+            if and_opens:
+                cur.eat_word("and")
+            first = cur.peek().text
+            entry = table.get(f"{first} {cur.peek(1).text}")
+            if entry is not None:
+                cur.next()  # the first of two words
+            elif (entry := table.get(first)) is None:
+                if cur.eat_word("described"):
+                    found["description"] = [self.description(stops)]
+                return found
+            cur.next()
+            key, reader = entry
+            found.setdefault(key, []).append(reader(self))
+
+    def listed(self, item) -> list:
+        """``item (, item)*`` in a component, where a comma before a word that
+        opens a component clause ends the list instead."""
+        items = [item(self)]
+        while self.cur.at_punct(",") and self.cur.peek(1).is_word() and self.cur.peek(1).text not in _COMPONENT_WORDS:
+            self.cur.next()
+            items.append(item(self))
+        return items
+
     # -- top level ---------------------------------------------------------
 
     def parse(self) -> tuple[m.SpecificationModel, list[Diagnostic]]:
-        enums: list[m.DataEnumeration] = []
-        entities: list[m.DataEntity] = []
-        actors: list[m.Actor] = []
-        use_cases: list[m.UseCase] = []
-        containers: list[m.UIContainer] = []
-
-        while not self.cur.at_eof():
-            tok = self.cur.peek()
-            try:
-                if tok.text == "DataEntity":
-                    entities.append(self.entity())
-                elif tok.text == "Data" and self.cur.peek(1).text == "enumeration":
-                    enums.append(self.enumeration())
-                elif tok.text == "Actor":
-                    actors.append(self.actor())
-                elif tok.text == "UseCase":
-                    use_cases.append(self.use_case())
-                elif tok.text == "UIContainer":
-                    containers.append(self.container())
-                elif tok.text == "UIComponent":
-                    raise self.fail("CNL010", "UI components must appear inside a UIContainer", tok.span)
-                else:
-                    raise self.fail("CNL010", f"expected a declaration, found {tok.text!r}", tok.span)
-            except _ParseError as exc:
-                self.diags.append(exc.diag)
-                self.recover()
-
+        found = self.declarations(_DECLARATIONS)
         model = m.SpecificationModel(
-            enumerations=tuple(enums),
-            entities=tuple(entities),
-            actors=tuple(actors),
-            use_cases=tuple(use_cases),
-            ui_containers=tuple(containers),
+            enumerations=tuple(found.get("Data", ())),
+            entities=tuple(found.get("DataEntity", ())),
+            actors=tuple(found.get("Actor", ())),
+            use_cases=tuple(found.get("UseCase", ())),
+            ui_containers=tuple(found.get("UIContainer", ())),
         )
-        return mx.normalize_enum_literals(model), self.diags
+        return m.normalize_enum_literals(model), self.diags
+
+    def stray_component(self) -> None:
+        raise self.fail("CNL010", "UI components must appear inside a UIContainer")
 
     # -- declarations ------------------------------------------------------
 
     def enumeration(self) -> m.DataEnumeration:
+        if self.cur.peek(1).text != "enumeration":
+            raise self.fail("CNL010", "expected a declaration, found 'Data'")
         start = self.cur.next()  # Data
-        self.expect_word("enumeration")
+        self.cur.next()  # enumeration
         ident = self.ident("an enumeration id")
         name = self.opt_name()
         self.expect_word("with")
@@ -211,21 +202,12 @@ class _Parser:
                 break
             values.append(self.ident("an enumeration value").text)
         self.cur.eat_punct(".")
-        try:
-            return m.DataEnumeration(ident.text, name, tuple(values), start.span)
-        except m.ModelError as exc:
-            raise self.fail("CNL010", str(exc), ident.span)
+        return self.build(ident, m.DataEnumeration, ident.text, name, tuple(values), start.span)
 
     def entity(self) -> m.DataEntity:
         start = self.cur.next()  # DataEntity
-        ident = self.ident("an entity id")
-        name = self.opt_name()
-        self.expect_word("is")
-        self.article()
-        type_tok = self.cur.next()
-        entity_type = m.ENTITY_TYPE_ALIASES.get(type_tok.text, type_tok.text)
-        if entity_type not in m.ENTITY_TYPES:
-            raise self.fail("CNL011", f"unknown entity type {type_tok.text!r}", type_tok.span)
+        ident, name = self.named("an entity id")
+        entity_type = self.one_of("CNL011", "entity type", m.ENTITY_TYPES, m.ENTITY_TYPE_ALIASES)
         sub_type = None
         if self.cur.at_word("Fact", "Dimension", "BI_Fact", "BI_Dimension"):
             sub_type = m.ENTITY_SUBTYPE_ALIASES.get(self.cur.peek().text, self.cur.peek().text)
@@ -236,30 +218,27 @@ class _Parser:
 
         raw_attrs = [self.attribute()]
         while self.cur.eat_punct(","):
-            if self.cur.at_word("described") or self._at_top_level() or self.cur.at_eof():
+            if self.cur.at_word("described") or self.at_declaration() or self.cur.at_eof():
                 break
             raw_attrs.append(self.attribute())
 
         description = None
         if self.cur.eat_word("described"):
-            self.expect_word("as")
-            description = self.prose(())
+            description = self.description(())
         else:
             self.cur.eat_punct(".")
 
-        attributes = self._finish_attributes(raw_attrs)
-        try:
-            return m.DataEntity(
-                id=ident.text,
-                entity_type=entity_type,
-                attributes=attributes,
-                name=name,
-                sub_type=sub_type,
-                description=description,
-                loc=start.span,
-            )
-        except m.ModelError as exc:
-            raise self.fail("CNL010", str(exc), ident.span)
+        return self.build(
+            ident,
+            m.DataEntity,
+            id=ident.text,
+            entity_type=entity_type,
+            attributes=self._finish_attributes(raw_attrs),
+            name=name,
+            sub_type=sub_type,
+            description=description,
+            loc=start.span,
+        )
 
     def attribute(self) -> _RawAttribute:
         ident = self.ident("an attribute id")
@@ -271,7 +250,7 @@ class _Parser:
             attr_type = m.AttributeType.dimension(target.text)
         else:
             self.expect_word("is")
-            self.article()
+            self.cur.eat_word("a", "an")
             type_tok = self.cur.next()
             if not type_tok.is_word() or not m.is_identifier(type_tok.text):
                 raise self.fail("CNL011", f"unknown type keyword {type_tok.text!r}", type_tok.span)
@@ -368,180 +347,94 @@ class _Parser:
 
     def actor(self) -> m.Actor:
         start = self.cur.next()  # Actor
-        ident = self.ident("an actor id")
-        name = self.opt_name()
-        self.expect_word("is")
-        self.article()
-        type_tok = self.cur.next()
-        if type_tok.text not in m.ACTOR_TYPES:
-            raise self.fail("CNL011", f"unknown actor type {type_tok.text!r}", type_tok.span)
-
-        stakeholder = is_a = description = None
-        while True:
-            self.cur.eat_punct(",")
-            if self.cur.eat_word("extends"):
-                is_a = self.ident("an actor id").text
-            elif self.cur.at_word("with") and self.cur.peek(1).text == "stakeholder":
-                self.cur.next()
-                self.cur.next()
-                stakeholder = self.ident("a stakeholder name").text
-            elif self.cur.eat_word("described"):
-                self.expect_word("as")
-                description = self.prose(())
-                break
-            else:
-                self.cur.eat_punct(".")
-                break
-        return m.Actor(ident.text, type_tok.text, name, stakeholder, is_a, description, start.span)
+        ident, name = self.named("an actor id")
+        actor_type = self.one_of("CNL011", "actor type", m.ACTOR_TYPES)
+        found = self.clauses(_ACTOR)
+        self.cur.eat_punct(".")
+        return m.Actor(
+            ident.text, actor_type, name, found.last("stakeholder"), found.last("extends"), found.last("description"), start.span
+        )
 
     def use_case(self) -> m.UseCase:
         start = self.cur.next()  # UseCase
-        ident = self.ident("a use case id")
-        name = self.opt_name()
-        self.expect_word("is")
-        self.article()
-        type_tok = self.cur.next()
-        uc_type = m.USE_CASE_TYPE_ALIASES.get(type_tok.text, type_tok.text)
-        if uc_type not in m.USE_CASE_TYPES:
-            raise self.fail("CNL011", f"unknown use case type {type_tok.text!r}", type_tok.span)
-
-        stakeholder = primary = data_source = description = None
-        supporting: list[str] = []
-        operations: list[m.OlapOperation] = []
-        while True:
-            self.cur.eat_punct(",")
-            if self.cur.at_word("with") and self.cur.peek(1).text == "stakeholder":
-                self.cur.next()
-                self.cur.next()
-                stakeholder = self.ident("a stakeholder name").text
-            elif self.cur.at_word("support") and self.cur.peek(1).text == "actor":
-                self.cur.next()
-                self.cur.next()
-                supporting.append(self.ident("an actor id").text)
-            elif self.cur.eat_word("actor"):
-                primary = self.ident("an actor id").text
-            elif self.cur.at_word("data") and self.cur.peek(1).text == "source":
-                self.cur.next()
-                self.cur.next()
-                data_source = self.ident("a data source id").text
-            elif self.cur.eat_word("performs"):
-                operations.extend(self._operations())
-            elif self.cur.eat_word("described"):
-                self.expect_word("as")
-                description = self.prose(("performs",))
-            else:
-                self.cur.eat_punct(".")
-                break
-
+        ident, name = self.named("a use case id")
+        uc_type = self.one_of("CNL011", "use case type", m.USE_CASE_TYPES, m.USE_CASE_TYPE_ALIASES)
+        found = self.clauses(_USE_CASE)
+        self.cur.eat_punct(".")
+        primary = found.last("actor")
         if primary is None:
             raise self.fail("CNL010", f"use case {ident.text} declares no primary actor", ident.span)
-        try:
-            return m.UseCase(
-                id=ident.text,
-                uc_type=uc_type,
-                primary_actor=primary,
-                name=name,
-                stakeholder=stakeholder,
-                supporting_actors=tuple(supporting),
-                data_source=data_source,
-                operations=tuple(operations),
-                description=description,
-                loc=start.span,
-            )
-        except m.ModelError as exc:
-            raise self.fail("CNL010", str(exc), ident.span)
+        return self.build(
+            ident,
+            m.UseCase,
+            id=ident.text,
+            uc_type=uc_type,
+            primary_actor=primary,
+            name=name,
+            stakeholder=found.last("stakeholder"),
+            supporting_actors=tuple(found.get("support actor", ())),
+            data_source=found.last("data source"),
+            operations=tuple(found.joined("performs")),
+            description=found.last("description"),
+            loc=start.span,
+        )
 
-    def _operations(self) -> list[m.OlapOperation]:
+    def operations(self) -> list[m.OlapOperation]:
         operations = []
         while True:
             self.cur.eat_punct(",")
             if self.cur.at_word("OLAP", "Olap") and self.cur.peek(1).text in ("Operation", "operation"):
-                operations.append(self._operation_prefix_form())
+                start = self.cur.next()
+                self.cur.next()  # Operation
+                ident, name = self.named("an operation id")
+                kind = self.one_of("CNL011", "OLAP operation kind", m.OLAP_KINDS, m.OLAP_KIND_ALIASES)
             elif self.cur.at_word("Slice", "Dice", "Roll-up", "Drill-down", "Pivot"):
-                operations.append(self._operation_suffix_form())
+                start = self.cur.next()
+                kind = m.OLAP_KIND_ALIASES.get(start.text, start.text)
+                ident, name = self.named("an operation id")
+                self.expect_word("OLAP", "Olap")
+                self.expect_word("operation", "Operation")
             else:
-                break
-        return operations
-
-    def _operation_prefix_form(self) -> m.OlapOperation:
-        start = self.cur.next()  # OLAP
-        self.cur.next()  # Operation
-        ident = self.ident("an operation id")
-        name = self.opt_name()
-        self.expect_word("is")
-        self.article()
-        kind_tok = self.cur.next()
-        kind = m.OLAP_KIND_ALIASES.get(kind_tok.text, kind_tok.text)
-        if kind not in m.OLAP_KINDS:
-            raise self.fail("CNL011", f"unknown OLAP operation kind {kind_tok.text!r}", kind_tok.span)
-        return self._operation_clauses(ident, name, kind, start.span)
-
-    def _operation_suffix_form(self) -> m.OlapOperation:
-        kind_tok = self.cur.next()
-        kind = m.OLAP_KIND_ALIASES.get(kind_tok.text, kind_tok.text)
-        ident = self.ident("an operation id")
-        name = self.opt_name()
-        self.expect_word("is")
-        self.article()
-        self.expect_word("OLAP", "Olap")
-        self.expect_word("operation", "Operation")
-        return self._operation_clauses(ident, name, kind, kind_tok.span)
-
-    def _operation_clauses(self, ident: Token, name: str | None, kind: str, loc: Span) -> m.OlapOperation:
-        where: list[m.Predicate] = []
-        group_by: m.AttributePath | None = None
-        swap: tuple[str, str] | None = None
-        description: str | None = None
-
-        while True:
-            self.cur.eat_punct(",")
-            if self.cur.eat_word("where"):
-                while True:
-                    try:
-                        where.append(mx.parse_predicate(self.cur))
-                    except mx.ExprSyntaxError as exc:
-                        raise _ParseError(error("CNL014", f"malformed where clause: {exc}", exc.span))
-                    if not self.cur.eat_word("and"):
-                        break
-            elif self.cur.at_word("group") and self.cur.peek(1).text == "by":
-                self.cur.next()
-                self.cur.next()
-                try:
-                    group_by = mx.parse_path(self.cur)
-                except mx.ExprSyntaxError as exc:
-                    raise _ParseError(error("CNL014", f"malformed group-by clause: {exc}", exc.span))
-            elif self.cur.eat_word("swap"):
-                first = self.ident("a dimension id")
-                self.expect_word("with")
-                second = self.ident("a dimension id")
-                swap = (first.text, second.text)
-            elif self.cur.eat_word("described"):
-                self.expect_word("as")
-                description = self.prose(_OP_DESCRIPTION_STOPS)
-                break
-            else:
-                break
-
-        try:
-            return m.OlapOperation(
+                return operations
+            found = self.clauses(_OPERATION, _OP_DESCRIPTION_STOPS)
+            operation = self.build(
+                ident,
+                m.OlapOperation,
                 id=ident.text,
                 kind=kind,
                 name=name,
-                where_clauses=tuple(where),
-                group_by=group_by,
-                swap=swap,
-                description=description,
-                loc=loc,
+                where_clauses=tuple(found.joined("where")),
+                group_by=found.last("group by"),
+                swap=found.last("swap"),
+                description=found.last("description"),
+                loc=start.span,
             )
-        except m.ModelError as exc:
-            raise self.fail("CNL010", str(exc), ident.span)
+            operations.append(operation)
+
+    def where(self) -> list[m.Predicate]:
+        predicates = []
+        while True:
+            try:
+                predicates.append(mx.parse_predicate(self.cur))
+            except mx.ExprSyntaxError as exc:
+                raise self.fail("CNL014", f"malformed where clause: {exc}", exc.span) from None
+            if not self.cur.eat_word("and"):
+                return predicates
+
+    def group_by(self) -> m.AttributePath:
+        try:
+            return mx.parse_path(self.cur)
+        except mx.ExprSyntaxError as exc:
+            raise self.fail("CNL014", f"malformed group-by clause: {exc}", exc.span) from None
+
+    def swap(self) -> tuple[str, str]:
+        first = self.ident("a dimension id")
+        self.expect_word("with")
+        return first.text, self.ident("a dimension id").text
 
     def container(self) -> m.UIContainer:
         start = self.cur.next()  # UIContainer
-        ident = self.ident("a container id")
-        name = self.opt_name()
-        self.expect_word("is")
-        self.article()
+        ident, name = self.named("a container id")
         container_type = "MainWindow"
         container_subtype = None
         tok = self.cur.next()
@@ -578,21 +471,14 @@ class _Parser:
 
     def component(self) -> m.UIComponent:
         start = self.cur.next()  # UIComponent
-        ident = self.ident("a component id")
-        name = self.opt_name()
-        self.expect_word("is")
-        self.article()
-        term = self.cur.next()
-        if term.text not in _COMPONENT_TERMS:
-            raise self.fail("CNL011", f"unknown component type {term.text!r}", term.span)
-        comp_type, comp_subtype = _COMPONENT_TERMS[term.text]
+        ident, name = self.named("a component id")
+        comp_type, comp_subtype = _COMPONENT_TERMS[self.one_of("CNL011", "component type", _COMPONENT_TERMS)]
+        found = self.clauses(_COMPONENT, and_opens=True)
+        self.cur.eat_punct(".")
 
-        data_binding = navigates_to = description = None
         parts: list[m.UIPart] = []
-        actions: set[str] = set()
         part_ids: set[str] = set()
-
-        def add_part(kind: str, path: m.AttributePath) -> None:
+        for kind, path in found.joined("parts"):
             base = path.segments[-1]
             part_id = base
             if part_id in part_ids and len(path.segments) > 1:
@@ -603,87 +489,99 @@ class _Parser:
                 n += 1
             part_ids.add(part_id)
             parts.append(m.UIPart(part_id, kind, path, loc=path.loc))
+        return self.build(
+            ident,
+            m.UIComponent,
+            id=ident.text,
+            component_type=comp_type,
+            name=name,
+            component_subtype=comp_subtype,
+            data_binding=found.last("data"),
+            parts=tuple(parts),
+            actions=frozenset(found.joined("actions")),
+            navigates_to=found.last("that navigates"),
+            description=found.last("description"),
+            loc=start.span,
+        )
 
-        while True:
-            self.cur.eat_punct(",")
-            self.cur.eat_word("and")
-            tok = self.cur.peek()
-            if tok.text == "data" and self.cur.peek(1).text in ("binding", "source"):
-                self.cur.next()
-                self.cur.next()
-                self.cur.eat_word("to")
-                data_binding = self.ident("a data source id").text
-            elif tok.text == "with":
-                self.cur.next()
-            elif tok.text == "columns":
-                self.cur.next()
-                add_part("Column", self._part_path())
-                while (
-                    self.cur.at_punct(",")
-                    and self.cur.peek(1).is_word()
-                    and self.cur.peek(1).text not in _COMPONENT_CLAUSE_WORDS
-                ):
-                    self.cur.next()
-                    add_part("Column", self._part_path())
-            elif tok.text in _PART_PHRASES:
-                self.cur.next()
-                add_part(_PART_PHRASES[tok.text], self._part_path())
-            elif tok.text == "segments" and self.cur.peek(1).text == "defined":
-                self.cur.next()
-                self.cur.next()
-                self.expect_word("by")
-                add_part("Label", self._part_path())
-            elif tok.text in ("starting", "ending"):
-                self.cur.next()
-                self.expect_word("at")
-                add_part("Option", self._part_path())
-            elif tok.text == "actions":
-                self.cur.next()
-                while True:
-                    action = self.ident("an action name").text
-                    actions.add(m.CHART_ACTION_ALIASES.get(action, action))
-                    if not (
-                        self.cur.at_punct(",")
-                        and self.cur.peek(1).is_word()
-                        and self.cur.peek(1).text not in _COMPONENT_CLAUSE_WORDS
-                    ):
-                        break
-                    self.cur.next()
-            elif tok.text == "that" and self.cur.peek(1).text == "navigates":
-                self.cur.next()
-                self.cur.next()
-                self.expect_word("to")
-                navigates_to = self.ident("a container id").text
-            elif tok.text == "described":
-                self.cur.next()
-                self.expect_word("as")
-                description = self.prose(())
-                break
-            else:
-                self.cur.eat_punct(".")
-                break
-
-        try:
-            return m.UIComponent(
-                id=ident.text,
-                component_type=comp_type,
-                name=name,
-                component_subtype=comp_subtype,
-                data_binding=data_binding,
-                parts=tuple(parts),
-                actions=frozenset(actions),
-                navigates_to=navigates_to,
-                description=description,
-                loc=start.span,
-            )
-        except m.ModelError as exc:
-            raise self.fail("CNL010", str(exc), ident.span)
-
-    def _part_path(self) -> m.AttributePath:
+    def part_path(self) -> m.AttributePath:
         try:
             return mx.parse_path(self.cur)
         except mx.ExprSyntaxError as exc:
-            raise _ParseError(error("CNL010", str(exc), exc.span))
+            raise self.fail("CNL010", str(exc), exc.span) from None
+
+
+# Readers of the clause tails, called as reader(parser) after the opening phrase.
+
+
+def _ident(what: str, *words: str):
+    """A reader of ``words`` and an identifier."""
+
+    def read(p: _Parser) -> str:
+        for word in words:
+            p.expect_word(word)
+        return p.ident(what).text
+
+    return read
+
+
+def _part(kind: str, *words: str):
+    """A reader of ``words`` and a part's path."""
+
+    def read(p: _Parser) -> list[tuple[str, m.AttributePath]]:
+        for word in words:
+            p.expect_word(word)
+        return [(kind, p.part_path())]
+
+    return read
+
+
+def _data_source(p: _Parser) -> str:
+    p.cur.eat_word("to")
+    return p.ident("a data source id").text
+
+
+def _column(p: _Parser) -> tuple[str, m.AttributePath]:
+    return "Column", p.part_path()
+
+
+def _action(p: _Parser) -> str:
+    action = p.ident("an action name").text
+    return m.CHART_ACTION_ALIASES.get(action, action)
+
+
+_ACTOR = {"extends": ("extends", _ident("an actor id")), "with stakeholder": ("stakeholder", _ident("a stakeholder name"))}
+_USE_CASE = {
+    "with stakeholder": ("stakeholder", _ident("a stakeholder name")),
+    "support actor": ("support actor", _ident("an actor id")),
+    "actor": ("actor", _ident("an actor id")),
+    "data source": ("data source", _ident("a data source id")),
+    "performs": ("performs", _Parser.operations),
+    "described": ("description", lambda p: p.description(("performs",))),
+}
+_OPERATION = {"where": ("where", _Parser.where), "group by": ("group by", _Parser.group_by), "swap": ("swap", _Parser.swap)}
+_COMPONENT = {
+    "data binding": ("data", _data_source),
+    "data source": ("data", _data_source),
+    "with": ("with", lambda p: None),  # only leads in the next phrase: "with columns ...", "with x-axis ..."
+    "columns": ("parts", lambda p: p.listed(_column)),
+    **{phrase: ("parts", _part(kind)) for phrase, kind in _PART_PHRASES.items()},
+    "segments defined": ("parts", _part("Label", "by")),
+    "starting": ("parts", _part("Option", "at")),
+    "ending": ("parts", _part("Option", "at")),
+    "actions": ("actions", lambda p: p.listed(_action)),
+    "that navigates": ("that navigates", _ident("a container id", "to")),
+}
+# Words that open a component clause; a column or action list stops before them.
+_COMPONENT_WORDS = frozenset(phrase.split()[0] for phrase in _COMPONENT) | {"described", "and", *TOP_LEVEL_WORDS}
+_DECLARATIONS = {
+    "DataEntity": _Parser.entity,
+    "Data": _Parser.enumeration,
+    "Actor": _Parser.actor,
+    "UseCase": _Parser.use_case,
+    "UIContainer": _Parser.container,
+    "UIComponent": _Parser.stray_component,
+}
 
 
 def _join_prose(parts: list[str]) -> str:

@@ -146,12 +146,13 @@ _PARSERS = {"UUID": str, "String": str, "Integer": int, "Decimal": float, "Boole
             "Date": date.fromisoformat, "DateTime": datetime.fromisoformat, "Time": time.fromisoformat}
 
 
-def _coercer(attr: m.DataAttribute, enum: m.DataEnumeration | None):
-    """The parser of one non-empty cell of ``attr``; it raises ValueError."""
+def _coercer(model: m.SpecificationModel, attr: m.DataAttribute):
+    """The parser of one non-empty cell or bound value of ``attr``; it raises ValueError."""
     kind = attr.attr_type.kind
     if kind == "primitive":
         return _PARSERS[attr.attr_type.name]
-    if kind == "dimension" or enum is None:
+    enum = model.enumeration(attr.attr_type.name) if kind == "enum" else None
+    if enum is None:
         return str
 
     def enum_value(value: str) -> str:
@@ -232,7 +233,7 @@ def _load_table(entity: m.DataEntity, model: m.SpecificationModel, path: Path, t
     references reach."""
     stored = [a for a in entity.attributes if not a.is_measure]
     expected = tuple(a.id for a in stored)
-    coercers = [_coercer(a, model.enumeration(a.attr_type.name) if a.attr_type.kind == "enum" else None) for a in stored]
+    coercers = [_coercer(model, a) for a in stored]
     refs = [(i, a.id, tables[a.dimension_target]) for i, a in enumerate(stored) if a.dimension_target in tables]
     pk = entity.primary_key
     pk_at = expected.index(pk.id) if pk is not None else None
@@ -411,7 +412,7 @@ def _reader(cube: Cube, fact_id: str, col: Column):
 # ---------------------------------------------------------------------------
 
 
-def _bound_value(filt: Filter, bindings: dict):
+def _bound_value(model: m.SpecificationModel, filt: Filter, bindings: dict):
     """The filter's literal, or its parameter's binding coerced to the column type."""
     param = filt.value
     if not isinstance(param, Parameter):
@@ -425,7 +426,7 @@ def _bound_value(filt: Filter, bindings: dict):
         return value
     attr = filt.column.attribute
     try:
-        return _coercer(attr, None)(value)
+        return _coercer(model, attr)(value)
     except ValueError:
         raise EngineError("ENG010", f"parameter {param.name!r} expects {attr.attr_type.name}, got {value!r}") from None
 
@@ -447,7 +448,8 @@ class CubeView:
 
 
 def _filtered(view: CubeView, filters, bindings: dict | None) -> CubeView:
-    checks = [(_reader(view.cube, view.fact_id, f.column), _bound_value(f, bindings or {})) for f in filters]
+    model = view.cube.model
+    checks = [(_reader(view.cube, view.fact_id, f.column), _bound_value(model, f, bindings or {})) for f in filters]
     positions = view.positions
     for read, value in checks:
         positions = list(compress(positions, map(eq, read(positions), repeat(value))))

@@ -17,6 +17,9 @@ as ``²``, ``½`` or ``Ⅻ``, at the start of a token.
 One compiled pattern per comment style and quote set scans the source.
 Tokens are tuples with their offset and length; a token's line and column
 are computed only when its ``span`` is asked for.
+
+``Parser`` holds what the CNL-BI and ASL parsers share: the cursor, the
+diagnostics, the error helpers and the top-level declaration loop.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from enum import Enum
 from functools import cache
 
 from .diagnostics import Diagnostic, Span, error
+from .model import ModelError, is_identifier
 
 
 class TokenKind(Enum):
@@ -192,3 +196,86 @@ class Cursor:
             self.pos += 1
             return tok
         return None
+
+
+class ParseError(Exception):
+    """A syntax error that abandons the declaration being read."""
+
+    def __init__(self, diag: Diagnostic):
+        super().__init__(diag.message)
+        self.diag = diag
+
+
+class Clauses(dict):
+    """What one clause loop read: the values of each keyword, in the order read."""
+
+    def last(self, key: str):
+        values = self.get(key)
+        return values[-1] if values else None
+
+    def joined(self, key: str) -> list:
+        """The values of a keyword whose reader returns lists, concatenated."""
+        return [item for values in self.get(key, ()) for item in values]
+
+
+class Parser:
+    """A recursive-descent parser over one file's tokens; its error codes start with ``prefix``."""
+
+    prefix = ""
+
+    def __init__(self, tokens: list[Token], diags: list[Diagnostic]):
+        self.cur = Cursor(tokens)
+        self.diags = list(diags)
+
+    def at_declaration(self) -> bool:
+        """Whether the next token opens a declaration: where reading resumes after an error."""
+        raise NotImplementedError
+
+    def declarations(self, table: dict) -> Clauses:
+        """Every top-level declaration, each read by ``table[keyword](self)``. A
+        ParseError is reported and reading resumes at the next declaration."""
+        found = Clauses()
+        while not self.cur.at_eof():
+            tok = self.cur.peek()
+            try:
+                reader = table.get(tok.text)
+                if reader is None:
+                    raise self.fail(f"{self.prefix}010", f"expected a declaration, found {tok.text!r}", tok.span)
+                found.setdefault(tok.text, []).append(reader(self))
+            except ParseError as exc:
+                self.diags.append(exc.diag)
+                self.cur.next()
+                while not self.cur.at_eof() and not self.at_declaration():
+                    self.cur.next()
+        return found
+
+    def fail(self, code: str, message: str, span: Span | None = None) -> ParseError:
+        return ParseError(error(code, message, span if span is not None else self.cur.peek().span))
+
+    def ident(self, what: str) -> Token:
+        tok = self.cur.peek()
+        if tok.is_word() and is_identifier(tok.text):
+            return self.cur.next()
+        raise self.fail(f"{self.prefix}010", f"expected {what}, found {tok.text or 'end of input'!r}")
+
+    def expect_word(self, *words: str) -> Token:
+        tok = self.cur.eat_word(*words)
+        if tok is None:
+            found = self.cur.peek().text or "end of input"
+            raise self.fail(f"{self.prefix}010", f"expected {' or '.join(words)!r}, found {found!r}")
+        return tok
+
+    def one_of(self, code: str, what: str, allowed, aliases: dict | None = None) -> str:
+        """The next word, through ``aliases``, which must be one of ``allowed``."""
+        tok = self.cur.next()
+        word = aliases.get(tok.text, tok.text) if aliases else tok.text
+        if word not in allowed:
+            raise self.fail(code, f"unknown {what} {tok.text!r}", tok.span)
+        return word
+
+    def build(self, ident: Token, make, *args, **kwargs):
+        """``make(*args, **kwargs)``; a ModelError is reported at ``ident``."""
+        try:
+            return make(*args, **kwargs)
+        except ModelError as exc:
+            raise self.fail(f"{self.prefix}010", str(exc), ident.span) from None

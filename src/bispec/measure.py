@@ -8,8 +8,6 @@ OLAP where clauses.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from . import model as m
 from .diagnostics import Span
 from .lexer import Cursor, Token, TokenKind, tokenize  # noqa: F401 (perfbench/spans.py wraps measure.tokenize)
@@ -235,69 +233,3 @@ def measure_text(expr: object, quote: str = '"') -> str:
     if isinstance(expr, m.OpaqueMeasure):
         return expr.text
     raise TypeError(f"unexpected measure node {expr!r}")
-
-
-# ---------------------------------------------------------------------------
-# Enum literal normalization
-# ---------------------------------------------------------------------------
-
-
-def _rewrite_operand(value: object, enum_ids: set[str]) -> object:
-    if isinstance(value, m.AttributePath) and len(value.segments) == 2 and value.segments[0] in enum_ids:
-        return m.EnumLiteral(value.segments[0], value.segments[1])
-    return value
-
-
-def _rewrite_pred(pred: m.Predicate, enum_ids: set[str]) -> m.Predicate:
-    right = _rewrite_operand(pred.right, enum_ids)
-    return pred if right is pred.right else m.Predicate(pred.left, right, pred.loc)
-
-
-def _rewrite_expr(expr: object, enum_ids: set[str]) -> object:
-    if isinstance(expr, m.Aggregate) and isinstance(expr.arg, m.Predicate):
-        arg = _rewrite_pred(expr.arg, enum_ids)
-        return expr if arg is expr.arg else m.Aggregate(expr.fn, arg)
-    if isinstance(expr, m.Arithmetic):
-        left = _rewrite_expr(expr.left, enum_ids)
-        right = _rewrite_expr(expr.right, enum_ids)
-        if left is expr.left and right is expr.right:
-            return expr
-        return m.Arithmetic(expr.op, left, right)
-    return expr
-
-
-def normalize_enum_literals(spec: m.SpecificationModel) -> m.SpecificationModel:
-    """Rewrite ``Enum.value`` paths on predicate right sides into enum literals.
-
-    Runs once per parsed document, after all enumerations are known.
-    """
-    enum_ids = {e.id for e in spec.enumerations}
-    if not enum_ids:
-        return spec
-
-    entities = []
-    for entity in spec.entities:
-        attrs = []
-        changed = False
-        for attr in entity.attributes:
-            if attr.measure is not None:
-                measure = _rewrite_expr(attr.measure, enum_ids)
-                if measure is not attr.measure:
-                    attr = replace(attr, measure=measure)
-                    changed = True
-            attrs.append(attr)
-        entities.append(replace(entity, attributes=tuple(attrs)) if changed else entity)
-
-    use_cases = []
-    for uc in spec.use_cases:
-        ops = []
-        changed = False
-        for op in uc.operations:
-            preds = tuple(_rewrite_pred(p, enum_ids) for p in op.where_clauses)
-            if any(a is not b for a, b in zip(preds, op.where_clauses)):
-                op = replace(op, where_clauses=preds)
-                changed = True
-            ops.append(op)
-        use_cases.append(replace(uc, operations=tuple(ops)) if changed else uc)
-
-    return replace(spec, entities=tuple(entities), use_cases=tuple(use_cases))

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 
 from .diagnostics import Span
@@ -784,20 +785,71 @@ class SpecificationModel:
         )
 
 
+def _enum_operand(value: object, enum_ids: set[str]) -> object:
+    if isinstance(value, AttributePath) and len(value.segments) == 2 and value.segments[0] in enum_ids:
+        return EnumLiteral(value.segments[0], value.segments[1])
+    return value
+
+
+def _enum_predicate(pred: Predicate, enum_ids: set[str]) -> Predicate:
+    right = _enum_operand(pred.right, enum_ids)
+    return pred if right is pred.right else Predicate(pred.left, right, pred.loc)
+
+
+def _enum_measure(expr: object, enum_ids: set[str]) -> object:
+    if isinstance(expr, Aggregate) and isinstance(expr.arg, Predicate):
+        arg = _enum_predicate(expr.arg, enum_ids)
+        return expr if arg is expr.arg else Aggregate(expr.fn, arg)
+    if isinstance(expr, Arithmetic):
+        left, right = _enum_measure(expr.left, enum_ids), _enum_measure(expr.right, enum_ids)
+        return expr if left is expr.left and right is expr.right else Arithmetic(expr.op, left, right)
+    return expr
+
+
+def normalize_enum_literals(spec: SpecificationModel) -> SpecificationModel:
+    """Rewrite ``Enum.value`` paths on predicate right sides into enum literals.
+
+    Each parser runs it on its document and ``merge_models`` on the unit, so
+    an enumeration declared in one file classifies the literals of another.
+    """
+    enum_ids = {e.id for e in spec.enumerations}
+    if not enum_ids:
+        return spec
+
+    entities = []
+    for entity in spec.entities:
+        attrs = []
+        changed = False
+        for attr in entity.attributes:
+            if attr.measure is not None:
+                measure = _enum_measure(attr.measure, enum_ids)
+                if measure is not attr.measure:
+                    attr = replace(attr, measure=measure)
+                    changed = True
+            attrs.append(attr)
+        entities.append(replace(entity, attributes=tuple(attrs)) if changed else entity)
+
+    use_cases = []
+    for uc in spec.use_cases:
+        ops = []
+        changed = False
+        for op in uc.operations:
+            preds = tuple([_enum_predicate(p, enum_ids) for p in op.where_clauses])
+            if preds != op.where_clauses:
+                op = replace(op, where_clauses=preds)
+                changed = True
+            ops.append(op)
+        use_cases.append(replace(uc, operations=tuple(ops)) if changed else uc)
+
+    return replace(spec, entities=tuple(entities), use_cases=tuple(use_cases))
+
+
 def merge_models(models: list[SpecificationModel]) -> SpecificationModel:
     """Concatenate several parsed documents into one compilation unit."""
-    merged = SpecificationModel()
-    for m in models:
-        merged = SpecificationModel(
-            enumerations=merged.enumerations + m.enumerations,
-            entities=merged.entities + m.entities,
-            clusters=merged.clusters + m.clusters,
-            actors=merged.actors + m.actors,
-            use_cases=merged.use_cases + m.use_cases,
-            ui_containers=merged.ui_containers + m.ui_containers,
-            vocabulary_extensions=merged.vocabulary_extensions + m.vocabulary_extensions,
-        )
-    return merged
+    merged = SpecificationModel(
+        **{f.name: tuple(chain.from_iterable(getattr(model, f.name) for model in models)) for f in fields(SpecificationModel)}
+    )
+    return normalize_enum_literals(merged)
 
 
 __all__ = [name for name in dir() if not name.startswith("_")]

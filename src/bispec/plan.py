@@ -189,18 +189,41 @@ def _compared(model: m.SpecificationModel, col: Column, pred: m.Predicate) -> Co
     return col
 
 
+def _read_type(model: m.SpecificationModel, col: Column) -> m.AttributeType | None:
+    """The type of ``col``'s values as the engine reads them: a dimension
+    reference reads as its target's primary key; None when it has none."""
+    attr_type = col.attribute.attr_type
+    if attr_type.kind != "dimension":
+        return attr_type
+    target = model.entity(attr_type.name)
+    key = target.primary_key if target is not None else None
+    return None if key is None else key.attr_type
+
+
+def _same_type(left: m.AttributeType | None, right: m.AttributeType | None) -> bool:
+    if left is None or right is None:  # a missing primary key is reported on its own
+        return True
+    if left.kind == right.kind == "primitive" and {left.name, right.name} <= _NUMERIC:
+        return True
+    return (left.kind, left.name) == (right.kind, right.name)
+
+
 def plan_filters(model: m.SpecificationModel, fact_id: str, predicates) -> tuple[Filter, ...]:
     """Resolve a conjunction of predicates, naming its parameters once. An enum
     literal must exist and match the column's enumeration or its dimension's
     enum role, a literal the column's type (any column takes a string), and a
-    parameter's path must resolve."""
+    parameter's path must resolve to a column of the left column's type, where
+    Integer and Decimal are one numeric type."""
     taken: dict[str, str] = {}  # parameter name -> dotted path
     filters = []
     for pred in predicates:
         col = column(model, fact_id, pred.left)
         right = pred.right
         if isinstance(right, m.AttributePath):
-            column(model, fact_id, right)
+            left_type, right_type = _read_type(model, col), _read_type(model, column(model, fact_id, right))
+            if not _same_type(left_type, right_type):
+                reason = f"cannot compare {pred.left} ({left_type.name}) with the parameter {right} ({right_type.name})"
+                raise EngineError("ENG030", reason, "type", pred.loc)
             name = right.segments[-1]
             if taken.get(name, str(right)) != str(right):
                 name = "_".join(right.segments)

@@ -59,7 +59,9 @@ def test_unregistered_term_reports_asl020():
 
 def test_unbalanced_bracket_reports_asl011():
     _, diags = parse_asl('DataEntitySubType BI_Fact\nDataEntity X "X" : Master [ attribute a : Integer ')
-    assert "ASL011" in [d.code for d in errors(diags)]
+    assert [(d.code, d.message, d.span.line, d.span.col) for d in errors(diags)] == [
+        ("ASL011", "unbalanced bracket in entity body", 2, 1)
+    ]
 
 
 def test_numeric_character_outside_a_word_reports_asl002():

@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from bispec import parse_cnlbi
 from bispec.cli import main
+from bispec.generators import GeneratorError, gen_olap_sql
+from bispec.plan import EngineError, plan_operation
 from conftest import CORPUS_ASL, CORPUS_CNLBI, DATA_DIR
 
 
@@ -400,3 +403,67 @@ def test_odd_data_files_are_coded_diagnostics(capsys, tmp_path, case):
     entries = [json.loads(line) for line in err.splitlines()]
     expected_code, message = ODD_DATA[case]
     assert any(e["code"] == expected_code and e["severity"] == "error" and message in e["message"] for e in entries), err
+
+
+_ASL_ENUMERATIONS = """\
+DataEnumeration Gender values (Male, Female)
+DataEnumeration States values (Booked, Held, Cancelled)
+DataEnumeration InstitutionTypes values (HealthCentre, Hospital)
+"""
+
+
+@pytest.mark.parametrize("enumerations", ["cnlbi", "asl"])
+def test_enum_literals_resolve_across_the_files_of_a_unit(capsys, tmp_path, enumerations):
+    # The corpus split after line 12: its enumerations in one file, the rest in another.
+    lines = CORPUS_CNLBI.read_text(encoding="utf-8").splitlines(keepends=True)
+    first = tmp_path / f"enums.{enumerations}"
+    first.write_text("".join(lines[:12]) if enumerations == "cnlbi" else _ASL_ENUMERATIONS, encoding="utf-8")
+    rest = tmp_path / "rest.cnlbi"
+    rest.write_text("".join(lines[12:]), encoding="utf-8")
+    code, out, _ = run(capsys, "parse", str(first), str(rest), "--emit", "model-json")
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / "model" / "medbuddy.cnlbi.json").read_bytes()
+    code, _, err = run(capsys, "check", str(first), str(rest), "--json")
+    entries = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+    assert code == 0 and [e["code"] for e in entries] == ["SEM040", "SEM040"]
+
+
+PATIENT_SLICE = ("AnalysisAppointmentsPatientOnInstitutionLevel", "ScheduledAppointmentsInSpecificYear")
+
+
+def _patient_slice_on(tmp_path, predicate: str) -> Path:
+    """The corpus with the institution-level patient Slice filtering on ``predicate``."""
+    source = CORPUS_CNLBI.read_text(encoding="utf-8")
+    slice_where = (
+        "      where AppointmentRequest.scheduled_date.year = Time.year\n"
+        "      described as slicing the data to visualise the appointments that were scheduled in a specific year,\n"
+        "    // Appointments scheduled in a specific year by patients who reside"
+    )
+    assert source.count(slice_where) == 1
+    spec = tmp_path / "variant.cnlbi"
+    spec.write_text(source.replace(slice_where, slice_where.replace("AppointmentRequest.scheduled_date.year = Time.year", predicate)))
+    return spec
+
+
+def test_a_parameter_must_have_the_type_of_its_column(capsys, tmp_path):
+    spec = _patient_slice_on(tmp_path, "Patient.gender = Time.year")
+    code, _, err = run(capsys, "check", str(spec), "--json")
+    errors = [(e["code"], e["message"]) for e in map(json.loads, err.splitlines()[:-1]) if e["severity"] == "error"]
+    reason = "cannot compare Patient.gender (Gender) with the parameter Time.year (Integer)"
+    assert (code, errors) == (1, [("SEM011", f"in operation {PATIENT_SLICE[1]}: {reason}")])
+    model, _ = parse_cnlbi(spec.read_text(encoding="utf-8"))
+    with pytest.raises(EngineError) as planned:
+        plan_operation(model, *PATIENT_SLICE)
+    assert (planned.value.code, planned.value.rule, str(planned.value)) == ("ENG030", "type", reason)
+    with pytest.raises(GeneratorError) as generated:
+        gen_olap_sql(model, *PATIENT_SLICE)
+    assert generated.value.code == "GEN010"
+
+
+def test_an_enum_parameter_takes_only_values_of_its_enumeration(capsys, tmp_path):
+    spec = _patient_slice_on(tmp_path, "Patient.gender = Patient.gender")
+    argv = ["olap", str(spec), "--data", str(DATA_DIR), "--usecase", PATIENT_SLICE[0], "--op", PATIENT_SLICE[1], "--format", "csv"]
+    code, out, err = run(capsys, *argv, "--bind", "gender=Other")
+    assert (code, out) == (1, "") and "ENG010: parameter 'gender' expects Gender, got 'Other'" in err
+    code, out, _ = run(capsys, *argv, "--bind", "gender=Male")
+    assert code == 0 and out.splitlines()[1].startswith("4,4,")

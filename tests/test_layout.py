@@ -8,6 +8,8 @@ encoder; ``canonical.indented_json`` writes the same text. The engine and the
 SQL generator never name ``MeasureRef`` or ``Aggregate``, and the checks name
 no measure node at all: measures reach them only as ``plan.measure_program``
 lowered and typed them, so no second walk over measures can creep back.
+Every bracketed ASL body is read by the one clause loop ``_Parser.body``,
+and the error plumbing of both parsers lives once, on ``lexer.Parser``.
 """
 
 import ast
@@ -97,3 +99,33 @@ def test_engine_and_sql_generator_leave_measure_lowering_to_the_planner():
 
 def test_checks_see_measures_only_as_the_planner_typed_them():
     assert _named("semantics", ("MeasureRef", "Aggregate", "Arithmetic", "Literal")) == []
+
+
+def _calls_at_punct_close(node) -> bool:
+    return any(
+        isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "at_punct"
+        and [getattr(arg, "value", None) for arg in call.args] == ["]"]
+        for call in ast.walk(node)
+    )
+
+
+def test_asl_reads_every_bracketed_body_in_one_loop():
+    loops = {
+        function.name
+        for function in ast.walk(MODULES["asl"]) if isinstance(function, ast.FunctionDef)
+        for loop in ast.walk(function) if isinstance(loop, ast.While) and _calls_at_punct_close(loop)
+    }
+    assert loops == {"body", "skip_block"}
+
+
+def test_parsers_define_no_error_plumbing_of_their_own():
+    found = [
+        f"{module} defines {node.name}"
+        for module in ("asl", "cnlbi")
+        for node in ast.walk(MODULES[module])
+        if isinstance(node, ast.FunctionDef) and node.name in ("fail", "ident", "expect_word")
+        or isinstance(node, ast.ClassDef) and (
+            node.name.endswith("Error") or any(getattr(base, "id", None) == "Exception" for base in node.bases)
+        )
+    ]
+    assert found == []
