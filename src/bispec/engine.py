@@ -11,6 +11,14 @@ dimension reference holds row positions in its target table, so a hop is a
 C-level ``map`` of ``list.__getitem__``. A view is a list of fact row
 positions, and a query compiles its plan once into column readers over
 positions and measures that share aggregate leaves by expression.
+
+A reader touches each fact position once: one fact-side step through the
+fact column or the first reference, which walks the stored column itself
+for the whole fact. The rest (later hops, the ``==`` of a filter or measure
+predicate) becomes one dimension-side list over the first hop's target,
+built once per query when the query reads at least as many positions as
+that target holds rows. MIN and MAX through a hop fold over the distinct
+first-hop positions.
 """
 
 from __future__ import annotations
@@ -28,7 +36,8 @@ from pathlib import Path
 
 from . import model as m
 from .diagnostics import Diagnostic, error, warning
-from .plan import Column, EngineError, Filter, Parameter, Plan, column, executable_measures, measure_program, plan_filters, plan_operation
+from .plan import (Column, EngineError, Filter, Parameter, Plan, column, executable_measures, measure_program, plan_filters,
+                   plan_operation, read_type)
 
 _MANIFEST_LINE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*\"([^\"]+)\"\s*$")
 
@@ -58,9 +67,10 @@ class Table:
     """One entity's stored attributes as column lists.
 
     Every column has ``size`` values, one per loaded row in file order, then
-    a null slot. A reference in ``targets`` holds row positions in that table
-    (its null slot for a null key, and the key text for a key in
-    ``dangling``); a reference to a table that did not load holds key text.
+    a null slot. A reference cell parses as its target's primary key. A
+    reference in ``targets`` holds row positions in that table (its null
+    slot for a null key, and the key in a 1-tuple for a key in
+    ``dangling``); a reference to a table that did not load holds its keys.
     """
 
     entity_id: str
@@ -79,7 +89,7 @@ class Table:
         return Rows(self, range(self.size))
 
     def values(self, attr_id: str) -> list:
-        """The column as loaded: a reference reads as its key text."""
+        """The column as loaded: a reference reads as its key."""
         target = self.targets.get(attr_id)
         return self.data[attr_id] if target is None else list(map(partial(_key_of, target.pk_values()), self.data[attr_id]))
 
@@ -89,8 +99,8 @@ class Table:
 
 
 def _key_of(keys: list, position):
-    # a dangling reference cell holds its key text instead of a position
-    return position if position.__class__ is str else keys[position]
+    # a dangling reference cell holds its key in a 1-tuple instead of a position
+    return position[0] if position.__class__ is tuple else keys[position]
 
 
 class Rows(Sequence):
@@ -146,18 +156,19 @@ _PARSERS = {"UUID": str, "String": str, "Integer": int, "Decimal": float, "Boole
             "Date": date.fromisoformat, "DateTime": datetime.fromisoformat, "Time": time.fromisoformat}
 
 
-def _coercer(model: m.SpecificationModel, attr: m.DataAttribute):
-    """The parser of one non-empty cell or bound value of ``attr``; it raises ValueError."""
-    kind = attr.attr_type.kind
+def _coercer(model: m.SpecificationModel, attr_type: m.AttributeType | None):
+    """The parser of one non-empty cell or bound value of a column whose values
+    read as ``attr_type`` (``plan.read_type``); it raises ValueError."""
+    kind = attr_type.kind if attr_type is not None else None
     if kind == "primitive":
-        return _PARSERS[attr.attr_type.name]
-    enum = model.enumeration(attr.attr_type.name) if kind == "enum" else None
+        return _PARSERS[attr_type.name]
+    enum = model.enumeration(attr_type.name) if kind == "enum" else None
     if enum is None:
         return str
 
     def enum_value(value: str) -> str:
         if value not in enum.values:
-            raise ValueError(f"{value!r} is not a value of enumeration {attr.attr_type.name}")
+            raise ValueError(f"{value!r} is not a value of enumeration {attr_type.name}")
         return value
 
     return enum_value
@@ -228,12 +239,12 @@ def _load_table(entity: m.DataEntity, model: m.SpecificationModel, path: Path, t
                 indexes: dict[str, dict], diags: list[Diagnostic], dangling) -> Table | None:
     """Read one CSV in chunks of ``CHUNK_ROWS`` records into column lists (no
     null slot yet). A reference to a table in ``tables`` resolves chunk by chunk
-    through its index; any other keeps its key text. Duplicate primary keys
+    through its index; any other keeps its keys. Duplicate primary keys
     are reported after the rejected rows; the first row with a key is the one
     references reach."""
     stored = [a for a in entity.attributes if not a.is_measure]
     expected = tuple(a.id for a in stored)
-    coercers = [_coercer(model, a) for a in stored]
+    coercers = [_coercer(model, read_type(model, a)) for a in stored]
     refs = [(i, a.id, tables[a.dimension_target]) for i, a in enumerate(stored) if a.dimension_target in tables]
     pk = entity.primary_key
     pk_at = expected.index(pk.id) if pk is not None else None
@@ -339,13 +350,13 @@ def _reject(where: str, record: list[str], stored, coercers, diags: list[Diagnos
 
 def _resolve(keys: list, first: int, index: dict, target: Table, entity_id: str, attr_id: str, dangling) -> list:
     """Row positions in ``target`` for references whose first row is at position
-    ``first``; a null key gets the null slot and a dangling key keeps its text."""
+    ``first``; a null key gets the null slot and a dangling key stays, in a 1-tuple."""
     null = target.size
     positions = list(map(index.get, keys, repeat(null)))
     if positions.count(null) != keys.count(None):
         for i, key in enumerate(keys):
             if key is not None and key not in index:
-                positions[i] = key
+                positions[i] = (key,)
                 where = f"{entity_id} row {first + i + 1}, column {attr_id}"
                 dangling[entity_id, attr_id].append(error("ENG004", f"{where}: no {target.entity_id} row with key {key!r}"))
     return positions
@@ -364,8 +375,8 @@ def _null(position):
 
 def _checked_hop(values: list, target_id: str, position: int):
     hop = values[position]
-    if hop.__class__ is str:
-        raise EngineError("ENG004", f"{target_id} has no row with key {hop!r}")
+    if hop.__class__ is tuple:
+        raise EngineError("ENG004", f"{target_id} has no row with key {hop[0]!r}")
     return hop
 
 
@@ -375,34 +386,61 @@ def _unloaded_hop(target_id: str, key) -> None:
         raise EngineError("ENG030", f"no data loaded for {target_id}")
 
 
-def _reader(cube: Cube, fact_id: str, col: Column):
-    """A function from fact row positions to an iterator of ``col``'s values;
-    ENG004 and ENG030 arise only when a position needs the dangling key or
-    unloaded table. Every step is a ``map`` over positions."""
-    table = cube.tables[fact_id]
-    steps = []
+def _reader(cube: Cube, fact_id: str, col: Column, reads: int, test=None, distinct: bool = False):
+    """A function from fact row positions to an iterator of ``col``'s values,
+    or of ``test(value)``.
+
+    Each position takes one fact-side step, through the fact column or the
+    first reference; a ``range`` of positions walks that column itself. When
+    the query reads at least as many positions in all (``reads``) as the
+    first hop's target holds rows, the later hops and the test run once per
+    target row into one dimension-side list; otherwise they map the values
+    one by one. With ``distinct`` they run once per distinct first-hop
+    value, in first-occurrence order. A hop that can raise ENG004 or ENG030
+    stays chained, so it raises only when a position needs the dangling key
+    or the unloaded table.
+    """
+    table = fact = cube.tables[fact_id]
+    steps = []  # a list is read at the value before it; a function maps it
+    chained = False  # the later steps must map each value: one can raise, or a dangling key reaches them
     for fk, target_id in col.chain:
         target = table.targets.get(fk)
         if target is None:  # the rest of the chain reads null, or raises ENG030
-            steps += [table.data[fk].__getitem__, partial(_unloaded_hop, target_id)]
+            steps += [table.data[fk], partial(_unloaded_hop, target_id)]
+            chained = True
             break
-        steps.append(partial(_checked_hop, table.data[fk], target_id) if fk in table.dangling else table.data[fk].__getitem__)
+        chained = chained or bool(steps) and fk in table.dangling
+        steps.append(partial(_checked_hop, table.data[fk], target_id) if fk in table.dangling else table.data[fk])
         table = target
     else:
         attr = col.attribute
         if attr.is_measure:  # not stored per row: reads as null
             steps.append(_null)
-        elif attr.id in table.targets:  # a reference reads as its key text
+        elif attr.id in table.targets:  # a reference reads as its key
             keys = table.targets[attr.id].pk_values()
-            last = partial(_key_of, keys) if attr.id in table.dangling else keys.__getitem__
-            steps += [table.data[attr.id].__getitem__, last]
+            chained = chained or not steps and attr.id in table.dangling
+            steps += [table.data[attr.id], partial(_key_of, keys) if attr.id in table.dangling else keys]
         else:
-            steps.append(table.data[attr.id].__getitem__)
+            steps.append(table.data[attr.id])
+    if test is not None:
+        steps.append(test)
+    column = steps[0] if steps[0].__class__ is list else None
+    first, *rest = [step.__getitem__ if step.__class__ is list else step for step in steps]
+    landing = fact.targets.get(col.chain[0][0] if col.chain else col.attribute.id)  # the first step's target
+    if len(rest) > 1 and not chained and reads >= landing.size:
+        dimension = range(landing.size + 1)  # its rows and null slot
+        for step in rest:
+            dimension = map(step, dimension)
+        rest = [list(dimension).__getitem__]
+    whole = range(fact.size)
 
     def read(positions):
-        for step in steps:
-            positions = map(step, positions)
-        return positions
+        values = islice(column, fact.size) if column is not None and positions == whole else map(first, positions)
+        if distinct:
+            values = dict.fromkeys(values)
+        for step in rest:
+            values = map(step, values)
+        return values
 
     return read
 
@@ -424,11 +462,11 @@ def _bound_value(model: m.SpecificationModel, filt: Filter, bindings: dict):
     value = bindings[key]
     if not isinstance(value, str):
         return value
-    attr = filt.column.attribute
+    attr_type = read_type(model, filt.column.attribute)
     try:
-        return _coercer(model, attr)(value)
+        return _coercer(model, attr_type)(value)
     except ValueError:
-        raise EngineError("ENG010", f"parameter {param.name!r} expects {attr.attr_type.name}, got {value!r}") from None
+        raise EngineError("ENG010", f"parameter {param.name!r} expects {attr_type.name}, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -448,11 +486,12 @@ class CubeView:
 
 
 def _filtered(view: CubeView, filters, bindings: dict | None) -> CubeView:
-    model = view.cube.model
-    checks = [(_reader(view.cube, view.fact_id, f.column), _bound_value(model, f, bindings or {})) for f in filters]
+    """Each filter tests the positions the filters before it kept."""
+    values = [_bound_value(view.cube.model, f, bindings or {}) for f in filters]
     positions = view.positions
-    for read, value in checks:
-        positions = list(compress(positions, map(eq, read(positions), repeat(value))))
+    for filt, value in zip(filters, values):
+        hits = _reader(view.cube, view.fact_id, filt.column, len(positions), partial(eq, value))
+        positions = list(compress(positions, hits(positions)))
     return CubeView(view.cube, view.fact_id, positions)
 
 
@@ -482,6 +521,7 @@ _FOLDS = {
     "MIN": lambda values: min(values) if values else None,
     "MAX": lambda values: max(values) if values else None,
 }
+_HITS = methodcaller("count", True)  # COUNT of the rows a predicate holds for
 
 
 def _arithmetic(op, a, b):
@@ -499,25 +539,30 @@ def _root(node):
     return lambda results: _arithmetic(op, left(results), right(results))
 
 
-def _measure_program(cube: Cube, fact_id: str, exprs):
+def _measure_program(cube: Cube, fact_id: str, exprs, reads: int):
     """Compile the planner's measure program into one function from a group's
-    row positions to the measures' values; each distinct input is read once
-    per group."""
+    row positions to the measures' values; ``reads`` counts the positions of
+    every group together. Each distinct input is read once per group: a
+    predicate as its hit list, and MIN or MAX through a hop over the distinct
+    first-hop values."""
     program = measure_program(cube.model, fact_id, exprs)
-    # (chain, attribute id, drop nulls), or None for the positions themselves -> (reader, drop nulls, leaf indices)
+    # (chain, attribute id, drop nulls, distinct[, predicate value]), or None for
+    # the positions themselves -> (reader, drop nulls, leaf indices)
     inputs: dict = {}
     folds = []  # leaf index -> function from its input's values to the leaf result
     for index, leaf in enumerate(program.leaves):
         if isinstance(leaf.input, Filter):
-            col, drop_nulls, fold = leaf.input.column, False, methodcaller("count", leaf.input.value)
+            col, test, drop_nulls, distinct, fold = leaf.input.column, partial(eq, leaf.input.value), False, False, _HITS
+            key = (col.chain, col.attribute.id, False, False, leaf.input.value)
         else:
-            col = leaf.input
+            col, test = leaf.input, None
             drop_nulls, fold = bool(col.chain) or not col.attribute.not_null, _FOLDS[leaf.fn]
+            distinct = leaf.fn in ("MIN", "MAX") and bool(col.chain)
             if leaf.fn == "COUNT" and not drop_nulls:
                 col = None  # COUNT of a NOT NULL fact column is the number of rows
-        key = None if col is None else (col.chain, col.attribute.id, drop_nulls)
+            key = None if col is None else (col.chain, col.attribute.id, drop_nulls, distinct)
         if key not in inputs:
-            inputs[key] = (None if col is None else _reader(cube, fact_id, col), drop_nulls, [])
+            inputs[key] = (None if col is None else _reader(cube, fact_id, col, reads, test, distinct), drop_nulls, [])
         inputs[key][2].append(index)
         folds.append(fold)
     nodes = [_root(root) for root in program.roots]
@@ -536,7 +581,8 @@ def _measure_program(cube: Cube, fact_id: str, exprs):
 def evaluate_measure(view: CubeView, expr, rows: Rows | None = None):
     """Evaluate a measure over a subset of the view's rows, as ``CubeView.rows()``
     returns them (defaults to the whole view)."""
-    return _measure_program(view.cube, view.fact_id, (expr,))(view.positions if rows is None else rows.positions)[0]
+    positions = view.positions if rows is None else rows.positions
+    return _measure_program(view.cube, view.fact_id, (expr,), len(positions))(positions)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +607,8 @@ def _sort_token(value):
         return (0, "")
     if isinstance(value, bool):
         return (1, str(int(value)))
-    if isinstance(value, (int, float)):
-        return (2, float(value))
+    if isinstance(value, (int, float)):  # an int and a float compare exactly
+        return (2, value)
     if isinstance(value, (date, datetime, time)):
         return (3, value.isoformat())
     return (3, str(value))
@@ -578,17 +624,20 @@ def aggregate(view: CubeView, group_by) -> ResultTable:
     model = view.cube.model
     parse = m.AttributePath.parse
     keys = [key if isinstance(key, Column) else column(model, view.fact_id, parse(str(key))) for key in group_by]
-    readers = [_reader(view.cube, view.fact_id, key) for key in keys]
+    positions = view.positions
+    readers = [_reader(view.cube, view.fact_id, key, len(positions)) for key in keys]
     measure_attrs = executable_measures(model.entity(view.fact_id))
 
-    positions = view.positions
-    groups: dict[tuple, list[int]] = defaultdict(list)  # each in ascending order, so folds run in file order
-    for key, position in zip(zip(*(read(positions) for read in readers)) if readers else repeat(()), positions):
+    single = len(readers) == 1  # groups on bare values, made 1-tuples once per group
+    groups: dict = defaultdict(list)  # each in ascending order, so folds run in file order
+    values = readers[0](positions) if single else zip(*(read(positions) for read in readers)) if readers else repeat(())
+    for key, position in zip(values, positions):
         groups[key].append(position)
 
     # compiled only for a non-empty result, so an empty one raises no measure error
-    program = _measure_program(view.cube, view.fact_id, [a.measure for a in measure_attrs]) if groups else None
-    result_rows = [key + program(groups[key]) for key in sorted(groups, key=lambda k: tuple(map(_sort_token, k)))]
+    program = _measure_program(view.cube, view.fact_id, [a.measure for a in measure_attrs], len(positions)) if groups else None
+    order = sorted(groups, key=_sort_token if single else lambda k: tuple(map(_sort_token, k)))
+    result_rows = [((key,) if single else key) + program(groups[key]) for key in order]
 
     return ResultTable(tuple(key.path for key in keys), tuple(a.id for a in measure_attrs), tuple(result_rows))
 
@@ -617,7 +666,7 @@ def run_plan(cube: Cube, plan: Plan, bindings: dict | None = None) -> ResultTabl
 
     if plan.kind in ("Slice", "Dice"):
         positions = _filtered(view, plan.filters, bindings).positions
-        cells = _measure_program(cube, plan.fact.id, [attr.measure for attr in plan.measures])(positions)
+        cells = _measure_program(cube, plan.fact.id, [attr.measure for attr in plan.measures], len(positions))(positions)
         return ResultTable((), ("row_count",) + tuple(a.id for a in plan.measures), ((len(positions),) + cells,))
 
     if plan.kind in ("RollUp", "DrillDown"):

@@ -189,10 +189,10 @@ def _compared(model: m.SpecificationModel, col: Column, pred: m.Predicate) -> Co
     return col
 
 
-def _read_type(model: m.SpecificationModel, col: Column) -> m.AttributeType | None:
-    """The type of ``col``'s values as the engine reads them: a dimension
-    reference reads as its target's primary key; None when it has none."""
-    attr_type = col.attribute.attr_type
+def read_type(model: m.SpecificationModel, attr: m.DataAttribute) -> m.AttributeType | None:
+    """The type of ``attr``'s values as the engine loads and reads them: a
+    dimension reference reads as its target's primary key; None when it has none."""
+    attr_type = attr.attr_type
     if attr_type.kind != "dimension":
         return attr_type
     target = model.entity(attr_type.name)
@@ -220,7 +220,7 @@ def plan_filters(model: m.SpecificationModel, fact_id: str, predicates) -> tuple
         col = column(model, fact_id, pred.left)
         right = pred.right
         if isinstance(right, m.AttributePath):
-            left_type, right_type = _read_type(model, col), _read_type(model, column(model, fact_id, right))
+            left_type, right_type = read_type(model, col.attribute), read_type(model, column(model, fact_id, right).attribute)
             if not _same_type(left_type, right_type):
                 reason = f"cannot compare {pred.left} ({left_type.name}) with the parameter {right} ({right_type.name})"
                 raise EngineError("ENG030", reason, "type", pred.loc)

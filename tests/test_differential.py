@@ -16,7 +16,7 @@ import pytest
 import oracle
 from bispec import check_model, merge_models, parse_cnlbi
 from bispec import model as m
-from bispec.engine import EngineError, aggregate, dice_view, evaluate_measure, load_cube, run_use_case, slice_view
+from bispec.engine import CubeView, EngineError, aggregate, dice_view, evaluate_measure, load_cube, pivot, run_use_case, slice_view
 from bispec.generators import gen_olap_sql
 from bispec.plan import plan_operation
 from conftest import assert_rows_match_sql, sqlite_from_cube
@@ -160,6 +160,33 @@ def test_slice_of_a_slice_equals_the_dice_and_the_oracle(model, tmp_path, seed):
         expected = [row["id"] for row in kept]
         assert [row["id"] for row in diced.rows()] == [row["id"] for row in composed.rows()] == expected, (seed, op.id)
         assert list(diced.positions) == list(composed.positions), (seed, op.id)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_the_whole_fact_reads_like_a_list_of_its_positions(model, tmp_path, seed):
+    """``cube.view`` holds a range, which walks each fact column itself; a
+    list of the same positions takes the general path."""
+    binds = make_package(seed, tmp_path)
+    cube, _ = load_cube(model, tmp_path)
+    whole = cube.view(FACT)
+    listed = CubeView(cube, FACT, list(range(len(whole.positions))))
+    measures = [a.measure for a in model.entity(FACT).measures if not isinstance(a.measure, m.OpaqueMeasure)]
+
+    def answer(view, plan):
+        if plan.kind in ("Slice", "Dice"):
+            diced = dice_view(view, plan.operation.where_clauses, binds)
+            return list(diced.positions), [evaluate_measure(diced, expr) for expr in measures]
+        grouped = aggregate(view, plan.keys)
+        return pivot(grouped) if plan.kind == "Pivot" else grouped
+
+    for uc in model.use_cases:
+        for op in uc.operations:
+            plan = plan_operation(model, uc.id, op.id)
+            assert answer(whole, plan) == answer(listed, plan), (seed, op.id)
+    for entity_id in model.hop_chains(FACT):
+        for attr in model.entity(entity_id).attributes:
+            path = m.AttributePath((entity_id, attr.id))
+            assert aggregate(whole, [path]) == aggregate(listed, [path]), (seed, str(path))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 import math
+import re
 from datetime import date
+from functools import partial
 
 import pytest
 
 import oracle
 from bispec import model as m
 from bispec import parse_cnlbi
+from bispec.cli import main
 from bispec.engine import (
+    CubeView,
     EngineError,
     aggregate,
     dice_view,
@@ -17,7 +21,8 @@ from bispec.engine import (
     run_use_case,
     slice_view,
 )
-from conftest import DATA_DIR
+from bispec.generators import gen_olap_sql
+from conftest import DATA_DIR, assert_rows_match_sql, sqlite_from_cube
 
 YEAR_PRED = m.Predicate(
     m.AttributePath(("AppointmentRequest", "scheduled_date", "year")),
@@ -418,3 +423,189 @@ def test_self_reference_resolves_once_its_table_has_loaded(tmp_path):
     view = cube.view("Sale")
     assert aggregate(view, [m.AttributePath.parse("Employee.name")]).rows == (("Ann", 1.5), ("Bob", 2.6), ("Cid", 3.0))
     assert aggregate(view, [m.AttributePath.parse("Employee.manager")]).rows == ((None, 3.0), ("e1", 2.6), ("e3", 1.5))
+
+
+# ---------------------------------------------------------------------------
+# Typed keys and ordering
+# ---------------------------------------------------------------------------
+
+FACT = "AppointmentRequest"
+
+
+def _package(directory, **edits):
+    """The fixture package written to ``directory``, each named CSV passed through its edit."""
+    directory.mkdir(exist_ok=True)
+    for path in DATA_DIR.iterdir():
+        text = path.read_text(encoding="utf-8")
+        (directory / path.name).write_text(edits.get(path.stem, str)(text), encoding="utf-8")
+    return directory
+
+
+def _integer_key(value):
+    """A group key of the fixture as the Integer-keyed City package reads it."""
+    return int(value[1:]) if isinstance(value, str) and re.fullmatch("c[123]", value) else value
+
+
+def test_integer_primary_key_is_read_through_every_reference(medbuddy, cube, tmp_path, cnlbi_source, capsys):
+    city = 'DataEntity City ("City") is a Reference Dimension with attributes\n  id is a UUID (PrimaryKey),'
+    assert cnlbi_source.count(city) == 1
+    spec = tmp_path / "integer_city.cnlbi"
+    spec.write_text(cnlbi_source.replace(city, city.replace("a UUID", "an Integer")), encoding="utf-8")
+    model, diags = parse_cnlbi(spec.read_text(encoding="utf-8"), str(spec))
+    assert not [d for d in diags if d.is_error]
+    numbered = partial(re.sub, r"\bc([123])\b", r"\1")
+    data = _package(tmp_path / "data", City=numbered, Patient=numbered, Institution=numbered)
+    integer_cube, diags = load_cube(model, data)
+    assert [d.code for d in diags] == []
+    assert [row["residence"] for row in integer_cube.table("Patient").rows] == [1, 2, 3, 1]
+
+    conn = sqlite_from_cube(model, integer_cube)
+    try:
+        for uc in medbuddy.use_cases:
+            for op in uc.operations:
+                result = run_use_case(integer_cube, uc.id, op.id, {"year": "2023", "id": "2"})
+                expected = run_use_case(cube, uc.id, op.id, {"year": "2023", "id": "c2"})
+                keys = len(result.group_keys)
+                assert result.rows == tuple(tuple(map(_integer_key, row[:keys])) + row[keys:] for row in expected.rows), op.id
+                db_rows = conn.execute(gen_olap_sql(model, uc.id, op.id), {"year": 2023, "id": 2}).fetchall()
+                if op.kind in ("Slice", "Dice"):
+                    assert len(db_rows) == result.rows[0][0], op.id
+                else:
+                    assert_rows_match_sql(result, db_rows, op.id)
+    finally:
+        conn.close()
+
+    with pytest.raises(EngineError) as exc:
+        run_use_case(integer_cube, "AnalysisAppointmentsInstitutionOnNationalLevel", "ScheduledAppointmentsBySpecificCityAndYear",
+                     {"id": "c2", "year": "2023"})
+    assert (exc.value.code, str(exc.value)) == ("ENG010", "parameter 'id' expects Integer, got 'c2'")
+    code = main(["olap", str(spec), "--data", str(data), "--usecase", "AnalysisAppointmentsInstitutionOnNationalLevel",
+                 "--op", "ScheduledAppointmentsBySpecificCityAndYear", "--bind", "id=2", "--bind", "year=2023",
+                 "--format", "csv"])
+    out = capsys.readouterr().out
+    assert code == 0 and out.splitlines()[1].startswith("4,4,")  # r03, r07, r08, r10: Porto in 2023
+
+
+def test_integer_group_keys_sort_by_exact_value(medbuddy, tmp_path):
+    # 2**53 + 1 is seen first (p1 is on r01) and equals 2**53 as a float
+    ages = {"34": str(2**53 + 1), "61": str(2**53)}
+    data = _package(tmp_path, Patient=partial(re.sub, r",(34|61),", lambda match: f",{ages[match.group(1)]},"))
+    big_cube, diags = load_cube(medbuddy, data)
+    assert not [d for d in diags if d.is_error]
+    uc, op = "AnalysisAppointmentsPatientOnNationalLevel", "AppointmentsByAgeGroup"
+    result = run_use_case(big_cube, uc, op)
+    assert [row[0] for row in result.rows] == [8, 45, 2**53, 2**53 + 1]
+    conn = sqlite_from_cube(medbuddy, big_cube)
+    try:
+        assert_rows_match_sql(result, conn.execute(gen_olap_sql(medbuddy, uc, op)).fetchall(), op)
+    finally:
+        conn.close()
+
+
+# ---------------------------------------------------------------------------
+# Dimension-side reads: lazy errors, nulls, predicates, ties and small views
+# ---------------------------------------------------------------------------
+
+
+def _path(text):
+    return m.AttributePath.parse(text)
+
+
+def test_dangling_second_hop_raises_only_in_a_view_that_reaches_it(medbuddy, tmp_path):
+    data = _package(tmp_path, Patient=lambda text: text.replace("Female,c3", "Female,c404"))  # p3's residence
+    dangling, diags = load_cube(medbuddy, data)
+    assert [d.code for d in diags if d.is_error] == ["ENG004"]
+    tables = oracle.load_tables(medbuddy, data)
+    view = dangling.view(FACT)
+    lisboa = m.Predicate(_path("Patient.residence.name"), m.Literal("Lisboa"))
+    male, female = (m.Predicate(_path("Patient.gender"), m.Literal(gender)) for gender in ("Male", "Female"))
+
+    diced = dice_view(view, (male, lisboa))  # p2 and p4 only
+    expected = oracle.filter_rows(medbuddy, tables, FACT, (male, lisboa))
+    assert [row["id"] for row in diced.rows()] == [row["id"] for row in expected] == ["r05", "r08"]
+    assert [row[0] for row in aggregate(slice_view(view, male), [_path("Patient.residence.name")]).rows] == ["Lisboa", "Porto"]
+    for query in (lambda: dice_view(view, (female, lisboa)), lambda: aggregate(view, [_path("Patient.residence.name")])):
+        with pytest.raises(EngineError) as exc:
+            query()
+        assert exc.value.code == "ENG004" and "City" in str(exc.value) and "'c404'" in str(exc.value)
+
+
+def test_dangling_fact_reference_reads_as_its_key(medbuddy, tmp_path):
+    data = _package(tmp_path, AppointmentRequest=lambda text: text + "r11,i1,p999,s1,t1,,10,,false\n")
+    dangling, _ = load_cube(medbuddy, data)
+    view = dangling.view(FACT)  # 11 rows read through 4 patients
+    result = aggregate(view, [_path("patient")])
+    assert [row[:2] for row in result.rows] == [("p1", 3), ("p2", 2), ("p3", 3), ("p4", 2), ("p999", 1)]
+    assert [row["id"] for row in slice_view(view, m.Predicate(_path("patient"), m.Literal("p999"))).rows()] == ["r11"]
+
+
+def test_unloaded_second_hop_is_eng030_only_for_a_non_null_key(cnlbi_source, tmp_path):
+    residence = "residence refers to Dimension City (NotNull)"
+    assert cnlbi_source.count(residence) == 1
+    model, _ = parse_cnlbi(cnlbi_source.replace(residence, "residence refers to Dimension City"), "nullable_residence.cnlbi")
+    data = _package(tmp_path, Patient=lambda text: text.replace("Female,c3", "Female,"))  # p3 has no residence
+    (data / "City.csv").unlink()
+    cube, diags = load_cube(model, data)
+    assert [d.code for d in diags if d.is_error] == ["ENG001"]
+    view = cube.view(FACT)
+    clara = slice_view(view, m.Predicate(_path("Patient.name"), m.Literal("Clara Nunes")))
+    assert [row[:2] for row in aggregate(clara, [_path("Patient.residence.name")]).rows] == [(None, 3)]
+    assert evaluate_measure(clara, m.Aggregate("MIN", _path("Patient.residence.latitude"))) is None
+    for query in (lambda: aggregate(view, [_path("Patient.residence.name")]),
+                  lambda: slice_view(view, m.Predicate(_path("Patient.residence.name"), m.Literal("Lisboa"))),
+                  lambda: evaluate_measure(view, m.Aggregate("MAX", _path("Patient.residence.latitude")))):
+        with pytest.raises(EngineError) as exc:
+            query()
+        assert exc.value.code == "ENG030" and "City" in str(exc.value)
+
+
+# r01 and r03: fewer positions than any dimension holds rows, so every hop is read
+# chained; r03 has no closed_date, so its null first hop forms the null group
+SMALL = [0, 2]
+
+
+@pytest.mark.parametrize("keys", GROUPINGS, ids=lambda k: "+".join(k) or "grand-total")
+def test_a_view_smaller_than_its_dimensions_matches_the_oracle(cube, medbuddy, tables, keys):
+    view = CubeView(cube, FACT, SMALL)
+    rows = [tables[FACT][i] for i in SMALL]
+    paths = [_path(k) for k in keys]
+    expected = oracle.aggregate(medbuddy, tables, FACT, rows, paths)
+    result = aggregate(view, paths)
+    assert {row[: len(keys)]: row[len(keys):] for row in result.rows} == {
+        key: tuple(values[name] for name in result.measure_names) for key, values in expected.items()
+    }
+    for pred, binds in ((YEAR_PRED, {"year": "2023"}), (CITY_PRED, {"id": "c1"})):
+        kept = [row["id"] for row in oracle.filter_rows(medbuddy, tables, FACT, (pred,), {"year": 2023, "id": "c1"})]
+        assert [row["id"] for row in slice_view(view, pred, binds).rows()] == [i for i in kept if i in ("r01", "r03")]
+
+
+@pytest.mark.parametrize("positions", [range(10), list(range(10)), SMALL], ids=["whole", "list", "small"])
+def test_measure_predicates_matching_no_and_two_dimension_rows(medbuddy, tmp_path, positions):
+    data = _package(tmp_path, RequestState=lambda text: text.replace("s2,true,false,Held", "s2,true,false,Cancelled"))
+    states, _ = load_cube(medbuddy, data)
+    tables = oracle.load_tables(medbuddy, data)
+    view = CubeView(states, FACT, positions)
+    rows = [tables[FACT][i] for i in positions]
+    for value, count in (("Held", 0), ("Cancelled", {10: 7, 2: 1}[len(rows)])):
+        expr = m.Aggregate("COUNT", m.Predicate(_path("state"), m.EnumLiteral("States", value)))
+        assert evaluate_measure(view, expr) == oracle.eval_measure(medbuddy, tables, FACT, expr, rows) == count, value
+    by_name = aggregate(view, [_path("Institution.name")])
+    expected = oracle.aggregate(medbuddy, tables, FACT, rows, [_path("Institution.name")])
+    column = by_name.columns.index("CountCancelledAppointments")
+    assert {row[0]: row[column] for row in by_name.rows} == {k[0]: v["CountCancelledAppointments"] for k, v in expected.items()}
+
+
+@pytest.mark.parametrize("positions, sign", [(range(10), 1.0), (list(range(2, 10)), -1.0)])
+def test_min_and_max_through_a_hop_keep_the_file_order_first_of_tied_zeros(medbuddy, tmp_path, positions, sign):
+    latitudes = {"i1": "0.0", "i2": "-0.0", "i3": "-0.0"}  # r01 reads i1, r03 reads i2
+    data = _package(tmp_path, Institution=partial(re.sub, r"^(i\d),(\w+),([^,]+),[^,]+,",
+                                                  lambda match: f"{match[1]},{match[2]},{match[3]},{latitudes[match[1]]},",
+                                                  flags=re.M))
+    zeros, _ = load_cube(medbuddy, data)
+    tables = oracle.load_tables(medbuddy, data)
+    rows = [tables[FACT][i] for i in positions]
+    for fn in ("MIN", "MAX"):
+        expr = m.Aggregate(fn, _path("Institution.latitude"))
+        value = evaluate_measure(CubeView(zeros, FACT, positions), expr)
+        expected = oracle.eval_measure(medbuddy, tables, FACT, expr, rows)
+        assert value == expected == 0.0 and math.copysign(1.0, value) == math.copysign(1.0, expected) == sign, fn
