@@ -118,7 +118,11 @@ def cmd_gen(args) -> int:
     wanted = set(args.only) if args.only else {"sql", "queries", "dashboard", "doc"}
     files: dict[str, str] = {}  # path under the output directory -> text
     if "sql" in wanted:
-        files["schema.sql"] = generators.gen_schema_sql(model)
+        try:
+            files["schema.sql"] = generators.gen_schema_sql(model)
+        except generators.GeneratorError as exc:
+            _emit_diagnostics([error(exc.code, str(exc))], args.json)
+            return EXIT_DIAGNOSTICS
     if "queries" in wanted:
         skipped = []
         for uc in model.use_cases:

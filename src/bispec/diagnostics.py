@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -37,7 +37,6 @@ class Diagnostic:
     code: str
     message: str
     span: Span | None = None
-    related: tuple[Span, ...] = field(default=())
 
     @property
     def is_error(self) -> bool:

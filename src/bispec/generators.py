@@ -11,7 +11,8 @@ from __future__ import annotations
 from . import measure as mx
 from . import model as m
 from .canonical import indented_json
-from .plan import Column, EngineError, Filter, MeasureProgram, Parameter, Plan, column, measure_program, plan_operation, source_fact
+from .plan import (Column, EngineError, Filter, MeasureProgram, Parameter, Plan, column, measure_program, plan_operation, read_type,
+                   source_fact)
 from .semantics import schema_shape
 
 _SQL_TYPES = {
@@ -49,18 +50,14 @@ def _sql_literal(value) -> str:
 
 
 def _column_type(model: m.SpecificationModel, attr: m.DataAttribute) -> str:
-    t = attr.attr_type
-    if t.kind == "primitive":
+    """The SQL type of the values the engine reads for ``attr`` (``plan.read_type``):
+    a reference takes its target's key type, else CHAR(36)."""
+    t = read_type(model, attr)
+    if t is not None and t.kind == "primitive":
         if t.name == "String":
             return f"VARCHAR({t.length if t.length is not None else 255})"
         return _SQL_TYPES[t.name]
-    if t.kind == "enum":
-        return "VARCHAR(255)"
-    target = model.entity(t.name)
-    pk = target.primary_key if target else None
-    if pk is not None and pk.attr_type.kind == "primitive":
-        return _column_type(model, pk)
-    return "CHAR(36)"
+    return "VARCHAR(255)" if t is not None and t.kind == "enum" else "CHAR(36)"
 
 
 def _topological_entities(model: m.SpecificationModel) -> tuple[m.DataEntity, ...]:
@@ -380,8 +377,7 @@ def gen_requirements_doc(model: m.SpecificationModel) -> str:
         out.append("")
         for entity in measured:
             for attr in entity.measures:
-                declared = attr.attr_type.name if attr.attr_type.kind == "primitive" else attr.attr_type.name
-                out.append(f"- **{entity.id}.{attr.id}** ({declared}): `{mx.measure_text(attr.measure)}`")
+                out.append(f"- **{entity.id}.{attr.id}** ({attr.attr_type.name}): `{mx.measure_text(attr.measure)}`")
         out.append("")
 
     if model.actors or model.use_cases:

@@ -776,13 +776,9 @@ class SpecificationModel:
     def dimensions(self) -> tuple[DataEntity, ...]:
         return tuple(e for e in self.entities if e.is_dimension)
 
-    def data_subset(self, with_actors: bool = True) -> "SpecificationModel":
+    def data_subset(self) -> "SpecificationModel":
         """Reduce to the construct categories shared by both linguistic styles."""
-        return SpecificationModel(
-            enumerations=self.enumerations,
-            entities=self.entities,
-            actors=self.actors if with_actors else (),
-        )
+        return SpecificationModel(enumerations=self.enumerations, entities=self.entities, actors=self.actors)
 
 
 def _enum_operand(value: object, enum_ids: set[str]) -> object:

@@ -18,8 +18,9 @@ from . import model as m
 class EngineError(Exception):
     """Coded query error (ENG0xx), raised while planning or executing. A planning
     failure names its ``rule`` ("path", "date role", "enum role", "type", "enum
-    literal", else "planner") and the ``span`` of the failing path or predicate;
-    ``measure`` names the referenced measure whose own expression failed."""
+    literal", "arity", "pivot", "data source", else "planner") and the ``span``
+    of the failing path or predicate; ``measure`` names the referenced measure
+    whose own expression failed."""
 
     def __init__(self, code: str, message: str, rule: str = "planner", span=None):
         super().__init__(message)
@@ -366,39 +367,53 @@ class Plan:
         return tuple(f.value for f in self.filters if isinstance(f.value, Parameter))
 
 
-def pivot_axis(model: m.SpecificationModel, fact: m.DataEntity, dim_id: str) -> m.AttributePath:
-    """A pivot axis: the dimension's ``name``, else its key, via the fact's reference to it."""
-    dim = model.entity(dim_id)
-    fk = next((a for a in fact.dimension_refs if a.dimension_target == dim_id), None)
-    if dim is None or fk is None:
-        raise EngineError("ENG030", f"{fact.id} has no dimension reference to {dim_id}")
-    label = next((a.id for a in dim.attributes if a.id == "name"), None)
-    if label is None:
-        label = dim.primary_key.id if dim.primary_key else dim.attributes[0].id
-    return m.AttributePath((fk.id, label))
-
-
 def plan_operation(model: m.SpecificationModel, use_case_id: str, op_id: str) -> Plan:
-    """Resolve one operation of a use case; ENG030 / ENG031 when it cannot run."""
+    """Look one operation of a use case up by id and plan it; ENG030 for an unknown id."""
     uc = model.use_case(use_case_id)
     if uc is None:
         raise EngineError("ENG030", f"unknown use case {use_case_id!r}")
     op = next((o for o in uc.operations if o.id == op_id), None)
     if op is None:
         raise EngineError("ENG030", f"use case {use_case_id} has no operation {op_id!r}")
+    return operation_plan(model, uc, op)
+
+
+def operation_plan(model: m.SpecificationModel, use_case: m.UseCase, op: m.OlapOperation) -> Plan:
+    """Resolve one operation: the one rule for whether it can run. ENG031 when it
+    is underspecified; else ENG030 under the rule "data source" when the use case
+    names no fact to read, "arity" when a Slice has other than one predicate or a
+    Dice fewer than two, "pivot" for a swap target the fact does not reference as
+    a dimension, or the rule of the first path or predicate that fails to plan."""
     if op.is_underspecified:
-        raise EngineError("ENG031", f"operation {op_id} was decoded from bare action tags and carries no predicates")
-    source = model.data_source(uc.data_source) if uc.data_source else None
+        raise EngineError("ENG031", f"operation {op.id} was decoded from bare action tags and carries no predicates")
+    source = model.data_source(use_case.data_source) if use_case.data_source else None
     fact = model.entity(source_fact(source)) if source is not None else None
     if fact is None:
-        raise EngineError("ENG030", f"use case {use_case_id} has no resolvable data source")
+        raise EngineError("ENG030", f"use case {use_case.id} has no resolvable data source", "data source")
 
     filters: tuple[Filter, ...] = ()
     keys: tuple[Column, ...] = ()
     if op.kind in ("Slice", "Dice"):
+        count = len(op.where_clauses)
+        if count != 1 if op.kind == "Slice" else count < 2:
+            wanted = "exactly 1 predicate" if op.kind == "Slice" else "at least 2 predicates"
+            raise EngineError("ENG030", f"a {op.kind} takes {wanted}, got {count}", "arity")
         filters = plan_filters(model, fact.id, op.where_clauses)
     elif op.kind in ("RollUp", "DrillDown"):
         keys = (column(model, fact.id, op.group_by),)
     else:
-        keys = tuple(column(model, fact.id, pivot_axis(model, fact, dim_id)) for dim_id in op.swap)
-    return Plan(use_case_id, op, fact, filters, keys, executable_measures(fact))
+        keys = tuple(_pivot_axis(model, fact, dim_id) for dim_id in op.swap)
+    return Plan(use_case.id, op, fact, filters, keys, executable_measures(fact))
+
+
+def _pivot_axis(model: m.SpecificationModel, fact: m.DataEntity, dim_id: str) -> Column:
+    """A pivot axis: the dimension's ``name``, else its key, else its first
+    attribute, read through the fact's own reference to the dimension."""
+    dim = model.entity(dim_id)
+    if dim is None or not dim.is_dimension:
+        raise EngineError("ENG030", f"cannot swap {dim_id!r}: it is not a dimension", "pivot")
+    ref = next((a for a in fact.dimension_refs if a.dimension_target == dim_id), None)
+    if ref is None:
+        raise EngineError("ENG030", f"cannot swap {dim_id}: {fact.id} has no dimension reference to it", "pivot")
+    label = dim.attribute("name") or dim.primary_key or dim.attributes[0]
+    return Column(f"{ref.id}.{label.id}", ((ref.id, dim.id),), label)

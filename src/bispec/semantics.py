@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import model as m
 from .diagnostics import Diagnostic, error, sorted_diagnostics, warning
-from .plan import EngineError, column, executable_measures, measure_program, pivot_axis, plan_filters, source_fact
+from .plan import EngineError, column, executable_measures, measure_program, operation_plan, source_fact
 
 _RESTRICTION_RE = re.compile(r"\bonly\b", re.IGNORECASE)
 
@@ -173,7 +173,10 @@ def _lowered(model, fact_id: str, measures) -> list:
     return [pair for attr in measures for pair in _lowered(model, fact_id, (attr,))]
 
 
-_RULE_CODES = {"path": "SEM022", "date role": "SEM012", "type": "SEM011", "enum literal": "SEM013", "planner": "SEM010"}
+_RULE_CODES = {
+    "path": "SEM022", "date role": "SEM012", "type": "SEM011", "enum literal": "SEM013", "planner": "SEM010",
+    "data source": "SEM021", "arity": "SEM023", "pivot": "SEM024",
+}
 
 
 def _refused(exc: EngineError, where: str, loc, enum_role_code: str) -> Diagnostic:
@@ -225,7 +228,15 @@ def check_use_cases(model: m.SpecificationModel) -> list[Diagnostic]:
             diags.append(error("SEM021", f"use case {uc.id} names unknown data source {uc.data_source!r}", uc.loc))
 
         for op in uc.operations:
-            diags.extend(_check_operation(model, uc, op, source))
+            if op.is_underspecified:
+                diags.append(
+                    warning("SEM041", f"operation {op.id} in use case {uc.id} is underspecified (no clause detail)", op.loc)
+                )
+            elif source is not None:  # else SEM021 is reported above
+                try:
+                    operation_plan(model, uc, op)
+                except EngineError as exc:
+                    diags.append(_refused(exc, f"in operation {op.id}", op.loc, "SEM022"))
 
         if uc.description and _RESTRICTION_RE.search(uc.description):
             diags.append(
@@ -235,48 +246,6 @@ def check_use_cases(model: m.SpecificationModel) -> list[Diagnostic]:
                     uc.loc,
                 )
             )
-    return diags
-
-
-def _check_operation(model, uc: m.UseCase, op: m.OlapOperation, source) -> list[Diagnostic]:
-    diags: list[Diagnostic] = []
-    if op.is_underspecified:
-        diags.append(
-            warning("SEM041", f"operation {op.id} in use case {uc.id} is underspecified (no clause detail)", op.loc)
-        )
-        return diags
-    if source is None:
-        return diags
-    fact_id = source_fact(source)
-
-    if op.kind in ("Slice", "Dice"):
-        expected = "exactly 1" if op.kind == "Slice" else "at least 2"
-        count = len(op.where_clauses)
-        if (op.kind == "Slice" and count != 1) or (op.kind == "Dice" and count < 2):
-            diags.append(
-                error("SEM023", f"{op.kind} {op.id} has {count} predicates; {expected} required", op.loc)
-            )
-        for pred in op.where_clauses:
-            try:
-                plan_filters(model, fact_id, (pred,))
-            except EngineError as exc:
-                diags.append(_refused(exc, f"in operation {op.id}", pred.loc or op.loc, "SEM022"))
-    elif op.kind in ("RollUp", "DrillDown"):
-        try:
-            column(model, fact_id, op.group_by)
-        except EngineError as exc:
-            diags.append(_refused(exc, f"in operation {op.id}", op.loc, "SEM022"))
-    else:  # Pivot
-        fact = model.entity(fact_id)
-        for dim_id in op.swap:
-            dim = model.entity(dim_id)
-            if dim is None or not dim.is_dimension:
-                diags.append(error("SEM024", f"pivot {op.id} swaps {dim_id!r}, which is not a dimension", op.loc))
-            elif fact is not None:
-                try:
-                    pivot_axis(model, fact, dim_id)
-                except EngineError as exc:
-                    diags.append(error("SEM024", f"pivot {op.id} swaps {dim_id}: {exc}", op.loc))
     return diags
 
 

@@ -186,6 +186,80 @@ def test_gen_only_filter(capsys, tmp_path):
     assert not (out_dir / "schema.sql").exists()
 
 
+REFERENCE_CYCLE = """
+DataEntity A is a Reference Dimension with attributes
+  id is a UUID (PrimaryKey),
+  b refers to Dimension B (NotNull).
+DataEntity B is a Reference Dimension with attributes
+  id is a UUID (PrimaryKey),
+  a refers to Dimension A (NotNull).
+DataEntity F is a Transaction Fact with attributes
+  id is a UUID (PrimaryKey),
+  a refers to Dimension A (NotNull).
+"""
+
+
+def test_gen_reports_a_reference_cycle_as_gen001(capsys, tmp_path):
+    spec = tmp_path / "cycle.cnlbi"
+    spec.write_text(REFERENCE_CYCLE)
+    assert run(capsys, "check", str(spec))[0] == 0  # the checks allow a cycle; only the DDL refuses it
+    code, out, err = run(capsys, "gen", str(spec), "--out-dir", str(tmp_path / "out"), "--json")
+    assert code == 1 and out == ""
+    entries = [json.loads(line) for line in err.splitlines()]
+    assert [(e["code"], e["severity"], e["message"]) for e in entries] == [
+        ("GEN001", "error", "reference cycle among entities: A, B, F")
+    ]
+
+
+PIVOT_SHADOWING = """
+DataEntity Person is a Reference Dimension with attributes
+  id is a UUID (PrimaryKey),
+  name is a String (NotNull).
+DataEntity State is a Reference Dimension with attributes
+  id is a UUID (PrimaryKey),
+  name is a String (NotNull).
+DataEntity Patient is a Reference Dimension with attributes
+  id is a UUID (PrimaryKey).
+DataEntity Visit is a Transaction Fact with attributes
+  id is a UUID (PrimaryKey),
+  Patient refers to Dimension Person (NotNull),
+  state refers to Dimension State (NotNull),
+  Visits is an Integer (operation COUNT(id)).
+Actor A is a User.
+UseCase U is a BIAnalysis
+  actor A,
+  data source Visit,
+  performs
+    OLAP Operation P is a Pivot
+      swap Person with State.
+"""
+
+
+def test_pivot_axis_reads_the_fact_reference_not_a_same_named_entity(capsys, tmp_path):
+    # Visit's reference named Patient points at Person; the entity Patient has no name
+    spec = tmp_path / "shadow.cnlbi"
+    spec.write_text(PIVOT_SHADOWING)
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "Person.csv").write_text("id,name\np1,Ann\np2,Bob\n")
+    (data / "State.csv").write_text("id,name\ns1,Open\ns2,Closed\n")
+    (data / "Patient.csv").write_text("id\nx1\n")
+    (data / "Visit.csv").write_text("id,Patient,state\nv1,p1,s1\nv2,p1,s2\nv3,p2,s1\n")
+    (data / "manifest.toml").write_text("".join(f'{n} = "{n}.csv"\n' for n in ("Person", "State", "Patient", "Visit")))
+
+    code, _, err = run(capsys, "check", str(spec))
+    assert code == 0 and "error" not in err
+    code, out, err = run(capsys, "olap", str(spec), "--data", str(data), "--usecase", "U", "--op", "P", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["state.name,Patient.name,Visits", "Closed,Ann,1", "Open,Ann,1", "Open,Bob,1"]
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, "gen", str(spec), "--out-dir", str(out_dir))
+    assert (code, err) == (0, "")
+    sql = (out_dir / "queries" / "U__P.sql").read_text()
+    assert 'JOIN "Person" "j_Patient" ON "f"."Patient" = "j_Patient"."id"' in sql
+    assert '"j_Patient"."name" AS "Patient.name"' in sql
+
+
 # Where an output write fails: the blocked path, relative to the output directory, and the reason.
 UNWRITABLE_OUTPUTS = {
     "out-dir under a file": ("", "Not a directory"),

@@ -117,6 +117,25 @@ def test_reference_cycle_reports_gen001():
     assert exc.value.code == "GEN001"
 
 
+ENUM_KEYED = """
+Data enumeration Colour with values Red and Blue.
+DataEntity Paint is a Reference Dimension with attributes
+  colour is a Colour (PrimaryKey).
+DataEntity Order is a Transaction Fact with attributes
+  id is a UUID (PrimaryKey),
+  paint refers to Dimension Paint (NotNull).
+"""
+
+
+def test_reference_column_takes_the_type_the_engine_reads():
+    # the engine reads a reference as its target's key, here the Colour enumeration
+    model, diags = parse_cnlbi(ENUM_KEYED)
+    assert not [d for d in diags if d.is_error]
+    sql = gen_schema_sql(model)
+    assert '"colour" VARCHAR(255) PRIMARY KEY CHECK ("colour" IN (\'Red\', \'Blue\'))' in sql
+    assert '"paint" VARCHAR(255) NOT NULL' in sql
+
+
 def test_schema_loads_and_fixture_inserts(connection):
     count = connection.execute('SELECT COUNT(*) FROM "AppointmentRequest"').fetchone()[0]
     assert count == 10

@@ -8,6 +8,8 @@ encoder; ``canonical.indented_json`` writes the same text. The engine and the
 SQL generator never name ``MeasureRef`` or ``Aggregate``, and the checks name
 no measure node at all: measures reach them only as ``plan.measure_program``
 lowered and typed them, so no second walk over measures can creep back.
+Likewise the checks name no OLAP operation kind and import no filter or pivot
+planner: an operation reaches them only through ``plan.operation_plan``.
 Every bracketed ASL body is read by the one clause loop ``_Parser.body``,
 and the error plumbing of both parsers lives once, on ``lexer.Parser``.
 """
@@ -99,6 +101,22 @@ def test_engine_and_sql_generator_leave_measure_lowering_to_the_planner():
 
 def test_checks_see_measures_only_as_the_planner_typed_them():
     assert _named("semantics", ("MeasureRef", "Aggregate", "Arithmetic", "Literal")) == []
+
+
+def test_checks_plan_operations_only_through_the_planner():
+    kinds = {"Slice", "Dice", "RollUp", "DrillDown", "Pivot"}
+    found = [
+        f"semantics line {node.lineno} names {node.value}"
+        for node in ast.walk(MODULES["semantics"])
+        if isinstance(node, ast.Constant) and node.value in kinds
+    ]
+    found += [
+        f"semantics imports {module}.{name}"
+        for module, names, _ in _imports(MODULES["semantics"])
+        for name in names
+        if name == "plan_filters" or "pivot" in name.lower()
+    ]
+    assert found == []
 
 
 def _calls_at_punct_close(node) -> bool:

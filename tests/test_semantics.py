@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bispec import merge_models, model as m, parse_asl, parse_cnlbi
-from bispec.engine import run_use_case
-from bispec.plan import EngineError, executable_measures, measure_program
+from bispec.engine import load_cube, run_use_case
+from bispec.generators import GeneratorError, gen_olap_sql
+from bispec.plan import EngineError, executable_measures, measure_program, plan_operation
 from bispec.semantics import (
     check_dimensional,
     check_measures,
@@ -457,14 +458,15 @@ def test_cluster_uses_member_the_fact_does_not_reach_is_sem022():
 
 
 def test_cluster_whose_main_is_another_cluster_is_reported_not_raised():
-    # Paths start at the main entity; "Inner" names none, so each path is an error
+    # Paths start at the main entity; "Inner" names none, so the operation has no
+    # fact to read (SEM021, the planner's data-source rule) and the UI part's path is an error
     model, _ = cluster_model()
     inner = m.DataEntityCluster(id="Inner", entity_type="Transaction", main="F")
     outer = m.DataEntityCluster(id="C", entity_type="Transaction", main="Inner")
     import dataclasses
 
     broken = dataclasses.replace(model, clusters=(outer, inner))
-    assert sorted(codes(check_model(broken).diagnostics, "error")) == ["SEM004", "SEM022", "SEM031"]
+    assert sorted(codes(check_model(broken).diagnostics, "error")) == ["SEM004", "SEM021", "SEM031"]
 
 
 def test_bi_analysis_without_operations_warns_sem025():
@@ -484,9 +486,14 @@ UseCase U is a BIAnalysis
     assert found == [("SEM025", "warning", "UseCase U is a BIAnalysis")]
 
 
+def errors(diags):
+    return [(d.code, d.message) for d in diags if d.is_error]
+
+
 def test_slice_with_two_predicates_is_sem023():
-    model = use_case_model(extra_ops=" and F.id = 1")
-    assert "SEM023" in codes(check_use_cases(model))
+    # arity is one rule of the planner, checked before the bad second predicate is planned
+    model = use_case_model(extra_ops=" and F.bogus = 1")
+    assert errors(check_use_cases(model)) == [("SEM023", "in operation Op: a Slice takes exactly 1 predicate, got 2")]
 
 
 def test_dice_with_one_predicate_is_sem023():
@@ -504,7 +511,46 @@ UseCase U is a BIAnalysis
       where F.id = 1.
 """
     )
-    assert "SEM023" in codes(check_use_cases(model))
+    assert errors(check_use_cases(model)) == [("SEM023", "in operation Op: a Dice takes at least 2 predicates, got 1")]
+
+
+def test_dice_with_two_bad_predicates_reports_the_first():
+    # the planner stops at the first predicate it cannot read, as it does in a measure
+    source = """
+DataEntity F is a Transaction Fact with attributes
+  id is a UUID (PrimaryKey),
+  Count is an Integer (operation COUNT(id)).
+Actor A is a User.
+UseCase U is a BIAnalysis
+  actor A,
+  data source F,
+  performs
+    OLAP Operation Op is a Dice
+      where F.bogus = 1 and F.nope = 2.
+"""
+    model = parse_ok(source)
+    assert errors(check_model(model).diagnostics) == [
+        ("SEM022", "in operation Op: cannot resolve F.bogus from F: F has no attribute 'bogus'")
+    ]
+    assert errors_at(model, source) == [("SEM022", "where F.bogus = 1 and F.nope = 2.")]
+
+
+def test_unchecked_operation_with_the_wrong_predicate_count_is_refused(tmp_path):
+    model = use_case_model(extra_ops=" and F.id = 1")
+    with pytest.raises(EngineError) as planned:
+        plan_operation(model, "U", "Op")
+    assert (planned.value.code, planned.value.rule) == ("ENG030", "arity")
+    (tmp_path / "D.csv").write_text("id,year\n")
+    (tmp_path / "F.csv").write_text("id,d\n")
+    (tmp_path / "manifest.toml").write_text('D = "D.csv"\nF = "F.csv"\n')
+    cube, diags = load_cube(model, tmp_path)
+    assert diags == []
+    with pytest.raises(EngineError) as ran:
+        run_use_case(cube, "U", "Op", {"year": "2023"})
+    assert (ran.value.code, str(ran.value)) == ("ENG030", "a Slice takes exactly 1 predicate, got 2")
+    with pytest.raises(GeneratorError) as generated:
+        gen_olap_sql(model, "U", "Op")
+    assert (generated.value.code, str(generated.value)) == ("GEN010", "a Slice takes exactly 1 predicate, got 2")
 
 
 def test_pivot_swap_must_name_reachable_dimensions():
@@ -530,7 +576,17 @@ UseCase U is a BIAnalysis
       swap D with Away.
 """
         )
-        assert codes(check_use_cases(model), "error") == ["SEM024"], d_refs
+        assert errors(check_use_cases(model)) == [
+            ("SEM024", "in operation P: cannot swap Away: F has no dimension reference to it")
+        ], d_refs
+
+
+def test_pivot_swap_of_an_unknown_entity_is_sem024():
+    model = use_case_model()
+    uc = replace(model.use_cases[0], operations=(m.OlapOperation(id="P", kind="Pivot", swap=("D", "Nope")),))
+    assert errors(check_use_cases(replace(model, use_cases=(uc,)))) == [
+        ("SEM024", "in operation P: cannot swap 'Nope': it is not a dimension")
+    ]
 
 
 def test_restriction_note_sem040(medbuddy):
