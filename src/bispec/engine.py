@@ -19,18 +19,26 @@ predicate) becomes one dimension-side list over the first hop's target,
 built once per query when the query reads at least as many positions as
 that target holds rows. MIN and MAX through a hop fold over the distinct
 first-hop positions.
+
+A filter over the whole fact whose hit list is built through a loaded
+reference without dangling keys reads only the fact positions it keeps: it
+merges the postings of the target rows it hits. A table builds a reference's postings (the
+fact positions per target row, in two flat arrays) on the first filter
+that needs them and keeps them; they are the only data derived at query
+time that outlives a query, and they die with the cube.
 """
 
 from __future__ import annotations
 
 import csv
 import re
+from array import array
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import date, datetime, time
 from functools import cached_property, partial, reduce
-from itertools import compress, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import add, eq, is_not, itemgetter, methodcaller, mul, sub, truediv
 from pathlib import Path
 
@@ -79,6 +87,7 @@ class Table:
     pk: str | None = None
     targets: dict[str, "Table"] = field(default_factory=dict)
     dangling: frozenset = frozenset()  # references with a key that names no target row (ENG004)
+    postings: dict = field(default_factory=dict, init=False, compare=False, repr=False)  # reference -> _postings
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -96,6 +105,33 @@ class Table:
     def pk_values(self) -> list:
         """The primary key of each row position, null slot included."""
         return self.data[self.pk] if self.pk is not None else [None] * (self.size + 1)
+
+    def referencing(self, attr_id: str, rows) -> list[int]:
+        """The positions, ascending, of the rows whose reference ``attr_id``
+        holds one of the target positions ``rows`` (its null slot included).
+        The reference must be loaded and hold no dangling key. Its postings are
+        built on first use and kept, since a table never changes after load."""
+        if attr_id not in self.postings:
+            self.postings[attr_id] = _postings(self.data[attr_id], self.size, self.targets[attr_id].size)
+        offsets, positions = self.postings[attr_id]
+        return sorted(chain.from_iterable(positions[offsets[row]:offsets[row + 1]] for row in rows))
+
+
+def _postings(column: list, size: int, targets: int) -> tuple[array, array]:
+    """A counting sort of a reference column's ``size`` cells into ``(offsets,
+    positions)``: the positions that hold target position ``r`` (``targets``,
+    the null slot, included) are ``positions[offsets[r]:offsets[r + 1]]``, in
+    ascending order. Flat arrays of machine integers hold no Python object."""
+    counts = [0] * (targets + 2)
+    for row in islice(column, size):
+        counts[row + 1] += 1
+    offsets = array("q", accumulate(counts))
+    ends = offsets.tolist()  # where the next position of each target row goes
+    positions = array("q", [0]) * size
+    for position, row in enumerate(islice(column, size)):
+        positions[ends[row]] = position
+        ends[row] += 1
+    return offsets, positions
 
 
 def _key_of(keys: list, position):
@@ -386,19 +422,18 @@ def _unloaded_hop(target_id: str, key) -> None:
         raise EngineError("ENG030", f"no data loaded for {target_id}")
 
 
-def _reader(cube: Cube, fact_id: str, col: Column, reads: int, test=None, distinct: bool = False):
-    """A function from fact row positions to an iterator of ``col``'s values,
-    or of ``test(value)``.
+def _steps(cube: Cube, fact_id: str, col: Column, reads: int, test=None) -> tuple:
+    """``col``'s read, or ``test(value)``'s, as ``(column, first, rest, dimension)``.
 
-    Each position takes one fact-side step, through the fact column or the
-    first reference; a ``range`` of positions walks that column itself. When
-    the query reads at least as many positions in all (``reads``) as the
-    first hop's target holds rows, the later hops and the test run once per
-    target row into one dimension-side list; otherwise they map the values
-    one by one. With ``distinct`` they run once per distinct first-hop
-    value, in first-occurrence order. A hop that can raise ENG004 or ENG030
-    stays chained, so it raises only when a position needs the dangling key
-    or the unloaded table.
+    ``first`` takes the one fact-side step per position, through the fact
+    column or the first reference; ``column`` is the stored column it
+    indexes, or None when it checks each position for a dangling key. Each
+    of ``rest`` maps the value before it. When the query reads at least as
+    many positions in all (``reads``) as the first hop's target holds rows,
+    the later hops and the test run once per target row into one
+    ``dimension`` list, which ``rest`` then indexes. A hop that can raise
+    ENG004 or ENG030 stays chained, so it raises only when a position needs
+    the dangling key or the unloaded table.
     """
     table = fact = cube.tables[fact_id]
     steps = []  # a list is read at the value before it; a function maps it
@@ -426,16 +461,37 @@ def _reader(cube: Cube, fact_id: str, col: Column, reads: int, test=None, distin
         steps.append(test)
     column = steps[0] if steps[0].__class__ is list else None
     first, *rest = [step.__getitem__ if step.__class__ is list else step for step in steps]
-    landing = fact.targets.get(col.chain[0][0] if col.chain else col.attribute.id)  # the first step's target
+    landing = fact.targets.get(_first_reference(col))
+    dimension = None
     if len(rest) > 1 and not chained and reads >= landing.size:
         dimension = range(landing.size + 1)  # its rows and null slot
         for step in rest:
             dimension = map(step, dimension)
-        rest = [list(dimension).__getitem__]
-    whole = range(fact.size)
+        dimension = list(dimension)
+        rest = [dimension.__getitem__]
+    return column, first, rest, dimension
+
+
+def _first_reference(col: Column) -> str:
+    """The fact attribute ``col`` is read through."""
+    return col.chain[0][0] if col.chain else col.attribute.id
+
+
+def _reader(cube: Cube, fact_id: str, col: Column, reads: int, test=None, distinct: bool = False):
+    """A function from fact row positions to an iterator of ``col``'s values,
+    or of ``test(value)`` (see ``_steps``)."""
+    column, first, rest, _ = _steps(cube, fact_id, col, reads, test)
+    return _walker(cube.tables[fact_id].size, column, first, rest, distinct)
+
+
+def _walker(size: int, column: list | None, first, rest: list, distinct: bool = False):
+    """``_steps``' parts as a function of positions. A ``range`` over the whole
+    fact walks the stored fact-side column itself. With ``distinct`` the later
+    steps run once per distinct first-hop value, in first-occurrence order."""
+    whole = range(size)
 
     def read(positions):
-        values = islice(column, fact.size) if column is not None and positions == whole else map(first, positions)
+        values = islice(column, size) if column is not None and positions == whole else map(first, positions)
         if distinct:
             values = dict.fromkeys(values)
         for step in rest:
@@ -486,12 +542,18 @@ class CubeView:
 
 
 def _filtered(view: CubeView, filters, bindings: dict | None) -> CubeView:
-    """Each filter tests the positions the filters before it kept."""
+    """Each filter tests the positions the filters before it kept. A filter
+    over the whole fact whose dimension-side hit list is built through a
+    stored first reference keeps the postings of the target rows it hits."""
     values = [_bound_value(view.cube.model, f, bindings or {}) for f in filters]
+    fact = view.cube.tables[view.fact_id]
     positions = view.positions
     for filt, value in zip(filters, values):
-        hits = _reader(view.cube, view.fact_id, filt.column, len(positions), partial(eq, value))
-        positions = list(compress(positions, hits(positions)))
+        column, first, rest, hits = _steps(view.cube, view.fact_id, filt.column, len(positions), partial(eq, value))
+        if hits is not None and column is not None and positions == range(fact.size):
+            positions = fact.referencing(_first_reference(filt.column), compress(count(), hits))
+        else:
+            positions = list(compress(positions, _walker(fact.size, column, first, rest)(positions)))
     return CubeView(view.cube, view.fact_id, positions)
 
 

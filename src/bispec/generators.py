@@ -63,8 +63,9 @@ def _column_type(model: m.SpecificationModel, attr: m.DataAttribute) -> str:
 def _topological_entities(model: m.SpecificationModel) -> tuple[m.DataEntity, ...]:
     """Dimensions before the facts that reference them; GEN001 on cycles."""
     ordered, cyclic = model.reference_order()
-    if cyclic:
-        raise GeneratorError("GEN001", f"reference cycle among entities: {', '.join(e.id for e in cyclic)}")
+    if cyclic:  # name only the entities on a cycle, not those behind one
+        names = ", ".join(e.id for e in model.reference_cycles())
+        raise GeneratorError("GEN001", f"reference cycle among entities: {names}")
     return ordered
 
 

@@ -748,10 +748,9 @@ class SpecificationModel:
         """``(ordered, cyclic)``: passes over the sorted entity ids each take every
         entity whose targets are all taken (a self-reference is no dependency);
         ``cyclic`` holds, in sorted order, the entities on or behind a cycle."""
-        ids = {e.id for e in self.entities}
-        deps = {e.id: ({a.dimension_target for a in e.dimension_refs} & ids) - {e.id} for e in self.entities}
+        deps = self._reference_deps()
         done: dict[str, None] = {}
-        pending = sorted(ids)
+        pending = sorted(deps)
         while pending:
             remaining = []
             for entity_id in pending:
@@ -763,6 +762,30 @@ class SpecificationModel:
                 break
             pending = remaining
         return tuple(map(self.entity, done)), tuple(map(self.entity, pending))
+
+    def reference_cycles(self) -> tuple[DataEntity, ...]:
+        """The entities, in sorted order, that reach themselves through their
+        dimension references; the rest of ``reference_order()``'s ``cyclic``
+        only sits behind a cycle."""
+        deps = self._reference_deps()
+
+        def on_cycle(start: str) -> bool:
+            seen, stack = set(), list(deps[start])
+            while stack:
+                entity_id = stack.pop()
+                if entity_id == start:
+                    return True
+                if entity_id not in seen:
+                    seen.add(entity_id)
+                    stack += deps[entity_id]
+            return False
+
+        return tuple(e for e in self.reference_order()[1] if on_cycle(e.id))
+
+    def _reference_deps(self) -> dict[str, set[str]]:
+        """Entity id -> the other entities its dimension references target."""
+        ids = {e.id for e in self.entities}
+        return {e.id: ({a.dimension_target for a in e.dimension_refs} & ids) - {e.id} for e in self.entities}
 
     def data_source(self, source_id: str) -> DataEntity | DataEntityCluster | None:
         """Resolve an id that may name an entity or a cluster (entities win)."""

@@ -134,6 +134,11 @@ def check_dimensional(model: m.SpecificationModel) -> list[Diagnostic]:
             if entity is None or not entity.is_dimension:
                 diags.append(error("SEM005", f"cluster {cluster.id} uses {member!r}, which is not a Dimension entity", cluster.loc))
 
+    on_cycle = model.reference_cycles()  # the engine loads them; only the DDL cannot order them
+    if on_cycle:
+        names = ", ".join(e.id for e in on_cycle)
+        diags.append(warning("SEM006", f"reference cycle among entities: {names}; gen cannot order their tables", on_cycle[0].loc))
+
     return diags
 
 

@@ -15,10 +15,11 @@ import pytest
 
 import oracle
 from bispec import check_model, merge_models, parse_cnlbi
+from bispec import engine
 from bispec import model as m
 from bispec.engine import CubeView, EngineError, aggregate, dice_view, evaluate_measure, load_cube, pivot, run_use_case, slice_view
 from bispec.generators import gen_olap_sql
-from bispec.plan import plan_operation
+from bispec.plan import Column, Filter, plan_operation
 from conftest import assert_rows_match_sql, sqlite_from_cube
 
 SEEDS = range(30)
@@ -187,6 +188,47 @@ def test_the_whole_fact_reads_like_a_list_of_its_positions(model, tmp_path, seed
         for attr in model.entity(entity_id).attributes:
             path = m.AttributePath((entity_id, attr.id))
             assert aggregate(whole, [path]) == aggregate(listed, [path]), (seed, str(path))
+
+
+def _through_references(model, fact_id):
+    """Each fact reference read as its key, and every stored attribute of each
+    entity reachable through it, as planned columns through that reference."""
+    fact = model.entity(fact_id)
+    columns = [Column(ref.id, (), ref) for ref in fact.dimension_refs]
+    chains = [((ref.id, ref.dimension_target),) for ref in fact.dimension_refs]
+    for chain in chains:  # grows while it is walked
+        for attr in model.entity(chain[-1][1]).attributes:
+            if not attr.is_measure:
+                columns.append(Column(".".join(fk for fk, _ in chain) + "." + attr.id, chain, attr))
+            if attr.dimension_target is not None and attr.dimension_target not in {target for _, target in chain}:
+                chains.append(chain + ((attr.id, attr.dimension_target),))
+    return columns
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_reference_postings_keep_what_the_scan_keeps(model, tmp_path, seed):
+    """A filter over the whole fact whose hit list is built through a fact
+    reference keeps its hit rows' postings; over a list of the same positions
+    it scans. Both keep the same positions for a value from the data, a value
+    that matches nothing, and null, whose hits include the null slot: the
+    rows without a ``closed_date``."""
+    make_package(seed, tmp_path)
+    cube, _ = load_cube(model, tmp_path)
+    fact = cube.table(FACT)
+    whole = cube.view(FACT)
+    listed = CubeView(cube, FACT, list(range(fact.size)))
+    for col in _through_references(model, FACT):
+        holder = cube.table(col.chain[-1][1]) if col.chain else fact
+        drawn = list(dict.fromkeys(holder.values(col.attribute.id)[:holder.size]))[:2]
+        for value in drawn + ["no such value", None]:
+            filters = (Filter(col, value),)
+            kept = engine._filtered(whole, filters, None).positions
+            assert kept == list(engine._filtered(listed, filters, None).positions), (seed, col.path, value)
+            if col.path == "closed_date.id" and value is None:
+                assert kept == [p for p, key in enumerate(fact.values("closed_date")[:fact.size]) if key is None], seed
+    refs = {ref.id: cube.table(ref.dimension_target) for ref in model.entity(FACT).dimension_refs}
+    assert sorted(fact.postings) == sorted(ref for ref, target in refs.items() if fact.size >= target.size), seed
+    assert all(not cube.table(entity.id).postings for entity in model.entities if entity.id != FACT)
 
 
 # ---------------------------------------------------------------------------

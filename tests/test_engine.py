@@ -7,7 +7,7 @@ import pytest
 
 import oracle
 from bispec import model as m
-from bispec import parse_cnlbi
+from bispec import engine, parse_cnlbi
 from bispec.cli import main
 from bispec.engine import (
     CubeView,
@@ -557,6 +557,62 @@ def test_unloaded_second_hop_is_eng030_only_for_a_non_null_key(cnlbi_source, tmp
         with pytest.raises(EngineError) as exc:
             query()
         assert exc.value.code == "ENG030" and "City" in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# Reference postings: built once per table and reference, never through a bad hop
+# ---------------------------------------------------------------------------
+
+
+def _slice_ids(view, path, value):
+    return [row["id"] for row in slice_view(view, m.Predicate(_path(path), m.Literal(value))).rows()]
+
+
+@pytest.mark.parametrize("case", ["dangling first hop", "dangling later hop", "unloaded first hop", "unloaded later hop"])
+def test_whole_fact_slices_through_a_bad_hop_raise_as_before_and_build_no_postings(medbuddy, tmp_path, case):
+    # name: in the error message, and the table that does not load
+    edits, path, code, name, works = {
+        "dangling first hop": ({"AppointmentRequest": lambda text: text + "r11,i1,p999,s1,t1,,10,,false\n"},
+                               "Patient.gender", "ENG004", "'p999'", ("Institution.city", "c2", "institution")),
+        "dangling later hop": ({"Patient": lambda text: text.replace("Female,c3", "Female,c404")},
+                               "Patient.residence.name", "ENG004", "'c404'", ("Patient.gender", "Female", "patient")),
+        "unloaded first hop": ({}, "Patient.gender", "ENG030", "Patient", ("Institution.city", "c2", "institution")),
+        "unloaded later hop": ({}, "Patient.residence.name", "ENG030", "City", ("Patient.gender", "Female", "patient")),
+    }[case]
+    data = _package(tmp_path, **edits)
+    if case.startswith("unloaded"):
+        (data / f"{name}.csv").unlink()
+    cube, _ = load_cube(medbuddy, data)
+    view = cube.view(FACT)
+    with pytest.raises(EngineError) as exc:
+        _slice_ids(view, path, "Male" if path == "Patient.gender" else "Lisboa")
+    assert exc.value.code == code and name in str(exc.value)
+    assert cube.table(FACT).postings == {}
+    other_path, value, ref = works
+    expected = {"c2": ["r03", "r04", "r05", "r07", "r08", "r10"], "Female": ["r01", "r03", "r04", "r06", "r09", "r10"]}[value]
+    assert _slice_ids(view, other_path, value) == expected
+    assert list(cube.table(FACT).postings) == [ref]
+
+
+def test_postings_are_built_once_per_table_and_reference_and_kept_out_of_equality(medbuddy, monkeypatch):
+    cube, _ = load_cube(medbuddy, DATA_DIR)
+    fact = cube.table(FACT)
+    build, built = engine._postings, []
+
+    def counted(column, *rest):
+        built.append(column)
+        return build(column, *rest)
+
+    monkeypatch.setattr(engine, "_postings", counted)
+    operations = [(uc.id, op.id) for uc in medbuddy.use_cases for op in uc.operations]
+    first = [result_to_csv(run_use_case(cube, *op, {"year": "2023", "id": "c2"})) for op in operations]
+    again = [result_to_csv(run_use_case(cube, *op, {"year": "2023", "id": "c2"})) for op in operations]
+    assert first == again
+    refs = [next(ref for ref, values in fact.data.items() if values is column) for column in built]
+    assert sorted(refs) == sorted(fact.postings) == ["institution", "patient", "scheduled_date"]
+    assert [entity_id for entity_id, table in cube.tables.items() if table.postings] == [FACT]
+    fresh, _ = load_cube(medbuddy, DATA_DIR)
+    assert fact == fresh.table(FACT) and repr(fact) == repr(fresh.table(FACT)) and fresh.table(FACT).postings == {}
 
 
 # r01 and r03: fewer positions than any dimension holds rows, so every hop is read

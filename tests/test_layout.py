@@ -12,6 +12,9 @@ Likewise the checks name no OLAP operation kind and import no filter or pivot
 planner: an operation reaches them only through ``plan.operation_plan``.
 Every bracketed ASL body is read by the one clause loop ``_Parser.body``,
 and the error plumbing of both parsers lives once, on ``lexer.Parser``.
+The engine keeps no module-level cache of cube data: what a query derives
+and keeps (a reference's postings) lives on its ``Table`` and dies with the
+cube.
 """
 
 import ast
@@ -147,3 +150,30 @@ def test_parsers_define_no_error_plumbing_of_their_own():
         )
     ]
     assert found == []
+
+
+_MUTATORS = {"append", "add", "clear", "extend", "insert", "pop", "popitem", "remove", "setdefault", "update"}
+
+
+def test_engine_keeps_no_module_level_cache_of_cube_data():
+    tree = MODULES["engine"]
+    found = [f"{at} memoises" for at in _named("engine", ("cache", "lru_cache"))]
+    containers = {
+        target.id
+        for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target]) if isinstance(target, ast.Name)
+    }
+    at_query_time = {
+        node for function in ast.walk(tree) if isinstance(function, (ast.FunctionDef, ast.Lambda)) for node in ast.walk(function)
+    }
+    for node in at_query_time:
+        if isinstance(node, ast.Global):
+            found.append(f"engine line {node.lineno} rebinds a global")
+        written = node.value if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load) else (
+            node.func.value if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _MUTATORS else None
+        )
+        if isinstance(written, ast.Name) and written.id in containers:
+            found.append(f"engine line {node.lineno} fills module-level {written.id}")
+    assert containers >= {"_BOOLEANS", "_PARSERS", "_FOLDS"}  # the walk above sees the module's tables
+    assert sorted(found) == []

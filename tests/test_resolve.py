@@ -8,7 +8,7 @@ import pytest
 from bispec import model as m
 from bispec import check_model, gen_olap_sql, parse_cnlbi
 from bispec.engine import load_cube, run_use_case
-from bispec.generators import GeneratorError
+from bispec.generators import GeneratorError, gen_schema_sql
 from bispec.model import AttributePath
 from bispec.plan import EngineError, Filter, column, measure_program, source_fact
 from conftest import DATA_DIR
@@ -218,3 +218,42 @@ def test_reference_order_puts_targets_first_and_sets_cycles_apart(medbuddy, cnlb
     for target, expected in (("Institution", []), ("AppointmentRequest", ["AppointmentRequest", "Institution"])):
         looped, _ = parse_cnlbi(cnlbi_source.replace("city refers to Dimension City", f"city refers to Dimension {target}"), "x")
         assert [e.id for e in looped.reference_order()[1]] == expected, target
+
+
+NESTED_CYCLES = """
+DataEntity A is a Reference Dimension with attributes
+  id is a UUID (PrimaryKey),
+  b refers to Dimension B.
+DataEntity B is a Reference Dimension with attributes
+  id is a UUID (PrimaryKey),
+  a refers to Dimension A.
+DataEntity M is a Reference Dimension with attributes
+  id is a UUID (PrimaryKey),
+  a refers to Dimension A,
+  m refers to Dimension M.
+DataEntity D is a Reference Dimension with attributes
+  id is a UUID (PrimaryKey),
+  m refers to Dimension M,
+  e refers to Dimension E.
+DataEntity E is a Reference Dimension with attributes
+  id is a UUID (PrimaryKey),
+  d refers to Dimension D.
+DataEntity F is a Transaction Fact with attributes
+  id is a UUID (PrimaryKey),
+  d refers to Dimension D.
+"""
+
+
+def test_reference_cycles_name_only_the_entities_on_a_cycle():
+    # M (self-referencing) sits between the cycles A-B and D-E, and F behind both
+    model, diags = parse_cnlbi(NESTED_CYCLES, "cycles.cnlbi")
+    assert not diags
+    assert [e.id for e in model.reference_order()[1]] == ["A", "B", "D", "E", "F", "M"]
+    assert [e.id for e in model.reference_cycles()] == ["A", "B", "D", "E"]
+    sem006 = [d for d in check_model(model).diagnostics if d.code == "SEM006"]
+    assert [(d.severity.value, d.message) for d in sem006] == [
+        ("warning", "reference cycle among entities: A, B, D, E; gen cannot order their tables")
+    ]
+    with pytest.raises(GeneratorError) as exc:
+        gen_schema_sql(model)
+    assert (exc.value.code, str(exc.value)) == ("GEN001", "reference cycle among entities: A, B, D, E")
