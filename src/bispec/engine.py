@@ -20,12 +20,15 @@ built once per query when the query reads at least as many positions as
 that target holds rows. MIN and MAX through a hop fold over the distinct
 first-hop positions.
 
-A filter over the whole fact whose hit list is built through a loaded
-reference without dangling keys reads only the fact positions it keeps: it
-merges the postings of the target rows it hits. A table builds a reference's postings (the
-fact positions per target row, in two flat arrays) on the first filter
-that needs them and keeps them; they are the only data derived at query
-time that outlives a query, and they die with the cube.
+A filter over the whole fact whose hops are all loaded without dangling
+keys reads only the fact positions it keeps. Its ``==`` runs once per row
+of the last table the path reaches (a reference read as its key is one more
+hop, tested on the target's key column), and the hit rows walk back hop by
+hop through each reference's postings (the referencing rows per target
+row, in two flat arrays), merged into file order only at the fact. A table
+builds a reference's postings on the first filter that needs them and
+keeps them; fact and dimension tables alike, they are the only data derived
+at query time that outlives a query, and they die with the cube.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import csv
 import re
 from array import array
 from collections import defaultdict
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from datetime import date, datetime, time
 from functools import cached_property, partial, reduce
@@ -106,15 +109,16 @@ class Table:
         """The primary key of each row position, null slot included."""
         return self.data[self.pk] if self.pk is not None else [None] * (self.size + 1)
 
-    def referencing(self, attr_id: str, rows) -> list[int]:
-        """The positions, ascending, of the rows whose reference ``attr_id``
-        holds one of the target positions ``rows`` (its null slot included).
-        The reference must be loaded and hold no dangling key. Its postings are
+    def referencing(self, attr_id: str, rows) -> Iterator[int]:
+        """The positions of the rows whose reference ``attr_id`` holds one of
+        the target positions ``rows`` (its null slot included), ascending
+        within each target row, target rows in the order of ``rows``. The
+        reference must be loaded and hold no dangling key. Its postings are
         built on first use and kept, since a table never changes after load."""
         if attr_id not in self.postings:
             self.postings[attr_id] = _postings(self.data[attr_id], self.size, self.targets[attr_id].size)
         offsets, positions = self.postings[attr_id]
-        return sorted(chain.from_iterable(positions[offsets[row]:offsets[row + 1]] for row in rows))
+        return chain.from_iterable(positions[offsets[row]:offsets[row + 1]] for row in rows)
 
 
 def _postings(column: list, size: int, targets: int) -> tuple[array, array]:
@@ -422,22 +426,21 @@ def _unloaded_hop(target_id: str, key) -> None:
         raise EngineError("ENG030", f"no data loaded for {target_id}")
 
 
-def _steps(cube: Cube, fact_id: str, col: Column, reads: int, test=None) -> tuple:
-    """``col``'s read, or ``test(value)``'s, as ``(column, first, rest, dimension)``.
+def _steps(cube: Cube, fact_id: str, col: Column, test=None) -> tuple:
+    """``col``'s read, or ``test(value)``'s, as ``(steps, hops, chained)``.
 
-    ``first`` takes the one fact-side step per position, through the fact
-    column or the first reference; ``column`` is the stored column it
-    indexes, or None when it checks each position for a dangling key. Each
-    of ``rest`` maps the value before it. When the query reads at least as
-    many positions in all (``reads``) as the first hop's target holds rows,
-    the later hops and the test run once per target row into one
-    ``dimension`` list, which ``rest`` then indexes. A hop that can raise
-    ENG004 or ENG030 stays chained, so it raises only when a position needs
-    the dangling key or the unloaded table.
+    The first step takes the one fact-side step per position, through the
+    fact column or the first reference; each later one maps the value before
+    it. A list is read at that value, any other step is called on it.
+    ``hops`` holds ``(table, reference)`` for each leading step that hops
+    through a loaded reference without dangling keys, a reference read as
+    its key included. ``chained`` says the later steps must map each value:
+    a hop can raise ENG004 or ENG030, or a dangling key reaches them.
     """
-    table = fact = cube.tables[fact_id]
+    table = cube.tables[fact_id]
     steps = []  # a list is read at the value before it; a function maps it
-    chained = False  # the later steps must map each value: one can raise, or a dangling key reaches them
+    hops = []
+    chained = False
     for fk, target_id in col.chain:
         target = table.targets.get(fk)
         if target is None:  # the rest of the chain reads null, or raises ENG030
@@ -445,6 +448,8 @@ def _steps(cube: Cube, fact_id: str, col: Column, reads: int, test=None) -> tupl
             chained = True
             break
         chained = chained or bool(steps) and fk in table.dangling
+        if fk not in table.dangling and len(hops) == len(steps):
+            hops.append((table, fk))
         steps.append(partial(_checked_hop, table.data[fk], target_id) if fk in table.dangling else table.data[fk])
         table = target
     else:
@@ -454,22 +459,14 @@ def _steps(cube: Cube, fact_id: str, col: Column, reads: int, test=None) -> tupl
         elif attr.id in table.targets:  # a reference reads as its key
             keys = table.targets[attr.id].pk_values()
             chained = chained or not steps and attr.id in table.dangling
+            if attr.id not in table.dangling and len(hops) == len(steps):
+                hops.append((table, attr.id))
             steps += [table.data[attr.id], partial(_key_of, keys) if attr.id in table.dangling else keys]
         else:
             steps.append(table.data[attr.id])
     if test is not None:
         steps.append(test)
-    column = steps[0] if steps[0].__class__ is list else None
-    first, *rest = [step.__getitem__ if step.__class__ is list else step for step in steps]
-    landing = fact.targets.get(_first_reference(col))
-    dimension = None
-    if len(rest) > 1 and not chained and reads >= landing.size:
-        dimension = range(landing.size + 1)  # its rows and null slot
-        for step in rest:
-            dimension = map(step, dimension)
-        dimension = list(dimension)
-        rest = [dimension.__getitem__]
-    return column, first, rest, dimension
+    return steps, hops, chained
 
 
 def _first_reference(col: Column) -> str:
@@ -477,17 +474,39 @@ def _first_reference(col: Column) -> str:
     return col.chain[0][0] if col.chain else col.attribute.id
 
 
+def _function(step):
+    """``_steps``' step as a function of the value before it."""
+    return step.__getitem__ if step.__class__ is list else step
+
+
+def _mapped(functions, values):
+    """``values`` mapped through each of ``functions`` in turn."""
+    for function in functions:
+        values = map(function, values)
+    return values
+
+
 def _reader(cube: Cube, fact_id: str, col: Column, reads: int, test=None, distinct: bool = False):
     """A function from fact row positions to an iterator of ``col``'s values,
-    or of ``test(value)`` (see ``_steps``)."""
-    column, first, rest, _ = _steps(cube, fact_id, col, reads, test)
-    return _walker(cube.tables[fact_id].size, column, first, rest, distinct)
+    or of ``test(value)`` (see ``_steps``).
 
-
-def _walker(size: int, column: list | None, first, rest: list, distinct: bool = False):
-    """``_steps``' parts as a function of positions. A ``range`` over the whole
-    fact walks the stored fact-side column itself. With ``distinct`` the later
-    steps run once per distinct first-hop value, in first-occurrence order."""
+    When the query reads at least as many positions in all (``reads``) as
+    the first hop's target holds rows, the later steps run once per target
+    row into one dimension-side list, which the fact-side step then indexes;
+    when a step must map each value they stay chained, so ENG004 or ENG030
+    arises only when a position needs the dangling key or the unloaded
+    table. A ``range`` over the whole fact walks the stored fact-side column
+    itself. With ``distinct`` the later steps run once per distinct first-hop
+    value, in first-occurrence order.
+    """
+    fact = cube.tables[fact_id]
+    steps, _, chained = _steps(cube, fact_id, col, test)
+    column = steps[0] if steps[0].__class__ is list else None
+    first, *rest = map(_function, steps)
+    landing = fact.targets.get(_first_reference(col))
+    if len(rest) > 1 and not chained and reads >= landing.size:
+        rest = [list(_mapped(rest, range(landing.size + 1))).__getitem__]  # its rows and null slot
+    size = fact.size
     whole = range(size)
 
     def read(positions):
@@ -499,6 +518,28 @@ def _walker(size: int, column: list | None, first, rest: list, distinct: bool = 
         return values
 
     return read
+
+
+def _far_end(cube: Cube, fact_id: str, col: Column, test) -> list[int] | None:
+    """The fact positions, ascending, whose ``col`` passes ``test``. The
+    test runs once per row of the last table ``_steps``' hops reach, null
+    slot included, and the hit rows walk back through each hop's postings;
+    a middle table's null slot hits when the next table's does. None when
+    no hop leaves the fact, a step must map each value, or the fact holds
+    fewer rows than the first hop's target: that filter scans instead."""
+    fact = cube.tables[fact_id]
+    steps, hops, chained = _steps(cube, fact_id, col, test)
+    if chained or not hops or fact.size < fact.targets[hops[0][1]].size:
+        return None
+    table, ref = hops[-1]
+    tested = _mapped(map(_function, steps[len(hops):]), range(table.targets[ref].size + 1))  # its rows and null slot
+    hits = list(compress(count(), tested))
+    for table, ref in reversed(hops[1:]):
+        rows = list(table.referencing(ref, hits))
+        if hits and hits[-1] == table.targets[ref].size:  # the null slot comes last
+            rows.append(table.size)
+        hits = rows
+    return sorted(fact.referencing(hops[0][1], hits))
 
 
 # ---------------------------------------------------------------------------
@@ -542,19 +583,19 @@ class CubeView:
 
 
 def _filtered(view: CubeView, filters, bindings: dict | None) -> CubeView:
-    """Each filter tests the positions the filters before it kept. A filter
-    over the whole fact whose dimension-side hit list is built through a
-    stored first reference keeps the postings of the target rows it hits."""
+    """Each filter tests the positions the filters before it kept; a filter
+    over the whole fact keeps what ``_far_end`` walks back to, when it can."""
     values = [_bound_value(view.cube.model, f, bindings or {}) for f in filters]
-    fact = view.cube.tables[view.fact_id]
+    cube, fact_id = view.cube, view.fact_id
+    whole = range(cube.tables[fact_id].size)
     positions = view.positions
     for filt, value in zip(filters, values):
-        column, first, rest, hits = _steps(view.cube, view.fact_id, filt.column, len(positions), partial(eq, value))
-        if hits is not None and column is not None and positions == range(fact.size):
-            positions = fact.referencing(_first_reference(filt.column), compress(count(), hits))
-        else:
-            positions = list(compress(positions, _walker(fact.size, column, first, rest)(positions)))
-    return CubeView(view.cube, view.fact_id, positions)
+        test = partial(eq, value)
+        kept = _far_end(cube, fact_id, filt.column, test) if positions == whole else None
+        if kept is None:
+            kept = list(compress(positions, _reader(cube, fact_id, filt.column, len(positions), test)(positions)))
+        positions = kept
+    return CubeView(cube, fact_id, positions)
 
 
 def slice_view(view: CubeView, predicate: m.Predicate, bindings: dict | None = None) -> CubeView:

@@ -88,11 +88,10 @@ def gen_schema_sql(model: m.SpecificationModel) -> str:
             kinds = {c.kind for c in attr.constraints}
             if attr.is_primary_key:
                 parts.append("PRIMARY KEY")
-            else:
-                if "NotNull" in kinds:
-                    parts.append("NOT NULL")
-                if "Unique" in kinds:
-                    parts.append("UNIQUE")
+            if attr.not_null:  # SQLite keeps NULL keys in a PRIMARY KEY column unless NOT NULL is declared
+                parts.append("NOT NULL")
+            if "Unique" in kinds and not attr.is_primary_key:
+                parts.append("UNIQUE")
             if attr.default_value is not None:
                 parts.append(f"DEFAULT {_sql_literal(attr.default_value.value)}")
             if attr.attr_type.kind == "enum":

@@ -60,6 +60,11 @@ def cube(medbuddy):
     return cube
 
 
+def postings_built(cube) -> list[tuple[str, str]]:
+    """``(entity id, reference)`` for every reference that has postings, sorted."""
+    return sorted((entity_id, ref) for entity_id, table in cube.tables.items() for ref in table.postings)
+
+
 def _sql_value(value):
     if isinstance(value, bool):
         return int(value)

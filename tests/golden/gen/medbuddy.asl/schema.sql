@@ -2,14 +2,14 @@
 -- shape: snowflake
 
 CREATE TABLE "City" (
-  "id" CHAR(36) PRIMARY KEY,
+  "id" CHAR(36) PRIMARY KEY NOT NULL,
   "latitude" DECIMAL(18,6) NOT NULL,
   "longitude" DECIMAL(18,6) NOT NULL,
   "name" VARCHAR(255) NOT NULL
 );
 
 CREATE TABLE "Institution" (
-  "id" CHAR(36) PRIMARY KEY,
+  "id" CHAR(36) PRIMARY KEY NOT NULL,
   "code" VARCHAR(255) NOT NULL,
   "name" VARCHAR(255) NOT NULL,
   "latitude" DECIMAL(18,6) NOT NULL,
@@ -20,7 +20,7 @@ CREATE TABLE "Institution" (
 );
 
 CREATE TABLE "Patient" (
-  "id" CHAR(36) PRIMARY KEY,
+  "id" CHAR(36) PRIMARY KEY NOT NULL,
   "nhs_number" INTEGER NOT NULL,
   "age" INTEGER NOT NULL,
   "name" VARCHAR(255) NOT NULL,
@@ -30,14 +30,14 @@ CREATE TABLE "Patient" (
 );
 
 CREATE TABLE "RequestState" (
-  "id" CHAR(36) PRIMARY KEY,
+  "id" CHAR(36) PRIMARY KEY NOT NULL,
   "is_final" BOOLEAN NOT NULL,
   "is_initial" BOOLEAN NOT NULL,
   "name" VARCHAR(255) NOT NULL CHECK ("name" IN ('Booked', 'Held', 'Cancelled'))
 );
 
 CREATE TABLE "Time" (
-  "id" CHAR(36) PRIMARY KEY,
+  "id" CHAR(36) PRIMARY KEY NOT NULL,
   "date" DATE NOT NULL,
   "day" INTEGER NOT NULL,
   "month" INTEGER NOT NULL,
@@ -47,7 +47,7 @@ CREATE TABLE "Time" (
 );
 
 CREATE TABLE "AppointmentRequest" (
-  "id" CHAR(36) PRIMARY KEY,
+  "id" CHAR(36) PRIMARY KEY NOT NULL,
   "institution" CHAR(36) NOT NULL,
   "patient" CHAR(36) NOT NULL,
   "state" CHAR(36) NOT NULL,

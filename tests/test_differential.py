@@ -20,7 +20,7 @@ from bispec import model as m
 from bispec.engine import CubeView, EngineError, aggregate, dice_view, evaluate_measure, load_cube, pivot, run_use_case, slice_view
 from bispec.generators import gen_olap_sql
 from bispec.plan import Column, Filter, plan_operation
-from conftest import assert_rows_match_sql, sqlite_from_cube
+from conftest import assert_rows_match_sql, postings_built, sqlite_from_cube
 
 SEEDS = range(30)
 FACT = "AppointmentRequest"
@@ -205,30 +205,124 @@ def _through_references(model, fact_id):
     return columns
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_reference_postings_keep_what_the_scan_keeps(model, tmp_path, seed):
-    """A filter over the whole fact whose hit list is built through a fact
-    reference keeps its hit rows' postings; over a list of the same positions
-    it scans. Both keep the same positions for a value from the data, a value
-    that matches nothing, and null, whose hits include the null slot: the
-    rows without a ``closed_date``."""
-    make_package(seed, tmp_path)
-    cube, _ = load_cube(model, tmp_path)
-    fact = cube.table(FACT)
-    whole = cube.view(FACT)
-    listed = CubeView(cube, FACT, list(range(fact.size)))
-    for col in _through_references(model, FACT):
+def _assert_whole_fact_filters_keep_what_the_scan_keeps(model, cube, fact_id, seed) -> list:
+    """Filter every column of ``_through_references`` over the whole fact (the
+    far-end walk, where it applies) and over a list of the same positions (the
+    scan) for two values from the data, a value that matches nothing and
+    null; both must keep the same positions. Returns the null filters' kept
+    positions by column path."""
+    fact = cube.table(fact_id)
+    whole = cube.view(fact_id)
+    listed = CubeView(cube, fact_id, list(range(fact.size)))
+    nulls = {}
+    for col in _through_references(model, fact_id):
         holder = cube.table(col.chain[-1][1]) if col.chain else fact
         drawn = list(dict.fromkeys(holder.values(col.attribute.id)[:holder.size]))[:2]
         for value in drawn + ["no such value", None]:
             filters = (Filter(col, value),)
             kept = engine._filtered(whole, filters, None).positions
             assert kept == list(engine._filtered(listed, filters, None).positions), (seed, col.path, value)
-            if col.path == "closed_date.id" and value is None:
-                assert kept == [p for p, key in enumerate(fact.values("closed_date")[:fact.size]) if key is None], seed
+        nulls[col.path] = kept
+    return nulls
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_reference_postings_keep_what_the_scan_keeps(model, tmp_path, seed):
+    """The null filter's hits include the null slot: the rows without a ``closed_date``."""
+    make_package(seed, tmp_path)
+    cube, _ = load_cube(model, tmp_path)
+    fact = cube.table(FACT)
+    nulls = _assert_whole_fact_filters_keep_what_the_scan_keeps(model, cube, FACT, seed)
+    assert nulls["closed_date.id"] == [p for p, key in enumerate(fact.values("closed_date")[:fact.size]) if key is None]
     refs = {ref.id: cube.table(ref.dimension_target) for ref in model.entity(FACT).dimension_refs}
-    assert sorted(fact.postings) == sorted(ref for ref, target in refs.items() if fact.size >= target.size), seed
-    assert all(not cube.table(entity.id).postings for entity in model.entities if entity.id != FACT)
+    walked = [ref for ref, target in refs.items() if fact.size >= target.size]
+    beyond = {"institution": [("Institution", "city")], "patient": [("Patient", "residence")]}  # the second hops
+    expected = [(FACT, ref) for ref in walked] + [pair for ref in walked for pair in beyond.get(ref, ())]
+    assert postings_built(cube) == sorted(expected), seed
+
+
+# A three-hop snowflake whose every reference can be null, so a null at any
+# table reaches the null slots of the tables behind it.
+SNOWFLAKE = """
+DataEntity Region ("Region") is a Reference Dimension with attributes
+  id is a UUID (PrimaryKey),
+  name is a String (NotNull),
+  area is an Integer
+described as regions.
+
+DataEntity City ("City") is a Reference Dimension with attributes
+  id is a UUID (PrimaryKey),
+  name is a String (NotNull),
+  region refers to Dimension Region
+described as cities.
+
+DataEntity Patient ("Patient") is a Master Dimension with attributes
+  id is a UUID (PrimaryKey),
+  age is an Integer (NotNull),
+  residence refers to Dimension City
+described as patients.
+
+DataEntity Visit ("Visit") is a Transactional Fact with attributes
+  id is a UUID (PrimaryKey),
+  patient refers to Dimension Patient,
+  cost is an Integer (NotNull),
+  CountVisits is an Integer (operation COUNT(id))
+described as visits.
+"""
+
+
+def make_snowflake_package(seed: int, directory) -> None:
+    """Random Region, City, Patient and Visit rows; some references null."""
+    rng = random.Random(seed)
+
+    def ref(keys, null_share):
+        return None if rng.random() < null_share else rng.choice(keys)
+
+    regions = [f"g{i}" for i in range(rng.randint(1, 3))]
+    cities = [f"c{i}" for i in range(rng.randint(1, 5))]
+    patients = [f"p{i}" for i in range(rng.randint(1, 8))]
+    _write(directory, "Region", ("id", "name", "area"),
+           [(g, rng.choice(("North", "South")), rng.choice((None, 1, 2))) for g in regions])
+    _write(directory, "City", ("id", "name", "region"), [(c, f"City {c}", ref(regions, 0.3)) for c in cities])
+    _write(directory, "Patient", ("id", "age", "residence"),
+           [(p, rng.randint(0, 3), ref(cities, 0.3)) for p in patients])
+    _write(directory, "Visit", ("id", "patient", "cost"),
+           [(f"v{i}", ref(patients, 0.2), rng.randint(0, 3)) for i in range(0 if seed % 10 == 0 else rng.randint(1, 25))])
+    names = ("Region", "City", "Patient", "Visit")
+    (directory / "manifest.toml").write_text("".join(f'{n} = "{n}.csv"\n' for n in names), encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def snowflake():
+    model, diags = parse_cnlbi(SNOWFLAKE, "snowflake.cnlbi")
+    assert not [d for d in diags if d.is_error], [f"{d.code} {d.message}" for d in diags]
+    assert not [d for d in check_model(model).diagnostics if d.is_error]
+    return model
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_far_end_filters_keep_what_the_scan_keeps_through_three_nullable_hops(snowflake, tmp_path, seed):
+    """Every 1-, 2- and 3-hop column and every reference read as its key; a
+    null filter on a Region attribute keeps the visits whose walk to a Region
+    meets a null anywhere."""
+    make_snowflake_package(seed, tmp_path)
+    cube, diags = load_cube(snowflake, tmp_path)
+    assert not [d for d in diags if d.is_error], [f"{d.code} {d.message}" for d in diags]
+    paths = [col.path for col in _through_references(snowflake, "Visit")]
+    assert {"patient.residence.region.area", "patient.residence.region", "patient.residence"} <= set(paths)
+    nulls = _assert_whole_fact_filters_keep_what_the_scan_keeps(snowflake, cube, "Visit", seed)
+    tables = oracle.load_tables(snowflake, tmp_path)
+    by_id = {entity: {row["id"]: row for row in rows} for entity, rows in tables.items()}
+
+    def region(visit):
+        patient = by_id["Patient"].get(visit["patient"])
+        city = by_id["City"].get(patient and patient["residence"])
+        return by_id["Region"].get(city and city["region"])
+
+    assert nulls["patient.residence.region.name"] == [p for p, visit in enumerate(tables["Visit"]) if region(visit) is None]
+    visits, patients = cube.table("Visit"), cube.table("Patient")
+    expected = [("City", "region"), ("Patient", "residence"), ("Visit", "patient")] if visits.size >= patients.size else []
+    assert postings_built(cube) == expected, seed
 
 
 # ---------------------------------------------------------------------------

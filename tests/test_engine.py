@@ -22,7 +22,7 @@ from bispec.engine import (
     slice_view,
 )
 from bispec.generators import gen_olap_sql
-from conftest import DATA_DIR, assert_rows_match_sql, sqlite_from_cube
+from conftest import DATA_DIR, assert_rows_match_sql, postings_built, sqlite_from_cube
 
 YEAR_PRED = m.Predicate(
     m.AttributePath(("AppointmentRequest", "scheduled_date", "year")),
@@ -568,35 +568,60 @@ def _slice_ids(view, path, value):
     return [row["id"] for row in slice_view(view, m.Predicate(_path(path), m.Literal(value))).rows()]
 
 
-@pytest.mark.parametrize("case", ["dangling first hop", "dangling later hop", "unloaded first hop", "unloaded later hop"])
+_EXTRA_FACT = {"AppointmentRequest": lambda text: text + "r11,i1,p999,s1,t1,,10,,false\n"}
+_C404 = {"Patient": lambda text: text.replace("Female,c3", "Female,c404")}
+_BY_CITY = ("Institution.city", "c2", ["r03", "r04", "r05", "r07", "r08", "r10"])
+_BY_GENDER = ("Patient.gender", "Female", ["r01", "r03", "r04", "r06", "r09", "r10"])
+_CITY_WALK = [(FACT, "institution"), ("Institution", "city")]
+# edits, the table that does not load, the slice (path, value), its outcome (an error code and a name in
+# its message, or the ids it keeps and the postings it builds), then a slice that works and the postings
+# the cube holds after it
+BAD_HOPS = {
+    "dangling first hop": (_EXTRA_FACT, None, ("Patient.gender", "Male"), ("ENG004", "'p999'"), _BY_CITY, _CITY_WALK),
+    "dangling later hop": (_C404, None, ("Patient.residence.name", "Lisboa"), ("ENG004", "'c404'"),
+                           _BY_GENDER, [(FACT, "patient")]),
+    "unloaded first hop": ({}, "Patient", ("Patient.gender", "Male"), ("ENG030", "Patient"), _BY_CITY, _CITY_WALK),
+    "unloaded later hop": ({}, "City", ("Patient.residence.name", "Lisboa"), ("ENG030", "City"),
+                           _BY_GENDER, [(FACT, "patient")]),
+    # a dangling key that no fact row reaches raises nothing: the later hop is read only for the rows kept
+    "dangling later hop no fact reaches": ({"Patient": lambda text: text + "p5,555,50,Eva Lima,Female,c404\n"}, None,
+                                           ("Patient.residence.name", "Lisboa"), (["r01", "r04", "r05", "r08", "r09"], []),
+                                           _BY_GENDER, [(FACT, "patient")]),
+    # Patient.residence = City.id reads the key a dangling or unloaded hop holds, so the walk stops at Patient
+    "dangling key hop": (_C404, None, ("Patient.residence", "c404"), (["r03", "r06", "r10"], [(FACT, "patient")]),
+                         _BY_CITY, [(FACT, "institution"), (FACT, "patient"), ("Institution", "city")]),
+    "unloaded key hop": ({}, "City", ("Patient.residence", "c3"), (["r03", "r06", "r10"], [(FACT, "patient")]),
+                         _BY_CITY, [(FACT, "institution"), (FACT, "patient")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_HOPS))
 def test_whole_fact_slices_through_a_bad_hop_raise_as_before_and_build_no_postings(medbuddy, tmp_path, case):
-    # name: in the error message, and the table that does not load
-    edits, path, code, name, works = {
-        "dangling first hop": ({"AppointmentRequest": lambda text: text + "r11,i1,p999,s1,t1,,10,,false\n"},
-                               "Patient.gender", "ENG004", "'p999'", ("Institution.city", "c2", "institution")),
-        "dangling later hop": ({"Patient": lambda text: text.replace("Female,c3", "Female,c404")},
-                               "Patient.residence.name", "ENG004", "'c404'", ("Patient.gender", "Female", "patient")),
-        "unloaded first hop": ({}, "Patient.gender", "ENG030", "Patient", ("Institution.city", "c2", "institution")),
-        "unloaded later hop": ({}, "Patient.residence.name", "ENG030", "City", ("Patient.gender", "Female", "patient")),
-    }[case]
+    edits, unloaded, (path, value), outcome, (other_path, other_value, other_ids), built = BAD_HOPS[case]
     data = _package(tmp_path, **edits)
-    if case.startswith("unloaded"):
-        (data / f"{name}.csv").unlink()
+    if unloaded:
+        (data / f"{unloaded}.csv").unlink()
     cube, _ = load_cube(medbuddy, data)
     view = cube.view(FACT)
-    with pytest.raises(EngineError) as exc:
-        _slice_ids(view, path, "Male" if path == "Patient.gender" else "Lisboa")
-    assert exc.value.code == code and name in str(exc.value)
-    assert cube.table(FACT).postings == {}
-    other_path, value, ref = works
-    expected = {"c2": ["r03", "r04", "r05", "r07", "r08", "r10"], "Female": ["r01", "r03", "r04", "r06", "r09", "r10"]}[value]
-    assert _slice_ids(view, other_path, value) == expected
-    assert list(cube.table(FACT).postings) == [ref]
+    if isinstance(outcome[0], list):  # the ids kept and the postings built
+        ids, walked = outcome
+        if path == "Patient.residence":  # the key form, bound as the corpus dice binds it
+            kept = [row["id"] for row in slice_view(view, m.Predicate(_path(path), _path("City.id")), {"id": value}).rows()]
+        else:
+            kept = _slice_ids(view, path, value)
+        assert kept == ids and postings_built(cube) == walked
+    else:
+        code, name = outcome
+        with pytest.raises(EngineError) as exc:
+            _slice_ids(view, path, value)
+        assert exc.value.code == code and name in str(exc.value)
+        assert postings_built(cube) == []
+    assert _slice_ids(view, other_path, other_value) == other_ids
+    assert postings_built(cube) == built
 
 
 def test_postings_are_built_once_per_table_and_reference_and_kept_out_of_equality(medbuddy, monkeypatch):
     cube, _ = load_cube(medbuddy, DATA_DIR)
-    fact = cube.table(FACT)
     build, built = engine._postings, []
 
     def counted(column, *rest):
@@ -608,11 +633,15 @@ def test_postings_are_built_once_per_table_and_reference_and_kept_out_of_equalit
     first = [result_to_csv(run_use_case(cube, *op, {"year": "2023", "id": "c2"})) for op in operations]
     again = [result_to_csv(run_use_case(cube, *op, {"year": "2023", "id": "c2"})) for op in operations]
     assert first == again
-    refs = [next(ref for ref, values in fact.data.items() if values is column) for column in built]
-    assert sorted(refs) == sorted(fact.postings) == ["institution", "patient", "scheduled_date"]
-    assert [entity_id for entity_id, table in cube.tables.items() if table.postings] == [FACT]
+    # the year slices, and the city and residence dices walked back from City
+    expected = [(FACT, "institution"), (FACT, "patient"), (FACT, "scheduled_date"), ("Institution", "city"), ("Patient", "residence")]
+    refs = [next((entity_id, ref) for entity_id, table in cube.tables.items() for ref, values in table.data.items() if values is column)
+            for column in built]
+    assert sorted(refs) == postings_built(cube) == expected
     fresh, _ = load_cube(medbuddy, DATA_DIR)
-    assert fact == fresh.table(FACT) and repr(fact) == repr(fresh.table(FACT)) and fresh.table(FACT).postings == {}
+    for entity_id in (FACT, "Patient"):
+        table, unused = cube.table(entity_id), fresh.table(entity_id)
+        assert table == unused and repr(table) == repr(unused) and table.postings and unused.postings == {}
 
 
 # r01 and r03: fewer positions than any dimension holds rows, so every hop is read

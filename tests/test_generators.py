@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import shutil
+import sqlite3
 
 import pytest
 
@@ -132,8 +134,24 @@ def test_reference_column_takes_the_type_the_engine_reads():
     model, diags = parse_cnlbi(ENUM_KEYED)
     assert not [d for d in diags if d.is_error]
     sql = gen_schema_sql(model)
-    assert '"colour" VARCHAR(255) PRIMARY KEY CHECK ("colour" IN (\'Red\', \'Blue\'))' in sql
+    assert '"colour" VARCHAR(255) PRIMARY KEY NOT NULL CHECK ("colour" IN (\'Red\', \'Blue\'))' in sql
     assert '"paint" VARCHAR(255) NOT NULL' in sql
+
+
+def test_a_null_primary_key_is_refused_by_the_ddl_and_the_loader(medbuddy, tmp_path):
+    # SQLite keeps NULL keys in a PRIMARY KEY column that is not INTEGER unless NOT NULL is declared
+    conn = sqlite3.connect(":memory:")
+    conn.executescript(gen_schema_sql(medbuddy))
+    insert = 'INSERT INTO "City" ("id", "latitude", "longitude", "name") VALUES (?, 1.0, 2.0, ?)'
+    conn.execute(insert, ("c1", "Lisboa"))
+    with pytest.raises(sqlite3.IntegrityError, match="NOT NULL constraint failed: City.id"):
+        conn.execute(insert, (None, "Porto"))
+    conn.close()
+    data = shutil.copytree(DATA_DIR, tmp_path / "data")
+    city = data / "City.csv"
+    city.write_text(city.read_text(encoding="utf-8").replace("\nc1,", "\n,", 1), encoding="utf-8")
+    _, diags = load_cube(medbuddy, data)
+    assert [(d.code, d.message) for d in diags if d.is_error][0] == ("ENG003", "City.csv row 1, column id: null in NOT NULL column")
 
 
 def test_schema_loads_and_fixture_inserts(connection):
