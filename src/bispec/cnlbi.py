@@ -13,12 +13,13 @@ clause to the key its value is kept under and the reader of the rest.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from . import measure as mx
 from . import model as m
 from .diagnostics import Diagnostic, Span, error, warning
-from .lexer import Clauses, Parser, Token, TokenKind, tokenize
+from .lexer import NUMBER, PUNCT_CHARS, WORD, Clauses, Parser, Token, TokenKind, string_body, tokenize
 
 TOP_LEVEL_WORDS = ("DataEntity", "Data", "Actor", "UseCase", "UIContainer", "UIComponent")
 
@@ -594,17 +595,36 @@ def _join_prose(parts: list[str]) -> str:
     return " ".join(out)
 
 
+_PROSE_TOKEN = rf"""{WORD}|{NUMBER}|{string_body('"')}"|[{re.escape(PUNCT_CHARS.replace(",", "").replace(".", ""))}]"""
+# Lexer tokens as ``_join_prose`` joins them: one space before each, except before
+# a ``,`` or ``.`` that follows a token, and none before the first.
+_PROSE = re.compile(rf"(?:(?:{_PROSE_TOKEN}|[,.])(?: (?:{_PROSE_TOKEN})|[,.])*)?")
+_STRING = re.compile(string_body('"') + '"')
+
+
+def _reads_back(text: str, stops: frozenset) -> bool:
+    """Whether ``tokenize`` reads ``text`` without a diagnostic as tokens that
+    ``_join_prose`` joins back into ``text``, none of them after the first in
+    ``stops``. Decided without lexing: ``_PROSE`` matches exactly those texts
+    but for a word starting with a numeric character that is no decimal digit
+    (``½``), which the lexer refuses. With each string made ``""``, a token
+    starts at the start and after each space, the rest being ``,`` and ``.``."""
+    if _PROSE.fullmatch(text) is None:
+        return False
+    pieces = (_STRING.sub('""', text) if '"' in text else text).split(" ")
+    if not text.isascii() and any(piece[:1].isnumeric() and not piece[:1].isdecimal() for piece in pieces):
+        return False
+    return stops.isdisjoint(piece.rstrip(",.") for piece in pieces[1:])
+
+
 def _described(kind: str, owner, warnings: list[Diagnostic], stops: tuple[str, ...] = ()) -> str:
     """The ``described as`` clause of ``owner``, with CNL030 when its prose would
     not read back as the same text: the lexer refuses or re-spaces a character,
     or a keyword that ends the prose (``stops`` or a top-level word) comes
     after the first word."""
-    text = owner.description
-    tokens, diags = tokenize(text, code_prefix="CNL")
-    words = [tok.text for tok in tokens if tok.kind not in (TokenKind.COMMENT, TokenKind.EOF)]
-    if diags or _join_prose(words) != text or not set(words[1:]).isdisjoint(TOP_LEVEL_WORDS + stops):
+    if not _reads_back(owner.description, frozenset(TOP_LEVEL_WORDS + stops)):
         warnings.append(warning("CNL030", f"description of {kind} {owner.id} does not read back as written in CNL-BI"))
-    return f"described as {text}"
+    return f"described as {owner.description}"
 
 
 # ---------------------------------------------------------------------------

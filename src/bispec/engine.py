@@ -3,8 +3,8 @@
 A data package is a directory holding a plain-text manifest mapping entity
 ids to CSV files. Loading enforces headers, declared types, and referential
 integrity; queries are read-only over the immutable cube. Decimal arithmetic
-is 64-bit float, evaluated left to right, and aggregation iterates rows in
-file order so results are reproducible.
+is 64-bit float, evaluated left to right, Integer sums are exact, and
+aggregation iterates rows in file order so results are reproducible.
 
 A table is one list per stored attribute, each ending with a null slot. A
 dimension reference holds row positions in its target table, so a hop is a
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, time
 from functools import cached_property, partial, reduce
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, eq, is_not, itemgetter, methodcaller, mul, sub, truediv
+from operator import add, countOf, eq, is_not, itemgetter, mul, sub, truediv
 from pathlib import Path
 
 from . import model as m
@@ -192,7 +192,17 @@ def _boolean(value: str) -> bool:
     return _BOOLEANS[value.lower()]
 
 
-_PARSERS = {"UUID": str, "String": str, "Integer": int, "Decimal": float, "Boolean": _boolean,
+_INT64 = range(-2**63, 2**63)  # an Integer cell or bound value is a signed 64-bit integer, as in SQLite
+
+
+def _integer(value: str) -> int:
+    number = int(value)
+    if number not in _INT64:
+        raise ValueError(f"{value!r} is outside the 64-bit Integer range")
+    return number
+
+
+_PARSERS = {"UUID": str, "String": str, "Integer": _integer, "Decimal": float, "Boolean": _boolean,
             "Date": date.fromisoformat, "DateTime": datetime.fromisoformat, "Time": time.fromisoformat}
 
 
@@ -344,6 +354,14 @@ def _bad_utf8_line(path: Path) -> int:
 
 
 def _parse_column(coerce, cells: tuple) -> list:
+    """One column of a chunk; an Integer column parses with ``int`` and checks
+    its range once, by its least and greatest value."""
+    if coerce is _integer:
+        values = _parse_column(int, cells)
+        least, greatest = min(filter(None, values), default=0), max(filter(None, values), default=0)
+        if least not in _INT64 or greatest not in _INT64:
+            raise ValueError("an Integer outside the 64-bit range")  # the chunk goes row by row
+        return values
     if "" in cells:
         return [coerce(raw) if raw else None for raw in cells]
     return list(cells) if coerce is str else list(map(coerce, cells))
@@ -496,8 +514,9 @@ def _reader(cube: Cube, fact_id: str, col: Column, reads: int, test=None, distin
     when a step must map each value they stay chained, so ENG004 or ENG030
     arises only when a position needs the dangling key or the unloaded
     table. A ``range`` over the whole fact walks the stored fact-side column
-    itself. With ``distinct`` the later steps run once per distinct first-hop
-    value, in first-occurrence order.
+    itself, and ``read(positions, gather)`` reads it with ``gather``, an
+    ``itemgetter`` of the positions, in one call. With ``distinct`` the later
+    steps run once per distinct first-hop value, in first-occurrence order.
     """
     fact = cube.tables[fact_id]
     steps, _, chained = _steps(cube, fact_id, col, test)
@@ -509,8 +528,13 @@ def _reader(cube: Cube, fact_id: str, col: Column, reads: int, test=None, distin
     size = fact.size
     whole = range(size)
 
-    def read(positions):
-        values = islice(column, size) if column is not None and positions == whole else map(first, positions)
+    def read(positions, gather=None):
+        if column is not None and positions == whole:
+            values = islice(column, size)
+        elif column is not None and gather is not None:
+            values = gather(column)
+        else:
+            values = map(first, positions)
         if distinct:
             values = dict.fromkeys(values)
         for step in rest:
@@ -612,19 +636,49 @@ def dice_view(view: CubeView, predicates, bindings: dict | None = None) -> CubeV
 
 _ARITHMETIC = {"+": add, "-": sub, "*": mul, "/": truediv}
 
-# Aggregates over one group's values, nulls dropped. SUM and AVERAGE add left to
-# right (the builtin ``sum`` compensates float error from Python 3.12 on); MIN
-# and MAX keep the first of tied values. Measure results are plain values (int,
-# float, date or None); null arises only from empty AVERAGE/MIN/MAX groups and
-# division by zero.
-_FOLDS = {
-    "COUNT": len,
-    "SUM": lambda values: reduce(add, values, 0),
-    "AVERAGE": lambda values: reduce(add, values, 0.0) / len(values) if values else None,
-    "MIN": lambda values: min(values) if values else None,
-    "MAX": lambda values: max(values) if values else None,
-}
-_HITS = methodcaller("count", True)  # COUNT of the rows a predicate holds for
+
+# Aggregates over one group's values as read, nulls included, each one C-level
+# pass: COUNT counts the non-nulls, and AVERAGE is SUM over COUNT. An Integer
+# SUM is exact; a Decimal SUM adds left to right (the builtin ``sum`` compensates
+# float error from Python 3.12 on, and ``filter(None)`` would turn an all-zero
+# sum's ``0.0`` into ``0``). MIN and MAX drop nulls and keep the first of tied
+# values. Measure results are plain values (int, float, date or None); null
+# arises only from empty AVERAGE/MIN/MAX groups and division by zero.
+def _count(values) -> int:
+    return len(values) - values.count(None)
+
+
+def _average(total):
+    def average(values):
+        count = _count(values)
+        return total(values) / count if count else None
+
+    return average
+
+
+def _decimal_sum(values):
+    return reduce(add, filter(_not_none, values), 0)
+
+
+def _integer_sum(values) -> int:
+    return sum(filter(None, values))
+
+
+def _min(values):
+    return min(filter(_not_none, values), default=None)
+
+
+def _max(values):
+    return max(filter(_not_none, values), default=None)
+
+
+_FOLDS = {"COUNT": _count, "SUM": _decimal_sum, "AVERAGE": _average(_decimal_sum), "MIN": _min, "MAX": _max}
+_INTEGER_FOLDS = {**_FOLDS, "SUM": _integer_sum, "AVERAGE": _average(_integer_sum)}
+
+
+def _hits(values) -> int:
+    """COUNT of the rows a predicate holds for."""
+    return countOf(values, True)
 
 
 def _arithmetic(op, a, b):
@@ -645,37 +699,44 @@ def _root(node):
 def _measure_program(cube: Cube, fact_id: str, exprs, reads: int):
     """Compile the planner's measure program into one function from a group's
     row positions to the measures' values; ``reads`` counts the positions of
-    every group together. Each distinct input is read once per group: a
-    predicate as its hit list, and MIN or MAX through a hop over the distinct
-    first-hop values."""
-    program = measure_program(cube.model, fact_id, exprs)
-    # (chain, attribute id, drop nulls, distinct[, predicate value]), or None for
-    # the positions themselves -> (reader, drop nulls, leaf indices)
+    every group together. Each distinct input is read once per group, its
+    stored fact-side column through one ``itemgetter`` of the group's
+    positions, and each distinct fold of it runs once: a predicate counts its
+    hits as they are read, any other input is read into one tuple, MIN or
+    MAX through a hop over the distinct first-hop values."""
+    model = cube.model
+    program = measure_program(model, fact_id, exprs)
+    # (chain, attribute id, distinct) or (chain, attribute id, "=", predicate
+    # value), or None for the positions themselves -> (reader, listed, {fold: leaf indices})
     inputs: dict = {}
-    folds = []  # leaf index -> function from its input's values to the leaf result
     for index, leaf in enumerate(program.leaves):
         if isinstance(leaf.input, Filter):
-            col, test, drop_nulls, distinct, fold = leaf.input.column, partial(eq, leaf.input.value), False, False, _HITS
-            key = (col.chain, col.attribute.id, False, False, leaf.input.value)
+            col, test, distinct, fold = leaf.input.column, partial(eq, leaf.input.value), False, _hits
+            key = (col.chain, col.attribute.id, "=", leaf.input.value)
         else:
             col, test = leaf.input, None
-            drop_nulls, fold = bool(col.chain) or not col.attribute.not_null, _FOLDS[leaf.fn]
+            attr_type = read_type(model, col.attribute)
+            integer = attr_type is not None and (attr_type.kind, attr_type.name) == ("primitive", "Integer")
+            fold = (_INTEGER_FOLDS if integer else _FOLDS)[leaf.fn]
             distinct = leaf.fn in ("MIN", "MAX") and bool(col.chain)
-            if leaf.fn == "COUNT" and not drop_nulls:
-                col = None  # COUNT of a NOT NULL fact column is the number of rows
-            key = None if col is None else (col.chain, col.attribute.id, drop_nulls, distinct)
+            if leaf.fn == "COUNT" and not col.chain and col.attribute.not_null:
+                col, fold = None, len  # COUNT of a NOT NULL fact column is the number of rows
+            key = None if col is None else (col.chain, col.attribute.id, distinct)
         if key not in inputs:
-            inputs[key] = (None if col is None else _reader(cube, fact_id, col, reads, test, distinct), drop_nulls, [])
-        inputs[key][2].append(index)
-        folds.append(fold)
+            inputs[key] = (None if col is None else _reader(cube, fact_id, col, reads, test, distinct), test is None, {})
+        inputs[key][2].setdefault(fold, []).append(index)
     nodes = [_root(root) for root in program.roots]
+    width = len(program.leaves)
 
     def run(positions) -> tuple:
-        results = [None] * len(folds)
-        for read, drop_nulls, indices in inputs.values():  # one input's values alive at a time
-            values = positions if read is None else list(filter(_not_none, read(positions)) if drop_nulls else read(positions))
-            for i in indices:
-                results[i] = folds[i](values)
+        results = [None] * width
+        gather = itemgetter(*positions) if len(positions) > 1 else None  # of one position it returns no tuple
+        for read, listed, folds in inputs.values():  # one input's values alive at a time
+            values = positions if read is None else tuple(read(positions, gather)) if listed else read(positions, gather)
+            for fold, indices in folds.items():
+                result = fold(values)
+                for i in indices:
+                    results[i] = result
         return tuple(node(results) for node in nodes)
 
     return run

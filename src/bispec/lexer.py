@@ -75,6 +75,14 @@ class Token(namedtuple("Token", "kind text value offset length lines")):
 
 
 PUNCT_CHARS = "()[]{},.:;=+-*/"
+WORD = r"[^\W\d]\w*(?:[-']\w+)*"  # also admits a first character that is numeric but no decimal digit: *002
+NUMBER = r"\d+(?:\.\d+)?"
+
+
+def string_body(quote: str) -> str:
+    """The pattern of a string token quoted by ``quote``, up to its closing quote."""
+    q = re.escape(quote)
+    return rf"{q}(?:[^{q}\\\n]|\\[{q}\\]|\\(?![{q}\\]))*"
 
 
 @cache
@@ -85,17 +93,17 @@ def _scanner(block_comments: bool, string_quotes: str) -> re.Pattern:
     before anything else, so a string body can be read only one way and an
     ``open_string`` is exactly a ``string`` that lacks its closing quote.
     """
-    bodies = [rf"{q}(?:[^{q}\\\n]|\\[{q}\\]|\\(?![{q}\\]))*" for q in map(re.escape, string_quotes)]
+    bodies = list(map(string_body, string_quotes))
     strings = "|".join(f"{body}{q}" for body, q in zip(bodies, map(re.escape, string_quotes)))
     block = r"|/\*(?:[^*]|\*(?!/))*\*/)|(?P<open_comment>/\*[\s\S]*" if block_comments else ""
     return re.compile(
         rf"""\s*(?:
-        (?P<word>[^\W\d]\w*(?:[-']\w+)*)
+        (?P<word>{WORD})
         |(?P<comment>//[^\n]*{block})
         |(?P<punct>[{re.escape(PUNCT_CHARS)}])
         |(?P<string>{strings})
         |(?P<open_string>{"|".join(bodies)})
-        |(?P<number>\d+(?:\.\d+)?)
+        |(?P<number>{NUMBER})
         |(?P<invalid>\S)
         |(?P<end>\Z))""",
         re.VERBOSE,

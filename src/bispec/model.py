@@ -716,6 +716,23 @@ class SpecificationModel:
         return self._by_id["ui_containers"].get(container_id)
 
     @cached_property
+    def _derived(self) -> dict:
+        """``derived`` results per key, filled as they are asked for."""
+        return {}
+
+    def derived(self, key: tuple, inputs: tuple, derive):
+        """``derive()``, kept for the life of the model under ``key`` and the
+        identity of each of ``inputs``: a model never changes, so neither does
+        what is derived from it. Inputs are told apart by ``id``, so no call
+        hashes an expression tree; the entry holds them, so no id is reused
+        while it lives. An error that ``derive`` raises is not kept."""
+        entry_key = (*key, *map(id, inputs))
+        entry = self._derived.get(entry_key)
+        if entry is None:
+            entry = self._derived[entry_key] = (inputs, derive())
+        return entry[1]
+
+    @cached_property
     def _hop_chains(self) -> dict[str, Mapping[str, tuple[Hop, ...]]]:
         """``hop_chains`` per fact id, filled as facts are asked for."""
         return {}

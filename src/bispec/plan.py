@@ -263,6 +263,13 @@ class MeasureProgram:
 
 
 def measure_program(model: m.SpecificationModel, fact_id: str, exprs) -> MeasureProgram:
+    """Lower and type the fact's measure expressions, once per model, fact and
+    expression objects (see ``_lower_measures``)."""
+    exprs = tuple(exprs)
+    return model.derived(("measure program", fact_id), exprs, lambda: _lower_measures(model, fact_id, exprs))
+
+
+def _lower_measures(model: m.SpecificationModel, fact_id: str, exprs: tuple) -> MeasureProgram:
     """Lower and type the fact's measure expressions.
 
     COUNT is Integer; SUM and AVERAGE need a numeric input and are Decimal;
@@ -379,6 +386,11 @@ def plan_operation(model: m.SpecificationModel, use_case_id: str, op_id: str) ->
 
 
 def operation_plan(model: m.SpecificationModel, use_case: m.UseCase, op: m.OlapOperation) -> Plan:
+    """``_resolve_operation``, once per model, use case and operation object."""
+    return model.derived(("plan",), (use_case, op), lambda: _resolve_operation(model, use_case, op))
+
+
+def _resolve_operation(model: m.SpecificationModel, use_case: m.UseCase, op: m.OlapOperation) -> Plan:
     """Resolve one operation: the one rule for whether it can run. ENG031 when it
     is underspecified; else ENG030 under the rule "data source" when the use case
     names no fact to read, "arity" when a Slice has other than one predicate or a

@@ -4,8 +4,8 @@ Everything here is deliberately simple and independent of the engine: CSVs
 are re-read with DictReader, joins are linear scans, grouping builds a list
 of (key, rows) pairs without hashing, and measures are evaluated by walking
 the expression recursively. Only the observable semantics (hop rules, null
-handling, left-to-right float arithmetic) are shared, because those are the
-contract under test.
+handling, left-to-right float arithmetic, AVERAGE as SUM over COUNT) are
+shared, because those are the contract under test.
 """
 
 from __future__ import annotations
@@ -221,18 +221,15 @@ def eval_measure(model, tables, fact_id, expr, rows):
 
     if expr.fn == "COUNT":
         return len(values)
-    if expr.fn == "SUM":
-        total = 0
+    if expr.fn in ("SUM", "AVERAGE"):
+        total = 0  # exact over Integers; Decimals add left to right
         for v in values:
             total += v
-        return total
+        if expr.fn == "SUM":
+            return total
+        return total / len(values) if values else None  # SUM over COUNT
     if not values:
         return None
-    if expr.fn == "AVERAGE":
-        total = 0.0
-        for v in values:
-            total += v
-        return total / len(values)
     if expr.fn == "MIN":
         best = values[0]
         for v in values[1:]:

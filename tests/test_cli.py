@@ -544,3 +544,28 @@ def test_an_enum_parameter_takes_only_values_of_its_enumeration(capsys, tmp_path
     assert (code, out) == (1, "") and "ENG010: parameter 'gender' expects Gender, got 'Other'" in err
     code, out, _ = run(capsys, *argv, "--bind", "gender=Male")
     assert code == 0 and out.splitlines()[1].startswith("4,4,")
+
+
+def _olap_argv(data, op, *binds):
+    uc = "AnalysisAppointmentsInstitutionOnNationalLevel"
+    return ["olap", str(CORPUS_CNLBI), "--data", str(data), "--usecase", uc, "--op", op, "--format", "csv", *binds]
+
+
+def test_an_integer_cell_beyond_64_bits_is_eng003_not_a_traceback(capsys, tmp_path):
+    for path in DATA_DIR.iterdir():
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    facts = tmp_path / "AppointmentRequest.csv"
+    text = facts.read_text(encoding="utf-8")
+    assert "r01,i1,p1,s2,t1,t2,30,12,true" in text
+    facts.write_text(text.replace("r01,i1,p1,s2,t1,t2,30,12,", f"r01,i1,p1,s2,t1,t2,30,{'9' * 400},"), encoding="utf-8")
+    code, out, err = run(capsys, *_olap_argv(tmp_path, "AppointmentsByInstitution"))
+    assert (code, out) == (1, "")
+    assert f"ENG003: AppointmentRequest.csv row 1, column actual_response_time: '{'9' * 400}' is outside the 64-bit Integer range" in err
+
+
+def test_an_integer_bind_beyond_64_bits_is_eng010(capsys):
+    op = "ScheduledAppointmentsBySpecificCityAndYear"
+    code, out, err = run(capsys, *_olap_argv(DATA_DIR, op, "--bind", "id=c2", "--bind", f"year={2**63}"))
+    assert (code, out) == (1, "") and f"ENG010: parameter 'year' expects Integer, got '{2**63}'" in err
+    code, out, _ = run(capsys, *_olap_argv(DATA_DIR, op, "--bind", "id=c2", "--bind", f"year={-(2**63)}"))
+    assert code == 0 and out.splitlines()[1].startswith("0,0,")

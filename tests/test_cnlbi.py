@@ -1,7 +1,19 @@
-import pytest
+import random
+import sys
 
-from bispec import canonicalize, model as m, parse_asl, parse_cnlbi
-from bispec.cnlbi import emit_cnlbi
+import pytest
+from hypothesis import given, strategies as st
+
+import test_parse_golden as parse_golden
+from bispec import canonicalize, merge_models, model as m, parse_asl, parse_cnlbi
+from bispec.cnlbi import _OP_DESCRIPTION_STOPS, TOP_LEVEL_WORDS, _join_prose, _reads_back, emit_cnlbi
+from bispec.lexer import TokenKind, tokenize
+from conftest import CORPUS_ASL, CORPUS_CNLBI, ROOT
+from test_totality import _mutate
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import inputs  # noqa: E402
 
 
 def errors(diags):
@@ -250,3 +262,66 @@ def test_filter_form_extras_parse_into_option_parts(medbuddy):
         ("Option", "AppointmentRequest.MinDate"),
         ("Option", "AppointmentRequest.MaxDate"),
     ]
+
+
+def _lexed_reads_back(text, stops):
+    """The CNL030 decision as it was made by lexing the description: the reference."""
+    tokens, diags = tokenize(text, code_prefix="CNL")
+    words = [tok.text for tok in tokens if tok.kind not in (TokenKind.COMMENT, TokenKind.EOF)]
+    return not diags and _join_prose(words) == text and set(words[1:]).isdisjoint(TOP_LEVEL_WORDS + stops)
+
+
+_STOPS = ((), ("performs",), _OP_DESCRIPTION_STOPS)
+
+
+def _described_owners(model):
+    """(kind, owner, stops) for each description ``emit_cnlbi`` writes."""
+    owners = [("entity", e, ()) for e in model.entities] + [("actor", a, ()) for a in model.actors]
+    for uc in model.use_cases:
+        owners += [("use case", uc, ("performs",))] + [("operation", op, _OP_DESCRIPTION_STOPS) for op in uc.operations]
+    owners += [("component", comp, ()) for container in model.ui_containers for comp in container.components]
+    return [owner for owner in owners if owner[1].description is not None]
+
+
+def _assert_decided_as_by_lexing(model):
+    owners = _described_owners(model)
+    for kind, owner, stops in owners:
+        text = owner.description
+        assert _reads_back(text, frozenset(TOP_LEVEL_WORDS + stops)) == _lexed_reads_back(text, stops), (kind, text)
+    _, warnings = emit_cnlbi(model)
+    expected = [f"description of {kind} {owner.id} does not read back as written in CNL-BI"
+                for kind, owner, stops in owners if not _lexed_reads_back(owner.description, stops)]
+    assert sorted(w.message for w in warnings if "description" in w.message) == sorted(expected)
+    return len(owners)
+
+
+def test_descriptions_of_the_corpus_and_a_32_area_unit_are_decided_as_by_lexing(medbuddy, medbuddy_asl, tmp_path):
+    assert _assert_decided_as_by_lexing(medbuddy) + _assert_decided_as_by_lexing(medbuddy_asl) > 0
+    corpus = {"cnlbi": (CORPUS_CNLBI.read_text(encoding="utf-8"), parse_cnlbi), "asl": (CORPUS_ASL.read_text(encoding="utf-8"), parse_asl)}
+    unit = inputs.make_spec(tmp_path, 3, 32, corpus) / "unit"
+    models = [(parse_cnlbi if path.suffix == ".cnlbi" else parse_asl)(path.read_text(encoding="utf-8"), path.name)[0]
+              for path in sorted(unit.iterdir())]
+    assert len(models) == 32
+    assert _assert_decided_as_by_lexing(merge_models(models)) > 500
+
+
+def test_descriptions_of_the_parse_mutants_are_decided_as_by_lexing():
+    for path, parse in ((CORPUS_CNLBI, parse_cnlbi), (CORPUS_ASL, parse_asl)):
+        source = path.read_text(encoding="utf-8")
+        tokens = tokenize(source, block_comments=True, string_quotes="'\"")[0][:-1]
+        rng = random.Random(parse_golden.SEED)
+        for _ in range(parse_golden.MUTANTS_PER_FILE):
+            _assert_decided_as_by_lexing(parse(_mutate(source, tokens, rng), path.name)[0])
+
+
+# Lexer edge cases: spacing, attached punctuation, quotes and escapes, comments,
+# numbers, hyphens and apostrophes, numeric characters that are no decimal digit.
+_PROSE_PIECES = st.sampled_from(
+    ["a", "Zé", "_x", "x1", "1", "1.5", "٣", "½", "²", " ", "  ", "\n", "\t", "\xa0", ",", ".", "-", "'", "(", "/", "//",
+     '"', '\\', "Actor", "Data", "performs", "Slice", "Roll-up", "it's", "to-be"]
+)
+
+
+@given(st.one_of(st.text(), st.lists(_PROSE_PIECES, max_size=8).map("".join)), st.sampled_from(_STOPS))
+def test_a_description_is_decided_as_by_lexing(text, stops):
+    assert _reads_back(text, frozenset(TOP_LEVEL_WORDS + stops)) == _lexed_reads_back(text, stops)

@@ -1,9 +1,13 @@
 import math
 import re
 from datetime import date
-from functools import partial
+from fractions import Fraction
+from functools import partial, reduce
+from itertools import accumulate
+from operator import add
 
 import pytest
+from hypothesis import given, strategies as st
 
 import oracle
 from bispec import model as m
@@ -82,6 +86,19 @@ def test_type_coercion_failure_reports_row_and_column(medbuddy, tmp_path):
     _, diags = load_cube(medbuddy, tmp_path)
     bad = [d for d in diags if d.code == "ENG003"]
     assert bad and "row 1" in bad[0].message and "day" in bad[0].message
+
+
+@pytest.mark.parametrize("chunk_rows", [2, engine.CHUNK_ROWS])
+def test_integer_cells_outside_64_bits_are_eng003(medbuddy, tmp_path, monkeypatch, chunk_rows):
+    ages = {"p1": 2**63 - 1, "p2": -(2**63), "p3": 2**63, "p4": -(2**63) - 1}
+    data = _package(tmp_path, Patient=partial(re.sub, r"^(p\d),(\d+),\d+,", lambda match: f"{match[1]},{match[2]},{ages[match[1]]},", flags=re.M))
+    monkeypatch.setattr(engine, "CHUNK_ROWS", chunk_rows)
+    cube, diags = load_cube(medbuddy, data)
+    assert [d.message for d in diags if d.code == "ENG003"] == [
+        f"Patient.csv row {row}, column age: '{ages[key]}' is outside the 64-bit Integer range" for row, key in ((3, "p3"), (4, "p4"))
+    ]
+    patients = cube.table("Patient")
+    assert patients.data["id"][:patients.size] == ["p1", "p2"] and patients.data["age"][:patients.size] == [2**63 - 1, -(2**63)]
 
 
 def test_dangling_foreign_key_reports_eng004(medbuddy, tmp_path):
@@ -694,3 +711,80 @@ def test_min_and_max_through_a_hop_keep_the_file_order_first_of_tied_zeros(medbu
         value = evaluate_measure(CubeView(zeros, FACT, positions), expr)
         expected = oracle.eval_measure(medbuddy, tables, FACT, expr, rows)
         assert value == expected == 0.0 and math.copysign(1.0, value) == math.copysign(1.0, expected) == sign, fn
+
+
+# ---------------------------------------------------------------------------
+# Measure folds: one C-level pass per input, AVERAGE as SUM over COUNT
+# ---------------------------------------------------------------------------
+
+# The folds before they became single C-level calls, kept as the reference: each
+# takes the group's non-null values; SUM and AVERAGE add left to right.
+_REDUCED = {
+    "COUNT": len,
+    "SUM": lambda values: reduce(add, values, 0),
+    "AVERAGE": lambda values: reduce(add, values, 0.0) / len(values) if values else None,
+    "MIN": lambda values: min(values) if values else None,
+    "MAX": lambda values: max(values) if values else None,
+}
+_INTEGERS = st.lists(st.one_of(st.none(), st.integers(-(2**40), 2**40)), max_size=40)
+
+
+def _reduced(fn, values):
+    return _REDUCED[fn]([v for v in values if v is not None])
+
+
+@given(_INTEGERS)
+def test_integer_folds_equal_the_reduced_folds_while_running_sums_stay_exact(values):
+    assert all(abs(total) <= 2**53 for total in accumulate(v for v in values if v is not None))
+    for fn, fold in engine._INTEGER_FOLDS.items():
+        assert repr(fold(values)) == repr(_reduced(fn, values)), fn
+
+
+@given(st.lists(st.one_of(st.none(), st.floats()), max_size=40))
+def test_decimal_folds_equal_the_reduced_folds(values):
+    for fn, fold in engine._FOLDS.items():
+        assert repr(fold(values)) == repr(_reduced(fn, values)), fn
+
+
+@given(st.lists(st.booleans()))
+def test_a_predicate_count_is_the_number_of_hits(hits):
+    assert engine._hits(iter(hits)) == hits.count(True)
+
+
+def test_an_integer_average_past_2_53_is_the_exact_mean(medbuddy, tmp_path):
+    # i1's waiting times are 2**53, 1, 1 and a null: a float running sum stays at 2**53
+    times = {"r01,i1,p1,s2,t1,t2,30,12,": f"r01,i1,p1,s2,t1,t2,30,{2**53},", "r02,i1,p2,s3,t1,t3,20,40,": "r02,i1,p2,s3,t1,t3,20,1,",
+             "r06,i1,p3,s2,t6,t6,45,2,": "r06,i1,p3,s2,t6,t6,45,1,"}
+    data = _package(tmp_path, AppointmentRequest=partial(re.sub, "|".join(times), lambda match: times[match[0]]))
+    big, diags = load_cube(medbuddy, data)
+    assert [d.code for d in diags] == []
+    exact = float(Fraction(2**53 + 2, 3))
+    result = run_use_case(big, "AnalysisAppointmentsInstitutionOnNationalLevel", "AppointmentsByInstitution")
+    averages = {row[0]: row[result.columns.index("AvgWaitingTime")] for row in result.rows}
+    assert averages["Hospital de Santa Maria"] == exact != _REDUCED["AVERAGE"]([2**53, 1, 1])
+    tables = oracle.load_tables(medbuddy, data)
+    rows = [row for row in tables[FACT] if row["institution"] == "i1"]
+    measure = medbuddy.entity(FACT).attribute("AvgWaitingTime").measure
+    assert oracle.eval_measure(medbuddy, tables, FACT, measure, rows) == exact
+
+
+def test_a_failing_hop_raises_from_the_folds_lazily_and_in_leaf_order(medbuddy, cube, tmp_path):
+    # r11 reads a dangling patient (ENG004); every institution reads a city that did not load (ENG030)
+    data = _package(tmp_path, AppointmentRequest=lambda text: text + "r11,i1,p999,s1,t1,,10,,false\n")
+    (data / "City.csv").unlink()
+    broken, _ = load_cube(medbuddy, data)
+    age = m.Aggregate("AVERAGE", _path("Patient.age"))
+    lisboa = m.Aggregate("COUNT", m.Predicate(_path("Patient.residence.name"), m.Literal("Lisboa")))
+    male = m.Aggregate("COUNT", m.Predicate(_path("Patient.gender"), m.Literal("Male")))
+    cities = m.Aggregate("MIN", _path("Institution.city.latitude"))
+    intact = engine._measure_program(cube, FACT, (age, male), 10)(range(10))
+    assert engine._measure_program(broken, FACT, (age, male), 10)(range(10)) == intact == (33.8, 4)
+    assert engine._measure_program(broken, FACT, (age, male, cities, lisboa), 0)([]) == (None, 0, None, 0)
+    dangling, unloaded = ("ENG004", "Patient has no row with key 'p999'"), ("ENG030", "no data loaded for City")
+    for exprs, positions, expected in (((age, male), [0, 10], dangling), ((male, age), [10], dangling),
+                                       ((lisboa,), [0], unloaded), ((age, cities), [10], dangling),
+                                       ((cities, age), [10], unloaded), ((cities, male), [10], unloaded),
+                                       ((lisboa, cities), [10], dangling)):
+        with pytest.raises(EngineError) as exc:
+            engine._measure_program(broken, FACT, exprs, len(positions))(positions)
+        assert (exc.value.code, str(exc.value)) == expected, exprs

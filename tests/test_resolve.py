@@ -6,11 +6,11 @@ from dataclasses import replace
 import pytest
 
 from bispec import model as m
-from bispec import check_model, gen_olap_sql, parse_cnlbi
+from bispec import check_model, gen_olap_sql, model_json, parse_cnlbi
 from bispec.engine import load_cube, run_use_case
 from bispec.generators import GeneratorError, gen_schema_sql
 from bispec.model import AttributePath
-from bispec.plan import EngineError, Filter, column, measure_program, source_fact
+from bispec.plan import EngineError, Filter, column, measure_program, operation_plan, plan_operation, source_fact
 from conftest import DATA_DIR
 
 FACT = "AppointmentRequest"
@@ -257,3 +257,41 @@ def test_reference_cycles_name_only_the_entities_on_a_cycle():
     with pytest.raises(GeneratorError) as exc:
         gen_schema_sql(model)
     assert (exc.value.code, str(exc.value)) == ("GEN001", "reference cycle among entities: A, B, D, E")
+
+
+def test_plans_and_measure_programs_are_made_once_per_model(cnlbi_source, monkeypatch):
+    model, _ = parse_cnlbi(cnlbi_source, "memo.cnlbi")
+    canonical = model_json(model)
+    check_model(model)
+    made = {}
+    for uc in model.use_cases:
+        for op in uc.operations:
+            gen_olap_sql(model, uc.id, op.id)
+            plan = made[uc.id, op.id] = operation_plan(model, uc, op)
+            exprs = [attr.measure for attr in plan.measures]
+            made[uc.id, op.id, "measures"] = measure_program(model, plan.fact.id, exprs)
+    # a hit tells its inputs apart by identity and hashes no expression tree
+    for cls in (m.Aggregate, m.Predicate, m.OlapOperation, m.UseCase):
+        monkeypatch.setattr(cls, "__hash__", lambda self: pytest.fail(f"hashed a {type(self).__name__}"))
+    for uc in model.use_cases:
+        for op in uc.operations:
+            plan = made[uc.id, op.id]
+            assert plan_operation(model, uc.id, op.id) is plan is operation_plan(model, uc, op)
+            assert measure_program(model, plan.fact.id, tuple(a.measure for a in plan.measures)) is made[uc.id, op.id, "measures"]
+    monkeypatch.undo()
+    fresh, _ = parse_cnlbi(cnlbi_source, "fresh.cnlbi")
+    uc = fresh.use_case("AnalysisAppointmentsInstitutionOnNationalLevel")
+    plan = operation_plan(fresh, uc, uc.operations[0])
+    assert plan == made[uc.id, uc.operations[0].id] and plan is not made[uc.id, uc.operations[0].id]
+    assert fresh == model and model_json(model) == canonical
+
+
+def test_a_planning_error_is_raised_afresh_on_every_call(medbuddy_measure_cycle):
+    fact = medbuddy_measure_cycle.entity("AppointmentRequest")
+    exprs = [fact.attribute("CancellationRate").measure]
+    raised = []
+    for _ in range(2):
+        with pytest.raises(EngineError) as exc:
+            measure_program(medbuddy_measure_cycle, fact.id, exprs)
+        raised.append(exc.value)
+    assert raised[0] is not raised[1] and str(raised[0]) == str(raised[1]) and raised[0].measure == raised[1].measure
