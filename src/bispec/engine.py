@@ -3,8 +3,17 @@
 A data package is a directory holding a plain-text manifest mapping entity
 ids to CSV files. Loading enforces headers, declared types, and referential
 integrity; queries are read-only over the immutable cube. Decimal arithmetic
-is 64-bit float, evaluated left to right, Integer sums are exact, and
-aggregation iterates rows in file order so results are reproducible.
+is 64-bit float, evaluated left to right, and Integer sums are exact.
+
+A query is ordered when its result could depend on the order its fact rows
+arrive in (``_ordered``): a Decimal SUM or AVERAGE, since floats add left to
+right; a MIN or MAX, or a group key, over a type whose equal values can
+print differently (Decimal ``0.0`` and ``-0.0``, a DateTime or Time at two
+UTC offsets, a column without a read type), since the first of them wins; or
+a filter, key or measure read that can raise ENG004 or ENG030, since the
+message names the first failing position. An ordered query reads its rows
+in file order. Any other query is order-free and skips rebuilding file
+order, with the same result.
 
 A table is one list per stored attribute, each ending with a null slot. A
 dimension reference holds row positions in its target table, so a hop is a
@@ -25,10 +34,15 @@ keys reads only the fact positions it keeps. Its ``==`` runs once per row
 of the last table the path reaches (a reference read as its key is one more
 hop, tested on the target's key column), and the hit rows walk back hop by
 hop through each reference's postings (the referencing rows per target
-row, in two flat arrays), merged into file order only at the fact. A table
-builds a reference's postings on the first filter that needs them and
-keeps them; fact and dimension tables alike, they are the only data derived
-at query time that outlives a query, and they die with the cube.
+row, in two flat arrays); only an ordered query sorts them into file order
+at the fact. An order-free roll-up on one key over the whole fact groups
+through the postings too, when its first hop is loaded without dangling
+keys and the fact holds at least as many rows as that hop's target: the
+target's rows are grouped by key once, and each group's fact positions are
+those its rows' postings hold. A table builds a reference's postings on
+first use and keeps them; fact and dimension tables alike, they are the
+only data derived at query time that outlives a query, and they die with
+the cube.
 """
 
 from __future__ import annotations
@@ -195,15 +209,31 @@ def _boolean(value: str) -> bool:
 _INT64 = range(-2**63, 2**63)  # an Integer cell or bound value is a signed 64-bit integer, as in SQLite
 
 
+def _numeric_text(text: str, decimal: bool) -> bool:
+    """Whether text that ``int`` or ``float`` reads is a number to SQLite too:
+    ASCII, without digit-group underscores and, for a Decimal, not nan, inf or
+    infinity (each spelling of which holds an ``n``)."""
+    return text.isascii() and "_" not in text and not (decimal and "n" in text.lower())
+
+
 def _integer(value: str) -> int:
+    if not _numeric_text(value, False):
+        raise ValueError(f"{value!r} is not an Integer")
     number = int(value)
     if number not in _INT64:
         raise ValueError(f"{value!r} is outside the 64-bit Integer range")
     return number
 
 
-_PARSERS = {"UUID": str, "String": str, "Integer": _integer, "Decimal": float, "Boolean": _boolean,
+def _decimal(value: str) -> float:
+    if not _numeric_text(value, True):
+        raise ValueError(f"{value!r} is not a Decimal")
+    return float(value)
+
+
+_PARSERS = {"UUID": str, "String": str, "Integer": _integer, "Decimal": _decimal, "Boolean": _boolean,
             "Date": date.fromisoformat, "DateTime": datetime.fromisoformat, "Time": time.fromisoformat}
+_NUMBERS = {_integer: int, _decimal: float}  # a numeric coercer -> what parses a chunk's column once its text is checked
 
 
 def _coercer(model: m.SpecificationModel, attr_type: m.AttributeType | None):
@@ -216,10 +246,13 @@ def _coercer(model: m.SpecificationModel, attr_type: m.AttributeType | None):
     if enum is None:
         return str
 
+    shared = {value: value for value in enum.values}  # every cell of a value holds the enumeration's own object
+
     def enum_value(value: str) -> str:
-        if value not in enum.values:
+        own = shared.get(value)
+        if own is None:
             raise ValueError(f"{value!r} is not a value of enumeration {attr_type.name}")
-        return value
+        return own
 
     return enum_value
 
@@ -354,13 +387,17 @@ def _bad_utf8_line(path: Path) -> int:
 
 
 def _parse_column(coerce, cells: tuple) -> list:
-    """One column of a chunk; an Integer column parses with ``int`` and checks
-    its range once, by its least and greatest value."""
-    if coerce is _integer:
-        values = _parse_column(int, cells)
-        least, greatest = min(filter(None, values), default=0), max(filter(None, values), default=0)
-        if least not in _INT64 or greatest not in _INT64:
-            raise ValueError("an Integer outside the 64-bit range")  # the chunk goes row by row
+    """One column of a chunk; an Integer or Decimal column checks its text once,
+    then parses with ``int`` or ``float``, and an Integer column checks its range
+    once, by its least and greatest value. A failed check sends the chunk row by row."""
+    if coerce in _NUMBERS:
+        if not _numeric_text("".join(cells), coerce is _decimal):
+            raise ValueError("text that is no number to SQLite")
+        values = _parse_column(_NUMBERS[coerce], cells)
+        if coerce is _integer:
+            least, greatest = min(filter(None, values), default=0), max(filter(None, values), default=0)
+            if least not in _INT64 or greatest not in _INT64:
+                raise ValueError("an Integer outside the 64-bit range")
         return values
     if "" in cells:
         return [coerce(raw) if raw else None for raw in cells]
@@ -487,6 +524,12 @@ def _steps(cube: Cube, fact_id: str, col: Column, test=None) -> tuple:
     return steps, hops, chained
 
 
+def _raises(steps) -> bool:
+    """Whether one of ``_steps``' steps can raise: a hop through a dangling key
+    (ENG004) or into a table that did not load (ENG030), the first included."""
+    return any(getattr(step, "func", None) in (_checked_hop, _unloaded_hop) for step in steps)
+
+
 def _first_reference(col: Column) -> str:
     """The fact attribute ``col`` is read through."""
     return col.chain[0][0] if col.chain else col.attribute.id
@@ -544,13 +587,14 @@ def _reader(cube: Cube, fact_id: str, col: Column, reads: int, test=None, distin
     return read
 
 
-def _far_end(cube: Cube, fact_id: str, col: Column, test) -> list[int] | None:
-    """The fact positions, ascending, whose ``col`` passes ``test``. The
-    test runs once per row of the last table ``_steps``' hops reach, null
-    slot included, and the hit rows walk back through each hop's postings;
-    a middle table's null slot hits when the next table's does. None when
-    no hop leaves the fact, a step must map each value, or the fact holds
-    fewer rows than the first hop's target: that filter scans instead."""
+def _far_end(cube: Cube, fact_id: str, col: Column, test, ordered: bool) -> list[int] | None:
+    """The fact positions whose ``col`` passes ``test``, ascending when
+    ``ordered``, else in postings order. The test runs once per row of the
+    last table ``_steps``' hops reach, null slot included, and the hit rows
+    walk back through each hop's postings; a middle table's null slot hits
+    when the next table's does. None when no hop leaves the fact, a step
+    must map each value, or the fact holds fewer rows than the first hop's
+    target: that filter scans instead."""
     fact = cube.tables[fact_id]
     steps, hops, chained = _steps(cube, fact_id, col, test)
     if chained or not hops or fact.size < fact.targets[hops[0][1]].size:
@@ -563,7 +607,8 @@ def _far_end(cube: Cube, fact_id: str, col: Column, test) -> list[int] | None:
         if hits and hits[-1] == table.targets[ref].size:  # the null slot comes last
             rows.append(table.size)
         hits = rows
-    return sorted(fact.referencing(hops[0][1], hits))
+    kept = fact.referencing(hops[0][1], hits)
+    return sorted(kept) if ordered else list(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +638,8 @@ def _bound_value(model: m.SpecificationModel, filt: Filter, bindings: dict):
 @dataclass(frozen=True)
 class CubeView:
     """Read-only slice of a cube: the positions of the fact rows satisfying a
-    conjunction, in file order, filtered once when the view is made."""
+    conjunction, filtered once when the view is made; in file order, except
+    in the view ``run_plan`` filters for an order-free query (``_ordered``)."""
 
     cube: Cube
     fact_id: str
@@ -606,16 +652,17 @@ class CubeView:
         return len(self.positions)
 
 
-def _filtered(view: CubeView, filters, bindings: dict | None) -> CubeView:
+def _filtered(view: CubeView, filters, bindings: dict | None, ordered: bool = True) -> CubeView:
     """Each filter tests the positions the filters before it kept; a filter
-    over the whole fact keeps what ``_far_end`` walks back to, when it can."""
+    over the whole fact keeps what ``_far_end`` walks back to, when it can,
+    in file order only when the query is ``ordered`` (see ``_ordered``)."""
     values = [_bound_value(view.cube.model, f, bindings or {}) for f in filters]
     cube, fact_id = view.cube, view.fact_id
     whole = range(cube.tables[fact_id].size)
     positions = view.positions
     for filt, value in zip(filters, values):
         test = partial(eq, value)
-        kept = _far_end(cube, fact_id, filt.column, test) if positions == whole else None
+        kept = _far_end(cube, fact_id, filt.column, test, ordered) if positions == whole else None
         if kept is None:
             kept = list(compress(positions, _reader(cube, fact_id, filt.column, len(positions), test)(positions)))
         positions = kept
@@ -672,13 +719,71 @@ def _max(values):
     return max(filter(_not_none, values), default=None)
 
 
-_FOLDS = {"COUNT": _count, "SUM": _decimal_sum, "AVERAGE": _average(_decimal_sum), "MIN": _min, "MAX": _max}
-_INTEGER_FOLDS = {**_FOLDS, "SUM": _integer_sum, "AVERAGE": _average(_integer_sum)}
+_decimal_average, _integer_average = _average(_decimal_sum), _average(_integer_sum)
+_FOLDS = {"COUNT": _count, "SUM": _decimal_sum, "AVERAGE": _decimal_average, "MIN": _min, "MAX": _max}
+_INTEGER_FOLDS = {**_FOLDS, "SUM": _integer_sum, "AVERAGE": _integer_average}
 
 
 def _hits(values) -> int:
     """COUNT of the rows a predicate holds for."""
     return countOf(values, True)
+
+
+# Whether a fold's result can depend on the order of its values: "free";
+# "ordered" (a Decimal SUM adds floats left to right); or "ties" (MIN and MAX
+# keep the first of tied values, which shows only where ``_TIES_DIFFER``).
+_FOLD_ORDER = {len: "free", _hits: "free", _count: "free", _integer_sum: "free", _integer_average: "free",
+               _decimal_sum: "ordered", _decimal_average: "ordered", _min: "ties", _max: "ties"}
+# Whether two equal values of a primitive type can print differently: 0.0 and
+# -0.0, or one instant at two UTC offsets.
+_TIES_DIFFER = {"UUID": False, "String": False, "Integer": False, "Boolean": False, "Date": False,
+                "Decimal": True, "DateTime": True, "Time": True}
+
+
+def _ties_differ(attr_type: m.AttributeType | None) -> bool:
+    """Whether two equal values read as ``attr_type`` (``plan.read_type``) can
+    print differently; a column without a read type counts as one that can."""
+    return attr_type is None or attr_type.kind == "primitive" and _TIES_DIFFER[attr_type.name]
+
+
+def _leaf_input(model: m.SpecificationModel, leaf) -> tuple:
+    """A measure leaf's ``(column, test, distinct, fold)``: the column it reads
+    (None where the fold takes the positions themselves), the ``==`` of a
+    predicate leaf, whether MIN or MAX reads its distinct first-hop values,
+    and the fold of the values read."""
+    if isinstance(leaf.input, Filter):
+        return leaf.input.column, partial(eq, leaf.input.value), False, _hits
+    col = leaf.input
+    if leaf.fn == "COUNT" and not col.chain and col.attribute.not_null:
+        return None, None, False, len  # COUNT of a NOT NULL fact column is the number of rows
+    attr_type = read_type(model, col.attribute)
+    integer = attr_type is not None and (attr_type.kind, attr_type.name) == ("primitive", "Integer")
+    return col, None, leaf.fn in ("MIN", "MAX") and bool(col.chain), (_INTEGER_FOLDS if integer else _FOLDS)[leaf.fn]
+
+
+def _ordered(cube: Cube, fact_id: str, exprs, filters=(), keys=()) -> bool:
+    """Whether a query's result can depend on the order its fact positions
+    arrive in: a measure fold that is "ordered" in ``_FOLD_ORDER``, or one that
+    keeps the first of ties over a type whose ties print apart; a group key of
+    such a type (the first of its equal values names the group); or a filter,
+    key or measure read that can raise, whose message names the first failing
+    position. A measure that fails to plan counts as ordered and raises where
+    it is compiled, as it did before."""
+    model = cube.model
+    try:
+        leaves = measure_program(model, fact_id, exprs).leaves
+    except EngineError:
+        return True
+    reads = [filt.column for filt in filters] + list(keys)
+    for leaf in leaves:
+        col, _, _, fold = _leaf_input(model, leaf)
+        order = _FOLD_ORDER[fold]
+        if order == "ordered" or order == "ties" and _ties_differ(read_type(model, col.attribute)):
+            return True
+        if col is not None:
+            reads.append(col)
+    return (any(_ties_differ(read_type(model, key.attribute)) for key in keys)
+            or any(_raises(_steps(cube, fact_id, col)[0]) for col in reads))
 
 
 def _arithmetic(op, a, b):
@@ -710,18 +815,13 @@ def _measure_program(cube: Cube, fact_id: str, exprs, reads: int):
     # value), or None for the positions themselves -> (reader, listed, {fold: leaf indices})
     inputs: dict = {}
     for index, leaf in enumerate(program.leaves):
-        if isinstance(leaf.input, Filter):
-            col, test, distinct, fold = leaf.input.column, partial(eq, leaf.input.value), False, _hits
-            key = (col.chain, col.attribute.id, "=", leaf.input.value)
+        col, test, distinct, fold = _leaf_input(model, leaf)
+        if col is None:
+            key = None
+        elif test is None:
+            key = (col.chain, col.attribute.id, distinct)
         else:
-            col, test = leaf.input, None
-            attr_type = read_type(model, col.attribute)
-            integer = attr_type is not None and (attr_type.kind, attr_type.name) == ("primitive", "Integer")
-            fold = (_INTEGER_FOLDS if integer else _FOLDS)[leaf.fn]
-            distinct = leaf.fn in ("MIN", "MAX") and bool(col.chain)
-            if leaf.fn == "COUNT" and not col.chain and col.attribute.not_null:
-                col, fold = None, len  # COUNT of a NOT NULL fact column is the number of rows
-            key = None if col is None else (col.chain, col.attribute.id, distinct)
+            key = (col.chain, col.attribute.id, "=", leaf.input.value)
         if key not in inputs:
             inputs[key] = (None if col is None else _reader(cube, fact_id, col, reads, test, distinct), test is None, {})
         inputs[key][2].setdefault(fold, []).append(index)
@@ -778,28 +878,56 @@ def _sort_token(value):
     return (3, str(value))
 
 
+def _posting_groups(cube: Cube, fact_id: str, key: Column) -> dict | None:
+    """The whole fact's positions grouped by ``key`` through its first
+    reference's postings: the rows of that reference's target (null slot
+    included) are grouped by their value of ``key`` once, and each group takes
+    the fact positions that reference its rows, ascending within each row. A
+    group no fact row reaches is left out. None when the first hop is not
+    loaded without dangling keys, or the fact holds fewer rows than its
+    target. Only for an order-free query (``_ordered``), so no step raises."""
+    fact = cube.tables[fact_id]
+    steps, hops, _ = _steps(cube, fact_id, key)
+    ref = hops[0][1] if hops else None
+    if ref is None or fact.size < fact.targets[ref].size:
+        return None
+    rows: dict = defaultdict(list)  # key value -> its target rows
+    for value, row in zip(_mapped(map(_function, steps[1:]), range(fact.targets[ref].size + 1)), count()):
+        rows[value].append(row)
+    groups = {value: list(fact.referencing(ref, hit)) for value, hit in rows.items()}
+    return {value: positions for value, positions in groups.items() if positions}
+
+
 def aggregate(view: CubeView, group_by) -> ResultTable:
     """Group view rows and evaluate every executable measure per group.
 
     ``group_by`` holds attribute paths (dotted text or ``AttributePath``) or
     plan ``Column``s. Roll-up and drill-down are both this operation with a
     coarser or finer key list; the distinction is reporting metadata only.
+    One key over the whole fact of an order-free query groups through
+    postings (``_posting_groups``); any other grouping reads every position.
     """
-    model = view.cube.model
+    cube, fact_id = view.cube, view.fact_id
+    model = cube.model
     parse = m.AttributePath.parse
-    keys = [key if isinstance(key, Column) else column(model, view.fact_id, parse(str(key))) for key in group_by]
+    keys = [key if isinstance(key, Column) else column(model, fact_id, parse(str(key))) for key in group_by]
     positions = view.positions
-    readers = [_reader(view.cube, view.fact_id, key, len(positions)) for key in keys]
-    measure_attrs = executable_measures(model.entity(view.fact_id))
+    measure_attrs = executable_measures(model.entity(fact_id))
+    exprs = [a.measure for a in measure_attrs]
 
-    single = len(readers) == 1  # groups on bare values, made 1-tuples once per group
-    groups: dict = defaultdict(list)  # each in ascending order, so folds run in file order
-    values = readers[0](positions) if single else zip(*(read(positions) for read in readers)) if readers else repeat(())
-    for key, position in zip(values, positions):
-        groups[key].append(position)
+    single = len(keys) == 1  # groups on bare values, made 1-tuples once per group
+    groups = None
+    if single and positions and positions == range(cube.tables[fact_id].size) and not _ordered(cube, fact_id, exprs, keys=keys):
+        groups = _posting_groups(cube, fact_id, keys[0])
+    if groups is None:
+        readers = [_reader(cube, fact_id, key, len(positions)) for key in keys]
+        groups = defaultdict(list)  # each in ascending order, so folds run in file order
+        values = readers[0](positions) if single else zip(*(read(positions) for read in readers)) if readers else repeat(())
+        for key, position in zip(values, positions):
+            groups[key].append(position)
 
     # compiled only for a non-empty result, so an empty one raises no measure error
-    program = _measure_program(view.cube, view.fact_id, [a.measure for a in measure_attrs], len(positions)) if groups else None
+    program = _measure_program(cube, fact_id, exprs, len(positions)) if groups else None
     order = sorted(groups, key=_sort_token if single else lambda k: tuple(map(_sort_token, k)))
     result_rows = [((key,) if single else key) + program(groups[key]) for key in order]
 
@@ -829,8 +957,10 @@ def run_plan(cube: Cube, plan: Plan, bindings: dict | None = None) -> ResultTabl
     view = cube.view(plan.fact.id)
 
     if plan.kind in ("Slice", "Dice"):
-        positions = _filtered(view, plan.filters, bindings).positions
-        cells = _measure_program(cube, plan.fact.id, [attr.measure for attr in plan.measures], len(positions))(positions)
+        exprs = [attr.measure for attr in plan.measures]
+        ordered = _ordered(cube, plan.fact.id, exprs, plan.filters)
+        positions = _filtered(view, plan.filters, bindings, ordered).positions
+        cells = _measure_program(cube, plan.fact.id, exprs, len(positions))(positions)
         return ResultTable((), ("row_count",) + tuple(a.id for a in plan.measures), ((len(positions),) + cells,))
 
     if plan.kind in ("RollUp", "DrillDown"):

@@ -11,7 +11,7 @@ shared, because those are the contract under test.
 from __future__ import annotations
 
 import csv
-from datetime import date
+from datetime import date, datetime, time
 from pathlib import Path
 
 from bispec import model as m
@@ -56,6 +56,10 @@ def _convert(raw, attr):
         return raw.lower() in ("true", "1")
     if name == "Date":
         return date.fromisoformat(raw)
+    if name == "DateTime":
+        return datetime.fromisoformat(raw)
+    if name == "Time":
+        return time.fromisoformat(raw)
     return raw
 
 

@@ -563,6 +563,21 @@ def test_an_integer_cell_beyond_64_bits_is_eng003_not_a_traceback(capsys, tmp_pa
     assert f"ENG003: AppointmentRequest.csv row 1, column actual_response_time: '{'9' * 400}' is outside the 64-bit Integer range" in err
 
 
+def test_numeric_text_that_sqlite_keeps_as_text_is_eng003_not_a_traceback(capsys, tmp_path):
+    for path in DATA_DIR.iterdir():
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    facts = tmp_path / "AppointmentRequest.csv"
+    text = facts.read_text(encoding="utf-8")
+    assert "r01,i1,p1,s2,t1,t2,30,12,true" in text
+    facts.write_text(text.replace("r01,i1,p1,s2,t1,t2,30,12,", "r01,i1,p1,s2,t1,t2,30,1_2,"), encoding="utf-8")
+    cities = tmp_path / "City.csv"
+    cities.write_text(cities.read_text(encoding="utf-8").replace("c1,38.72,", "c1,nan,"), encoding="utf-8")
+    code, out, err = run(capsys, *_olap_argv(tmp_path, "AppointmentsByInstitution"))
+    assert (code, out) == (1, "") and "Traceback" not in err
+    assert "ENG003: AppointmentRequest.csv row 1, column actual_response_time: '1_2' is not an Integer" in err
+    assert "ENG003: City.csv row 1, column latitude: 'nan' is not a Decimal" in err
+
+
 def test_an_integer_bind_beyond_64_bits_is_eng010(capsys):
     op = "ScheduledAppointmentsBySpecificCityAndYear"
     code, out, err = run(capsys, *_olap_argv(DATA_DIR, op, "--bind", "id=c2", "--bind", f"year={2**63}"))

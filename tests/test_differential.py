@@ -17,7 +17,8 @@ import oracle
 from bispec import check_model, merge_models, parse_cnlbi
 from bispec import engine
 from bispec import model as m
-from bispec.engine import CubeView, EngineError, aggregate, dice_view, evaluate_measure, load_cube, pivot, run_use_case, slice_view
+from bispec.engine import (CubeView, EngineError, aggregate, dice_view, evaluate_measure, load_cube, pivot, result_to_csv, run_use_case,
+                           slice_view)
 from bispec.generators import gen_olap_sql
 from bispec.plan import Column, Filter, plan_operation
 from conftest import assert_rows_match_sql, postings_built, sqlite_from_cube
@@ -241,6 +242,29 @@ def test_reference_postings_keep_what_the_scan_keeps(model, tmp_path, seed):
     assert postings_built(cube) == sorted(expected), seed
 
 
+def _assert_rollups_through_postings_print_what_the_row_loop_prints(model, cube, fact_id, seed) -> None:
+    """Each column of ``_through_references`` and each fact column as the one
+    key over the whole fact, which groups an order-free query through the
+    first reference's postings, and over a list of the same positions, which
+    groups row by row: the same CSV."""
+    whole, listed = cube.view(fact_id), CubeView(cube, fact_id, list(range(cube.table(fact_id).size)))
+    stored = [Column(attr.id, (), attr) for attr in model.entity(fact_id).attributes if not attr.is_measure and not attr.dimension_target]
+    for key in _through_references(model, fact_id) + stored:
+        assert result_to_csv(aggregate(whole, [key])) == result_to_csv(aggregate(listed, [key])), (seed, key.path)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_single_key_rollups_through_postings_print_what_the_row_loop_prints(model, tmp_path, seed):
+    """Only the fact's references whose target it outnumbers gain postings."""
+    make_package(seed, tmp_path)
+    cube, _ = load_cube(model, tmp_path)
+    _assert_rollups_through_postings_print_what_the_row_loop_prints(model, cube, FACT, seed)
+    fact = cube.table(FACT)
+    refs = {ref.id: cube.table(ref.dimension_target) for ref in model.entity(FACT).dimension_refs}
+    grouped = [(FACT, ref) for ref, target in refs.items() if fact.size and fact.size >= target.size]
+    assert postings_built(cube) == sorted(grouped), seed
+
+
 # A three-hop snowflake whose every reference can be null, so a null at any
 # table reaches the null slots of the tables behind it.
 SNOWFLAKE = """
@@ -320,6 +344,7 @@ def test_far_end_filters_keep_what_the_scan_keeps_through_three_nullable_hops(sn
         return by_id["Region"].get(city and city["region"])
 
     assert nulls["patient.residence.region.name"] == [p for p, visit in enumerate(tables["Visit"]) if region(visit) is None]
+    _assert_rollups_through_postings_print_what_the_row_loop_prints(snowflake, cube, "Visit", seed)  # builds no more postings
     visits, patients = cube.table("Visit"), cube.table("Patient")
     expected = [("City", "region"), ("Patient", "residence"), ("Visit", "patient")] if visits.size >= patients.size else []
     assert postings_built(cube) == expected, seed

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from datetime import date
@@ -22,10 +23,12 @@ from bispec.engine import (
     load_cube,
     pivot,
     result_to_csv,
+    run_plan,
     run_use_case,
     slice_view,
 )
 from bispec.generators import gen_olap_sql
+from bispec.plan import plan_filters, plan_operation
 from conftest import DATA_DIR, assert_rows_match_sql, postings_built, sqlite_from_cube
 
 YEAR_PRED = m.Predicate(
@@ -99,6 +102,31 @@ def test_integer_cells_outside_64_bits_are_eng003(medbuddy, tmp_path, monkeypatc
     ]
     patients = cube.table("Patient")
     assert patients.data["id"][:patients.size] == ["p1", "p2"] and patients.data["age"][:patients.size] == [2**63 - 1, -(2**63)]
+
+
+@pytest.mark.parametrize("chunk_rows", [2, engine.CHUNK_ROWS])
+def test_numeric_text_that_sqlite_keeps_as_text_is_eng003(medbuddy, tmp_path, monkeypatch, chunk_rows):
+    # ' 7 ', '+5' and '1e999' are numbers to SQLite 3.40 too (7, 5 and a REAL Inf); so is -0.0
+    ages = {"p1": "3_4", "p2": "\u0663", "p3": " 7 ", "p4": "+5"}
+    latitudes = {"i1": "nan", "i2": "1_0.5", "i3": "1e999", "c1": "inf", "c2": "Infinity", "c3": "-0.0"}
+    data = _package(tmp_path, Patient=partial(re.sub, r"^(p\d),(\d+),\d+,", lambda match: f"{match[1]},{match[2]},{ages[match[1]]},", flags=re.M),
+                    Institution=partial(re.sub, r"^(i\d),(\w+),([^,]+),[^,]+,",
+                                        lambda match: f"{match[1]},{match[2]},{match[3]},{latitudes[match[1]]},", flags=re.M),
+                    City=partial(re.sub, r"^(c\d),[^,]+,", lambda match: f"{match[1]},{latitudes[match[1]]},", flags=re.M))
+    monkeypatch.setattr(engine, "CHUNK_ROWS", chunk_rows)
+    cube, diags = load_cube(medbuddy, data)
+    assert [d.message for d in diags if d.code == "ENG003"] == [
+        "Patient.csv row 1, column age: '3_4' is not an Integer", "Patient.csv row 2, column age: '\u0663' is not an Integer",
+        "Institution.csv row 1, column latitude: 'nan' is not a Decimal",
+        "Institution.csv row 2, column latitude: '1_0.5' is not a Decimal",
+        "City.csv row 1, column latitude: 'inf' is not a Decimal", "City.csv row 2, column latitude: 'Infinity' is not a Decimal",
+    ]
+    patients, institutions, cities = cube.table("Patient"), cube.table("Institution"), cube.table("City")
+    assert patients.data["age"][:patients.size] == [7, 5] and institutions.data["latitude"][:institutions.size] == [math.inf]
+    assert repr(cities.data["latitude"][:cities.size]) == "[-0.0]"
+    with pytest.raises(EngineError) as exc:
+        run_use_case(cube, "AnalysisAppointmentsInstitutionOnNationalLevel", "ScheduledAppointmentsInSpecificYear", {"year": "2_023"})
+    assert (exc.value.code, str(exc.value)) == ("ENG010", "parameter 'year' expects Integer, got '2_023'")
 
 
 def test_dangling_foreign_key_reports_eng004(medbuddy, tmp_path):
@@ -387,8 +415,6 @@ def test_run_missing_binding_raises_eng010(cube):
 
 
 def test_underspecified_operation_raises_eng031(medbuddy_asl, cube):
-    import dataclasses
-
     asl_cube = dataclasses.replace(cube, model=medbuddy_asl)
     with pytest.raises(EngineError) as exc:
         run_use_case(asl_cube, "Analysis_Appointments_National_Level", "AppointmentsByInstitutionCity")
@@ -396,8 +422,6 @@ def test_underspecified_operation_raises_eng031(medbuddy_asl, cube):
 
 
 def test_synthetic_pivot_operation(cube, medbuddy):
-    import dataclasses
-
     pivot_op = m.OlapOperation(id="CityByState", kind="Pivot", swap=("Institution", "RequestState"))
     uc = medbuddy.use_case("AnalysisAppointmentsInstitutionOnNationalLevel")
     patched_uc = dataclasses.replace(uc, operations=uc.operations + (pivot_op,))
@@ -788,3 +812,111 @@ def test_a_failing_hop_raises_from_the_folds_lazily_and_in_leaf_order(medbuddy, 
         with pytest.raises(EngineError) as exc:
             engine._measure_program(broken, FACT, exprs, len(positions))(positions)
         assert (exc.value.code, str(exc.value)) == expected, exprs
+
+
+# ---------------------------------------------------------------------------
+# Order-free queries: what may skip file order, and what must keep it
+# ---------------------------------------------------------------------------
+
+# One measure per case, so each case alone makes its query ordered.
+ORDER_MODEL = """
+DataEntity Site ("Site") is a Master Dimension with attributes
+  id is a UUID (PrimaryKey),
+  region is a String (NotNull),
+  latitude is a Decimal (NotNull),
+  opened is a DateTime (NotNull),
+  shift is a Time (NotNull)
+described as sites.
+
+DataEntity Visit ("Visit") is a Transactional Fact with attributes
+  id is a UUID (PrimaryKey),
+  site refers to Dimension Site (NotNull),
+  cost is a Decimal (NotNull),
+  Result is a {type} (operation {operation})
+described as visits.
+
+Actor Analyst "Analyst" is a User described as an analyst.
+
+UseCase Visits is a BIAnalysis
+  actor Analyst,
+  data source Visit,
+  performs
+    OLAP Operation ByRegion is a Roll-up
+      group by Site.region
+      described as rolls up the visits per region,
+    OLAP Operation ByLatitude is a Roll-up
+      group by Site.latitude
+      described as rolls up the visits per latitude,
+    OLAP Operation North is a Slice
+      where Site.region = "North"
+      described as slices the visits in the north,
+
+  described as it shows the visits.
+"""
+# s1 and s2 hold tied values that print apart (0.0 and -0.0; one instant at two
+# UTC offsets). The fact reads s2 first, the postings of Site row s1 come first,
+# and the costs of the north add to 1.0 in file order and to 2.0 in postings order.
+ORDER_SITES = """id,region,latitude,opened,shift
+s1,North,0.0,2024-01-01T10:00:00+01:00,10:00:00+01:00
+s2,North,-0.0,2024-01-01T09:00:00+00:00,09:00:00+00:00
+s3,South,1.5,2024-02-01T08:00:00+00:00,08:00:00+00:00
+"""
+ORDER_VISITS = "id,site,cost\nv1,s2,1e16\nv2,s1,1.0\nv3,s2,-1e16\nv4,s1,1.0\nv5,s3,2.5\n"
+ORDERED_MEASURES = {
+    "Decimal SUM": ("Decimal", "SUM(cost)"),
+    "Decimal AVERAGE": ("Decimal", "AVERAGE(cost)"),
+    "MIN of tied zeros": ("Decimal", "MIN(Site.latitude)"),
+    "MAX of tied zeros": ("Decimal", "MAX(Site.latitude)"),
+    "MIN of one instant at two offsets": ("DateTime", "MIN(Site.opened)"),
+    "MAX of one time at two offsets": ("Time", "MAX(Site.shift)"),
+    "group keys of tied zeros": ("Integer", "COUNT(id)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORDERED_MEASURES))
+def test_an_ordered_query_keeps_file_order_and_matches_the_oracle(tmp_path, case):
+    attr_type, operation = ORDERED_MEASURES[case]
+    model, diags = parse_cnlbi(ORDER_MODEL.format(type=attr_type, operation=operation), "order.cnlbi")
+    assert not [d for d in diags if d.is_error], [f"{d.code} {d.message}" for d in diags]
+    (tmp_path / "Site.csv").write_text(ORDER_SITES, encoding="utf-8")
+    (tmp_path / "Visit.csv").write_text(ORDER_VISITS, encoding="utf-8")
+    (tmp_path / "manifest.toml").write_text('Site = "Site.csv"\nVisit = "Visit.csv"\n', encoding="utf-8")
+    cube, diags = load_cube(model, tmp_path)
+    assert diags == []
+    tables = oracle.load_tables(model, tmp_path)
+    for path in ("Site.region", "Site.latitude"):
+        grouped = oracle.aggregate(model, tables, "Visit", tables["Visit"], [_path(path)])
+        expected = sorted((repr(key), repr((values["Result"],))) for key, values in grouped.items())
+        result = run_use_case(cube, "Visits", "ByRegion" if path == "Site.region" else "ByLatitude")
+        assert sorted((repr(row[:1]), repr(row[1:])) for row in result.rows) == expected, path
+    north = oracle.filter_rows(model, tables, "Visit", (m.Predicate(_path("Site.region"), m.Literal("North")),))
+    measure = model.entity("Visit").attribute("Result").measure
+    assert repr(run_use_case(cube, "Visits", "North").rows) == repr(((4, oracle.eval_measure(model, tables, "Visit", measure, north)),))
+
+
+def test_a_query_reading_a_dangling_first_hop_raises_at_the_first_in_file_order(medbuddy, tmp_path):
+    """r05 (institution i3) and r08 (i2) hold dangling dates: file order meets
+    'zz' first, the postings of i2 before those of i3 meet 'yy' first."""
+    uc = "AnalysisAppointmentsInstitutionOnNationalLevel"
+    dice = plan_operation(medbuddy, uc, "ScheduledAppointmentsBySpecificCityAndYear")
+    closing = m.Predicate(_path("AppointmentRequest.closed_date.year"), m.Literal(2023))
+    cases = {  # dangling column -> the r05 and r08 edits, and the queries that read it
+        "scheduled_date": ({"r05,i3,p4,s2,t4,": "r05,i3,p4,s2,zz,", "r08,i2,p4,s2,t2,": "r08,i2,p4,s2,yy,"}, {
+            "roll-up": lambda cube: run_use_case(cube, uc, "AppointmentsByInstitutionCity"),
+            # only MIN(scheduled_date) reads the dangling dates
+            "city slice": lambda cube: run_plan(cube, dataclasses.replace(dice, filters=dice.filters[:1]), {"id": "c2"}),
+        }),
+        "closed_date": ({"r05,i3,p4,s2,t4,t4,": "r05,i3,p4,s2,t4,zz,", "r08,i2,p4,s2,t2,t3,": "r08,i2,p4,s2,t2,yy,"}, {
+            # no measure reads closed_date: only the second filter does
+            "city and closing year dice": lambda cube: run_plan(
+                cube, dataclasses.replace(dice, filters=plan_filters(medbuddy, FACT, (CITY_PRED, closing))), {"id": "c2"}),
+        }),
+    }
+    for column, (edits, queries) in cases.items():
+        data = _package(tmp_path / column, AppointmentRequest=partial(re.sub, "|".join(edits), lambda match: edits[match[0]]))
+        cube, diags = load_cube(medbuddy, data)
+        assert [d.code for d in diags] == ["ENG004", "ENG004"], column
+        for name, query in queries.items():
+            with pytest.raises(EngineError) as exc:
+                query(cube)
+            assert (exc.value.code, str(exc.value)) == ("ENG004", "Time has no row with key 'zz'"), name

@@ -14,11 +14,15 @@ Every bracketed ASL body is read by the one clause loop ``_Parser.body``,
 and the error plumbing of both parsers lives once, on ``lexer.Parser``.
 The engine keeps no module-level cache of cube data: what a query derives
 and keeps (a reference's postings) lives on its ``Table`` and dies with the
-cube.
+cube. Every measure fold and every primitive type has its own entry in the
+engine's order rule, so a new one cannot slip in as order-free.
 """
 
 import ast
 from pathlib import Path
+
+from bispec import engine
+from bispec.model import PRIMITIVE_TYPES
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bispec"
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
@@ -177,3 +181,9 @@ def test_engine_keeps_no_module_level_cache_of_cube_data():
             found.append(f"engine line {node.lineno} fills module-level {written.id}")
     assert containers >= {"_BOOLEANS", "_PARSERS", "_FOLDS"}  # the walk above sees the module's tables
     assert sorted(found) == []
+
+
+def test_every_fold_and_primitive_type_has_an_order_entry():
+    folds = {*engine._FOLDS.values(), *engine._INTEGER_FOLDS.values(), engine._hits, len}  # len: COUNT of a NOT NULL column
+    assert set(engine._FOLD_ORDER) == folds and set(engine._FOLD_ORDER.values()) <= {"free", "ordered", "ties"}
+    assert set(engine._TIES_DIFFER) == set(PRIMITIVE_TYPES)
