@@ -40,9 +40,17 @@ through the postings too, when its first hop is loaded without dangling
 keys and the fact holds at least as many rows as that hop's target: the
 target's rows are grouped by key once, and each group's fact positions are
 those its rows' postings hold. A table builds a reference's postings on
-first use and keeps them; fact and dimension tables alike, they are the
-only data derived at query time that outlives a query, and they die with
-the cube.
+first use and keeps them.
+
+Once a fact reference has postings, that is once it has served a query on
+this cube, an order-free query through it also keeps member folds there
+(``_member_program``): each measure fold's partial per row of the
+reference's target (a member), one slot per member, built by one read of
+each input over the whole fact. From then on, such a single-key roll-up
+groups members instead of fact rows, and a slice by one filter combines
+the members the filter keeps at that target: neither reads a fact row. A
+one-shot query builds no folds. Postings and member folds are the only data
+derived at query time that outlives a query, and they die with the cube.
 """
 
 from __future__ import annotations
@@ -105,6 +113,7 @@ class Table:
     targets: dict[str, "Table"] = field(default_factory=dict)
     dangling: frozenset = frozenset()  # references with a key that names no target row (ENG004)
     postings: dict = field(default_factory=dict, init=False, compare=False, repr=False)  # reference -> _postings
+    folds: dict = field(default_factory=dict, init=False, compare=False, repr=False)  # reference -> _member_program's slots
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -241,7 +250,8 @@ def _coercer(model: m.SpecificationModel, attr_type: m.AttributeType | None):
     read as ``attr_type`` (``plan.read_type``); it raises ValueError."""
     kind = attr_type.kind if attr_type is not None else None
     if kind == "primitive":
-        return _PARSERS[attr_type.name]
+        parse = _PARSERS[attr_type.name]
+        return _one_awareness(parse) if attr_type.name in ("DateTime", "Time") else parse
     enum = model.enumeration(attr_type.name) if kind == "enum" else None
     if enum is None:
         return str
@@ -255,6 +265,25 @@ def _coercer(model: m.SpecificationModel, attr_type: m.AttributeType | None):
         return own
 
     return enum_value
+
+
+def _one_awareness(parse):
+    """``parse`` of DateTime or Time cells, refusing a value that is offset-aware
+    where the first value it parsed is offset-naive, or the other way round:
+    the two kinds do not compare, so MIN and MAX could not fold a column of both."""
+    first = []  # whether the first value parsed is offset-aware
+
+    def parse_alike(value: str):
+        parsed = parse(value)
+        aware = parsed.tzinfo is not None
+        if not first:
+            first.append(aware)
+        elif aware != first[0]:
+            kinds = ("offset-aware", "offset-naive") if aware else ("offset-naive", "offset-aware")
+            raise ValueError(f"{value!r} is {kinds[0]} but the column's first value is {kinds[1]}")
+        return parsed
+
+    return parse_alike
 
 
 def load_cube(model: m.SpecificationModel, data_dir: str | Path) -> tuple[Cube, list[Diagnostic]]:
@@ -587,11 +616,12 @@ def _reader(cube: Cube, fact_id: str, col: Column, reads: int, test=None, distin
     return read
 
 
-def _far_end(cube: Cube, fact_id: str, col: Column, test, ordered: bool) -> list[int] | None:
-    """The fact positions whose ``col`` passes ``test``, ascending when
-    ``ordered``, else in postings order. The test runs once per row of the
-    last table ``_steps``' hops reach, null slot included, and the hit rows
-    walk back through each hop's postings; a middle table's null slot hits
+def _far_end(cube: Cube, fact_id: str, col: Column, test) -> tuple[str, list[int]] | None:
+    """``(reference, rows)``: the fact's first reference on ``col``'s path and
+    the rows of its target (null slot included) that the fact positions whose
+    ``col`` passes ``test`` reference. The test runs once per row of the last
+    table ``_steps``' hops reach, null slot included, and the hit rows walk
+    back through each later hop's postings; a middle table's null slot hits
     when the next table's does. None when no hop leaves the fact, a step
     must map each value, or the fact holds fewer rows than the first hop's
     target: that filter scans instead."""
@@ -607,8 +637,7 @@ def _far_end(cube: Cube, fact_id: str, col: Column, test, ordered: bool) -> list
         if hits and hits[-1] == table.targets[ref].size:  # the null slot comes last
             rows.append(table.size)
         hits = rows
-    kept = fact.referencing(hops[0][1], hits)
-    return sorted(kept) if ordered else list(kept)
+    return hops[0][1], hits
 
 
 # ---------------------------------------------------------------------------
@@ -654,19 +683,39 @@ class CubeView:
 
 def _filtered(view: CubeView, filters, bindings: dict | None, ordered: bool = True) -> CubeView:
     """Each filter tests the positions the filters before it kept; a filter
-    over the whole fact keeps what ``_far_end`` walks back to, when it can,
-    in file order only when the query is ``ordered`` (see ``_ordered``)."""
+    over the whole fact keeps the positions that reference the rows
+    ``_far_end`` walks back to, when it can, in file order only when the
+    query is ``ordered`` (see ``_ordered``), else in postings order."""
     values = [_bound_value(view.cube.model, f, bindings or {}) for f in filters]
     cube, fact_id = view.cube, view.fact_id
-    whole = range(cube.tables[fact_id].size)
+    fact = cube.tables[fact_id]
     positions = view.positions
     for filt, value in zip(filters, values):
         test = partial(eq, value)
-        kept = _far_end(cube, fact_id, filt.column, test, ordered) if positions == whole else None
-        if kept is None:
-            kept = list(compress(positions, _reader(cube, fact_id, filt.column, len(positions), test)(positions)))
-        positions = kept
+        far = _far_end(cube, fact_id, filt.column, test) if positions == range(fact.size) else None
+        if far is None:
+            positions = list(compress(positions, _reader(cube, fact_id, filt.column, len(positions), test)(positions)))
+        else:
+            positions = sorted(fact.referencing(*far)) if ordered else list(fact.referencing(*far))
     return CubeView(cube, fact_id, positions)
+
+
+def _sliced(view: CubeView, filters, bindings: dict | None, exprs) -> tuple[int, tuple]:
+    """``(row_count, cells)``: how many of the view's rows the filters keep, and
+    the measures over them. An order-free query over the whole fact by one
+    filter combines the member folds of the filter's first reference at the
+    rows of its target that ``_far_end`` keeps, once that reference has
+    postings (``_member_program``); any other reads the kept fact positions."""
+    cube, fact_id = view.cube, view.fact_id
+    ordered = _ordered(cube, fact_id, exprs, filters)
+    if not ordered and len(filters) == 1 and view.positions == range(cube.tables[fact_id].size):
+        col = filters[0].column
+        combine = _member_program(cube, fact_id, _first_reference(col), exprs)
+        far = combine and _far_end(cube, fact_id, col, partial(eq, _bound_value(cube.model, filters[0], bindings or {})))
+        if far:
+            return combine(far[1])
+    positions = _filtered(view, filters, bindings, ordered).positions
+    return len(positions), _measure_program(cube, fact_id, exprs, len(positions))(positions)
 
 
 def slice_view(view: CubeView, predicate: m.Predicate, bindings: dict | None = None) -> CubeView:
@@ -761,6 +810,15 @@ def _leaf_input(model: m.SpecificationModel, leaf) -> tuple:
     return col, None, leaf.fn in ("MIN", "MAX") and bool(col.chain), (_INTEGER_FOLDS if integer else _FOLDS)[leaf.fn]
 
 
+def _input_key(leaf, col: Column | None, test, distinct: bool):
+    """What a measure leaf reads (``_leaf_input``), as a key the leaves that
+    read the same share: ``(chain, attribute id, distinct)`` or ``(chain,
+    attribute id, "=", predicate value)``, or None for the positions themselves."""
+    if col is None:
+        return None
+    return (col.chain, col.attribute.id, distinct) if test is None else (col.chain, col.attribute.id, "=", leaf.input.value)
+
+
 def _ordered(cube: Cube, fact_id: str, exprs, filters=(), keys=()) -> bool:
     """Whether a query's result can depend on the order its fact positions
     arrive in: a measure fold that is "ordered" in ``_FOLD_ORDER``, or one that
@@ -811,17 +869,10 @@ def _measure_program(cube: Cube, fact_id: str, exprs, reads: int):
     MAX through a hop over the distinct first-hop values."""
     model = cube.model
     program = measure_program(model, fact_id, exprs)
-    # (chain, attribute id, distinct) or (chain, attribute id, "=", predicate
-    # value), or None for the positions themselves -> (reader, listed, {fold: leaf indices})
-    inputs: dict = {}
+    inputs: dict = {}  # _input_key -> (reader, listed, {fold: leaf indices})
     for index, leaf in enumerate(program.leaves):
         col, test, distinct, fold = _leaf_input(model, leaf)
-        if col is None:
-            key = None
-        elif test is None:
-            key = (col.chain, col.attribute.id, distinct)
-        else:
-            key = (col.chain, col.attribute.id, "=", leaf.input.value)
+        key = _input_key(leaf, col, test, distinct)
         if key not in inputs:
             inputs[key] = (None if col is None else _reader(cube, fact_id, col, reads, test, distinct), test is None, {})
         inputs[key][2].setdefault(fold, []).append(index)
@@ -847,6 +898,98 @@ def evaluate_measure(view: CubeView, expr, rows: Rows | None = None):
     returns them (defaults to the whole view)."""
     positions = view.positions if rows is None else rows.positions
     return _measure_program(view.cube, view.fact_id, (expr,), len(positions))(positions)[0]
+
+
+# ---------------------------------------------------------------------------
+# Member folds
+# ---------------------------------------------------------------------------
+
+# A member is one row of a fact reference's target, null slot included; its
+# fact rows are those its postings hold. A member fold is one fold run over
+# each member's values of one input, one slot per member, and a group of
+# members combines its slots: COUNT, a predicate COUNT and an Integer SUM
+# by adding them, MIN and MAX by folding them again.
+_COMBINE = {_count: sum, _hits: sum, _integer_sum: sum, _min: _min, _max: _max}
+
+
+def _member_folds(fold, values: tuple, offsets):
+    """``fold`` over each member's values (``values`` in postings order, member
+    ``r``'s at ``offsets[r]:offsets[r + 1]``): counts and sums in one machine
+    integer each when every one fits in 64 bits, else a list."""
+    def folded():
+        return map(fold, map(values.__getitem__, map(slice, offsets, islice(offsets, 1, None))))
+
+    if _COMBINE[fold] is sum:
+        try:
+            return array("q", folded())
+        except OverflowError:  # a sum past 64 bits
+            pass
+    return list(folded())
+
+
+def _row_count(rows: int) -> int:
+    return rows
+
+
+def _total(rows: int, total):
+    return total
+
+
+def _quotient(rows: int, total: int, counted: int):
+    return total / counted if counted else None
+
+
+# How each fold that ``_FOLD_ORDER`` does not mark "ordered" is computed from
+# member folds: the folds of its input it reads per member, and its value from
+# the group's row count and their combinations over the group, which is what
+# it gives over the group's rows.
+_MEMBER_FOLDS = {len: ((), _row_count), _hits: ((_hits,), _total), _count: ((_count,), _total),
+                 _integer_sum: ((_integer_sum,), _total), _integer_average: ((_integer_sum, _count), _quotient),
+                 _min: ((_min,), _total), _max: ((_max,), _total)}
+
+
+def _member_program(cube: Cube, fact_id: str, ref: str, exprs):
+    """A function from rows of the fact reference ``ref``'s target (members)
+    to ``(row_count, cells)`` over the fact rows that reference them, which
+    combines the member folds in ``fact.folds[ref]``; a member without rows
+    is skipped. None until ``ref`` has postings, that is until it has served
+    a query on this cube: a one-shot query builds no folds. The member folds
+    the measures need that are missing are built here, and kept: each input
+    is read once over the whole fact in postings order. Only for an
+    order-free query (``_ordered``), whose reads cannot raise."""
+    fact = cube.tables[fact_id]
+    if ref not in fact.postings:
+        return None
+    model = cube.model
+    program = measure_program(model, fact_id, exprs)
+    offsets, positions = fact.postings[ref]
+    folds = fact.folds.setdefault(ref, {})  # (_input_key, fold run per member) -> one slot per member
+    inputs: dict = {}  # _input_key -> (column, test, the folds it runs per member)
+    leaves = []  # per leaf: (its value from the row count and totals, the (key, fold) slots it reads)
+    for leaf in program.leaves:
+        col, test, distinct, fold = _leaf_input(model, leaf)
+        key = _input_key(leaf, col, test, distinct)
+        per_member, finish = _MEMBER_FOLDS[fold]
+        inputs.setdefault(key, (col, test, {}))[2].update(dict.fromkeys(per_member))
+        leaves.append((finish, [(key, each) for each in per_member]))
+    for key, (col, test, per_member) in inputs.items():
+        missing = [each for each in per_member if (key, each) not in folds]
+        if missing:
+            values = tuple(_reader(cube, fact_id, col, fact.size, test)(positions))
+            for each in missing:
+                folds[key, each] = _member_folds(each, values, offsets)
+    slots = {name: (folds[name], _COMBINE[name[1]]) for _, names in leaves for name in names}
+    counts = list(map(sub, islice(offsets, 1, None), offsets))  # each member's rows
+    nodes = [_root(root) for root in program.roots]
+
+    def run(rows) -> tuple[int, tuple]:
+        rows = list(compress(rows, map(counts.__getitem__, rows)))
+        row_count = sum(map(counts.__getitem__, rows))
+        totals = {name: combine(map(slot.__getitem__, rows)) for name, (slot, combine) in slots.items()}
+        results = [finish(row_count, *map(totals.__getitem__, names)) for finish, names in leaves]
+        return row_count, tuple(node(results) for node in nodes)
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -878,14 +1021,16 @@ def _sort_token(value):
     return (3, str(value))
 
 
-def _posting_groups(cube: Cube, fact_id: str, key: Column) -> dict | None:
-    """The whole fact's positions grouped by ``key`` through its first
-    reference's postings: the rows of that reference's target (null slot
-    included) are grouped by their value of ``key`` once, and each group takes
-    the fact positions that reference its rows, ascending within each row. A
-    group no fact row reaches is left out. None when the first hop is not
-    loaded without dangling keys, or the fact holds fewer rows than its
-    target. Only for an order-free query (``_ordered``), so no step raises."""
+def _posting_groups(cube: Cube, fact_id: str, key: Column, exprs) -> dict | None:
+    """The measure cells of the whole fact grouped by ``key`` through its
+    first reference's postings: the rows of that reference's target (null
+    slot included) are grouped by their value of ``key`` once. Once that
+    reference has postings, each group combines its rows' member folds
+    (``_member_program``); else the measures run over the fact positions that
+    reference its rows, ascending within each row. A group no fact row
+    reaches is left out. None when the first hop is not loaded without
+    dangling keys, or the fact holds fewer rows than its target. Only for an
+    order-free query (``_ordered``), so no step raises."""
     fact = cube.tables[fact_id]
     steps, hops, _ = _steps(cube, fact_id, key)
     ref = hops[0][1] if hops else None
@@ -894,8 +1039,13 @@ def _posting_groups(cube: Cube, fact_id: str, key: Column) -> dict | None:
     rows: dict = defaultdict(list)  # key value -> its target rows
     for value, row in zip(_mapped(map(_function, steps[1:]), range(fact.targets[ref].size + 1)), count()):
         rows[value].append(row)
+    combine = _member_program(cube, fact_id, ref, exprs)
+    if combine is not None:
+        combined = {value: combine(hit) for value, hit in rows.items()}
+        return {value: cells for value, (row_count, cells) in combined.items() if row_count}
     groups = {value: list(fact.referencing(ref, hit)) for value, hit in rows.items()}
-    return {value: positions for value, positions in groups.items() if positions}
+    program = _measure_program(cube, fact_id, exprs, fact.size)
+    return {value: program(positions) for value, positions in groups.items() if positions}
 
 
 def aggregate(view: CubeView, group_by) -> ResultTable:
@@ -916,20 +1066,24 @@ def aggregate(view: CubeView, group_by) -> ResultTable:
     exprs = [a.measure for a in measure_attrs]
 
     single = len(keys) == 1  # groups on bare values, made 1-tuples once per group
-    groups = None
+    sort_key = _sort_token if single else lambda k: tuple(map(_sort_token, k))
+    cells = None  # group key -> its measure cells
     if single and positions and positions == range(cube.tables[fact_id].size) and not _ordered(cube, fact_id, exprs, keys=keys):
-        groups = _posting_groups(cube, fact_id, keys[0])
-    if groups is None:
+        cells = _posting_groups(cube, fact_id, keys[0], exprs)
+    if cells is None:
         readers = [_reader(cube, fact_id, key, len(positions)) for key in keys]
         groups = defaultdict(list)  # each in ascending order, so folds run in file order
         values = readers[0](positions) if single else zip(*(read(positions) for read in readers)) if readers else repeat(())
         for key, position in zip(values, positions):
             groups[key].append(position)
-
-    # compiled only for a non-empty result, so an empty one raises no measure error
-    program = _measure_program(cube, fact_id, exprs, len(positions)) if groups else None
-    order = sorted(groups, key=_sort_token if single else lambda k: tuple(map(_sort_token, k)))
-    result_rows = [((key,) if single else key) + program(groups[key]) for key in order]
+        # compiled only for a non-empty result, so an empty one raises no measure error
+        program = _measure_program(cube, fact_id, exprs, len(positions)) if groups else None
+        order = sorted(groups, key=sort_key)
+        measured = map(program, map(groups.__getitem__, order))  # in key order: a measure error is the first group's
+    else:
+        order = sorted(cells, key=sort_key)
+        measured = map(cells.__getitem__, order)
+    result_rows = [((key,) if single else key) + row for key, row in zip(order, measured)]
 
     return ResultTable(tuple(key.path for key in keys), tuple(a.id for a in measure_attrs), tuple(result_rows))
 
@@ -957,11 +1111,8 @@ def run_plan(cube: Cube, plan: Plan, bindings: dict | None = None) -> ResultTabl
     view = cube.view(plan.fact.id)
 
     if plan.kind in ("Slice", "Dice"):
-        exprs = [attr.measure for attr in plan.measures]
-        ordered = _ordered(cube, plan.fact.id, exprs, plan.filters)
-        positions = _filtered(view, plan.filters, bindings, ordered).positions
-        cells = _measure_program(cube, plan.fact.id, exprs, len(positions))(positions)
-        return ResultTable((), ("row_count",) + tuple(a.id for a in plan.measures), ((len(positions),) + cells,))
+        row_count, cells = _sliced(view, plan.filters, bindings, [attr.measure for attr in plan.measures])
+        return ResultTable((), ("row_count",) + tuple(a.id for a in plan.measures), ((row_count,) + cells,))
 
     if plan.kind in ("RollUp", "DrillDown"):
         return aggregate(view, plan.keys)

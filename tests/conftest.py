@@ -65,6 +65,11 @@ def postings_built(cube) -> list[tuple[str, str]]:
     return sorted((entity_id, ref) for entity_id, table in cube.tables.items() for ref in table.postings)
 
 
+def folds_built(cube) -> list[tuple[str, str]]:
+    """``(entity id, reference)`` for every reference that keeps member folds, sorted."""
+    return sorted((entity_id, ref) for entity_id, table in cube.tables.items() for ref in table.folds)
+
+
 def _sql_value(value):
     if isinstance(value, bool):
         return int(value)

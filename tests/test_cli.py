@@ -5,11 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from bispec import parse_cnlbi
+from bispec import engine, parse_cnlbi
 from bispec.cli import main
 from bispec.generators import GeneratorError, gen_olap_sql
 from bispec.plan import EngineError, plan_operation
-from conftest import CORPUS_ASL, CORPUS_CNLBI, DATA_DIR
+from conftest import CORPUS_ASL, CORPUS_CNLBI, DATA_DIR, folds_built
 
 
 @pytest.fixture(autouse=True)
@@ -407,6 +407,17 @@ def test_olap_csv_matches_golden_result(capsys, golden):
     assert out == golden.read_text(encoding="utf-8")
 
 
+def test_a_session_prints_the_golden_results_from_member_folds(medbuddy):
+    """Three passes over every corpus operation on one cube, as a session runs
+    them: the later passes combine member folds, and print the goldens too."""
+    cube, _ = engine.load_cube(medbuddy, DATA_DIR)
+    ops = [path.stem.partition("__")[::2] for path in GOLDEN_OLAP]
+    for _ in range(3):
+        out = [engine.result_to_csv(engine.run_use_case(cube, uc, op, {"year": "2023", "id": "c2"})) for uc, op in ops]
+        assert out == [path.read_text(encoding="utf-8") for path in GOLDEN_OLAP]
+    assert folds_built(cube) == [("AppointmentRequest", ref) for ref in ("institution", "patient", "scheduled_date")]
+
+
 # `gen` and `parse --emit model-json` output for each corpus file, recorded
 # before the canonical writer and hop-chain memo changed; each byte must stay.
 GOLDEN = Path(__file__).parent / "golden"
@@ -576,6 +587,48 @@ def test_numeric_text_that_sqlite_keeps_as_text_is_eng003_not_a_traceback(capsys
     assert (code, out) == (1, "") and "Traceback" not in err
     assert "ENG003: AppointmentRequest.csv row 1, column actual_response_time: '1_2' is not an Integer" in err
     assert "ENG003: City.csv row 1, column latitude: 'nan' is not a Decimal" in err
+
+
+MIXED_AWARENESS_SPEC = """
+DataEntity Site ("Site") is a Master Dimension with attributes
+  id is a UUID (PrimaryKey),
+  name is a String (NotNull)
+described as sites.
+
+DataEntity Visit ("Visit") is a Transactional Fact with attributes
+  id is a UUID (PrimaryKey),
+  site refers to Dimension Site (NotNull),
+  opened is a DateTime,
+  FirstOpened is a DateTime (operation MIN(opened))
+described as visits.
+
+Actor Analyst "Analyst" is a User described as an analyst.
+
+UseCase Visits is a BIAnalysis
+  actor Analyst,
+  data source Visit,
+  performs
+    OLAP Operation BySite is a Roll-up
+      group by Site.name
+      described as rolls up the visits per site,
+
+  described as it shows the visits.
+"""
+
+
+def test_a_datetime_column_mixing_naive_and_aware_values_is_eng003_not_a_traceback(capsys, tmp_path):
+    spec = tmp_path / "visits.cnlbi"
+    spec.write_text(MIXED_AWARENESS_SPEC, encoding="utf-8")
+    (tmp_path / "Site.csv").write_text("id,name\ns1,North\n", encoding="utf-8")
+    (tmp_path / "Visit.csv").write_text("id,site,opened\nv1,s1,2024-01-01T10:00:00+01:00\nv2,s1,\nv3,s1,2024-01-01T09:30:00\n",
+                                        encoding="utf-8")
+    (tmp_path / "manifest.toml").write_text('Site = "Site.csv"\nVisit = "Visit.csv"\n', encoding="utf-8")
+    code, out, err = run(capsys, "olap", str(spec), "--data", str(tmp_path), "--usecase", "Visits", "--op", "BySite", "--json")
+    assert (code, out) == (1, "") and err
+    diags = [json.loads(line) for line in err.splitlines()]
+    assert [(d["code"], d["message"]) for d in diags] == [
+        ("ENG003", "Visit.csv row 3, column opened: '2024-01-01T09:30:00' is offset-naive but the column's first value is offset-aware")
+    ]
 
 
 def test_an_integer_bind_beyond_64_bits_is_eng010(capsys):

@@ -4,7 +4,9 @@ Each seed writes a small package for the corpus model: nullable
 ``closed_date`` and ``actual_response_time``, negative and very large
 decimals, duplicate dimension labels, and, for some seeds, a 0-row fact or
 a single group. Every corpus operation plus the extra ones below runs in
-the engine, in ``tests/oracle.py`` and as generated SQL in SQLite.
+the engine, in ``tests/oracle.py`` and as generated SQL in SQLite. The
+engine runs each three times on one cube: through postings or a scan, then
+the run that builds member folds, then through them.
 """
 
 import csv
@@ -21,7 +23,7 @@ from bispec.engine import (CubeView, EngineError, aggregate, dice_view, evaluate
                            slice_view)
 from bispec.generators import gen_olap_sql
 from bispec.plan import Column, Filter, plan_operation
-from conftest import assert_rows_match_sql, postings_built, sqlite_from_cube
+from conftest import assert_rows_match_sql, folds_built, postings_built, sqlite_from_cube
 
 SEEDS = range(30)
 FACT = "AppointmentRequest"
@@ -114,6 +116,19 @@ def _oracle_binds(binds):
     return {"year": int(binds["year"]), "id": binds["id"]}
 
 
+def _three_runs(cube, query):
+    """``query()`` three times on ``cube``, from no postings and no member
+    folds: through postings or a scan, then the run that admits member folds
+    (building them where the query can use them), then through them. All
+    three print the same CSV; returns the first result."""
+    for table in cube.tables.values():
+        table.postings.clear()
+        table.folds.clear()
+    results = [query() for _ in range(3)]
+    assert len({result_to_csv(result) for result in results}) == 1
+    return results[0]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_engine_oracle_and_sqlite_agree(model, tmp_path, seed):
     binds = make_package(seed, tmp_path)
@@ -122,12 +137,14 @@ def test_engine_oracle_and_sqlite_agree(model, tmp_path, seed):
     tables = oracle.load_tables(model, tmp_path)
     conn = sqlite_from_cube(model, cube)
     measures = [a for a in model.entity(FACT).measures if not isinstance(a.measure, m.OpaqueMeasure)]
+    folded = set()
     try:
         for uc in model.use_cases:
             for op in uc.operations:
                 context = (seed, uc.id, op.id)
                 plan = plan_operation(model, uc.id, op.id)
-                result = run_use_case(cube, uc.id, op.id, binds)
+                result = _three_runs(cube, lambda: run_use_case(cube, uc.id, op.id, binds))
+                folded.update(folds_built(cube))
                 db_rows = conn.execute(gen_olap_sql(model, uc.id, op.id), binds).fetchall()
                 if op.kind in ("Slice", "Dice"):
                     kept = oracle.filter_rows(model, tables, FACT, op.where_clauses, _oracle_binds(binds))
@@ -144,6 +161,12 @@ def test_engine_oracle_and_sqlite_agree(model, tmp_path, seed):
                 }, context
     finally:
         conn.close()
+    # the year slices and roll-ups fold at Time, the roll-ups by an institution or patient attribute at their
+    # first hop; the latitude roll-up is ordered (a Decimal key) and the rest group by two keys
+    fact = cube.table(FACT)
+    refs = {ref: cube.table(target) for ref, target in (("closed_date", "Time"), ("institution", "Institution"),
+                                                        ("patient", "Patient"), ("scheduled_date", "Time"))}
+    assert sorted(folded) == [(FACT, ref) for ref, target in refs.items() if fact.size and fact.size >= target.size], seed
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -210,11 +233,14 @@ def _assert_whole_fact_filters_keep_what_the_scan_keeps(model, cube, fact_id, se
     """Filter every column of ``_through_references`` over the whole fact (the
     far-end walk, where it applies) and over a list of the same positions (the
     scan) for two values from the data, a value that matches nothing and
-    null; both must keep the same positions. Returns the null filters' kept
-    positions by column path."""
+    null; both must keep the same positions, and the measures over them must
+    match: over the whole fact they combine member folds where the first
+    reference has postings, which the far-end walk built. Returns the null
+    filters' kept positions by column path."""
     fact = cube.table(fact_id)
     whole = cube.view(fact_id)
     listed = CubeView(cube, fact_id, list(range(fact.size)))
+    exprs = [a.measure for a in model.entity(fact_id).measures if not isinstance(a.measure, m.OpaqueMeasure)]
     nulls = {}
     for col in _through_references(model, fact_id):
         holder = cube.table(col.chain[-1][1]) if col.chain else fact
@@ -223,6 +249,8 @@ def _assert_whole_fact_filters_keep_what_the_scan_keeps(model, cube, fact_id, se
             filters = (Filter(col, value),)
             kept = engine._filtered(whole, filters, None).positions
             assert kept == list(engine._filtered(listed, filters, None).positions), (seed, col.path, value)
+            sliced = [repr(engine._sliced(view, filters, None, exprs)) for view in (whole, listed)]
+            assert sliced[0] == sliced[1], (seed, col.path, value)
         nulls[col.path] = kept
     return nulls
 
@@ -246,11 +274,13 @@ def _assert_rollups_through_postings_print_what_the_row_loop_prints(model, cube,
     """Each column of ``_through_references`` and each fact column as the one
     key over the whole fact, which groups an order-free query through the
     first reference's postings, and over a list of the same positions, which
-    groups row by row: the same CSV."""
+    groups row by row: the same CSV, three times over the whole fact."""
     whole, listed = cube.view(fact_id), CubeView(cube, fact_id, list(range(cube.table(fact_id).size)))
     stored = [Column(attr.id, (), attr) for attr in model.entity(fact_id).attributes if not attr.is_measure and not attr.dimension_target]
     for key in _through_references(model, fact_id) + stored:
-        assert result_to_csv(aggregate(whole, [key])) == result_to_csv(aggregate(listed, [key])), (seed, key.path)
+        looped = result_to_csv(aggregate(listed, [key]))
+        # the first key through a reference builds its postings, the second run its member folds
+        assert [result_to_csv(aggregate(whole, [key])) for _ in range(3)] == [looped] * 3, (seed, key.path)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

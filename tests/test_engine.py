@@ -1,7 +1,7 @@
 import dataclasses
 import math
 import re
-from datetime import date
+from datetime import date, datetime
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate
@@ -29,7 +29,7 @@ from bispec.engine import (
 )
 from bispec.generators import gen_olap_sql
 from bispec.plan import plan_filters, plan_operation
-from conftest import DATA_DIR, assert_rows_match_sql, postings_built, sqlite_from_cube
+from conftest import DATA_DIR, assert_rows_match_sql, folds_built, postings_built, sqlite_from_cube
 
 YEAR_PRED = m.Predicate(
     m.AttributePath(("AppointmentRequest", "scheduled_date", "year")),
@@ -894,6 +894,27 @@ def test_an_ordered_query_keeps_file_order_and_matches_the_oracle(tmp_path, case
     assert repr(run_use_case(cube, "Visits", "North").rows) == repr(((4, oracle.eval_measure(model, tables, "Visit", measure, north)),))
 
 
+@pytest.mark.parametrize("chunk_rows", [2, engine.CHUNK_ROWS])
+def test_a_datetime_or_time_column_mixing_naive_and_aware_values_is_eng003(tmp_path, monkeypatch, chunk_rows):
+    """Each column takes the awareness of its first value; s2 differs in both,
+    and its row does not load, so MIN and MAX compare only values of one kind."""
+    model, _ = parse_cnlbi(ORDER_MODEL.format(type="DateTime", operation="MIN(Site.opened)"), "order.cnlbi")
+    (tmp_path / "Site.csv").write_text("id,region,latitude,opened,shift\n"
+                                       "s1,North,0.0,2024-01-01T10:00:00,10:00:00+01:00\n"
+                                       "s2,North,1.0,2024-01-01T09:00:00+00:00,09:00:00\n"
+                                       "s3,South,1.5,2023-12-31T08:00:00,08:00:00+00:00\n", encoding="utf-8")
+    (tmp_path / "Visit.csv").write_text("id,site,cost\nv1,s1,1.0\nv2,s3,2.0\n", encoding="utf-8")
+    (tmp_path / "manifest.toml").write_text('Site = "Site.csv"\nVisit = "Visit.csv"\n', encoding="utf-8")
+    monkeypatch.setattr(engine, "CHUNK_ROWS", chunk_rows)
+    cube, diags = load_cube(model, tmp_path)
+    assert [(d.code, d.message) for d in diags] == [
+        ("ENG003", "Site.csv row 2, column opened: '2024-01-01T09:00:00+00:00' is offset-aware but the column's first value is offset-naive"),
+        ("ENG003", "Site.csv row 2, column shift: '09:00:00' is offset-naive but the column's first value is offset-aware"),
+    ]
+    assert cube.table("Site").data["id"] == ["s1", "s3", None]
+    assert run_use_case(cube, "Visits", "ByRegion").rows == (("North", datetime(2024, 1, 1, 10)), ("South", datetime(2023, 12, 31, 8)))
+
+
 def test_a_query_reading_a_dangling_first_hop_raises_at_the_first_in_file_order(medbuddy, tmp_path):
     """r05 (institution i3) and r08 (i2) hold dangling dates: file order meets
     'zz' first, the postings of i2 before those of i3 meet 'yy' first."""
@@ -920,3 +941,170 @@ def test_a_query_reading_a_dangling_first_hop_raises_at_the_first_in_file_order(
             with pytest.raises(EngineError) as exc:
                 query(cube)
             assert (exc.value.code, str(exc.value)) == ("ENG004", "Time has no row with key 'zz'"), name
+
+
+# ---------------------------------------------------------------------------
+# Member folds: repeat roll-ups and slices combine one partial per dimension row
+# ---------------------------------------------------------------------------
+
+FOLD_MODEL = """
+DataEntity Ward ("Ward") is a Master Dimension with attributes
+  id is a UUID (PrimaryKey),
+  wing is a String
+described as wards.
+
+DataEntity Stay ("Stay") is a Transactional Fact with attributes
+  id is a UUID (PrimaryKey),
+  ward refers to Dimension Ward,
+  cost is an Integer,
+  fee is a Decimal (NotNull),
+  Stays is an Integer (operation COUNT(id)),
+  Costed is an Integer (operation COUNT(cost)),
+  EastStays is an Integer (operation COUNT(ward.wing = "East")),
+  TotalCost is a Decimal (operation SUM({summed})),
+  MeanCost is a Decimal (operation AVERAGE(cost)),
+  LeastCost is an Integer (operation MIN(cost)),
+  MostCost is an Integer (operation MAX(cost)),
+  CostPerStay is a Decimal (operation (TotalCost / Stays))
+described as stays.
+
+Actor Analyst "Analyst" is a User described as an analyst.
+
+UseCase Stays is a BIAnalysis
+  actor Analyst,
+  data source Stay,
+  performs
+    OLAP Operation ByWard is a Roll-up
+      group by Ward.id
+      described as rolls up the stays per ward,
+    OLAP Operation ByWing is a Roll-up
+      group by Ward.wing
+      described as rolls up the stays per wing,
+    OLAP Operation InWing is a Slice
+      where Ward.wing = Ward.wing
+      described as slices the stays in one wing,
+
+  described as it shows the stays.
+"""
+# w2's costs are all null; w4 has no wing, so its stays join the null-slot
+# member (s7, no ward) in the null wing; w5 has no stays. Each member's cost
+# sum fits in 64 bits, the East wing's (w1, w2 and w6) does not.
+FOLD_WARDS = "id,wing\nw1,East\nw2,East\nw3,West\nw4,\nw5,West\nw6,East\n"
+FOLD_STAYS = f"""id,ward,cost,fee
+s1,w1,{2**62},1.5
+s2,w1,{2**62 - 1},2.5
+s3,w2,,1.0
+s4,w2,,1.0
+s5,w3,5,0.5
+s6,w6,{2**62},0.5
+s7,,7,1.0
+s8,w4,-3,1.0
+"""
+FOLD_OPS = {"ByWard": {}, "ByWing": {}, "InWing East": {"wing": "East"}, "InWing none": {"wing": "Nowhere"}}
+
+
+def _fold_cube(directory, stays=FOLD_STAYS, wards=FOLD_WARDS, summed="cost"):
+    model, diags = parse_cnlbi(FOLD_MODEL.format(summed=summed), "folds.cnlbi")
+    assert not [d for d in diags if d.is_error], [f"{d.code} {d.message}" for d in diags]
+    directory.mkdir(exist_ok=True)
+    (directory / "Ward.csv").write_text(wards, encoding="utf-8")
+    (directory / "Stay.csv").write_text(stays, encoding="utf-8")
+    (directory / "manifest.toml").write_text('Ward = "Ward.csv"\nStay = "Stay.csv"\n', encoding="utf-8")
+    cube, diags = load_cube(model, directory)
+    assert diags == []
+    return model, cube
+
+
+def _fold_results(model, cube, directory) -> dict:
+    """Each of ``FOLD_OPS`` run three times on ``cube`` (the second run through
+    a reference builds its member folds); all three print the CSV the oracle's
+    rows give. Returns each operation's result."""
+    tables = oracle.load_tables(model, directory)
+    measures = [a.id for a in model.entity("Stay").measures]
+    results = {}
+    for name, binds in FOLD_OPS.items():
+        op = name.split()[0]
+        runs = [run_use_case(cube, "Stays", op, binds) for _ in range(3)]
+        plan = plan_operation(model, "Stays", op)
+        if binds:
+            kept = oracle.filter_rows(model, tables, "Stay", plan.operation.where_clauses, binds)
+            rows = ((len(kept),) + tuple(oracle.eval_measure(model, tables, "Stay", model.entity("Stay").attribute(a).measure, kept)
+                                         for a in measures),)
+        else:
+            grouped = oracle.aggregate(model, tables, "Stay", tables["Stay"], [_path(plan.keys[0].path)])
+            rows = sorted((key + tuple(values[a] for a in measures) for key, values in grouped.items()),
+                          key=lambda row: engine._sort_token(row[0]))
+        expected = result_to_csv(engine.ResultTable(runs[0].group_keys, runs[0].measure_names, rows))
+        assert [result_to_csv(result) for result in runs] == [expected] * 3, name
+        results[name] = runs[0]
+    return results
+
+
+def test_member_folds_combine_to_what_the_rows_give(tmp_path):
+    model, cube = _fold_cube(tmp_path)
+    results = _fold_results(model, cube, tmp_path)
+    assert folds_built(cube) == [("Stay", "ward")]
+    by_ward = {row[0]: row[1:] for row in results["ByWard"].rows}
+    assert set(by_ward) == {None, "w1", "w2", "w3", "w4", "w6"}  # w5 has no stays
+    assert by_ward["w2"] == (2, 0, 2, 0, None, None, None, 0.0)  # an all-null AVERAGE input
+    assert by_ward[None] == (1, 1, 0, 7, 7.0, 7, 7, 7.0)  # the null-slot member
+    by_wing = {row[0]: row[1:] for row in results["ByWing"].rows}
+    assert by_wing[None][:4] == (2, 2, 0, 4)  # the null slot and the wingless w4
+    assert by_wing["East"][3] == 2**63 + 2**62 - 1 == results["InWing East"].rows[0][4]  # exact past 2**63
+    assert results["InWing none"].rows == ((0, 0, 0, 0, 0, None, None, None, None),)
+    # a count or sum per member in a machine integer, a MIN or MAX in a list; none for COUNT(id)
+    kinds = sorted((fold.__name__, type(slot).__name__) for (_, fold), slot in cube.table("Stay").folds["ward"].items())
+    assert kinds == [("_count", "array"), ("_hits", "array"), ("_integer_sum", "array"), ("_max", "list"), ("_min", "list")]
+
+
+def test_a_member_sum_past_64_bits_is_kept_as_python_ints(tmp_path):
+    stays = FOLD_STAYS + f"s9,w3,{2**63 - 1},1.0\ns10,w3,{2**63 - 1},1.0\n"  # w3 sums to 2**64 + 3
+    model, cube = _fold_cube(tmp_path, stays=stays)
+    results = _fold_results(model, cube, tmp_path)
+    sums = [slot for (key, fold), slot in cube.table("Stay").folds["ward"].items() if fold is engine._integer_sum]
+    assert [type(slot) for slot in sums] == [list] and 2**64 + 3 in sums[0]
+    assert {row[0]: row[4] for row in results["ByWard"].rows}["w3"] == 2**64 + 3
+
+
+@pytest.mark.parametrize("wards", [FOLD_WARDS, "id,wing\n"], ids=["wards", "no wards"])
+def test_a_0_row_fact_combines_no_rows(tmp_path, wards):
+    model, cube = _fold_cube(tmp_path, stays="id,ward,cost,fee\n", wards=wards)
+    results = _fold_results(model, cube, tmp_path)
+    assert results["ByWard"].rows == () and results["InWing none"].rows == results["InWing East"].rows
+    # a slice walks the postings only when the fact holds at least as many rows as Ward
+    assert folds_built(cube) == ([] if wards == FOLD_WARDS else [("Stay", "ward")])
+
+
+def test_a_decimal_sum_is_ordered_and_builds_no_member_folds(tmp_path):
+    model, cube = _fold_cube(tmp_path, summed="fee")
+    _fold_results(model, cube, tmp_path)
+    assert postings_built(cube) == [("Stay", "ward")] and folds_built(cube) == []
+
+
+def test_member_folds_are_built_by_the_second_query_through_a_reference_once(medbuddy, monkeypatch):
+    """The first query on a fresh cube, as one ``bispec olap`` runs it, builds
+    postings and no member folds; the second through the same reference
+    builds each of its folds once, and later ones read them."""
+    cube, _ = load_cube(medbuddy, DATA_DIR)
+    build, built = engine._member_folds, []
+
+    def counted(fold, values, offsets):
+        built.append(fold)
+        return build(fold, values, offsets)
+
+    monkeypatch.setattr(engine, "_member_folds", counted)
+    uc = "AnalysisAppointmentsInstitutionOnNationalLevel"
+    queries = [(uc, "ScheduledAppointmentsInSpecificYear", {"year": "2023"}), (uc, "AppointmentsByInstitutionCity", {})]
+    first = [result_to_csv(run_use_case(cube, *query)) for query in queries]
+    assert postings_built(cube) == [(FACT, "institution"), (FACT, "scheduled_date")] and folds_built(cube) == [] == built
+    again = [result_to_csv(run_use_case(cube, *query)) for query in queries]
+    assert folds_built(cube) == [(FACT, "institution"), (FACT, "scheduled_date")]
+    # per reference: COUNT(state = Cancelled), the sum and count of AVERAGE(actual_response_time), MIN and MAX(scheduled_date)
+    assert sorted(fold.__name__ for fold in built) == sorted(["_hits", "_integer_sum", "_count", "_min", "_max"] * 2)
+    slots = {ref: dict(folds) for ref, folds in cube.table(FACT).folds.items()}
+    run_use_case(cube, uc, "AppointmentsByInstitution")
+    assert again == first and len(built) == 10
+    assert all(cube.table(FACT).folds[ref][key] is slot for ref, folds in slots.items() for key, slot in folds.items())
+    fresh, _ = load_cube(medbuddy, DATA_DIR)
+    assert cube.table(FACT) == fresh.table(FACT) and repr(cube.table(FACT)) == repr(fresh.table(FACT))
+    assert fresh.table(FACT).folds == {} != cube.table(FACT).folds
