@@ -35,22 +35,30 @@ of the last table the path reaches (a reference read as its key is one more
 hop, tested on the target's key column), and the hit rows walk back hop by
 hop through each reference's postings (the referencing rows per target
 row, in two flat arrays); only an ordered query sorts them into file order
-at the fact. An order-free roll-up on one key over the whole fact groups
-through the postings too, when its first hop is loaded without dangling
-keys and the fact holds at least as many rows as that hop's target: the
-target's rows are grouped by key once, and each group's fact positions are
-those its rows' postings hold. A table builds a reference's postings on
-first use and keeps them.
+at the fact. A table builds postings on first use and keeps them.
 
-Once a fact reference has postings, that is once it has served a query on
-this cube, an order-free query through it also keeps member folds there
-(``_member_program``): each measure fold's partial per row of the
-reference's target (a member), one slot per member, built by one read of
-each input over the whole fact. From then on, such a single-key roll-up
-groups members instead of fact rows, and a slice by one filter combines
-the members the filter keeps at that target: neither reads a fact row. A
-one-shot query builds no folds. Postings and member folds are the only data
-derived at query time that outlives a query, and they die with the cube.
+An order-free roll-up over the whole fact, on one key or several (the
+pivot), groups by member when every key is read through a fact reference
+loaded without dangling keys. A member is one combination of rows of the
+keys' distinct first references' targets, null slots included, and its id
+is mixed-radix over each target's size + 1; one reference's members are its
+target's rows. The members are grouped by key value, with each key read
+once per row of its reference's target. That needs no more members than
+the fact has rows + 1; the row loop takes any other grouping. The first
+such query groups the fact rows by member in one pass, and keeps those
+groups as the references' postings.
+
+Once references have postings, that is once they have served a query on
+this cube, an order-free query through them also keeps, beside the
+postings, what a repeat query rebuilds (``_Members``): member folds (each
+measure fold's partial per member, built by one read of each input over
+the whole fact), each member's row count, the grouping of members per key
+list and the combine plan per measure program. From then on, such a
+roll-up combines the folds of each group's members, and a slice by one
+filter combines the members the filter keeps at the first hop's target:
+neither reads a fact row. A one-shot query builds no folds. Postings and
+what ``_Members`` keeps are the only data derived at query time that
+outlives a query, and they die with the cube.
 """
 
 from __future__ import annotations
@@ -58,13 +66,14 @@ from __future__ import annotations
 import csv
 import re
 from array import array
-from collections import defaultdict
+from collections import defaultdict, deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from datetime import date, datetime, time
 from functools import cached_property, partial, reduce
-from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, countOf, eq, is_not, itemgetter, mul, sub, truediv
+from itertools import accumulate, chain, compress, count, islice, repeat, tee
+from math import prod
+from operator import add, countOf, eq, floordiv, is_not, itemgetter, mod, mul, sub, truediv
 from pathlib import Path
 
 from . import model as m
@@ -112,8 +121,9 @@ class Table:
     pk: str | None = None
     targets: dict[str, "Table"] = field(default_factory=dict)
     dangling: frozenset = frozenset()  # references with a key that names no target row (ENG004)
-    postings: dict = field(default_factory=dict, init=False, compare=False, repr=False)  # reference -> _postings
-    folds: dict = field(default_factory=dict, init=False, compare=False, repr=False)  # reference -> _member_program's slots
+    postings: dict = field(default_factory=dict, init=False, compare=False, repr=False)  # references tuple -> _postings
+    # tuple of fact references -> _Members: each member's row count, member folds, kept groupings and combine plans
+    folds: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -132,33 +142,61 @@ class Table:
         """The primary key of each row position, null slot included."""
         return self.data[self.pk] if self.pk is not None else [None] * (self.size + 1)
 
-    def referencing(self, attr_id: str, rows) -> Iterator[int]:
-        """The positions of the rows whose reference ``attr_id`` holds one of
-        the target positions ``rows`` (its null slot included), ascending
-        within each target row, target rows in the order of ``rows``. The
-        reference must be loaded and hold no dangling key. Its postings are
-        built on first use and kept, since a table never changes after load."""
-        if attr_id not in self.postings:
-            self.postings[attr_id] = _postings(self.data[attr_id], self.size, self.targets[attr_id].size)
-        offsets, positions = self.postings[attr_id]
-        return chain.from_iterable(positions[offsets[row]:offsets[row + 1]] for row in rows)
+    def referencing(self, refs: tuple, members) -> Iterator[int]:
+        """The positions of the rows whose references ``refs`` hold one of the
+        member ids ``members`` (``_member_lists``), ascending within each
+        member, members in the order of ``members``. The references must be
+        loaded and hold no dangling key. Their postings are built on first use
+        and kept, since a table never changes after load."""
+        if refs not in self.postings:
+            lists = _member_lists(self, refs)
+            self.postings[refs] = _postings(lists, list(map(len, lists)))
+        offsets, positions = self.postings[refs]
+        return chain.from_iterable(positions[offsets[member]:offsets[member + 1]] for member in members)
 
 
-def _postings(column: list, size: int, targets: int) -> tuple[array, array]:
-    """A counting sort of a reference column's ``size`` cells into ``(offsets,
-    positions)``: the positions that hold target position ``r`` (``targets``,
-    the null slot, included) are ``positions[offsets[r]:offsets[r + 1]]``, in
-    ascending order. Flat arrays of machine integers hold no Python object."""
-    counts = [0] * (targets + 2)
-    for row in islice(column, size):
-        counts[row + 1] += 1
-    offsets = array("q", accumulate(counts))
-    ends = offsets.tolist()  # where the next position of each target row goes
-    positions = array("q", [0]) * size
-    for position, row in enumerate(islice(column, size)):
-        positions[ends[row]] = position
-        ends[row] += 1
-    return offsets, positions
+def _member_space(table: Table, refs: tuple) -> int:
+    """How many members the references ``refs`` of ``table`` have (``_member_lists``)."""
+    return prod(table.targets[ref].size + 1 for ref in refs)
+
+
+def _member_lists(table: Table, refs: tuple) -> list[array]:
+    """The positions of the table's rows per member of the references
+    ``refs``, ascending, in one array per member. A member is one
+    combination of target rows, one row (or the null slot) of each
+    reference's target, and its id is mixed-radix: the first reference's
+    row, plus the next one's times the first target's size + 1, and so on;
+    one reference's members are its target's rows. The rows go into their
+    arrays in one C-level pass, the pass a row loop groups in, with no list
+    of ids beside them and no Python int kept per row."""
+    size = table.size
+    ids = islice(table.data[refs[0]], size)
+    radix = table.targets[refs[0]].size + 1
+    for ref in refs[1:]:
+        ids = map(add, ids, map(mul, islice(table.data[ref], size), repeat(radix)))
+        radix *= table.targets[ref].size + 1
+    members = [array("q") for _ in range(radix)]
+    deque(map(array.append, map(members.__getitem__, ids), range(size)), maxlen=0)
+    return members
+
+
+def _postings(members: list[array], counts: Sequence[int]) -> tuple[array, array]:
+    """``_member_lists`` as ``(offsets, positions)``, given each member's
+    rows: the rows of member ``m`` are ``positions[offsets[m]:offsets[m +
+    1]]``, in two flat arrays."""
+    positions = array("q")
+    deque(map(positions.extend, members), maxlen=0)
+    return array("q", accumulate(counts, initial=0)), positions
+
+
+def _member_rows(table: Table, refs: tuple, ref: str) -> Iterator[int]:
+    """The row of ``ref``'s target (``size`` for the null slot) that each
+    member of ``refs`` holds, members in id order (``_member_lists``)."""
+    stride = _member_space(table, refs[:refs.index(ref)])
+    radix = table.targets[ref].size + 1
+    space = _member_space(table, refs)
+    rows = range(space) if stride == 1 else map(floordiv, range(space), repeat(stride))
+    return rows if stride * radix == space else map(mod, rows, repeat(radix))
 
 
 def _key_of(keys: list, position):
@@ -616,8 +654,8 @@ def _reader(cube: Cube, fact_id: str, col: Column, reads: int, test=None, distin
     return read
 
 
-def _far_end(cube: Cube, fact_id: str, col: Column, test) -> tuple[str, list[int]] | None:
-    """``(reference, rows)``: the fact's first reference on ``col``'s path and
+def _far_end(cube: Cube, fact_id: str, col: Column, test) -> tuple[tuple, list[int]] | None:
+    """``((reference,), rows)``: the fact's first reference on ``col``'s path and
     the rows of its target (null slot included) that the fact positions whose
     ``col`` passes ``test`` reference. The test runs once per row of the last
     table ``_steps``' hops reach, null slot included, and the hit rows walk
@@ -633,11 +671,11 @@ def _far_end(cube: Cube, fact_id: str, col: Column, test) -> tuple[str, list[int
     tested = _mapped(map(_function, steps[len(hops):]), range(table.targets[ref].size + 1))  # its rows and null slot
     hits = list(compress(count(), tested))
     for table, ref in reversed(hops[1:]):
-        rows = list(table.referencing(ref, hits))
+        rows = list(table.referencing((ref,), hits))
         if hits and hits[-1] == table.targets[ref].size:  # the null slot comes last
             rows.append(table.size)
         hits = rows
-    return hops[0][1], hits
+    return (hops[0][1],), hits
 
 
 # ---------------------------------------------------------------------------
@@ -710,10 +748,10 @@ def _sliced(view: CubeView, filters, bindings: dict | None, exprs) -> tuple[int,
     ordered = _ordered(cube, fact_id, exprs, filters)
     if not ordered and len(filters) == 1 and view.positions == range(cube.tables[fact_id].size):
         col = filters[0].column
-        combine = _member_program(cube, fact_id, _first_reference(col), exprs)
+        combine = _member_program(cube, fact_id, (_first_reference(col),), exprs)
         far = combine and _far_end(cube, fact_id, col, partial(eq, _bound_value(cube.model, filters[0], bindings or {})))
         if far:
-            return combine(far[1])
+            return combine(_gather(far[1]))
     positions = _filtered(view, filters, bindings, ordered).positions
     return len(positions), _measure_program(cube, fact_id, exprs, len(positions))(positions)
 
@@ -904,27 +942,40 @@ def evaluate_measure(view: CubeView, expr, rows: Rows | None = None):
 # Member folds
 # ---------------------------------------------------------------------------
 
-# A member is one row of a fact reference's target, null slot included; its
-# fact rows are those its postings hold. A member fold is one fold run over
-# each member's values of one input, one slot per member, and a group of
-# members combines its slots: COUNT, a predicate COUNT and an Integer SUM
-# by adding them, MIN and MAX by folding them again.
+# A member is one combination of target rows of a tuple of fact references
+# (``_member_lists``); one reference's members are its target's rows, null slot
+# included. A member fold is one fold run over each member's values of one
+# input, one slot per member, and a group of members combines its slots:
+# COUNT, a predicate COUNT and an Integer SUM by adding them, MIN and MAX by
+# folding them again. Members without rows hold 0 or None, which combine to
+# nothing.
 _COMBINE = {_count: sum, _hits: sum, _integer_sum: sum, _min: _min, _max: _max}
 
 
-def _member_folds(fold, values: tuple, offsets):
-    """``fold`` over each member's values (``values`` in postings order, member
-    ``r``'s at ``offsets[r]:offsets[r + 1]``): counts and sums in one machine
-    integer each when every one fits in 64 bits, else a list."""
-    def folded():
-        return map(fold, map(values.__getitem__, map(slice, offsets, islice(offsets, 1, None))))
+def _member_folds(folds, values: tuple, offsets) -> list:
+    """Each of ``folds`` over each member's values (``values`` in postings
+    order, member ``m``'s at ``offsets[m]:offsets[m + 1]``), one slot per fold:
+    each member's values are sliced once, for every fold in turn. Counts and
+    sums go in one machine integer each when every one fits in 64 bits, else
+    in a list."""
+    slots = [[] for _ in folds]
+    segments = tee(map(values.__getitem__, map(slice, offsets, islice(offsets, 1, None))), len(folds))
+    # the folds take each member's slice in lockstep, so the tee holds one slice at a time
+    deque(zip(*(map(slot.append, map(fold, each)) for slot, fold, each in zip(slots, folds, segments))), maxlen=0)
+    for i, fold in enumerate(folds):
+        if _COMBINE[fold] is sum:
+            try:
+                slots[i] = array("q", slots[i])
+            except OverflowError:  # a sum past 64 bits
+                pass
+    return slots
 
-    if _COMBINE[fold] is sum:
-        try:
-            return array("q", folded())
-        except OverflowError:  # a sum past 64 bits
-            pass
-    return list(folded())
+
+def _gather(members: Sequence[int]):
+    """A function from one slot per member to a sequence of its values at ``members``."""
+    if len(members) > 1:
+        return itemgetter(*members)
+    return itemgetter(slice(members[0], members[0] + 1) if members else slice(0))  # a sequence, as for several
 
 
 def _row_count(rows: int) -> int:
@@ -948,22 +999,51 @@ _MEMBER_FOLDS = {len: ((), _row_count), _hits: ((_hits,), _total), _count: ((_co
                  _min: ((_min,), _total), _max: ((_max,), _total)}
 
 
-def _member_program(cube: Cube, fact_id: str, ref: str, exprs):
-    """A function from rows of the fact reference ``ref``'s target (members)
-    to ``(row_count, cells)`` over the fact rows that reference them, which
-    combines the member folds in ``fact.folds[ref]``; a member without rows
-    is skipped. None until ``ref`` has postings, that is until it has served
-    a query on this cube: a one-shot query builds no folds. The member folds
-    the measures need that are missing are built here, and kept: each input
-    is read once over the whole fact in postings order. Only for an
-    order-free query (``_ordered``), whose reads cannot raise."""
+@dataclass
+class _Members:
+    """What a fact keeps for a tuple of its references once they have served
+    a query: each member's row count, the member folds measures have needed,
+    the members grouped by each key list queried and each measure program's
+    combine plan. It changes only by growing, and dies with the cube."""
+
+    counts: array  # each member's rows
+    slots: dict = field(default_factory=dict)  # (_input_key, fold run per member) -> one slot per member
+    groupings: dict = field(default_factory=dict)  # keys -> [(key value, _gather of its members, their rows)]
+    plans: dict = field(default_factory=dict)  # id of a measure program -> (that program, held so the id is not reused; its plan)
+
+
+def _member_program(cube: Cube, fact_id: str, refs: tuple, exprs):
+    """A function from a ``_gather`` of members of the fact references
+    ``refs`` (and their row count, when it is known) to ``(row_count,
+    cells)`` over the fact rows those members hold, which combines member
+    folds. None until ``refs`` have postings, that is until they have served
+    a query on this cube: a one-shot query builds no folds. The members' row
+    counts are taken once per ``refs`` and the plan once per measure
+    program, and both are kept (``_Members``). Only for an order-free query
+    (``_ordered``), whose reads cannot raise."""
     fact = cube.tables[fact_id]
-    if ref not in fact.postings:
+    if refs not in fact.postings:
         return None
+    kept = fact.folds.get(refs)
+    if kept is None:
+        offsets, _ = fact.postings[refs]
+        kept = fact.folds[refs] = _Members(array("q", map(sub, islice(offsets, 1, None), offsets)))
+    program = measure_program(cube.model, fact_id, exprs)
+    plan = kept.plans.get(id(program))
+    if plan is None:
+        plan = kept.plans[id(program)] = (program, _combine_plan(cube, fact_id, refs, program))
+    return plan[1]
+
+
+def _combine_plan(cube: Cube, fact_id: str, refs: tuple, program):
+    """``_member_program``'s function for one measure program: the member folds
+    its measures need that are missing are built first, and kept, each input
+    read once over the whole fact in postings order; a group then combines
+    each slot it reads through one gather of its members."""
     model = cube.model
-    program = measure_program(model, fact_id, exprs)
-    offsets, positions = fact.postings[ref]
-    folds = fact.folds.setdefault(ref, {})  # (_input_key, fold run per member) -> one slot per member
+    fact = cube.tables[fact_id]
+    kept = fact.folds[refs]
+    offsets, positions = fact.postings[refs]
     inputs: dict = {}  # _input_key -> (column, test, the folds it runs per member)
     leaves = []  # per leaf: (its value from the row count and totals, the (key, fold) slots it reads)
     for leaf in program.leaves:
@@ -973,20 +1053,21 @@ def _member_program(cube: Cube, fact_id: str, ref: str, exprs):
         inputs.setdefault(key, (col, test, {}))[2].update(dict.fromkeys(per_member))
         leaves.append((finish, [(key, each) for each in per_member]))
     for key, (col, test, per_member) in inputs.items():
-        missing = [each for each in per_member if (key, each) not in folds]
+        missing = [each for each in per_member if (key, each) not in kept.slots]
         if missing:
             values = tuple(_reader(cube, fact_id, col, fact.size, test)(positions))
-            for each in missing:
-                folds[key, each] = _member_folds(each, values, offsets)
-    slots = {name: (folds[name], _COMBINE[name[1]]) for _, names in leaves for name in names}
-    counts = list(map(sub, islice(offsets, 1, None), offsets))  # each member's rows
+            kept.slots.update(zip([(key, each) for each in missing], _member_folds(missing, values, offsets)))
+    names = list(dict.fromkeys(name for _, each in leaves for name in each))
+    slots = [(kept.slots[name], _COMBINE[name[1]]) for name in names]
+    leaves = [(finish, [names.index(name) for name in each]) for finish, each in leaves]
+    counts = kept.counts
     nodes = [_root(root) for root in program.roots]
 
-    def run(rows) -> tuple[int, tuple]:
-        rows = list(compress(rows, map(counts.__getitem__, rows)))
-        row_count = sum(map(counts.__getitem__, rows))
-        totals = {name: combine(map(slot.__getitem__, rows)) for name, (slot, combine) in slots.items()}
-        results = [finish(row_count, *map(totals.__getitem__, names)) for finish, names in leaves]
+    def run(gather, row_count: int | None = None) -> tuple[int, tuple]:
+        if row_count is None:
+            row_count = sum(gather(counts))
+        totals = [combine(gather(slot)) for slot, combine in slots]
+        results = [finish(row_count, *map(totals.__getitem__, at)) for finish, at in leaves]
         return row_count, tuple(node(results) for node in nodes)
 
     return run
@@ -1021,31 +1102,72 @@ def _sort_token(value):
     return (3, str(value))
 
 
-def _posting_groups(cube: Cube, fact_id: str, key: Column, exprs) -> dict | None:
-    """The measure cells of the whole fact grouped by ``key`` through its
-    first reference's postings: the rows of that reference's target (null
-    slot included) are grouped by their value of ``key`` once. Once that
-    reference has postings, each group combines its rows' member folds
-    (``_member_program``); else the measures run over the fact positions that
-    reference its rows, ascending within each row. A group no fact row
-    reaches is left out. None when the first hop is not loaded without
-    dangling keys, or the fact holds fewer rows than its target. Only for an
+def _key_order(single: bool):
+    """The sort key of group keys: a bare value for one key, else a tuple."""
+    return _sort_token if single else lambda key: tuple(map(_sort_token, key))
+
+
+def _member_grouping(fact: Table, refs: tuple, reads, counts: Sequence[int]) -> list:
+    """``(key value, members)`` in key order for each value of the keys that
+    some member with rows holds: bare for one key, a tuple for several, with
+    the ids of those members (``_member_lists``). ``reads`` holds, per key,
+    its first reference and its later steps as functions, which run once per
+    row of that reference's target, null slot included; ``counts`` holds
+    each member's rows."""
+    values = []
+    for ref, functions in reads:
+        per_row = list(_mapped(functions, range(fact.targets[ref].size + 1)))
+        values.append(map(per_row.__getitem__, _member_rows(fact, refs, ref)))
+    groups = defaultdict(list)
+    for value, member in compress(zip(values[0] if len(reads) == 1 else zip(*values), count()), counts):
+        groups[value].append(member)
+    order = _key_order(len(reads) == 1)
+    return sorted(groups.items(), key=lambda group: order(group[0]))
+
+
+def _first_groups(fact: Table, refs: tuple, reads) -> list:
+    """``(key value, fact positions)`` per group of ``_member_grouping``, for
+    the first query through ``refs``: the fact rows grouped by member become
+    the references' postings, and each group's positions are its members'."""
+    lists = _member_lists(fact, refs)
+    counts = list(map(len, lists))
+    fact.postings[refs] = _postings(lists, counts)
+    return [(value, list(chain.from_iterable(map(lists.__getitem__, members))))
+            for value, members in _member_grouping(fact, refs, reads, counts)]
+
+
+def _member_groups(cube: Cube, fact_id: str, keys, exprs) -> list | None:
+    """``(key value, cells)`` in key order for each group of the whole fact by
+    ``keys``, grouped by member (``_member_lists``): the members of the
+    keys' distinct first references, grouped by key value. Once those
+    references have postings, each group combines its members' folds
+    (``_member_program``), and the grouping is kept beside them; else the
+    measures run over the fact positions its members hold, which builds the
+    postings. A group no fact row reaches is left out. None when a key is
+    not read through a fact reference loaded without dangling keys, or the
+    references have more members than the fact has rows + 1. Only for an
     order-free query (``_ordered``), so no step raises."""
     fact = cube.tables[fact_id]
-    steps, hops, _ = _steps(cube, fact_id, key)
-    ref = hops[0][1] if hops else None
-    if ref is None or fact.size < fact.targets[ref].size:
+    reads = []  # per key: its first reference, its later steps as functions
+    for key in keys:
+        steps, hops, _ = _steps(cube, fact_id, key)
+        if not hops:
+            return None
+        reads.append((hops[0][1], list(map(_function, steps[1:]))))
+    refs = tuple(dict.fromkeys(ref for ref, _ in reads))
+    if _member_space(fact, refs) > fact.size + 1:
         return None
-    rows: dict = defaultdict(list)  # key value -> its target rows
-    for value, row in zip(_mapped(map(_function, steps[1:]), range(fact.targets[ref].size + 1)), count()):
-        rows[value].append(row)
-    combine = _member_program(cube, fact_id, ref, exprs)
-    if combine is not None:
-        combined = {value: combine(hit) for value, hit in rows.items()}
-        return {value: cells for value, (row_count, cells) in combined.items() if row_count}
-    groups = {value: list(fact.referencing(ref, hit)) for value, hit in rows.items()}
-    program = _measure_program(cube, fact_id, exprs, fact.size)
-    return {value: program(positions) for value, positions in groups.items() if positions}
+    combine = _member_program(cube, fact_id, refs, exprs)
+    if combine is None:
+        program = _measure_program(cube, fact_id, exprs, fact.size)
+        return [(value, program(positions)) for value, positions in _first_groups(fact, refs, reads)]
+    kept = fact.folds[refs]
+    name = tuple((key.chain, key.attribute.id) for key in keys)
+    grouping = kept.groupings.get(name)
+    if grouping is None:
+        gathers = [(value, _gather(members)) for value, members in _member_grouping(fact, refs, reads, kept.counts)]
+        grouping = kept.groupings[name] = [(value, gather, sum(gather(kept.counts))) for value, gather in gathers]
+    return [(value, combine(gather, rows)[1]) for value, gather, rows in grouping]
 
 
 def aggregate(view: CubeView, group_by) -> ResultTable:
@@ -1054,8 +1176,8 @@ def aggregate(view: CubeView, group_by) -> ResultTable:
     ``group_by`` holds attribute paths (dotted text or ``AttributePath``) or
     plan ``Column``s. Roll-up and drill-down are both this operation with a
     coarser or finer key list; the distinction is reporting metadata only.
-    One key over the whole fact of an order-free query groups through
-    postings (``_posting_groups``); any other grouping reads every position.
+    An order-free query over the whole fact groups by member
+    (``_member_groups``) where it can; any other grouping reads every position.
     """
     cube, fact_id = view.cube, view.fact_id
     model = cube.model
@@ -1066,11 +1188,10 @@ def aggregate(view: CubeView, group_by) -> ResultTable:
     exprs = [a.measure for a in measure_attrs]
 
     single = len(keys) == 1  # groups on bare values, made 1-tuples once per group
-    sort_key = _sort_token if single else lambda k: tuple(map(_sort_token, k))
-    cells = None  # group key -> its measure cells
-    if single and positions and positions == range(cube.tables[fact_id].size) and not _ordered(cube, fact_id, exprs, keys=keys):
-        cells = _posting_groups(cube, fact_id, keys[0], exprs)
-    if cells is None:
+    grouped = None  # (group key, its measure cells) in key order
+    if keys and positions and positions == range(cube.tables[fact_id].size) and not _ordered(cube, fact_id, exprs, keys=keys):
+        grouped = _member_groups(cube, fact_id, keys, exprs)
+    if grouped is None:
         readers = [_reader(cube, fact_id, key, len(positions)) for key in keys]
         groups = defaultdict(list)  # each in ascending order, so folds run in file order
         values = readers[0](positions) if single else zip(*(read(positions) for read in readers)) if readers else repeat(())
@@ -1078,12 +1199,9 @@ def aggregate(view: CubeView, group_by) -> ResultTable:
             groups[key].append(position)
         # compiled only for a non-empty result, so an empty one raises no measure error
         program = _measure_program(cube, fact_id, exprs, len(positions)) if groups else None
-        order = sorted(groups, key=sort_key)
-        measured = map(program, map(groups.__getitem__, order))  # in key order: a measure error is the first group's
-    else:
-        order = sorted(cells, key=sort_key)
-        measured = map(cells.__getitem__, order)
-    result_rows = [((key,) if single else key) + row for key, row in zip(order, measured)]
+        order = sorted(groups, key=_key_order(single))
+        grouped = zip(order, map(program, map(groups.__getitem__, order)))  # in key order: a measure error is the first group's
+    result_rows = [((key,) if single else key) + row for key, row in grouped]
 
     return ResultTable(tuple(key.path for key in keys), tuple(a.id for a in measure_attrs), tuple(result_rows))
 

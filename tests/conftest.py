@@ -61,13 +61,15 @@ def cube(medbuddy):
 
 
 def postings_built(cube) -> list[tuple[str, str]]:
-    """``(entity id, reference)`` for every reference that has postings, sorted."""
-    return sorted((entity_id, ref) for entity_id, table in cube.tables.items() for ref in table.postings)
+    """``(entity id, references)`` for every tuple of references that has
+    postings, sorted; several references read as ``"institution+state"``."""
+    return sorted((entity_id, "+".join(refs)) for entity_id, table in cube.tables.items() for refs in table.postings)
 
 
 def folds_built(cube) -> list[tuple[str, str]]:
-    """``(entity id, reference)`` for every reference that keeps member folds, sorted."""
-    return sorted((entity_id, ref) for entity_id, table in cube.tables.items() for ref in table.folds)
+    """``(entity id, references)`` for every tuple of references that keeps
+    member folds, sorted, named as ``postings_built`` names them."""
+    return sorted((entity_id, "+".join(refs)) for entity_id, table in cube.tables.items() for refs in table.folds)
 
 
 def _sql_value(value):

@@ -12,6 +12,8 @@ the run that builds member folds, then through them.
 import csv
 import random
 from datetime import date, timedelta
+from functools import partial
+from itertools import product
 
 import pytest
 
@@ -19,10 +21,10 @@ import oracle
 from bispec import check_model, merge_models, parse_cnlbi
 from bispec import engine
 from bispec import model as m
-from bispec.engine import (CubeView, EngineError, aggregate, dice_view, evaluate_measure, load_cube, pivot, result_to_csv, run_use_case,
-                           slice_view)
+from bispec.engine import (CubeView, EngineError, aggregate, dice_view, evaluate_measure, load_cube, pivot, result_to_csv, run_plan,
+                           run_use_case, slice_view)
 from bispec.generators import gen_olap_sql
-from bispec.plan import Column, Filter, plan_operation
+from bispec.plan import Column, Filter, plan_operation, read_type
 from conftest import assert_rows_match_sql, folds_built, postings_built, sqlite_from_cube
 
 SEEDS = range(30)
@@ -162,11 +164,15 @@ def test_engine_oracle_and_sqlite_agree(model, tmp_path, seed):
     finally:
         conn.close()
     # the year slices and roll-ups fold at Time, the roll-ups by an institution or patient attribute at their
-    # first hop; the latitude roll-up is ordered (a Decimal key) and the rest group by two keys
+    # first hop, and the pivot at each (institution, state) pair when the fact has at least as many rows + 1 as
+    # there are pairs, null slots included; the latitude roll-up is ordered (a Decimal key)
     fact = cube.table(FACT)
     refs = {ref: cube.table(target) for ref, target in (("closed_date", "Time"), ("institution", "Institution"),
                                                         ("patient", "Patient"), ("scheduled_date", "Time"))}
-    assert sorted(folded) == [(FACT, ref) for ref, target in refs.items() if fact.size and fact.size >= target.size], seed
+    expected = [(FACT, ref) for ref, target in refs.items() if fact.size and fact.size >= target.size]
+    pairs = (cube.table("Institution").size + 1) * (cube.table("RequestState").size + 1)
+    expected += [(FACT, "institution+state")] if fact.size and fact.size + 1 >= pairs else []
+    assert sorted(folded) == sorted(expected), seed
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -270,17 +276,43 @@ def test_reference_postings_keep_what_the_scan_keeps(model, tmp_path, seed):
     assert postings_built(cube) == sorted(expected), seed
 
 
-def _assert_rollups_through_postings_print_what_the_row_loop_prints(model, cube, fact_id, seed) -> None:
-    """Each column of ``_through_references`` and each fact column as the one
-    key over the whole fact, which groups an order-free query through the
-    first reference's postings, and over a list of the same positions, which
-    groups row by row: the same CSV, three times over the whole fact."""
-    whole, listed = cube.view(fact_id), CubeView(cube, fact_id, list(range(cube.table(fact_id).size)))
+def _single_keys(model, fact_id) -> list:
+    """Each column of ``_through_references`` and each fact column, as the one key."""
     stored = [Column(attr.id, (), attr) for attr in model.entity(fact_id).attributes if not attr.is_measure and not attr.dimension_target]
-    for key in _through_references(model, fact_id) + stored:
-        looped = result_to_csv(aggregate(listed, [key]))
-        # the first key through a reference builds its postings, the second run its member folds
-        assert [result_to_csv(aggregate(whole, [key])) for _ in range(3)] == [looped] * 3, (seed, key.path)
+    return [[key] for key in _through_references(model, fact_id) + stored]
+
+
+def _key_pairs(model, fact_id, seed, share=1) -> list:
+    """Each ``share``-th ordered pair of columns of ``_through_references``
+    (two keys through one reference included), starting at the ``seed``-th,
+    so ``share`` seeds in a row take every pair once; then one pair with a
+    fact column, which groups row by row."""
+    through = _through_references(model, fact_id)
+    pairs = [list(pair) for i, pair in enumerate(product(through, repeat=2)) if (i + seed) % share == 0]
+    return pairs + [[through[0], _single_keys(model, fact_id)[-1][0]]]
+
+
+def _assert_rollups_through_postings_print_what_the_row_loop_prints(model, cube, fact_id, seed, key_lists, plans=()) -> set:
+    """Each of ``key_lists`` over the whole fact, which groups an order-free
+    query by member, and over a list of the same positions, which groups
+    row by row: the same CSV, three times over the whole fact from no
+    postings or member folds for the keys' references (postings, then the
+    fold build, then through the folds). So is each pivot plan of ``plans``
+    through ``run_plan``. Returns ``postings_built`` as each left it, all
+    together."""
+    fact = cube.table(fact_id)
+    whole, listed = cube.view(fact_id), CubeView(cube, fact_id, list(range(fact.size)))
+    built = set()
+    for keys, query in [(keys, partial(aggregate, whole, keys)) for keys in key_lists] + [
+            (plan.keys, partial(run_plan, cube, plan)) for plan in plans]:
+        refs = tuple(dict.fromkeys(map(engine._first_reference, keys)))
+        fact.postings.pop(refs, None)
+        fact.folds.pop(refs, None)
+        looped = aggregate(listed, keys)
+        looped = result_to_csv(pivot(looped) if query.func is run_plan else looped)
+        assert [result_to_csv(query()) for _ in range(3)] == [looped] * 3, (seed, [key.path for key in keys])
+        built.update(postings_built(cube))
+    return built
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -288,11 +320,34 @@ def test_single_key_rollups_through_postings_print_what_the_row_loop_prints(mode
     """Only the fact's references whose target it outnumbers gain postings."""
     make_package(seed, tmp_path)
     cube, _ = load_cube(model, tmp_path)
-    _assert_rollups_through_postings_print_what_the_row_loop_prints(model, cube, FACT, seed)
+    built = _assert_rollups_through_postings_print_what_the_row_loop_prints(model, cube, FACT, seed, _single_keys(model, FACT))
     fact = cube.table(FACT)
     refs = {ref.id: cube.table(ref.dimension_target) for ref in model.entity(FACT).dimension_refs}
     grouped = [(FACT, ref) for ref, target in refs.items() if fact.size and fact.size >= target.size]
-    assert postings_built(cube) == sorted(grouped), seed
+    assert postings_built(cube) == sorted(built) == sorted(grouped), seed
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_composite_rollups_through_postings_print_what_the_row_loop_prints(model, tmp_path, seed):
+    """Two keys and the pivot: only the pairs of references with at most as
+    many members (pairs of rows, null slots included) as the fact has rows
+    + 1 gain postings. Every ordered pair of keys runs on 6 of the 30
+    packages."""
+    make_package(seed, tmp_path)
+    cube, _ = load_cube(model, tmp_path)
+    plans = [plan_operation(model, uc.id, op.id) for uc in model.use_cases for op in uc.operations if op.kind == "Pivot"]
+    key_lists = _key_pairs(model, FACT, seed, share=5)
+    built = _assert_rollups_through_postings_print_what_the_row_loop_prints(model, cube, FACT, seed, key_lists, plans)
+    fact = cube.table(FACT)
+    refs = {ref.id: cube.table(ref.dimension_target) for ref in model.entity(FACT).dimension_refs}
+    # the pivot's (institution, state), and each pair of keys read through references without a Decimal key, which
+    # is ordered
+    pairs = {("institution", "state")} | {
+        tuple(map(engine._first_reference, keys)) for keys in key_lists
+        if all(engine._first_reference(key) in refs and read_type(model, key.attribute).name != "Decimal" for key in keys)}
+    members = {(a, b): (refs[a].size + 1) * (refs[b].size + 1) for a, b in pairs if a != b}
+    composite = {(FACT, f"{a}+{b}") for (a, b), space in members.items() if fact.size and space <= fact.size + 1}
+    assert {pair for pair in built if "+" in pair[1]} == composite, seed
 
 
 # A three-hop snowflake whose every reference can be null, so a null at any
@@ -374,7 +429,8 @@ def test_far_end_filters_keep_what_the_scan_keeps_through_three_nullable_hops(sn
         return by_id["Region"].get(city and city["region"])
 
     assert nulls["patient.residence.region.name"] == [p for p, visit in enumerate(tables["Visit"]) if region(visit) is None]
-    _assert_rollups_through_postings_print_what_the_row_loop_prints(snowflake, cube, "Visit", seed)  # builds no more postings
+    key_lists = _single_keys(snowflake, "Visit") + _key_pairs(snowflake, "Visit", seed)  # no more postings: one reference
+    _assert_rollups_through_postings_print_what_the_row_loop_prints(snowflake, cube, "Visit", seed, key_lists)
     visits, patients = cube.table("Visit"), cube.table("Patient")
     expected = [("City", "region"), ("Patient", "residence"), ("Visit", "patient")] if visits.size >= patients.size else []
     assert postings_built(cube) == expected, seed

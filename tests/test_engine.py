@@ -28,7 +28,7 @@ from bispec.engine import (
     slice_view,
 )
 from bispec.generators import gen_olap_sql
-from bispec.plan import plan_filters, plan_operation
+from bispec.plan import Column, operation_plan, plan_filters, plan_operation
 from conftest import DATA_DIR, assert_rows_match_sql, folds_built, postings_built, sqlite_from_cube
 
 YEAR_PRED = m.Predicate(
@@ -663,22 +663,20 @@ def test_whole_fact_slices_through_a_bad_hop_raise_as_before_and_build_no_postin
 
 def test_postings_are_built_once_per_table_and_reference_and_kept_out_of_equality(medbuddy, monkeypatch):
     cube, _ = load_cube(medbuddy, DATA_DIR)
-    build, built = engine._postings, []
+    build, built = engine._member_lists, []
 
-    def counted(column, *rest):
-        built.append(column)
-        return build(column, *rest)
+    def counted(table, refs):
+        built.append((table.entity_id, "+".join(refs)))
+        return build(table, refs)
 
-    monkeypatch.setattr(engine, "_postings", counted)
+    monkeypatch.setattr(engine, "_member_lists", counted)
     operations = [(uc.id, op.id) for uc in medbuddy.use_cases for op in uc.operations]
     first = [result_to_csv(run_use_case(cube, *op, {"year": "2023", "id": "c2"})) for op in operations]
     again = [result_to_csv(run_use_case(cube, *op, {"year": "2023", "id": "c2"})) for op in operations]
     assert first == again
     # the year slices, and the city and residence dices walked back from City
     expected = [(FACT, "institution"), (FACT, "patient"), (FACT, "scheduled_date"), ("Institution", "city"), ("Patient", "residence")]
-    refs = [next((entity_id, ref) for entity_id, table in cube.tables.items() for ref, values in table.data.items() if values is column)
-            for column in built]
-    assert sorted(refs) == postings_built(cube) == expected
+    assert sorted(built) == postings_built(cube) == expected
     fresh, _ = load_cube(medbuddy, DATA_DIR)
     for entity_id in (FACT, "Patient"):
         table, unused = cube.table(entity_id), fresh.table(entity_id)
@@ -1053,7 +1051,7 @@ def test_member_folds_combine_to_what_the_rows_give(tmp_path):
     assert by_wing["East"][3] == 2**63 + 2**62 - 1 == results["InWing East"].rows[0][4]  # exact past 2**63
     assert results["InWing none"].rows == ((0, 0, 0, 0, 0, None, None, None, None),)
     # a count or sum per member in a machine integer, a MIN or MAX in a list; none for COUNT(id)
-    kinds = sorted((fold.__name__, type(slot).__name__) for (_, fold), slot in cube.table("Stay").folds["ward"].items())
+    kinds = sorted((fold.__name__, type(slot).__name__) for (_, fold), slot in cube.table("Stay").folds["ward",].slots.items())
     assert kinds == [("_count", "array"), ("_hits", "array"), ("_integer_sum", "array"), ("_max", "list"), ("_min", "list")]
 
 
@@ -1061,7 +1059,7 @@ def test_a_member_sum_past_64_bits_is_kept_as_python_ints(tmp_path):
     stays = FOLD_STAYS + f"s9,w3,{2**63 - 1},1.0\ns10,w3,{2**63 - 1},1.0\n"  # w3 sums to 2**64 + 3
     model, cube = _fold_cube(tmp_path, stays=stays)
     results = _fold_results(model, cube, tmp_path)
-    sums = [slot for (key, fold), slot in cube.table("Stay").folds["ward"].items() if fold is engine._integer_sum]
+    sums = [slot for (key, fold), slot in cube.table("Stay").folds["ward",].slots.items() if fold is engine._integer_sum]
     assert [type(slot) for slot in sums] == [list] and 2**64 + 3 in sums[0]
     assert {row[0]: row[4] for row in results["ByWard"].rows}["w3"] == 2**64 + 3
 
@@ -1088,9 +1086,9 @@ def test_member_folds_are_built_by_the_second_query_through_a_reference_once(med
     cube, _ = load_cube(medbuddy, DATA_DIR)
     build, built = engine._member_folds, []
 
-    def counted(fold, values, offsets):
-        built.append(fold)
-        return build(fold, values, offsets)
+    def counted(folds, values, offsets):
+        built.extend(folds)
+        return build(folds, values, offsets)
 
     monkeypatch.setattr(engine, "_member_folds", counted)
     uc = "AnalysisAppointmentsInstitutionOnNationalLevel"
@@ -1101,10 +1099,145 @@ def test_member_folds_are_built_by_the_second_query_through_a_reference_once(med
     assert folds_built(cube) == [(FACT, "institution"), (FACT, "scheduled_date")]
     # per reference: COUNT(state = Cancelled), the sum and count of AVERAGE(actual_response_time), MIN and MAX(scheduled_date)
     assert sorted(fold.__name__ for fold in built) == sorted(["_hits", "_integer_sum", "_count", "_min", "_max"] * 2)
-    slots = {ref: dict(folds) for ref, folds in cube.table(FACT).folds.items()}
+    slots = {refs: dict(kept.slots) for refs, kept in cube.table(FACT).folds.items()}
     run_use_case(cube, uc, "AppointmentsByInstitution")
     assert again == first and len(built) == 10
-    assert all(cube.table(FACT).folds[ref][key] is slot for ref, folds in slots.items() for key, slot in folds.items())
+    assert all(cube.table(FACT).folds[refs].slots[key] is slot for refs, kept in slots.items() for key, slot in kept.items())
     fresh, _ = load_cube(medbuddy, DATA_DIR)
     assert cube.table(FACT) == fresh.table(FACT) and repr(cube.table(FACT)) == repr(fresh.table(FACT))
     assert fresh.table(FACT).folds == {} != cube.table(FACT).folds
+
+
+# ---------------------------------------------------------------------------
+# Composite members: the pivot and other multi-key roll-ups over the whole fact
+# ---------------------------------------------------------------------------
+
+PIVOT_MODEL = """
+DataEntity Ward ("Ward") is a Master Dimension with attributes
+  id is a UUID (PrimaryKey),
+  wing is a String
+described as wards.
+
+DataEntity Shift ("Shift") is a Reference Dimension with attributes
+  id is a UUID (PrimaryKey),
+  name is a String (NotNull)
+described as shifts.
+
+DataEntity Stay ("Stay") is a Transactional Fact with attributes
+  id is a UUID (PrimaryKey),
+  ward refers to Dimension Ward,
+  shift refers to Dimension Shift,
+  cost is an Integer,
+  fee is a Decimal (NotNull),
+  Stays is an Integer (operation COUNT(id)),
+  TotalCost is a Decimal (operation SUM({summed})),
+  LeastCost is an Integer (operation MIN(cost))
+described as stays.
+
+Actor Analyst "Analyst" is a User described as an analyst.
+
+UseCase Stays is a BIAnalysis
+  actor Analyst,
+  data source Stay,
+  performs
+    OLAP Operation WardsByShift is a Pivot
+      swap Ward with Shift
+      described as pivots the stays per ward and shift,
+
+  described as it shows the stays.
+"""
+# 3 wards and 2 shifts make (3 + 1) * (2 + 1) = 12 members, null slots
+# included, so the pivot groups by member from 11 stays on
+PIVOT_WARDS = "id,wing\nw1,East\nw2,East\nw3,West\n"
+PIVOT_SHIFTS = "id,name\nn,Night\nd,Day\n"
+PIVOT_STAYS = "id,ward,shift,cost,fee\n" + "".join(
+    f"s{i},{ward},{shift},{cost},{fee}\n"
+    for i, (ward, shift, cost, fee) in enumerate([("w1", "n", 5, 0.5), ("w1", "d", "", 1.0), ("w2", "n", -3, 2.5),
+                                                  ("", "d", 7, 1.5), ("w3", "", 2, 0.25), ("w1", "n", 9, 1.0),
+                                                  ("w3", "d", 4, 3.0), ("w2", "n", "", 0.5), ("w1", "d", 1, 1.0),
+                                                  ("w3", "d", 6, 2.0), ("", "", 8, 0.5), ("w2", "d", 3, 1.0)]))
+
+
+def _pivot_cube(directory, stays=PIVOT_STAYS, summed="cost"):
+    model, diags = parse_cnlbi(PIVOT_MODEL.format(summed=summed), "pivot.cnlbi")
+    assert not [d for d in diags if d.is_error], [f"{d.code} {d.message}" for d in diags]
+    directory.mkdir(exist_ok=True)
+    for name, text in (("Ward", PIVOT_WARDS), ("Shift", PIVOT_SHIFTS), ("Stay", stays)):
+        (directory / f"{name}.csv").write_text(text, encoding="utf-8")
+    (directory / "manifest.toml").write_text("".join(f'{n} = "{n}.csv"\n' for n in ("Ward", "Shift", "Stay")), encoding="utf-8")
+    cube, diags = load_cube(model, directory)
+    assert diags == []
+    return model, cube
+
+
+def _looped(cube, plan) -> str:
+    """The pivot of ``plan`` grouped row by row, over a list of the fact's positions."""
+    listed = CubeView(cube, plan.fact.id, list(range(cube.table(plan.fact.id).size)))
+    return result_to_csv(pivot(aggregate(listed, plan.keys)))
+
+
+def test_a_composite_with_more_members_than_fact_rows_groups_row_by_row(medbuddy, cube):
+    """The fixture's 3 institutions and 3 request states make 16 members for 10 appointments."""
+    pivot_op = m.OlapOperation(id="StatesByInstitution", kind="Pivot", swap=("Institution", "RequestState"))
+    plan = operation_plan(medbuddy, medbuddy.use_case("AnalysisAppointmentsInstitutionOnNationalLevel"), pivot_op)
+    fresh, _ = load_cube(medbuddy, DATA_DIR)
+    assert [result_to_csv(run_plan(fresh, plan)) for _ in range(3)] == [_looped(fresh, plan)] * 3
+    assert postings_built(fresh) == folds_built(fresh) == []
+
+
+def test_the_first_pivot_builds_postings_and_the_second_member_folds(tmp_path):
+    model, cube = _pivot_cube(tmp_path)
+    plan = plan_operation(model, "Stays", "WardsByShift")
+    looped = _looped(cube, plan)
+    assert result_to_csv(run_plan(cube, plan)) == looped
+    assert postings_built(cube) == [("Stay", "ward+shift")] and folds_built(cube) == []
+    assert [result_to_csv(run_plan(cube, plan)) for _ in range(2)] == [looped] * 2
+    assert folds_built(cube) == [("Stay", "ward+shift")]
+    # the null-slot members: (no ward, Day) holds s3, (w3, no shift) s4 and (no ward, no shift) s10
+    rows = {row[:2]: row[2:] for row in run_plan(cube, plan).rows}
+    assert rows["Day", None] == (1, 7.0, 7) and rows[None, "w3"] == (1, 2.0, 2) and rows[None, None] == (1, 8.0, 8)
+    assert rows["Night", "w1"] == (2, 14.0, 5) and rows["Night", "w2"] == (2, -3.0, -3)
+
+
+def test_a_fact_with_fewer_rows_than_members_builds_no_composite_postings(tmp_path):
+    stays = "".join(PIVOT_STAYS.splitlines(keepends=True)[:11])  # 10 stays for 12 members
+    model, cube = _pivot_cube(tmp_path, stays=stays)
+    plan = plan_operation(model, "Stays", "WardsByShift")
+    assert [result_to_csv(run_plan(cube, plan)) for _ in range(3)] == [_looped(cube, plan)] * 3
+    assert postings_built(cube) == folds_built(cube) == []
+
+
+def test_a_decimal_sum_pivot_is_ordered_and_builds_nothing(tmp_path):
+    model, cube = _pivot_cube(tmp_path, summed="fee")
+    plan = plan_operation(model, "Stays", "WardsByShift")
+    assert [result_to_csv(run_plan(cube, plan)) for _ in range(3)] == [_looped(cube, plan)] * 3
+    assert postings_built(cube) == folds_built(cube) == []
+
+
+def test_a_repeat_rollup_builds_no_grouping_and_no_counts(tmp_path, monkeypatch):
+    """The second query through a tuple of references takes each member's row
+    count, the grouping of its keys and the combine plan of its measures once;
+    a third builds none of them, and a new key list only its grouping."""
+    model, cube = _pivot_cube(tmp_path)
+    calls = []
+
+    def counted(name, build):
+        def call(*args):
+            calls.append(name)
+            return build(*args)
+
+        monkeypatch.setattr(engine, name, call)
+
+    for name in ("_Members", "_member_grouping", "_combine_plan"):
+        counted(name, getattr(engine, name))
+    plan = plan_operation(model, "Stays", "WardsByShift")
+    runs = []
+    for expected in (["_member_grouping"], ["_Members", "_combine_plan", "_member_grouping"], []):
+        runs.append(result_to_csv(run_plan(cube, plan)))
+        assert calls == expected
+        calls.clear()
+    assert runs == [_looped(cube, plan)] * 3
+    by_wing = [Column("ward.wing", (("ward", "Ward"),), model.entity("Ward").attribute("wing")), plan.keys[1]]
+    looped = aggregate(CubeView(cube, "Stay", list(range(12))), by_wing)
+    assert [aggregate(cube.view("Stay"), by_wing) for _ in range(2)] == [looped] * 2
+    assert calls == ["_member_grouping"]
