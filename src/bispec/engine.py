@@ -3,17 +3,14 @@
 A data package is a directory holding a plain-text manifest mapping entity
 ids to CSV files. Loading enforces headers, declared types, and referential
 integrity; queries are read-only over the immutable cube. Decimal arithmetic
-is 64-bit float, evaluated left to right, and Integer sums are exact.
+is 64-bit float and Integer sums are exact.
 
-A query is ordered when its result could depend on the order its fact rows
-arrive in (``_ordered``): a Decimal SUM or AVERAGE, since floats add left to
-right; a MIN or MAX, or a group key, over a type whose equal values can
-print differently (Decimal ``0.0`` and ``-0.0``, a DateTime or Time at two
-UTC offsets, a column without a read type), since the first of them wins; or
-a filter, key or measure read that can raise ENG004 or ENG030, since the
-message names the first failing position. An ordered query reads its rows
-in file order. Any other query is order-free and skips rebuilding file
-order, with the same result.
+No result depends on the order of the rows: a Decimal SUM is correctly
+rounded (``math.fsum``), and the loader stores Decimal -0.0 as 0.0 and an
+offset-aware DateTime or Time at UTC, so equal values print alike. Only a
+cube whose every reference resolved (``Cube.clean``) takes the paths below
+that read rows out of file order; any other scans and groups row by row, so
+ENG004 and ENG030 name the first position that needs the bad hop.
 
 A table is one list per stored attribute, each ending with a null slot. A
 dimension reference holds row positions in its target table, so a hop is a
@@ -25,40 +22,38 @@ A reader touches each fact position once: one fact-side step through the
 fact column or the first reference, which walks the stored column itself
 for the whole fact. The rest (later hops, the ``==`` of a filter or measure
 predicate) becomes one dimension-side list over the first hop's target,
-built once per query when the query reads at least as many positions as
-that target holds rows. MIN and MAX through a hop fold over the distinct
-first-hop positions.
+built once per query on a clean cube when the query reads at least as many
+positions as that target holds rows. MIN and MAX through a hop fold over
+the distinct first-hop positions.
 
-A filter over the whole fact whose hops are all loaded without dangling
-keys reads only the fact positions it keeps. Its ``==`` runs once per row
-of the last table the path reaches (a reference read as its key is one more
-hop, tested on the target's key column), and the hit rows walk back hop by
-hop through each reference's postings (the referencing rows per target
-row, in two flat arrays); only an ordered query sorts them into file order
-at the fact. A table builds postings on first use and keeps them.
+A filter over the whole fact of a clean cube reads only the fact positions
+it keeps. Its ``==`` runs once per row of the last table the path reaches
+(a reference read as its key is one more hop, tested on the target's key
+column), and the hit rows walk back hop by hop through each reference's
+postings (the referencing rows per target row, in two flat arrays). A
+table builds postings on first use and keeps them.
 
-An order-free roll-up over the whole fact, on one key or several (the
-pivot), groups by member when every key is read through a fact reference
-loaded without dangling keys. A member is one combination of rows of the
-keys' distinct first references' targets, null slots included, and its id
-is mixed-radix over each target's size + 1; one reference's members are its
-target's rows. The members are grouped by key value, with each key read
-once per row of its reference's target. That needs no more members than
-the fact has rows + 1; the row loop takes any other grouping. The first
-such query groups the fact rows by member in one pass, and keeps those
-groups as the references' postings.
+A roll-up over the whole fact of a clean cube, on one key or several (the
+pivot), groups by member when every key is read through a fact reference. A
+member is one combination of rows of the keys' distinct first references'
+targets, null slots included, and its id is mixed-radix over each target's
+size + 1; one reference's members are its target's rows. The members are
+grouped by key value, with each key read once per row of its reference's
+target. That needs no more members than the fact has rows + 1; the row
+loop takes any other grouping. The first such query groups the fact rows by
+member in one pass and keeps those groups as the references' postings;
+later ones group through them.
 
 Once references have postings, that is once they have served a query on
-this cube, an order-free query through them also keeps, beside the
-postings, what a repeat query rebuilds (``_Members``): member folds (each
-measure fold's partial per member, built by one read of each input over
-the whole fact), each member's row count, the grouping of members per key
-list and the combine plan per measure program. From then on, such a
+this cube, a query through them whose every fold has member folds
+(``_MEMBER_FOLDS``) keeps what a repeat query rebuilds (``_Members``):
+member folds (each fold's partial per member, built by one read of each
+input over the whole fact), each member's row count, the grouping of
+members per key list and the combine plan per measure program. Then such a
 roll-up combines the folds of each group's members, and a slice by one
-filter combines the members the filter keeps at the first hop's target:
-neither reads a fact row. A one-shot query builds no folds. Postings and
-what ``_Members`` keeps are the only data derived at query time that
-outlives a query, and they die with the cube.
+filter the members it keeps at the first hop's target, reading no fact row.
+A one-shot query builds no folds. Postings and ``_Members`` are the only
+data a query leaves behind, and they die with the cube.
 """
 
 from __future__ import annotations
@@ -69,10 +64,10 @@ from array import array
 from collections import defaultdict, deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from datetime import date, datetime, time
-from functools import cached_property, partial, reduce
-from itertools import accumulate, chain, compress, count, islice, repeat, tee
-from math import prod
+from datetime import date, datetime, time, timezone
+from functools import cached_property, partial
+from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat, tee
+from math import fsum, inf, isfinite, prod
 from operator import add, countOf, eq, floordiv, is_not, itemgetter, mod, mul, sub, truediv
 from pathlib import Path
 
@@ -142,16 +137,20 @@ class Table:
         """The primary key of each row position, null slot included."""
         return self.data[self.pk] if self.pk is not None else [None] * (self.size + 1)
 
-    def referencing(self, refs: tuple, members) -> Iterator[int]:
-        """The positions of the rows whose references ``refs`` hold one of the
-        member ids ``members`` (``_member_lists``), ascending within each
-        member, members in the order of ``members``. The references must be
-        loaded and hold no dangling key. Their postings are built on first use
-        and kept, since a table never changes after load."""
+    def posted(self, refs: tuple) -> tuple[array, array]:
+        """The postings of the references ``refs`` (``_postings``), built on
+        first use and kept, since a table never changes after load. The
+        references must be loaded and hold no dangling key."""
         if refs not in self.postings:
             lists = _member_lists(self, refs)
             self.postings[refs] = _postings(lists, list(map(len, lists)))
-        offsets, positions = self.postings[refs]
+        return self.postings[refs]
+
+    def referencing(self, refs: tuple, members) -> Iterator[int]:
+        """The positions of the rows whose references ``refs`` hold one of the
+        member ids ``members`` (``_member_lists``), ascending within each
+        member, members in the order of ``members``."""
+        offsets, positions = self.posted(refs)
         return chain.from_iterable(positions[offsets[member]:offsets[member + 1]] for member in members)
 
 
@@ -229,10 +228,13 @@ class Rows(Sequence):
 
 @dataclass
 class Cube:
-    """Loaded tables for every entity, keyed joins derived from the model."""
+    """Loaded tables for every entity, keyed joins derived from the model;
+    ``clean`` when every reference of every loaded table resolved, with no
+    dangling key (ENG004) and no target that did not load."""
 
     model: m.SpecificationModel
     tables: dict[str, Table]
+    clean: bool = False
 
     def table(self, entity_id: str) -> Table:
         return self.tables[entity_id]
@@ -275,7 +277,7 @@ def _integer(value: str) -> int:
 def _decimal(value: str) -> float:
     if not _numeric_text(value, True):
         raise ValueError(f"{value!r} is not a Decimal")
-    return float(value)
+    return float(value) + 0.0  # -0.0 loads as 0.0, as SQLite stores it
 
 
 _PARSERS = {"UUID": str, "String": str, "Integer": _integer, "Decimal": _decimal, "Boolean": _boolean,
@@ -308,7 +310,9 @@ def _coercer(model: m.SpecificationModel, attr_type: m.AttributeType | None):
 def _one_awareness(parse):
     """``parse`` of DateTime or Time cells, refusing a value that is offset-aware
     where the first value it parsed is offset-naive, or the other way round:
-    the two kinds do not compare, so MIN and MAX could not fold a column of both."""
+    the two kinds do not compare, so MIN and MAX could not fold a column of both.
+    An offset-aware value moves to UTC, a Time wrapping past midnight, so one
+    instant prints one way and group keys sort by instant."""
     first = []  # whether the first value parsed is offset-aware
 
     def parse_alike(value: str):
@@ -319,7 +323,14 @@ def _one_awareness(parse):
         elif aware != first[0]:
             kinds = ("offset-aware", "offset-naive") if aware else ("offset-naive", "offset-aware")
             raise ValueError(f"{value!r} is {kinds[0]} but the column's first value is {kinds[1]}")
-        return parsed
+        if not aware:
+            return parsed
+        try:
+            if parsed.__class__ is time:
+                return datetime.combine(date(2000, 1, 2), parsed).astimezone(timezone.utc).timetz()
+            return parsed.astimezone(timezone.utc)
+        except OverflowError:
+            raise ValueError(f"{value!r} lies outside the DateTime range at UTC") from None
 
     return parse_alike
 
@@ -382,7 +393,8 @@ def load_cube(model: m.SpecificationModel, data_dir: str | Path) -> tuple[Cube, 
     for entity in model.entities:
         for attr in entity.dimension_refs:
             diags.extend(dangling.get((entity.id, attr.id), ()))
-    return Cube(model, tables), diags
+    resolved = all(len(table.targets) == len(model.entity(table.entity_id).dimension_refs) for table in tables.values())
+    return Cube(model, tables, resolved and not dangling), diags
 
 
 def _load_table(entity: m.DataEntity, model: m.SpecificationModel, path: Path, tables: dict[str, Table],
@@ -456,15 +468,20 @@ def _bad_utf8_line(path: Path) -> int:
 def _parse_column(coerce, cells: tuple) -> list:
     """One column of a chunk; an Integer or Decimal column checks its text once,
     then parses with ``int`` or ``float``, and an Integer column checks its range
-    once, by its least and greatest value. A failed check sends the chunk row by row."""
+    once, by its least and greatest value; a Decimal column holding a ``-``
+    turns -0.0 into 0.0, as ``_decimal`` does. A failed check sends the chunk
+    row by row."""
     if coerce in _NUMBERS:
-        if not _numeric_text("".join(cells), coerce is _decimal):
+        text = "".join(cells)
+        if not _numeric_text(text, coerce is _decimal):
             raise ValueError("text that is no number to SQLite")
         values = _parse_column(_NUMBERS[coerce], cells)
         if coerce is _integer:
             least, greatest = min(filter(None, values), default=0), max(filter(None, values), default=0)
             if least not in _INT64 or greatest not in _INT64:
                 raise ValueError("an Integer outside the 64-bit range")
+        elif "-" in text:
+            values = [None if value is None else value + 0.0 for value in values]
         return values
     if "" in cells:
         return [coerce(raw) if raw else None for raw in cells]
@@ -549,29 +566,24 @@ def _unloaded_hop(target_id: str, key) -> None:
 
 
 def _steps(cube: Cube, fact_id: str, col: Column, test=None) -> tuple:
-    """``col``'s read, or ``test(value)``'s, as ``(steps, hops, chained)``.
+    """``col``'s read, or ``test(value)``'s, as ``(steps, hops)``.
 
     The first step takes the one fact-side step per position, through the
     fact column or the first reference; each later one maps the value before
-    it. A list is read at that value, any other step is called on it.
-    ``hops`` holds ``(table, reference)`` for each leading step that hops
-    through a loaded reference without dangling keys, a reference read as
-    its key included. ``chained`` says the later steps must map each value:
-    a hop can raise ENG004 or ENG030, or a dangling key reaches them.
+    it. A list is read at that value, any other step is called on it: a hop
+    through a dangling key raises ENG004, one into a table that did not load
+    ENG030. ``hops`` holds ``(table, reference)`` for each leading step
+    through a loaded reference, a reference read as its key included.
     """
     table = cube.tables[fact_id]
     steps = []  # a list is read at the value before it; a function maps it
     hops = []
-    chained = False
     for fk, target_id in col.chain:
         target = table.targets.get(fk)
         if target is None:  # the rest of the chain reads null, or raises ENG030
             steps += [table.data[fk], partial(_unloaded_hop, target_id)]
-            chained = True
             break
-        chained = chained or bool(steps) and fk in table.dangling
-        if fk not in table.dangling and len(hops) == len(steps):
-            hops.append((table, fk))
+        hops.append((table, fk))
         steps.append(partial(_checked_hop, table.data[fk], target_id) if fk in table.dangling else table.data[fk])
         table = target
     else:
@@ -580,21 +592,13 @@ def _steps(cube: Cube, fact_id: str, col: Column, test=None) -> tuple:
             steps.append(_null)
         elif attr.id in table.targets:  # a reference reads as its key
             keys = table.targets[attr.id].pk_values()
-            chained = chained or not steps and attr.id in table.dangling
-            if attr.id not in table.dangling and len(hops) == len(steps):
-                hops.append((table, attr.id))
+            hops.append((table, attr.id))
             steps += [table.data[attr.id], partial(_key_of, keys) if attr.id in table.dangling else keys]
         else:
             steps.append(table.data[attr.id])
     if test is not None:
         steps.append(test)
-    return steps, hops, chained
-
-
-def _raises(steps) -> bool:
-    """Whether one of ``_steps``' steps can raise: a hop through a dangling key
-    (ENG004) or into a table that did not load (ENG030), the first included."""
-    return any(getattr(step, "func", None) in (_checked_hop, _unloaded_hop) for step in steps)
+    return steps, hops
 
 
 def _first_reference(col: Column) -> str:
@@ -618,22 +622,21 @@ def _reader(cube: Cube, fact_id: str, col: Column, reads: int, test=None, distin
     """A function from fact row positions to an iterator of ``col``'s values,
     or of ``test(value)`` (see ``_steps``).
 
-    When the query reads at least as many positions in all (``reads``) as
-    the first hop's target holds rows, the later steps run once per target
-    row into one dimension-side list, which the fact-side step then indexes;
-    when a step must map each value they stay chained, so ENG004 or ENG030
-    arises only when a position needs the dangling key or the unloaded
-    table. A ``range`` over the whole fact walks the stored fact-side column
-    itself, and ``read(positions, gather)`` reads it with ``gather``, an
-    ``itemgetter`` of the positions, in one call. With ``distinct`` the later
-    steps run once per distinct first-hop value, in first-occurrence order.
+    When the cube is clean and the query reads at least as many positions in
+    all (``reads``) as the first hop's target holds rows, the later steps run
+    once per target row into one dimension-side list, which the fact-side
+    step then indexes; on any other cube they stay chained, so ENG004 or
+    ENG030 arises only when a position needs the dangling key or the
+    unloaded table. A ``range`` over the whole fact walks the stored
+    fact-side column itself, and ``read(positions, gather)`` reads it with
+    ``gather``, an ``itemgetter`` of the positions, in one call. With
+    ``distinct`` the later steps run once per distinct first-hop value.
     """
     fact = cube.tables[fact_id]
-    steps, _, chained = _steps(cube, fact_id, col, test)
+    steps, _ = _steps(cube, fact_id, col, test)
     column = steps[0] if steps[0].__class__ is list else None
     first, *rest = map(_function, steps)
-    landing = fact.targets.get(_first_reference(col))
-    if len(rest) > 1 and not chained and reads >= landing.size:
+    if len(rest) > 1 and cube.clean and reads >= (landing := fact.targets[_first_reference(col)]).size:
         rest = [list(_mapped(rest, range(landing.size + 1))).__getitem__]  # its rows and null slot
     size = fact.size
     whole = range(size)
@@ -660,12 +663,12 @@ def _far_end(cube: Cube, fact_id: str, col: Column, test) -> tuple[tuple, list[i
     ``col`` passes ``test`` reference. The test runs once per row of the last
     table ``_steps``' hops reach, null slot included, and the hit rows walk
     back through each later hop's postings; a middle table's null slot hits
-    when the next table's does. None when no hop leaves the fact, a step
-    must map each value, or the fact holds fewer rows than the first hop's
+    when the next table's does. None when the cube is not clean, no hop
+    leaves the fact, or the fact holds fewer rows than the first hop's
     target: that filter scans instead."""
     fact = cube.tables[fact_id]
-    steps, hops, chained = _steps(cube, fact_id, col, test)
-    if chained or not hops or fact.size < fact.targets[hops[0][1]].size:
+    steps, hops = _steps(cube, fact_id, col, test)
+    if not cube.clean or not hops or fact.size < fact.targets[hops[0][1]].size:
         return None
     table, ref = hops[-1]
     tested = _mapped(map(_function, steps[len(hops):]), range(table.targets[ref].size + 1))  # its rows and null slot
@@ -705,8 +708,7 @@ def _bound_value(model: m.SpecificationModel, filt: Filter, bindings: dict):
 @dataclass(frozen=True)
 class CubeView:
     """Read-only slice of a cube: the positions of the fact rows satisfying a
-    conjunction, filtered once when the view is made; in file order, except
-    in the view ``run_plan`` filters for an order-free query (``_ordered``)."""
+    conjunction, filtered once when the view is made, in file order."""
 
     cube: Cube
     fact_id: str
@@ -719,11 +721,11 @@ class CubeView:
         return len(self.positions)
 
 
-def _filtered(view: CubeView, filters, bindings: dict | None, ordered: bool = True) -> CubeView:
-    """Each filter tests the positions the filters before it kept; a filter
-    over the whole fact keeps the positions that reference the rows
-    ``_far_end`` walks back to, when it can, in file order only when the
-    query is ``ordered`` (see ``_ordered``), else in postings order."""
+def _filtered(view: CubeView, filters, bindings: dict | None) -> list:
+    """The view's positions that the filters keep. Each filter tests the
+    positions the filters before it kept; a filter over the whole fact keeps
+    the positions that reference the rows ``_far_end`` walks back to, when it
+    can, in postings order."""
     values = [_bound_value(view.cube.model, f, bindings or {}) for f in filters]
     cube, fact_id = view.cube, view.fact_id
     fact = cube.tables[fact_id]
@@ -734,25 +736,24 @@ def _filtered(view: CubeView, filters, bindings: dict | None, ordered: bool = Tr
         if far is None:
             positions = list(compress(positions, _reader(cube, fact_id, filt.column, len(positions), test)(positions)))
         else:
-            positions = sorted(fact.referencing(*far)) if ordered else list(fact.referencing(*far))
-    return CubeView(cube, fact_id, positions)
+            positions = list(fact.referencing(*far))
+    return positions
 
 
 def _sliced(view: CubeView, filters, bindings: dict | None, exprs) -> tuple[int, tuple]:
     """``(row_count, cells)``: how many of the view's rows the filters keep, and
-    the measures over them. An order-free query over the whole fact by one
-    filter combines the member folds of the filter's first reference at the
-    rows of its target that ``_far_end`` keeps, once that reference has
-    postings (``_member_program``); any other reads the kept fact positions."""
+    the measures over them. A query over the whole fact by one filter
+    combines the member folds of the filter's first reference at the rows of
+    its target that ``_far_end`` keeps, where ``_member_program`` gives
+    them; any other reads the kept fact positions."""
     cube, fact_id = view.cube, view.fact_id
-    ordered = _ordered(cube, fact_id, exprs, filters)
-    if not ordered and len(filters) == 1 and view.positions == range(cube.tables[fact_id].size):
+    if len(filters) == 1 and view.positions == range(cube.tables[fact_id].size):
         col = filters[0].column
         combine = _member_program(cube, fact_id, (_first_reference(col),), exprs)
         far = combine and _far_end(cube, fact_id, col, partial(eq, _bound_value(cube.model, filters[0], bindings or {})))
         if far:
             return combine(_gather(far[1]))
-    positions = _filtered(view, filters, bindings, ordered).positions
+    positions = _filtered(view, filters, bindings)
     return len(positions), _measure_program(cube, fact_id, exprs, len(positions))(positions)
 
 
@@ -761,7 +762,8 @@ def slice_view(view: CubeView, predicate: m.Predicate, bindings: dict | None = N
 
 
 def dice_view(view: CubeView, predicates, bindings: dict | None = None) -> CubeView:
-    return _filtered(view, plan_filters(view.cube.model, view.fact_id, predicates), bindings)
+    positions = _filtered(view, plan_filters(view.cube.model, view.fact_id, predicates), bindings)
+    return CubeView(view.cube, view.fact_id, sorted(positions))  # in file order
 
 
 # ---------------------------------------------------------------------------
@@ -773,11 +775,11 @@ _ARITHMETIC = {"+": add, "-": sub, "*": mul, "/": truediv}
 
 # Aggregates over one group's values as read, nulls included, each one C-level
 # pass: COUNT counts the non-nulls, and AVERAGE is SUM over COUNT. An Integer
-# SUM is exact; a Decimal SUM adds left to right (the builtin ``sum`` compensates
-# float error from Python 3.12 on, and ``filter(None)`` would turn an all-zero
-# sum's ``0.0`` into ``0``). MIN and MAX drop nulls and keep the first of tied
-# values. Measure results are plain values (int, float, date or None); null
-# arises only from empty AVERAGE/MIN/MAX groups and division by zero.
+# SUM is exact; a Decimal SUM is correctly rounded, so it does not depend on
+# the order of its values (``filter(None)`` would turn an all-zero sum's ``0.0``
+# into ``0``). MIN and MAX drop nulls. Measure results are plain values (int,
+# float, date or None); null arises only from empty AVERAGE/MIN/MAX groups and
+# division by zero.
 def _count(values) -> int:
     return len(values) - values.count(None)
 
@@ -791,7 +793,22 @@ def _average(total):
 
 
 def _decimal_sum(values):
-    return reduce(add, filter(_not_none, values), 0)
+    """The correctly rounded sum, the Integer 0 of no values: the sum of the
+    infinities where there are any (nan for inf with -inf), else the exact
+    sum rounded once, ±inf past the float range."""
+    if not _count(values):
+        return 0
+    try:
+        return fsum(filter(_not_none, values))
+    except (ValueError, OverflowError):  # inf with -inf, or partial sums past the float range
+        values = list(filter(_not_none, values))
+    if not all(map(isfinite, values)):
+        return sum(filterfalse(isfinite, values))
+    from fractions import Fraction  # imported only here, off the import path of ``bispec``
+
+    exact = sum(map(Fraction, values))
+    past = abs(exact) >= 2**1024 - 2**970  # rounds past the largest float
+    return (inf if exact > 0 else -inf) if past else float(exact)
 
 
 def _integer_sum(values) -> int:
@@ -816,23 +833,6 @@ def _hits(values) -> int:
     return countOf(values, True)
 
 
-# Whether a fold's result can depend on the order of its values: "free";
-# "ordered" (a Decimal SUM adds floats left to right); or "ties" (MIN and MAX
-# keep the first of tied values, which shows only where ``_TIES_DIFFER``).
-_FOLD_ORDER = {len: "free", _hits: "free", _count: "free", _integer_sum: "free", _integer_average: "free",
-               _decimal_sum: "ordered", _decimal_average: "ordered", _min: "ties", _max: "ties"}
-# Whether two equal values of a primitive type can print differently: 0.0 and
-# -0.0, or one instant at two UTC offsets.
-_TIES_DIFFER = {"UUID": False, "String": False, "Integer": False, "Boolean": False, "Date": False,
-                "Decimal": True, "DateTime": True, "Time": True}
-
-
-def _ties_differ(attr_type: m.AttributeType | None) -> bool:
-    """Whether two equal values read as ``attr_type`` (``plan.read_type``) can
-    print differently; a column without a read type counts as one that can."""
-    return attr_type is None or attr_type.kind == "primitive" and _TIES_DIFFER[attr_type.name]
-
-
 def _leaf_input(model: m.SpecificationModel, leaf) -> tuple:
     """A measure leaf's ``(column, test, distinct, fold)``: the column it reads
     (None where the fold takes the positions themselves), the ``==`` of a
@@ -855,31 +855,6 @@ def _input_key(leaf, col: Column | None, test, distinct: bool):
     if col is None:
         return None
     return (col.chain, col.attribute.id, distinct) if test is None else (col.chain, col.attribute.id, "=", leaf.input.value)
-
-
-def _ordered(cube: Cube, fact_id: str, exprs, filters=(), keys=()) -> bool:
-    """Whether a query's result can depend on the order its fact positions
-    arrive in: a measure fold that is "ordered" in ``_FOLD_ORDER``, or one that
-    keeps the first of ties over a type whose ties print apart; a group key of
-    such a type (the first of its equal values names the group); or a filter,
-    key or measure read that can raise, whose message names the first failing
-    position. A measure that fails to plan counts as ordered and raises where
-    it is compiled, as it did before."""
-    model = cube.model
-    try:
-        leaves = measure_program(model, fact_id, exprs).leaves
-    except EngineError:
-        return True
-    reads = [filt.column for filt in filters] + list(keys)
-    for leaf in leaves:
-        col, _, _, fold = _leaf_input(model, leaf)
-        order = _FOLD_ORDER[fold]
-        if order == "ordered" or order == "ties" and _ties_differ(read_type(model, col.attribute)):
-            return True
-        if col is not None:
-            reads.append(col)
-    return (any(_ties_differ(read_type(model, key.attribute)) for key in keys)
-            or any(_raises(_steps(cube, fact_id, col)[0]) for col in reads))
 
 
 def _arithmetic(op, a, b):
@@ -971,6 +946,11 @@ def _member_folds(folds, values: tuple, offsets) -> list:
     return slots
 
 
+def _counts(offsets: array) -> Iterator[int]:
+    """Each member's rows, from the offsets of its postings (``_postings``)."""
+    return map(sub, islice(offsets, 1, None), offsets)
+
+
 def _gather(members: Sequence[int]):
     """A function from one slot per member to a sequence of its values at ``members``."""
     if len(members) > 1:
@@ -990,10 +970,10 @@ def _quotient(rows: int, total: int, counted: int):
     return total / counted if counted else None
 
 
-# How each fold that ``_FOLD_ORDER`` does not mark "ordered" is computed from
-# member folds: the folds of its input it reads per member, and its value from
-# the group's row count and their combinations over the group, which is what
-# it gives over the group's rows.
+# How each fold but a Decimal SUM or AVERAGE is computed from member folds (a
+# sum of correctly rounded sums would round twice): the folds of its input it
+# reads per member, and its value from the group's row count and their
+# combinations over the group, which is what it gives over the group's rows.
 _MEMBER_FOLDS = {len: ((), _row_count), _hits: ((_hits,), _total), _count: ((_count,), _total),
                  _integer_sum: ((_integer_sum,), _total), _integer_average: ((_integer_sum, _count), _quotient),
                  _min: ((_min,), _total), _max: ((_max,), _total)}
@@ -1017,20 +997,21 @@ def _member_program(cube: Cube, fact_id: str, refs: tuple, exprs):
     ``refs`` (and their row count, when it is known) to ``(row_count,
     cells)`` over the fact rows those members hold, which combines member
     folds. None until ``refs`` have postings, that is until they have served
-    a query on this cube: a one-shot query builds no folds. The members' row
-    counts are taken once per ``refs`` and the plan once per measure
-    program, and both are kept (``_Members``). Only for an order-free query
-    (``_ordered``), whose reads cannot raise."""
+    a query on this cube (a one-shot query builds no folds), or when a
+    measure fold has no entry in ``_MEMBER_FOLDS``. The members' row counts
+    are taken once per ``refs`` and the plan once per measure program, and
+    both are kept (``_Members``)."""
     fact = cube.tables[fact_id]
     if refs not in fact.postings:
         return None
-    kept = fact.folds.get(refs)
-    if kept is None:
-        offsets, _ = fact.postings[refs]
-        kept = fact.folds[refs] = _Members(array("q", map(sub, islice(offsets, 1, None), offsets)))
     program = measure_program(cube.model, fact_id, exprs)
-    plan = kept.plans.get(id(program))
+    kept = fact.folds.get(refs)
+    plan = kept and kept.plans.get(id(program))
     if plan is None:
+        if any(_leaf_input(cube.model, leaf)[3] not in _MEMBER_FOLDS for leaf in program.leaves):
+            return None
+        if kept is None:
+            kept = fact.folds[refs] = _Members(array("q", _counts(fact.postings[refs][0])))
         plan = kept.plans[id(program)] = (program, _combine_plan(cube, fact_id, refs, program))
     return plan[1]
 
@@ -1107,7 +1088,7 @@ def _key_order(single: bool):
     return _sort_token if single else lambda key: tuple(map(_sort_token, key))
 
 
-def _member_grouping(fact: Table, refs: tuple, reads, counts: Sequence[int]) -> list:
+def _member_grouping(fact: Table, refs: tuple, reads, counts) -> list:
     """``(key value, members)`` in key order for each value of the keys that
     some member with rows holds: bare for one key, a tuple for several, with
     the ids of those members (``_member_lists``). ``reads`` holds, per key,
@@ -1125,33 +1106,21 @@ def _member_grouping(fact: Table, refs: tuple, reads, counts: Sequence[int]) -> 
     return sorted(groups.items(), key=lambda group: order(group[0]))
 
 
-def _first_groups(fact: Table, refs: tuple, reads) -> list:
-    """``(key value, fact positions)`` per group of ``_member_grouping``, for
-    the first query through ``refs``: the fact rows grouped by member become
-    the references' postings, and each group's positions are its members'."""
-    lists = _member_lists(fact, refs)
-    counts = list(map(len, lists))
-    fact.postings[refs] = _postings(lists, counts)
-    return [(value, list(chain.from_iterable(map(lists.__getitem__, members))))
-            for value, members in _member_grouping(fact, refs, reads, counts)]
-
-
 def _member_groups(cube: Cube, fact_id: str, keys, exprs) -> list | None:
     """``(key value, cells)`` in key order for each group of the whole fact by
     ``keys``, grouped by member (``_member_lists``): the members of the
-    keys' distinct first references, grouped by key value. Once those
-    references have postings, each group combines its members' folds
-    (``_member_program``), and the grouping is kept beside them; else the
-    measures run over the fact positions its members hold, which builds the
-    postings. A group no fact row reaches is left out. None when a key is
-    not read through a fact reference loaded without dangling keys, or the
-    references have more members than the fact has rows + 1. Only for an
-    order-free query (``_ordered``), so no step raises."""
+    keys' distinct first references, grouped by key value. Each group
+    combines its members' folds, where ``_member_program`` gives them, and
+    the grouping is kept beside them; else the measures run over the fact
+    positions its members hold in the references' postings, which the first
+    query through them builds. A group no fact row reaches is left out. None
+    when the cube is not clean, a key is not read through a fact reference,
+    or the references have more members than the fact has rows + 1."""
     fact = cube.tables[fact_id]
     reads = []  # per key: its first reference, its later steps as functions
     for key in keys:
-        steps, hops, _ = _steps(cube, fact_id, key)
-        if not hops:
+        steps, hops = _steps(cube, fact_id, key)
+        if not cube.clean or not hops:
             return None
         reads.append((hops[0][1], list(map(_function, steps[1:]))))
     refs = tuple(dict.fromkeys(ref for ref, _ in reads))
@@ -1160,7 +1129,8 @@ def _member_groups(cube: Cube, fact_id: str, keys, exprs) -> list | None:
     combine = _member_program(cube, fact_id, refs, exprs)
     if combine is None:
         program = _measure_program(cube, fact_id, exprs, fact.size)
-        return [(value, program(positions)) for value, positions in _first_groups(fact, refs, reads)]
+        grouping = _member_grouping(fact, refs, reads, _counts(fact.posted(refs)[0]))
+        return [(value, program(list(fact.referencing(refs, members)))) for value, members in grouping]
     kept = fact.folds[refs]
     name = tuple((key.chain, key.attribute.id) for key in keys)
     grouping = kept.groupings.get(name)
@@ -1176,8 +1146,8 @@ def aggregate(view: CubeView, group_by) -> ResultTable:
     ``group_by`` holds attribute paths (dotted text or ``AttributePath``) or
     plan ``Column``s. Roll-up and drill-down are both this operation with a
     coarser or finer key list; the distinction is reporting metadata only.
-    An order-free query over the whole fact groups by member
-    (``_member_groups``) where it can; any other grouping reads every position.
+    A query over the whole fact groups by member (``_member_groups``) where
+    it can; any other grouping reads every position.
     """
     cube, fact_id = view.cube, view.fact_id
     model = cube.model
@@ -1189,11 +1159,11 @@ def aggregate(view: CubeView, group_by) -> ResultTable:
 
     single = len(keys) == 1  # groups on bare values, made 1-tuples once per group
     grouped = None  # (group key, its measure cells) in key order
-    if keys and positions and positions == range(cube.tables[fact_id].size) and not _ordered(cube, fact_id, exprs, keys=keys):
+    if keys and positions and positions == range(cube.tables[fact_id].size):
         grouped = _member_groups(cube, fact_id, keys, exprs)
     if grouped is None:
         readers = [_reader(cube, fact_id, key, len(positions)) for key in keys]
-        groups = defaultdict(list)  # each in ascending order, so folds run in file order
+        groups = defaultdict(list)  # each in the view's order
         values = readers[0](positions) if single else zip(*(read(positions) for read in readers)) if readers else repeat(())
         for key, position in zip(values, positions):
             groups[key].append(position)

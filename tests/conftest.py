@@ -1,6 +1,6 @@
 import math
 import sqlite3
-from datetime import date
+from datetime import date, time
 from pathlib import Path
 
 import pytest
@@ -75,7 +75,7 @@ def folds_built(cube) -> list[tuple[str, str]]:
 def _sql_value(value):
     if isinstance(value, bool):
         return int(value)
-    if isinstance(value, date):
+    if isinstance(value, (date, time)):
         return value.isoformat()
     return value
 

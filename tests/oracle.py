@@ -4,14 +4,16 @@ Everything here is deliberately simple and independent of the engine: CSVs
 are re-read with DictReader, joins are linear scans, grouping builds a list
 of (key, rows) pairs without hashing, and measures are evaluated by walking
 the expression recursively. Only the observable semantics (hop rules, null
-handling, left-to-right float arithmetic, AVERAGE as SUM over COUNT) are
-shared, because those are the contract under test.
+handling, AVERAGE as SUM over COUNT, and the value rules: a Decimal SUM is the
+exact sum rounded once, Decimal -0.0 reads as 0.0, an offset-aware DateTime or
+Time reads at UTC) are shared, because those are the contract under test.
 """
 
 from __future__ import annotations
 
 import csv
-from datetime import date, datetime, time
+from datetime import date, datetime, time, timedelta, timezone
+from fractions import Fraction
 from pathlib import Path
 
 from bispec import model as m
@@ -51,16 +53,37 @@ def _convert(raw, attr):
     if name == "Integer":
         return int(raw)
     if name == "Decimal":
-        return float(raw)
+        value = float(raw)
+        return 0.0 if value == 0 else value
     if name == "Boolean":
         return raw.lower() in ("true", "1")
     if name == "Date":
         return date.fromisoformat(raw)
     if name == "DateTime":
-        return datetime.fromisoformat(raw)
+        value = datetime.fromisoformat(raw)
+        return value if value.tzinfo is None else (value - value.utcoffset()).replace(tzinfo=timezone.utc)
     if name == "Time":
-        return time.fromisoformat(raw)
+        value = time.fromisoformat(raw)
+        if value.tzinfo is None:
+            return value
+        seconds = (value.hour * 3600 + value.minute * 60 + value.second - value.utcoffset() // timedelta(seconds=1)) % 86400
+        return time(seconds // 3600, seconds // 60 % 60, seconds % 60, value.microsecond, timezone.utc)
     return raw
+
+
+def _rounded_sum(values):
+    """A Decimal SUM: the exact sum of the values rounded once to a float; an
+    infinity (or inf with -inf, nan) decides it alone."""
+    infinite = [v for v in values if v in (float("inf"), float("-inf")) or v != v]
+    if infinite:
+        total = 0.0
+        for v in infinite:
+            total += v
+        return total
+    exact = sum((Fraction(v) for v in values), Fraction(0))
+    if abs(exact) >= 2**1024 - 2**970:  # rounds past the largest float
+        return float("inf") if exact > 0 else float("-inf")
+    return float(exact)
 
 
 def find_row(model, tables, entity_id, key):
@@ -226,9 +249,12 @@ def eval_measure(model, tables, fact_id, expr, rows):
     if expr.fn == "COUNT":
         return len(values)
     if expr.fn in ("SUM", "AVERAGE"):
-        total = 0  # exact over Integers; Decimals add left to right
-        for v in values:
-            total += v
+        if values and (attr.attr_type.kind, attr.attr_type.name) == ("primitive", "Decimal"):
+            total = _rounded_sum(values)
+        else:
+            total = 0  # exact over Integers
+            for v in values:
+                total += v
         if expr.fn == "SUM":
             return total
         return total / len(values) if values else None  # SUM over COUNT

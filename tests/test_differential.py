@@ -11,7 +11,7 @@ the run that builds member folds, then through them.
 
 import csv
 import random
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta, timezone
 from functools import partial
 from itertools import product
 
@@ -24,8 +24,9 @@ from bispec import model as m
 from bispec.engine import (CubeView, EngineError, aggregate, dice_view, evaluate_measure, load_cube, pivot, result_to_csv, run_plan,
                            run_use_case, slice_view)
 from bispec.generators import gen_olap_sql
-from bispec.plan import Column, Filter, plan_operation, read_type
+from bispec.plan import Column, Filter, plan_operation
 from conftest import assert_rows_match_sql, folds_built, postings_built, sqlite_from_cube
+from test_engine import ORDER_CASES, order_package
 
 SEEDS = range(30)
 FACT = "AppointmentRequest"
@@ -165,7 +166,7 @@ def test_engine_oracle_and_sqlite_agree(model, tmp_path, seed):
         conn.close()
     # the year slices and roll-ups fold at Time, the roll-ups by an institution or patient attribute at their
     # first hop, and the pivot at each (institution, state) pair when the fact has at least as many rows + 1 as
-    # there are pairs, null slots included; the latitude roll-up is ordered (a Decimal key)
+    # there are pairs, null slots included; the latitude roll-up (a Decimal key) folds at Institution too
     fact = cube.table(FACT)
     refs = {ref: cube.table(target) for ref, target in (("closed_date", "Time"), ("institution", "Institution"),
                                                         ("patient", "Patient"), ("scheduled_date", "Time"))}
@@ -253,8 +254,8 @@ def _assert_whole_fact_filters_keep_what_the_scan_keeps(model, cube, fact_id, se
         drawn = list(dict.fromkeys(holder.values(col.attribute.id)[:holder.size]))[:2]
         for value in drawn + ["no such value", None]:
             filters = (Filter(col, value),)
-            kept = engine._filtered(whole, filters, None).positions
-            assert kept == list(engine._filtered(listed, filters, None).positions), (seed, col.path, value)
+            kept = sorted(engine._filtered(whole, filters, None))  # the far-end walk keeps postings order
+            assert kept == engine._filtered(listed, filters, None), (seed, col.path, value)
             sliced = [repr(engine._sliced(view, filters, None, exprs)) for view in (whole, listed)]
             assert sliced[0] == sliced[1], (seed, col.path, value)
         nulls[col.path] = kept
@@ -340,11 +341,10 @@ def test_composite_rollups_through_postings_print_what_the_row_loop_prints(model
     built = _assert_rollups_through_postings_print_what_the_row_loop_prints(model, cube, FACT, seed, key_lists, plans)
     fact = cube.table(FACT)
     refs = {ref.id: cube.table(ref.dimension_target) for ref in model.entity(FACT).dimension_refs}
-    # the pivot's (institution, state), and each pair of keys read through references without a Decimal key, which
-    # is ordered
+    # the pivot's (institution, state), and each pair of keys read through references
     pairs = {("institution", "state")} | {
         tuple(map(engine._first_reference, keys)) for keys in key_lists
-        if all(engine._first_reference(key) in refs and read_type(model, key.attribute).name != "Decimal" for key in keys)}
+        if all(engine._first_reference(key) in refs for key in keys)}
     members = {(a, b): (refs[a].size + 1) * (refs[b].size + 1) for a, b in pairs if a != b}
     composite = {(FACT, f"{a}+{b}") for (a, b), space in members.items() if fact.size and space <= fact.size + 1}
     assert {pair for pair in built if "+" in pair[1]} == composite, seed
@@ -473,3 +473,174 @@ def test_dangling_reference_is_eng004_for_rollup_slice_and_min_max(model, tmp_pa
         assert exc.value.code == "ENG004" and "'zz'" in str(exc.value), name
     # a query that does not read the dangling reference still answers
     assert aggregate(view, [m.AttributePath.parse("Institution.city")]).rows
+
+
+# ---------------------------------------------------------------------------
+# DateTime and Time values at several UTC offsets
+# ---------------------------------------------------------------------------
+
+TEMPORAL = """
+DataEntity Site ("Site") is a Master Dimension with attributes
+  id is a UUID (PrimaryKey),
+  opened is a DateTime,
+  shift is a Time
+described as sites.
+
+DataEntity Visit ("Visit") is a Transactional Fact with attributes
+  id is a UUID (PrimaryKey),
+  site refers to Dimension Site,
+  arrived is a DateTime,
+  slot is a Time,
+  Visits is an Integer (operation COUNT(id)),
+  FirstOpened is a DateTime (operation MIN(Site.opened)),
+  LastOpened is a DateTime (operation MAX(Site.opened)),
+  EarliestShift is a Time (operation MIN(Site.shift)),
+  LatestShift is a Time (operation MAX(Site.shift)),
+  FirstArrival is a DateTime (operation MIN(arrived)),
+  LastArrival is a DateTime (operation MAX(arrived)),
+  EarliestSlot is a Time (operation MIN(slot)),
+  LatestSlot is a Time (operation MAX(slot))
+described as visits.
+
+Actor Analyst "Analyst" is a User described as an analyst.
+
+UseCase Visits is a BIAnalysis
+  actor Analyst,
+  data source Visit,
+  performs
+    OLAP Operation ByOpened is a Roll-up
+      group by Site.opened
+      described as rolls up the visits per opening instant,
+    OLAP Operation ByShift is a Roll-up
+      group by Site.shift
+      described as rolls up the visits per shift time,
+    OLAP Operation ByArrival is a Roll-up
+      group by Visit.arrived
+      described as rolls up the visits per arrival instant,
+    OLAP Operation BySlot is a Roll-up
+      group by Visit.slot
+      described as rolls up the visits per slot time,
+
+  described as it shows the visits at their instants.
+"""
+OFFSETS = (timedelta(0), timedelta(hours=1), timedelta(hours=-5, minutes=-30), timedelta(hours=13, minutes=45),
+           timedelta(hours=-12))
+
+
+def make_temporal_package(seed: int, directory) -> None:
+    """Random sites and visits whose DateTime and Time cells write one of a
+    few instants around midnight UTC, some with microseconds, at a random
+    offset, so local times wrap past midnight; the first two cells of each
+    column hold one instant at two offsets, and a later cell may be null."""
+    rng = random.Random(seed)
+    start = datetime(2023, 12, 31, 22, 30, tzinfo=timezone.utc)
+    instants = [start + timedelta(minutes=rng.randrange(0, 240, 15), microseconds=rng.choice((0, 0, 1, 500000)))
+                for _ in range(4)]
+
+    def column(count):
+        """``(DateTime text, Time text)`` per cell: the instant at one offset."""
+        cells = []
+        for i in range(count):
+            if i > 1 and rng.random() < 0.2:
+                cells.append((None, None))
+                continue
+            offset = OFFSETS[i] if i < 2 else rng.choice(OFFSETS)
+            local = (instants[0] if i < 2 else rng.choice(instants)).astimezone(timezone(offset))
+            cells.append((local.isoformat(), local.timetz().isoformat()))
+        return cells
+
+    sites = [f"s{i}" for i in range(rng.randint(2, 5))]
+    _write(directory, "Site", ("id", "opened", "shift"), [(s, *cells) for s, cells in zip(sites, column(len(sites)))])
+    visits = rng.randint(2, 20)
+    _write(directory, "Visit", ("id", "site", "arrived", "slot"),
+           [(f"v{i}", None if rng.random() < 0.1 else rng.choice(sites), *cells) for i, cells in enumerate(column(visits))])
+    (directory / "manifest.toml").write_text('Site = "Site.csv"\nVisit = "Visit.csv"\n', encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def temporal():
+    model, diags = parse_cnlbi(TEMPORAL, "temporal.cnlbi")
+    assert not [d for d in diags if d.is_error], [f"{d.code} {d.message}" for d in diags]
+    assert not [d for d in check_model(model).diagnostics if d.is_error]
+    return model
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_temporal_rollups_agree_with_the_oracle_and_sqlite_at_utc(temporal, tmp_path, seed):
+    """Each instant is one group and prints at UTC; groups sort by instant, as
+    SQLite's ``ORDER BY`` sorts the UTC text, and MIN and MAX agree with its
+    text comparison."""
+    make_temporal_package(seed, tmp_path)
+    cube, diags = load_cube(temporal, tmp_path)
+    assert diags == [] and cube.clean
+    tables = oracle.load_tables(temporal, tmp_path)
+    conn = sqlite_from_cube(temporal, cube)
+    measures = [a.id for a in temporal.entity("Visit").measures]
+    try:
+        for op in temporal.use_case("Visits").operations:
+            plan = plan_operation(temporal, "Visits", op.id)
+            result = _three_runs(cube, lambda: run_use_case(cube, "Visits", op.id))
+            assert_rows_match_sql(result, conn.execute(gen_olap_sql(temporal, "Visits", op.id)).fetchall(), (seed, op.id))
+            expected = oracle.aggregate(temporal, tables, "Visit", tables["Visit"], [m.AttributePath.parse(plan.keys[0].path)])
+            assert {row[:1]: row[1:] for row in result.rows} == {
+                key: tuple(values[a] for a in measures) for key, values in expected.items()}, (seed, op.id)
+            texts = [line.split(",")[0] for line in result_to_csv(result).splitlines()[1:]]
+            assert all(text == "(null)" or text.endswith("+00:00") for text in texts), (seed, op.id)
+    finally:
+        conn.close()
+
+
+# ---------------------------------------------------------------------------
+# Row order: no output depends on it
+# ---------------------------------------------------------------------------
+
+
+def _shuffled(source, target, seed: int | None) -> None:
+    """A copy of the package at ``source`` in ``target`` whose every CSV holds
+    its data rows in a seeded random order (reversed for seed None), its
+    header first."""
+    rng = random.Random(seed)
+    target.mkdir()
+    for path in sorted(source.iterdir()):
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".csv":
+            header, *rows = text.splitlines(keepends=True)
+            if seed is None:
+                rows.reverse()
+            else:
+                rng.shuffle(rows)
+            text = header + "".join(rows)
+        (target / path.name).write_text(text, encoding="utf-8")
+
+
+def _outputs(model, directory, binds) -> list[str]:
+    """Every operation's CSV, three times over on one cube."""
+    cube, diags = load_cube(model, directory)
+    assert not [d for d in diags if d.is_error], [f"{d.code} {d.message}" for d in diags]
+    operations = [(uc.id, op.id) for uc in model.use_cases for op in uc.operations]
+    return [result_to_csv(run_use_case(cube, *operation, binds)) for _ in range(3) for operation in operations]
+
+
+SHUFFLED = ([f"differential {seed}" for seed in range(1, 30, 4)] + [f"temporal {seed}" for seed in range(3)]
+            + [f"order {case}" for case in sorted(ORDER_CASES)])
+
+
+@pytest.mark.parametrize("package", SHUFFLED)
+def test_shuffled_rows_change_no_byte_of_any_output(request, tmp_path, package):
+    """Differential packages, temporal ones and each case of the order package
+    of ``test_engine``, whose rows once decided a Decimal sum, a key's text or
+    the text of a tied MIN or MAX."""
+    kind, _, name = package.partition(" ")
+    directory = tmp_path / "package"
+    directory.mkdir()
+    if kind == "order":
+        made, binds = order_package(directory, name), {}
+    elif kind == "temporal":
+        made, binds = request.getfixturevalue("temporal"), {}
+        make_temporal_package(int(name), directory)
+    else:
+        made, binds = request.getfixturevalue("model"), make_package(int(name), directory)
+    expected = _outputs(made, directory, binds)
+    for seed in (None, 0, 1, 2):
+        _shuffled(directory, tmp_path / f"shuffled {seed}", seed)
+        assert _outputs(made, tmp_path / f"shuffled {seed}", binds) == expected, seed

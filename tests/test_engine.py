@@ -106,7 +106,7 @@ def test_integer_cells_outside_64_bits_are_eng003(medbuddy, tmp_path, monkeypatc
 
 @pytest.mark.parametrize("chunk_rows", [2, engine.CHUNK_ROWS])
 def test_numeric_text_that_sqlite_keeps_as_text_is_eng003(medbuddy, tmp_path, monkeypatch, chunk_rows):
-    # ' 7 ', '+5' and '1e999' are numbers to SQLite 3.40 too (7, 5 and a REAL Inf); so is -0.0
+    # ' 7 ', '+5' and '1e999' are numbers to SQLite 3.40 too (7, 5 and a REAL Inf); so is -0.0, which loads as 0.0
     ages = {"p1": "3_4", "p2": "\u0663", "p3": " 7 ", "p4": "+5"}
     latitudes = {"i1": "nan", "i2": "1_0.5", "i3": "1e999", "c1": "inf", "c2": "Infinity", "c3": "-0.0"}
     data = _package(tmp_path, Patient=partial(re.sub, r"^(p\d),(\d+),\d+,", lambda match: f"{match[1]},{match[2]},{ages[match[1]]},", flags=re.M),
@@ -123,7 +123,7 @@ def test_numeric_text_that_sqlite_keeps_as_text_is_eng003(medbuddy, tmp_path, mo
     ]
     patients, institutions, cities = cube.table("Patient"), cube.table("Institution"), cube.table("City")
     assert patients.data["age"][:patients.size] == [7, 5] and institutions.data["latitude"][:institutions.size] == [math.inf]
-    assert repr(cities.data["latitude"][:cities.size]) == "[-0.0]"
+    assert repr(cities.data["latitude"][:cities.size]) == "[0.0]"
     with pytest.raises(EngineError) as exc:
         run_use_case(cube, "AnalysisAppointmentsInstitutionOnNationalLevel", "ScheduledAppointmentsInSpecificYear", {"year": "2_023"})
     assert (exc.value.code, str(exc.value)) == ("ENG010", "parameter 'year' expects Integer, got '2_023'")
@@ -613,56 +613,50 @@ _EXTRA_FACT = {"AppointmentRequest": lambda text: text + "r11,i1,p999,s1,t1,,10,
 _C404 = {"Patient": lambda text: text.replace("Female,c3", "Female,c404")}
 _BY_CITY = ("Institution.city", "c2", ["r03", "r04", "r05", "r07", "r08", "r10"])
 _BY_GENDER = ("Patient.gender", "Female", ["r01", "r03", "r04", "r06", "r09", "r10"])
-_CITY_WALK = [(FACT, "institution"), ("Institution", "city")]
 # edits, the table that does not load, the slice (path, value), its outcome (an error code and a name in
-# its message, or the ids it keeps and the postings it builds), then a slice that works and the postings
-# the cube holds after it
+# its message, or the ids it keeps), then a slice that works. Such a cube is not clean, so every slice of
+# it scans and none builds postings.
 BAD_HOPS = {
-    "dangling first hop": (_EXTRA_FACT, None, ("Patient.gender", "Male"), ("ENG004", "'p999'"), _BY_CITY, _CITY_WALK),
-    "dangling later hop": (_C404, None, ("Patient.residence.name", "Lisboa"), ("ENG004", "'c404'"),
-                           _BY_GENDER, [(FACT, "patient")]),
-    "unloaded first hop": ({}, "Patient", ("Patient.gender", "Male"), ("ENG030", "Patient"), _BY_CITY, _CITY_WALK),
-    "unloaded later hop": ({}, "City", ("Patient.residence.name", "Lisboa"), ("ENG030", "City"),
-                           _BY_GENDER, [(FACT, "patient")]),
+    "dangling first hop": (_EXTRA_FACT, None, ("Patient.gender", "Male"), ("ENG004", "'p999'"), _BY_CITY),
+    "dangling later hop": (_C404, None, ("Patient.residence.name", "Lisboa"), ("ENG004", "'c404'"), _BY_GENDER),
+    "unloaded first hop": ({}, "Patient", ("Patient.gender", "Male"), ("ENG030", "Patient"), _BY_CITY),
+    "unloaded later hop": ({}, "City", ("Patient.residence.name", "Lisboa"), ("ENG030", "City"), _BY_GENDER),
     # a dangling key that no fact row reaches raises nothing: the later hop is read only for the rows kept
     "dangling later hop no fact reaches": ({"Patient": lambda text: text + "p5,555,50,Eva Lima,Female,c404\n"}, None,
-                                           ("Patient.residence.name", "Lisboa"), (["r01", "r04", "r05", "r08", "r09"], []),
-                                           _BY_GENDER, [(FACT, "patient")]),
-    # Patient.residence = City.id reads the key a dangling or unloaded hop holds, so the walk stops at Patient
-    "dangling key hop": (_C404, None, ("Patient.residence", "c404"), (["r03", "r06", "r10"], [(FACT, "patient")]),
-                         _BY_CITY, [(FACT, "institution"), (FACT, "patient"), ("Institution", "city")]),
-    "unloaded key hop": ({}, "City", ("Patient.residence", "c3"), (["r03", "r06", "r10"], [(FACT, "patient")]),
-                         _BY_CITY, [(FACT, "institution"), (FACT, "patient")]),
+                                           ("Patient.residence.name", "Lisboa"), ["r01", "r04", "r05", "r08", "r09"],
+                                           _BY_GENDER),
+    # Patient.residence = City.id reads the key a dangling or unloaded hop holds
+    "dangling key hop": (_C404, None, ("Patient.residence", "c404"), ["r03", "r06", "r10"], _BY_CITY),
+    "unloaded key hop": ({}, "City", ("Patient.residence", "c3"), ["r03", "r06", "r10"], _BY_CITY),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_HOPS))
 def test_whole_fact_slices_through_a_bad_hop_raise_as_before_and_build_no_postings(medbuddy, tmp_path, case):
-    edits, unloaded, (path, value), outcome, (other_path, other_value, other_ids), built = BAD_HOPS[case]
+    edits, unloaded, (path, value), outcome, (other_path, other_value, other_ids) = BAD_HOPS[case]
     data = _package(tmp_path, **edits)
     if unloaded:
         (data / f"{unloaded}.csv").unlink()
     cube, _ = load_cube(medbuddy, data)
+    assert not cube.clean
     view = cube.view(FACT)
-    if isinstance(outcome[0], list):  # the ids kept and the postings built
-        ids, walked = outcome
+    if isinstance(outcome, list):  # the ids kept
         if path == "Patient.residence":  # the key form, bound as the corpus dice binds it
             kept = [row["id"] for row in slice_view(view, m.Predicate(_path(path), _path("City.id")), {"id": value}).rows()]
         else:
             kept = _slice_ids(view, path, value)
-        assert kept == ids and postings_built(cube) == walked
+        assert kept == outcome
     else:
         code, name = outcome
         with pytest.raises(EngineError) as exc:
             _slice_ids(view, path, value)
         assert exc.value.code == code and name in str(exc.value)
-        assert postings_built(cube) == []
     assert _slice_ids(view, other_path, other_value) == other_ids
-    assert postings_built(cube) == built
+    assert postings_built(cube) == []
 
 
-def test_postings_are_built_once_per_table_and_reference_and_kept_out_of_equality(medbuddy, monkeypatch):
-    cube, _ = load_cube(medbuddy, DATA_DIR)
+def _counted_postings(monkeypatch) -> list:
+    """The references each build of postings groups, as it builds them."""
     build, built = engine._member_lists, []
 
     def counted(table, refs):
@@ -670,6 +664,12 @@ def test_postings_are_built_once_per_table_and_reference_and_kept_out_of_equalit
         return build(table, refs)
 
     monkeypatch.setattr(engine, "_member_lists", counted)
+    return built
+
+
+def test_postings_are_built_once_per_table_and_reference_and_kept_out_of_equality(medbuddy, monkeypatch):
+    cube, _ = load_cube(medbuddy, DATA_DIR)
+    built = _counted_postings(monkeypatch)
     operations = [(uc.id, op.id) for uc in medbuddy.use_cases for op in uc.operations]
     first = [result_to_csv(run_use_case(cube, *op, {"year": "2023", "id": "c2"})) for op in operations]
     again = [result_to_csv(run_use_case(cube, *op, {"year": "2023", "id": "c2"})) for op in operations]
@@ -719,9 +719,9 @@ def test_measure_predicates_matching_no_and_two_dimension_rows(medbuddy, tmp_pat
     assert {row[0]: row[column] for row in by_name.rows} == {k[0]: v["CountCancelledAppointments"] for k, v in expected.items()}
 
 
-@pytest.mark.parametrize("positions, sign", [(range(10), 1.0), (list(range(2, 10)), -1.0)])
-def test_min_and_max_through_a_hop_keep_the_file_order_first_of_tied_zeros(medbuddy, tmp_path, positions, sign):
-    latitudes = {"i1": "0.0", "i2": "-0.0", "i3": "-0.0"}  # r01 reads i1, r03 reads i2
+@pytest.mark.parametrize("positions", [range(10), list(range(2, 10))])
+def test_min_and_max_through_a_hop_of_tied_zeros_read_0_0(medbuddy, tmp_path, positions):
+    latitudes = {"i1": "0.0", "i2": "-0.0", "i3": "-0.0"}  # r01 reads i1, r03 reads i2; -0.0 loads as 0.0
     data = _package(tmp_path, Institution=partial(re.sub, r"^(i\d),(\w+),([^,]+),[^,]+,",
                                                   lambda match: f"{match[1]},{match[2]},{match[3]},{latitudes[match[1]]},",
                                                   flags=re.M))
@@ -732,7 +732,7 @@ def test_min_and_max_through_a_hop_keep_the_file_order_first_of_tied_zeros(medbu
         expr = m.Aggregate(fn, _path("Institution.latitude"))
         value = evaluate_measure(CubeView(zeros, FACT, positions), expr)
         expected = oracle.eval_measure(medbuddy, tables, FACT, expr, rows)
-        assert value == expected == 0.0 and math.copysign(1.0, value) == math.copysign(1.0, expected) == sign, fn
+        assert value == expected == 0.0 and math.copysign(1.0, value) == math.copysign(1.0, expected) == 1.0, fn
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +740,8 @@ def test_min_and_max_through_a_hop_keep_the_file_order_first_of_tied_zeros(medbu
 # ---------------------------------------------------------------------------
 
 # The folds before they became single C-level calls, kept as the reference: each
-# takes the group's non-null values; SUM and AVERAGE add left to right.
+# takes the group's non-null values; SUM and AVERAGE add left to right, which
+# is exact for the Integers here.
 _REDUCED = {
     "COUNT": len,
     "SUM": lambda values: reduce(add, values, 0),
@@ -762,10 +763,39 @@ def test_integer_folds_equal_the_reduced_folds_while_running_sums_stay_exact(val
         assert repr(fold(values)) == repr(_reduced(fn, values)), fn
 
 
+def _rounded(values):
+    """A Decimal SUM's reference: the infinities' and nans' left-to-right sum,
+    when there are any, else the exact sum rounded once to the nearest float."""
+    special = [v for v in values if not math.isfinite(v)]
+    if special:
+        return reduce(add, special)
+    exact = sum(map(Fraction, values), Fraction(0))
+    if abs(exact) >= 2**1024 - 2**970:  # half an ulp past the largest float
+        return math.inf if exact > 0 else -math.inf
+    return float(exact)
+
+
+_ROUNDED = {**_REDUCED, "SUM": lambda values: _rounded(values) if values else 0,
+            "AVERAGE": lambda values: _rounded(values) / len(values) if values else None}
+
+
 @given(st.lists(st.one_of(st.none(), st.floats()), max_size=40))
 def test_decimal_folds_equal_the_reduced_folds(values):
     for fn, fold in engine._FOLDS.items():
-        assert repr(fold(values)) == repr(_reduced(fn, values)), fn
+        assert repr(fold(values)) == repr(_ROUNDED[fn]([v for v in values if v is not None])), fn
+
+
+@pytest.mark.parametrize("values, total", [
+    ([1e16, 1.0, -1e16, 1.0], 2.0),  # 1.0 when added left to right
+    ([0.1] * 10, 1.0),  # 0.9999999999999999 left to right
+    ([1e308, 1e308, -1e308], 1e308),  # finite, where fsum's partial sums overflow
+    ([1e308, 1e308], math.inf), ([-1e308, -1e308, 1.0], -math.inf),
+    ([math.inf, 1e308, 1e308], math.inf), ([math.inf, -math.inf, 1.0], math.nan),
+    ([None, None], 0), ([0.0, None], 0.0),
+])
+def test_a_decimal_sum_is_correctly_rounded_in_any_order(values, total):
+    for order in (values, values[::-1], values[1:] + values[:1]):
+        assert repr(engine._decimal_sum(order)) == repr(total), order
 
 
 @given(st.lists(st.booleans()))
@@ -813,10 +843,10 @@ def test_a_failing_hop_raises_from_the_folds_lazily_and_in_leaf_order(medbuddy, 
 
 
 # ---------------------------------------------------------------------------
-# Order-free queries: what may skip file order, and what must keep it
+# Order-free by value: equal values print alike, Decimal sums are correctly rounded
 # ---------------------------------------------------------------------------
 
-# One measure per case, so each case alone makes its query ordered.
+# One measure per case: each once depended on the order of the rows.
 ORDER_MODEL = """
 DataEntity Site ("Site") is a Master Dimension with attributes
   id is a UUID (PrimaryKey),
@@ -851,45 +881,63 @@ UseCase Visits is a BIAnalysis
 
   described as it shows the visits.
 """
-# s1 and s2 hold tied values that print apart (0.0 and -0.0; one instant at two
+# s1 and s2 hold equal values written apart (0.0 and -0.0; one instant at two
 # UTC offsets). The fact reads s2 first, the postings of Site row s1 come first,
-# and the costs of the north add to 1.0 in file order and to 2.0 in postings order.
+# and the costs of the north add to 1.0 left to right in file order, to 2.0 in
+# postings order, and to 2.0 correctly rounded.
 ORDER_SITES = """id,region,latitude,opened,shift
 s1,North,0.0,2024-01-01T10:00:00+01:00,10:00:00+01:00
 s2,North,-0.0,2024-01-01T09:00:00+00:00,09:00:00+00:00
 s3,South,1.5,2024-02-01T08:00:00+00:00,08:00:00+00:00
 """
 ORDER_VISITS = "id,site,cost\nv1,s2,1e16\nv2,s1,1.0\nv3,s2,-1e16\nv4,s1,1.0\nv5,s3,2.5\n"
-ORDERED_MEASURES = {
-    "Decimal SUM": ("Decimal", "SUM(cost)"),
-    "Decimal AVERAGE": ("Decimal", "AVERAGE(cost)"),
-    "MIN of tied zeros": ("Decimal", "MIN(Site.latitude)"),
-    "MAX of tied zeros": ("Decimal", "MAX(Site.latitude)"),
-    "MIN of one instant at two offsets": ("DateTime", "MIN(Site.opened)"),
-    "MAX of one time at two offsets": ("Time", "MAX(Site.shift)"),
-    "group keys of tied zeros": ("Integer", "COUNT(id)"),
+# the type and operation of the measure, and its text over the north (s1 and s2)
+ORDER_CASES = {
+    "Decimal SUM": ("Decimal", "SUM(cost)", "2.0"),
+    "Decimal AVERAGE": ("Decimal", "AVERAGE(cost)", "0.5"),
+    "MIN of tied zeros": ("Decimal", "MIN(Site.latitude)", "0.0"),
+    "MAX of tied zeros": ("Decimal", "MAX(Site.latitude)", "0.0"),
+    "MIN of one instant at two offsets": ("DateTime", "MIN(Site.opened)", "2024-01-01T09:00:00+00:00"),
+    "MAX of one time at two offsets": ("Time", "MAX(Site.shift)", "09:00:00+00:00"),
+    "group keys of tied zeros": ("Integer", "COUNT(id)", "4"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(ORDERED_MEASURES))
-def test_an_ordered_query_keeps_file_order_and_matches_the_oracle(tmp_path, case):
-    attr_type, operation = ORDERED_MEASURES[case]
+def order_package(directory, case: str):
+    """The model of one ``ORDER_CASES`` case, with ``ORDER_SITES`` and ``ORDER_VISITS`` written to ``directory``."""
+    attr_type, operation, _ = ORDER_CASES[case]
     model, diags = parse_cnlbi(ORDER_MODEL.format(type=attr_type, operation=operation), "order.cnlbi")
     assert not [d for d in diags if d.is_error], [f"{d.code} {d.message}" for d in diags]
-    (tmp_path / "Site.csv").write_text(ORDER_SITES, encoding="utf-8")
-    (tmp_path / "Visit.csv").write_text(ORDER_VISITS, encoding="utf-8")
-    (tmp_path / "manifest.toml").write_text('Site = "Site.csv"\nVisit = "Visit.csv"\n', encoding="utf-8")
+    directory.mkdir(exist_ok=True)
+    (directory / "Site.csv").write_text(ORDER_SITES, encoding="utf-8")
+    (directory / "Visit.csv").write_text(ORDER_VISITS, encoding="utf-8")
+    (directory / "manifest.toml").write_text('Site = "Site.csv"\nVisit = "Visit.csv"\n', encoding="utf-8")
+    return model
+
+
+@pytest.mark.parametrize("case", sorted(ORDER_CASES))
+def test_tied_values_and_decimal_sums_give_one_answer_and_match_the_oracle(tmp_path, case):
+    """The north is one group by region and, its latitudes both 0.0, by
+    latitude; the first run reads the fact rows, the later ones member folds
+    where the measure has them."""
+    model = order_package(tmp_path, case)
     cube, diags = load_cube(model, tmp_path)
-    assert diags == []
+    assert diags == [] and cube.clean
     tables = oracle.load_tables(model, tmp_path)
-    for path in ("Site.region", "Site.latitude"):
+    north = ORDER_CASES[case][2]
+    for op, path in (("ByRegion", "Site.region"), ("ByLatitude", "Site.latitude")):
         grouped = oracle.aggregate(model, tables, "Visit", tables["Visit"], [_path(path)])
         expected = sorted((repr(key), repr((values["Result"],))) for key, values in grouped.items())
-        result = run_use_case(cube, "Visits", "ByRegion" if path == "Site.region" else "ByLatitude")
-        assert sorted((repr(row[:1]), repr(row[1:])) for row in result.rows) == expected, path
-    north = oracle.filter_rows(model, tables, "Visit", (m.Predicate(_path("Site.region"), m.Literal("North")),))
+        for _ in range(3):
+            result = run_use_case(cube, "Visits", op)
+            assert sorted((repr(row[:1]), repr(row[1:])) for row in result.rows) == expected, path
+            assert result_to_csv(result).splitlines()[1] == ("North" if op == "ByRegion" else "0.0") + "," + north, path
+    kept = oracle.filter_rows(model, tables, "Visit", (m.Predicate(_path("Site.region"), m.Literal("North")),))
     measure = model.entity("Visit").attribute("Result").measure
-    assert repr(run_use_case(cube, "Visits", "North").rows) == repr(((4, oracle.eval_measure(model, tables, "Visit", measure, north)),))
+    for _ in range(3):
+        result = run_use_case(cube, "Visits", "North")
+        assert repr(result.rows) == repr(((4, oracle.eval_measure(model, tables, "Visit", measure, kept)),))
+        assert result_to_csv(result).splitlines()[1] == f"4,{north}"
 
 
 @pytest.mark.parametrize("chunk_rows", [2, engine.CHUNK_ROWS])
@@ -911,6 +959,26 @@ def test_a_datetime_or_time_column_mixing_naive_and_aware_values_is_eng003(tmp_p
     ]
     assert cube.table("Site").data["id"] == ["s1", "s3", None]
     assert run_use_case(cube, "Visits", "ByRegion").rows == (("North", datetime(2024, 1, 1, 10)), ("South", datetime(2023, 12, 31, 8)))
+
+
+def test_offset_aware_values_load_at_utc_and_a_time_wraps_past_midnight(tmp_path):
+    """s3's opening lies before year 1 at UTC, so its row does not load, and
+    v5's reference to it dangles."""
+    model = order_package(tmp_path, "MIN of one instant at two offsets")
+    (tmp_path / "Site.csv").write_text("id,region,latitude,opened,shift\n"
+                                       "s1,North,0.0,2024-01-01T00:30:00.250000+01:00,00:30:00+01:00\n"
+                                       "s2,North,-0.0,2023-12-31T19:00:00-05:00,23:45:00-00:30\n"
+                                       "s3,South,1.5,0001-01-01T00:30:00+01:00,08:00:00+00:00\n", encoding="utf-8")
+    cube, diags = load_cube(model, tmp_path)
+    assert [(d.code, d.message) for d in diags] == [
+        ("ENG003", "Site.csv row 3, column opened: '0001-01-01T00:30:00+01:00' lies outside the DateTime range at UTC"),
+        ("ENG004", "Visit row 5, column site: no Site row with key 's3'")]
+    assert not cube.clean
+    sites = cube.table("Site")
+    assert [value.isoformat() for value in sites.data["opened"][:sites.size]] == [
+        "2023-12-31T23:30:00.250000+00:00", "2024-01-01T00:00:00+00:00"]
+    assert [value.isoformat() for value in sites.data["shift"][:sites.size]] == ["23:30:00+00:00", "00:15:00+00:00"]
+    assert repr(sites.data["latitude"][:sites.size]) == "[0.0, 0.0]"
 
 
 def test_a_query_reading_a_dangling_first_hop_raises_at_the_first_in_file_order(medbuddy, tmp_path):
@@ -1073,10 +1141,11 @@ def test_a_0_row_fact_combines_no_rows(tmp_path, wards):
     assert folds_built(cube) == ([] if wards == FOLD_WARDS else [("Stay", "ward")])
 
 
-def test_a_decimal_sum_is_ordered_and_builds_no_member_folds(tmp_path):
+def test_a_decimal_sum_builds_no_member_folds_and_reads_the_kept_postings(tmp_path, monkeypatch):
     model, cube = _fold_cube(tmp_path, summed="fee")
+    built = _counted_postings(monkeypatch)
     _fold_results(model, cube, tmp_path)
-    assert postings_built(cube) == [("Stay", "ward")] and folds_built(cube) == []
+    assert postings_built(cube) == built == [("Stay", "ward")] and folds_built(cube) == []
 
 
 def test_member_folds_are_built_by_the_second_query_through_a_reference_once(medbuddy, monkeypatch):
@@ -1207,11 +1276,12 @@ def test_a_fact_with_fewer_rows_than_members_builds_no_composite_postings(tmp_pa
     assert postings_built(cube) == folds_built(cube) == []
 
 
-def test_a_decimal_sum_pivot_is_ordered_and_builds_nothing(tmp_path):
+def test_a_decimal_sum_pivot_builds_postings_once_and_no_member_folds(tmp_path, monkeypatch):
     model, cube = _pivot_cube(tmp_path, summed="fee")
+    built = _counted_postings(monkeypatch)
     plan = plan_operation(model, "Stays", "WardsByShift")
     assert [result_to_csv(run_plan(cube, plan)) for _ in range(3)] == [_looped(cube, plan)] * 3
-    assert postings_built(cube) == folds_built(cube) == []
+    assert postings_built(cube) == built == [("Stay", "ward+shift")] and folds_built(cube) == []
 
 
 def test_a_repeat_rollup_builds_no_grouping_and_no_counts(tmp_path, monkeypatch):

@@ -15,16 +15,14 @@ and the error plumbing of both parsers lives once, on ``lexer.Parser``.
 The engine keeps no module-level cache of cube data: what a query derives
 and keeps (a reference's postings and member folds) lives on its ``Table``
 and dies with the cube, and no other module reads the member folds. Every
-measure fold and every primitive type has its own entry in the engine's
-order rule, so a new one cannot slip in as order-free, and every fold that
-rule lets skip file order has a rule for combining it from member folds.
+measure fold but a Decimal SUM or AVERAGE, whose per-member sums would round
+twice, has a rule for combining it from member folds.
 """
 
 import ast
 from pathlib import Path
 
 from bispec import engine
-from bispec.model import PRIMITIVE_TYPES
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bispec"
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
@@ -185,14 +183,8 @@ def test_engine_keeps_no_module_level_cache_of_cube_data():
     assert sorted(found) == []
 
 
-def test_every_fold_and_primitive_type_has_an_order_entry():
+def test_every_fold_but_a_decimal_sum_combines_from_member_folds():
     folds = {*engine._FOLDS.values(), *engine._INTEGER_FOLDS.values(), engine._hits, len}  # len: COUNT of a NOT NULL column
-    assert set(engine._FOLD_ORDER) == folds and set(engine._FOLD_ORDER.values()) <= {"free", "ordered", "ties"}
-    assert set(engine._TIES_DIFFER) == set(PRIMITIVE_TYPES)
-
-
-def test_every_order_free_fold_combines_from_member_folds():
-    free = {fold for fold, order in engine._FOLD_ORDER.items() if order != "ordered"}
-    assert set(engine._MEMBER_FOLDS) == free
+    assert set(engine._MEMBER_FOLDS) == folds - {engine._decimal_sum, engine._decimal_average}
     assert {each for per_member, _ in engine._MEMBER_FOLDS.values() for each in per_member} <= set(engine._COMBINE)
     assert [at for module in MODULES if module != "engine" for at in _named(module, ("folds", "_member_program"))] == []
