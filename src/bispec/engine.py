@@ -76,26 +76,25 @@ from .diagnostics import Diagnostic, error, warning
 from .plan import (Column, EngineError, Filter, Parameter, Plan, column, executable_measures, measure_program, plan_filters,
                    plan_operation, read_type)
 
-_MANIFEST_LINE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*\"([^\"]+)\"\s*$")
+# an optional ``entity_id = "file.csv"`` entry, then an optional ``#`` comment
+_MANIFEST_LINE = re.compile(r'\s*(?:([A-Za-z_][A-Za-z0-9_]*)\s*=\s*"([^"]+)"\s*)?(?:#.*)?')
 
 CHUNK_ROWS = 4096  # CSV records parsed together, one column at a time
 
 
 def parse_manifest(path: Path) -> dict[str, str]:
-    """Read ``entity_id = "file.csv"`` lines; ``#`` starts a comment."""
+    """Read ``entity_id = "file.csv"`` lines; ``#`` outside the quoted file name starts a comment."""
     mapping: dict[str, str] = {}
     try:
         lines = path.read_text(encoding="utf-8-sig").splitlines()
     except UnicodeDecodeError:
         raise EngineError("ENG001", f"{path.name} line {_bad_utf8_line(path)}: not UTF-8 text") from None
-    for raw_line in lines:
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        match = _MANIFEST_LINE.match(line)
+    for line in lines:
+        match = _MANIFEST_LINE.fullmatch(line)
         if match is None:
-            raise EngineError("ENG001", f"unreadable manifest line: {raw_line.strip()!r}")
-        mapping[match.group(1)] = match.group(2)
+            raise EngineError("ENG001", f"unreadable manifest line: {line.strip()!r}")
+        if match.group(1) is not None:
+            mapping[match.group(1)] = match.group(2)
     return mapping
 
 
@@ -247,6 +246,7 @@ class Cube:
 
 
 _BOOLEANS = {"true": True, "1": True, "false": False, "0": False}
+_BOOLEAN_CELLS = {**_BOOLEANS, "": None}  # a chunk's Boolean cell, lower-cased -> its value
 
 
 def _boolean(value: str) -> bool:
@@ -414,7 +414,7 @@ def _load_table(entity: m.DataEntity, model: m.SpecificationModel, path: Path, t
     duplicates: list[Diagnostic] = []
     columns: list[list] = [[] for _ in stored]
     size = 0
-    reader = None
+    done = 0  # lines read before the first line of ``reader``
     try:
         with path.open(newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
@@ -426,10 +426,20 @@ def _load_table(entity: m.DataEntity, model: m.SpecificationModel, path: Path, t
                 got = ", ".join(header)
                 diags.append(error("ENG002", f"{path.name}: header mismatch; expected ({', '.join(expected)}) got ({got})"))
                 return None
+            done, reader = reader.line_num, None  # split plain chunks until the first that is not
             records = 0
-            while chunk := list(islice(reader, CHUNK_ROWS)):
-                count, cells = _parse_chunk(chunk, f"{path.name} row", records + 1, stored, coercers, diags)
-                records += len(chunk)
+            while chunk := list(islice(handle if reader is None else reader, CHUNK_ROWS)):
+                read = len(chunk)
+                if reader is not None:
+                    texts = list(zip(*chunk)) if set(map(len, chunk)) == {len(stored)} else None
+                elif (texts := _plain_columns(chunk, len(stored))) is not None:
+                    done += read
+                    chunk = zip(*texts)  # its records, read only if the chunk goes row by row
+                else:
+                    reader = csv.reader(chain(chunk, handle))  # this chunk and the rest of the file
+                    continue
+                count, cells = _parse_chunk(texts, chunk, read, f"{path.name} row", records + 1, stored, coercers, diags)
+                records += read
                 if pk_at is not None:
                     positions = range(size, size + count)
                     claimed = list(map(index.setdefault, cells[pk_at], positions))
@@ -447,7 +457,7 @@ def _load_table(entity: m.DataEntity, model: m.SpecificationModel, path: Path, t
         diags.append(error("ENG002", f"{path.name} line {_bad_utf8_line(path)}: not UTF-8 text"))
         return None
     except csv.Error as exc:
-        diags.append(error("ENG002", f"{path.name} line {reader.line_num}: {exc}"))
+        diags.append(error("ENG002", f"{path.name} line {done + reader.line_num}: {exc}"))
         return None
     diags += duplicates
     index.pop(None, None)  # a null key reaches the null slot
@@ -465,12 +475,33 @@ def _bad_utf8_line(path: Path) -> int:
     return 1
 
 
+def _plain_columns(lines: list[str], width: int) -> list[list[str]] | None:
+    """The columns of a chunk of CSV lines (a file's lines, their line ends
+    kept) that ``csv.reader`` would split exactly as ``,`` does, else None: no
+    ``"``, ``\\r`` or NUL, no blank line, exactly ``width`` - 1 commas on each
+    line and no line longer than ``csv.field_size_limit()``. Such a chunk is
+    split once and ``lines`` is emptied, so the lines and their cells are not
+    held at once."""
+    if (countOf(map(str.count, lines, repeat(",")), width - 1) != len(lines) or "\n" in lines
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    text = "".join(lines)
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    end = len(lines) * width  # past the last line's cells, before the empty one its line end (if any) leaves
+    lines.clear()
+    text = text.replace("\n", ",")
+    cells = text.split(",")
+    del text
+    return [cells[i:end:width] for i in range(width)]
+
+
 def _parse_column(coerce, cells: tuple) -> list:
     """One column of a chunk; an Integer or Decimal column checks its text once,
     then parses with ``int`` or ``float``, and an Integer column checks its range
     once, by its least and greatest value; a Decimal column holding a ``-``
-    turns -0.0 into 0.0, as ``_decimal`` does. A failed check sends the chunk
-    row by row."""
+    turns -0.0 into 0.0, as ``_decimal`` does. A Boolean column is looked up in
+    one table, lower-cased. A failed check sends the chunk row by row."""
     if coerce in _NUMBERS:
         text = "".join(cells)
         if not _numeric_text(text, coerce is _decimal):
@@ -483,25 +514,31 @@ def _parse_column(coerce, cells: tuple) -> list:
         elif "-" in text:
             values = [None if value is None else value + 0.0 for value in values]
         return values
+    if coerce is _boolean:
+        try:
+            return list(map(_BOOLEAN_CELLS.__getitem__, map(str.lower, cells)))
+        except KeyError:
+            raise ValueError("a cell that is no Boolean") from None
     if "" in cells:
         return [coerce(raw) if raw else None for raw in cells]
     return list(cells) if coerce is str else list(map(coerce, cells))
 
 
-def _parse_chunk(chunk: list, where: str, first: int, stored, coercers, diags: list[Diagnostic]) -> tuple[int, list]:
-    """The chunk's records that load, counted and as one list per column. A
-    chunk holding a bad record goes row by row, and ``_reject`` reports it."""
+def _parse_chunk(texts: list | None, records, read: int, where: str, first: int, stored, coercers,
+                 diags: list[Diagnostic]) -> tuple[int, list]:
+    """The chunk's records that load, counted and as one list per column.
+    ``texts`` holds the chunk's columns of cell text when each of its ``read``
+    records has the table's width, else None; ``records`` yields its records.
+    A chunk holding a bad record goes row by row, and ``_reject`` reports it."""
+    if texts is not None and not any(attr.not_null and "" in values for attr, values in zip(stored, texts)):
+        try:
+            return read, [_parse_column(coerce, values) for coerce, values in zip(coercers, texts)]
+        except ValueError:
+            pass
     width = len(stored)
-    if set(map(len, chunk)) == {width}:
-        cells = list(zip(*chunk))
-        if not any(attr.not_null and "" in values for attr, values in zip(stored, cells)):
-            try:
-                return len(chunk), [_parse_column(coerce, values) for coerce, values in zip(coercers, cells)]
-            except ValueError:
-                pass
     required = [i for i, a in enumerate(stored) if a.not_null]
     rows = []
-    for number, record in enumerate(chunk, start=first):
+    for number, record in enumerate(records, start=first):
         if len(record) == width and ("" not in record or all(map(record.__getitem__, required))):
             try:
                 rows.append([coerce(raw) if raw else None for coerce, raw in zip(coercers, record)])
@@ -991,6 +1028,11 @@ class _Members:
     groupings: dict = field(default_factory=dict)  # keys -> [(key value, _gather of its members, their rows)]
     plans: dict = field(default_factory=dict)  # id of a measure program -> (that program, held so the id is not reused; its plan)
 
+    @cached_property
+    def ids(self) -> list[int]:
+        """The member ids, one int object each, which every kept grouping shares."""
+        return list(range(len(self.counts)))
+
 
 def _member_program(cube: Cube, fact_id: str, refs: tuple, exprs):
     """A function from a ``_gather`` of members of the fact references
@@ -1088,19 +1130,19 @@ def _key_order(single: bool):
     return _sort_token if single else lambda key: tuple(map(_sort_token, key))
 
 
-def _member_grouping(fact: Table, refs: tuple, reads, counts) -> list:
+def _member_grouping(fact: Table, refs: tuple, reads, counts, ids) -> list:
     """``(key value, members)`` in key order for each value of the keys that
     some member with rows holds: bare for one key, a tuple for several, with
-    the ids of those members (``_member_lists``). ``reads`` holds, per key,
-    its first reference and its later steps as functions, which run once per
-    row of that reference's target, null slot included; ``counts`` holds
-    each member's rows."""
+    the ids of those members (``_member_lists``), taken from ``ids``. ``reads``
+    holds, per key, its first reference and its later steps as functions,
+    which run once per row of that reference's target, null slot included;
+    ``counts`` holds each member's rows."""
     values = []
     for ref, functions in reads:
         per_row = list(_mapped(functions, range(fact.targets[ref].size + 1)))
         values.append(map(per_row.__getitem__, _member_rows(fact, refs, ref)))
     groups = defaultdict(list)
-    for value, member in compress(zip(values[0] if len(reads) == 1 else zip(*values), count()), counts):
+    for value, member in compress(zip(values[0] if len(reads) == 1 else zip(*values), ids), counts):
         groups[value].append(member)
     order = _key_order(len(reads) == 1)
     return sorted(groups.items(), key=lambda group: order(group[0]))
@@ -1129,13 +1171,14 @@ def _member_groups(cube: Cube, fact_id: str, keys, exprs) -> list | None:
     combine = _member_program(cube, fact_id, refs, exprs)
     if combine is None:
         program = _measure_program(cube, fact_id, exprs, fact.size)
-        grouping = _member_grouping(fact, refs, reads, _counts(fact.posted(refs)[0]))
+        grouping = _member_grouping(fact, refs, reads, _counts(fact.posted(refs)[0]), count())
         return [(value, program(list(fact.referencing(refs, members)))) for value, members in grouping]
     kept = fact.folds[refs]
     name = tuple((key.chain, key.attribute.id) for key in keys)
     grouping = kept.groupings.get(name)
     if grouping is None:
-        gathers = [(value, _gather(members)) for value, members in _member_grouping(fact, refs, reads, kept.counts)]
+        by_value = _member_grouping(fact, refs, reads, kept.counts, kept.ids)
+        gathers = [(value, _gather(members)) for value, members in by_value]
         grouping = kept.groupings[name] = [(value, gather, sum(gather(kept.counts))) for value, gather in gathers]
     return [(value, combine(gather, rows)[1]) for value, gather, rows in grouping]
 

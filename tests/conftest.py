@@ -2,11 +2,12 @@ import math
 import sqlite3
 from datetime import date, time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import settings
 
-from bispec import parse_asl, parse_cnlbi
+from bispec import engine, parse_asl, parse_cnlbi
 from bispec.engine import load_cube
 from bispec.generators import gen_schema_sql
 
@@ -70,6 +71,18 @@ def folds_built(cube) -> list[tuple[str, str]]:
     """``(entity id, references)`` for every tuple of references that keeps
     member folds, sorted, named as ``postings_built`` names them."""
     return sorted((entity_id, "+".join(refs)) for entity_id, table in cube.tables.items() for refs in table.folds)
+
+
+def load_both_ways(model, data_dir):
+    """``load_cube`` of ``data_dir``, after checking that it equals the load
+    that reads every chunk through ``csv.reader``: each table (its columns,
+    size, key, targets and dangling references) and each diagnostic."""
+    cube, diags = load_cube(model, data_dir)
+    with mock.patch.object(engine, "_plain_columns", lambda lines, width: None):
+        read_cube, read_diags = load_cube(model, data_dir)
+    assert cube.tables == read_cube.tables and cube.clean == read_cube.clean
+    assert diags == read_diags
+    return cube, diags
 
 
 def _sql_value(value):

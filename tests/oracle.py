@@ -23,10 +23,10 @@ def load_tables(model, data_dir):
     data_dir = Path(data_dir)
     mapping = {}
     for line in (data_dir / "manifest.toml").read_text().splitlines():
-        line = line.split("#", 1)[0].strip()
-        if "=" in line:
-            key, _, value = line.partition("=")
-            mapping[key.strip()] = value.strip().strip('"')
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if value and not key.startswith("#"):  # a '#' after the quoted file name starts a comment
+            mapping[key] = value.strip()[1:].split('"', 1)[0]
 
     tables = {}
     for entity in model.entities:

@@ -442,6 +442,21 @@ def test_model_json_matches_golden(capsys, corpus):
     assert out.encode("utf-8") == (GOLDEN / "model" / f"{corpus.name}.json").read_bytes()
 
 
+def test_a_hash_inside_a_quoted_manifest_file_name_is_part_of_the_name(capsys, tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    for path in DATA_DIR.iterdir():
+        (data / path.name.replace("City.csv", "City#1.csv")).write_bytes(path.read_bytes())
+    manifest = data / "manifest.toml"
+    manifest.write_text(manifest.read_text().replace('"City.csv"', '"City#1.csv"  # a "#" after the name is a comment'))
+    name = "AnalysisAppointmentsInstitutionOnNationalLevel__AppointmentsByInstitutionCity"
+    usecase, _, op = name.partition("__")
+    code, out, err = run(capsys, "olap", str(CORPUS_CNLBI), "--data", str(data), "--usecase", usecase, "--op", op,
+                         "--format", "csv")
+    assert code == 0 and "ENG" not in err
+    assert out == (Path(__file__).parent / "golden" / "olap" / f"{name}.csv").read_text(encoding="utf-8")
+
+
 def _odd_data_package(tmp_path, case: str):
     """A copy of the fixture package with one odd file; returns its directory."""
     data = tmp_path / "data"

@@ -25,7 +25,7 @@ from bispec.engine import (CubeView, EngineError, aggregate, dice_view, evaluate
                            run_use_case, slice_view)
 from bispec.generators import gen_olap_sql
 from bispec.plan import Column, Filter, plan_operation
-from conftest import assert_rows_match_sql, folds_built, postings_built, sqlite_from_cube
+from conftest import assert_rows_match_sql, folds_built, load_both_ways, postings_built, sqlite_from_cube
 from test_engine import ORDER_CASES, order_package
 
 SEEDS = range(30)
@@ -52,6 +52,10 @@ UseCase DifferentialChecks is a BIAnalysis
 
 DECIMALS = (-1e17, -12345.678, -2.5, -0.25, 0.0, 0.5, 3.75, 1e15, 2e16)
 INSTITUTION_NAMES = ("Hospital A", "Hospital B", "Centro C")  # few names: duplicate labels
+# The package of this seed quotes commas in String cells (Institution names, and every Patient name but the
+# first), so those files go through csv.reader while the others are split as plain text.
+COMMA_SEED = 7
+COMMA_NAMES = ("Hospital, A", "Hospital B", 'Centro "C", Norte')
 
 
 @pytest.fixture(scope="module")
@@ -93,12 +97,13 @@ def make_package(seed: int, directory) -> dict:
            [(t, d.isoformat(), d.day, d.month, (d.month - 1) // 3 + 1, (d.month - 1) // 6 + 1, d.year) for t, d in times])
     _write(directory, "RequestState", ("id", "is_final", "is_initial", "name"),
            [(s, str(name != "Booked").lower(), str(name == "Booked").lower(), name) for s, name in states])
+    commas = seed == COMMA_SEED
     _write(directory, "Patient", ("id", "nhs_number", "age", "name", "gender", "residence"),
-           [(p, 100 + i, rng.randint(0, 99), f"Patient {p}", rng.choice(("Male", "Female")), rng.choice(cities))
-            for i, p in enumerate(patients)])
+           [(p, 100 + i, rng.randint(0, 99), f"Patient{',' if commas and i else ''} {p}", rng.choice(("Male", "Female")),
+             rng.choice(cities)) for i, p in enumerate(patients)])
     _write(directory, "Institution", ("id", "code", "name", "latitude", "longitude", "city", "type"),
-           [(i, i.upper(), rng.choice(INSTITUTION_NAMES), decimal(), decimal(), rng.choice(cities),
-             rng.choice(("Hospital", "HealthCentre"))) for i in institutions])
+           [(i, i.upper(), rng.choice(COMMA_NAMES if commas else INSTITUTION_NAMES), decimal(), decimal(),
+             rng.choice(cities), rng.choice(("Hospital", "HealthCentre"))) for i in institutions])
     fact_rows = []
     for i in range(facts):
         closed = rng.random() < 0.7
@@ -135,8 +140,10 @@ def _three_runs(cube, query):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_engine_oracle_and_sqlite_agree(model, tmp_path, seed):
     binds = make_package(seed, tmp_path)
-    cube, diags = load_cube(model, tmp_path)
+    cube, diags = load_both_ways(model, tmp_path)
     assert not [d for d in diags if d.is_error], [f"{d.code} {d.message}" for d in diags]
+    if seed == COMMA_SEED:
+        assert all('",' in (tmp_path / f"{name}.csv").read_text(encoding="utf-8") for name in ("Institution", "Patient"))
     tables = oracle.load_tables(model, tmp_path)
     conn = sqlite_from_cube(model, cube)
     measures = [a for a in model.entity(FACT).measures if not isinstance(a.measure, m.OpaqueMeasure)]

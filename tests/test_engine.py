@@ -91,6 +91,33 @@ def test_type_coercion_failure_reports_row_and_column(medbuddy, tmp_path):
     assert bad and "row 1" in bad[0].message and "day" in bad[0].message
 
 
+def test_manifest_comments_start_outside_the_quoted_file_name(medbuddy, tmp_path):
+    for name in DATA_DIR.iterdir():
+        (tmp_path / name.name.replace("Time.csv", "Time #2.csv")).write_bytes(name.read_bytes())
+    manifest = tmp_path / "manifest.toml"
+    lines = manifest.read_text().replace('"Time.csv"', '"Time #2.csv"# dates').splitlines()
+    manifest.write_text("\n".join(["  # Time = \"none.csv\"", "", *lines, ""]))
+    assert engine.parse_manifest(manifest)["Time"] == "Time #2.csv"
+    assert oracle.load_tables(medbuddy, tmp_path) == oracle.load_tables(medbuddy, DATA_DIR)
+    manifest.write_text('Time = "Time #2.csv" dates\n')
+    with pytest.raises(EngineError, match="unreadable manifest line: 'Time = \"Time #2.csv\" dates'"):
+        engine.parse_manifest(manifest)
+
+
+@pytest.mark.parametrize("chunk_rows", [2, engine.CHUNK_ROWS])
+def test_boolean_cells_load_by_table_and_a_bad_one_is_eng003(medbuddy, tmp_path, monkeypatch, chunk_rows):
+    for name in DATA_DIR.iterdir():
+        (tmp_path / name.name).write_bytes(name.read_bytes())
+    states = "id,is_final,is_initial,name\ns1,FALSE,1,Booked\ns2,True,0,Held\ns3,true,False,Cancelled\ns4,yes,false,Held\n"
+    (tmp_path / "RequestState.csv").write_text(states)
+    monkeypatch.setattr(engine, "CHUNK_ROWS", chunk_rows)
+    cube, diags = load_cube(medbuddy, tmp_path)
+    assert [d.message for d in diags if d.code == "ENG003"] == [
+        "RequestState.csv row 4, column is_final: 'yes' is not a boolean"]
+    data = cube.table("RequestState").data
+    assert (data["is_final"], data["is_initial"]) == ([False, True, True, None], [True, False, False, None])
+
+
 @pytest.mark.parametrize("chunk_rows", [2, engine.CHUNK_ROWS])
 def test_integer_cells_outside_64_bits_are_eng003(medbuddy, tmp_path, monkeypatch, chunk_rows):
     ages = {"p1": 2**63 - 1, "p2": -(2**63), "p3": 2**63, "p4": -(2**63) - 1}

@@ -8,17 +8,26 @@ value outside its enumeration, null in a NOT NULL column, a duplicate primary
 key, and dangling NOT NULL and nullable references. The ``(code, message)``
 list, in order, must equal ``golden/load_chunks_diagnostics.json``, which was
 recorded with the row-at-a-time loader that preceded the chunked one.
+
+A chunk of plain lines is split as text (``engine._plain_columns``); from
+the first chunk that is not plain, ``csv.reader`` reads the rest of the file.
+Both must load the same tables and diagnostics.
 """
 
 import csv
+import io
 import json
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from bispec import engine
 from bispec import model as m
 from bispec.engine import CHUNK_ROWS, aggregate, load_cube, slice_view
+from conftest import DATA_DIR, load_both_ways
 
 GOLDEN = Path(__file__).parent / "golden" / "load_chunks_diagnostics.json"
 BOUNDARIES = (4096, 8192)  # chunk boundaries whenever CHUNK_ROWS divides 4096
@@ -117,3 +126,117 @@ def test_queries_see_the_first_row_of_a_duplicated_key(medbuddy, package):
     assert [row[0] for row in aggregate(p3, [m.AttributePath.parse("Patient.age")]).rows] == [first_age]
     # the duplicated fact key f9 keeps both rows too
     assert sum(row["id"] == "f9" for row in cube.table("AppointmentRequest").rows) == 2
+
+
+def test_split_and_csv_reader_load_the_fixture_and_the_chunk_package_alike(medbuddy, package):
+    load_both_ways(medbuddy, DATA_DIR)
+    load_both_ways(medbuddy, package)
+
+
+# Pieces of cell text: none of PLAIN means anything to csv.reader; SPECIAL adds what does
+PLAIN = ("a", "a", "é", " ", "#", "abcdefghijklmnop")
+SPECIAL = PLAIN + (",", '"', "\n", "\r", "\0")
+
+
+@st.composite
+def csv_chunks(draw) -> tuple[int, str]:
+    """A table width and CSV text: rows of that width (or, when ragged, of any
+    width up to one more, a blank line included), each written raw or by
+    ``csv.writer``, which quotes what needs it, and each ended by ``\\n``,
+    ``\\r\\n`` or a lone ``\\r``; the last row may have no line end."""
+    width = draw(st.integers(1, 4))
+    field = st.lists(st.sampled_from(draw(st.sampled_from((PLAIN, PLAIN, SPECIAL)))), max_size=3).map("".join)
+    ragged = draw(st.integers(0, 3)) == 0
+    row = st.lists(field, min_size=0 if ragged else width, max_size=width + 1 if ragged else width)
+    ends = st.sampled_from(draw(st.sampled_from((("\n",), ("\n",), ("\n", "\r\n", "\r")))))
+    rows = draw(st.lists(st.tuples(row, st.booleans(), ends), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        rows[-1] = rows[-1][:2] + ("",)
+    text = ""
+    for fields, quoted, end in rows:
+        if quoted:
+            out = io.StringIO()
+            csv.writer(out, lineterminator=end).writerow(fields)
+            text += out.getvalue()
+        else:
+            text += ",".join(fields) + end
+    return width, text
+
+
+@given(csv_chunks(), st.integers(4, 100))
+def test_a_plain_chunk_splits_as_csv_reader_reads_it(chunk, limit):
+    """``_plain_columns`` declines a chunk or gives the columns of the records
+    ``csv.reader`` reads from it, under a field size limit that some lines pass."""
+    width, text = chunk
+    lines = list(io.StringIO(text, newline=""))  # as a file opened with newline="" yields them
+    assume(lines)  # a chunk holds a line at least
+    saved = csv.field_size_limit(limit)
+    try:
+        columns = engine._plain_columns(list(lines), width)
+        try:
+            records = list(csv.reader(lines))
+        except csv.Error:
+            records = None
+    finally:
+        csv.field_size_limit(saved)
+    if columns is not None:
+        assert records is not None and {len(record) for record in records} == {width}
+        assert columns == [list(cells) for cells in zip(*records)]
+
+
+@pytest.mark.parametrize("lines, width, columns", [
+    (["a,b\n", "c,\n", ",d"], 2, [["a", "c", ""], ["b", "", "d"]]),
+    (["a\n", "b\n"], 1, [["a", "b"]]),
+    (['a,"b"\n'], 2, None),  # a quote
+    (["a,b\r\n"], 2, None),  # a carriage return
+    (["a,b\0\n"], 2, None),  # a NUL
+    (["a\n", "\n", "b\n"], 1, None),  # a blank line, which csv.reader reads as no field
+    (["a,b\n", "a\n"], 2, None),  # a short line
+    (["a,b,c\n"], 2, None),  # a long line
+])
+def test_plain_columns_split_only_plain_lines(lines, width, columns):
+    assert engine._plain_columns(list(lines), width) == columns
+
+
+def test_a_line_over_the_field_limit_is_not_plain():
+    limit = csv.field_size_limit()
+    assert engine._plain_columns(["a," + "x" * (limit - 3) + "\n"], 2) is not None
+    assert engine._plain_columns(["a," + "x" * (limit - 2) + "\n"], 2) is None
+
+
+LONG = "x" * (csv.field_size_limit() + 1)
+SPLIT_LIMIT = f"field larger than field limit ({csv.field_size_limit()})"
+# City names from c1 on, and the ENG002 their load gives; at two records a chunk, c1-c4 are split as plain text
+LATER_CHUNKS = {
+    "quoted comma and line end": (["a", "b", "c", "d", "Vila Nova,\nde Gaia", "f", "g"], None),
+    "field over the limit": (["a", "b", "c", "d", LONG, "f"], f"City.csv line 6: {SPLIT_LIMIT}"),
+    "field over the limit after a quoted line end": (["a", "b", "c", "d", "Vila Nova,\nde Gaia", "f", LONG],
+                                                     f"City.csv line 9: {SPLIT_LIMIT}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LATER_CHUNKS))
+def test_a_later_chunk_that_is_not_plain_loads_as_csv_reader_reads_it(medbuddy, tmp_path, monkeypatch, case):
+    names, failure = LATER_CHUNKS[case]
+    data = tmp_path / "data"
+    data.mkdir()
+    for path in DATA_DIR.iterdir():
+        (data / path.name).write_bytes(path.read_bytes())
+    _write(data, "City", ("id", "latitude", "longitude", "name"), [(f"c{i}", 38.5, -9.1, name) for i, name in enumerate(names, 1)])
+    monkeypatch.setattr(engine, "CHUNK_ROWS", 2)
+    split = []  # per chunk of City lines: its first key, and whether it was split
+
+    def plain_columns(lines, width, plain=engine._plain_columns):
+        key = lines[0].split(",", 1)[0]
+        columns = plain(lines, width)
+        if key.startswith("c"):
+            split.append((key, columns is not None))
+        return columns
+
+    monkeypatch.setattr(engine, "_plain_columns", plain_columns)
+    cube, diags = load_both_ways(medbuddy, data)
+    assert split == [("c1", True), ("c3", True), ("c5", False)]
+    if failure is None:
+        assert not diags and cube.table("City").data["name"] == names + [None]
+    else:
+        assert [d.message for d in diags if d.code == "ENG002"] == [failure] and "City" not in cube.tables
