@@ -7,10 +7,9 @@ is 64-bit float and Integer sums are exact.
 
 No result depends on the order of the rows: a Decimal SUM is correctly
 rounded (``math.fsum``), and the loader stores Decimal -0.0 as 0.0 and an
-offset-aware DateTime or Time at UTC, so equal values print alike. Only a
-cube whose every reference resolved (``Cube.clean``) takes the paths below
-that read rows out of file order; any other scans and groups row by row, so
-ENG004 and ENG030 name the first position that needs the bad hop.
+offset-aware DateTime or Time at UTC, so equal values print alike. A cube
+whose load reported an error (``Cube.error``) answers no query, so a query
+reads only references that resolved, into tables that loaded.
 
 A table is one list per stored attribute, each ending with a null slot. A
 dimension reference holds row positions in its target table, so a hop is a
@@ -22,27 +21,27 @@ A reader touches each fact position once: one fact-side step through the
 fact column or the first reference, which walks the stored column itself
 for the whole fact. The rest (later hops, the ``==`` of a filter or measure
 predicate) becomes one dimension-side list over the first hop's target,
-built once per query on a clean cube when the query reads at least as many
-positions as that target holds rows. MIN and MAX through a hop fold over
-the distinct first-hop positions.
+built once per query when the query reads at least as many positions as
+that target holds rows. MIN and MAX through a hop fold over the distinct
+first-hop positions.
 
-A filter over the whole fact of a clean cube reads only the fact positions
-it keeps. Its ``==`` runs once per row of the last table the path reaches
-(a reference read as its key is one more hop, tested on the target's key
-column), and the hit rows walk back hop by hop through each reference's
-postings (the referencing rows per target row, in two flat arrays). A
-table builds postings on first use and keeps them.
+A filter over the whole fact reads only the fact positions it keeps. Its
+``==`` runs once per row of the last table the path reaches (a reference
+read as its key is one more hop, tested on the target's key column), and
+the hit rows walk back hop by hop through each reference's postings (the
+referencing rows per target row, in two flat arrays). A table builds
+postings on first use and keeps them.
 
-A roll-up over the whole fact of a clean cube, on one key or several (the
-pivot), groups by member when every key is read through a fact reference. A
-member is one combination of rows of the keys' distinct first references'
-targets, null slots included, and its id is mixed-radix over each target's
-size + 1; one reference's members are its target's rows. The members are
-grouped by key value, with each key read once per row of its reference's
-target. That needs no more members than the fact has rows + 1; the row
-loop takes any other grouping. The first such query groups the fact rows by
-member in one pass and keeps those groups as the references' postings;
-later ones group through them.
+A roll-up over the whole fact, on one key or several (the pivot), groups
+by member when every key is read through a fact reference. A member is one
+combination of rows of the keys' distinct first references' targets, null
+slots included, and its id is mixed-radix over each target's size + 1; one
+reference's members are its target's rows. The members are grouped by key
+value, with each key read once per row of its reference's target. That
+needs no more members than the fact has rows + 1; the row loop takes any
+other grouping. The first such query groups the fact rows by member in one
+pass and keeps those groups as the references' postings; later ones group
+through them.
 
 Once references have postings, that is once they have served a query on
 this cube, a query through them whose every fold has member folds
@@ -83,17 +82,22 @@ CHUNK_ROWS = 4096  # CSV records parsed together, one column at a time
 
 
 def parse_manifest(path: Path) -> dict[str, str]:
-    """Read ``entity_id = "file.csv"`` lines; ``#`` outside the quoted file name starts a comment."""
+    """Read ``entity_id = "file.csv"`` lines; ``#`` outside the quoted file name
+    starts a comment. An entity id or a file name may be mapped once."""
     mapping: dict[str, str] = {}
+    seen: dict[str, int] = {}  # entity id or repr of a file name -> the line that maps it
     try:
         lines = path.read_text(encoding="utf-8-sig").splitlines()
     except UnicodeDecodeError:
         raise EngineError("ENG001", f"{path.name} line {_bad_utf8_line(path)}: not UTF-8 text") from None
-    for line in lines:
+    for number, line in enumerate(lines, start=1):
         match = _MANIFEST_LINE.fullmatch(line)
         if match is None:
             raise EngineError("ENG001", f"unreadable manifest line: {line.strip()!r}")
         if match.group(1) is not None:
+            for name in (match.group(1), repr(match.group(2))):
+                if seen.setdefault(name, number) != number:
+                    raise EngineError("ENG001", f"{path.name} line {number}: {name} is already mapped on line {seen[name]}")
             mapping[match.group(1)] = match.group(2)
     return mapping
 
@@ -104,9 +108,9 @@ class Table:
 
     Every column has ``size`` values, one per loaded row in file order, then
     a null slot. A reference cell parses as its target's primary key. A
-    reference in ``targets`` holds row positions in that table (its null
-    slot for a null key, and the key in a 1-tuple for a key in
-    ``dangling``); a reference to a table that did not load holds its keys.
+    reference in ``targets`` holds row positions in that table, its null
+    slot for a null key or one that names no row (ENG004); a reference to a
+    table that did not load holds its keys.
     """
 
     entity_id: str
@@ -114,7 +118,6 @@ class Table:
     size: int
     pk: str | None = None
     targets: dict[str, "Table"] = field(default_factory=dict)
-    dangling: frozenset = frozenset()  # references with a key that names no target row (ENG004)
     postings: dict = field(default_factory=dict, init=False, compare=False, repr=False)  # references tuple -> _postings
     # tuple of fact references -> _Members: each member's row count, member folds, kept groupings and combine plans
     folds: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -130,7 +133,7 @@ class Table:
     def values(self, attr_id: str) -> list:
         """The column as loaded: a reference reads as its key."""
         target = self.targets.get(attr_id)
-        return self.data[attr_id] if target is None else list(map(partial(_key_of, target.pk_values()), self.data[attr_id]))
+        return self.data[attr_id] if target is None else list(map(target.pk_values().__getitem__, self.data[attr_id]))
 
     def pk_values(self) -> list:
         """The primary key of each row position, null slot included."""
@@ -138,8 +141,7 @@ class Table:
 
     def posted(self, refs: tuple) -> tuple[array, array]:
         """The postings of the references ``refs`` (``_postings``), built on
-        first use and kept, since a table never changes after load. The
-        references must be loaded and hold no dangling key."""
+        first use and kept, since a table never changes after load."""
         if refs not in self.postings:
             lists = _member_lists(self, refs)
             self.postings[refs] = _postings(lists, list(map(len, lists)))
@@ -197,11 +199,6 @@ def _member_rows(table: Table, refs: tuple, ref: str) -> Iterator[int]:
     return rows if stride * radix == space else map(mod, rows, repeat(radix))
 
 
-def _key_of(keys: list, position):
-    # a dangling reference cell holds its key in a 1-tuple instead of a position
-    return position[0] if position.__class__ is tuple else keys[position]
-
-
 class Rows(Sequence):
     """The rows of ``table`` at ``positions`` as dicts, each built when read;
     the engine itself never reads them."""
@@ -228,17 +225,18 @@ class Rows(Sequence):
 @dataclass
 class Cube:
     """Loaded tables for every entity, keyed joins derived from the model;
-    ``clean`` when every reference of every loaded table resolved, with no
-    dangling key (ENG004) and no target that did not load."""
+    ``error`` is the first error its load reported, and then no query runs."""
 
     model: m.SpecificationModel
     tables: dict[str, Table]
-    clean: bool = False
+    error: Diagnostic | None = None
 
     def table(self, entity_id: str) -> Table:
         return self.tables[entity_id]
 
     def view(self, fact_id: str) -> "CubeView":
+        if self.error is not None:
+            raise EngineError("ENG030", f"the data package did not load: {self.error.code} {self.error.message}")
         table = self.tables.get(fact_id)
         if table is None:
             raise EngineError("ENG030", f"no data loaded for {fact_id}")
@@ -348,13 +346,13 @@ def load_cube(model: m.SpecificationModel, data_dir: str | Path) -> tuple[Cube, 
     diags: list[Diagnostic] = []
     manifest_path = data_dir / "manifest.toml"
     if not manifest_path.is_file():
-        diags.append(error("ENG001", f"missing manifest: {manifest_path}"))
-        return Cube(model, {}), diags
+        failed = error("ENG001", f"missing manifest: {manifest_path}")
+        return Cube(model, {}, failed), [failed]
     try:
         manifest = parse_manifest(manifest_path)
     except EngineError as exc:
-        diags.append(error(exc.code, str(exc)))
-        return Cube(model, {}), diags
+        failed = error(exc.code, str(exc))
+        return Cube(model, {}, failed), [failed]
 
     for key in sorted(manifest):
         if model.entity(key) is None:
@@ -386,15 +384,13 @@ def load_cube(model: m.SpecificationModel, data_dir: str | Path) -> tuple[Cube, 
         for attr_id, values in table.data.items():
             target = table.targets.get(attr_id)
             values.append(None if target is None else target.size)  # the null slot
-        table.dangling = frozenset(attr for entity_id, attr in dangling if entity_id == table.entity_id)
 
     for entity in model.entities:
         diags.extend(table_diags[entity.id])
     for entity in model.entities:
         for attr in entity.dimension_refs:
             diags.extend(dangling.get((entity.id, attr.id), ()))
-    resolved = all(len(table.targets) == len(model.entity(table.entity_id).dimension_refs) for table in tables.values())
-    return Cube(model, tables, resolved and not dangling), diags
+    return Cube(model, tables, next((d for d in diags if d.is_error), None)), diags
 
 
 def _load_table(entity: m.DataEntity, model: m.SpecificationModel, path: Path, tables: dict[str, Table],
@@ -566,13 +562,12 @@ def _reject(where: str, record: list[str], stored, coercers, diags: list[Diagnos
 
 def _resolve(keys: list, first: int, index: dict, target: Table, entity_id: str, attr_id: str, dangling) -> list:
     """Row positions in ``target`` for references whose first row is at position
-    ``first``; a null key gets the null slot and a dangling key stays, in a 1-tuple."""
+    ``first``; a null key gets the null slot, and so does a dangling key (ENG004)."""
     null = target.size
     positions = list(map(index.get, keys, repeat(null)))
     if positions.count(null) != keys.count(None):
         for i, key in enumerate(keys):
             if key is not None and key not in index:
-                positions[i] = (key,)
                 where = f"{entity_id} row {first + i + 1}, column {attr_id}"
                 dangling[entity_id, attr_id].append(error("ENG004", f"{where}: no {target.entity_id} row with key {key!r}"))
     return positions
@@ -589,50 +584,30 @@ def _null(position):
     return None
 
 
-def _checked_hop(values: list, target_id: str, position: int):
-    hop = values[position]
-    if hop.__class__ is tuple:
-        raise EngineError("ENG004", f"{target_id} has no row with key {hop[0]!r}")
-    return hop
-
-
-def _unloaded_hop(target_id: str, key) -> None:
-    """Null for a null key; any other key needs a table that did not load."""
-    if key is not None:
-        raise EngineError("ENG030", f"no data loaded for {target_id}")
-
-
 def _steps(cube: Cube, fact_id: str, col: Column, test=None) -> tuple:
     """``col``'s read, or ``test(value)``'s, as ``(steps, hops)``.
 
     The first step takes the one fact-side step per position, through the
     fact column or the first reference; each later one maps the value before
-    it. A list is read at that value, any other step is called on it: a hop
-    through a dangling key raises ENG004, one into a table that did not load
-    ENG030. ``hops`` holds ``(table, reference)`` for each leading step
-    through a loaded reference, a reference read as its key included.
+    it. A list is read at that value, any other step is called on it.
+    ``hops`` holds ``(table, reference)`` for each leading step through a
+    reference, a reference read as its key included.
     """
     table = cube.tables[fact_id]
     steps = []  # a list is read at the value before it; a function maps it
     hops = []
-    for fk, target_id in col.chain:
-        target = table.targets.get(fk)
-        if target is None:  # the rest of the chain reads null, or raises ENG030
-            steps += [table.data[fk], partial(_unloaded_hop, target_id)]
-            break
+    for fk, _ in col.chain:
         hops.append((table, fk))
-        steps.append(partial(_checked_hop, table.data[fk], target_id) if fk in table.dangling else table.data[fk])
-        table = target
+        steps.append(table.data[fk])
+        table = table.targets[fk]
+    attr = col.attribute
+    if attr.is_measure:  # not stored per row: reads as null
+        steps.append(_null)
+    elif attr.id in table.targets:  # a reference reads as its key
+        hops.append((table, attr.id))
+        steps += [table.data[attr.id], table.targets[attr.id].pk_values()]
     else:
-        attr = col.attribute
-        if attr.is_measure:  # not stored per row: reads as null
-            steps.append(_null)
-        elif attr.id in table.targets:  # a reference reads as its key
-            keys = table.targets[attr.id].pk_values()
-            hops.append((table, attr.id))
-            steps += [table.data[attr.id], partial(_key_of, keys) if attr.id in table.dangling else keys]
-        else:
-            steps.append(table.data[attr.id])
+        steps.append(table.data[attr.id])
     if test is not None:
         steps.append(test)
     return steps, hops
@@ -659,21 +634,20 @@ def _reader(cube: Cube, fact_id: str, col: Column, reads: int, test=None, distin
     """A function from fact row positions to an iterator of ``col``'s values,
     or of ``test(value)`` (see ``_steps``).
 
-    When the cube is clean and the query reads at least as many positions in
-    all (``reads``) as the first hop's target holds rows, the later steps run
-    once per target row into one dimension-side list, which the fact-side
-    step then indexes; on any other cube they stay chained, so ENG004 or
-    ENG030 arises only when a position needs the dangling key or the
-    unloaded table. A ``range`` over the whole fact walks the stored
-    fact-side column itself, and ``read(positions, gather)`` reads it with
-    ``gather``, an ``itemgetter`` of the positions, in one call. With
-    ``distinct`` the later steps run once per distinct first-hop value.
+    When the query reads at least as many positions in all (``reads``) as
+    the first hop's target holds rows, the later steps run once per target
+    row into one dimension-side list, which the fact-side step then
+    indexes; else they stay chained. A ``range`` over the whole fact walks
+    the stored fact-side column itself, and ``read(positions, gather)``
+    reads it with ``gather``, an ``itemgetter`` of the positions, in one
+    call. With ``distinct`` the later steps run once per distinct first-hop
+    value.
     """
     fact = cube.tables[fact_id]
     steps, _ = _steps(cube, fact_id, col, test)
     column = steps[0] if steps[0].__class__ is list else None
     first, *rest = map(_function, steps)
-    if len(rest) > 1 and cube.clean and reads >= (landing := fact.targets[_first_reference(col)]).size:
+    if len(rest) > 1 and reads >= (landing := fact.targets[_first_reference(col)]).size:
         rest = [list(_mapped(rest, range(landing.size + 1))).__getitem__]  # its rows and null slot
     size = fact.size
     whole = range(size)
@@ -700,12 +674,12 @@ def _far_end(cube: Cube, fact_id: str, col: Column, test) -> tuple[tuple, list[i
     ``col`` passes ``test`` reference. The test runs once per row of the last
     table ``_steps``' hops reach, null slot included, and the hit rows walk
     back through each later hop's postings; a middle table's null slot hits
-    when the next table's does. None when the cube is not clean, no hop
-    leaves the fact, or the fact holds fewer rows than the first hop's
-    target: that filter scans instead."""
+    when the next table's does. None when no hop leaves the fact, or the
+    fact holds fewer rows than the first hop's target: that filter scans
+    instead."""
     fact = cube.tables[fact_id]
     steps, hops = _steps(cube, fact_id, col, test)
-    if not cube.clean or not hops or fact.size < fact.targets[hops[0][1]].size:
+    if not hops or fact.size < fact.targets[hops[0][1]].size:
         return None
     table, ref = hops[-1]
     tested = _mapped(map(_function, steps[len(hops):]), range(table.targets[ref].size + 1))  # its rows and null slot
@@ -1156,13 +1130,13 @@ def _member_groups(cube: Cube, fact_id: str, keys, exprs) -> list | None:
     the grouping is kept beside them; else the measures run over the fact
     positions its members hold in the references' postings, which the first
     query through them builds. A group no fact row reaches is left out. None
-    when the cube is not clean, a key is not read through a fact reference,
-    or the references have more members than the fact has rows + 1."""
+    when a key is not read through a fact reference, or the references have
+    more members than the fact has rows + 1."""
     fact = cube.tables[fact_id]
     reads = []  # per key: its first reference, its later steps as functions
     for key in keys:
         steps, hops = _steps(cube, fact_id, key)
-        if not cube.clean or not hops:
+        if not hops:
             return None
         reads.append((hops[0][1], list(map(_function, steps[1:]))))
     refs = tuple(dict.fromkeys(ref for ref, _ in reads))
@@ -1213,7 +1187,7 @@ def aggregate(view: CubeView, group_by) -> ResultTable:
         # compiled only for a non-empty result, so an empty one raises no measure error
         program = _measure_program(cube, fact_id, exprs, len(positions)) if groups else None
         order = sorted(groups, key=_key_order(single))
-        grouped = zip(order, map(program, map(groups.__getitem__, order)))  # in key order: a measure error is the first group's
+        grouped = zip(order, map(program, map(groups.__getitem__, order)))  # in key order
     result_rows = [((key,) if single else key) + row for key, row in grouped]
 
     return ResultTable(tuple(key.path for key in keys), tuple(a.id for a in measure_attrs), tuple(result_rows))

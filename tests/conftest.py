@@ -76,12 +76,17 @@ def folds_built(cube) -> list[tuple[str, str]]:
 def load_both_ways(model, data_dir):
     """``load_cube`` of ``data_dir``, after checking that it equals the load
     that reads every chunk through ``csv.reader``: each table (its columns,
-    size, key, targets and dangling references) and each diagnostic."""
+    size, key and targets), the cube's error and each diagnostic. Every cell
+    of a resolved reference is a row position in its target, null slot
+    included, a dangling key's too."""
     cube, diags = load_cube(model, data_dir)
     with mock.patch.object(engine, "_plain_columns", lambda lines, width: None):
         read_cube, read_diags = load_cube(model, data_dir)
-    assert cube.tables == read_cube.tables and cube.clean == read_cube.clean
+    assert cube.tables == read_cube.tables and cube.error == read_cube.error
     assert diags == read_diags
+    for table in cube.tables.values():
+        for ref, target in table.targets.items():
+            assert all(cell.__class__ is int and 0 <= cell <= target.size for cell in table.data[ref]), (table.entity_id, ref)
     return cube, diags
 
 

@@ -479,6 +479,12 @@ def _odd_data_package(tmp_path, case: str):
     elif case == "manifest is a directory":
         (data / "manifest.toml").unlink()
         (data / "manifest.toml").mkdir()
+    elif case == "dangling key":
+        with (data / "AppointmentRequest.csv").open("a", encoding="utf-8") as handle:
+            handle.write("r99,i1,p999,s1,t1,,10,,false\n")
+    elif case == "duplicate manifest entry":
+        with (data / "manifest.toml").open("a", encoding="utf-8") as handle:
+            handle.write('City = "Nope.csv"\n')
     return data
 
 
@@ -488,6 +494,8 @@ ODD_DATA = {
     "data file is a directory": ("ENG001", "no data file for entity City"),
     "manifest is a directory": ("ENG001", "missing manifest: "),
     "manifest not UTF-8": ("ENG001", "manifest.toml line 2: not UTF-8 text"),
+    "dangling key": ("ENG004", "AppointmentRequest row 11, column patient: no Patient row with key 'p999'"),
+    "duplicate manifest entry": ("ENG001", "manifest.toml line 8: City is already mapped on line 2"),
 }
 
 
@@ -506,6 +514,18 @@ def test_odd_data_files_are_coded_diagnostics(capsys, tmp_path, case):
     entries = [json.loads(line) for line in err.splitlines()]
     expected_code, message = ODD_DATA[case]
     assert any(e["code"] == expected_code and e["severity"] == "error" and message in e["message"] for e in entries), err
+
+
+def test_a_load_error_stops_olap_before_any_query(capsys, tmp_path):
+    data = _odd_data_package(tmp_path, "dangling key")
+    code, out, err = run(capsys, "olap", str(CORPUS_CNLBI), "--data", str(data),
+                         "--usecase", "AnalysisAppointmentsInstitutionOnNationalLevel", "--op", "AppointmentsByInstitutionCity")
+    role = "description suggests a role restriction that its operations do not encode"
+    assert (code, out, err.splitlines()) == (1, "", [
+        "error ENG004: AppointmentRequest row 11, column patient: no Patient row with key 'p999'",
+        f"{CORPUS_CNLBI}:109:1: warning SEM040: use case AnalysisAppointmentsInstitutionOnInstitutionLevel {role}",
+        f"{CORPUS_CNLBI}:144:1: warning SEM040: use case AnalysisAppointmentsPatientOnInstitutionLevel {role}",
+    ]) and err.endswith("\n")
 
 
 _ASL_ENUMERATIONS = """\

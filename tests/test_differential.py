@@ -456,6 +456,9 @@ DANGLING = {
 
 @pytest.mark.parametrize("reference", sorted(DANGLING))
 def test_dangling_reference_is_eng004_for_rollup_slice_and_min_max(model, tmp_path, reference):
+    """The load reports the dangling key and resolves it to the null slot;
+    then every query, one that does not read the reference too, raises the
+    ENG030 that names that ENG004."""
     index, path, aggregated = DANGLING[reference]
     make_package(2, tmp_path)
     fact_csv = tmp_path / f"{FACT}.csv"
@@ -465,21 +468,22 @@ def test_dangling_reference_is_eng004_for_rollup_slice_and_min_max(model, tmp_pa
     lines.append(",".join(["f99"] + cells[1:]))
     fact_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    cube, diags = load_cube(model, tmp_path)
-    assert [d.code for d in diags if d.is_error] == ["ENG004"]
-    view = cube.view(FACT)
+    cube, diags = load_both_ways(model, tmp_path)
+    assert [d.code for d in diags if d.is_error] == ["ENG004"] and "'zz'" in cube.error.message
+    fact = cube.table(FACT)
+    assert fact.data["id"][fact.size - 1] == "f99" and fact.data[reference][fact.size - 1] == fact.targets[reference].size
     queries = {
-        "roll-up": lambda: aggregate(view, [m.AttributePath.parse(path)]),
-        "slice": lambda: slice_view(view, m.Predicate(m.AttributePath.parse(path), m.Literal(2023))).rows(),
-        "MIN": lambda: evaluate_measure(view, m.Aggregate("MIN", m.AttributePath.parse(aggregated))),
-        "MAX": lambda: evaluate_measure(view, m.Aggregate("MAX", m.AttributePath.parse(aggregated))),
+        "roll-up": lambda: aggregate(cube.view(FACT), [m.AttributePath.parse(path)]),
+        "slice": lambda: slice_view(cube.view(FACT), m.Predicate(m.AttributePath.parse(path), m.Literal(2023))).rows(),
+        "MIN": lambda: evaluate_measure(cube.view(FACT), m.Aggregate("MIN", m.AttributePath.parse(aggregated))),
+        "MAX": lambda: evaluate_measure(cube.view(FACT), m.Aggregate("MAX", m.AttributePath.parse(aggregated))),
+        "other roll-up": lambda: aggregate(cube.view(FACT), [m.AttributePath.parse("Institution.city")]),
     }
     for name, query in queries.items():
         with pytest.raises(EngineError) as exc:
             query()
-        assert exc.value.code == "ENG004" and "'zz'" in str(exc.value), name
-    # a query that does not read the dangling reference still answers
-    assert aggregate(view, [m.AttributePath.parse("Institution.city")]).rows
+        assert (exc.value.code, str(exc.value)) == ("ENG030", f"the data package did not load: ENG004 {cube.error.message}"), name
+    assert postings_built(cube) == folds_built(cube) == []
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +583,7 @@ def test_temporal_rollups_agree_with_the_oracle_and_sqlite_at_utc(temporal, tmp_
     text comparison."""
     make_temporal_package(seed, tmp_path)
     cube, diags = load_cube(temporal, tmp_path)
-    assert diags == [] and cube.clean
+    assert diags == [] and cube.error is None
     tables = oracle.load_tables(temporal, tmp_path)
     conn = sqlite_from_cube(temporal, cube)
     measures = [a.id for a in temporal.entity("Visit").measures]

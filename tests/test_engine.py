@@ -28,7 +28,7 @@ from bispec.engine import (
     slice_view,
 )
 from bispec.generators import gen_olap_sql
-from bispec.plan import Column, operation_plan, plan_filters, plan_operation
+from bispec.plan import Column, operation_plan, plan_operation
 from conftest import DATA_DIR, assert_rows_match_sql, folds_built, postings_built, sqlite_from_cube
 
 YEAR_PRED = m.Predicate(
@@ -104,6 +104,18 @@ def test_manifest_comments_start_outside_the_quoted_file_name(medbuddy, tmp_path
         engine.parse_manifest(manifest)
 
 
+@pytest.mark.parametrize("line, message", [
+    ('City = "Nope.csv"', "manifest.toml line 8: City is already mapped on line 2"),
+    ('Ward = "City.csv"  # the file of City', "manifest.toml line 8: 'City.csv' is already mapped on line 2"),
+], ids=["entity", "file"])
+def test_a_second_manifest_line_for_an_entity_or_a_file_is_eng001(medbuddy, tmp_path, line, message):
+    data = _package(tmp_path)
+    with (data / "manifest.toml").open("a", encoding="utf-8") as handle:
+        handle.write(line + "\n")
+    cube, diags = load_cube(medbuddy, data)
+    assert [(d.code, d.is_error, d.message) for d in diags] == [("ENG001", True, message)] and cube.error == diags[0]
+
+
 @pytest.mark.parametrize("chunk_rows", [2, engine.CHUNK_ROWS])
 def test_boolean_cells_load_by_table_and_a_bad_one_is_eng003(medbuddy, tmp_path, monkeypatch, chunk_rows):
     for name in DATA_DIR.iterdir():
@@ -132,7 +144,7 @@ def test_integer_cells_outside_64_bits_are_eng003(medbuddy, tmp_path, monkeypatc
 
 
 @pytest.mark.parametrize("chunk_rows", [2, engine.CHUNK_ROWS])
-def test_numeric_text_that_sqlite_keeps_as_text_is_eng003(medbuddy, tmp_path, monkeypatch, chunk_rows):
+def test_numeric_text_that_sqlite_keeps_as_text_is_eng003(medbuddy, cube, tmp_path, monkeypatch, chunk_rows):
     # ' 7 ', '+5' and '1e999' are numbers to SQLite 3.40 too (7, 5 and a REAL Inf); so is -0.0, which loads as 0.0
     ages = {"p1": "3_4", "p2": "\u0663", "p3": " 7 ", "p4": "+5"}
     latitudes = {"i1": "nan", "i2": "1_0.5", "i3": "1e999", "c1": "inf", "c2": "Infinity", "c3": "-0.0"}
@@ -141,55 +153,19 @@ def test_numeric_text_that_sqlite_keeps_as_text_is_eng003(medbuddy, tmp_path, mo
                                         lambda match: f"{match[1]},{match[2]},{match[3]},{latitudes[match[1]]},", flags=re.M),
                     City=partial(re.sub, r"^(c\d),[^,]+,", lambda match: f"{match[1]},{latitudes[match[1]]},", flags=re.M))
     monkeypatch.setattr(engine, "CHUNK_ROWS", chunk_rows)
-    cube, diags = load_cube(medbuddy, data)
+    loaded, diags = load_cube(medbuddy, data)
     assert [d.message for d in diags if d.code == "ENG003"] == [
         "Patient.csv row 1, column age: '3_4' is not an Integer", "Patient.csv row 2, column age: '\u0663' is not an Integer",
         "Institution.csv row 1, column latitude: 'nan' is not a Decimal",
         "Institution.csv row 2, column latitude: '1_0.5' is not a Decimal",
         "City.csv row 1, column latitude: 'inf' is not a Decimal", "City.csv row 2, column latitude: 'Infinity' is not a Decimal",
     ]
-    patients, institutions, cities = cube.table("Patient"), cube.table("Institution"), cube.table("City")
+    patients, institutions, cities = loaded.table("Patient"), loaded.table("Institution"), loaded.table("City")
     assert patients.data["age"][:patients.size] == [7, 5] and institutions.data["latitude"][:institutions.size] == [math.inf]
     assert repr(cities.data["latitude"][:cities.size]) == "[0.0]"
     with pytest.raises(EngineError) as exc:
         run_use_case(cube, "AnalysisAppointmentsInstitutionOnNationalLevel", "ScheduledAppointmentsInSpecificYear", {"year": "2_023"})
     assert (exc.value.code, str(exc.value)) == ("ENG010", "parameter 'year' expects Integer, got '2_023'")
-
-
-def test_dangling_foreign_key_reports_eng004(medbuddy, tmp_path):
-    for name in DATA_DIR.iterdir():
-        (tmp_path / name.name).write_text(name.read_text())
-    with (tmp_path / "AppointmentRequest.csv").open("a") as handle:
-        handle.write("r99,i1,p999,s1,t1,,10,,false\n")
-    cube, diags = load_cube(medbuddy, tmp_path)
-    assert any(d.code == "ENG004" and "p999" in d.message for d in diags)
-    # querying through the dangling key is a coded error, not a KeyError
-    with pytest.raises(EngineError) as exc:
-        run_use_case(cube, "AnalysisAppointmentsPatientOnNationalLevel", "AppointmentsByAgeGroup")
-    assert exc.value.code == "ENG004"
-    assert "Patient" in str(exc.value) and "p999" in str(exc.value)
-
-
-def test_unloaded_dimension_is_eng030_only_when_a_row_reads_it(medbuddy, tmp_path):
-    for name in DATA_DIR.iterdir():
-        if name.name != "Patient.csv":
-            (tmp_path / name.name).write_text(name.read_text())
-    cube, diags = load_cube(medbuddy, tmp_path)
-    assert [d.code for d in diags if d.is_error] == ["ENG001"]
-    patients = "AnalysisAppointmentsPatientOnNationalLevel"
-    with pytest.raises(EngineError) as exc:
-        run_use_case(cube, patients, "AppointmentsByGender")
-    assert exc.value.code == "ENG030" and "Patient" in str(exc.value)
-    # an operation that reads no Patient column still answers
-    assert run_use_case(cube, "AnalysisAppointmentsInstitutionOnNationalLevel", "AppointmentsByInstitutionCity").rows
-
-    # so does every operation over an empty fact
-    header = (DATA_DIR / "AppointmentRequest.csv").read_text().splitlines()[0]
-    (tmp_path / "AppointmentRequest.csv").write_text(header + "\n")
-    cube, _ = load_cube(medbuddy, tmp_path)
-    assert run_use_case(cube, patients, "AppointmentsByGender").rows == ()
-    dice = run_use_case(cube, patients, "ScheduledAppointmentsBySpecificPatientResidenceCityAndYear", {"id": "c1", "year": "2023"})
-    assert dice.rows[0][:3] == (0, 0, 0)
 
 
 def test_utf8_bom_on_a_header_is_ignored(medbuddy, tmp_path):
@@ -216,6 +192,10 @@ def test_empty_fact_csv_is_a_valid_cube(medbuddy, tmp_path):
     assert evaluate_measure(view, fact.attribute("AvgWaitingTime").measure) is None
     assert evaluate_measure(view, fact.attribute("MinDate").measure) is None
     assert evaluate_measure(view, fact.attribute("CancellationRate").measure) is None
+    patients = "AnalysisAppointmentsPatientOnNationalLevel"
+    assert run_use_case(cube, patients, "AppointmentsByGender").rows == ()
+    dice = run_use_case(cube, patients, "ScheduledAppointmentsBySpecificPatientResidenceCityAndYear", {"id": "c1", "year": "2023"})
+    assert dice.rows[0][:3] == (0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +467,10 @@ def test_self_reference_resolves_once_its_table_has_loaded(tmp_path):
     (tmp_path / "manifest.toml").write_text('Employee = "Employee.csv"\nSale = "Sale.csv"\n')
     cube, diags = load_cube(model, tmp_path)
     assert [(d.code, d.message) for d in diags] == [("ENG004", "Employee row 4, column manager: no Employee row with key 'e9'")]
-    assert [row["manager"] for row in cube.table("Employee").rows] == ["e3", "e1", None, "e9"]
+    assert cube.table("Employee").data["manager"] == [2, 0, 4, 4, 4]  # e4's dangling manager at the null slot, as e3's null one
+    (tmp_path / "Employee.csv").write_text("id,name,manager\ne1,Ann,e3\ne2,Bob,e1\ne3,Cid,\ne4,Dan,\n")
+    cube, diags = load_cube(model, tmp_path)
+    assert diags == [] and [row["manager"] for row in cube.table("Employee").rows] == ["e3", "e1", None, None]
     view = cube.view("Sale")
     assert aggregate(view, [m.AttributePath.parse("Employee.name")]).rows == (("Ann", 1.5), ("Bob", 2.6), ("Cid", 3.0))
     assert aggregate(view, [m.AttributePath.parse("Employee.manager")]).rows == ((None, 3.0), ("e1", 2.6), ("e3", 1.5))
@@ -571,7 +554,7 @@ def test_integer_group_keys_sort_by_exact_value(medbuddy, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Dimension-side reads: lazy errors, nulls, predicates, ties and small views
+# A cube whose load reported an error answers no query
 # ---------------------------------------------------------------------------
 
 
@@ -579,107 +562,70 @@ def _path(text):
     return m.AttributePath.parse(text)
 
 
-def test_dangling_second_hop_raises_only_in_a_view_that_reaches_it(medbuddy, tmp_path):
-    data = _package(tmp_path, Patient=lambda text: text.replace("Female,c3", "Female,c404"))  # p3's residence
-    dangling, diags = load_cube(medbuddy, data)
-    assert [d.code for d in diags if d.is_error] == ["ENG004"]
-    tables = oracle.load_tables(medbuddy, data)
-    view = dangling.view(FACT)
-    lisboa = m.Predicate(_path("Patient.residence.name"), m.Literal("Lisboa"))
-    male, female = (m.Predicate(_path("Patient.gender"), m.Literal(gender)) for gender in ("Male", "Female"))
-
-    diced = dice_view(view, (male, lisboa))  # p2 and p4 only
-    expected = oracle.filter_rows(medbuddy, tables, FACT, (male, lisboa))
-    assert [row["id"] for row in diced.rows()] == [row["id"] for row in expected] == ["r05", "r08"]
-    assert [row[0] for row in aggregate(slice_view(view, male), [_path("Patient.residence.name")]).rows] == ["Lisboa", "Porto"]
-    for query in (lambda: dice_view(view, (female, lisboa)), lambda: aggregate(view, [_path("Patient.residence.name")])):
-        with pytest.raises(EngineError) as exc:
-            query()
-        assert exc.value.code == "ENG004" and "City" in str(exc.value) and "'c404'" in str(exc.value)
-
-
-def test_dangling_fact_reference_reads_as_its_key(medbuddy, tmp_path):
-    data = _package(tmp_path, AppointmentRequest=lambda text: text + "r11,i1,p999,s1,t1,,10,,false\n")
-    dangling, _ = load_cube(medbuddy, data)
-    view = dangling.view(FACT)  # 11 rows read through 4 patients
-    result = aggregate(view, [_path("patient")])
-    assert [row[:2] for row in result.rows] == [("p1", 3), ("p2", 2), ("p3", 3), ("p4", 2), ("p999", 1)]
-    assert [row["id"] for row in slice_view(view, m.Predicate(_path("patient"), m.Literal("p999"))).rows()] == ["r11"]
-
-
-def test_unloaded_second_hop_is_eng030_only_for_a_non_null_key(cnlbi_source, tmp_path):
-    residence = "residence refers to Dimension City (NotNull)"
-    assert cnlbi_source.count(residence) == 1
-    model, _ = parse_cnlbi(cnlbi_source.replace(residence, "residence refers to Dimension City"), "nullable_residence.cnlbi")
-    data = _package(tmp_path, Patient=lambda text: text.replace("Female,c3", "Female,"))  # p3 has no residence
-    (data / "City.csv").unlink()
-    cube, diags = load_cube(model, data)
-    assert [d.code for d in diags if d.is_error] == ["ENG001"]
-    view = cube.view(FACT)
-    clara = slice_view(view, m.Predicate(_path("Patient.name"), m.Literal("Clara Nunes")))
-    assert [row[:2] for row in aggregate(clara, [_path("Patient.residence.name")]).rows] == [(None, 3)]
-    assert evaluate_measure(clara, m.Aggregate("MIN", _path("Patient.residence.latitude"))) is None
-    for query in (lambda: aggregate(view, [_path("Patient.residence.name")]),
-                  lambda: slice_view(view, m.Predicate(_path("Patient.residence.name"), m.Literal("Lisboa"))),
-                  lambda: evaluate_measure(view, m.Aggregate("MAX", _path("Patient.residence.latitude")))):
-        with pytest.raises(EngineError) as exc:
-            query()
-        assert exc.value.code == "ENG030" and "City" in str(exc.value)
-
-
-# ---------------------------------------------------------------------------
-# Reference postings: built once per table and reference, never through a bad hop
-# ---------------------------------------------------------------------------
-
-
-def _slice_ids(view, path, value):
-    return [row["id"] for row in slice_view(view, m.Predicate(_path(path), m.Literal(value))).rows()]
-
-
-_EXTRA_FACT = {"AppointmentRequest": lambda text: text + "r11,i1,p999,s1,t1,,10,,false\n"}
-_C404 = {"Patient": lambda text: text.replace("Female,c3", "Female,c404")}
-_BY_CITY = ("Institution.city", "c2", ["r03", "r04", "r05", "r07", "r08", "r10"])
-_BY_GENDER = ("Patient.gender", "Female", ["r01", "r03", "r04", "r06", "r09", "r10"])
-# edits, the table that does not load, the slice (path, value), its outcome (an error code and a name in
-# its message, or the ids it keeps), then a slice that works. Such a cube is not clean, so every slice of
-# it scans and none builds postings.
-BAD_HOPS = {
-    "dangling first hop": (_EXTRA_FACT, None, ("Patient.gender", "Male"), ("ENG004", "'p999'"), _BY_CITY),
-    "dangling later hop": (_C404, None, ("Patient.residence.name", "Lisboa"), ("ENG004", "'c404'"), _BY_GENDER),
-    "unloaded first hop": ({}, "Patient", ("Patient.gender", "Male"), ("ENG030", "Patient"), _BY_CITY),
-    "unloaded later hop": ({}, "City", ("Patient.residence.name", "Lisboa"), ("ENG030", "City"), _BY_GENDER),
-    # a dangling key that no fact row reaches raises nothing: the later hop is read only for the rows kept
-    "dangling later hop no fact reaches": ({"Patient": lambda text: text + "p5,555,50,Eva Lima,Female,c404\n"}, None,
-                                           ("Patient.residence.name", "Lisboa"), ["r01", "r04", "r05", "r08", "r09"],
-                                           _BY_GENDER),
-    # Patient.residence = City.id reads the key a dangling or unloaded hop holds
-    "dangling key hop": (_C404, None, ("Patient.residence", "c404"), ["r03", "r06", "r10"], _BY_CITY),
-    "unloaded key hop": ({}, "City", ("Patient.residence", "c3"), ["r03", "r06", "r10"], _BY_CITY),
+# one package per load error: its edits, the table whose CSV is removed, and the first error the load reports
+LOAD_ERRORS = {
+    "ENG001 missing file": ({}, "Patient", ("ENG001", "no data file for entity Patient")),
+    "ENG001 missing later-hop file": ({}, "City", ("ENG001", "no data file for entity City")),
+    "ENG002 header mismatch": ({"City": lambda text: text.replace("latitude", "lat", 1)}, None,
+                               ("ENG002", "City.csv: header mismatch; expected (id, latitude, longitude, name) got (id, lat, longitude, name)")),
+    "ENG003 bad cell": ({"Patient": lambda text: text.replace(",61,", ",sixty,")}, None,
+                        ("ENG003", "Patient.csv row 2, column age: invalid literal for int() with base 10: 'sixty'")),
+    "ENG003 duplicate primary key": ({"Patient": lambda text: text + "p2,999,70,Rui Dias,Male,c3\n"}, None,
+                                     ("ENG003", "Patient.csv row 5, column id: duplicate primary key 'p2'")),
+    "ENG004 dangling first hop": ({"AppointmentRequest": lambda text: text + "r11,i1,p999,s1,t1,,10,,false\n"}, None,
+                                  ("ENG004", "AppointmentRequest row 11, column patient: no Patient row with key 'p999'")),
+    "ENG004 dangling later hop": ({"Patient": lambda text: text.replace("Female,c3", "Female,c404")}, None,
+                                  ("ENG004", "Patient row 3, column residence: no City row with key 'c404'")),
+    # no fact row reaches p5, so no query would read its residence
+    "ENG004 dangling key no fact reaches": ({"Patient": lambda text: text + "p5,555,50,Eva Lima,Female,c404\n"}, None,
+                                            ("ENG004", "Patient row 5, column residence: no City row with key 'c404'")),
+    # a dangling key in a nullable reference is an error too
+    "ENG004 dangling nullable hop": ({"AppointmentRequest": lambda text: text + "r11,i1,p1,s1,t1,t404,10,,false\n"}, None,
+                                     ("ENG004", "AppointmentRequest row 11, column closed_date: no Time row with key 't404'")),
 }
 
 
-@pytest.mark.parametrize("case", sorted(BAD_HOPS))
-def test_whole_fact_slices_through_a_bad_hop_raise_as_before_and_build_no_postings(medbuddy, tmp_path, case):
-    edits, unloaded, (path, value), outcome, (other_path, other_value, other_ids) = BAD_HOPS[case]
+def _plans(model) -> dict:
+    """A plan of each kind of operation over the fixture's fact; the Pivot swaps Institution and RequestState."""
+    use_case = model.use_case("AnalysisAppointmentsInstitutionOnNationalLevel")
+    plans = {op.kind: operation_plan(model, use_case, op) for op in use_case.operations}
+    plans["Pivot"] = operation_plan(model, use_case, m.OlapOperation(id="CityByState", kind="Pivot", swap=("Institution", "RequestState")))
+    assert sorted(plans) == ["Dice", "DrillDown", "Pivot", "RollUp", "Slice"]
+    return plans
+
+
+@pytest.mark.parametrize("case", sorted(LOAD_ERRORS))
+def test_a_cube_whose_load_reported_an_error_answers_no_query(medbuddy, tmp_path, case):
+    edits, missing, (code, message) = LOAD_ERRORS[case]
     data = _package(tmp_path, **edits)
-    if unloaded:
-        (data / f"{unloaded}.csv").unlink()
-    cube, _ = load_cube(medbuddy, data)
-    assert not cube.clean
-    view = cube.view(FACT)
-    if isinstance(outcome, list):  # the ids kept
-        if path == "Patient.residence":  # the key form, bound as the corpus dice binds it
-            kept = [row["id"] for row in slice_view(view, m.Predicate(_path(path), _path("City.id")), {"id": value}).rows()]
-        else:
-            kept = _slice_ids(view, path, value)
-        assert kept == outcome
-    else:
-        code, name = outcome
+    if missing:
+        (data / f"{missing}.csv").unlink()
+    cube, diags = load_cube(medbuddy, data)
+    assert [d for d in diags if d.is_error][0] == cube.error and (cube.error.code, cube.error.message) == (code, message)
+    bindings = {"year": "2023", "id": "c2"}
+    queries = {kind: partial(run_plan, cube, plan, bindings) for kind, plan in _plans(medbuddy).items()}
+    queries["aggregate"] = lambda: aggregate(cube.view(FACT), [_path("Patient.gender")])
+    queries["slice_view"] = lambda: slice_view(cube.view(FACT), m.Predicate(_path("Patient.gender"), m.Literal("Male")))
+    for name, query in [*queries.items()] * 2:  # a repeat query would build member folds
         with pytest.raises(EngineError) as exc:
-            _slice_ids(view, path, value)
-        assert exc.value.code == code and name in str(exc.value)
-    assert _slice_ids(view, other_path, other_value) == other_ids
-    assert postings_built(cube) == []
+            query()
+        assert (exc.value.code, str(exc.value)) == ("ENG030", f"the data package did not load: {code} {message}"), name
+    assert postings_built(cube) == folds_built(cube) == []
+
+
+def test_a_package_with_warnings_only_answers(medbuddy, cube, tmp_path):
+    data = _package(tmp_path)
+    with (data / "manifest.toml").open("a", encoding="utf-8") as handle:
+        handle.write('Ward = "Ward.csv"\n')
+    warned, diags = load_cube(medbuddy, data)
+    assert [(d.code, d.is_error) for d in diags] == [("ENG001", False)] and warned.error is None
+    for kind, plan in _plans(medbuddy).items():
+        assert run_plan(warned, plan, {"year": "2023", "id": "c2"}) == run_plan(cube, plan, {"year": "2023", "id": "c2"}), kind
+
+
+# ---------------------------------------------------------------------------
+# Reference postings: built once per table and reference
+# ---------------------------------------------------------------------------
 
 
 def _counted_postings(monkeypatch) -> list:
@@ -847,28 +793,6 @@ def test_an_integer_average_past_2_53_is_the_exact_mean(medbuddy, tmp_path):
     assert oracle.eval_measure(medbuddy, tables, FACT, measure, rows) == exact
 
 
-def test_a_failing_hop_raises_from_the_folds_lazily_and_in_leaf_order(medbuddy, cube, tmp_path):
-    # r11 reads a dangling patient (ENG004); every institution reads a city that did not load (ENG030)
-    data = _package(tmp_path, AppointmentRequest=lambda text: text + "r11,i1,p999,s1,t1,,10,,false\n")
-    (data / "City.csv").unlink()
-    broken, _ = load_cube(medbuddy, data)
-    age = m.Aggregate("AVERAGE", _path("Patient.age"))
-    lisboa = m.Aggregate("COUNT", m.Predicate(_path("Patient.residence.name"), m.Literal("Lisboa")))
-    male = m.Aggregate("COUNT", m.Predicate(_path("Patient.gender"), m.Literal("Male")))
-    cities = m.Aggregate("MIN", _path("Institution.city.latitude"))
-    intact = engine._measure_program(cube, FACT, (age, male), 10)(range(10))
-    assert engine._measure_program(broken, FACT, (age, male), 10)(range(10)) == intact == (33.8, 4)
-    assert engine._measure_program(broken, FACT, (age, male, cities, lisboa), 0)([]) == (None, 0, None, 0)
-    dangling, unloaded = ("ENG004", "Patient has no row with key 'p999'"), ("ENG030", "no data loaded for City")
-    for exprs, positions, expected in (((age, male), [0, 10], dangling), ((male, age), [10], dangling),
-                                       ((lisboa,), [0], unloaded), ((age, cities), [10], dangling),
-                                       ((cities, age), [10], unloaded), ((cities, male), [10], unloaded),
-                                       ((lisboa, cities), [10], dangling)):
-        with pytest.raises(EngineError) as exc:
-            engine._measure_program(broken, FACT, exprs, len(positions))(positions)
-        assert (exc.value.code, str(exc.value)) == expected, exprs
-
-
 # ---------------------------------------------------------------------------
 # Order-free by value: equal values print alike, Decimal sums are correctly rounded
 # ---------------------------------------------------------------------------
@@ -949,7 +873,7 @@ def test_tied_values_and_decimal_sums_give_one_answer_and_match_the_oracle(tmp_p
     where the measure has them."""
     model = order_package(tmp_path, case)
     cube, diags = load_cube(model, tmp_path)
-    assert diags == [] and cube.clean
+    assert diags == [] and cube.error is None
     tables = oracle.load_tables(model, tmp_path)
     north = ORDER_CASES[case][2]
     for op, path in (("ByRegion", "Site.region"), ("ByLatitude", "Site.latitude")):
@@ -984,8 +908,14 @@ def test_a_datetime_or_time_column_mixing_naive_and_aware_values_is_eng003(tmp_p
         ("ENG003", "Site.csv row 2, column opened: '2024-01-01T09:00:00+00:00' is offset-aware but the column's first value is offset-naive"),
         ("ENG003", "Site.csv row 2, column shift: '09:00:00' is offset-naive but the column's first value is offset-aware"),
     ]
-    assert cube.table("Site").data["id"] == ["s1", "s3", None]
-    assert run_use_case(cube, "Visits", "ByRegion").rows == (("North", datetime(2024, 1, 1, 10)), ("South", datetime(2023, 12, 31, 8)))
+    sites = cube.table("Site")
+    assert sites.data["id"] == ["s1", "s3", None]
+    assert sites.data["opened"][:2] == [datetime(2024, 1, 1, 10), datetime(2023, 12, 31, 8)]
+    assert [value.tzinfo for value in sites.data["opened"][:2]] == [None, None]
+    assert [value.isoformat() for value in sites.data["shift"][:2]] == ["09:00:00+00:00", "08:00:00+00:00"]
+    with pytest.raises(EngineError) as exc:
+        run_use_case(cube, "Visits", "ByRegion")
+    assert str(exc.value) == f"the data package did not load: ENG003 {diags[0].message}"
 
 
 def test_offset_aware_values_load_at_utc_and_a_time_wraps_past_midnight(tmp_path):
@@ -1000,40 +930,12 @@ def test_offset_aware_values_load_at_utc_and_a_time_wraps_past_midnight(tmp_path
     assert [(d.code, d.message) for d in diags] == [
         ("ENG003", "Site.csv row 3, column opened: '0001-01-01T00:30:00+01:00' lies outside the DateTime range at UTC"),
         ("ENG004", "Visit row 5, column site: no Site row with key 's3'")]
-    assert not cube.clean
+    assert cube.error == diags[0]
     sites = cube.table("Site")
     assert [value.isoformat() for value in sites.data["opened"][:sites.size]] == [
         "2023-12-31T23:30:00.250000+00:00", "2024-01-01T00:00:00+00:00"]
     assert [value.isoformat() for value in sites.data["shift"][:sites.size]] == ["23:30:00+00:00", "00:15:00+00:00"]
     assert repr(sites.data["latitude"][:sites.size]) == "[0.0, 0.0]"
-
-
-def test_a_query_reading_a_dangling_first_hop_raises_at_the_first_in_file_order(medbuddy, tmp_path):
-    """r05 (institution i3) and r08 (i2) hold dangling dates: file order meets
-    'zz' first, the postings of i2 before those of i3 meet 'yy' first."""
-    uc = "AnalysisAppointmentsInstitutionOnNationalLevel"
-    dice = plan_operation(medbuddy, uc, "ScheduledAppointmentsBySpecificCityAndYear")
-    closing = m.Predicate(_path("AppointmentRequest.closed_date.year"), m.Literal(2023))
-    cases = {  # dangling column -> the r05 and r08 edits, and the queries that read it
-        "scheduled_date": ({"r05,i3,p4,s2,t4,": "r05,i3,p4,s2,zz,", "r08,i2,p4,s2,t2,": "r08,i2,p4,s2,yy,"}, {
-            "roll-up": lambda cube: run_use_case(cube, uc, "AppointmentsByInstitutionCity"),
-            # only MIN(scheduled_date) reads the dangling dates
-            "city slice": lambda cube: run_plan(cube, dataclasses.replace(dice, filters=dice.filters[:1]), {"id": "c2"}),
-        }),
-        "closed_date": ({"r05,i3,p4,s2,t4,t4,": "r05,i3,p4,s2,t4,zz,", "r08,i2,p4,s2,t2,t3,": "r08,i2,p4,s2,t2,yy,"}, {
-            # no measure reads closed_date: only the second filter does
-            "city and closing year dice": lambda cube: run_plan(
-                cube, dataclasses.replace(dice, filters=plan_filters(medbuddy, FACT, (CITY_PRED, closing))), {"id": "c2"}),
-        }),
-    }
-    for column, (edits, queries) in cases.items():
-        data = _package(tmp_path / column, AppointmentRequest=partial(re.sub, "|".join(edits), lambda match: edits[match[0]]))
-        cube, diags = load_cube(medbuddy, data)
-        assert [d.code for d in diags] == ["ENG004", "ENG004"], column
-        for name, query in queries.items():
-            with pytest.raises(EngineError) as exc:
-                query(cube)
-            assert (exc.value.code, str(exc.value)) == ("ENG004", "Time has no row with key 'zz'"), name
 
 
 # ---------------------------------------------------------------------------

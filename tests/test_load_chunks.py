@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from bispec import engine
 from bispec import model as m
-from bispec.engine import CHUNK_ROWS, aggregate, load_cube, slice_view
+from bispec.engine import CHUNK_ROWS, aggregate, load_cube
 from conftest import DATA_DIR, load_both_ways
 
 GOLDEN = Path(__file__).parent / "golden" / "load_chunks_diagnostics.json"
@@ -114,18 +114,19 @@ def test_diagnostics_across_chunk_boundaries_match_golden(medbuddy, package):
     assert [[d.code, d.message] for d in diags] == json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
-def test_queries_see_the_first_row_of_a_duplicated_key(medbuddy, package):
-    cube, _ = load_cube(medbuddy, package)
-    view = cube.view("AppointmentRequest")
-    # both Patient rows with key p3 are kept; a reference to p3 reads the first
-    assert sum(row["id"] == "p3" for row in cube.table("Patient").rows) == 2
-    ages = [row[0] for row in aggregate(view, [m.AttributePath.parse("Patient.age")]).rows]
-    assert DUPLICATE_AGE not in ages
-    p3 = slice_view(view, m.Predicate(m.AttributePath.parse("patient"), m.Literal("p3")))
-    first_age = next(row["age"] for row in cube.table("Patient").rows if row["id"] == "p3")
-    assert [row[0] for row in aggregate(p3, [m.AttributePath.parse("Patient.age")]).rows] == [first_age]
+def test_references_reach_the_first_row_of_a_duplicated_key_and_no_query_runs(medbuddy, package):
+    cube, diags = load_cube(medbuddy, package)
+    patients, facts = cube.table("Patient"), cube.table("AppointmentRequest")
+    # both Patient rows with key p3 are kept; every fact reference to p3 holds the first one's position
+    rows = [position for position, key in enumerate(patients.data["id"]) if key == "p3"]
+    assert len(rows) == 2 and patients.data["age"][rows[1]] == DUPLICATE_AGE
+    assert {position for position in facts.data["patient"] if position in rows} == {rows[0]}
+    assert facts.values("patient").count("p3") > 1
     # the duplicated fact key f9 keeps both rows too
-    assert sum(row["id"] == "f9" for row in cube.table("AppointmentRequest").rows) == 2
+    assert facts.data["id"].count("f9") == 2
+    with pytest.raises(engine.EngineError) as exc:
+        aggregate(cube.view("AppointmentRequest"), [m.AttributePath.parse("Patient.age")])
+    assert str(exc.value) == f"the data package did not load: {diags[0].code} {diags[0].message}"
 
 
 def test_split_and_csv_reader_load_the_fixture_and_the_chunk_package_alike(medbuddy, package):
