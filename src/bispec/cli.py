@@ -1,4 +1,9 @@
-"""Command-line surface for batch use: parse, check, convert, gen, olap, fmt."""
+"""Command-line surface for batch use: parse, check, convert, gen, olap, fmt.
+
+Each subcommand imports, when it runs, only the modules it needs: a file's
+parser by its syntax, the emitter of ``convert``'s target, the generators
+for ``gen`` and the engine for ``olap``.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import asl, cnlbi, engine, generators
 from . import model as m
 from .canonical import model_json
 from .diagnostics import Diagnostic, error, has_errors, render_json, render_text, sorted_diagnostics, want_color, warning
@@ -69,7 +73,10 @@ def _parse_files(paths: list[str], syntax: str) -> tuple[m.SpecificationModel, l
         except OSError as exc:
             diags.append(error(unreadable, f"cannot read {name}: {exc.strerror}"))
             continue
-        parse = cnlbi.parse_cnlbi if chosen == "cnlbi" else asl.parse_asl
+        if chosen == "cnlbi":
+            from .cnlbi import parse_cnlbi as parse
+        else:
+            from .asl import parse_asl as parse
         model, file_diags = parse(source, name)
         models.append(model)
         diags.extend(file_diags)
@@ -100,7 +107,10 @@ def cmd_convert(args) -> int:
     if has_errors(diags):
         _emit_diagnostics(diags, args.json)
         return EXIT_DIAGNOSTICS
-    emit = cnlbi.emit_cnlbi if target == "cnlbi" else asl.emit_asl
+    if target == "cnlbi":
+        from .cnlbi import emit_cnlbi as emit
+    else:
+        from .asl import emit_asl as emit
     text, emit_diags = emit(model)
     _emit_diagnostics(diags + emit_diags, args.json)
     sys.stdout.write(text)
@@ -108,6 +118,8 @@ def cmd_convert(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from . import generators
+
     model, diags = _parse_files(args.files, args.syntax)
     report = check_model(model)
     diags = diags + list(report.diagnostics)
@@ -153,6 +165,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_olap(args) -> int:
+    from . import engine
+
     model, diags = _parse_files(args.files, args.syntax)
     report = check_model(model)
     diags = diags + list(report.diagnostics)

@@ -235,12 +235,8 @@ class Cube:
         return self.tables[entity_id]
 
     def view(self, fact_id: str) -> "CubeView":
-        if self.error is not None:
-            raise EngineError("ENG030", f"the data package did not load: {self.error.code} {self.error.message}")
         table = self.tables.get(fact_id)
-        if table is None:
-            raise EngineError("ENG030", f"no data loaded for {fact_id}")
-        return CubeView(self, fact_id, range(table.size))
+        return CubeView(self, fact_id, range(table.size if table is not None else 0))
 
 
 _BOOLEANS = {"true": True, "1": True, "false": False, "0": False}
@@ -264,18 +260,24 @@ def _numeric_text(text: str, decimal: bool) -> bool:
 
 
 def _integer(value: str) -> int:
-    if not _numeric_text(value, False):
-        raise ValueError(f"{value!r} is not an Integer")
-    number = int(value)
+    try:
+        if not _numeric_text(value, False):
+            raise ValueError
+        number = int(value)
+    except ValueError:
+        raise ValueError(f"{value!r} is not an Integer") from None
     if number not in _INT64:
         raise ValueError(f"{value!r} is outside the 64-bit Integer range")
     return number
 
 
 def _decimal(value: str) -> float:
-    if not _numeric_text(value, True):
-        raise ValueError(f"{value!r} is not a Decimal")
-    return float(value) + 0.0  # -0.0 loads as 0.0, as SQLite stores it
+    try:
+        if not _numeric_text(value, True):
+            raise ValueError
+        return float(value) + 0.0  # -0.0 loads as 0.0, as SQLite stores it
+    except ValueError:
+        raise ValueError(f"{value!r} is not a Decimal") from None
 
 
 _PARSERS = {"UUID": str, "String": str, "Integer": _integer, "Decimal": _decimal, "Boolean": _boolean,
@@ -291,18 +293,22 @@ def _coercer(model: m.SpecificationModel, attr_type: m.AttributeType | None):
         parse = _PARSERS[attr_type.name]
         return _one_awareness(parse) if attr_type.name in ("DateTime", "Time") else parse
     enum = model.enumeration(attr_type.name) if kind == "enum" else None
-    if enum is None:
-        return str
+    return str if enum is None else _Enumeration(attr_type.name, enum.values)
 
-    shared = {value: value for value in enum.values}  # every cell of a value holds the enumeration's own object
 
-    def enum_value(value: str) -> str:
-        own = shared.get(value)
+class _Enumeration:
+    """The parser of one enumeration's cells; ``own`` maps each of its values to
+    itself, so every cell of a value holds the enumeration's own object."""
+
+    def __init__(self, name: str, values):
+        self.name = name
+        self.own = dict(zip(values, values))
+
+    def __call__(self, value: str) -> str:
+        own = self.own.get(value)
         if own is None:
-            raise ValueError(f"{value!r} is not a value of enumeration {attr_type.name}")
+            raise ValueError(f"{value!r} is not a value of enumeration {self.name}")
         return own
-
-    return enum_value
 
 
 def _one_awareness(parse):
@@ -497,7 +503,10 @@ def _parse_column(coerce, cells: tuple) -> list:
     then parses with ``int`` or ``float``, and an Integer column checks its range
     once, by its least and greatest value; a Decimal column holding a ``-``
     turns -0.0 into 0.0, as ``_decimal`` does. A Boolean column is looked up in
-    one table, lower-cased. A failed check sends the chunk row by row."""
+    one table, lower-cased, and an enumeration column in its values. Any other
+    column holding an empty cell parses each distinct text once, in the order
+    the texts first occur, so a DateTime column's first value is the file's.
+    A failed check sends the chunk row by row."""
     if coerce in _NUMBERS:
         text = "".join(cells)
         if not _numeric_text(text, coerce is _decimal):
@@ -515,9 +524,20 @@ def _parse_column(coerce, cells: tuple) -> list:
             return list(map(_BOOLEAN_CELLS.__getitem__, map(str.lower, cells)))
         except KeyError:
             raise ValueError("a cell that is no Boolean") from None
-    if "" in cells:
-        return [coerce(raw) if raw else None for raw in cells]
-    return list(cells) if coerce is str else list(map(coerce, cells))
+    if coerce.__class__ is _Enumeration:
+        values = list(map(coerce.own.get, cells))
+        if values.count(None) != cells.count(""):
+            raise ValueError("a cell that is no value of the enumeration")
+        return values
+    if "" not in cells:
+        return list(cells) if coerce is str else list(map(coerce, cells))
+    if coerce is str:
+        return [raw or None for raw in cells]
+    texts = dict.fromkeys(cells)
+    del texts[""]
+    parsed = dict(zip(texts, map(coerce, texts)))
+    parsed[""] = None
+    return list(map(parsed.__getitem__, cells))
 
 
 def _parse_chunk(texts: list | None, records, read: int, where: str, first: int, stored, coercers,
@@ -724,6 +744,14 @@ class CubeView:
     cube: Cube
     fact_id: str
     positions: Sequence[int]
+
+    def __post_init__(self):
+        """Every query passes here, so a cube whose load reported an error answers none."""
+        error = self.cube.error
+        if error is not None:
+            raise EngineError("ENG030", f"the data package did not load: {error.code} {error.message}")
+        if self.fact_id not in self.cube.tables:
+            raise EngineError("ENG030", f"no data loaded for {self.fact_id}")
 
     def rows(self) -> Rows:
         return Rows(self.cube.tables[self.fact_id], self.positions)

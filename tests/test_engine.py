@@ -569,7 +569,7 @@ LOAD_ERRORS = {
     "ENG002 header mismatch": ({"City": lambda text: text.replace("latitude", "lat", 1)}, None,
                                ("ENG002", "City.csv: header mismatch; expected (id, latitude, longitude, name) got (id, lat, longitude, name)")),
     "ENG003 bad cell": ({"Patient": lambda text: text.replace(",61,", ",sixty,")}, None,
-                        ("ENG003", "Patient.csv row 2, column age: invalid literal for int() with base 10: 'sixty'")),
+                        ("ENG003", "Patient.csv row 2, column age: 'sixty' is not an Integer")),
     "ENG003 duplicate primary key": ({"Patient": lambda text: text + "p2,999,70,Rui Dias,Male,c3\n"}, None,
                                      ("ENG003", "Patient.csv row 5, column id: duplicate primary key 'p2'")),
     "ENG004 dangling first hop": ({"AppointmentRequest": lambda text: text + "r11,i1,p999,s1,t1,,10,,false\n"}, None,
@@ -606,11 +606,19 @@ def test_a_cube_whose_load_reported_an_error_answers_no_query(medbuddy, tmp_path
     queries = {kind: partial(run_plan, cube, plan, bindings) for kind, plan in _plans(medbuddy).items()}
     queries["aggregate"] = lambda: aggregate(cube.view(FACT), [_path("Patient.gender")])
     queries["slice_view"] = lambda: slice_view(cube.view(FACT), m.Predicate(_path("Patient.gender"), m.Literal("Male")))
+    queries["CubeView"] = lambda: aggregate(CubeView(cube, FACT, range(10)), [_path("Patient.gender")])  # built directly
     for name, query in [*queries.items()] * 2:  # a repeat query would build member folds
         with pytest.raises(EngineError) as exc:
             query()
         assert (exc.value.code, str(exc.value)) == ("ENG030", f"the data package did not load: {code} {message}"), name
     assert postings_built(cube) == folds_built(cube) == []
+
+
+def test_a_view_of_an_entity_with_no_table_is_eng030(cube):
+    for view in (lambda: cube.view("Ward"), lambda: CubeView(cube, "Ward", [])):
+        with pytest.raises(EngineError) as exc:
+            view()
+        assert (exc.value.code, str(exc.value)) == ("ENG030", "no data loaded for Ward")
 
 
 def test_a_package_with_warnings_only_answers(medbuddy, cube, tmp_path):
