@@ -71,7 +71,7 @@ from operator import add, countOf, eq, floordiv, is_not, itemgetter, mod, mul, s
 from pathlib import Path
 
 from . import model as m
-from .diagnostics import Diagnostic, error, warning
+from .diagnostics import Diagnostic, error, value, warning
 from .plan import (Column, EngineError, Filter, Parameter, Plan, column, executable_measures, measure_program, plan_filters,
                    plan_operation, read_type)
 
@@ -736,7 +736,7 @@ def _bound_value(model: m.SpecificationModel, filt: Filter, bindings: dict):
         raise EngineError("ENG010", f"parameter {param.name!r} expects {attr_type.name}, got {value!r}") from None
 
 
-@dataclass(frozen=True)
+@value
 class CubeView:
     """Read-only slice of a cube: the positions of the fact rows satisfying a
     conjunction, filtered once when the view is made, in file order."""
@@ -1103,7 +1103,7 @@ def _combine_plan(cube: Cube, fact_id: str, refs: tuple, program):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value
 class ResultTable:
     group_keys: tuple[str, ...]
     measure_names: tuple[str, ...]

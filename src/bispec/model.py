@@ -1,21 +1,24 @@
 """Shared abstract model for BI requirements specifications.
 
 Both language frontends produce these values and every downstream stage
-(semantic checks, OLAP engine, generators) consumes them. Model values are
-immutable after construction and safe to share across threads. Source
-locations ride along on ``loc`` fields but never participate in equality.
+(semantic checks, OLAP engine, generators) consumes them. Each model class is
+a value class (``diagnostics.value``): one generated ``__init__`` stores the
+fields and runs the class's checks, and the equality, hashing and assignment
+guard that every value class shares make the values immutable after
+construction and safe to share across threads. Source locations ride along
+on ``loc`` fields, which equality and hashing never compare.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import field, fields, replace
 from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
 
-from .diagnostics import Span
+from .diagnostics import Span, value
 
 # ---------------------------------------------------------------------------
 # Vocabularies
@@ -111,7 +114,7 @@ REQUIRED_CHART_PARTS: dict[str, tuple[tuple[str, int], ...]] = {
     "InteractiveGeographicalMap": (("Latitude", 1), ("Longitude", 1), ("Value", 1)),
 }
 
-_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class ModelError(ValueError):
@@ -123,7 +126,7 @@ class ModelError(ValueError):
 
 
 def is_identifier(text: str) -> bool:
-    return bool(_IDENT_RE.match(text))
+    return _IDENT_RE.fullmatch(text) is not None
 
 
 def _require_identifier(text: str, what: str) -> None:
@@ -169,7 +172,7 @@ def normalize_term(category: str, term: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value
 class AttributePath:
     """Dotted attribute reference with one to three segments.
 
@@ -195,7 +198,7 @@ class AttributePath:
         return cls(tuple(text.split(".")), loc)
 
 
-@dataclass(frozen=True)
+@value
 class AttributeType:
     """Attribute type: primitive, enumeration reference, or dimension reference."""
 
@@ -228,7 +231,7 @@ class AttributeType:
         return cls("dimension", entity_id)
 
 
-@dataclass(frozen=True)
+@value
 class Constraint:
     kind: str
     target: str | None = None  # referenced entity id, ForeignKey only
@@ -248,7 +251,7 @@ class Constraint:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value
 class Literal:
     value: object  # int | float | str | bool
 
@@ -257,7 +260,7 @@ class Literal:
             raise ModelError(f"unsupported literal {self.value!r}")
 
 
-@dataclass(frozen=True)
+@value
 class EnumLiteral:
     enum: str
     value: str
@@ -266,7 +269,7 @@ class EnumLiteral:
         return f"{self.enum}.{self.value}"
 
 
-@dataclass(frozen=True)
+@value
 class Predicate:
     """Equality predicate: left attribute path = literal, enum literal, or free path."""
 
@@ -279,7 +282,7 @@ class Predicate:
             raise ModelError("predicate right side must be a literal, enum literal, or path")
 
 
-@dataclass(frozen=True)
+@value
 class Aggregate:
     fn: str
     arg: object  # AttributePath | Predicate
@@ -293,7 +296,7 @@ class Aggregate:
             raise ModelError("aggregate argument must be an attribute path or predicate")
 
 
-@dataclass(frozen=True)
+@value
 class MeasureRef:
     attribute: str
 
@@ -301,7 +304,7 @@ class MeasureRef:
         _require_identifier(self.attribute, "measure reference")
 
 
-@dataclass(frozen=True)
+@value
 class Arithmetic:
     op: str
     left: object
@@ -315,7 +318,7 @@ class Arithmetic:
                 raise ModelError("arithmetic operands must be aggregates, measure refs, literals, or arithmetic")
 
 
-@dataclass(frozen=True)
+@value
 class OpaqueMeasure:
     """Unparseable measure expression kept as raw text; excluded from execution."""
 
@@ -330,7 +333,7 @@ MeasureExpression = (Aggregate, MeasureRef, Arithmetic, Literal, OpaqueMeasure)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value
 class DataEnumeration:
     id: str
     name: str | None = None
@@ -353,7 +356,7 @@ class DataEnumeration:
         return self.name if self.name is not None else self.id
 
 
-@dataclass(frozen=True)
+@value
 class DataAttribute:
     id: str
     attr_type: AttributeType
@@ -401,7 +404,7 @@ class DataAttribute:
         return self.attr_type.name if self.attr_type.kind == "dimension" else None
 
 
-@dataclass(frozen=True)
+@value
 class DataEntity:
     id: str
     entity_type: str
@@ -453,7 +456,7 @@ class DataEntity:
         return tuple(a for a in self.attributes if a.is_measure)
 
 
-@dataclass(frozen=True)
+@value
 class DataEntityCluster:
     id: str
     entity_type: str
@@ -475,7 +478,7 @@ class DataEntityCluster:
         return self.name if self.name is not None else self.id
 
 
-@dataclass(frozen=True)
+@value
 class Actor:
     id: str
     actor_type: str
@@ -494,7 +497,7 @@ class Actor:
         return self.name if self.name is not None else self.id
 
 
-@dataclass(frozen=True)
+@value
 class OlapOperation:
     id: str
     kind: str
@@ -537,7 +540,7 @@ class OlapOperation:
         return self.swap is None
 
 
-@dataclass(frozen=True)
+@value
 class UseCase:
     id: str
     uc_type: str
@@ -563,7 +566,7 @@ class UseCase:
         return self.name if self.name is not None else self.id
 
 
-@dataclass(frozen=True)
+@value
 class UIPart:
     id: str
     part_kind: str
@@ -580,7 +583,7 @@ class UIPart:
         return self.name if self.name is not None else self.id
 
 
-@dataclass(frozen=True)
+@value
 class NavigationEvent:
     id: str
     event_type: str | None = None
@@ -592,7 +595,7 @@ class NavigationEvent:
         _require_identifier(self.id, "event id")
 
 
-@dataclass(frozen=True)
+@value
 class UIComponent:
     id: str
     component_type: str
@@ -627,7 +630,7 @@ class UIComponent:
         return self.component_subtype if self.component_type == "InteractiveChart" else None
 
 
-@dataclass(frozen=True)
+@value
 class UIContainer:
     id: str
     container_type: str = "MainWindow"
@@ -655,7 +658,7 @@ class UIContainer:
         return None
 
 
-@dataclass(frozen=True)
+@value
 class VocabularyExtension:
     category: str
     id: str
@@ -670,7 +673,7 @@ class VocabularyExtension:
 Hop = tuple[str, str]  # (dimension-reference attribute id, referenced entity id)
 
 
-@dataclass(frozen=True)
+@value
 class SpecificationModel:
     """Root aggregate: the style-independent instance every syntax maps onto."""
 

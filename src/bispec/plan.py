@@ -10,9 +10,8 @@ three cannot disagree about what a path, a predicate or a measure means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import model as m
+from .diagnostics import value
 
 
 class EngineError(Exception):
@@ -77,7 +76,7 @@ def _literal_type(value) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value
 class Column:
     """An attribute read from a fact row by following ``chain``."""
 
@@ -86,7 +85,7 @@ class Column:
     attribute: m.DataAttribute
 
 
-@dataclass(frozen=True)
+@value
 class Parameter:
     """A free path on a where clause's right side, supplied at run time
     (a measure's predicate may not hold one: measures take no bindings).
@@ -104,7 +103,7 @@ class Parameter:
         return self.name if self.name in bindings else self.path if self.path in bindings else None
 
 
-@dataclass(frozen=True)
+@value
 class Filter:
     """``column = value``; ``value`` is a literal or a ``Parameter``."""
 
@@ -240,7 +239,7 @@ def plan_filters(model: m.SpecificationModel, fact_id: str, predicates) -> tuple
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value
 class Leaf:
     """An aggregate the measures share: ``fn`` over a ``Column``, or COUNT of
     the rows where a ``Filter`` holds; ``type`` is its result type."""
@@ -250,7 +249,7 @@ class Leaf:
     type: str
 
 
-@dataclass(frozen=True)
+@value
 class MeasureProgram:
     """Measures lowered onto one leaf per distinct aggregate. Each root, one per
     measure, is a leaf index, an ``m.Literal`` or an ``(op, left, right)``
@@ -348,7 +347,7 @@ def _leaf(model: m.SpecificationModel, fact_id: str, agg: m.Aggregate) -> Leaf:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value
 class Plan:
     """A resolved OLAP operation.
 

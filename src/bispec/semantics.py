@@ -8,16 +8,15 @@ reports the dimensional schema shape.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import model as m
-from .diagnostics import Diagnostic, error, sorted_diagnostics, warning
+from .diagnostics import Diagnostic, error, sorted_diagnostics, value, warning
 from .plan import EngineError, column, executable_measures, measure_program, operation_plan, source_fact
 
 _RESTRICTION_RE = re.compile(r"\bonly\b", re.IGNORECASE)
 
 
-@dataclass(frozen=True)
+@value
 class CheckReport:
     diagnostics: tuple[Diagnostic, ...]
     schema_shape: str

@@ -19,19 +19,26 @@ from pathlib import Path
 from bispec import model as m
 
 
+class ManifestError(ValueError):
+    """A manifest that maps one entity, or one file, on two lines."""
+
+
 def load_tables(model, data_dir):
     data_dir = Path(data_dir)
     mapping = {}
-    for line in (data_dir / "manifest.toml").read_text().splitlines():
+    for line in (data_dir / "manifest.toml").read_text(encoding="utf-8-sig").splitlines():
         key, _, value = line.partition("=")
         key = key.strip()
         if value and not key.startswith("#"):  # a '#' after the quoted file name starts a comment
-            mapping[key] = value.strip()[1:].split('"', 1)[0]
+            name = value.strip()[1:].split('"', 1)[0]
+            if key in mapping or name in mapping.values():
+                raise ManifestError(f"{key} = {name!r} maps an entity or a file a second time")
+            mapping[key] = name
 
     tables = {}
     for entity in model.entities:
         rows = []
-        with (data_dir / mapping[entity.id]).open(newline="") as handle:
+        with (data_dir / mapping[entity.id]).open(encoding="utf-8-sig", newline="") as handle:
             for record in csv.DictReader(handle):
                 row = {}
                 for attr in entity.attributes:

@@ -114,6 +114,8 @@ def test_a_second_manifest_line_for_an_entity_or_a_file_is_eng001(medbuddy, tmp_
         handle.write(line + "\n")
     cube, diags = load_cube(medbuddy, data)
     assert [(d.code, d.is_error, d.message) for d in diags] == [("ENG001", True, message)] and cube.error == diags[0]
+    with pytest.raises(oracle.ManifestError):  # the oracle refuses it too, by its own reading
+        oracle.load_tables(medbuddy, data)
 
 
 @pytest.mark.parametrize("chunk_rows", [2, engine.CHUNK_ROWS])
@@ -172,9 +174,12 @@ def test_utf8_bom_on_a_header_is_ignored(medbuddy, tmp_path):
     for name in DATA_DIR.iterdir():
         (tmp_path / name.name).write_text(name.read_text())
     (tmp_path / "City.csv").write_text("\ufeff" + (DATA_DIR / "City.csv").read_text(), encoding="utf-8")
+    mappings = (DATA_DIR / "manifest.toml").read_text().partition("\n")[2]  # a mapping on the marked first line
+    (tmp_path / "manifest.toml").write_text("\ufeff" + mappings, encoding="utf-8")
     cube, diags = load_cube(medbuddy, tmp_path)
     assert not any(d.is_error for d in diags), [f"{d.code} {d.message}" for d in diags]
     assert [row["id"] for row in cube.table("City").rows] == ["c1", "c2", "c3"]
+    assert oracle.load_tables(medbuddy, tmp_path) == oracle.load_tables(medbuddy, DATA_DIR)
 
 
 def test_empty_fact_csv_is_a_valid_cube(medbuddy, tmp_path):

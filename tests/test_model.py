@@ -1,6 +1,11 @@
+import dataclasses
+import inspect
+
 import pytest
 
+from bispec import diagnostics, engine, plan, semantics
 from bispec import model as m
+from bispec.diagnostics import Span
 
 
 def attr(attr_id, type_name="Integer", **kwargs):
@@ -135,8 +140,100 @@ def test_model_values_are_immutable():
 
 
 def test_loc_does_not_affect_equality():
-    from bispec.diagnostics import Span
-
     plain = m.Actor(id="A", actor_type="User")
     located = m.Actor(id="A", actor_type="User", loc=Span("f", 1, 1, 0, 5))
     assert plain == located
+
+
+@pytest.mark.parametrize("build", [
+    lambda: m.DataEntity(id="P\n", entity_type="Master", attributes=(pk(),)),
+    lambda: m.AttributePath.parse("Patient.id\n"),
+    lambda: m.Actor(id="A\n", actor_type="User"),
+], ids=["entity id", "attribute path", "actor id"])
+def test_an_identifier_ends_at_its_last_word_character(build):
+    assert not m.is_identifier("A\n") and m.is_identifier("A_1")
+    with pytest.raises(m.ModelError):
+        build()
+
+
+# ---------------------------------------------------------------------------
+# The value-class contract, on the values the pipeline really makes
+# ---------------------------------------------------------------------------
+
+VALUE_CLASSES = sorted(
+    (cls for module in (diagnostics, m, plan, engine, semantics) for _, cls in inspect.getmembers(module, inspect.isclass)
+     if cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls) and cls.__setattr__ is not object.__setattr__),
+    key=lambda cls: cls.__qualname__,
+)
+
+
+def _reached(*roots) -> list:
+    """Every value-class instance reachable from ``roots`` through fields,
+    tuples and frozensets, each object once."""
+    found, seen, stack = [], set(), list(roots)
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if type(item) in VALUE_CLASSES:
+            found.append(item)
+            stack += [getattr(item, f.name) for f in dataclasses.fields(item)]
+        elif isinstance(item, (tuple, frozenset)):
+            stack += item
+    return found
+
+
+@pytest.fixture(scope="module")
+def values(medbuddy, medbuddy_asl, cube):
+    """Values of the corpus models, a planned operation with its measure
+    program, a check report with located diagnostics, and query results;
+    the corpus holds no literal and no unparsed measure, so two are added."""
+    use_case, slice_op = "AnalysisAppointmentsInstitutionOnNationalLevel", "ScheduledAppointmentsInSpecificYear"
+    planned = plan.plan_operation(medbuddy, use_case, slice_op)
+    program = plan.measure_program(medbuddy, planned.fact.id, [a.measure for a in planned.measures])
+    broken = dataclasses.replace(medbuddy, actors=medbuddy.actors[:1] * 2)  # a duplicate id: a located diagnostic
+    results = [engine.run_use_case(cube, use_case, op.id, {"year": 2023, "id": "c1"}) for op in medbuddy.use_case(use_case).operations]
+    view = cube.view(planned.fact.id)
+    extra = m.Literal(2023), m.OpaqueMeasure("SUM(")
+    return _reached(medbuddy, medbuddy_asl, planned, program, semantics.check_model(broken), view, *results, *extra)
+
+
+def test_the_pipeline_reaches_every_value_class(values):
+    assert len(VALUE_CLASSES) == 34
+    assert sorted({type(v) for v in values}, key=lambda cls: cls.__qualname__) == VALUE_CLASSES
+
+
+def test_value_equality_hashing_and_replace(values):
+    elsewhere = Span("elsewhere.cnlbi", 99, 9, 0, 1)
+    for value in values:
+        fields = dataclasses.fields(value)
+        copy = dataclasses.replace(value)
+        moved = dataclasses.replace(value, loc=elsewhere) if "loc" in value.__dataclass_fields__ else copy
+        assert copy == value == moved and copy is not value and not copy != value
+        assert value.__eq__(object()) is NotImplemented
+        assert [f.name for f in fields if not f.compare] == [f.name for f in fields if f.name == "loc"]
+        if not isinstance(value, engine.CubeView):  # its Cube is mutable, so unhashable
+            compared = tuple(getattr(value, f.name) for f in fields if f.compare)
+            assert hash(copy) == hash(moved) == hash(value) == hash(compared)
+
+
+def test_value_fields_can_be_neither_assigned_nor_deleted(values):
+    for value in values:
+        for f in dataclasses.fields(value):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{f.name}'"):
+                setattr(value, f.name, None)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{f.name}'"):
+                delattr(value, f.name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            value.extra = 1
+
+
+def test_value_repr_names_its_shown_fields(values):
+    for value in values:
+        shown = ", ".join(f"{f.name}={getattr(value, f.name)!r}" for f in dataclasses.fields(value) if f.repr)
+        assert repr(value) == f"{type(value).__qualname__}({shown})"
+    path = m.AttributePath(("Patient", "id"), Span("f.cnlbi", 1, 2, 3, 4))
+    assert repr(path) == "AttributePath(segments=('Patient', 'id'))"
+    assert repr(m.Constraint("ForeignKey", "City")) == "Constraint(kind='ForeignKey', target='City')"
+    assert hash(path) == hash((("Patient", "id"),)) and hash(m.MeasureRef("x")) == hash(("x",))
