@@ -442,6 +442,25 @@ def test_model_json_matches_golden(capsys, corpus):
     assert out.encode("utf-8") == (GOLDEN / "model" / f"{corpus.name}.json").read_bytes()
 
 
+# stdout and stderr of `convert` and `fmt` on each corpus file, run from the
+# repository root. Rewrite one with e.g.
+# `PYTHONPATH=src python -m bispec.cli fmt corpus/medbuddy.asl > tests/golden/emit/medbuddy.asl.fmt.stdout
+#  2> tests/golden/emit/medbuddy.asl.fmt.stderr`, only when a change of what the emitters write is meant.
+EMIT_COMMANDS = {"convert-asl": ("convert", "--to", "asl"), "convert-cnlbi": ("convert", "--to", "cnlbi"), "fmt": ("fmt",)}
+
+
+@pytest.mark.parametrize("command", EMIT_COMMANDS)
+@pytest.mark.parametrize("corpus", CORPUS_FILES, ids=lambda path: path.name)
+def test_convert_and_fmt_output_matches_golden(capsys, monkeypatch, corpus, command):
+    monkeypatch.chdir(corpus.parent.parent)
+    verb, *options = EMIT_COMMANDS[command]
+    code, out, err = run(capsys, verb, f"corpus/{corpus.name}", *options)
+    assert code == 0
+    stem = GOLDEN / "emit" / f"{corpus.name}.{command}"
+    assert out.encode("utf-8") == Path(f"{stem}.stdout").read_bytes()
+    assert err.encode("utf-8") == Path(f"{stem}.stderr").read_bytes()
+
+
 def test_a_hash_inside_a_quoted_manifest_file_name_is_part_of_the_name(capsys, tmp_path):
     data = tmp_path / "data"
     data.mkdir()
