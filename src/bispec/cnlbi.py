@@ -773,23 +773,33 @@ def _attribute_text(attr: m.DataAttribute, warnings: list[Diagnostic], entity_id
     return head
 
 
+def _punctuated(lines: list[str], between: str, end: str) -> list[str]:
+    """``lines`` with ``between`` after each clause line but the last and ``end``
+    after the last. A ``//`` comment line takes none, so it follows them."""
+    last = max(i for i, line in enumerate(lines) if not _is_comment(line))
+    return [line if _is_comment(line) else line + (end if i == last else between) for i, line in enumerate(lines)]
+
+
+def _is_comment(line: str) -> bool:
+    return line.lstrip().startswith("//")
+
+
 def _emit_operation(out: list[str], op: m.OlapOperation, warnings: list[Diagnostic], last: bool) -> None:
     kind_word = _KIND_WORDS[op.kind]
-    out.append(f"    OLAP Operation {op.id}{_opt_paren_name(op)} is {_article(kind_word)} {kind_word}")
+    lines = [f"    OLAP Operation {op.id}{_opt_paren_name(op)} is {_article(kind_word)} {kind_word}"]
     if op.where_clauses:
         rendered = " and ".join(mx.predicate_text(p) for p in op.where_clauses)
-        out.append(f"      where {rendered}")
+        lines.append(f"      where {rendered}")
     if op.group_by is not None:
-        out.append(f"      group by {op.group_by}")
+        lines.append(f"      group by {op.group_by}")
     if op.swap is not None:
-        out.append(f"      swap {op.swap[0]} with {op.swap[1]}")
+        lines.append(f"      swap {op.swap[0]} with {op.swap[1]}")
     if op.touched_dimensions:
-        out.append(f"      // touched dimensions: {', '.join(op.touched_dimensions)}")
+        lines.append(f"      // touched dimensions: {', '.join(op.touched_dimensions)}")
         warnings.append(warning("CNL030", f"touched dimensions of operation {op.id} have no CNL-BI syntax"))
     if op.description is not None:
-        out.append(f"      {_described('operation', op, warnings, _OP_DESCRIPTION_STOPS)}{'' if last else ','}")
-    elif not last:
-        out[-1] += ","
+        lines.append(f"      {_described('operation', op, warnings, _OP_DESCRIPTION_STOPS)}")
+    out.extend(_punctuated(lines, "", "" if last else ","))
 
 
 def _emit_component(out, comp: m.UIComponent, warnings, note, last: bool) -> None:
@@ -847,5 +857,4 @@ def _emit_component(out, comp: m.UIComponent, warnings, note, last: bool) -> Non
     if comp.description is not None:
         lines.append(f"  {_described('component', comp, warnings)}")
 
-    body = ",\n".join(line for line in lines)
-    out.append(body + ("." if last else ","))
+    out.extend(_punctuated(lines, ",", "." if last else ","))

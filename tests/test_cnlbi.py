@@ -199,6 +199,53 @@ def test_unrepresentable_constructs_become_comments(medbuddy_asl):
     assert not errors(diags)
 
 
+def test_clause_punctuation_precedes_the_comments_that_follow_a_clause():
+    path = m.AttributePath(("Item", "id"))
+    model = m.SpecificationModel(
+        entities=(m.DataEntity("Item", "Master", (m.DataAttribute("id", m.AttributeType.primitive("UUID")),), sub_type="Dimension"),),
+        actors=(m.Actor("Analyst", "User"),),
+        use_cases=(m.UseCase("Look", "BIAnalysis", "Analyst", operations=(
+            m.OlapOperation("Up", "RollUp", group_by=path, touched_dimensions=("Item", "Time")),
+            m.OlapOperation("Down", "DrillDown", group_by=path),
+        )),),
+        ui_containers=(m.UIContainer("Page", components=(
+            m.UIComponent("Grid", "List", component_subtype="Table", parts=(m.UIPart("id", "Column", path),)),
+            m.UIComponent("Info", "Card", data_binding="Item", tags=(("colour", "red"),)),
+        )),),
+    )
+    text, warnings = emit_cnlbi(model)
+    assert text == (
+        "DataEntity Item is a Master Dimension with attributes\n"
+        "  id is a UUID.\n"
+        "\n"
+        "Actor Analyst is a User.\n"
+        "\n"
+        "UseCase Look is a BIAnalysis\n"
+        "  actor Analyst,\n"
+        "  performs\n"
+        "    OLAP Operation Up is a Roll-up\n"
+        "      group by Item.id,\n"
+        "      // touched dimensions: Item, Time\n"
+        "    OLAP Operation Down is a Drill-down\n"
+        "      group by Item.id\n"
+        "\n"
+        "UIContainer Page is a Main Window\n"
+        "that contains\n"
+        "UIComponent Grid is a Table,\n"
+        "  with columns Item.id,\n"
+        "UIComponent Info is a Card,\n"
+        "  data binding to Item.\n"
+        "  // tag colour = red\n"
+    )
+    assert [w.code for w in warnings] == ["CNL030", "CNL030"]
+    back, diags = parse_cnlbi(text, "back.cnlbi")
+    assert not errors(diags)
+    assert canonicalize(back.data_subset()) == canonicalize(model.data_subset())
+    operations = back.use_case("Look").operations
+    assert [(op.id, op.group_by) for op in operations] == [("Up", path), ("Down", path)]
+    assert [comp.id for comp in back.ui_containers[0].components] == ["Grid", "Info"]
+
+
 NATIONAL = "Analysis_Appointments_National_Level"
 NATIONAL_DESCRIPTION = 'description "Displays the appointment data by institution at a national level"'
 
