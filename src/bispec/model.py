@@ -20,6 +20,8 @@ from types import MappingProxyType
 
 from .diagnostics import Span, value
 
+_IMPORTED = frozenset(dir())  # left out of __all__, which lists what this module defines
+
 # ---------------------------------------------------------------------------
 # Vocabularies
 #
@@ -891,4 +893,4 @@ def merge_models(models: list[SpecificationModel]) -> SpecificationModel:
     return normalize_enum_literals(merged)
 
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_") and name not in _IMPORTED]

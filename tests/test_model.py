@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -237,3 +239,18 @@ def test_value_repr_names_its_shown_fields(values):
     assert repr(path) == "AttributePath(segments=('Patient', 'id'))"
     assert repr(m.Constraint("ForeignKey", "City")) == "Constraint(kind='ForeignKey', target='City')"
     assert hash(path) == hash((("Patient", "id"),)) and hash(m.MeasureRef("x")) == hash(("x",))
+
+
+def test_all_lists_only_what_the_model_module_defines():
+    tree = ast.parse(Path(inspect.getsourcefile(m)).read_text(encoding="utf-8"))
+    bound = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    bound |= {
+        target.id
+        for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target]) if isinstance(target, ast.Name)
+    }
+    assert set(m.__all__) <= bound
+    assert {"DataEntity", "SpecificationModel", "merge_models", "PRIMITIVE_TYPES"} <= set(m.__all__)
+    namespace = {}
+    exec("from bispec.model import *", namespace)
+    assert "re" not in namespace and "field" not in namespace and "DataEntity" in namespace
