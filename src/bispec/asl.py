@@ -8,12 +8,14 @@ representable, so emit is lossless.
 
 Each construct's bracketed body is a list of keyword clauses. One loop,
 ``_Parser.body``, reads every body; the construct's clause table, built
-once below the parser, maps each keyword to the reader of its clause.
+once below the parser, maps each keyword to the reader of its clause and
+the writer that emits it, and the emitter writes each body by one loop
+over the same table, in table order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from types import SimpleNamespace
 
 from . import measure as mx
@@ -68,35 +70,6 @@ def _tag_expression(text: str, at: Span) -> object | None:
     return expr if cur.at_eof() else None
 
 
-@dataclass
-class _RawAttribute:
-    id: str
-    name: str | None
-    attr_type: m.AttributeType | None  # None while a _Dimension awaits its ForeignKey
-    is_dimension_typed: bool
-    length: int | None
-    constraints: list[m.Constraint]
-    default: m.Literal | None
-    raw_measure: object | None
-    expression_tag: tuple[str, Span] | None
-    loc: Span
-
-
-@dataclass
-class _RawComponent:
-    id: str
-    name: str | None
-    component_type: str
-    component_subtype: str | None
-    data_binding: str | None
-    parts: list[m.UIPart]
-    actions: set[str]
-    nav_candidates: list[str]
-    tags: list[tuple[str, str]]
-    description: str | None
-    loc: Span
-
-
 def parse_asl(source: str, file: str = "<asl>") -> tuple[m.SpecificationModel, list[Diagnostic]]:
     return _Parser(source, file).parse()
 
@@ -108,8 +81,8 @@ class _Parser(Parser):
         super().__init__(*tokenize(source, file=file, code_prefix="ASL", block_comments=True))
         self.registered: dict[str, set[str]] = {cat: set() for cat in m.EXTENSION_CATEGORIES}
         self.model_extensions: list[m.VocabularyExtension] = []
-        self.components: dict[str, _RawComponent] = {}
-        self.component_order: list[str] = []
+        # Component id -> (the component's model fields but its navigation target, the targets its events name).
+        self.components: dict[str, tuple[dict, list[str]]] = {}
 
     # -- plumbing ----------------------------------------------------------
 
@@ -172,9 +145,9 @@ class _Parser(Parser):
 
     def body(self, what: str, at: Token, clauses: dict) -> Clauses:
         """``[ clause* ]``: each clause opens with a keyword of ``clauses``; the
-        keyword is consumed and its reader called with the parser, the keyword
-        and ``at``. ASL011 at ``at`` when the input ends first; a token that
-        opens no clause is reported (ASL010) and skipped."""
+        keyword is consumed and the reader of its entry called with the parser,
+        the keyword and ``at``. ASL011 at ``at`` when the input ends first; a
+        token that opens no clause is reported (ASL010) and skipped."""
         self.expect_punct("[")
         found = Clauses()
         cur = self.cur
@@ -182,11 +155,11 @@ class _Parser(Parser):
             if cur.at_eof():
                 raise self.fail("ASL011", f"unbalanced bracket in {what} body", at.span)
             tok = cur.next()
-            reader = clauses.get(tok.text)
-            if reader is None:
+            entry = clauses.get(tok.text)
+            if entry is None:
                 self.diags.append(error("ASL010", f"unexpected token {tok.text!r} in {what} body", tok.span))
             else:
-                found.setdefault(tok.text, []).append(reader(self, tok, at))
+                found.setdefault(tok.text, []).append(entry[0](self, tok, at))
         cur.next()
         return found
 
@@ -265,17 +238,17 @@ class _Parser(Parser):
             loc=start.span,
         )
 
-    def attribute(self) -> _RawAttribute:
+    def attribute(self) -> tuple[dict, object | None, tuple[str, Span] | None]:
+        """The attribute's model fields but its measure, its type None while a
+        ``_Dimension`` awaits its ForeignKey; its formula; its expression tag."""
         ident, name = self.named("an attribute id")
         attr_type: m.AttributeType | None = None
-        is_dimension = False
         length = None
         type_tok = self.cur.next()
         if type_tok.text == "DataEnumeration":
             attr_type = m.AttributeType.enum(self.ident("an enumeration id").text)
         elif type_tok.text == "_Dimension":
             self.term("DataAttributeType", type_tok)
-            is_dimension = True
         else:
             term = self.term("DataAttributeType", type_tok)
             if term in m.PRIMITIVE_TYPES:
@@ -291,18 +264,11 @@ class _Parser(Parser):
 
         body = self.body("attribute", ident, _ATTRIBUTE) if self.cur.at_punct("[") else Clauses()
         expressions = [(value, span) for tag, value, span in body.get("tag", ()) if tag == "expression"]
-        return _RawAttribute(
-            ident.text,
-            name,
-            attr_type,
-            is_dimension,
-            length,
-            body.joined("constraints"),
-            body.last("defaultValue"),
-            body.last("formula"),
-            expressions[-1] if expressions else None,
-            ident.span,
+        fields = dict(
+            id=ident.text, attr_type=attr_type, name=name, default_value=body.last("defaultValue"),
+            constraints=body.joined("constraints"), loc=ident.span,
         )
+        return fields, body.last("formula"), expressions[-1] if expressions else None
 
     def _constraints(self) -> list[m.Constraint]:
         self.expect_punct("(")
@@ -342,28 +308,26 @@ class _Parser(Parser):
             return m.Literal(tok.text.lower() == "true")
         raise self.fail("ASL010", f"expected a literal, found {tok.text!r}", tok.span)
 
-    def _finish_attributes(self, raw_attrs: list[_RawAttribute]) -> tuple[m.DataAttribute, ...]:
-        has_measure = {
-            a.id for a in raw_attrs if a.raw_measure is not None or a.expression_tag is not None
-        }
+    def _finish_attributes(self, raw_attrs: list[tuple]) -> tuple[m.DataAttribute, ...]:
+        has_measure = {fields["id"] for fields, formula, tag in raw_attrs if formula is not None or tag is not None}
         out: list[m.DataAttribute] = []
-        for raw in raw_attrs:
-            constraints = list(raw.constraints)
-            attr_type = raw.attr_type
-            if raw.is_dimension_typed:
+        for fields, formula, tag in raw_attrs:
+            constraints = fields["constraints"]
+            if fields["attr_type"] is None:
                 fk = next((c for c in constraints if c.kind == "ForeignKey"), None)
                 if fk is None:
                     self.diags.append(
-                        error("ASL012", f"dimension attribute {raw.id} needs a ForeignKey constraint", raw.loc)
+                        error("ASL012", f"dimension attribute {fields['id']} needs a ForeignKey constraint", fields["loc"])
                     )
-                    attr_type = m.AttributeType.primitive("String")
+                    fields["attr_type"] = m.AttributeType.primitive("String")
                 else:
                     constraints.remove(fk)
-                    attr_type = m.AttributeType.dimension(fk.target)
+                    fields["attr_type"] = m.AttributeType.dimension(fk.target)
+            fields["constraints"] = frozenset(constraints)
 
             measure = None
-            if raw.expression_tag is not None:
-                text, tag_span = raw.expression_tag
+            if tag is not None:
+                text, tag_span = tag
                 parsed = _tag_expression(text, tag_span)
                 if parsed is None:
                     self.diags.append(
@@ -378,26 +342,16 @@ class _Parser(Parser):
                             warning("ASL022", f"unresolvable expression {text!r}; measure kept as opaque", tag_span)
                         )
                         measure = m.OpaqueMeasure(text)
-            elif raw.raw_measure is not None:
+            elif formula is not None:
                 try:
-                    measure = mx.resolve_names(raw.raw_measure, has_measure)
+                    measure = mx.resolve_names(formula, has_measure)
                 except mx.ExprSyntaxError as exc:
-                    self.diags.append(error("ASL010", f"malformed formula: {exc}", exc.span or raw.loc))
+                    self.diags.append(error("ASL010", f"malformed formula: {exc}", exc.span or fields["loc"]))
 
             try:
-                out.append(
-                    m.DataAttribute(
-                        id=raw.id,
-                        attr_type=attr_type,
-                        name=raw.name,
-                        default_value=raw.default,
-                        measure=measure,
-                        constraints=frozenset(constraints),
-                        loc=raw.loc,
-                    )
-                )
+                out.append(m.DataAttribute(**fields, measure=measure))
             except m.ModelError as exc:
-                self.diags.append(error("ASL010", str(exc), raw.loc))
+                self.diags.append(error("ASL010", str(exc), fields["loc"]))
         return tuple(out)
 
     def cluster(self) -> m.DataEntityCluster:
@@ -409,7 +363,9 @@ class _Parser(Parser):
         if main is None:
             raise self.fail("ASL010", f"cluster {ident.text} declares no main entity", ident.span)
         uses = tuple(body.joined("uses"))
-        return self.build(ident, m.DataEntityCluster, ident.text, entity_type, main, uses, name, body.last("description"), start.span)
+        return self.build(
+            ident, m.DataEntityCluster, ident.text, entity_type, main, uses, name, body.last("description"), start.span
+        )
 
     # -- actors and use cases ----------------------------------------------
 
@@ -474,54 +430,16 @@ class _Parser(Parser):
 
     def _structured_action(self, op_id: str, kind: str, text: str, span: Span) -> m.OlapOperation:
         cur = _tag_cursor(text, span)
-        name = description = None
-        where: list[m.Predicate] = []
-        group_by = None
-        swap = None
-        touched: tuple[str, ...] = ()
-        def expect_string(what: str) -> str:
-            if cur.peek().kind is not TokenKind.STRING:
-                raise mx.ExprSyntaxError(f"expected a string after {what}", span)
-            return str(cur.next().value)
-
+        fields: dict[str, object] = {}
         while not cur.at_eof():
             cur.eat_punct(";")
-            if cur.eat_word("name"):
-                name = expect_string("name")
-            elif cur.eat_word("where"):
-                where.append(mx.parse_predicate(cur))
-                while cur.eat_word("and"):
-                    where.append(mx.parse_predicate(cur))
-            elif cur.eat_word("group"):
-                if not cur.eat_word("by"):
-                    raise mx.ExprSyntaxError("expected 'by' after group", span)
-                group_by = mx.parse_path(cur)
-            elif cur.eat_word("swap"):
-                first = cur.next().text
-                if not cur.eat_word("with"):
-                    raise mx.ExprSyntaxError("expected 'with' in swap clause", span)
-                swap = (first, cur.next().text)
-            elif cur.eat_word("dimensions"):
-                dims = [cur.next().text]
-                while cur.eat_punct(","):
-                    dims.append(cur.next().text)
-                touched = tuple(dims)
-            elif cur.eat_word("description"):
-                description = expect_string("description")
-            else:
+            tok = cur.eat_word(*_ACTION_TAG)
+            if tok is None:
                 raise mx.ExprSyntaxError(f"unexpected token {cur.peek().text!r} in tag value", span)
-        return m.OlapOperation(
-            id=op_id,
-            kind=kind,
-            name=name,
-            where_clauses=tuple(where),
-            group_by=group_by,
-            swap=swap,
-            touched_dimensions=touched,
-            description=description,
-            loc=span,
-        )
-
+            field, read, _ = _ACTION_TAG[tok.text]
+            value = read(cur, span)
+            fields[field] = fields.get(field, ()) + value if field == "where_clauses" else value  # where clauses add up
+        return m.OlapOperation(id=op_id, kind=kind, **fields, loc=span)
 
     # -- user interface ----------------------------------------------------
 
@@ -532,24 +450,21 @@ class _Parser(Parser):
         comp_subtype = self.term("UIComponentSubType", self.cur.next()) if self.cur.eat_punct(":") else None
         body = self.body("component", start, _COMPONENT)
         events = body.get("event", ())
-        raw = _RawComponent(
-            ident.text,
-            name,
-            comp_type,
-            comp_subtype,
-            body.last("dataBinding"),
-            [part for part in body.get("part", ()) if part is not None],
-            {action for action, _ in events if action is not None},
-            [target for _, target in events if target is not None],
-            body.get("tag", []),
-            body.last("description"),
-            start.span,
-        )
-        if raw.id in self.components:
-            self.diags.append(error("ASL010", f"duplicate component declaration {raw.id!r}", ident.span))
+        if ident.text in self.components:
+            self.diags.append(error("ASL010", f"duplicate component declaration {ident.text!r}", ident.span))
             return
-        self.components[raw.id] = raw
-        self.component_order.append(raw.id)
+        self.components[ident.text] = dict(
+            id=ident.text,
+            component_type=comp_type,
+            name=name,
+            component_subtype=comp_subtype,
+            data_binding=body.last("dataBinding"),
+            parts=tuple(part for part in body.get("part", ()) if part is not None),
+            actions=frozenset(action for action, _ in events if action is not None),
+            tags=tuple(body.get("tag", ())),
+            description=body.last("description"),
+            loc=start.span,
+        ), [target for _, target in events if target is not None]
 
     def part(self) -> m.UIPart | None:
         ident, name = self.named("a part id")
@@ -617,31 +532,18 @@ class _Parser(Parser):
 
     def _finalize_containers(self, raw_containers) -> list[m.UIContainer]:
         container_ids = {container.id for container, _ in raw_containers}
-        built: dict[str, m.UIComponent] = {}
-        referenced: set[str] = set()
+        built: dict[str, m.UIComponent] = {}  # the components some container references
 
         def build(comp_id: str) -> m.UIComponent | None:
-            raw = self.components.get(comp_id)
-            if raw is None:
+            if comp_id not in self.components:
                 return None
             if comp_id not in built:
-                navigates_to = next((t for t in raw.nav_candidates if t in container_ids), None)
+                fields, targets = self.components[comp_id]
+                navigates_to = next((t for t in targets if t in container_ids), None)
                 try:
-                    built[comp_id] = m.UIComponent(
-                        id=raw.id,
-                        component_type=raw.component_type,
-                        name=raw.name,
-                        component_subtype=raw.component_subtype,
-                        data_binding=raw.data_binding,
-                        parts=tuple(raw.parts),
-                        actions=frozenset(raw.actions),
-                        navigates_to=navigates_to,
-                        tags=tuple(raw.tags),
-                        description=raw.description,
-                        loc=raw.loc,
-                    )
+                    built[comp_id] = m.UIComponent(**fields, navigates_to=navigates_to)
                 except m.ModelError as exc:
-                    self.diags.append(error("ASL010", str(exc), raw.loc))
+                    self.diags.append(error("ASL010", str(exc), fields["loc"]))
                     return None
             return built[comp_id]
 
@@ -655,15 +557,13 @@ class _Parser(Parser):
                         error("ASL020", f"container {container.id} references unknown component {ref!r}", container.loc)
                     )
                     continue
-                referenced.add(ref)
                 components.append(comp)
             containers.append(replace(container, components=tuple(components)))
 
-        for comp_id in self.component_order:
-            if comp_id not in referenced:
-                self.diags.append(
-                    warning("ASL023", f"component {comp_id} is referenced by no container; dropped", self.components[comp_id].loc)
-                )
+        for comp_id, (fields, _) in self.components.items():
+            if comp_id not in built:
+                message = f"component {comp_id} is referenced by no container; dropped"
+                self.diags.append(warning("ASL023", message, fields["loc"]))
         return containers
 
 
@@ -701,37 +601,204 @@ def _dropped_tag(owner: str, kept: str | None = None):
     return read
 
 
-_DESCRIPTION = {"description": lambda p, tok, at: p.string("description")}
-_ENTITY = {"attribute": lambda p, tok, at: p.attribute(), **_DESCRIPTION}
-_ATTRIBUTE = {
-    "constraints": lambda p, tok, at: p._constraints(),
-    "formula": lambda p, tok, at: p._formula(tok),
-    "tag": _dropped_tag("attribute", "expression"),
-    "defaultValue": lambda p, tok, at: p._literal(),
+# Readers of the clauses of a BI-Action tag value, called as reader(cursor, at).
+
+
+def _tag_string(what: str):
+    def read(cur: Cursor, at: Span) -> str:
+        if cur.peek().kind is not TokenKind.STRING:
+            raise mx.ExprSyntaxError(f"expected a string after {what}", at)
+        return str(cur.next().value)
+
+    return read
+
+
+def _tag_predicates(cur: Cursor, at: Span) -> tuple[m.Predicate, ...]:
+    where = [mx.parse_predicate(cur)]
+    while cur.eat_word("and"):
+        where.append(mx.parse_predicate(cur))
+    return tuple(where)
+
+
+def _tag_group_by(cur: Cursor, at: Span) -> m.AttributePath:
+    if not cur.eat_word("by"):
+        raise mx.ExprSyntaxError("expected 'by' after group", at)
+    return mx.parse_path(cur)
+
+
+def _tag_swap(cur: Cursor, at: Span) -> tuple[str, str]:
+    first = cur.next().text
+    if not cur.eat_word("with"):
+        raise mx.ExprSyntaxError("expected 'with' in swap clause", at)
+    return first, cur.next().text
+
+
+def _tag_dimensions(cur: Cursor, at: Span) -> tuple[str, ...]:
+    dimensions = [cur.next().text]
+    while cur.eat_punct(","):
+        dimensions.append(cur.next().text)
+    return tuple(dimensions)
+
+
+# Writers of the clauses of each body, called as writer(owner): each returns
+# the clauses it writes for ``owner``.
+
+_EMPTY = (None, (), frozenset())
+
+
+def _write(field: str, line: str, text=None, each: bool = False):
+    """A writer of the model field ``field``: ``line`` formatted with its value,
+    or ``text`` of it, a line per item with ``each``; nothing when the field is empty."""
+
+    def write(owner) -> list[str]:
+        value = getattr(owner, field)
+        if value in _EMPTY:
+            return []
+        return [line.format(text(item) if text else item) for item in (value if each else (value,))]
+
+    return write
+
+
+def _write_constraints(attr: m.DataAttribute) -> list[str]:
+    """The constraints in the language's order; a dimension reference is written as its ForeignKey."""
+    rendered = [
+        f"ForeignKey({c.target})" if c.kind == "ForeignKey" else c.kind
+        for c in sorted(attr.constraints, key=lambda c: m.CONSTRAINT_KINDS.index(c.kind))
+    ]
+    if attr.attr_type.kind == "dimension":
+        rendered.append(f"ForeignKey({attr.attr_type.name})")
+    return [f"constraints ({' '.join(rendered)})"] if rendered else []
+
+
+def _write_measure(attr: m.DataAttribute) -> list[str]:
+    """The measure as a formula, or as an ``expression`` tag when no formula can write it."""
+    measure = attr.measure
+    if isinstance(measure, m.OpaqueMeasure):
+        return [_tag("expression", measure.text)]
+    if isinstance(measure, m.Aggregate):
+        if isinstance(measure.arg, m.Predicate):  # strings nested inside tag values use single quotes
+            return [_tag("expression", mx.measure_text(measure, quote="'"))]
+        return [f"formula details: {measure.fn.lower()} ({measure.arg})"]
+    return [] if measure is None else [f"formula arithmetic {mx.measure_text(measure)}"]
+
+
+def _write_action_name(op: m.OlapOperation) -> list[str]:
+    return [] if op.name in (None, op.id) else ["name " + _single_quoted(op.name)]
+
+
+def _single_quoted(text: str) -> str:
+    return mx.literal_text(text, "'")  # strings nested inside tag values use single quotes
+
+
+def _write_events(comp: m.UIComponent) -> list[str]:
+    """A chart action as an ``Other`` event, the navigation target as a ``NavigateTo`` event."""
+    lines = [f"event {action} : Other" for action in sorted(comp.actions)]
+    if comp.navigates_to is not None:
+        lines.append(f"event NavigateTo : Submit : Submit_Back [navigationFlowTo {comp.navigates_to}]")
+    return lines
+
+
+def _tag(name: str, value: str) -> str:
+    return f"tag (name {mx.literal_text(name)} value {mx.literal_text(value)})"
+
+
+def _attribute_text(attr: m.DataAttribute) -> str:
+    if attr.attr_type.kind == "dimension":
+        type_text = "_Dimension"
+    elif attr.attr_type.kind == "enum":
+        type_text = f"DataEnumeration {attr.attr_type.name}"
+    else:
+        type_text = attr.attr_type.name
+        if attr.attr_type.length is not None:
+            type_text += f"({attr.attr_type.length})"
+    return f"{attr.id}{_name_part(attr)} : {type_text}{_inline(attr, _ATTRIBUTE)}"
+
+
+def _part_text(part: m.UIPart) -> str:
+    return f"{part.id}{_name_part(part)} : Field : {part.part_kind} [dataAttributeBinding {part.binding}]"
+
+
+def _event_text(event: m.NavigationEvent) -> str:
+    text = event.id
+    if event.event_type is not None:
+        text += f" : {event.event_type}"
+        if event.event_subtype is not None:
+            text += f" : {event.event_subtype}"
+    return text + _inline(event, _EVENT)
+
+
+def _action_tag(op: m.OlapOperation) -> str:
+    return _tag(f"BI-Action:{_ACTION_SPELLING[op.kind]}:{op.id}", "; ".join(_body(op, _ACTION_TAG)))
+
+
+# Clause tables: keyword -> (reader, writer), in the order the clauses are
+# written. Keywords that read one field share its writer, which writes it once.
+
+_DESCRIPTION = {
+    "description": (lambda p, tok, at: p.string("description"), _write("description", "description {}", mx.literal_text)),
 }
-_CLUSTER = {"main": _ident("an entity id"), "uses": _idents("an entity id"), **_DESCRIPTION}
-_ACTOR = {"isA": _ident("an actor id"), "stakeholder": _ident("a stakeholder name"), **_DESCRIPTION}
+_ENTITY = {
+    "attribute": (lambda p, tok, at: p.attribute(), _write("attributes", "attribute {}", _attribute_text, each=True)),
+    **_DESCRIPTION,
+}
+_ATTRIBUTE = {
+    "constraints": (lambda p, tok, at: p._constraints(), _write_constraints),
+    "defaultValue": (
+        lambda p, tok, at: p._literal(),
+        _write("default_value", "defaultValue {}", lambda default: mx.literal_text(default.value)),
+    ),
+    "formula": (lambda p, tok, at: p._formula(tok), _write_measure),
+    "tag": (_dropped_tag("attribute", "expression"), _write_measure),
+}
+_CLUSTER = {
+    "main": (_ident("an entity id"), _write("main", "main {}")),
+    "uses": (_idents("an entity id"), _write("uses", "uses {}", ", ".join)),
+    **_DESCRIPTION,
+}
+_ACTOR = {
+    "isA": (_ident("an actor id"), _write("is_a", "isA {}")),
+    "stakeholder": (_ident("a stakeholder name"), _write("stakeholder", "stakeholder {}")),
+    **_DESCRIPTION,
+}
 _USE_CASE = {
-    "actorInitiates": _ident("an actor id"),
-    "supportingActors": _idents("an actor id"),
-    "dataEntity": _ident("an entity or cluster id"),
-    "stakeholder": _ident("a stakeholder name"),
-    "actions": lambda p, tok, at: p.listed(_action_kind),
-    "tag": lambda p, tok, at: p._decode_action_tag(*p.tag_pair(tok)),
+    "stakeholder": (_ident("a stakeholder name"), _write("stakeholder", "stakeholder {}")),
+    "actorInitiates": (_ident("an actor id"), _write("primary_actor", "actorInitiates {}")),
+    "supportingActors": (_idents("an actor id"), _write("supporting_actors", "supportingActors {}", ", ".join)),
+    "dataEntity": (_ident("an entity or cluster id"), _write("data_source", "dataEntity {}")),
+    "actions": (
+        lambda p, tok, at: p.listed(_action_kind),
+        _write("action_kinds", "actions {}", lambda kinds: ", ".join(_ACTION_SPELLING[k] for k in kinds)),
+    ),
+    "tag": (lambda p, tok, at: p._decode_action_tag(*p.tag_pair(tok)), _write("operations", "{}", _action_tag, each=True)),
     **_DESCRIPTION,
 }
 _COMPONENT = {
-    "dataBinding": _ident("a data source id"),
-    "part": lambda p, tok, at: p.part(),
-    "event": lambda p, tok, at: p.component_event(),
-    "tag": lambda p, tok, at: p.tag_pair(tok)[:2],
+    "dataBinding": (_ident("a data source id"), _write("data_binding", "dataBinding {}")),
+    "part": (lambda p, tok, at: p.part(), _write("parts", "part {}", _part_text, each=True)),
+    "event": (lambda p, tok, at: p.component_event(), _write_events),
+    "tag": (lambda p, tok, at: p.tag_pair(tok)[:2], _write("tags", "{}", lambda tag: _tag(*tag), each=True)),
     **_DESCRIPTION,
 }
-_EVENT = {"navigationFlowTo": _ident("a navigation target"), "tag": _dropped_tag("event")}
+_EVENT = {
+    "navigationFlowTo": (_ident("a navigation target"), _write("navigates_to", "navigationFlowTo {}")),
+    "tag": (_dropped_tag("event"), lambda event: []),  # the model keeps no tag of an event
+}
 _CONTAINER = {
-    "component": _ident("a component id"),
-    "event": lambda p, tok, at: p.event(),
+    "component": (_ident("a component id"), _write("components", "component {}", lambda comp: comp.id, each=True)),
+    "event": (lambda p, tok, at: p.event(), _write("events", "event {}", _event_text, each=True)),
     **_DESCRIPTION,
+}
+_ACTION_TAG = {  # a BI-Action tag value's clauses: keyword -> (field, reader, writer)
+    "name": ("name", _tag_string("name"), _write_action_name),
+    "where": (
+        "where_clauses",
+        _tag_predicates,
+        _write("where_clauses", "where {}", lambda where: " and ".join(mx.predicate_text(pred, "'") for pred in where)),
+    ),
+    "group": ("group_by", _tag_group_by, _write("group_by", "group by {}")),
+    "swap": ("swap", _tag_swap, _write("swap", "swap {0[0]} with {0[1]}")),
+    "dimensions": ("touched_dimensions", _tag_dimensions, _write("touched_dimensions", "dimensions {}", ", ".join)),
+    "description": ("description", _tag_string("description"), _write("description", "description {}", _single_quoted)),
 }
 _DECLARATIONS = {
     "DataEnumeration": _Parser.enumeration,
@@ -743,7 +810,6 @@ _DECLARATIONS = {
     "UIContainer": _Parser.container,
     **{category: _Parser.extension for category in m.EXTENSION_CATEGORIES},
 }
-
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +826,22 @@ def _named(obj) -> str:
     return f" {mx.literal_text(obj.display_name)}"
 
 
-def _collect_declarations(model: m.SpecificationModel) -> list[tuple[str, str, str | None]]:
+def _body(owner, table: dict) -> list[str]:
+    """What the writers of ``table``'s clauses write for ``owner``, in table order, each writer once."""
+    return [line for write in dict.fromkeys(entry[-1] for entry in table.values()) for line in write(owner)]
+
+
+def _inline(owner, table: dict) -> str:
+    """``owner``'s body on its head's line; nothing when it has no clause."""
+    body = _body(owner, table)
+    return f" [{' '.join(body)}]" if body else ""
+
+
+def _block(head: str, body: list[str]) -> list[str]:
+    return [f"{head} [", *(f"  {line}" for line in body), "]", ""]
+
+
+def _collect_declarations(model: m.SpecificationModel) -> list[m.VocabularyExtension]:
     """Vocabulary declarations the emitted document must open with."""
     needed: set[tuple[str, str]] = set()
 
@@ -792,15 +873,10 @@ def _collect_declarations(model: m.SpecificationModel) -> list[tuple[str, str, s
             for part in comp.parts:
                 needed.add(("UIComponentPartSubType", part.part_kind))
 
-    by_key: dict[tuple[str, str], str | None] = {key: None for key in needed}
-    for ext in model.vocabulary_extensions:
-        by_key[(ext.category, ext.id)] = ext.description
-
+    declared = {key: m.VocabularyExtension(*key) for key in needed}
+    declared.update(((ext.category, ext.id), ext) for ext in model.vocabulary_extensions)
     order = {cat: i for i, cat in enumerate(m.EXTENSION_CATEGORIES)}
-    return sorted(
-        [(cat, term, desc) for (cat, term), desc in by_key.items()],
-        key=lambda item: (order[item[0]], item[1]),
-    )
+    return sorted(declared.values(), key=lambda ext: (order[ext.category], ext.id))
 
 
 def emit_asl(model: m.SpecificationModel) -> tuple[str, list[Diagnostic]]:
@@ -809,76 +885,27 @@ def emit_asl(model: m.SpecificationModel) -> tuple[str, list[Diagnostic]]:
     diags: list[Diagnostic] = []
 
     declarations = _collect_declarations(model)
-    for category, term, description in declarations:
-        line = f"{category} {term}"
-        if description is not None:
-            line += f" [description {mx.literal_text(description)}]"
-        out.append(line)
+    out += [f"{ext.category} {ext.id}{_inline(ext, _DESCRIPTION)}" for ext in declarations]
     if declarations:
         out.append("")
 
     for enum in sorted(model.enumerations, key=lambda e: e.id):
-        out.append(f"DataEnumeration {enum.id}{_named(enum)} values ({', '.join(enum.values)})")
-        out.append("")
+        out += [f"DataEnumeration {enum.id}{_named(enum)} values ({', '.join(enum.values)})", ""]
 
     for entity in sorted(model.entities, key=lambda e: e.id):
-        sub = ""
-        if entity.sub_type is not None:
-            sub = f" : {_DIALECT_SPELLING.get(entity.sub_type, entity.sub_type)}"
-        out.append(f"DataEntity {entity.id}{_named(entity)} : {entity.entity_type}{sub} [")
-        for attr in entity.attributes:
-            out.append(_attribute_line(attr))
-        if entity.description is not None:
-            out.append(f"  description {mx.literal_text(entity.description)}")
-        out.append("]")
-        out.append("")
+        sub = f" : {_DIALECT_SPELLING.get(entity.sub_type, entity.sub_type)}" if entity.sub_type is not None else ""
+        out += _block(f"DataEntity {entity.id}{_named(entity)} : {entity.entity_type}{sub}", _body(entity, _ENTITY))
 
     for cluster in sorted(model.clusters, key=lambda c: c.id):
-        out.append(f"DataEntityCluster {cluster.id}{_named(cluster)} : {cluster.entity_type} [")
-        out.append(f"  main {cluster.main}")
-        if cluster.uses:
-            out.append(f"  uses {', '.join(cluster.uses)}")
-        if cluster.description is not None:
-            out.append(f"  description {mx.literal_text(cluster.description)}")
-        out.append("]")
-        out.append("")
+        out += _block(f"DataEntityCluster {cluster.id}{_named(cluster)} : {cluster.entity_type}", _body(cluster, _CLUSTER))
 
     for actor in sorted(model.actors, key=lambda a: a.id):
-        body: list[str] = []
-        if actor.is_a is not None:
-            body.append(f"  isA {actor.is_a}")
-        if actor.stakeholder is not None:
-            body.append(f"  stakeholder {actor.stakeholder}")
-        if actor.description is not None:
-            body.append(f"  description {mx.literal_text(actor.description)}")
-        head = f"Actor {actor.id}{_named(actor)} : {actor.actor_type}"
-        if body:
-            out.append(head + " [")
-            out.extend(body)
-            out.append("]")
-        else:
-            out.append(head)
-        out.append("")
+        head, body = f"Actor {actor.id}{_named(actor)} : {actor.actor_type}", _body(actor, _ACTOR)
+        out += _block(head, body) if body else [head, ""]
 
     for uc in sorted(model.use_cases, key=lambda u: u.id):
         uc_type = _DIALECT_SPELLING.get(uc.uc_type, uc.uc_type)
-        out.append(f"UseCase {uc.id}{_named(uc)} : {uc_type} [")
-        if uc.stakeholder is not None:
-            out.append(f"  stakeholder {uc.stakeholder}")
-        out.append(f"  actorInitiates {uc.primary_actor}")
-        if uc.supporting_actors:
-            out.append(f"  supportingActors {', '.join(uc.supporting_actors)}")
-        if uc.data_source is not None:
-            out.append(f"  dataEntity {uc.data_source}")
-        if uc.action_kinds:
-            out.append(f"  actions {', '.join(_ACTION_SPELLING[k] for k in uc.action_kinds)}")
-        for op in uc.operations:
-            name, value = mx.literal_text(_action_tag_name(op)), mx.literal_text(_action_tag_value(op))
-            out.append(f"  tag (name {name} value {value})")
-        if uc.description is not None:
-            out.append(f"  description {mx.literal_text(uc.description)}")
-        out.append("]")
-        out.append("")
+        out += _block(f"UseCase {uc.id}{_named(uc)} : {uc_type}", _body(uc, _USE_CASE))
 
     emitted: dict[str, m.UIComponent] = {}
     for container in sorted(model.ui_containers, key=lambda c: c.id):
@@ -890,113 +917,14 @@ def emit_asl(model: m.SpecificationModel) -> tuple[str, list[Diagnostic]]:
                 diags.append(
                     warning("ASL023", f"component id {comp.id} reused with different content; first declaration wins")
                 )
-    for comp_id in sorted(emitted):
-        _emit_component(out, emitted[comp_id])
+    for comp in (emitted[comp_id] for comp_id in sorted(emitted)):
+        sub = f" : {comp.component_subtype}" if comp.component_subtype is not None else ""
+        out += _block(f"component {comp.id}{_named(comp)} : {comp.component_type}{sub}", _body(comp, _COMPONENT))
 
     for container in sorted(model.ui_containers, key=lambda c: c.id):
         ctype = "Window" if container.container_type == "MainWindow" else "ModalWindow"
         sub = f" : {container.container_subtype}" if container.container_subtype is not None else ""
-        out.append(f"UIContainer {container.id}{_named(container)} : {ctype}{sub} [")
-        for comp in container.components:
-            out.append(f"  component {comp.id}")
-        for event in container.events:
-            out.append("  " + _event_line(event))
-        if container.description is not None:
-            out.append(f"  description {mx.literal_text(container.description)}")
-        out.append("]")
-        out.append("")
+        out += _block(f"UIContainer {container.id}{_named(container)} : {ctype}{sub}", _body(container, _CONTAINER))
 
     text = "\n".join(out).strip()
     return (text + "\n" if text else ""), diags
-
-
-def _attribute_line(attr: m.DataAttribute) -> str:
-    if attr.attr_type.kind == "dimension":
-        type_text = "_Dimension"
-    elif attr.attr_type.kind == "enum":
-        type_text = f"DataEnumeration {attr.attr_type.name}"
-    else:
-        type_text = attr.attr_type.name
-        if attr.attr_type.length is not None:
-            type_text += f"({attr.attr_type.length})"
-
-    items: list[str] = []
-    constraints = sorted(attr.constraints, key=lambda c: m.CONSTRAINT_KINDS.index(c.kind))
-    rendered = [f"ForeignKey({c.target})" if c.kind == "ForeignKey" else c.kind for c in constraints]
-    if attr.attr_type.kind == "dimension":
-        rendered.append(f"ForeignKey({attr.attr_type.name})")
-    if rendered:
-        items.append(f"constraints ({' '.join(rendered)})")
-    if attr.default_value is not None:
-        items.append(f"defaultValue {mx.literal_text(attr.default_value.value)}")
-    if attr.measure is not None:
-        items.append(_measure_item(attr.measure))
-
-    line = f"  attribute {attr.id}{_name_part(attr)} : {type_text}"
-    if items:
-        line += f" [{' '.join(items)}]"
-    return line
-
-
-def _measure_item(measure: object) -> str:
-    if isinstance(measure, m.OpaqueMeasure):
-        return f'tag (name "expression" value {mx.literal_text(measure.text)})'
-    if isinstance(measure, m.Aggregate):
-        if isinstance(measure.arg, m.Predicate):
-            # Strings nested inside tag values use single quotes to avoid escaping.
-            text = mx.measure_text(measure, quote="'")
-            return f'tag (name "expression" value {mx.literal_text(text)})'
-        return f"formula details: {measure.fn.lower()} ({measure.arg})"
-    return f"formula arithmetic {mx.measure_text(measure)}"
-
-
-def _action_tag_name(op: m.OlapOperation) -> str:
-    return f"BI-Action:{_ACTION_SPELLING[op.kind]}:{op.id}"
-
-
-def _action_tag_value(op: m.OlapOperation) -> str:
-    clauses: list[str] = []
-    if op.name is not None and op.name != op.id:
-        clauses.append("name " + mx.literal_text(op.name, "'"))
-    if op.where_clauses:
-        clauses.append("where " + " and ".join(mx.predicate_text(p, "'") for p in op.where_clauses))
-    if op.group_by is not None:
-        clauses.append(f"group by {op.group_by}")
-    if op.swap is not None:
-        clauses.append(f"swap {op.swap[0]} with {op.swap[1]}")
-    if op.touched_dimensions:
-        clauses.append("dimensions " + ", ".join(op.touched_dimensions))
-    if op.description is not None:
-        clauses.append("description " + mx.literal_text(op.description, "'"))
-    return "; ".join(clauses)
-
-
-def _event_line(event: m.NavigationEvent) -> str:
-    line = f"event {event.id}"
-    if event.event_type is not None:
-        line += f" : {event.event_type}"
-        if event.event_subtype is not None:
-            line += f" : {event.event_subtype}"
-    if event.navigates_to is not None:
-        line += f" [navigationFlowTo {event.navigates_to}]"
-    return line
-
-
-def _emit_component(out: list[str], comp: m.UIComponent) -> None:
-    sub = f" : {comp.component_subtype}" if comp.component_subtype is not None else ""
-    out.append(f"component {comp.id}{_named(comp)} : {comp.component_type}{sub} [")
-    if comp.data_binding is not None:
-        out.append(f"  dataBinding {comp.data_binding}")
-    for part in comp.parts:
-        name = f" {mx.literal_text(part.name)}" if part.name is not None and part.name != part.id else ""
-        out.append(f"  part {part.id}{name} : Field : {part.part_kind} [dataAttributeBinding {part.binding}]")
-    for action in sorted(comp.actions):
-        out.append(f"  event {action} : Other")
-    if comp.navigates_to is not None:
-        out.append(f"  event NavigateTo : Submit : Submit_Back [navigationFlowTo {comp.navigates_to}]")
-    for tag_name, tag_value in comp.tags:
-        out.append(f"  tag (name {mx.literal_text(tag_name)} value {mx.literal_text(tag_value)})")
-    if comp.description is not None:
-        out.append(f"  description {mx.literal_text(comp.description)}")
-    out.append("]")
-    out.append("")

@@ -8,13 +8,15 @@ top-level keyword so later declarations still land in the model.
 Actors, use cases, operations and components end in comma-separated
 clauses. One loop, ``_Parser.clauses``, reads them all; each construct's
 clause table, built once below the parser, maps the phrase that opens a
-clause to the key its value is kept under and the reader of the rest.
+clause to the key its value is kept under, the reader of the rest and the
+writer that emits the clause. The emitter writes a construct's clauses by
+one loop over the same table, in table order.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from itertools import groupby
 
 from . import measure as mx
 from . import model as m
@@ -37,41 +39,12 @@ _COMPONENT_TERMS: dict[str, tuple[str, str | None]] = {
 }
 for _chart in m.CHART_SUBTYPES:
     _COMPONENT_TERMS[_chart] = ("InteractiveChart", _chart)
+_TERM_BY_TYPE = {types: term for term, types in _COMPONENT_TERMS.items()}
 
-_PART_PHRASES = {
-    "x-axis": "X_Axis",
-    "y-axis": "Y_Axis",
-    "label": "Label",
-    "value": "Value",
-    "values": "Value",
-    "latitude": "Latitude",
-    "longitude": "Longitude",
-    "legend": "Legend",
-    "location": "Location",
-    "area": "Area",
-}
-_PHRASE_BY_KIND = {
-    "X_Axis": "x-axis",
-    "Y_Axis": "y-axis",
-    "Label": "label",
-    "Value": "value",
-    "Latitude": "latitude",
-    "Longitude": "longitude",
-    "Legend": "legend",
-    "Location": "location",
-    "Area": "area",
-}
-
-
-@dataclass
-class _RawAttribute:
-    id: str
-    name: str | None
-    attr_type: m.AttributeType
-    constraints: list[m.Constraint]
-    default: m.Literal | None
-    raw_measure: object | None
-    loc: Span
+# A part kind but Column and Option opens its clause with its name in lower case,
+# "-" for "_": "x-axis", "label". "values" also reads a Value.
+_PHRASE_BY_KIND = {kind: kind.lower().replace("_", "-") for kind in m.PART_KINDS if kind not in ("Column", "Option")}
+_PART_PHRASES = {phrase: kind for kind, phrase in _PHRASE_BY_KIND.items()} | {"values": "Value"}
 
 
 def parse_cnlbi(source: str, file: str = "<cnlbi>") -> tuple[m.SpecificationModel, list[Diagnostic]]:
@@ -137,8 +110,9 @@ class _Parser(Parser):
 
     def clauses(self, table: dict, stops: tuple[str, ...] = (), and_opens: bool = False) -> Clauses:
         """Comma-separated clauses, each opening with a one- or two-word phrase
-        of ``table``, which maps it to the key its value is kept under and the
-        reader of the rest; with ``and_opens`` an ``and`` may precede a phrase.
+        of ``table``, which maps it to the key its value is kept under, the
+        reader of the rest and the clause's writer; with ``and_opens`` an
+        ``and`` may precede a phrase.
         The list ends at a word that opens no clause, or after ``described as``
         prose running to ``stops``, unless ``table`` reads ``described`` itself."""
         found = Clauses()
@@ -156,7 +130,7 @@ class _Parser(Parser):
                     found["description"] = [self.description(stops)]
                 return found
             cur.next()
-            key, reader = entry
+            key, reader, _ = entry
             found.setdefault(key, []).append(reader(self))
 
     def listed(self, item) -> list:
@@ -241,7 +215,8 @@ class _Parser(Parser):
             loc=start.span,
         )
 
-    def attribute(self) -> _RawAttribute:
+    def attribute(self) -> tuple[dict, object | None]:
+        """The attribute's model fields but its measure, and the measure as read."""
         ident = self.ident("an attribute id")
         name = self.opt_name()
         if self.cur.eat_word("refers"):
@@ -265,7 +240,11 @@ class _Parser(Parser):
         raw_measure: object | None = None
         if self.cur.at_punct("("):
             constraints, default, raw_measure = self._paren_items()
-        return _RawAttribute(ident.text, name, attr_type, constraints, default, raw_measure, ident.span)
+        fields = dict(
+            id=ident.text, attr_type=attr_type, name=name, default_value=default, constraints=frozenset(constraints),
+            loc=ident.span,
+        )
+        return fields, raw_measure
 
     def _paren_items(self) -> tuple[list[m.Constraint], m.Literal | None, object | None]:
         self.cur.next()  # (
@@ -320,30 +299,20 @@ class _Parser(Parser):
                     return
             self.cur.next()
 
-    def _finish_attributes(self, raw_attrs: list[_RawAttribute]) -> tuple[m.DataAttribute, ...]:
-        measure_ids = {a.id for a in raw_attrs if a.raw_measure is not None}
+    def _finish_attributes(self, raw_attrs: list[tuple[dict, object | None]]) -> tuple[m.DataAttribute, ...]:
+        measure_ids = {fields["id"] for fields, raw_measure in raw_attrs if raw_measure is not None}
         attributes: list[m.DataAttribute] = []
-        for raw in raw_attrs:
+        for fields, raw_measure in raw_attrs:
             measure = None
-            if raw.raw_measure is not None:
+            if raw_measure is not None:
                 try:
-                    measure = mx.resolve_names(raw.raw_measure, measure_ids)
+                    measure = mx.resolve_names(raw_measure, measure_ids)
                 except mx.ExprSyntaxError as exc:
-                    self.diags.append(error("CNL013", f"malformed measure expression: {exc}", exc.span or raw.loc))
+                    self.diags.append(error("CNL013", f"malformed measure expression: {exc}", exc.span or fields["loc"]))
             try:
-                attributes.append(
-                    m.DataAttribute(
-                        id=raw.id,
-                        attr_type=raw.attr_type,
-                        name=raw.name,
-                        default_value=raw.default,
-                        measure=measure,
-                        constraints=frozenset(raw.constraints),
-                        loc=raw.loc,
-                    )
-                )
+                attributes.append(m.DataAttribute(**fields, measure=measure))
             except m.ModelError as exc:
-                self.diags.append(error("CNL012", str(exc), raw.loc))
+                self.diags.append(error("CNL012", str(exc), fields["loc"]))
         return tuple(attributes)
 
     def actor(self) -> m.Actor:
@@ -551,27 +520,150 @@ def _action(p: _Parser) -> str:
     return m.CHART_ACTION_ALIASES.get(action, action)
 
 
-_ACTOR = {"extends": ("extends", _ident("an actor id")), "with stakeholder": ("stakeholder", _ident("a stakeholder name"))}
-_USE_CASE = {
-    "with stakeholder": ("stakeholder", _ident("a stakeholder name")),
-    "support actor": ("support actor", _ident("an actor id")),
-    "actor": ("actor", _ident("an actor id")),
-    "data source": ("data source", _ident("a data source id")),
-    "performs": ("performs", _Parser.operations),
-    "described": ("description", lambda p: p.description(("performs",))),
+# Writers of the clauses, called as writer(owner, out): each returns the lines
+# it writes for ``owner``, indented as emitted, and reports to ``out`` what
+# CNL-BI cannot say.
+
+_EMPTY = (None, (), frozenset())
+
+
+def _write(field: str, line: str, text=None, each: bool = False, lost: str | None = None):
+    """A writer of the model field ``field``: ``line`` formatted with its value,
+    or ``text`` of it, and the owner; a line per item with ``each``; nothing when
+    the field is empty. ``lost`` marks a field that CNL-BI has no clause for:
+    each line is a ``//`` note that adds a CNL030 warning, ``lost`` formatted
+    the same way."""
+
+    def write(owner, out: _Out) -> list[str]:
+        value = getattr(owner, field)
+        if value in _EMPTY:
+            return []
+        items = [text(item) if text else item for item in (value if each else (value,))]
+        if lost:
+            out.warnings += [warning("CNL030", lost.format(item, owner)) for item in items]
+        return [line.format(item, owner) for item in items]
+
+    return write
+
+
+def _description(kind: str, line: str, stops: tuple[str, ...] = ()):
+    """A writer of the ``described as`` clause, ``line`` formatted with the prose,
+    with CNL030 when the prose would not read back as the same text: the lexer
+    refuses or re-spaces a character, or a keyword that ends the prose
+    (``stops`` or a top-level word) comes after the first word."""
+    stops = frozenset(TOP_LEVEL_WORDS + stops)
+
+    def write(owner, out: _Out) -> list[str]:
+        if owner.description is None:
+            return []
+        if not _reads_back(owner.description, stops):
+            message = f"description of {kind} {owner.id} does not read back as written in CNL-BI"
+            out.warnings.append(warning("CNL030", message))
+        return [line.format(owner.description)]
+
+    return write
+
+
+def _writes(*writers):
+    """One writer of what each of ``writers`` writes, in turn."""
+    return lambda owner, out: [line for write in writers for line in write(owner, out)]
+
+
+_describe_use_case = _description("use case", "  described as {}", ("performs",))
+
+
+def _write_use_case_description(uc: m.UseCase, out: _Out) -> list[str]:
+    # The description precedes the operations, so that a trailing operation
+    # without its own description cannot capture it.
+    return [line + ("," if uc.operations else ".") for line in _describe_use_case(uc, out)]
+
+
+def _write_operations(uc: m.UseCase, out: _Out) -> list[str]:
+    lines = ["  performs"] if uc.operations else []
+    for i, op in enumerate(uc.operations):
+        kind = _KIND_WORDS[op.kind]
+        head = f"    OLAP Operation {op.id}{_opt_paren_name(op)} is {_article(kind)} {kind}"
+        lines += _punctuated([head, *_write_operation(op, out)], "", "" if i == len(uc.operations) - 1 else ",")
+    return lines
+
+
+def _write_parts(comp: m.UIComponent, out: _Out) -> list[str]:
+    """Each run of columns as one ``columns`` clause, the first two Option parts
+    as ``starting at`` and ``ending at`` (a later one is noted), any other part
+    by its phrase. The first clause but an Option's opens with ``with``."""
+    lines: list[str] = []
+    lead = "with "
+    options = iter(("starting at", "ending at"))
+    for columns, run in groupby(comp.parts, lambda part: part.part_kind == "Column"):
+        if columns:
+            lines.append(f"  {lead}columns {', '.join(str(part.binding) for part in run)}")
+            lead = ""
+            continue
+        for part in run:
+            if part.part_kind != "Option":
+                lines.append(f"  {lead}{_PHRASE_BY_KIND[part.part_kind]} {part.binding}")
+                lead = ""
+            elif word := next(options, None):
+                lines.append(f"  {word} {part.binding}")
+            else:
+                out.note(f"extra Option part {part.id} on {comp.id}")
+    return lines
+
+
+# Clause tables: phrase -> (key the value is kept under, reader, writer), in the
+# order the clauses are written. Phrases that read one field share its writer,
+# which writes the field once.
+
+_ACTOR = {
+    "extends": ("extends", _ident("an actor id"), _write("is_a", ", extends {}")),
+    "with stakeholder": ("stakeholder", _ident("a stakeholder name"), _write("stakeholder", ", with stakeholder {}")),
 }
-_OPERATION = {"where": ("where", _Parser.where), "group by": ("group by", _Parser.group_by), "swap": ("swap", _Parser.swap)}
+_USE_CASE = {
+    "with stakeholder": ("stakeholder", _ident("a stakeholder name"), _write("stakeholder", "  with stakeholder {},")),
+    "actor": ("actor", _ident("an actor id"), _write("primary_actor", "  actor {},")),
+    "support actor": ("support actor", _ident("an actor id"), _write("supporting_actors", "  support actor {},", each=True)),
+    "data source": ("data source", _ident("a data source id"), _writes(
+        _write("data_source", "  data source {},"),
+        _write(  # CNL-BI has no clause for them; noted where ASL writes them
+            "action_kinds", "// not representable in CNL-BI: bare action kinds on use case {1.id}: {0}", ", ".join,
+            lost="not representable in CNL-BI: bare action kinds on use case {1.id}: {0}",
+        ),
+    )),
+    "described": ("description", lambda p: p.description(("performs",)), _write_use_case_description),
+    "performs": ("performs", _Parser.operations, _write_operations),
+}
+_OPERATION = {
+    "where": (
+        "where",
+        _Parser.where,
+        _write("where_clauses", "      where {}", lambda where: " and ".join(map(mx.predicate_text, where))),
+    ),
+    "group by": ("group by", _Parser.group_by, _write("group_by", "      group by {}")),
+    "swap": ("swap", _Parser.swap, _writes(
+        _write("swap", "      swap {0[0]} with {0[1]}"),
+        _write(  # CNL-BI has no clause for them; noted where ASL writes them
+            "touched_dimensions", "      // touched dimensions: {}", ", ".join,
+            lost="touched dimensions of operation {1.id} have no CNL-BI syntax",
+        ),
+    )),
+}
+_write_data = _write("data_binding", "  data binding to {}")
 _COMPONENT = {
-    "data binding": ("data", _data_source),
-    "data source": ("data", _data_source),
-    "with": ("with", lambda p: None),  # only leads in the next phrase: "with columns ...", "with x-axis ..."
-    "columns": ("parts", lambda p: p.listed(_column)),
-    **{phrase: ("parts", _part(kind)) for phrase, kind in _PART_PHRASES.items()},
-    "segments defined": ("parts", _part("Label", "by")),
-    "starting": ("parts", _part("Option", "at")),
-    "ending": ("parts", _part("Option", "at")),
-    "actions": ("actions", lambda p: p.listed(_action)),
-    "that navigates": ("that navigates", _ident("a container id", "to")),
+    "data binding": ("data", _data_source, _write_data),
+    "data source": ("data", _data_source, _write_data),
+    "with": ("with", lambda p: None, _write_parts),  # only leads in the next phrase: "with columns ...", "with x-axis ..."
+    "columns": ("parts", lambda p: p.listed(_column), _write_parts),
+    **{phrase: ("parts", _part(kind), _write_parts) for phrase, kind in _PART_PHRASES.items()},
+    "segments defined": ("parts", _part("Label", "by"), _write_parts),
+    "starting": ("parts", _part("Option", "at"), _write_parts),
+    "ending": ("parts", _part("Option", "at"), _write_parts),
+    "actions": (
+        "actions", lambda p: p.listed(_action), _write("actions", "  actions {}", lambda actions: ", ".join(sorted(actions)))
+    ),
+    "that navigates": ("that navigates", _ident("a container id", "to"), _writes(
+        _write("navigates_to", "  that navigates to {}"),
+        _write("tags", "  // tag {0[0]} = {0[1]}", each=True, lost="tag {0[0]!r} on {1.id} has no CNL-BI syntax"),
+    )),
 }
 # Words that open a component clause; a column or action list stops before them.
 _COMPONENT_WORDS = frozenset(phrase.split()[0] for phrase in _COMPONENT) | {"described", "and", *TOP_LEVEL_WORDS}
@@ -583,6 +675,19 @@ _DECLARATIONS = {
     "UIContainer": _Parser.container,
     "UIComponent": _Parser.stray_component,
 }
+
+
+def _writer(table: dict, *more):
+    """One writer of the clauses of ``table``, in table order, then ``more``: the
+    ``described as`` clause that the clause loop reads when ``table`` does not."""
+    return _writes(*dict.fromkeys(writer for _, _, writer in table.values()), *more)
+
+
+_write_actor = _writer(_ACTOR, _description("actor", " described as {}"))
+_write_use_case = _writer(_USE_CASE)
+_write_operation = _writer(_OPERATION, _description("operation", "      described as {}", _OP_DESCRIPTION_STOPS))
+_write_component = _writer(_COMPONENT, _description("component", "  described as {}"))
+_describe_entity = _description("entity", "described as {}.")
 
 
 def _join_prose(parts: list[str]) -> str:
@@ -617,19 +722,21 @@ def _reads_back(text: str, stops: frozenset) -> bool:
     return stops.isdisjoint(piece.rstrip(",.") for piece in pieces[1:])
 
 
-def _described(kind: str, owner, warnings: list[Diagnostic], stops: tuple[str, ...] = ()) -> str:
-    """The ``described as`` clause of ``owner``, with CNL030 when its prose would
-    not read back as the same text: the lexer refuses or re-spaces a character,
-    or a keyword that ends the prose (``stops`` or a top-level word) comes
-    after the first word."""
-    if not _reads_back(owner.description, frozenset(TOP_LEVEL_WORDS + stops)):
-        warnings.append(warning("CNL030", f"description of {kind} {owner.id} does not read back as written in CNL-BI"))
-    return f"described as {owner.description}"
-
-
 # ---------------------------------------------------------------------------
 # Pretty-printer
 # ---------------------------------------------------------------------------
+
+
+class _Out(list):
+    """The emitted lines, and the CNL030 warnings about what they leave out."""
+
+    def __init__(self):
+        super().__init__()
+        self.warnings: list[Diagnostic] = []
+
+    def note(self, message: str) -> None:
+        self.append(f"// not representable in CNL-BI: {message}")
+        self.warnings.append(warning("CNL030", f"not representable in CNL-BI: {message}"))
 
 
 def _article(word: str) -> str:
@@ -654,24 +761,14 @@ def emit_cnlbi(model: m.SpecificationModel) -> tuple[str, list[Diagnostic]]:
     string lengths, container events) are emitted as comment lines and
     reported as warnings.
     """
-    out: list[str] = []
-    warnings: list[Diagnostic] = []
-
-    def note(message: str) -> None:
-        out.append(f"// not representable in CNL-BI: {message}")
-        warnings.append(warning("CNL030", f"not representable in CNL-BI: {message}"))
-
+    out = _Out()
     for ext in sorted(model.vocabulary_extensions, key=lambda x: (x.category, x.id)):
-        note(f"vocabulary extension {ext.category} {ext.id}")
+        out.note(f"vocabulary extension {ext.category} {ext.id}")
 
     for enum in sorted(model.enumerations, key=lambda e: e.id):
-        values = list(enum.values)
-        if len(values) > 1:
-            rendered = ", ".join(values[:-1]) + " and " + values[-1]
-        else:
-            rendered = values[0]
-        out.append(f"Data enumeration {enum.id}{_opt_paren_name(enum)} with values {rendered}.")
-        out.append("")
+        *values, last = enum.values
+        rendered = f"{', '.join(values)} and {last}" if values else last
+        out += [f"Data enumeration {enum.id}{_opt_paren_name(enum)} with values {rendered}.", ""]
 
     for entity in sorted(model.entities, key=lambda e: e.id):
         sub = f" {entity.sub_type}" if entity.sub_type else ""
@@ -679,54 +776,21 @@ def emit_cnlbi(model: m.SpecificationModel) -> tuple[str, list[Diagnostic]]:
             f"DataEntity {entity.id}{_opt_paren_name(entity)} is {_article(entity.entity_type)} "
             f"{entity.entity_type}{sub} with attributes"
         )
-        lines = []
-        for attr in entity.attributes:
-            lines.append("  " + _attribute_text(attr, warnings, entity.id))
-        out.append(",\n".join(lines))
-        if entity.description is not None:
-            out.append(_described("entity", entity, warnings) + ".")
-        else:
-            out[-1] += "."
-        out.append("")
+        attributes = ",\n".join("  " + _attribute_text(attr, out.warnings, entity.id) for attr in entity.attributes)
+        description = _describe_entity(entity, out)
+        out += [attributes + ("" if description else "."), *description, ""]
 
     for cluster in sorted(model.clusters, key=lambda c: c.id):
-        note(f"data entity cluster {cluster.id} (main {cluster.main}, uses {', '.join(cluster.uses)})")
+        out.note(f"data entity cluster {cluster.id} (main {cluster.main}, uses {', '.join(cluster.uses)})")
         out.append("")
 
     for actor in sorted(model.actors, key=lambda a: a.id):
-        line = f"Actor {actor.id}{_opt_bare_name(actor)} is {_article(actor.actor_type)} {actor.actor_type}"
-        if actor.is_a is not None:
-            line += f", extends {actor.is_a}"
-        if actor.stakeholder is not None:
-            line += f", with stakeholder {actor.stakeholder}"
-        if actor.description is not None:
-            line += f" {_described('actor', actor, warnings)}."
-        else:
-            line += "."
-        out.append(line)
-        out.append("")
+        head = f"Actor {actor.id}{_opt_bare_name(actor)} is {_article(actor.actor_type)} {actor.actor_type}"
+        out += ["".join([head, *_write_actor(actor, out)]) + ".", ""]
 
     for uc in sorted(model.use_cases, key=lambda u: u.id):
-        out.append(f"UseCase {uc.id}{_opt_paren_name(uc)} is {_article(uc.uc_type)} {uc.uc_type}")
-        if uc.stakeholder is not None:
-            out.append(f"  with stakeholder {uc.stakeholder},")
-        out.append(f"  actor {uc.primary_actor},")
-        for sup in uc.supporting_actors:
-            out.append(f"  support actor {sup},")
-        if uc.data_source is not None:
-            out.append(f"  data source {uc.data_source},")
-        if uc.action_kinds:
-            note(f"bare action kinds on use case {uc.id}: {', '.join(uc.action_kinds)}")
-        # The use-case description precedes the operations so a trailing
-        # operation without its own description cannot capture it.
-        if uc.description is not None:
-            suffix = "," if uc.operations else "."
-            out.append(f"  {_described('use case', uc, warnings, ('performs',))}{suffix}")
-        if uc.operations:
-            out.append("  performs")
-            for i, op in enumerate(uc.operations):
-                _emit_operation(out, op, warnings, last=i == len(uc.operations) - 1)
-        out.append("")
+        head = f"UseCase {uc.id}{_opt_paren_name(uc)} is {_article(uc.uc_type)} {uc.uc_type}"
+        out += [head, *_write_use_case(uc, out), ""]
 
     for container in sorted(model.ui_containers, key=lambda c: c.id):
         if container.container_subtype is not None and container.container_type == "MainWindow":
@@ -734,17 +798,17 @@ def emit_cnlbi(model: m.SpecificationModel) -> tuple[str, list[Diagnostic]]:
         else:
             head = "Main Window" if container.container_type == "MainWindow" else "Modal Window"
             if container.container_subtype is not None:
-                note(f"container subtype {container.container_subtype} on {container.id}")
+                out.note(f"container subtype {container.container_subtype} on {container.id}")
         out.append(f"UIContainer {container.id}{_opt_bare_name(container)} is {_article(head)} {head}")
         out.append("that contains")
         for event in container.events:
-            note(f"container event {event.id} on {container.id}")
+            out.note(f"container event {event.id} on {container.id}")
         for i, comp in enumerate(container.components):
-            _emit_component(out, comp, warnings, note, last=i == len(container.components) - 1)
+            out += _component(comp, out, last=i == len(container.components) - 1)
         out.append("")
 
     text = "\n".join(out).strip()
-    return (text + "\n" if text else ""), warnings
+    return (text + "\n" if text else ""), out.warnings
 
 
 def _attribute_text(attr: m.DataAttribute, warnings: list[Diagnostic], entity_id: str) -> str:
@@ -773,6 +837,16 @@ def _attribute_text(attr: m.DataAttribute, warnings: list[Diagnostic], entity_id
     return head
 
 
+def _component(comp: m.UIComponent, out: _Out, last: bool) -> list[str]:
+    term = _TERM_BY_TYPE.get((comp.component_type, comp.component_subtype))
+    if term is None:
+        term = comp.component_type
+        if comp.component_subtype is not None:
+            out.note(f"component subtype {comp.component_subtype} on {comp.id}")
+    head = f"UIComponent {comp.id}{_opt_bare_name(comp)} is {_article(term)} {term}"
+    return _punctuated([head, *_write_component(comp, out)], ",", "." if last else ",")
+
+
 def _punctuated(lines: list[str], between: str, end: str) -> list[str]:
     """``lines`` with ``between`` after each clause line but the last and ``end``
     after the last. A ``//`` comment line takes none, so it follows them."""
@@ -782,79 +856,3 @@ def _punctuated(lines: list[str], between: str, end: str) -> list[str]:
 
 def _is_comment(line: str) -> bool:
     return line.lstrip().startswith("//")
-
-
-def _emit_operation(out: list[str], op: m.OlapOperation, warnings: list[Diagnostic], last: bool) -> None:
-    kind_word = _KIND_WORDS[op.kind]
-    lines = [f"    OLAP Operation {op.id}{_opt_paren_name(op)} is {_article(kind_word)} {kind_word}"]
-    if op.where_clauses:
-        rendered = " and ".join(mx.predicate_text(p) for p in op.where_clauses)
-        lines.append(f"      where {rendered}")
-    if op.group_by is not None:
-        lines.append(f"      group by {op.group_by}")
-    if op.swap is not None:
-        lines.append(f"      swap {op.swap[0]} with {op.swap[1]}")
-    if op.touched_dimensions:
-        lines.append(f"      // touched dimensions: {', '.join(op.touched_dimensions)}")
-        warnings.append(warning("CNL030", f"touched dimensions of operation {op.id} have no CNL-BI syntax"))
-    if op.description is not None:
-        lines.append(f"      {_described('operation', op, warnings, _OP_DESCRIPTION_STOPS)}")
-    out.extend(_punctuated(lines, "", "" if last else ","))
-
-
-def _emit_component(out, comp: m.UIComponent, warnings, note, last: bool) -> None:
-    if comp.component_type == "InteractiveChart":
-        term = comp.component_subtype
-    elif comp.component_type == "List" and comp.component_subtype == "Table":
-        term = "Table"
-    else:
-        term = comp.component_type
-        if comp.component_subtype is not None:
-            note(f"component subtype {comp.component_subtype} on {comp.id}")
-    lines: list[str] = [f"UIComponent {comp.id}{_opt_bare_name(comp)} is {_article(term)} {term}"]
-
-    if comp.data_binding is not None:
-        lines.append(f"  data binding to {comp.data_binding}")
-
-    option_index = 0
-    pending_columns: list[str] = []
-    first_part = True
-
-    def flush_columns():
-        nonlocal first_part
-        if pending_columns:
-            prefix = "  with columns " if first_part else "  columns "
-            lines.append(prefix + ", ".join(pending_columns))
-            pending_columns.clear()
-            first_part = False
-
-    for part in comp.parts:
-        if part.part_kind == "Column":
-            pending_columns.append(str(part.binding))
-            continue
-        flush_columns()
-        if part.part_kind == "Option":
-            word = "starting at" if option_index == 0 else "ending at"
-            option_index += 1
-            if option_index > 2:
-                note(f"extra Option part {part.id} on {comp.id}")
-                continue
-            lines.append(f"  {word} {part.binding}")
-            continue
-        phrase = _PHRASE_BY_KIND[part.part_kind]
-        prefix = "  with " if first_part else "  "
-        lines.append(f"{prefix}{phrase} {part.binding}")
-        first_part = False
-    flush_columns()
-
-    if comp.actions:
-        lines.append("  actions " + ", ".join(sorted(comp.actions)))
-    if comp.navigates_to is not None:
-        lines.append(f"  that navigates to {comp.navigates_to}")
-    for tag_name, tag_value in comp.tags:
-        lines.append(f"  // tag {tag_name} = {tag_value}")
-        warnings.append(warning("CNL030", f"tag {tag_name!r} on {comp.id} has no CNL-BI syntax"))
-    if comp.description is not None:
-        lines.append(f"  {_described('component', comp, warnings)}")
-
-    out.extend(_punctuated(lines, ",", "." if last else ","))

@@ -202,7 +202,9 @@ def test_unrepresentable_constructs_become_comments(medbuddy_asl):
 def test_clause_punctuation_precedes_the_comments_that_follow_a_clause():
     path = m.AttributePath(("Item", "id"))
     model = m.SpecificationModel(
-        entities=(m.DataEntity("Item", "Master", (m.DataAttribute("id", m.AttributeType.primitive("UUID")),), sub_type="Dimension"),),
+        entities=(
+            m.DataEntity("Item", "Master", (m.DataAttribute("id", m.AttributeType.primitive("UUID")),), sub_type="Dimension"),
+        ),
         actors=(m.Actor("Analyst", "User"),),
         use_cases=(m.UseCase("Look", "BIAnalysis", "Analyst", operations=(
             m.OlapOperation("Up", "RollUp", group_by=path, touched_dimensions=("Item", "Time")),

@@ -12,6 +12,9 @@ Likewise the checks name no OLAP operation kind and import no filter or pivot
 planner: an operation reaches them only through ``plan.operation_plan``.
 Every bracketed ASL body is read by the one clause loop ``_Parser.body``,
 and the error plumbing of both parsers lives once, on ``lexer.Parser``.
+Every key of every clause table, in CNL-BI and in ASL, has a reader and a
+writer, and each emitter writes a table's clauses only through it, so a
+clause's syntax is stated once for reading and writing.
 The engine keeps no module-level cache of cube data: what a query derives
 and keeps (a reference's postings and member folds) lives on its ``Table``
 and dies with the cube, and no other module reads the member folds. Every
@@ -24,7 +27,7 @@ which compiles one method at import where the frozen dataclass compiles six.
 import ast
 from pathlib import Path
 
-from bispec import engine
+from bispec import asl, cnlbi, engine
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bispec"
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
@@ -143,6 +146,34 @@ def test_asl_reads_every_bracketed_body_in_one_loop():
         for loop in ast.walk(function) if isinstance(loop, ast.While) and _calls_at_punct_close(loop)
     }
     assert loops == {"body", "skip_block"}
+
+
+def _tables_in_calls(module, functions: tuple[str, ...]) -> set[str]:
+    """The module-level dicts of ``module`` that a call of one of ``functions`` takes as an argument."""
+    return {
+        arg.id
+        for node in ast.walk(MODULES[module.__name__.rpartition(".")[2]]) if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in functions
+        for arg in (getattr(arg, "value", arg) for arg in node.args)
+        if isinstance(arg, ast.Name) and isinstance(getattr(module, arg.id, None), dict)
+    }
+
+
+def test_every_clause_table_entry_has_a_reader_and_a_writer():
+    read = {cnlbi: _tables_in_calls(cnlbi, ("clauses",)), asl: _tables_in_calls(asl, ("body", "eat_word"))}
+    assert read[cnlbi] == {"_ACTOR", "_USE_CASE", "_OPERATION", "_COMPONENT"}  # the walk sees every table
+    assert read[asl] == {
+        "_ENTITY", "_ATTRIBUTE", "_CLUSTER", "_ACTOR", "_USE_CASE", "_COMPONENT", "_EVENT", "_CONTAINER", "_ACTION_TAG"
+    }
+    missing = [
+        f"{module.__name__}.{table}[{key!r}]"
+        for module, tables in read.items() for table in sorted(tables)
+        for key, entry in getattr(module, table).items()
+        if not (isinstance(entry, tuple) and len(entry) >= 2 and callable(entry[-2]) and callable(entry[-1]))
+    ]
+    assert missing == []
+    assert _tables_in_calls(cnlbi, ("_writer",)) == read[cnlbi]
+    assert _tables_in_calls(asl, ("_body", "_inline")) == read[asl] | {"_DESCRIPTION"}
 
 
 def test_parsers_define_no_error_plumbing_of_their_own():
