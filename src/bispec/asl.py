@@ -239,8 +239,8 @@ class _Parser(Parser):
         )
 
     def attribute(self) -> tuple[dict, object | None, tuple[str, Span] | None]:
-        """The attribute's model fields but its measure, its type None while a
-        ``_Dimension`` awaits its ForeignKey; its formula; its expression tag."""
+        """The attribute as read: its model fields but the measure (the type None
+        while a ``_Dimension`` awaits its ForeignKey), its formula and its expression tag."""
         ident, name = self.named("an attribute id")
         attr_type: m.AttributeType | None = None
         length = None

@@ -216,7 +216,7 @@ class _Parser(Parser):
         )
 
     def attribute(self) -> tuple[dict, object | None]:
-        """The attribute's model fields but its measure, and the measure as read."""
+        """The attribute as read: its model fields but the measure, and the measure unresolved."""
         ident = self.ident("an attribute id")
         name = self.opt_name()
         if self.cur.eat_word("refers"):
