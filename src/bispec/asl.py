@@ -562,8 +562,7 @@ class _Parser(Parser):
 
         for comp_id, (fields, _) in self.components.items():
             if comp_id not in built:
-                message = f"component {comp_id} is referenced by no container; dropped"
-                self.diags.append(warning("ASL023", message, fields["loc"]))
+                self.diags.append(warning("ASL023", f"component {comp_id} is referenced by no container; dropped", fields["loc"]))
         return containers
 
 
@@ -643,8 +642,6 @@ def _tag_dimensions(cur: Cursor, at: Span) -> tuple[str, ...]:
 # Writers of the clauses of each body, called as writer(owner): each returns
 # the clauses it writes for ``owner``.
 
-_EMPTY = (None, (), frozenset())
-
 
 def _write(field: str, line: str, text=None, each: bool = False):
     """A writer of the model field ``field``: ``line`` formatted with its value,
@@ -652,9 +649,11 @@ def _write(field: str, line: str, text=None, each: bool = False):
 
     def write(owner) -> list[str]:
         value = getattr(owner, field)
-        if value in _EMPTY:
+        if value is None or not value and not isinstance(value, str):  # None or an empty collection
             return []
-        return [line.format(text(item) if text else item) for item in (value if each else (value,))]
+        if each:
+            return [line.format(text(item) if text else item) for item in value]
+        return [line.format(text(value) if text else value)]
 
     return write
 
@@ -670,16 +669,27 @@ def _write_constraints(attr: m.DataAttribute) -> list[str]:
     return [f"constraints ({' '.join(rendered)})"] if rendered else []
 
 
-def _write_measure(attr: m.DataAttribute) -> list[str]:
-    """The measure as a formula, or as an ``expression`` tag when no formula can write it."""
-    measure = attr.measure
+def _expression(measure: object) -> str | None:
+    """The text of the ``expression`` tag for a measure that no formula can write; None for any other."""
     if isinstance(measure, m.OpaqueMeasure):
-        return [_tag("expression", measure.text)]
+        return measure.text
+    if isinstance(measure, m.Aggregate) and isinstance(measure.arg, m.Predicate):
+        return mx.measure_text(measure, quote="'")  # strings nested inside tag values use single quotes
+    return None
+
+
+def _write_formula(attr: m.DataAttribute) -> list[str]:
+    measure = attr.measure
+    if measure is None or _expression(measure) is not None:
+        return []
     if isinstance(measure, m.Aggregate):
-        if isinstance(measure.arg, m.Predicate):  # strings nested inside tag values use single quotes
-            return [_tag("expression", mx.measure_text(measure, quote="'"))]
         return [f"formula details: {measure.fn.lower()} ({measure.arg})"]
-    return [] if measure is None else [f"formula arithmetic {mx.measure_text(measure)}"]
+    return [f"formula arithmetic {mx.measure_text(measure)}"]
+
+
+def _write_expression(attr: m.DataAttribute) -> list[str]:
+    text = _expression(attr.measure)
+    return [] if text is None else [_tag("expression", text)]
 
 
 def _write_action_name(op: m.OlapOperation) -> list[str]:
@@ -731,8 +741,7 @@ def _action_tag(op: m.OlapOperation) -> str:
     return _tag(f"BI-Action:{_ACTION_SPELLING[op.kind]}:{op.id}", "; ".join(_body(op, _ACTION_TAG)))
 
 
-# Clause tables: keyword -> (reader, writer), in the order the clauses are
-# written. Keywords that read one field share its writer, which writes it once.
+# Clause tables: keyword -> (reader, writer), in the order the clauses are written.
 
 _DESCRIPTION = {
     "description": (lambda p, tok, at: p.string("description"), _write("description", "description {}", mx.literal_text)),
@@ -747,8 +756,8 @@ _ATTRIBUTE = {
         lambda p, tok, at: p._literal(),
         _write("default_value", "defaultValue {}", lambda default: mx.literal_text(default.value)),
     ),
-    "formula": (lambda p, tok, at: p._formula(tok), _write_measure),
-    "tag": (_dropped_tag("attribute", "expression"), _write_measure),
+    "formula": (lambda p, tok, at: p._formula(tok), _write_formula),
+    "tag": (_dropped_tag("attribute", "expression"), _write_expression),
 }
 _CLUSTER = {
     "main": (_ident("an entity id"), _write("main", "main {}")),
@@ -800,6 +809,7 @@ _ACTION_TAG = {  # a BI-Action tag value's clauses: keyword -> (field, reader, w
     "dimensions": ("touched_dimensions", _tag_dimensions, _write("touched_dimensions", "dimensions {}", ", ".join)),
     "description": ("description", _tag_string("description"), _write("description", "description {}", _single_quoted)),
 }
+
 _DECLARATIONS = {
     "DataEnumeration": _Parser.enumeration,
     "DataEntity": _Parser.entity,
@@ -827,8 +837,11 @@ def _named(obj) -> str:
 
 
 def _body(owner, table: dict) -> list[str]:
-    """What the writers of ``table``'s clauses write for ``owner``, in table order, each writer once."""
-    return [line for write in dict.fromkeys(entry[-1] for entry in table.values()) for line in write(owner)]
+    """What the writers of ``table``'s clauses write for ``owner``, in table order."""
+    lines: list[str] = []
+    for entry in table.values():
+        lines += entry[-1](owner)
+    return lines
 
 
 def _inline(owner, table: dict) -> str:
@@ -910,13 +923,8 @@ def emit_asl(model: m.SpecificationModel) -> tuple[str, list[Diagnostic]]:
     emitted: dict[str, m.UIComponent] = {}
     for container in sorted(model.ui_containers, key=lambda c: c.id):
         for comp in container.components:
-            previous = emitted.get(comp.id)
-            if previous is None:
-                emitted[comp.id] = comp
-            elif previous != comp:
-                diags.append(
-                    warning("ASL023", f"component id {comp.id} reused with different content; first declaration wins")
-                )
+            if emitted.setdefault(comp.id, comp) != comp:
+                diags.append(warning("ASL023", f"component id {comp.id} reused with different content; first declaration wins"))
     for comp in (emitted[comp_id] for comp_id in sorted(emitted)):
         sub = f" : {comp.component_subtype}" if comp.component_subtype is not None else ""
         out += _block(f"component {comp.id}{_named(comp)} : {comp.component_type}{sub}", _body(comp, _COMPONENT))

@@ -240,10 +240,8 @@ class _Parser(Parser):
         raw_measure: object | None = None
         if self.cur.at_punct("("):
             constraints, default, raw_measure = self._paren_items()
-        fields = dict(
-            id=ident.text, attr_type=attr_type, name=name, default_value=default, constraints=frozenset(constraints),
-            loc=ident.span,
-        )
+        fields = dict(id=ident.text, attr_type=attr_type, name=name, default_value=default, loc=ident.span)
+        fields["constraints"] = frozenset(constraints)
         return fields, raw_measure
 
     def _paren_items(self) -> tuple[list[m.Constraint], m.Literal | None, object | None]:
@@ -524,8 +522,6 @@ def _action(p: _Parser) -> str:
 # it writes for ``owner``, indented as emitted, and reports to ``out`` what
 # CNL-BI cannot say.
 
-_EMPTY = (None, (), frozenset())
-
 
 def _write(field: str, line: str, text=None, each: bool = False, lost: str | None = None):
     """A writer of the model field ``field``: ``line`` formatted with its value,
@@ -536,12 +532,15 @@ def _write(field: str, line: str, text=None, each: bool = False, lost: str | Non
 
     def write(owner, out: _Out) -> list[str]:
         value = getattr(owner, field)
-        if value in _EMPTY:
+        if value is None or not value and not isinstance(value, str):  # None or an empty collection
             return []
-        items = [text(item) if text else item for item in (value if each else (value,))]
-        if lost:
-            out.warnings += [warning("CNL030", lost.format(item, owner)) for item in items]
-        return [line.format(item, owner) for item in items]
+        lines = []
+        for item in value if each else (value,):
+            item = text(item) if text else item
+            lines.append(line.format(item, owner))
+            if lost:
+                out.warnings.append(warning("CNL030", lost.format(item, owner)))
+        return lines
 
     return write
 
@@ -557,16 +556,10 @@ def _description(kind: str, line: str, stops: tuple[str, ...] = ()):
         if owner.description is None:
             return []
         if not _reads_back(owner.description, stops):
-            message = f"description of {kind} {owner.id} does not read back as written in CNL-BI"
-            out.warnings.append(warning("CNL030", message))
+            out.warnings.append(warning("CNL030", f"description of {kind} {owner.id} does not read back as written in CNL-BI"))
         return [line.format(owner.description)]
 
     return write
-
-
-def _writes(*writers):
-    """One writer of what each of ``writers`` writes, in turn."""
-    return lambda owner, out: [line for write in writers for line in write(owner, out)]
 
 
 _describe_use_case = _description("use case", "  described as {}", ("performs",))
@@ -612,7 +605,8 @@ def _write_parts(comp: m.UIComponent, out: _Out) -> list[str]:
 
 # Clause tables: phrase -> (key the value is kept under, reader, writer), in the
 # order the clauses are written. Phrases that read one field share its writer,
-# which writes the field once.
+# which writes the field once. A writer may be a tuple of writers: a field that
+# CNL-BI has no clause for is noted after the clause its ASL form follows.
 
 _ACTOR = {
     "extends": ("extends", _ident("an actor id"), _write("is_a", ", extends {}")),
@@ -622,9 +616,9 @@ _USE_CASE = {
     "with stakeholder": ("stakeholder", _ident("a stakeholder name"), _write("stakeholder", "  with stakeholder {},")),
     "actor": ("actor", _ident("an actor id"), _write("primary_actor", "  actor {},")),
     "support actor": ("support actor", _ident("an actor id"), _write("supporting_actors", "  support actor {},", each=True)),
-    "data source": ("data source", _ident("a data source id"), _writes(
+    "data source": ("data source", _ident("a data source id"), (
         _write("data_source", "  data source {},"),
-        _write(  # CNL-BI has no clause for them; noted where ASL writes them
+        _write(
             "action_kinds", "// not representable in CNL-BI: bare action kinds on use case {1.id}: {0}", ", ".join,
             lost="not representable in CNL-BI: bare action kinds on use case {1.id}: {0}",
         ),
@@ -639,9 +633,9 @@ _OPERATION = {
         _write("where_clauses", "      where {}", lambda where: " and ".join(map(mx.predicate_text, where))),
     ),
     "group by": ("group by", _Parser.group_by, _write("group_by", "      group by {}")),
-    "swap": ("swap", _Parser.swap, _writes(
+    "swap": ("swap", _Parser.swap, (
         _write("swap", "      swap {0[0]} with {0[1]}"),
-        _write(  # CNL-BI has no clause for them; noted where ASL writes them
+        _write(
             "touched_dimensions", "      // touched dimensions: {}", ", ".join,
             lost="touched dimensions of operation {1.id} have no CNL-BI syntax",
         ),
@@ -660,7 +654,7 @@ _COMPONENT = {
     "actions": (
         "actions", lambda p: p.listed(_action), _write("actions", "  actions {}", lambda actions: ", ".join(sorted(actions)))
     ),
-    "that navigates": ("that navigates", _ident("a container id", "to"), _writes(
+    "that navigates": ("that navigates", _ident("a container id", "to"), (
         _write("navigates_to", "  that navigates to {}"),
         _write("tags", "  // tag {0[0]} = {0[1]}", each=True, lost="tag {0[0]!r} on {1.id} has no CNL-BI syntax"),
     )),
@@ -678,9 +672,17 @@ _DECLARATIONS = {
 
 
 def _writer(table: dict, *more):
-    """One writer of the clauses of ``table``, in table order, then ``more``: the
-    ``described as`` clause that the clause loop reads when ``table`` does not."""
-    return _writes(*dict.fromkeys(writer for _, _, writer in table.values()), *more)
+    """One writer of the clauses of ``table``, in table order, each writer once,
+    then ``more``: the ``described as`` clause the loop reads when ``table`` does not."""
+    writers = (*dict.fromkeys(w for *_, ws in table.values() for w in (ws if isinstance(ws, tuple) else (ws,))), *more)
+
+    def write(owner, out: _Out) -> list[str]:
+        lines: list[str] = []
+        for write_clause in writers:
+            lines += write_clause(owner, out)
+        return lines
+
+    return write
 
 
 _write_actor = _writer(_ACTOR, _description("actor", " described as {}"))
@@ -850,9 +852,9 @@ def _component(comp: m.UIComponent, out: _Out, last: bool) -> list[str]:
 def _punctuated(lines: list[str], between: str, end: str) -> list[str]:
     """``lines`` with ``between`` after each clause line but the last and ``end``
     after the last. A ``//`` comment line takes none, so it follows them."""
-    last = max(i for i, line in enumerate(lines) if not _is_comment(line))
-    return [line if _is_comment(line) else line + (end if i == last else between) for i, line in enumerate(lines)]
-
-
-def _is_comment(line: str) -> bool:
-    return line.lstrip().startswith("//")
+    marked, mark = [], end
+    for line in reversed(lines):
+        if not line.lstrip().startswith("//"):
+            line, mark = line + mark, between
+        marked.append(line)
+    return marked[::-1]
