@@ -851,11 +851,11 @@ def _inline(owner, table: dict) -> str:
 
 
 def _block(head: str, body: list[str]) -> list[str]:
-    return [f"{head} [", *(f"  {line}" for line in body), "]", ""]
+    return [f"{head} [", *["  " + line for line in body], "]", ""]
 
 
-def _collect_declarations(model: m.SpecificationModel) -> list[m.VocabularyExtension]:
-    """Vocabulary declarations the emitted document must open with."""
+def _collect_declarations(model: m.SpecificationModel) -> list[tuple[tuple[str, str], object]]:
+    """The vocabulary declarations the document opens with: (category, term) and the model's extension for it."""
     needed: set[tuple[str, str]] = set()
 
     for entity in model.entities:
@@ -886,10 +886,10 @@ def _collect_declarations(model: m.SpecificationModel) -> list[m.VocabularyExten
             for part in comp.parts:
                 needed.add(("UIComponentPartSubType", part.part_kind))
 
-    declared = {key: m.VocabularyExtension(*key) for key in needed}
+    declared = dict.fromkeys(needed, SimpleNamespace(description=None))  # a term without an extension has no description
     declared.update(((ext.category, ext.id), ext) for ext in model.vocabulary_extensions)
     order = {cat: i for i, cat in enumerate(m.EXTENSION_CATEGORIES)}
-    return sorted(declared.values(), key=lambda ext: (order[ext.category], ext.id))
+    return sorted(declared.items(), key=lambda item: (order[item[0][0]], item[0][1]))
 
 
 def emit_asl(model: m.SpecificationModel) -> tuple[str, list[Diagnostic]]:
@@ -898,7 +898,7 @@ def emit_asl(model: m.SpecificationModel) -> tuple[str, list[Diagnostic]]:
     diags: list[Diagnostic] = []
 
     declarations = _collect_declarations(model)
-    out += [f"{ext.category} {ext.id}{_inline(ext, _DESCRIPTION)}" for ext in declarations]
+    out += [f"{category} {term}{_inline(ext, _DESCRIPTION)}" for (category, term), ext in declarations]
     if declarations:
         out.append("")
 

@@ -605,8 +605,8 @@ def _write_parts(comp: m.UIComponent, out: _Out) -> list[str]:
 
 # Clause tables: phrase -> (key the value is kept under, reader, writer), in the
 # order the clauses are written. Phrases that read one field share its writer,
-# which writes the field once. A writer may be a tuple of writers: a field that
-# CNL-BI has no clause for is noted after the clause its ASL form follows.
+# which writes the field once. A tuple of writers runs in turn: a field CNL-BI
+# has no clause for is noted by the writer of the clause it follows in ASL.
 
 _ACTOR = {
     "extends": ("extends", _ident("an actor id"), _write("is_a", ", extends {}")),
