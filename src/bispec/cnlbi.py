@@ -20,7 +20,7 @@ from itertools import groupby
 
 from . import measure as mx
 from . import model as m
-from .diagnostics import Diagnostic, Span, error, warning
+from .diagnostics import Diagnostic, error, warning
 from .lexer import NUMBER, PUNCT_CHARS, WORD, Clauses, Parser, Token, TokenKind, string_body, tokenize
 
 TOP_LEVEL_WORDS = ("DataEntity", "Data", "Actor", "UseCase", "UIContainer", "UIComponent")
