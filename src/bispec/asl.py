@@ -81,8 +81,8 @@ class _Parser(Parser):
         super().__init__(*tokenize(source, file=file, code_prefix="ASL", block_comments=True))
         self.registered: dict[str, set[str]] = {cat: set() for cat in m.EXTENSION_CATEGORIES}
         self.model_extensions: list[m.VocabularyExtension] = []
-        # Component id -> (the component's model fields but its navigation target, the targets its events name).
-        self.components: dict[str, tuple[dict, list[str]]] = {}
+        # Component id -> (the component, None when it failed its model check, and the targets its events name).
+        self.components: dict[str, tuple[m.UIComponent | None, list[str]]] = {}
 
     # -- plumbing ----------------------------------------------------------
 
@@ -216,7 +216,7 @@ class _Parser(Parser):
         name = self.opt_name()
         self.expect_word("values")
         self.expect_punct("(")
-        values = self.listed(_enum_value)
+        values = self.listed(_ident("an enumeration value"))
         self.expect_punct(")")
         return self.build(ident, m.DataEnumeration, ident.text, name, tuple(values), start.span)
 
@@ -301,12 +301,11 @@ class _Parser(Parser):
             return None
 
     def _literal(self) -> m.Literal:
-        tok = self.cur.next()
-        if tok.kind in (TokenKind.NUMBER, TokenKind.STRING):
-            return m.Literal(tok.value)
-        if tok.text in ("True", "False", "true", "false"):
-            return m.Literal(tok.text.lower() == "true")
-        raise self.fail("ASL010", f"expected a literal, found {tok.text!r}", tok.span)
+        literal = mx.parse_literal(self.cur)
+        if literal is None:
+            tok = self.cur.next()
+            raise self.fail("ASL010", f"expected a literal, found {tok.text!r}", tok.span)
+        return literal
 
     def _finish_attributes(self, raw_attrs: list[tuple]) -> tuple[m.DataAttribute, ...]:
         has_measure = {fields["id"] for fields, formula, tag in raw_attrs if formula is not None or tag is not None}
@@ -453,18 +452,23 @@ class _Parser(Parser):
         if ident.text in self.components:
             self.diags.append(error("ASL010", f"duplicate component declaration {ident.text!r}", ident.span))
             return
-        self.components[ident.text] = dict(
-            id=ident.text,
-            component_type=comp_type,
-            name=name,
-            component_subtype=comp_subtype,
-            data_binding=body.last("dataBinding"),
-            parts=tuple(part for part in body.get("part", ()) if part is not None),
-            actions=frozenset(action for action, _ in events if action is not None),
-            tags=tuple(body.get("tag", ())),
-            description=body.last("description"),
-            loc=start.span,
-        ), [target for _, target in events if target is not None]
+        try:
+            component = m.UIComponent(
+                id=ident.text,
+                component_type=comp_type,
+                name=name,
+                component_subtype=comp_subtype,
+                data_binding=body.last("dataBinding"),
+                parts=tuple(part for part in body.get("part", ()) if part is not None),
+                actions=frozenset(action for action, _ in events if action is not None),
+                tags=tuple(body.get("tag", ())),
+                description=body.last("description"),
+                loc=start.span,
+            )
+        except m.ModelError as exc:
+            self.diags.append(error("ASL010", str(exc), start.span))
+            component = None
+        self.components[ident.text] = component, [target for _, target in events if target is not None]
 
     def part(self) -> m.UIPart | None:
         ident, name = self.named("a part id")
@@ -531,56 +535,41 @@ class _Parser(Parser):
         return container, body.get("component", [])
 
     def _finalize_containers(self, raw_containers) -> list[m.UIContainer]:
+        """Each container with the components it references, each of these
+        navigating to the first target its events name that is a container."""
         container_ids = {container.id for container, _ in raw_containers}
-        built: dict[str, m.UIComponent] = {}  # the components some container references
-
-        def build(comp_id: str) -> m.UIComponent | None:
-            if comp_id not in self.components:
-                return None
-            if comp_id not in built:
-                fields, targets = self.components[comp_id]
-                navigates_to = next((t for t in targets if t in container_ids), None)
-                try:
-                    built[comp_id] = m.UIComponent(**fields, navigates_to=navigates_to)
-                except m.ModelError as exc:
-                    self.diags.append(error("ASL010", str(exc), fields["loc"]))
-                    return None
-            return built[comp_id]
+        referenced = {ref for _, refs in raw_containers for ref in refs}
+        components: dict[str, m.UIComponent] = {}
+        for comp_id, (component, targets) in self.components.items():
+            if component is None:  # reported where it is declared
+                continue
+            if comp_id not in referenced:
+                self.diags.append(warning("ASL023", f"component {comp_id} is referenced by no container; dropped", component.loc))
+                continue
+            navigates_to = next((t for t in targets if t in container_ids), None)
+            components[comp_id] = component if navigates_to is None else replace(component, navigates_to=navigates_to)
 
         containers: list[m.UIContainer] = []
         for container, refs in raw_containers:
-            components: list[m.UIComponent] = []
             for ref in refs:
-                comp = build(ref)
-                if comp is None:
+                if ref not in self.components:
                     self.diags.append(
                         error("ASL020", f"container {container.id} references unknown component {ref!r}", container.loc)
                     )
-                    continue
-                components.append(comp)
-            containers.append(replace(container, components=tuple(components)))
-
-        for comp_id, (fields, _) in self.components.items():
-            if comp_id not in built:
-                self.diags.append(warning("ASL023", f"component {comp_id} is referenced by no container; dropped", fields["loc"]))
+            containers.append(replace(container, components=tuple(components[ref] for ref in refs if ref in components)))
         return containers
 
 
 # Readers of the clauses of each body, called as reader(parser, keyword, at).
 
 
-def _enum_value(p: _Parser) -> str:
-    return p.ident("an enumeration value").text
-
-
 def _ident(what: str):
-    return lambda p, tok, at: p.ident(what).text
+    """A reader of an identifier's text; as a clause's reader it ignores the keyword and ``at``."""
+    return lambda p, *_: p.ident(what).text
 
 
 def _idents(what: str):
-    def item(p: _Parser) -> str:
-        return p.ident(what).text
-
+    item = _ident(what)
     return lambda p, tok, at: p.listed(item)
 
 
@@ -610,13 +599,6 @@ def _tag_string(what: str):
         return str(cur.next().value)
 
     return read
-
-
-def _tag_predicates(cur: Cursor, at: Span) -> tuple[m.Predicate, ...]:
-    where = [mx.parse_predicate(cur)]
-    while cur.eat_word("and"):
-        where.append(mx.parse_predicate(cur))
-    return tuple(where)
 
 
 def _tag_group_by(cur: Cursor, at: Span) -> m.AttributePath:
@@ -660,10 +642,7 @@ def _write(field: str, line: str, text=None, each: bool = False):
 
 def _write_constraints(attr: m.DataAttribute) -> list[str]:
     """The constraints in the language's order; a dimension reference is written as its ForeignKey."""
-    rendered = [
-        f"ForeignKey({c.target})" if c.kind == "ForeignKey" else c.kind
-        for c in sorted(attr.constraints, key=lambda c: m.CONSTRAINT_KINDS.index(c.kind))
-    ]
+    rendered = mx.constraint_texts(attr.constraints)
     if attr.attr_type.kind == "dimension":
         rendered.append(f"ForeignKey({attr.attr_type.name})")
     return [f"constraints ({' '.join(rendered)})"] if rendered else []
@@ -693,7 +672,8 @@ def _write_expression(attr: m.DataAttribute) -> list[str]:
 
 
 def _write_action_name(op: m.OlapOperation) -> list[str]:
-    return [] if op.name in (None, op.id) else ["name " + _single_quoted(op.name)]
+    name = mx.shown_name(op, "name {}", "'")  # strings nested inside tag values use single quotes
+    return [name] if name else []
 
 
 def _single_quoted(text: str) -> str:
@@ -721,11 +701,11 @@ def _attribute_text(attr: m.DataAttribute) -> str:
         type_text = attr.attr_type.name
         if attr.attr_type.length is not None:
             type_text += f"({attr.attr_type.length})"
-    return f"{attr.id}{_name_part(attr)} : {type_text}{_inline(attr, _ATTRIBUTE)}"
+    return f"{attr.id}{mx.shown_name(attr)} : {type_text}{_inline(attr, _ATTRIBUTE)}"
 
 
 def _part_text(part: m.UIPart) -> str:
-    return f"{part.id}{_name_part(part)} : Field : {part.part_kind} [dataAttributeBinding {part.binding}]"
+    return f"{part.id}{mx.shown_name(part)} : Field : {part.part_kind} [dataAttributeBinding {part.binding}]"
 
 
 def _event_text(event: m.NavigationEvent) -> str:
@@ -801,7 +781,7 @@ _ACTION_TAG = {  # a BI-Action tag value's clauses: keyword -> (field, reader, w
     "name": ("name", _tag_string("name"), _write_action_name),
     "where": (
         "where_clauses",
-        _tag_predicates,
+        lambda cur, at: tuple(mx.parse_predicates(cur)),
         _write("where_clauses", "where {}", lambda where: " and ".join(mx.predicate_text(pred, "'") for pred in where)),
     ),
     "group": ("group_by", _tag_group_by, _write("group_by", "group by {}")),
@@ -825,10 +805,6 @@ _DECLARATIONS = {
 # ---------------------------------------------------------------------------
 # Emitter
 # ---------------------------------------------------------------------------
-
-
-def _name_part(obj) -> str:
-    return f" {mx.literal_text(obj.name)}" if obj.name is not None and obj.name != obj.id else ""
 
 
 def _named(obj) -> str:

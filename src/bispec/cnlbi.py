@@ -273,12 +273,9 @@ class _Parser(Parser):
                     break
             elif tok.text == "default":
                 self.cur.next()
-                rhs = self.cur.next()
-                if rhs.kind in (TokenKind.NUMBER, TokenKind.STRING):
-                    default = m.Literal(rhs.value)
-                elif rhs.text in ("True", "False", "true", "false"):
-                    default = m.Literal(rhs.text.lower() == "true")
-                else:
+                default = mx.parse_literal(self.cur)
+                if default is None:
+                    rhs = self.cur.next()
                     raise self.fail("CNL012", f"expected a default literal, found {rhs.text!r}", rhs.span)
             else:
                 raise self.fail("CNL012", f"malformed constraint list near {tok.text!r}", tok.span)
@@ -380,14 +377,10 @@ class _Parser(Parser):
             operations.append(operation)
 
     def where(self) -> list[m.Predicate]:
-        predicates = []
-        while True:
-            try:
-                predicates.append(mx.parse_predicate(self.cur))
-            except mx.ExprSyntaxError as exc:
-                raise self.fail("CNL014", f"malformed where clause: {exc}", exc.span) from None
-            if not self.cur.eat_word("and"):
-                return predicates
+        try:
+            return mx.parse_predicates(self.cur)
+        except mx.ExprSyntaxError as exc:
+            raise self.fail("CNL014", f"malformed where clause: {exc}", exc.span) from None
 
     def group_by(self) -> m.AttributePath:
         try:
@@ -539,7 +532,7 @@ def _write(field: str, line: str, text=None, each: bool = False, lost: str | Non
             item = text(item) if text else item
             lines.append(line.format(item, owner))
             if lost:
-                out.warnings.append(warning("CNL030", lost.format(item, owner)))
+                out.append(warning("CNL030", lost.format(item, owner)))
         return lines
 
     return write
@@ -556,28 +549,26 @@ def _description(kind: str, line: str, stops: tuple[str, ...] = ()):
         if owner.description is None:
             return []
         if not _reads_back(owner.description, stops):
-            out.warnings.append(warning("CNL030", f"description of {kind} {owner.id} does not read back as written in CNL-BI"))
+            out.append(warning("CNL030", f"description of {kind} {owner.id} does not read back as written in CNL-BI"))
         return [line.format(owner.description)]
 
     return write
 
 
-_describe_use_case = _description("use case", "  described as {}", ("performs",))
-
-
-def _write_use_case_description(uc: m.UseCase, out: _Out) -> list[str]:
-    # The description precedes the operations, so that a trailing operation
-    # without its own description cannot capture it.
-    return [line + ("," if uc.operations else ".") for line in _describe_use_case(uc, out)]
+def _note_action_kinds(uc: m.UseCase, out: _Out) -> list[str]:
+    return [out.note(f"bare action kinds on use case {uc.id}: {', '.join(uc.action_kinds)}")] if uc.action_kinds else []
 
 
 def _write_operations(uc: m.UseCase, out: _Out) -> list[str]:
-    lines = ["  performs"] if uc.operations else []
+    """The ``performs`` clause, each operation punctuated on its own, as one entry of several lines."""
+    if not uc.operations:
+        return []
+    lines = ["  performs"]
     for i, op in enumerate(uc.operations):
         kind = _KIND_WORDS[op.kind]
-        head = f"    OLAP Operation {op.id}{_opt_paren_name(op)} is {_article(kind)} {kind}"
+        head = f"    OLAP Operation {op.id}{mx.shown_name(op, ' ({})')} is {_article(kind)} {kind}"
         lines += _punctuated([head, *_write_operation(op, out)], "", "" if i == len(uc.operations) - 1 else ",")
-    return lines
+    return ["\n".join(lines)]
 
 
 def _write_parts(comp: m.UIComponent, out: _Out) -> list[str]:
@@ -599,7 +590,7 @@ def _write_parts(comp: m.UIComponent, out: _Out) -> list[str]:
             elif word := next(options, None):
                 lines.append(f"  {word} {part.binding}")
             else:
-                out.note(f"extra Option part {part.id} on {comp.id}")
+                lines.append(out.note(f"extra Option part {part.id} on {comp.id}"))
     return lines
 
 
@@ -613,17 +604,18 @@ _ACTOR = {
     "with stakeholder": ("stakeholder", _ident("a stakeholder name"), _write("stakeholder", ", with stakeholder {}")),
 }
 _USE_CASE = {
-    "with stakeholder": ("stakeholder", _ident("a stakeholder name"), _write("stakeholder", "  with stakeholder {},")),
-    "actor": ("actor", _ident("an actor id"), _write("primary_actor", "  actor {},")),
-    "support actor": ("support actor", _ident("an actor id"), _write("supporting_actors", "  support actor {},", each=True)),
+    "with stakeholder": ("stakeholder", _ident("a stakeholder name"), _write("stakeholder", "  with stakeholder {}")),
+    "actor": ("actor", _ident("an actor id"), _write("primary_actor", "  actor {}")),
+    "support actor": ("support actor", _ident("an actor id"), _write("supporting_actors", "  support actor {}", each=True)),
     "data source": ("data source", _ident("a data source id"), (
-        _write("data_source", "  data source {},"),
-        _write(
-            "action_kinds", "// not representable in CNL-BI: bare action kinds on use case {1.id}: {0}", ", ".join,
-            lost="not representable in CNL-BI: bare action kinds on use case {1.id}: {0}",
-        ),
+        _write("data_source", "  data source {}"),
+        _note_action_kinds,
     )),
-    "described": ("description", lambda p: p.description(("performs",)), _write_use_case_description),
+    # The description precedes the operations, so that a trailing operation
+    # without its own description cannot capture it.
+    "described": (
+        "description", lambda p: p.description(("performs",)), _description("use case", "  described as {}", ("performs",))
+    ),
     "performs": ("performs", _Parser.operations, _write_operations),
 }
 _OPERATION = {
@@ -730,27 +722,16 @@ def _reads_back(text: str, stops: frozenset) -> bool:
 
 
 class _Out(list):
-    """The emitted lines, and the CNL030 warnings about what they leave out."""
+    """The CNL030 warnings about what the emitted text leaves out."""
 
-    def __init__(self):
-        super().__init__()
-        self.warnings: list[Diagnostic] = []
-
-    def note(self, message: str) -> None:
-        self.append(f"// not representable in CNL-BI: {message}")
-        self.warnings.append(warning("CNL030", f"not representable in CNL-BI: {message}"))
+    def note(self, message: str) -> str:
+        """The ``//`` line that notes a loss, for its writer to place where the lost field stood; adds its CNL030."""
+        self.append(warning("CNL030", f"not representable in CNL-BI: {message}"))
+        return f"// not representable in CNL-BI: {message}"
 
 
 def _article(word: str) -> str:
     return "an" if word[:1] in "AEIO" else "a"
-
-
-def _opt_paren_name(obj) -> str:
-    return f" ({mx.literal_text(obj.name)})" if obj.name is not None and obj.name != obj.id else ""
-
-
-def _opt_bare_name(obj) -> str:
-    return f" {mx.literal_text(obj.name)}" if obj.name is not None and obj.name != obj.id else ""
 
 
 _KIND_WORDS = {"Slice": "Slice", "Dice": "Dice", "RollUp": "Roll-up", "DrillDown": "Drill-down", "Pivot": "Pivot"}
@@ -763,36 +744,37 @@ def emit_cnlbi(model: m.SpecificationModel) -> tuple[str, list[Diagnostic]]:
     string lengths, container events) are emitted as comment lines and
     reported as warnings.
     """
+    lines: list[str] = []
     out = _Out()
     for ext in sorted(model.vocabulary_extensions, key=lambda x: (x.category, x.id)):
-        out.note(f"vocabulary extension {ext.category} {ext.id}")
+        lines.append(out.note(f"vocabulary extension {ext.category} {ext.id}"))
 
     for enum in sorted(model.enumerations, key=lambda e: e.id):
         *values, last = enum.values
         rendered = f"{', '.join(values)} and {last}" if values else last
-        out += [f"Data enumeration {enum.id}{_opt_paren_name(enum)} with values {rendered}.", ""]
+        lines += [f"Data enumeration {enum.id}{mx.shown_name(enum, ' ({})')} with values {rendered}.", ""]
 
     for entity in sorted(model.entities, key=lambda e: e.id):
         sub = f" {entity.sub_type}" if entity.sub_type else ""
-        out.append(
-            f"DataEntity {entity.id}{_opt_paren_name(entity)} is {_article(entity.entity_type)} "
+        lines.append(
+            f"DataEntity {entity.id}{mx.shown_name(entity, ' ({})')} is {_article(entity.entity_type)} "
             f"{entity.entity_type}{sub} with attributes"
         )
-        attributes = ",\n".join("  " + _attribute_text(attr, out.warnings, entity.id) for attr in entity.attributes)
+        attributes = ",\n".join("  " + _attribute_text(attr, out, entity.id) for attr in entity.attributes)
         description = _describe_entity(entity, out)
-        out += [attributes + ("" if description else "."), *description, ""]
+        lines += [attributes + ("" if description else "."), *description, ""]
 
     for cluster in sorted(model.clusters, key=lambda c: c.id):
-        out.note(f"data entity cluster {cluster.id} (main {cluster.main}, uses {', '.join(cluster.uses)})")
-        out.append("")
+        lines += [out.note(f"data entity cluster {cluster.id} (main {cluster.main}, uses {', '.join(cluster.uses)})"), ""]
 
     for actor in sorted(model.actors, key=lambda a: a.id):
-        head = f"Actor {actor.id}{_opt_bare_name(actor)} is {_article(actor.actor_type)} {actor.actor_type}"
-        out += ["".join([head, *_write_actor(actor, out)]) + ".", ""]
+        head = f"Actor {actor.id}{mx.shown_name(actor)} is {_article(actor.actor_type)} {actor.actor_type}"
+        lines += ["".join([head, *_write_actor(actor, out)]) + ".", ""]
 
     for uc in sorted(model.use_cases, key=lambda u: u.id):
-        head = f"UseCase {uc.id}{_opt_paren_name(uc)} is {_article(uc.uc_type)} {uc.uc_type}"
-        out += [head, *_write_use_case(uc, out), ""]
+        head = f"UseCase {uc.id}{mx.shown_name(uc, ' ({})')} is {_article(uc.uc_type)} {uc.uc_type}"
+        # The last operation, when there is one, ends the use case unmarked.
+        lines += [head, *_punctuated(_write_use_case(uc, out), ",", "" if uc.operations else "."), ""]
 
     for container in sorted(model.ui_containers, key=lambda c: c.id):
         if container.container_subtype is not None and container.container_type == "MainWindow":
@@ -800,39 +782,33 @@ def emit_cnlbi(model: m.SpecificationModel) -> tuple[str, list[Diagnostic]]:
         else:
             head = "Main Window" if container.container_type == "MainWindow" else "Modal Window"
             if container.container_subtype is not None:
-                out.note(f"container subtype {container.container_subtype} on {container.id}")
-        out.append(f"UIContainer {container.id}{_opt_bare_name(container)} is {_article(head)} {head}")
-        out.append("that contains")
-        for event in container.events:
-            out.note(f"container event {event.id} on {container.id}")
+                lines.append(out.note(f"container subtype {container.container_subtype} on {container.id}"))
+        lines += [f"UIContainer {container.id}{mx.shown_name(container)} is {_article(head)} {head}", "that contains"]
+        lines += [out.note(f"container event {event.id} on {container.id}") for event in container.events]
         for i, comp in enumerate(container.components):
-            out += _component(comp, out, last=i == len(container.components) - 1)
-        out.append("")
+            lines += _component(comp, out, last=i == len(container.components) - 1)
+        lines.append("")
 
-    text = "\n".join(out).strip()
-    return (text + "\n" if text else ""), out.warnings
+    text = "\n".join(lines).strip()
+    return (text + "\n" if text else ""), out
 
 
-def _attribute_text(attr: m.DataAttribute, warnings: list[Diagnostic], entity_id: str) -> str:
-    name = _opt_paren_name(attr)
+def _attribute_text(attr: m.DataAttribute, out: _Out, entity_id: str) -> str:
+    name = mx.shown_name(attr, " ({})")
     if attr.attr_type.kind == "dimension":
         head = f"{attr.id}{name} refers to Dimension {attr.attr_type.name}"
     else:
         type_name = attr.attr_type.name
         if attr.attr_type.length is not None:
-            warnings.append(
-                warning("CNL030", f"string length on {entity_id}.{attr.id} has no CNL-BI syntax; dropped")
-            )
+            out.append(warning("CNL030", f"string length on {entity_id}.{attr.id} has no CNL-BI syntax; dropped"))
         head = f"{attr.id}{name} is {_article(type_name)} {type_name}"
 
-    items: list[str] = []
-    for c in sorted(attr.constraints, key=lambda c: m.CONSTRAINT_KINDS.index(c.kind)):
-        items.append(f"ForeignKey({c.target})" if c.kind == "ForeignKey" else c.kind)
+    items = mx.constraint_texts(attr.constraints)
     if attr.default_value is not None:
         items.append(f"default {mx.literal_text(attr.default_value.value)}")
     if attr.measure is not None:
         if isinstance(attr.measure, m.OpaqueMeasure):
-            warnings.append(warning("CNL030", f"opaque measure on {entity_id}.{attr.id}; emitted verbatim"))
+            out.append(warning("CNL030", f"opaque measure on {entity_id}.{attr.id}; emitted verbatim"))
         items.append(f"operation {mx.measure_text(attr.measure)}")
     if items:
         head += f" ({', '.join(items)})"
@@ -840,18 +816,19 @@ def _attribute_text(attr: m.DataAttribute, warnings: list[Diagnostic], entity_id
 
 
 def _component(comp: m.UIComponent, out: _Out, last: bool) -> list[str]:
+    lines = []
     term = _TERM_BY_TYPE.get((comp.component_type, comp.component_subtype))
     if term is None:
         term = comp.component_type
         if comp.component_subtype is not None:
-            out.note(f"component subtype {comp.component_subtype} on {comp.id}")
-    head = f"UIComponent {comp.id}{_opt_bare_name(comp)} is {_article(term)} {term}"
-    return _punctuated([head, *_write_component(comp, out)], ",", "." if last else ",")
+            lines.append(out.note(f"component subtype {comp.component_subtype} on {comp.id}"))
+    lines.append(f"UIComponent {comp.id}{mx.shown_name(comp)} is {_article(term)} {term}")
+    return _punctuated([*lines, *_write_component(comp, out)], ",", "." if last else ",")
 
 
 def _punctuated(lines: list[str], between: str, end: str) -> list[str]:
-    """``lines`` with ``between`` after each clause line but the last and ``end``
-    after the last. A ``//`` comment line takes none, so it follows them."""
+    """``lines`` with ``between`` after each clause but the last and ``end`` after the last, each at the
+    end of its entry, which may span several lines. A ``//`` comment line takes none, so it follows them."""
     marked, mark = [], end
     for line in reversed(lines):
         if not line.lstrip().startswith("//"):

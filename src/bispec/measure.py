@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from . import model as m
 from .diagnostics import Span
-from .lexer import Cursor, Token, TokenKind, tokenize  # noqa: F401 (perfbench/spans.py wraps measure.tokenize)
+from .lexer import Cursor, TokenKind, tokenize  # noqa: F401 (perfbench/spans.py wraps measure.tokenize)
 
 
 class ExprSyntaxError(Exception):
@@ -46,17 +46,13 @@ _AGG_BY_LOWER = {fn.lower(): fn for fn in m.AGGREGATE_FUNCTIONS}
 _AGG_BY_LOWER["avg"] = "AVERAGE"
 
 
-def _word(tok: Token) -> bool:
-    return tok.is_word()
-
-
 def parse_path(cur: Cursor) -> m.AttributePath:
     first = cur.peek()
-    if not _word(first):
+    if not first.is_word():
         raise ExprSyntaxError(f"expected an attribute path, found {first.text!r}", first.span)
     segments = [cur.next().text]
     last = first
-    while cur.at_punct(".") and _word(cur.peek(1)):
+    while cur.at_punct(".") and cur.peek(1).is_word():
         # Dotted paths are written without whitespace; a detached '.' is a
         # declaration terminator, not a segment separator.
         dot, nxt = cur.peek(), cur.peek(1)
@@ -72,22 +68,35 @@ def parse_path(cur: Cursor) -> m.AttributePath:
         raise ExprSyntaxError(str(exc), span) from exc
 
 
-def _parse_rhs(cur: Cursor) -> object:
+def parse_literal(cur: Cursor) -> m.Literal | None:
+    """The next token as a literal, consumed, when it is a number, a string or a boolean word; else None."""
     tok = cur.peek()
-    if tok.kind is TokenKind.NUMBER:
-        cur.next()
-        return m.Literal(tok.value)
-    if tok.kind is TokenKind.STRING:
-        cur.next()
-        return m.Literal(tok.value)
+    if tok.kind in (TokenKind.NUMBER, TokenKind.STRING):
+        return m.Literal(cur.next().value)
     if tok.is_word() and tok.text in ("True", "False", "true", "false"):
         cur.next()
         return m.Literal(tok.text.lower() == "true")
-    if _word(tok):
+    return None
+
+
+def _parse_rhs(cur: Cursor) -> object:
+    literal = parse_literal(cur)
+    if literal is not None:
+        return literal
+    tok = cur.peek()
+    if tok.is_word():
         # Path-shaped: either an enum literal (classified once the full model
         # is known) or a free parameter path bound at query time.
         return parse_path(cur)
     raise ExprSyntaxError(f"expected a literal or path, found {tok.text!r}", tok.span)
+
+
+def parse_predicates(cur: Cursor) -> list[m.Predicate]:
+    """Predicates joined by ``and``."""
+    predicates = [parse_predicate(cur)]
+    while cur.eat_word("and"):
+        predicates.append(parse_predicate(cur))
+    return predicates
 
 
 def parse_predicate(cur: Cursor) -> m.Predicate:
@@ -139,7 +148,7 @@ def _parse_factor(cur: Cursor) -> object:
         if cur.eat_punct(")") is None:
             raise ExprSyntaxError("expected ')'", cur.peek().span)
         return inner
-    if _word(tok):
+    if tok.is_word():
         fn = _AGG_BY_LOWER.get(tok.text.lower())
         if fn is not None and cur.peek(1).text == "(":
             cur.next()
@@ -204,6 +213,19 @@ def literal_text(value: object, quote: str = '"') -> str:
     if isinstance(value, (int, float)):
         return repr(value)
     return quote + str(value).replace("\\", "\\\\").replace(quote, "\\" + quote) + quote
+
+
+def shown_name(obj, form: str = " {}", quote: str = '"') -> str:
+    """``form`` with ``obj``'s name as a literal; nothing when it has no name or the name is its id."""
+    return form.format(literal_text(obj.name, quote)) if obj.name is not None and obj.name != obj.id else ""
+
+
+def constraint_texts(constraints) -> list[str]:
+    """Constraints in the language's order, a foreign key as ``ForeignKey(target)``."""
+    return [
+        f"ForeignKey({c.target})" if c.kind == "ForeignKey" else c.kind
+        for c in sorted(constraints, key=lambda c: m.CONSTRAINT_KINDS.index(c.kind))
+    ]
 
 
 def operand_text(value: object, quote: str = '"') -> str:

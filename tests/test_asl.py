@@ -244,3 +244,18 @@ def test_minimal_entity_body_reports_its_code_at_its_line(code, line):
     _, diags = parse_asl(source, "x.asl")
     lines = source.splitlines()
     assert [(d.code, d.span.file, lines[d.span.line - 1].strip()) for d in diags] == [(code, "x.asl", line)]
+
+
+def test_a_component_that_fails_its_model_check_is_reported_once_at_its_declaration():
+    # Two containers reference the component; neither reference repeats its fault or calls it unknown or unreferenced.
+    source = (
+        "UIComponentType InteractiveChart\n"
+        'component C "C" : InteractiveChart [ ]\n'
+        'UIContainer P "P" : Window [ component C ]\n'
+        'UIContainer Q "Q" : Window [ component C ]\n'
+    )
+    model, diags = parse_asl(source, "x.asl")
+    assert [(d.code, d.span.line, d.message) for d in diags] == [
+        ("ASL010", 2, "InteractiveChart component C requires a chart subtype")
+    ]
+    assert [(container.id, container.components) for container in model.ui_containers] == [("P", ()), ("Q", ())]

@@ -248,6 +248,43 @@ def test_clause_punctuation_precedes_the_comments_that_follow_a_clause():
     assert [comp.id for comp in back.ui_containers[0].components] == ["Grid", "Info"]
 
 
+def _options_filter():
+    options = tuple(m.UIPart(part, "Option", m.AttributePath(("Item", part))) for part in ("low", "high", "step"))
+    component = m.UIComponent("Range", "Filter", data_binding="Item", parts=options)
+    return m.SpecificationModel(ui_containers=(m.UIContainer("Page", components=(component,)),))
+
+
+@pytest.mark.parametrize(
+    "model, expected",
+    [
+        (  # a use case with neither a description nor operations ends in '.'
+            m.SpecificationModel(use_cases=(m.UseCase("U", "BIAnalysis", "A"),)),
+            "UseCase U is a BIAnalysis\n  actor A.\n",
+        ),
+        (  # a third Option part is noted where it stood, inside its component
+            _options_filter(),
+            "UIContainer Page is a Main Window\n"
+            "that contains\n"
+            "UIComponent Range is a Filter,\n"
+            "  data binding to Item,\n"
+            "  starting at Item.low,\n"
+            "  ending at Item.high.\n"
+            "// not representable in CNL-BI: extra Option part step on Range\n",
+        ),
+    ],
+    ids=["use-case-of-one-clause", "three-option-parts"],
+)
+def test_emitted_text_is_exact_and_emit_of_parse_is_a_fixed_point(model, expected):
+    text, _ = emit_cnlbi(model)
+    assert text == expected
+    back, diags = parse_cnlbi(text, "back.cnlbi")
+    assert diags == []
+    again, _ = emit_cnlbi(back)
+    back_again, diags = parse_cnlbi(again, "again.cnlbi")
+    assert diags == []
+    assert emit_cnlbi(back_again)[0] == again
+
+
 NATIONAL = "Analysis_Appointments_National_Level"
 NATIONAL_DESCRIPTION = 'description "Displays the appointment data by institution at a national level"'
 
