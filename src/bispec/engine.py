@@ -78,7 +78,7 @@ from .plan import (Column, EngineError, Filter, Parameter, Plan, column, executa
 # an optional ``entity_id = "file.csv"`` entry, then an optional ``#`` comment
 _MANIFEST_LINE = re.compile(r'\s*(?:([A-Za-z_][A-Za-z0-9_]*)\s*=\s*"([^"]+)"\s*)?(?:#.*)?')
 
-CHUNK_ROWS = 4096  # CSV records parsed together, one column at a time
+CHUNK_ROWS = 2048  # CSV records parsed together, one column at a time
 
 
 def parse_manifest(path: Path) -> dict[str, str]:
@@ -160,22 +160,29 @@ def _member_space(table: Table, refs: tuple) -> int:
     return prod(table.targets[ref].size + 1 for ref in refs)
 
 
+def _position_code(rows: int) -> str:
+    """The typecode of the arrays holding row positions and row counts of a
+    table of ``rows`` rows: 32-bit while every one fits in 31 bits."""
+    return "i" if rows < 2**31 else "q"
+
+
 def _member_lists(table: Table, refs: tuple) -> list[array]:
     """The positions of the table's rows per member of the references
-    ``refs``, ascending, in one array per member. A member is one
-    combination of target rows, one row (or the null slot) of each
-    reference's target, and its id is mixed-radix: the first reference's
-    row, plus the next one's times the first target's size + 1, and so on;
-    one reference's members are its target's rows. The rows go into their
-    arrays in one C-level pass, the pass a row loop groups in, with no list
-    of ids beside them and no Python int kept per row."""
+    ``refs``, ascending, in one array per member (``_position_code``). A
+    member is one combination of target rows, one row (or the null slot) of
+    each reference's target, and its id is mixed-radix: the first
+    reference's row, plus the next one's times the first target's size + 1,
+    and so on; one reference's members are its target's rows. The rows go
+    into their arrays in one C-level pass, the pass a row loop groups in,
+    with no list of ids beside them and no Python int kept per row."""
     size = table.size
     ids = islice(table.data[refs[0]], size)
     radix = table.targets[refs[0]].size + 1
     for ref in refs[1:]:
         ids = map(add, ids, map(mul, islice(table.data[ref], size), repeat(radix)))
         radix *= table.targets[ref].size + 1
-    members = [array("q") for _ in range(radix)]
+    code = _position_code(size)
+    members = [array(code) for _ in range(radix)]
     deque(map(array.append, map(members.__getitem__, ids), range(size)), maxlen=0)
     return members
 
@@ -183,10 +190,11 @@ def _member_lists(table: Table, refs: tuple) -> list[array]:
 def _postings(members: list[array], counts: Sequence[int]) -> tuple[array, array]:
     """``_member_lists`` as ``(offsets, positions)``, given each member's
     rows: the rows of member ``m`` are ``positions[offsets[m]:offsets[m +
-    1]]``, in two flat arrays."""
-    positions = array("q")
+    1]]``, in two flat arrays of the members' typecode."""
+    code = members[0].typecode
+    positions = array(code)
     deque(map(positions.extend, members), maxlen=0)
-    return array("q", accumulate(counts, initial=0)), positions
+    return array(code, accumulate(counts, initial=0)), positions
 
 
 def _member_rows(table: Table, refs: tuple, ref: str) -> Iterator[int]:
@@ -365,7 +373,8 @@ def load_cube(model: m.SpecificationModel, data_dir: str | Path) -> tuple[Cube, 
             diags.append(warning("ENG001", f"manifest entry {key!r} matches no entity; ignored"))
 
     tables: dict[str, Table] = {}
-    indexes: dict[str, dict] = {}  # entity id -> {primary key: first row position}
+    indexes: dict[str, dict] = {}  # entity id some reference targets -> {primary key: first row position}
+    referenced = {attr.dimension_target for entity in model.entities for attr in entity.dimension_refs}
     table_diags: dict[str, list[Diagnostic]] = {}
     dangling: dict[tuple[str, str], list[Diagnostic]] = defaultdict(list)  # (entity id, reference) -> ENG004s
     ordered, cyclic = model.reference_order()
@@ -375,7 +384,7 @@ def load_cube(model: m.SpecificationModel, data_dir: str | Path) -> tuple[Cube, 
         if filename is None or not (data_dir / filename).is_file():
             own.append(error("ENG001", f"no data file for entity {entity.id}"))
             continue
-        table = _load_table(entity, model, data_dir / filename, tables, indexes, own, dangling)
+        table = _load_table(entity, model, data_dir / filename, tables, indexes, own, dangling, entity.id in referenced)
         if table is not None:
             tables[entity.id] = table
 
@@ -400,19 +409,21 @@ def load_cube(model: m.SpecificationModel, data_dir: str | Path) -> tuple[Cube, 
 
 
 def _load_table(entity: m.DataEntity, model: m.SpecificationModel, path: Path, tables: dict[str, Table],
-                indexes: dict[str, dict], diags: list[Diagnostic], dangling) -> Table | None:
+                indexes: dict[str, dict], diags: list[Diagnostic], dangling, referenced: bool) -> Table | None:
     """Read one CSV in chunks of ``CHUNK_ROWS`` records into column lists (no
     null slot yet). A reference to a table in ``tables`` resolves chunk by chunk
     through its index; any other keeps its keys. Duplicate primary keys
     are reported after the rejected rows; the first row with a key is the one
-    references reach."""
+    references reach. Only a ``referenced`` entity, one that some reference
+    targets, keeps its index in ``indexes``; any other checks its keys
+    through a set."""
     stored = [a for a in entity.attributes if not a.is_measure]
     expected = tuple(a.id for a in stored)
     coercers = [_coercer(model, read_type(model, a)) for a in stored]
     refs = [(i, a.id, tables[a.dimension_target]) for i, a in enumerate(stored) if a.dimension_target in tables]
     pk = entity.primary_key
     pk_at = expected.index(pk.id) if pk is not None else None
-    index: dict = {}
+    index: dict | set = {} if referenced else set()
     duplicates: list[Diagnostic] = []
     columns: list[list] = [[] for _ in stored]
     size = 0
@@ -443,13 +454,10 @@ def _load_table(entity: m.DataEntity, model: m.SpecificationModel, path: Path, t
                 count, cells = _parse_chunk(texts, chunk, read, f"{path.name} row", records + 1, stored, coercers, diags)
                 records += read
                 if pk_at is not None:
-                    positions = range(size, size + count)
-                    claimed = list(map(index.setdefault, cells[pk_at], positions))
-                    if claimed != list(positions):
-                        duplicates += [
-                            error("ENG003", f"{path.name} row {position + 1}, column {pk.id}: duplicate primary key {key!r}")
-                            for position, first, key in zip(positions, claimed, cells[pk_at]) if first != position
-                        ]
+                    duplicates += [
+                        error("ENG003", f"{path.name} row {position + 1}, column {pk.id}: duplicate primary key {key!r}")
+                        for position, key in _claim_keys(cells[pk_at], size, index)
+                    ]
                 for i, attr_id, target in refs:
                     cells[i] = _resolve(cells[i], size, indexes[target.entity_id], target, entity.id, attr_id, dangling)
                 for values, new in zip(columns, cells):
@@ -462,10 +470,35 @@ def _load_table(entity: m.DataEntity, model: m.SpecificationModel, path: Path, t
         diags.append(error("ENG002", f"{path.name} line {done + reader.line_num}: {exc}"))
         return None
     diags += duplicates
-    index.pop(None, None)  # a null key reaches the null slot
-    indexes[entity.id] = index
+    if referenced:
+        index.pop(None, None)  # a null key reaches the null slot
+        indexes[entity.id] = index
     return Table(entity.id, dict(zip(expected, columns)), size, pk.id if pk is not None else None,
                  {attr_id: target for _, attr_id, target in refs})
+
+
+def _claim_keys(keys: list, first: int, index: dict | set) -> list[tuple[int, object]]:
+    """``(position, key)`` of each row whose primary key an earlier row holds,
+    in row order, for keys whose first row is at position ``first``; ``index``
+    takes the others, as ``{key: position}`` or, as a set, the keys alone. A
+    chunk of keys new to a set joins it at once."""
+    if index.__class__ is dict:
+        positions = range(first, first + len(keys))
+        claimed = list(map(index.setdefault, keys, positions))
+        if claimed == list(positions):
+            return []
+        return [(position, key) for position, held, key in zip(positions, claimed, keys) if held != position]
+    fresh = set(keys)
+    if len(fresh) == len(keys) and index.isdisjoint(fresh):
+        index |= fresh
+        return []
+    repeated = []
+    for position, key in enumerate(keys, first):
+        if key in index:
+            repeated.append((position, key))
+        else:
+            index.add(key)
+    return repeated
 
 
 def _bad_utf8_line(path: Path) -> int:
@@ -1055,7 +1088,8 @@ def _member_program(cube: Cube, fact_id: str, refs: tuple, exprs):
         if any(_leaf_input(cube.model, leaf)[3] not in _MEMBER_FOLDS for leaf in program.leaves):
             return None
         if kept is None:
-            kept = fact.folds[refs] = _Members(array("q", _counts(fact.postings[refs][0])))
+            offsets = fact.postings[refs][0]
+            kept = fact.folds[refs] = _Members(array(offsets.typecode, _counts(offsets)))
         plan = kept.plans[id(program)] = (program, _combine_plan(cube, fact_id, refs, program))
     return plan[1]
 

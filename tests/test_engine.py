@@ -170,6 +170,31 @@ def test_numeric_text_that_sqlite_keeps_as_text_is_eng003(medbuddy, cube, tmp_pa
     assert (exc.value.code, str(exc.value)) == ("ENG010", "parameter 'year' expects Integer, got '2_023'")
 
 
+# A CSV line of each entity, its key left out; a Patient key is referenced, so its rows are indexed,
+# and no reference reaches a fact key, so the fact's keys are only checked
+KEYED_LINES = {"Patient": "{},1000,40,Ana Silva,Female,c1", "AppointmentRequest": "{},i1,p1,s2,t1,t2,30,12,true"}
+
+
+@pytest.mark.parametrize("entity", sorted(KEYED_LINES))
+@pytest.mark.parametrize("chunk_rows", [2, engine.CHUNK_ROWS])
+def test_duplicate_primary_keys_in_and_across_chunks_are_eng003_in_row_order(medbuddy, tmp_path, monkeypatch, entity, chunk_rows):
+    targets = {attr.dimension_target for each in medbuddy.entities for attr in each.dimension_refs}
+    assert ("Patient" in targets, "AppointmentRequest" in targets) == (True, False)
+    c = chunk_rows
+    # row (1-based) -> the earlier row whose key it repeats: one pair in a chunk, one either side
+    # of a chunk boundary, and three copies of one key, the last two in one later chunk
+    repeats = {2: 1, 2 * c + 1: 2 * c, 3 * c + 1: c + 1, 3 * c + 2: c + 1}
+    keys = {row: f"k{repeats.get(row, row)}" for row in range(1, 3 * c + 3)}
+    header = (DATA_DIR / f"{entity}.csv").read_text().splitlines()[0]
+    text = "".join(f"{line}\n" for line in [header, *map(KEYED_LINES[entity].format, keys.values())])
+    monkeypatch.setattr(engine, "CHUNK_ROWS", chunk_rows)
+    cube, diags = load_cube(medbuddy, _package(tmp_path, **{entity: lambda _: text}))
+    assert [d.message for d in diags if d.code == "ENG003"] == [
+        f"{entity}.csv row {row}, column id: duplicate primary key {keys[row]!r}" for row in sorted(repeats)
+    ]
+    assert cube.table(entity).data["id"][:-1] == list(keys.values())
+
+
 def test_utf8_bom_on_a_header_is_ignored(medbuddy, tmp_path):
     for name in DATA_DIR.iterdir():
         (tmp_path / name.name).write_text(name.read_text())

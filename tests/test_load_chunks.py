@@ -1,8 +1,8 @@
 """Loader diagnostics on a package whose tables span several read chunks.
 
-The loader reads each CSV in chunks of ``engine.CHUNK_ROWS`` records. This
-package puts faults on the first record, on both sides of the boundaries at
-records 4096 and 8192, and on the last record of ``Patient`` and
+The loader reads each CSV in chunks of ``engine.CHUNK_ROWS`` records (2048).
+This package puts faults on the first record, on both sides of the chunk
+boundaries at records 4096 and 8192, and on the last record of ``Patient`` and
 ``AppointmentRequest``: a wrong field count, a bad Integer and Boolean, a
 value outside its enumeration, null in a NOT NULL column, a duplicate primary
 key, and dangling NOT NULL and nullable references. The ``(code, message)``
@@ -12,12 +12,18 @@ recorded with the row-at-a-time loader that preceded the chunked one.
 A chunk of plain lines is split as text (``engine._plain_columns``); from
 the first chunk that is not plain, ``csv.reader`` reads the rest of the file.
 Both must load the same tables and diagnostics.
+
+The same package bounds the loader's transient memory against what the cube
+keeps, and checks the postings built over its references.
 """
 
 import csv
 import io
 import json
 import random
+import tracemalloc
+from array import array
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -31,8 +37,8 @@ from conftest import DATA_DIR, load_both_ways
 
 GOLDEN = Path(__file__).parent / "golden" / "load_chunks_diagnostics.json"
 BOUNDARIES = (4096, 8192)  # chunk boundaries whenever CHUNK_ROWS divides 4096
-PATIENTS = 2 * 4096 + 37  # three chunks
-FACTS = 3 * 4096 + 53  # four chunks
+PATIENTS = 2 * 4096 + 37  # five chunks of 2048 records
+FACTS = 3 * 4096 + 53  # seven chunks of 2048 records
 DUPLICATE_AGE = 150  # the age on the second row of a duplicated patient key; no first row has it
 
 
@@ -127,6 +133,59 @@ def test_references_reach_the_first_row_of_a_duplicated_key_and_no_query_runs(me
     with pytest.raises(engine.EngineError) as exc:
         aggregate(cube.view("AppointmentRequest"), [m.AttributePath.parse("Patient.age")])
     assert str(exc.value) == f"the data package did not load: {diags[0].code} {diags[0].message}"
+
+
+def test_a_second_load_peaks_at_most_2_3_times_what_the_cube_keeps(medbuddy, package):
+    """What a load allocates and frees again (chunk text, cells, the key
+    index of an entity nothing references) stays within 1.3 times the cube's
+    own memory; the first load imports and caches what later loads share."""
+    load_cube(medbuddy, package)
+    tracemalloc.start()
+    try:
+        cube, diags = load_cube(medbuddy, package)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.3 * kept, f"peak {peak / 2**20:.2f} MB, kept {kept / 2**20:.2f} MB: {peak / kept:.2f}x"
+
+
+def test_row_positions_are_32_bit_below_2_31_rows():
+    assert (engine._position_code(2**31 - 1), engine._position_code(2**31)) == ("i", "q")
+    assert array("i").itemsize == 4 and array("i", [2**31 - 1])  # the largest offset of 2**31 - 1 rows fits
+    with pytest.raises(OverflowError):
+        array("i", [2**31])
+
+
+def _counting_sort(ids: list, members: int) -> tuple[list, list]:
+    """``(offsets, positions)`` of ``ids`` (a member id per row) by counting sort, in plain lists."""
+    counts = [0] * members
+    for member in ids:
+        counts[member] += 1
+    offsets = list(accumulate(counts, initial=0))
+    positions, slots = [0] * len(ids), offsets[:-1]
+    for position, member in enumerate(ids):
+        positions[slots[member]] = position
+        slots[member] += 1
+    return offsets, positions
+
+
+@pytest.mark.parametrize("code", ["i", "q"])
+def test_postings_of_every_reference_are_its_counting_sort(medbuddy, package, monkeypatch, code):
+    """Every reference of the fixture and of the chunk package, posted in the
+    typecode their size picks ("i") and in the one past 2**31 rows ("q")."""
+    if code == "q":
+        monkeypatch.setattr(engine, "_position_code", lambda rows: "q")
+    posted = 0
+    for data_dir in (DATA_DIR, package):
+        cube, _ = load_cube(medbuddy, data_dir)
+        for table in cube.tables.values():
+            for ref, target in table.targets.items():
+                offsets, positions = table.posted((ref,))
+                assert (offsets.typecode, positions.typecode) == (code, code)
+                expected = _counting_sort(table.data[ref][:table.size], target.size + 1)
+                assert (offsets.tolist(), positions.tolist()) == expected, (table.entity_id, ref)
+                posted += 1
+    assert posted == 2 * 7  # Patient.residence, Institution.city and the fact's five references, in each package
 
 
 def test_split_and_csv_reader_load_the_fixture_and_the_chunk_package_alike(medbuddy, package):
