@@ -14,10 +14,10 @@ _EXPORTS = {  # each public name -> the submodule that defines it
         "asl": ("emit_asl", "parse_asl"),
         "canonical": ("canonicalize", "model_json"),
         "cnlbi": ("emit_cnlbi", "parse_cnlbi"),
-        "engine": ("Cube", "EngineError", "ResultTable", "aggregate", "dice_view", "evaluate_measure", "load_cube", "pivot",
-                   "run_use_case", "slice_view"),
+        "engine": ("Cube", "EngineError", "ResultTable", "load_cube", "pivot", "run_plan", "run_use_case"),
         "generators": ("GeneratorError", "gen_dashboard_manifest", "gen_olap_sql", "gen_requirements_doc", "gen_schema_sql"),
         "model": ("AttributePath", "SpecificationModel", "merge_models"),
+        "plan": ("plan_operation",),
         "semantics": ("CheckReport", "check_model"),
     }.items()
     for name in names

@@ -13,9 +13,9 @@ reads only references that resolved, into tables that loaded.
 
 A table is one list per stored attribute, each ending with a null slot. A
 dimension reference holds row positions in its target table, so a hop is a
-C-level ``map`` of ``list.__getitem__``. A view is a list of fact row
-positions, and a query compiles its plan once into column readers over
-positions and measures that share aggregate leaves by expression.
+C-level ``map`` of ``list.__getitem__``. Every query is a ``Plan`` that
+``run_plan`` runs over the whole fact, compiled once into column readers
+over fact row positions and measures that share aggregate leaves by expression.
 
 A reader touches each fact position once: one fact-side step through the
 fact column or the first reference, which walks the stored column itself
@@ -72,8 +72,7 @@ from pathlib import Path
 
 from . import model as m
 from .diagnostics import Diagnostic, error, value, warning
-from .plan import (Column, EngineError, Filter, Parameter, Plan, column, executable_measures, measure_program, plan_filters,
-                   plan_operation, read_type)
+from .plan import Column, EngineError, Filter, Parameter, Plan, measure_program, plan_operation, read_type
 
 # an optional ``entity_id = "file.csv"`` entry, then an optional ``#`` comment
 _MANIFEST_LINE = re.compile(r'\s*(?:([A-Za-z_][A-Za-z0-9_]*)\s*=\s*"([^"]+)"\s*)?(?:#.*)?')
@@ -128,6 +127,8 @@ class Table:
 
     @property
     def rows(self) -> "Rows":
+        """Every row as a dict (``Rows``); kept because ``perfbench/spans.py``
+        counts a load's rows through it."""
         return Rows(self, range(self.size))
 
     def values(self, attr_id: str) -> list:
@@ -209,7 +210,8 @@ def _member_rows(table: Table, refs: tuple, ref: str) -> Iterator[int]:
 
 class Rows(Sequence):
     """The rows of ``table`` at ``positions`` as dicts, each built when read;
-    the engine itself never reads them."""
+    the engine itself never reads them. Kept for ``Table.rows`` and
+    ``CubeView.rows``, which ``perfbench/spans.py`` looks up by name."""
 
     def __init__(self, table: Table, positions):
         self.table = table
@@ -746,7 +748,7 @@ def _far_end(cube: Cube, fact_id: str, col: Column, test) -> tuple[tuple, list[i
 
 
 # ---------------------------------------------------------------------------
-# Views and predicates
+# Filters
 # ---------------------------------------------------------------------------
 
 
@@ -771,8 +773,9 @@ def _bound_value(model: m.SpecificationModel, filt: Filter, bindings: dict):
 
 @value
 class CubeView:
-    """Read-only slice of a cube: the positions of the fact rows satisfying a
-    conjunction, filtered once when the view is made, in file order."""
+    """Fact row positions of a cube. ``Cube.view`` makes one over the whole
+    fact, which ``run_plan`` takes as its ENG030 gate; ``rows`` is kept
+    because ``perfbench/spans.py`` looks it up by name."""
 
     cube: Cube
     fact_id: str
@@ -789,19 +792,15 @@ class CubeView:
     def rows(self) -> Rows:
         return Rows(self.cube.tables[self.fact_id], self.positions)
 
-    def row_count(self) -> int:
-        return len(self.positions)
 
-
-def _filtered(view: CubeView, filters, bindings: dict | None) -> list:
-    """The view's positions that the filters keep. Each filter tests the
-    positions the filters before it kept; a filter over the whole fact keeps
-    the positions that reference the rows ``_far_end`` walks back to, when it
-    can, in postings order."""
-    values = [_bound_value(view.cube.model, f, bindings or {}) for f in filters]
-    cube, fact_id = view.cube, view.fact_id
+def _filtered(cube: Cube, fact_id: str, filters, bindings: dict | None) -> Sequence[int]:
+    """The fact positions that the filters keep. Each filter tests the
+    positions the filters before it kept; the first, over the whole fact,
+    keeps the positions that reference the rows ``_far_end`` walks back to,
+    when it can, in postings order."""
+    values = [_bound_value(cube.model, f, bindings or {}) for f in filters]
     fact = cube.tables[fact_id]
-    positions = view.positions
+    positions = range(fact.size)
     for filt, value in zip(filters, values):
         test = partial(eq, value)
         far = _far_end(cube, fact_id, filt.column, test) if positions == range(fact.size) else None
@@ -812,30 +811,20 @@ def _filtered(view: CubeView, filters, bindings: dict | None) -> list:
     return positions
 
 
-def _sliced(view: CubeView, filters, bindings: dict | None, exprs) -> tuple[int, tuple]:
-    """``(row_count, cells)``: how many of the view's rows the filters keep, and
-    the measures over them. A query over the whole fact by one filter
-    combines the member folds of the filter's first reference at the rows of
-    its target that ``_far_end`` keeps, where ``_member_program`` gives
-    them; any other reads the kept fact positions."""
-    cube, fact_id = view.cube, view.fact_id
-    if len(filters) == 1 and view.positions == range(cube.tables[fact_id].size):
+def _sliced(cube: Cube, fact_id: str, filters, bindings: dict | None, exprs) -> tuple[int, tuple]:
+    """``(row_count, cells)``: how many fact rows the filters keep, and the
+    measures over them. A query by one filter combines the member folds of
+    the filter's first reference at the rows of its target that ``_far_end``
+    keeps, where ``_member_program`` gives them; any other reads the kept
+    fact positions."""
+    if len(filters) == 1:
         col = filters[0].column
         combine = _member_program(cube, fact_id, (_first_reference(col),), exprs)
         far = combine and _far_end(cube, fact_id, col, partial(eq, _bound_value(cube.model, filters[0], bindings or {})))
         if far:
             return combine(_gather(far[1]))
-    positions = _filtered(view, filters, bindings)
+    positions = _filtered(cube, fact_id, filters, bindings)
     return len(positions), _measure_program(cube, fact_id, exprs, len(positions))(positions)
-
-
-def slice_view(view: CubeView, predicate: m.Predicate, bindings: dict | None = None) -> CubeView:
-    return dice_view(view, (predicate,), bindings)
-
-
-def dice_view(view: CubeView, predicates, bindings: dict | None = None) -> CubeView:
-    positions = _filtered(view, plan_filters(view.cube.model, view.fact_id, predicates), bindings)
-    return CubeView(view.cube, view.fact_id, sorted(positions))  # in file order
 
 
 # ---------------------------------------------------------------------------
@@ -980,7 +969,8 @@ def _measure_program(cube: Cube, fact_id: str, exprs, reads: int):
 
 def evaluate_measure(view: CubeView, expr, rows: Rows | None = None):
     """Evaluate a measure over a subset of the view's rows, as ``CubeView.rows()``
-    returns them (defaults to the whole view)."""
+    returns them (defaults to the whole view). No query calls it: it is kept
+    because ``perfbench/spans.py`` looks it up by name."""
     positions = view.positions if rows is None else rows.positions
     return _measure_program(view.cube, view.fact_id, (expr,), len(positions))(positions)[0]
 
@@ -1219,30 +1209,21 @@ def _member_groups(cube: Cube, fact_id: str, keys, exprs) -> list | None:
     return [(value, combine(gather, rows)[1]) for value, gather, rows in grouping]
 
 
-def aggregate(view: CubeView, group_by) -> ResultTable:
-    """Group view rows and evaluate every executable measure per group.
-
-    ``group_by`` holds attribute paths (dotted text or ``AttributePath``) or
-    plan ``Column``s. Roll-up and drill-down are both this operation with a
-    coarser or finer key list; the distinction is reporting metadata only.
-    A query over the whole fact groups by member (``_member_groups``) where
-    it can; any other grouping reads every position.
-    """
-    cube, fact_id = view.cube, view.fact_id
-    model = cube.model
-    parse = m.AttributePath.parse
-    keys = [key if isinstance(key, Column) else column(model, fact_id, parse(str(key))) for key in group_by]
-    positions = view.positions
-    measure_attrs = executable_measures(model.entity(fact_id))
-    exprs = [a.measure for a in measure_attrs]
+def aggregate(cube: Cube, plan: Plan) -> ResultTable:
+    """Group the fact's rows by ``plan.keys``, by member (``_member_groups``)
+    where it can, else reading every position, and evaluate ``plan.measures``
+    per group. ``run_plan`` runs it for a roll-up or drill-down (they differ
+    only in reporting metadata) and a pivot; ``perfbench/spans.py`` wraps it
+    by name."""
+    fact_id, keys = plan.fact.id, plan.keys
+    positions = range(cube.tables[fact_id].size)
+    exprs = [a.measure for a in plan.measures]
 
     single = len(keys) == 1  # groups on bare values, made 1-tuples once per group
-    grouped = None  # (group key, its measure cells) in key order
-    if keys and positions and positions == range(cube.tables[fact_id].size):
-        grouped = _member_groups(cube, fact_id, keys, exprs)
+    grouped = _member_groups(cube, fact_id, keys, exprs) if keys and positions else None  # (group key, cells) in key order
     if grouped is None:
         readers = [_reader(cube, fact_id, key, len(positions)) for key in keys]
-        groups = defaultdict(list)  # each in the view's order
+        groups = defaultdict(list)  # each in file order
         values = readers[0](positions) if single else zip(*(read(positions) for read in readers)) if readers else repeat(())
         for key, position in zip(values, positions):
             groups[key].append(position)
@@ -1252,7 +1233,7 @@ def aggregate(view: CubeView, group_by) -> ResultTable:
         grouped = zip(order, map(program, map(groups.__getitem__, order)))  # in key order
     result_rows = [((key,) if single else key) + row for key, row in grouped]
 
-    return ResultTable(tuple(key.path for key in keys), tuple(a.id for a in measure_attrs), tuple(result_rows))
+    return ResultTable(tuple(key.path for key in keys), tuple(a.id for a in plan.measures), tuple(result_rows))
 
 
 def pivot(result: ResultTable) -> ResultTable:
@@ -1275,15 +1256,16 @@ def run_use_case(cube: Cube, use_case_id: str, op_id: str, bindings: dict | None
 
 
 def run_plan(cube: Cube, plan: Plan, bindings: dict | None = None) -> ResultTable:
-    view = cube.view(plan.fact.id)
-
+    """Run one query: a Slice or Dice answers ``row_count``, then every measure
+    over the kept rows; a roll-up or drill-down one row per group, and a
+    pivot the same groups with their two keys swapped."""
+    cube.view(plan.fact.id)  # ENG030 for a cube whose load reported an error, or a fact with no table
     if plan.kind in ("Slice", "Dice"):
-        row_count, cells = _sliced(view, plan.filters, bindings, [attr.measure for attr in plan.measures])
+        row_count, cells = _sliced(cube, plan.fact.id, plan.filters, bindings, [attr.measure for attr in plan.measures])
         return ResultTable((), ("row_count",) + tuple(a.id for a in plan.measures), ((row_count,) + cells,))
-
     if plan.kind in ("RollUp", "DrillDown"):
-        return aggregate(view, plan.keys)
-    return pivot(aggregate(view, plan.keys))
+        return aggregate(cube, plan)
+    return pivot(aggregate(cube, plan))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,12 @@ from unittest import mock
 import pytest
 from hypothesis import settings
 
+import oracle
 from bispec import engine, parse_asl, parse_cnlbi
-from bispec.engine import load_cube
+from bispec import model as m
+from bispec.engine import ResultTable, load_cube, pivot
 from bispec.generators import gen_schema_sql
+from bispec.plan import Column, Filter, Plan, column, executable_measures, plan_filters
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS_CNLBI = ROOT / "corpus" / "medbuddy.cnlbi"
@@ -98,19 +101,72 @@ def _sql_value(value):
     return value
 
 
+def _loaded_columns(table) -> list[list]:
+    """The table's columns without their null slots, each reference mapped
+    from row positions in its target to the target's primary keys."""
+    columns = []
+    for attr_id, values in table.data.items():
+        target = table.targets.get(attr_id)
+        if target is not None:
+            values = list(map(target.data[target.pk].__getitem__, values))
+        columns.append(values[:table.size])
+    return columns
+
+
 def sqlite_from_cube(model, cube) -> sqlite3.Connection:
-    """An in-memory database built from the generated DDL and the cube's rows."""
+    """An in-memory database built from the generated DDL and the cube's columns."""
     conn = sqlite3.connect(":memory:")
     conn.executescript(gen_schema_sql(model))
     for entity in model.entities:
         table = cube.table(entity.id)
         columns = ", ".join(f'"{c}"' for c in table.columns)
         holes = ", ".join("?" for _ in table.columns)
-        for row in table.rows:
-            values = [_sql_value(row[c]) for c in table.columns]
-            conn.execute(f'INSERT INTO "{entity.id}" ({columns}) VALUES ({holes})', values)
+        rows = zip(*([_sql_value(value) for value in values] for values in _loaded_columns(table)))
+        conn.executemany(f'INSERT INTO "{entity.id}" ({columns}) VALUES ({holes})', rows)
     conn.commit()
     return conn
+
+
+def measure(name: str, expr) -> m.DataAttribute:
+    """A measure attribute the model does not declare, for ``query``."""
+    return m.DataAttribute(name, m.AttributeType("primitive", "Decimal"), measure=expr)
+
+
+def query(model, fact_id: str, where=None, group_by=None, measures=None) -> Plan:
+    """An ad-hoc ``Plan`` over ``fact_id`` for ``run_plan``: a roll-up by
+    ``group_by`` (attribute paths as dotted text or ``AttributePath``, or
+    planned ``Column``s; none for the grand total), else a Dice of the
+    predicates or planned ``Filter``s ``where`` (none keeps every row).
+    ``measures`` holds measure attributes, by default the fact's executable
+    ones; ``measure`` makes one of any expression."""
+    fact = model.entity(fact_id)
+    where = tuple(where or ())
+    filters = where if all(isinstance(f, Filter) for f in where) else plan_filters(model, fact_id, where)
+    keys = tuple(key if isinstance(key, Column) else column(model, fact_id, m.AttributePath.parse(str(key))) for key in group_by or ())
+    kind = "Dice" if group_by is None else "RollUp"
+    operation = m.OlapOperation("AdHoc", kind, where_clauses=() if filters is where else where)
+    return Plan("AdHoc", operation, fact, filters, keys, executable_measures(fact) if measures is None else tuple(measures))
+
+
+def oracle_result(model, tables, plan: Plan, bindings=None) -> ResultTable:
+    """What ``run_plan`` answers for ``plan``, from ``tests/oracle.py`` over
+    ``tables``: for a Slice or Dice of predicates, the row count and the
+    measures over the kept rows; else the measures per group of the keys,
+    in the engine's key order, swapped for a Pivot."""
+    fact_id = plan.fact.id
+
+    def cells(rows) -> tuple:
+        return tuple(oracle.eval_measure(model, tables, fact_id, a.measure, rows) for a in plan.measures)
+
+    names = tuple(a.id for a in plan.measures)
+    if plan.kind in ("Slice", "Dice"):
+        kept = oracle.filter_rows(model, tables, fact_id, plan.operation.where_clauses, bindings)
+        return ResultTable((), ("row_count",) + names, ((len(kept),) + cells(kept),))
+    keys = [(key.chain, key.attribute.id) for key in plan.keys]
+    rows = [key + cells(members) for key, members in oracle.group_rows(model, tables, fact_id, tables[fact_id], keys)]
+    rows.sort(key=lambda row: tuple(map(engine._sort_token, row[:len(keys)])))
+    result = ResultTable(tuple(key.path for key in plan.keys), names, tuple(rows))
+    return pivot(result) if plan.kind == "Pivot" else result
 
 
 def assert_rows_match_sql(result, db_rows, context) -> None:

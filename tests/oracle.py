@@ -124,24 +124,27 @@ def hop_chain(model, fact, target_id):
     return None
 
 
-def follow(model, tables, fact_id, row, path: m.AttributePath):
-    """Value of an attribute path for one fact row (None propagates)."""
+def follow(model, tables, fact_id, row, path):
+    """Value of an attribute path for one fact row (None propagates). The path
+    is an ``AttributePath`` or, as a plan holds it, a ``(chain, attribute
+    id)`` pair, the chain a tuple of (fk attr, entity) hops from the fact."""
     fact = model.entity(fact_id)
-    segs = path.segments
-    if len(segs) == 1:
+    segs = () if isinstance(path, tuple) else path.segments
+    if not segs:
+        chain, final_attr = path
+    elif len(segs) == 1:
         return row[segs[0]]
-
-    if model.entity(segs[0]) is not None:
+    elif model.entity(segs[0]) is not None:
         chain = hop_chain(model, fact, segs[0])
-        final_entity, final_attr = segs[0], segs[1]
+        final_attr = segs[1]
         if len(segs) == 3:
             mid = model.entity(segs[0]).attribute(segs[1])
             chain = chain + [(segs[1], mid.dimension_target)]
-            final_entity, final_attr = mid.dimension_target, segs[2]
+            final_attr = segs[2]
     else:
         attr = fact.attribute(segs[0])
         chain = [(segs[0], attr.dimension_target)]
-        final_entity, final_attr = attr.dimension_target, segs[1]
+        final_attr = segs[1]
 
     current = row
     for fk, target in chain:

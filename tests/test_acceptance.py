@@ -17,11 +17,11 @@ import oracle
 from bispec import canonicalize, model as m, parse_asl, parse_cnlbi
 from bispec.asl import emit_asl
 from bispec.cnlbi import emit_cnlbi
-from bispec.engine import aggregate, dice_view, pivot, run_use_case, slice_view
+from bispec.engine import pivot, run_plan, run_use_case
 from bispec.generators import gen_dashboard_manifest, gen_olap_sql, gen_requirements_doc, gen_schema_sql
 from bispec.plan import plan_operation
 from bispec.semantics import check_model
-from conftest import CORPUS_ASL, CORPUS_CNLBI, DATA_DIR, ROOT, assert_rows_match_sql, sqlite_from_cube
+from conftest import CORPUS_ASL, CORPUS_CNLBI, DATA_DIR, ROOT, assert_rows_match_sql, oracle_result, query, sqlite_from_cube
 
 
 def ok(number: int, name: str) -> None:
@@ -172,20 +172,17 @@ def test_criterion_4_olap_oracle_equivalence(medbuddy, cube):
     )
     city_pred = m.Predicate(m.AttributePath(("Institution", "city")), m.AttributePath(("City", "id")))
 
-    # slices and dices equal the oracle row-for-row
+    # slices and dices keep the oracle's row count, and their measures are the oracle's over those rows
+    sliced = query(medbuddy, "AppointmentRequest", [year_pred])
     for bindings in ({"year": 2022}, {"year": 2023}, {"year": 1999}):
-        engine_rows = slice_view(cube.view("AppointmentRequest"), year_pred, bindings).rows()
-        oracle_rows = oracle.filter_rows(medbuddy, tables, "AppointmentRequest", [year_pred], bindings)
-        assert [r["id"] for r in engine_rows] == [r["id"] for r in oracle_rows]
+        assert run_plan(cube, sliced, bindings) == oracle_result(medbuddy, tables, sliced, bindings)
 
     bindings = {"id": "c2", "year": 2023}
-    diced = dice_view(cube.view("AppointmentRequest"), [city_pred, year_pred], bindings)
-    assert [r["id"] for r in diced.rows()] == [
-        r["id"] for r in oracle.filter_rows(medbuddy, tables, "AppointmentRequest", [city_pred, year_pred], bindings)
-    ]
-    # dice equals composed slices
-    composed = slice_view(slice_view(cube.view("AppointmentRequest"), city_pred, bindings), year_pred, bindings)
-    assert [r["id"] for r in diced.rows()] == [r["id"] for r in composed.rows()]
+    diced = query(medbuddy, "AppointmentRequest", [city_pred, year_pred])
+    assert run_plan(cube, diced, bindings) == oracle_result(medbuddy, tables, diced, bindings)
+    # a dice filters the rows its first predicate keeps by the second, in either order
+    reversed_dice = query(medbuddy, "AppointmentRequest", [year_pred, city_pred])
+    assert run_plan(cube, reversed_dice, bindings) == run_plan(cube, diced, bindings)
 
     groupings = [
         [],
@@ -203,7 +200,7 @@ def test_criterion_4_olap_oracle_equivalence(medbuddy, cube):
     total = len(cube.table("AppointmentRequest").rows)
     for keys in groupings:
         paths = [m.AttributePath.parse(k) for k in keys]
-        result = aggregate(cube.view("AppointmentRequest"), paths)
+        result = run_plan(cube, query(medbuddy, "AppointmentRequest", group_by=paths))
         expected = oracle.aggregate(medbuddy, tables, "AppointmentRequest", fact_rows, paths)
         engine_by_key = {row[: len(keys)]: row[len(keys):] for row in result.rows}
         assert set(engine_by_key) == set(expected), keys
@@ -216,7 +213,7 @@ def test_criterion_4_olap_oracle_equivalence(medbuddy, cube):
 
     # pivot involution on every 2-key grouping
     for keys in (g for g in groupings if len(g) == 2):
-        result = aggregate(cube.view("AppointmentRequest"), [m.AttributePath.parse(k) for k in keys])
+        result = run_plan(cube, query(medbuddy, "AppointmentRequest", group_by=keys))
         swapped = pivot(result)
         assert pivot(swapped) == result
         assert {(r[1], r[0]) + r[2:] for r in swapped.rows} == set(result.rows)

@@ -7,10 +7,12 @@ traced benchmark run; this test runs the session's operations on the fixture
 package with the tracer installed and checks spans, counts and results.
 """
 
+import dataclasses
 import sys
 
 import bispec
 from bispec import model as m
+from bispec.plan import plan_filters
 from conftest import DATA_DIR, ROOT
 
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -34,7 +36,8 @@ def _run_session(model):
         for op in uc.operations
     ]
     view = cube.view("AppointmentRequest")
-    sliced = bispec.engine.slice_view(view, m.Predicate(m.AttributePath.parse("Patient.gender"), m.Literal("Female")))
+    female = plan_filters(model, view.fact_id, [m.Predicate(m.AttributePath.parse("Patient.gender"), m.Literal("Female"))])
+    sliced = dataclasses.replace(view, positions=sorted(bispec.engine._filtered(cube, view.fact_id, female, None)))
     count = bispec.engine.evaluate_measure(view, model.entity("AppointmentRequest").attribute("CountAppointments").measure)
     return cube, diags, outputs, len(sliced.rows()), count
 

@@ -12,7 +12,6 @@ the run that builds member folds, then through them.
 import csv
 import random
 from datetime import date, datetime, timedelta, timezone
-from functools import partial
 from itertools import product
 
 import pytest
@@ -21,11 +20,11 @@ import oracle
 from bispec import check_model, merge_models, parse_cnlbi
 from bispec import engine
 from bispec import model as m
-from bispec.engine import (CubeView, EngineError, aggregate, dice_view, evaluate_measure, load_cube, pivot, result_to_csv, run_plan,
-                           run_use_case, slice_view)
+from bispec.engine import EngineError, load_cube, result_to_csv, run_plan, run_use_case
 from bispec.generators import gen_olap_sql
 from bispec.plan import Column, Filter, plan_operation
-from conftest import assert_rows_match_sql, folds_built, load_both_ways, postings_built, sqlite_from_cube
+from conftest import (assert_rows_match_sql, folds_built, load_both_ways, measure, oracle_result, postings_built, query,
+                      sqlite_from_cube)
 from test_engine import ORDER_CASES, order_package
 
 SEEDS = range(30)
@@ -163,12 +162,7 @@ def test_engine_oracle_and_sqlite_agree(model, tmp_path, seed):
                     assert len(db_rows) == len(kept), context
                     continue
                 assert_rows_match_sql(result, db_rows, context)
-                paths = [m.AttributePath.parse(key.path) for key in plan.keys]
-                expected = oracle.aggregate(model, tables, FACT, tables[FACT], paths)
-                grouped = aggregate(cube.view(FACT), plan.keys)
-                assert {row[: len(paths)]: row[len(paths):] for row in grouped.rows} == {
-                    key: tuple(values[a.id] for a in measures) for key, values in expected.items()
-                }, context
+                assert result == oracle_result(model, tables, plan), context
     finally:
         conn.close()
     # the year slices and roll-ups fold at Time, the roll-ups by an institution or patient attribute at their
@@ -190,42 +184,30 @@ def test_slice_of_a_slice_equals_the_dice_and_the_oracle(model, tmp_path, seed):
     tables = oracle.load_tables(model, tmp_path)
     dices = [op for uc in model.use_cases for op in uc.operations if op.kind == "Dice"]
     assert dices
-    for op in dices:
+    for op in dices:  # a Dice's second filter tests the rows its first kept: a slice of a slice
         first, second = op.where_clauses
-        view = cube.view(FACT)
-        diced = dice_view(view, (first, second), binds)
-        composed = slice_view(slice_view(view, first, binds), second, binds)
-        kept = oracle.filter_rows(model, tables, FACT, (first, second), _oracle_binds(binds))
-        expected = [row["id"] for row in kept]
-        assert [row["id"] for row in diced.rows()] == [row["id"] for row in composed.rows()] == expected, (seed, op.id)
-        assert list(diced.positions) == list(composed.positions), (seed, op.id)
+        plan = query(model, FACT, (first, second))
+        expected = oracle_result(model, tables, plan, _oracle_binds(binds))
+        assert run_plan(cube, plan, binds) == run_plan(cube, query(model, FACT, (second, first)), binds) == expected, (seed, op.id)
+        kept = [row["id"] for row in oracle.filter_rows(model, tables, FACT, (first, second), _oracle_binds(binds))]
+        ids = cube.table(FACT).data["id"]
+        assert [ids[p] for p in sorted(engine._filtered(cube, FACT, plan.filters, binds))] == kept, (seed, op.id)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_the_whole_fact_reads_like_a_list_of_its_positions(model, tmp_path, seed):
-    """``cube.view`` holds a range, which walks each fact column itself; a
-    list of the same positions takes the general path."""
-    binds = make_package(seed, tmp_path)
+def test_a_rollup_by_any_attribute_the_fact_reaches_matches_the_oracle(model, tmp_path, seed):
+    """Each attribute of each entity the fact reaches, as the one key; a
+    measure, which no row stores, reads as null, so it keys the grand total."""
+    make_package(seed, tmp_path)
     cube, _ = load_cube(model, tmp_path)
-    whole = cube.view(FACT)
-    listed = CubeView(cube, FACT, list(range(len(whole.positions))))
-    measures = [a.measure for a in model.entity(FACT).measures if not isinstance(a.measure, m.OpaqueMeasure)]
-
-    def answer(view, plan):
-        if plan.kind in ("Slice", "Dice"):
-            diced = dice_view(view, plan.operation.where_clauses, binds)
-            return list(diced.positions), [evaluate_measure(diced, expr) for expr in measures]
-        grouped = aggregate(view, plan.keys)
-        return pivot(grouped) if plan.kind == "Pivot" else grouped
-
-    for uc in model.use_cases:
-        for op in uc.operations:
-            plan = plan_operation(model, uc.id, op.id)
-            assert answer(whole, plan) == answer(listed, plan), (seed, op.id)
+    tables = oracle.load_tables(model, tmp_path)
+    total = run_plan(cube, query(model, FACT, group_by=()))
+    assert total == oracle_result(model, tables, query(model, FACT, group_by=())), seed
     for entity_id in model.hop_chains(FACT):
         for attr in model.entity(entity_id).attributes:
-            path = m.AttributePath((entity_id, attr.id))
-            assert aggregate(whole, [path]) == aggregate(listed, [path]), (seed, str(path))
+            plan = query(model, FACT, group_by=[m.AttributePath((entity_id, attr.id))])
+            expected = tuple((None,) + row for row in total.rows) if attr.is_measure else oracle_result(model, tables, plan).rows
+            assert run_plan(cube, plan).rows == expected, (seed, entity_id, attr.id)
 
 
 def _through_references(model, fact_id):
@@ -243,39 +225,38 @@ def _through_references(model, fact_id):
     return columns
 
 
-def _assert_whole_fact_filters_keep_what_the_scan_keeps(model, cube, fact_id, seed) -> list:
+def _assert_whole_fact_filters_keep_what_the_oracle_keeps(model, cube, tables, fact_id, seed) -> list:
     """Filter every column of ``_through_references`` over the whole fact (the
-    far-end walk, where it applies) and over a list of the same positions (the
-    scan) for two values from the data, a value that matches nothing and
-    null; both must keep the same positions, and the measures over them must
-    match: over the whole fact they combine member folds where the first
+    far-end walk, where it applies) for two values from the data, a value
+    that matches nothing and null; it must keep the positions whose value the
+    oracle reads as that value, and the slice's measures must be the
+    oracle's over those rows: they combine member folds where the first
     reference has postings, which the far-end walk built. Returns the null
     filters' kept positions by column path."""
     fact = cube.table(fact_id)
-    whole = cube.view(fact_id)
-    listed = CubeView(cube, fact_id, list(range(fact.size)))
-    exprs = [a.measure for a in model.entity(fact_id).measures if not isinstance(a.measure, m.OpaqueMeasure)]
+    rows = tables[fact_id]
     nulls = {}
     for col in _through_references(model, fact_id):
         holder = cube.table(col.chain[-1][1]) if col.chain else fact
         drawn = list(dict.fromkeys(holder.values(col.attribute.id)[:holder.size]))[:2]
+        read = [oracle.follow(model, tables, fact_id, row, (col.chain, col.attribute.id)) for row in rows]
         for value in drawn + ["no such value", None]:
-            filters = (Filter(col, value),)
-            kept = sorted(engine._filtered(whole, filters, None))  # the far-end walk keeps postings order
-            assert kept == engine._filtered(listed, filters, None), (seed, col.path, value)
-            sliced = [repr(engine._sliced(view, filters, None, exprs)) for view in (whole, listed)]
-            assert sliced[0] == sliced[1], (seed, col.path, value)
+            plan = query(model, fact_id, [Filter(col, value)])
+            kept = [position for position, held in enumerate(read) if held == value]
+            assert sorted(engine._filtered(cube, fact_id, plan.filters, None)) == kept, (seed, col.path, value)  # postings order
+            cells = tuple(oracle.eval_measure(model, tables, fact_id, a.measure, [rows[p] for p in kept]) for a in plan.measures)
+            assert run_plan(cube, plan).rows == ((len(kept),) + cells,), (seed, col.path, value)
         nulls[col.path] = kept
     return nulls
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_reference_postings_keep_what_the_scan_keeps(model, tmp_path, seed):
+def test_reference_postings_keep_what_the_oracle_keeps(model, tmp_path, seed):
     """The null filter's hits include the null slot: the rows without a ``closed_date``."""
     make_package(seed, tmp_path)
     cube, _ = load_cube(model, tmp_path)
     fact = cube.table(FACT)
-    nulls = _assert_whole_fact_filters_keep_what_the_scan_keeps(model, cube, FACT, seed)
+    nulls = _assert_whole_fact_filters_keep_what_the_oracle_keeps(model, cube, oracle.load_tables(model, tmp_path), FACT, seed)
     assert nulls["closed_date.id"] == [p for p, key in enumerate(fact.values("closed_date")[:fact.size]) if key is None]
     refs = {ref.id: cube.table(ref.dimension_target) for ref in model.entity(FACT).dimension_refs}
     walked = [ref for ref, target in refs.items() if fact.size >= target.size]
@@ -300,35 +281,31 @@ def _key_pairs(model, fact_id, seed, share=1) -> list:
     return pairs + [[through[0], _single_keys(model, fact_id)[-1][0]]]
 
 
-def _assert_rollups_through_postings_print_what_the_row_loop_prints(model, cube, fact_id, seed, key_lists, plans=()) -> set:
-    """Each of ``key_lists`` over the whole fact, which groups an order-free
-    query by member, and over a list of the same positions, which groups
-    row by row: the same CSV, three times over the whole fact from no
-    postings or member folds for the keys' references (postings, then the
-    fold build, then through the folds). So is each pivot plan of ``plans``
-    through ``run_plan``. Returns ``postings_built`` as each left it, all
-    together."""
+def _assert_rollups_through_postings_print_what_the_oracle_prints(model, cube, tables, fact_id, seed, key_lists, plans=()) -> set:
+    """A roll-up by each of ``key_lists`` (grouped by member where the keys
+    allow, else row by row) and each pivot plan of ``plans`` print the
+    oracle's CSV, three times over from no postings or member folds for the
+    keys' references (postings, then the fold build, then through the
+    folds). Returns ``postings_built`` as each left it, all together."""
     fact = cube.table(fact_id)
-    whole, listed = cube.view(fact_id), CubeView(cube, fact_id, list(range(fact.size)))
     built = set()
-    for keys, query in [(keys, partial(aggregate, whole, keys)) for keys in key_lists] + [
-            (plan.keys, partial(run_plan, cube, plan)) for plan in plans]:
-        refs = tuple(dict.fromkeys(map(engine._first_reference, keys)))
+    for plan in [query(model, fact_id, group_by=keys) for keys in key_lists] + list(plans):
+        refs = tuple(dict.fromkeys(map(engine._first_reference, plan.keys)))
         fact.postings.pop(refs, None)
         fact.folds.pop(refs, None)
-        looped = aggregate(listed, keys)
-        looped = result_to_csv(pivot(looped) if query.func is run_plan else looped)
-        assert [result_to_csv(query()) for _ in range(3)] == [looped] * 3, (seed, [key.path for key in keys])
+        expected = result_to_csv(oracle_result(model, tables, plan))
+        assert [result_to_csv(run_plan(cube, plan)) for _ in range(3)] == [expected] * 3, (seed, [key.path for key in plan.keys])
         built.update(postings_built(cube))
     return built
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_single_key_rollups_through_postings_print_what_the_row_loop_prints(model, tmp_path, seed):
+def test_single_key_rollups_through_postings_print_what_the_oracle_prints(model, tmp_path, seed):
     """Only the fact's references whose target it outnumbers gain postings."""
     make_package(seed, tmp_path)
     cube, _ = load_cube(model, tmp_path)
-    built = _assert_rollups_through_postings_print_what_the_row_loop_prints(model, cube, FACT, seed, _single_keys(model, FACT))
+    tables = oracle.load_tables(model, tmp_path)
+    built = _assert_rollups_through_postings_print_what_the_oracle_prints(model, cube, tables, FACT, seed, _single_keys(model, FACT))
     fact = cube.table(FACT)
     refs = {ref.id: cube.table(ref.dimension_target) for ref in model.entity(FACT).dimension_refs}
     grouped = [(FACT, ref) for ref, target in refs.items() if fact.size and fact.size >= target.size]
@@ -336,7 +313,7 @@ def test_single_key_rollups_through_postings_print_what_the_row_loop_prints(mode
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_composite_rollups_through_postings_print_what_the_row_loop_prints(model, tmp_path, seed):
+def test_composite_rollups_through_postings_print_what_the_oracle_prints(model, tmp_path, seed):
     """Two keys and the pivot: only the pairs of references with at most as
     many members (pairs of rows, null slots included) as the fact has rows
     + 1 gain postings. Every ordered pair of keys runs on 6 of the 30
@@ -345,7 +322,8 @@ def test_composite_rollups_through_postings_print_what_the_row_loop_prints(model
     cube, _ = load_cube(model, tmp_path)
     plans = [plan_operation(model, uc.id, op.id) for uc in model.use_cases for op in uc.operations if op.kind == "Pivot"]
     key_lists = _key_pairs(model, FACT, seed, share=5)
-    built = _assert_rollups_through_postings_print_what_the_row_loop_prints(model, cube, FACT, seed, key_lists, plans)
+    tables = oracle.load_tables(model, tmp_path)
+    built = _assert_rollups_through_postings_print_what_the_oracle_prints(model, cube, tables, FACT, seed, key_lists, plans)
     fact = cube.table(FACT)
     refs = {ref.id: cube.table(ref.dimension_target) for ref in model.entity(FACT).dimension_refs}
     # the pivot's (institution, state), and each pair of keys read through references
@@ -417,7 +395,7 @@ def snowflake():
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_far_end_filters_keep_what_the_scan_keeps_through_three_nullable_hops(snowflake, tmp_path, seed):
+def test_far_end_filters_keep_what_the_oracle_keeps_through_three_nullable_hops(snowflake, tmp_path, seed):
     """Every 1-, 2- and 3-hop column and every reference read as its key; a
     null filter on a Region attribute keeps the visits whose walk to a Region
     meets a null anywhere."""
@@ -426,8 +404,8 @@ def test_far_end_filters_keep_what_the_scan_keeps_through_three_nullable_hops(sn
     assert not [d for d in diags if d.is_error], [f"{d.code} {d.message}" for d in diags]
     paths = [col.path for col in _through_references(snowflake, "Visit")]
     assert {"patient.residence.region.area", "patient.residence.region", "patient.residence"} <= set(paths)
-    nulls = _assert_whole_fact_filters_keep_what_the_scan_keeps(snowflake, cube, "Visit", seed)
     tables = oracle.load_tables(snowflake, tmp_path)
+    nulls = _assert_whole_fact_filters_keep_what_the_oracle_keeps(snowflake, cube, tables, "Visit", seed)
     by_id = {entity: {row["id"]: row for row in rows} for entity, rows in tables.items()}
 
     def region(visit):
@@ -437,7 +415,7 @@ def test_far_end_filters_keep_what_the_scan_keeps_through_three_nullable_hops(sn
 
     assert nulls["patient.residence.region.name"] == [p for p, visit in enumerate(tables["Visit"]) if region(visit) is None]
     key_lists = _single_keys(snowflake, "Visit") + _key_pairs(snowflake, "Visit", seed)  # no more postings: one reference
-    _assert_rollups_through_postings_print_what_the_row_loop_prints(snowflake, cube, "Visit", seed, key_lists)
+    _assert_rollups_through_postings_print_what_the_oracle_prints(snowflake, cube, tables, "Visit", seed, key_lists)
     visits, patients = cube.table("Visit"), cube.table("Patient")
     expected = [("City", "region"), ("Patient", "residence"), ("Visit", "patient")] if visits.size >= patients.size else []
     assert postings_built(cube) == expected, seed
@@ -472,16 +450,15 @@ def test_dangling_reference_is_eng004_for_rollup_slice_and_min_max(model, tmp_pa
     assert [d.code for d in diags if d.is_error] == ["ENG004"] and "'zz'" in cube.error.message
     fact = cube.table(FACT)
     assert fact.data["id"][fact.size - 1] == "f99" and fact.data[reference][fact.size - 1] == fact.targets[reference].size
-    queries = {
-        "roll-up": lambda: aggregate(cube.view(FACT), [m.AttributePath.parse(path)]),
-        "slice": lambda: slice_view(cube.view(FACT), m.Predicate(m.AttributePath.parse(path), m.Literal(2023))).rows(),
-        "MIN": lambda: evaluate_measure(cube.view(FACT), m.Aggregate("MIN", m.AttributePath.parse(aggregated))),
-        "MAX": lambda: evaluate_measure(cube.view(FACT), m.Aggregate("MAX", m.AttributePath.parse(aggregated))),
-        "other roll-up": lambda: aggregate(cube.view(FACT), [m.AttributePath.parse("Institution.city")]),
+    plans = {
+        "roll-up": query(model, FACT, group_by=[path]),
+        "slice": query(model, FACT, [m.Predicate(m.AttributePath.parse(path), m.Literal(2023))]),
+        **{fn: query(model, FACT, measures=[measure(fn, m.Aggregate(fn, m.AttributePath.parse(aggregated)))]) for fn in ("MIN", "MAX")},
+        "other roll-up": query(model, FACT, group_by=["Institution.city"]),
     }
-    for name, query in queries.items():
+    for name, plan in plans.items():
         with pytest.raises(EngineError) as exc:
-            query()
+            run_plan(cube, plan)
         assert (exc.value.code, str(exc.value)) == ("ENG030", f"the data package did not load: ENG004 {cube.error.message}"), name
     assert postings_built(cube) == folds_built(cube) == []
 

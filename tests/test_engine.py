@@ -14,22 +14,11 @@ import oracle
 from bispec import model as m
 from bispec import engine, parse_cnlbi
 from bispec.cli import main
-from bispec.engine import (
-    CubeView,
-    EngineError,
-    aggregate,
-    dice_view,
-    evaluate_measure,
-    load_cube,
-    pivot,
-    result_to_csv,
-    run_plan,
-    run_use_case,
-    slice_view,
-)
+from bispec.engine import CubeView, EngineError, load_cube, pivot, result_to_csv, run_plan, run_use_case
 from bispec.generators import gen_olap_sql
 from bispec.plan import Column, operation_plan, plan_operation
-from conftest import DATA_DIR, assert_rows_match_sql, folds_built, postings_built, sqlite_from_cube
+from conftest import (DATA_DIR, assert_rows_match_sql, folds_built, measure, oracle_result, postings_built, query,
+                      sqlite_from_cube)
 
 YEAR_PRED = m.Predicate(
     m.AttributePath(("AppointmentRequest", "scheduled_date", "year")),
@@ -52,6 +41,17 @@ def close(a, b):
     if isinstance(a, float) or isinstance(b, float):
         return math.isclose(a, b, abs_tol=1e-9)
     return a == b
+
+
+def _measures(cube, where=(), bindings=None) -> dict:
+    """``row_count`` and each of the fixture fact's measures over the rows the predicates ``where`` keep."""
+    result = run_plan(cube, query(cube.model, "AppointmentRequest", where), bindings)
+    return dict(zip(result.columns, result.rows[0]))
+
+
+def _rollup(cube, keys):
+    """The fixture fact grouped by ``keys`` through ``run_plan``."""
+    return run_plan(cube, query(cube.model, "AppointmentRequest", group_by=keys))
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +215,10 @@ def test_empty_fact_csv_is_a_valid_cube(medbuddy, tmp_path):
     cube, diags = load_cube(medbuddy, tmp_path)
     assert not any(d.is_error for d in diags)
     assert cube.table("AppointmentRequest").rows == []
-    view = cube.view("AppointmentRequest")
-    fact = medbuddy.entity("AppointmentRequest")
+    row = _measures(cube)
     # empty-set semantics: COUNT -> 0, AVERAGE/MIN/MAX -> null, 0/0 -> null
-    assert evaluate_measure(view, fact.attribute("CountAppointments").measure) == 0
-    assert evaluate_measure(view, fact.attribute("AvgWaitingTime").measure) is None
-    assert evaluate_measure(view, fact.attribute("MinDate").measure) is None
-    assert evaluate_measure(view, fact.attribute("CancellationRate").measure) is None
+    assert row["row_count"] == row["CountAppointments"] == 0
+    assert row["AvgWaitingTime"] is None and row["MinDate"] is None and row["CancellationRate"] is None
     patients = "AnalysisAppointmentsPatientOnNationalLevel"
     assert run_use_case(cube, patients, "AppointmentsByGender").rows == ()
     dice = run_use_case(cube, patients, "ScheduledAppointmentsBySpecificPatientResidenceCityAndYear", {"id": "c1", "year": "2023"})
@@ -234,23 +231,20 @@ def test_empty_fact_csv_is_a_valid_cube(medbuddy, tmp_path):
 
 
 def test_hand_counted_measures(cube):
-    fact = cube.model.entity("AppointmentRequest")
-    view = cube.view("AppointmentRequest")
-    assert evaluate_measure(view, fact.attribute("CountAppointments").measure) == 10
-    assert evaluate_measure(view, fact.attribute("CountCancelledAppointments").measure) == 3
-    assert close(evaluate_measure(view, fact.attribute("CancellationRate").measure), 0.3)
+    row = _measures(cube)
+    assert row["CountAppointments"] == 10
+    assert row["CountCancelledAppointments"] == 3
+    assert close(row["CancellationRate"], 0.3)
     # non-null waiting times: 12+40+31+5+2+18+60 = 168 over 7 rows
-    assert close(evaluate_measure(view, fact.attribute("AvgWaitingTime").measure), 168 / 7)
-    assert evaluate_measure(view, fact.attribute("MinDate").measure) == date(2022, 3, 15)
-    assert evaluate_measure(view, fact.attribute("MaxDate").measure) == date(2023, 12, 30)
+    assert close(row["AvgWaitingTime"], 168 / 7)
+    assert row["MinDate"] == date(2022, 3, 15)
+    assert row["MaxDate"] == date(2023, 12, 30)
 
 
 def test_measures_match_oracle(cube, medbuddy, tables):
     fact = medbuddy.entity("AppointmentRequest")
-    view = cube.view("AppointmentRequest")
-    rows = view.rows()
-    for attr in fact.measures:
-        engine_value = evaluate_measure(view, attr.measure, rows)
+    result = run_plan(cube, query(medbuddy, "AppointmentRequest", measures=fact.measures))
+    for attr, engine_value in zip(fact.measures, result.rows[0][1:], strict=True):
         oracle_value = oracle.eval_measure(medbuddy, tables, "AppointmentRequest", attr.measure, tables["AppointmentRequest"])
         assert close(engine_value, oracle_value), attr.id
 
@@ -261,57 +255,58 @@ def test_measures_match_oracle(cube, medbuddy, tables):
 
 
 def test_year_slice_matches_oracle_and_hand_count(cube, medbuddy, tables):
-    view = slice_view(cube.view("AppointmentRequest"), YEAR_PRED, {"year": "2023"})
     expected = oracle.filter_rows(medbuddy, tables, "AppointmentRequest", [YEAR_PRED], {"year": 2023})
-    assert view.row_count() == len(expected) == 8
+    assert _measures(cube, [YEAR_PRED], {"year": "2023"})["row_count"] == len(expected) == 8
 
 
 def test_slice_is_idempotent(cube):
-    once = slice_view(cube.view("AppointmentRequest"), YEAR_PRED, {"year": "2023"})
-    twice = slice_view(once, YEAR_PRED, {"year": "2023"})
-    assert [r["id"] for r in once.rows()] == [r["id"] for r in twice.rows()]
+    """A Dice of one predicate twice: the second filter tests the rows the first kept."""
+    once = _measures(cube, [YEAR_PRED], {"year": "2023"})
+    assert _measures(cube, [YEAR_PRED, YEAR_PRED], {"year": "2023"}) == once and once["row_count"] == 8
 
 
 def test_empty_slice_is_not_an_error(cube):
-    view = slice_view(cube.view("AppointmentRequest"), YEAR_PRED, {"year": "1999"})
-    assert view.rows() == []
+    row = _measures(cube, [YEAR_PRED], {"year": "1999"})
+    assert row["row_count"] == row["CountAppointments"] == 0 and row["MinDate"] is None
 
 
 def test_unbound_parameter_raises_eng010(cube):
     with pytest.raises(EngineError) as exc:
-        slice_view(cube.view("AppointmentRequest"), YEAR_PRED, {}).rows()
+        _measures(cube, [YEAR_PRED], {})
     assert exc.value.code == "ENG010"
 
 
-def test_dice_equals_composed_slices(cube):
+def test_dice_equals_composed_slices(cube, medbuddy, tables):
+    """A Dice's second filter tests the rows its first kept: the oracle's
+    slice of a slice, whichever predicate comes first."""
     bindings = {"id": "c2", "year": "2023"}
-    diced = dice_view(cube.view("AppointmentRequest"), [CITY_PRED, YEAR_PRED], bindings)
-    composed = slice_view(
-        slice_view(cube.view("AppointmentRequest"), CITY_PRED, bindings), YEAR_PRED, bindings
-    )
-    assert [r["id"] for r in diced.rows()] == [r["id"] for r in composed.rows()]
-    assert diced.row_count() == 4
+    city = oracle.filter_rows(medbuddy, tables, "AppointmentRequest", [CITY_PRED], {"id": "c2"})
+    composed = [row for row in city if oracle.predicate_holds(medbuddy, tables, "AppointmentRequest", row, YEAR_PRED, {"year": 2023})]
+    diced = _measures(cube, [CITY_PRED, YEAR_PRED], bindings)
+    assert _measures(cube, [YEAR_PRED, CITY_PRED], bindings) == diced
+    assert diced["row_count"] == len(composed) == 4
+    assert diced["CountAppointments"] == oracle.eval_measure(
+        medbuddy, tables, "AppointmentRequest", medbuddy.entity("AppointmentRequest").attribute("CountAppointments").measure, composed)
 
 
 def test_contradictory_predicates_yield_empty_view(cube):
     p2022 = m.Predicate(YEAR_PRED.left, m.Literal(2022))
     p2023 = m.Predicate(YEAR_PRED.left, m.Literal(2023))
-    assert dice_view(cube.view("AppointmentRequest"), [p2022, p2023]).rows() == []
+    assert _measures(cube, [p2022, p2023])["row_count"] == 0
 
 
 def test_dice_matches_oracle(cube, medbuddy, tables):
     bindings = {"id": "c2", "year": 2023}
-    engine_rows = dice_view(cube.view("AppointmentRequest"), [CITY_PRED, YEAR_PRED], bindings).rows()
-    oracle_rows = oracle.filter_rows(medbuddy, tables, "AppointmentRequest", [CITY_PRED, YEAR_PRED], bindings)
-    assert sorted(r["id"] for r in engine_rows) == sorted(r["id"] for r in oracle_rows)
+    plan = query(medbuddy, "AppointmentRequest", [CITY_PRED, YEAR_PRED])
+    assert run_plan(cube, plan, bindings) == oracle_result(medbuddy, tables, plan, bindings)
 
 
 def test_enum_literal_slice(cube, medbuddy, tables):
     pred = m.Predicate(m.AttributePath(("state",)), m.EnumLiteral("States", "Cancelled"))
-    engine_rows = slice_view(cube.view("AppointmentRequest"), pred).rows()
-    oracle_rows = oracle.filter_rows(medbuddy, tables, "AppointmentRequest", [pred])
-    assert sorted(r["id"] for r in engine_rows) == sorted(r["id"] for r in oracle_rows)
-    assert {r["id"] for r in engine_rows} == {"r02", "r04", "r10"}
+    plan = query(medbuddy, "AppointmentRequest", [pred])
+    assert run_plan(cube, plan) == oracle_result(medbuddy, tables, plan)
+    assert {r["id"] for r in oracle.filter_rows(medbuddy, tables, "AppointmentRequest", [pred])} == {"r02", "r04", "r10"}
+    assert _measures(cube, [pred])["row_count"] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +329,7 @@ GROUPINGS = [
 @pytest.mark.parametrize("keys", GROUPINGS, ids=lambda k: "+".join(k) or "grand-total")
 def test_aggregate_matches_oracle(cube, medbuddy, tables, keys):
     paths = [m.AttributePath.parse(k) for k in keys]
-    result = aggregate(cube.view("AppointmentRequest"), paths)
+    result = _rollup(cube, paths)
     expected = oracle.aggregate(medbuddy, tables, "AppointmentRequest", tables["AppointmentRequest"], paths)
     engine_by_key = {row[: len(keys)]: row[len(keys) :] for row in result.rows}
     assert set(engine_by_key) == set(expected)
@@ -345,13 +340,13 @@ def test_aggregate_matches_oracle(cube, medbuddy, tables, keys):
 
 
 def test_city_rollup_hand_counts(cube):
-    result = aggregate(cube.view("AppointmentRequest"), [m.AttributePath.parse("Institution.city")])
+    result = _rollup(cube, [m.AttributePath.parse("Institution.city")])
     counts = {row[0]: row[result.columns.index("CountAppointments")] for row in result.rows}
     assert counts == {"c1": 4, "c2": 6}
 
 
 def test_null_hop_rows_fall_into_null_group(cube):
-    result = aggregate(cube.view("AppointmentRequest"), [m.AttributePath.parse("AppointmentRequest.closed_date.year")])
+    result = _rollup(cube, [m.AttributePath.parse("AppointmentRequest.closed_date.year")])
     keyed = {row[0]: row[result.columns.index("CountAppointments")] for row in result.rows}
     assert keyed == {None: 3, 2022: 2, 2023: 5}
     assert result.rows[0][0] is None  # null group sorts first
@@ -359,39 +354,36 @@ def test_null_hop_rows_fall_into_null_group(cube):
 
 
 def test_group_by_primary_key_is_finest_granularity(cube):
-    result = aggregate(cube.view("AppointmentRequest"), [m.AttributePath.parse("id")])
+    result = _rollup(cube, [m.AttributePath.parse("id")])
     assert len(result.rows) == 10
     count_col = result.columns.index("CountAppointments")
     assert all(row[count_col] == 1 for row in result.rows)
 
 
 def test_group_by_nothing_is_grand_total(cube):
-    result = aggregate(cube.view("AppointmentRequest"), [])
+    result = _rollup(cube, [])
     assert len(result.rows) == 1
     assert result.rows[0][result.columns.index("CountAppointments")] == 10
 
 
 def test_count_conservation_under_every_grouping(cube):
     for keys in GROUPINGS:
-        result = aggregate(cube.view("AppointmentRequest"), [m.AttributePath.parse(k) for k in keys])
+        result = _rollup(cube, [m.AttributePath.parse(k) for k in keys])
         count_col = result.columns.index("CountAppointments")
         assert sum(row[count_col] for row in result.rows) == 10, keys
 
 
 def test_slicing_never_increases_group_counts(cube):
     keys = [m.AttributePath.parse("Institution.city")]
-    before = aggregate(cube.view("AppointmentRequest"), keys)
-    sliced_view = slice_view(cube.view("AppointmentRequest"), YEAR_PRED, {"year": "2023"})
-    after = aggregate(sliced_view, keys)
+    before = _rollup(cube, keys)
     count_col = before.columns.index("CountAppointments")
-    before_counts = {row[0]: row[count_col] for row in before.rows}
-    for row in after.rows:
-        assert row[count_col] <= before_counts[row[0]]
+    for row in before.rows:  # each city's group, sliced by year
+        assert _measures(cube, [CITY_PRED, YEAR_PRED], {"id": row[0], "year": "2023"})["row_count"] <= row[count_col]
 
 
 def test_pivot_swaps_axes_and_preserves_cells(cube):
     keys = [m.AttributePath.parse("Institution.city"), m.AttributePath.parse("AppointmentRequest.scheduled_date.year")]
-    result = aggregate(cube.view("AppointmentRequest"), keys)
+    result = _rollup(cube, keys)
     swapped = pivot(result)
     assert swapped.group_keys == (str(keys[1]), str(keys[0]))
     original_cells = {(row[0], row[1]): row[2:] for row in result.rows}
@@ -401,12 +393,12 @@ def test_pivot_swaps_axes_and_preserves_cells(cube):
 
 def test_pivot_is_an_involution(cube):
     keys = [m.AttributePath.parse("Institution.city"), m.AttributePath.parse("Patient.gender")]
-    result = aggregate(cube.view("AppointmentRequest"), keys)
+    result = _rollup(cube, keys)
     assert pivot(pivot(result)) == result
 
 
 def test_pivot_requires_two_keys(cube):
-    result = aggregate(cube.view("AppointmentRequest"), [m.AttributePath.parse("Institution.city")])
+    result = _rollup(cube, [m.AttributePath.parse("Institution.city")])
     with pytest.raises(EngineError) as exc:
         pivot(result)
     assert exc.value.code == "ENG020"
@@ -501,9 +493,8 @@ def test_self_reference_resolves_once_its_table_has_loaded(tmp_path):
     (tmp_path / "Employee.csv").write_text("id,name,manager\ne1,Ann,e3\ne2,Bob,e1\ne3,Cid,\ne4,Dan,\n")
     cube, diags = load_cube(model, tmp_path)
     assert diags == [] and [row["manager"] for row in cube.table("Employee").rows] == ["e3", "e1", None, None]
-    view = cube.view("Sale")
-    assert aggregate(view, [m.AttributePath.parse("Employee.name")]).rows == (("Ann", 1.5), ("Bob", 2.6), ("Cid", 3.0))
-    assert aggregate(view, [m.AttributePath.parse("Employee.manager")]).rows == ((None, 3.0), ("e1", 2.6), ("e3", 1.5))
+    assert run_plan(cube, query(model, "Sale", group_by=["Employee.name"])).rows == (("Ann", 1.5), ("Bob", 2.6), ("Cid", 3.0))
+    assert run_plan(cube, query(model, "Sale", group_by=["Employee.manager"])).rows == ((None, 3.0), ("e1", 2.6), ("e3", 1.5))
 
 
 # ---------------------------------------------------------------------------
@@ -634,21 +625,23 @@ def test_a_cube_whose_load_reported_an_error_answers_no_query(medbuddy, tmp_path
     assert [d for d in diags if d.is_error][0] == cube.error and (cube.error.code, cube.error.message) == (code, message)
     bindings = {"year": "2023", "id": "c2"}
     queries = {kind: partial(run_plan, cube, plan, bindings) for kind, plan in _plans(medbuddy).items()}
-    queries["aggregate"] = lambda: aggregate(cube.view(FACT), [_path("Patient.gender")])
-    queries["slice_view"] = lambda: slice_view(cube.view(FACT), m.Predicate(_path("Patient.gender"), m.Literal("Male")))
-    queries["CubeView"] = lambda: aggregate(CubeView(cube, FACT, range(10)), [_path("Patient.gender")])  # built directly
-    for name, query in [*queries.items()] * 2:  # a repeat query would build member folds
+    queries["ad-hoc roll-up"] = partial(run_plan, cube, query(medbuddy, FACT, group_by=["Patient.gender"]))
+    queries["ad-hoc slice"] = partial(run_plan, cube, query(medbuddy, FACT, [m.Predicate(_path("Patient.gender"), m.Literal("Male"))]))
+    queries["CubeView"] = lambda: CubeView(cube, FACT, range(10))  # built directly
+    for name, ask in [*queries.items()] * 2:  # a repeat query would build member folds
         with pytest.raises(EngineError) as exc:
-            query()
+            ask()
         assert (exc.value.code, str(exc.value)) == ("ENG030", f"the data package did not load: {code} {message}"), name
     assert postings_built(cube) == folds_built(cube) == []
 
 
-def test_a_view_of_an_entity_with_no_table_is_eng030(cube):
-    for view in (lambda: cube.view("Ward"), lambda: CubeView(cube, "Ward", [])):
+def test_a_view_of_an_entity_with_no_table_is_eng030(cube, medbuddy):
+    factless = dataclasses.replace(cube, tables={entity_id: t for entity_id, t in cube.tables.items() if entity_id != FACT})
+    for entity_id, view in (("Ward", lambda: cube.view("Ward")), ("Ward", lambda: CubeView(cube, "Ward", [])),
+                            (FACT, lambda: run_plan(factless, query(medbuddy, FACT)))):
         with pytest.raises(EngineError) as exc:
             view()
-        assert (exc.value.code, str(exc.value)) == ("ENG030", "no data loaded for Ward")
+        assert (exc.value.code, str(exc.value)) == ("ENG030", f"no data loaded for {entity_id}")
 
 
 def test_a_package_with_warnings_only_answers(medbuddy, cube, tmp_path):
@@ -694,54 +687,81 @@ def test_postings_are_built_once_per_table_and_reference_and_kept_out_of_equalit
         assert table == unused and repr(table) == repr(unused) and table.postings and unused.postings == {}
 
 
-# r01 and r03: fewer positions than any dimension holds rows, so every hop is read
+def test_a_thousand_runs_of_one_plan_derive_nothing_more(medbuddy, cube):
+    """A plan's measures are the model's own expression objects, so the
+    model's memo (``plan.measure_program`` among others) holds after 1,000
+    runs of a plan what it held after the first."""
+    patients = "AnalysisAppointmentsPatientOnNationalLevel"
+    for op_id in ("AppointmentsByGender", "ScheduledAppointmentsBySpecificPatientResidenceCityAndYear"):
+        plan = plan_operation(medbuddy, patients, op_id)
+        first = run_plan(cube, plan, {"id": "c1", "year": "2023"})
+        derived = len(medbuddy._derived)
+        assert [run_plan(cube, plan, {"id": "c1", "year": "2023"}) for _ in range(1000)] == [first] * 1000
+        assert len(medbuddy._derived) == derived, op_id
+
+
+# r01 and r03: fewer fact rows than any dimension holds rows, so every hop is read
 # chained; r03 has no closed_date, so its null first hop forms the null group
 SMALL = [0, 2]
 
 
+def _fact_rows(positions):
+    """An edit of the fact CSV that keeps its header and its rows at ``positions``."""
+    def keep(text):
+        header, *rows = text.splitlines(keepends=True)
+        return header + "".join(rows[i] for i in positions)
+
+    return keep
+
+
+@pytest.fixture(scope="module")
+def small(medbuddy, tmp_path_factory):
+    """The cube and oracle tables of the fixture package whose fact holds only the rows at ``SMALL``."""
+    data = _package(tmp_path_factory.mktemp("small"), AppointmentRequest=_fact_rows(SMALL))
+    cube, diags = load_cube(medbuddy, data)
+    assert not [d for d in diags if d.is_error]
+    return cube, oracle.load_tables(medbuddy, data)
+
+
 @pytest.mark.parametrize("keys", GROUPINGS, ids=lambda k: "+".join(k) or "grand-total")
-def test_a_view_smaller_than_its_dimensions_matches_the_oracle(cube, medbuddy, tables, keys):
-    view = CubeView(cube, FACT, SMALL)
-    rows = [tables[FACT][i] for i in SMALL]
-    paths = [_path(k) for k in keys]
-    expected = oracle.aggregate(medbuddy, tables, FACT, rows, paths)
-    result = aggregate(view, paths)
-    assert {row[: len(keys)]: row[len(keys):] for row in result.rows} == {
-        key: tuple(values[name] for name in result.measure_names) for key, values in expected.items()
-    }
+def test_a_fact_smaller_than_its_dimensions_matches_the_oracle(small, medbuddy, keys):
+    cube, tables = small
+    plan = query(medbuddy, FACT, group_by=keys)
+    assert run_plan(cube, plan) == oracle_result(medbuddy, tables, plan)
     for pred, binds in ((YEAR_PRED, {"year": "2023"}), (CITY_PRED, {"id": "c1"})):
-        kept = [row["id"] for row in oracle.filter_rows(medbuddy, tables, FACT, (pred,), {"year": 2023, "id": "c1"})]
-        assert [row["id"] for row in slice_view(view, pred, binds).rows()] == [i for i in kept if i in ("r01", "r03")]
+        plan = query(medbuddy, FACT, [pred])
+        assert run_plan(cube, plan, binds) == oracle_result(medbuddy, tables, plan, {"year": 2023, "id": "c1"})
 
 
-@pytest.mark.parametrize("positions", [range(10), list(range(10)), SMALL], ids=["whole", "list", "small"])
+@pytest.mark.parametrize("positions", [range(10), SMALL], ids=["whole", "small"])
 def test_measure_predicates_matching_no_and_two_dimension_rows(medbuddy, tmp_path, positions):
-    data = _package(tmp_path, RequestState=lambda text: text.replace("s2,true,false,Held", "s2,true,false,Cancelled"))
+    data = _package(tmp_path, RequestState=lambda text: text.replace("s2,true,false,Held", "s2,true,false,Cancelled"),
+                    AppointmentRequest=_fact_rows(positions))
     states, _ = load_cube(medbuddy, data)
     tables = oracle.load_tables(medbuddy, data)
-    view = CubeView(states, FACT, positions)
-    rows = [tables[FACT][i] for i in positions]
+    rows = tables[FACT]
     for value, count in (("Held", 0), ("Cancelled", {10: 7, 2: 1}[len(rows)])):
         expr = m.Aggregate("COUNT", m.Predicate(_path("state"), m.EnumLiteral("States", value)))
-        assert evaluate_measure(view, expr) == oracle.eval_measure(medbuddy, tables, FACT, expr, rows) == count, value
-    by_name = aggregate(view, [_path("Institution.name")])
+        (engine_count,) = run_plan(states, query(medbuddy, FACT, measures=[measure("Cancelled", expr)])).rows[0][1:]
+        assert engine_count == oracle.eval_measure(medbuddy, tables, FACT, expr, rows) == count, value
+    by_name = run_plan(states, query(medbuddy, FACT, group_by=["Institution.name"]))
     expected = oracle.aggregate(medbuddy, tables, FACT, rows, [_path("Institution.name")])
     column = by_name.columns.index("CountCancelledAppointments")
     assert {row[0]: row[column] for row in by_name.rows} == {k[0]: v["CountCancelledAppointments"] for k, v in expected.items()}
 
 
-@pytest.mark.parametrize("positions", [range(10), list(range(2, 10))])
+@pytest.mark.parametrize("positions", [range(10), range(2, 10)])
 def test_min_and_max_through_a_hop_of_tied_zeros_read_0_0(medbuddy, tmp_path, positions):
     latitudes = {"i1": "0.0", "i2": "-0.0", "i3": "-0.0"}  # r01 reads i1, r03 reads i2; -0.0 loads as 0.0
     data = _package(tmp_path, Institution=partial(re.sub, r"^(i\d),(\w+),([^,]+),[^,]+,",
                                                   lambda match: f"{match[1]},{match[2]},{match[3]},{latitudes[match[1]]},",
-                                                  flags=re.M))
+                                                  flags=re.M), AppointmentRequest=_fact_rows(positions))
     zeros, _ = load_cube(medbuddy, data)
     tables = oracle.load_tables(medbuddy, data)
-    rows = [tables[FACT][i] for i in positions]
+    rows = tables[FACT]
     for fn in ("MIN", "MAX"):
         expr = m.Aggregate(fn, _path("Institution.latitude"))
-        value = evaluate_measure(CubeView(zeros, FACT, positions), expr)
+        (value,) = run_plan(zeros, query(medbuddy, FACT, measures=[measure(fn, expr)])).rows[0][1:]
         expected = oracle.eval_measure(medbuddy, tables, FACT, expr, rows)
         assert value == expected == 0.0 and math.copysign(1.0, value) == math.copysign(1.0, expected) == 1.0, fn
 
@@ -1206,10 +1226,9 @@ def _pivot_cube(directory, stays=PIVOT_STAYS, summed="cost"):
     return model, cube
 
 
-def _looped(cube, plan) -> str:
-    """The pivot of ``plan`` grouped row by row, over a list of the fact's positions."""
-    listed = CubeView(cube, plan.fact.id, list(range(cube.table(plan.fact.id).size)))
-    return result_to_csv(pivot(aggregate(listed, plan.keys)))
+def _looped(cube, data_dir, plan) -> str:
+    """What ``run_plan`` prints for ``plan``, from the oracle over the package in ``data_dir``."""
+    return result_to_csv(oracle_result(cube.model, oracle.load_tables(cube.model, data_dir), plan))
 
 
 def test_a_composite_with_more_members_than_fact_rows_groups_row_by_row(medbuddy, cube):
@@ -1217,14 +1236,14 @@ def test_a_composite_with_more_members_than_fact_rows_groups_row_by_row(medbuddy
     pivot_op = m.OlapOperation(id="StatesByInstitution", kind="Pivot", swap=("Institution", "RequestState"))
     plan = operation_plan(medbuddy, medbuddy.use_case("AnalysisAppointmentsInstitutionOnNationalLevel"), pivot_op)
     fresh, _ = load_cube(medbuddy, DATA_DIR)
-    assert [result_to_csv(run_plan(fresh, plan)) for _ in range(3)] == [_looped(fresh, plan)] * 3
+    assert [result_to_csv(run_plan(fresh, plan)) for _ in range(3)] == [_looped(fresh, DATA_DIR, plan)] * 3
     assert postings_built(fresh) == folds_built(fresh) == []
 
 
 def test_the_first_pivot_builds_postings_and_the_second_member_folds(tmp_path):
     model, cube = _pivot_cube(tmp_path)
     plan = plan_operation(model, "Stays", "WardsByShift")
-    looped = _looped(cube, plan)
+    looped = _looped(cube, tmp_path, plan)
     assert result_to_csv(run_plan(cube, plan)) == looped
     assert postings_built(cube) == [("Stay", "ward+shift")] and folds_built(cube) == []
     assert [result_to_csv(run_plan(cube, plan)) for _ in range(2)] == [looped] * 2
@@ -1239,7 +1258,7 @@ def test_a_fact_with_fewer_rows_than_members_builds_no_composite_postings(tmp_pa
     stays = "".join(PIVOT_STAYS.splitlines(keepends=True)[:11])  # 10 stays for 12 members
     model, cube = _pivot_cube(tmp_path, stays=stays)
     plan = plan_operation(model, "Stays", "WardsByShift")
-    assert [result_to_csv(run_plan(cube, plan)) for _ in range(3)] == [_looped(cube, plan)] * 3
+    assert [result_to_csv(run_plan(cube, plan)) for _ in range(3)] == [_looped(cube, tmp_path, plan)] * 3
     assert postings_built(cube) == folds_built(cube) == []
 
 
@@ -1247,7 +1266,7 @@ def test_a_decimal_sum_pivot_builds_postings_once_and_no_member_folds(tmp_path, 
     model, cube = _pivot_cube(tmp_path, summed="fee")
     built = _counted_postings(monkeypatch)
     plan = plan_operation(model, "Stays", "WardsByShift")
-    assert [result_to_csv(run_plan(cube, plan)) for _ in range(3)] == [_looped(cube, plan)] * 3
+    assert [result_to_csv(run_plan(cube, plan)) for _ in range(3)] == [_looped(cube, tmp_path, plan)] * 3
     assert postings_built(cube) == built == [("Stay", "ward+shift")] and folds_built(cube) == []
 
 
@@ -1273,8 +1292,9 @@ def test_a_repeat_rollup_builds_no_grouping_and_no_counts(tmp_path, monkeypatch)
         runs.append(result_to_csv(run_plan(cube, plan)))
         assert calls == expected
         calls.clear()
-    assert runs == [_looped(cube, plan)] * 3
+    assert runs == [_looped(cube, tmp_path, plan)] * 3
     by_wing = [Column("ward.wing", (("ward", "Ward"),), model.entity("Ward").attribute("wing")), plan.keys[1]]
-    looped = aggregate(CubeView(cube, "Stay", list(range(12))), by_wing)
-    assert [aggregate(cube.view("Stay"), by_wing) for _ in range(2)] == [looped] * 2
+    by_wing = query(model, "Stay", group_by=by_wing)
+    looped = oracle_result(model, oracle.load_tables(model, tmp_path), by_wing)
+    assert [run_plan(cube, by_wing) for _ in range(2)] == [looped] * 2
     assert calls == ["_member_grouping"]

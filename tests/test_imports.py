@@ -20,9 +20,10 @@ EAGER = """
 from bispec.asl import emit_asl, parse_asl
 from bispec.canonical import canonicalize, model_json
 from bispec.cnlbi import emit_cnlbi, parse_cnlbi
-from bispec.engine import Cube, EngineError, ResultTable, aggregate, dice_view, evaluate_measure, load_cube, pivot, run_use_case, slice_view
+from bispec.engine import Cube, EngineError, ResultTable, load_cube, pivot, run_plan, run_use_case
 from bispec.generators import GeneratorError, gen_dashboard_manifest, gen_olap_sql, gen_requirements_doc, gen_schema_sql
 from bispec.model import AttributePath, SpecificationModel, merge_models
+from bispec.plan import plan_operation
 from bispec.semantics import CheckReport, check_model
 """
 
@@ -40,6 +41,19 @@ def _run(code: str) -> str:
 
 def test_import_bispec_loads_no_submodule():
     assert _run("import bispec") == ""
+
+
+@pytest.mark.parametrize("name, loaded", [
+    ("run_plan", "diagnostics engine model plan"),
+    ("plan_operation", "diagnostics model plan"),
+])
+def test_the_query_entry_points_load_on_first_use(name, loaded):
+    """Every query runs through ``plan_operation`` and ``run_plan``; the
+    view-level names are gone from the package."""
+    assert _run(f"""import bispec
+assert {name!r} in bispec.__all__ and {name!r} not in vars(bispec)
+assert not {{"aggregate", "dice_view", "evaluate_measure", "slice_view"}} & set(bispec.__all__)
+bispec.{name}""") == loaded
 
 
 def test_import_bispec_engine_loads_only_what_the_engine_imports():

@@ -31,9 +31,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from bispec import engine
-from bispec import model as m
-from bispec.engine import CHUNK_ROWS, aggregate, load_cube
-from conftest import DATA_DIR, load_both_ways
+from bispec.engine import CHUNK_ROWS, load_cube, run_plan
+from conftest import DATA_DIR, load_both_ways, query
 
 GOLDEN = Path(__file__).parent / "golden" / "load_chunks_diagnostics.json"
 BOUNDARIES = (4096, 8192)  # chunk boundaries whenever CHUNK_ROWS divides 4096
@@ -131,7 +130,7 @@ def test_references_reach_the_first_row_of_a_duplicated_key_and_no_query_runs(me
     # the duplicated fact key f9 keeps both rows too
     assert facts.data["id"].count("f9") == 2
     with pytest.raises(engine.EngineError) as exc:
-        aggregate(cube.view("AppointmentRequest"), [m.AttributePath.parse("Patient.age")])
+        run_plan(cube, query(medbuddy, "AppointmentRequest", group_by=["Patient.age"]))
     assert str(exc.value) == f"the data package did not load: {diags[0].code} {diags[0].message}"
 
 
