@@ -141,10 +141,10 @@ def query(model, fact_id: str, where=None, group_by=None, measures=None) -> Plan
     ones; ``measure`` makes one of any expression."""
     fact = model.entity(fact_id)
     where = tuple(where or ())
-    filters = where if all(isinstance(f, Filter) for f in where) else plan_filters(model, fact_id, where)
+    planned = all(isinstance(f, Filter) for f in where)
+    filters = where if planned else plan_filters(model, fact_id, where)
     keys = tuple(key if isinstance(key, Column) else column(model, fact_id, m.AttributePath.parse(str(key))) for key in group_by or ())
-    kind = "Dice" if group_by is None else "RollUp"
-    operation = m.OlapOperation("AdHoc", kind, where_clauses=() if filters is where else where)
+    operation = m.OlapOperation("AdHoc", "Dice" if group_by is None else "RollUp", where_clauses=() if planned else where)
     return Plan("AdHoc", operation, fact, filters, keys, executable_measures(fact) if measures is None else tuple(measures))
 
 
