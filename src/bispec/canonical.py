@@ -216,32 +216,67 @@ def canonical_dict(spec: m.SpecificationModel) -> dict:
 _encode_str = json.encoder.encode_basestring  # C; escapes as ensure_ascii=False does
 
 
-def indented_json(value: object, newline: str = "\n") -> str:
+def indented_json(value: object) -> str:
     """``json.dumps(value, indent=2, ensure_ascii=False)``, written without its
     pure-Python encoder, which ``indent`` selects and which takes twice as long.
 
     Strings go through the C string encoder, dicts (with string keys), lists
     and tuples are written here, and every other scalar but ``None`` by
-    ``json.dumps``. ``newline`` is the line break and indentation of the
-    enclosing level.
+    ``json.dumps``. Every piece is appended to one list, so no container's
+    text is copied again at each enclosing depth. Each depth keeps its
+    separators, its closing marks and, per key, the text that opens a dict
+    item, so most pieces are shared strings. Once 4,096 pieces have piled
+    up, the next container to close joins them into one chunk: the pieces
+    then never outgrow the text they make, and the peak stays below that of
+    joining each container's text at every depth.
     """
-    kind = type(value)
-    if kind is str:
-        return _encode_str(value)
-    if kind is dict:
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        items = [_encode_str(key) + ": " + indented_json(item, inner) for key, item in value.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        return "[" + inner + ("," + inner).join([indented_json(item, inner) for item in value]) + newline + "]"
-    if value is None:  # canonical form holds a null for every absent description
-        return "null"
-    return json.dumps(value)
+    chunks: list[str] = []
+    pieces: list[str] = []
+    write = pieces.append
+    # Per depth: the line break and indent of its items, the item openers of a
+    # dict by key (first item, later items), and the list separators and closing marks.
+    levels: list[tuple] = []
+
+    def emit(value: object, depth: int) -> None:
+        kind = type(value)
+        if kind is str:
+            write(_encode_str(value))
+        elif kind is dict or kind is list or kind is tuple:
+            if not value:
+                write("{}" if kind is dict else "[]")
+                return
+            if depth == len(levels):
+                inner, close = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+                levels.append((inner, {}, {}, "[" + inner, "," + inner, close + "}", close + "]"))
+            inner, first, later, open_list, comma, close_dict, close_list = levels[depth]
+            if kind is dict:
+                openers = first
+                for key, item in value.items():
+                    opener = openers.get(key)
+                    if opener is None:
+                        opener = openers[key] = ("{" if openers is first else ",") + inner + _encode_str(key) + ": "
+                    write(opener)
+                    emit(item, depth + 1)
+                    openers = later
+                write(close_dict)
+            else:
+                separator = open_list
+                for item in value:
+                    write(separator)
+                    emit(item, depth + 1)
+                    separator = comma
+                write(close_list)
+            if len(pieces) >= 4096:
+                chunks.append("".join(pieces))
+                pieces.clear()
+        elif value is None:  # canonical form holds a null for every absent description
+            write("null")
+        else:
+            write(json.dumps(value))
+
+    emit(value, 0)
+    chunks.append("".join(pieces))
+    return "".join(chunks)
 
 
 def model_json(spec: m.SpecificationModel) -> str:

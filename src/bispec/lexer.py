@@ -15,8 +15,10 @@ other character outside a string or comment is an invalid character
 as ``²``, ``½`` or ``Ⅻ``, at the start of a token.
 
 One compiled pattern per comment style and quote set scans the source.
-Tokens are tuples with their offset and length; a token's line and column
-are computed only when its ``span`` is asked for.
+Tokens are tuples with their kind, offset and length; a token's line and
+column are computed only when its ``span`` is asked for. A kind is one of the
+plain string constants of ``TokenKind``, which the parsers test with ``is``
+for nearly every token.
 
 ``Parser`` holds what the CNL-BI and ASL parsers share: the cursor, the
 diagnostics, the error helpers and the top-level declaration loop.
@@ -27,14 +29,19 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from collections import namedtuple
-from enum import Enum
 from functools import cache
 
 from .diagnostics import Diagnostic, Span, error
 from .model import ModelError, is_identifier
 
 
-class TokenKind(Enum):
+class TokenKind:
+    """The kinds of token: plain string constants, compared with ``is``.
+
+    The parsers test a token's kind for nearly every token, and loading a
+    plain class attribute costs about a quarter of loading an ``Enum`` member.
+    """
+
     WORD = "word"
     STRING = "string"
     NUMBER = "number"

@@ -11,7 +11,6 @@ on ``loc`` fields, which equality and hashing never compare.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Mapping
 from dataclasses import field, fields, replace
 from functools import cached_property
@@ -116,9 +115,6 @@ REQUIRED_CHART_PARTS: dict[str, tuple[tuple[str, int], ...]] = {
     "InteractiveGeographicalMap": (("Latitude", 1), ("Longitude", 1), ("Value", 1)),
 }
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-
 class ModelError(ValueError):
     """Raised when a model value is constructed with invalid content."""
 
@@ -128,7 +124,8 @@ class ModelError(ValueError):
 
 
 def is_identifier(text: str) -> bool:
-    return _IDENT_RE.fullmatch(text) is not None
+    """Whether ``text`` is an ASCII identifier: a letter or ``_``, then letters, digits or ``_``."""
+    return text.isascii() and text.isidentifier()
 
 
 def _require_identifier(text: str, what: str) -> None:

@@ -20,7 +20,9 @@ CORPUS_ASL = ROOT / "corpus" / "medbuddy.asl"
 DATA_DIR = ROOT / "fixtures" / "medbuddy_data"
 
 # Property tests run the same examples on every run and write no example database.
+# ``--hypothesis-profile deep`` runs 20 times as many, as CI does for the lexer and writer properties.
 settings.register_profile("tier1", derandomize=True, deadline=None, database=None, max_examples=100)
+settings.register_profile("deep", derandomize=True, deadline=None, database=None, max_examples=2000)
 settings.load_profile("tier1")
 
 

@@ -19,7 +19,7 @@ from bispec.lexer import TokenKind
 
 @dataclass(frozen=True)
 class Token:
-    kind: TokenKind
+    kind: str  # one of the TokenKind constants
     text: str
     span: Span
     value: object = None  # decoded payload for STRING / NUMBER tokens

@@ -123,6 +123,8 @@ _VALUES = st.recursive(
 @given(_VALUES)
 @example({"b": [], "a": {}, "": ()})
 @example([{"z": None, "y": [True, False, -0.0, 1e16, 5e-324, -(10**30)]}, ("\ud800", '"\\')])
+@example([{"id": str(i), "name": None, "parts": [{"id": i, "tags": [["a", "b"]]}], "x": {}} for i in range(3000)])  # many chunks
+@example({"a": [[[[[[[[{"b": [None]}]]]]]]]], "c": [[]], "d": {"e": {"f": "g"}}})  # deep, and depths revisited
 def test_indented_json_equals_json_dumps_with_indent(value):
     assert indented_json(value) == json.dumps(value, indent=2, ensure_ascii=False)
 

@@ -4,10 +4,13 @@ No module imports another module's private (``_``-prefixed) names, and the
 intra-package import graph has no cycle. Imports inside functions count as
 edges too: a deferred import hides a cycle from Python, not from the design.
 No module calls ``json.dumps`` with ``indent``, which selects the pure-Python
-encoder; ``canonical.indented_json`` writes the same text. The engine and the
-SQL generator never name ``MeasureRef`` or ``Aggregate``, and the checks name
-no measure node at all: measures reach them only as ``plan.measure_program``
-lowered and typed them, so no second walk over measures can creep back.
+encoder; ``canonical.indented_json`` writes the same text. The lexer imports
+nothing from ``enum``: a token kind is a plain string constant, which the
+parsers test for nearly every token at a quarter of the cost of loading an
+``Enum`` member. The engine and the SQL generator never name ``MeasureRef``
+or ``Aggregate``, and the checks name no measure node at all: measures reach
+them only as ``plan.measure_program`` lowered and typed them, so no second
+walk over measures can creep back.
 Likewise the checks name no OLAP operation kind and import no filter or pivot
 planner: an operation reaches them only through ``plan.operation_plan``.
 Every bracketed ASL body is read by the one clause loop ``_Parser.body``,
@@ -94,6 +97,16 @@ def test_no_module_calls_json_dumps_with_indent():
         if isinstance(node, ast.Call)
         and (getattr(node.func, "attr", None) == "dumps" or getattr(node.func, "id", None) == "dumps")
         and any(keyword.arg == "indent" for keyword in node.keywords)
+    ]
+    assert found == []
+
+
+def test_lexer_imports_nothing_from_enum():
+    found = [
+        f"lexer line {node.lineno}"
+        for node in ast.walk(MODULES["lexer"])
+        if isinstance(node, ast.ImportFrom) and node.module == "enum"
+        or isinstance(node, ast.Import) and any(alias.name == "enum" for alias in node.names)
     ]
     assert found == []
 

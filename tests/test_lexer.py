@@ -80,6 +80,21 @@ def test_block_comments_only_when_enabled():
     assert tokens[0].kind is TokenKind.PUNCT  # plain '/' token; the parser rejects it
 
 
+@pytest.mark.parametrize(
+    "source, options",
+    [("cnlbi_source", {}), ("asl_source", {"block_comments": True})],
+    ids=["cnlbi", "asl"],
+)
+def test_corpus_token_kinds_are_the_plain_string_constants(source, options, request):
+    # The parsers test kinds with ``is``; every kind must be one of the constants themselves.
+    constants = [value for name, value in vars(TokenKind).items() if not name.startswith("_")]
+    assert len(constants) == 6 and all(type(kind) is str for kind in constants)
+    tokens, diags = tokenize(request.getfixturevalue(source), **options)
+    assert not diags and len(tokens) > 1000
+    for tok in tokens:
+        assert type(tok.kind) is str and any(tok.kind is kind for kind in constants), tok
+
+
 def test_line_and_column_positions():
     source = "Actor A\n  is a User"
     tokens, _ = tokenize(source)

@@ -1,9 +1,11 @@
 import ast
 import dataclasses
 import inspect
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from bispec import diagnostics, engine, plan, semantics
 from bispec import model as m
@@ -156,6 +158,19 @@ def test_an_identifier_ends_at_its_last_word_character(build):
     assert not m.is_identifier("A\n") and m.is_identifier("A_1")
     with pytest.raises(m.ModelError):
         build()
+
+
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+# Any code point, with ASCII identifier characters and the non-ASCII letters,
+# digits and signs closest to them drawn often.
+@given(st.text(st.characters(exclude_categories=()) | st.sampled_from("aZ_09\u00e9\u017f\u212a\u0661\u00b2 -$\n"), max_size=8))
+@example("")
+@example("A\n")
+@example("_1")
+def test_is_identifier_is_the_ascii_identifier_pattern(text):
+    assert m.is_identifier(text) is (_IDENTIFIER.fullmatch(text) is not None)
 
 
 # ---------------------------------------------------------------------------
