@@ -14,7 +14,7 @@ from pathlib import Path
 from . import model as m
 from .canonical import model_json
 from .diagnostics import Diagnostic, error, has_errors, render_json, render_text, sorted_diagnostics, want_color, warning
-from .plan import Plan, plan_operation
+from .plan import EngineError, Plan, plan_operation
 from .semantics import check_model
 
 EXIT_OK = 0
@@ -174,24 +174,28 @@ def cmd_olap(args) -> int:
         _emit_diagnostics(diags, args.json)
         return EXIT_DIAGNOSTICS
 
+    # the bindings and the plan come before the load, so a mistake in either costs none
+    binds = args.bind or []
+    unplanned = [error("ENG010", f"--bind expects key=value, got {bind!r}") for bind in binds if "=" not in bind]
+    bindings = dict(bind.split("=", 1) for bind in binds if "=" in bind)
+    try:
+        plan = plan_operation(model, args.usecase, args.op)
+    except EngineError as exc:
+        unplanned.append(error(exc.code, str(exc)))
+    if unplanned:
+        _emit_diagnostics(diags + unplanned, args.json)
+        return EXIT_DIAGNOSTICS
+
     cube, load_diags = engine.load_cube(model, args.data)
     diags = diags + load_diags
     _emit_diagnostics(diags, args.json)
     if has_errors(diags):
         return EXIT_DIAGNOSTICS
 
-    bindings = {}
-    for binding in args.bind or []:
-        if "=" not in binding:
-            raise SystemExit_usage(f"--bind expects key=value, got {binding!r}")
-        key, _, value = binding.partition("=")
-        bindings[key] = value
-
     try:
-        plan = plan_operation(model, args.usecase, args.op)
         _emit_diagnostics(_unused_bindings(plan, bindings), args.json)
         result = engine.run_plan(cube, plan, bindings)
-    except engine.EngineError as exc:
+    except EngineError as exc:
         _emit_diagnostics([error(exc.code, str(exc))], args.json)
         return EXIT_DIAGNOSTICS
     render = engine.result_to_csv if args.format == "csv" else engine.result_to_table

@@ -17,42 +17,17 @@ C-level ``map`` of ``list.__getitem__``. Every query is a ``Plan`` that
 ``run_plan`` runs over the whole fact, compiled once into column readers
 over fact row positions and measures that share aggregate leaves by expression.
 
-A reader touches each fact position once: one fact-side step through the
-fact column or the first reference, which walks the stored column itself
-for the whole fact. The rest (later hops, the ``==`` of a filter or measure
-predicate) becomes one dimension-side list over the first hop's target,
-built once per query when the query reads at least as many positions as
-that target holds rows. MIN and MAX through a hop fold over the distinct
-first-hop positions.
+A reader (``_reader``) touches each fact position once, through the fact
+column or the first reference; its later steps run once per row of the
+first hop's target when the query reads at least as many positions as
+that target holds rows, a cost rule it applies itself.
 
-A filter over the whole fact reads only the fact positions it keeps. Its
-``==`` runs once per row of the last table the path reaches (a reference
-read as its key is one more hop, tested on the target's key column), and
-the hit rows walk back hop by hop through each reference's postings (the
-referencing rows per target row, in two flat arrays). A table builds
-postings on first use and keeps them.
-
-A roll-up over the whole fact, on one key or several (the pivot), groups
-by member when every key is read through a fact reference. A member is one
-combination of rows of the keys' distinct first references' targets, null
-slots included, and its id is mixed-radix over each target's size + 1; one
-reference's members are its target's rows. The members are grouped by key
-value, with each key read once per row of its reference's target. That
-needs no more members than the fact has rows + 1; the row loop takes any
-other grouping. The first such query groups the fact rows by member in one
-pass and keeps those groups as the references' postings; later ones group
-through them.
-
-Once references have postings, that is once they have served a query on
-this cube, a query through them whose every fold has member folds
-(``_MEMBER_FOLDS``) keeps what a repeat query rebuilds (``_Members``):
-member folds (each fold's partial per member, built by one read of each
-input over the whole fact), each member's row count, the grouping of
-members per key list and the combine plan per measure program. Then such a
-roll-up combines the folds of each group's members, and a slice by one
-filter the members it keeps at the first hop's target, reading no fact row.
-A one-shot query builds no folds. Postings and ``_Members`` are the only
-data a query leaves behind, and they die with the cube.
+``access_plan`` picks every other path as data (``AccessPlan``) from the
+plan and the cube as it stands, and ``run_plan`` follows it: each filter a
+``FarEnd`` or ``Scan``, the measures ``Folds``, ``Postings``, ``RowLoop`` or
+``Positions``. Postings and member folds (``_Members``) are the only data a
+query leaves behind: the first query through some references builds their
+postings, a later one their member folds, and they die with the cube.
 """
 
 from __future__ import annotations
@@ -723,28 +698,20 @@ def _reader(cube: Cube, fact_id: str, col: Column, reads: int, test=None, distin
     return read
 
 
-def _far_end(cube: Cube, fact_id: str, col: Column, test) -> tuple[tuple, list[int]] | None:
-    """``((reference,), rows)``: the fact's first reference on ``col``'s path and
-    the rows of its target (null slot included) that the fact positions whose
-    ``col`` passes ``test`` reference. The test runs once per row of the last
-    table ``_steps``' hops reach, null slot included, and the hit rows walk
-    back through each later hop's postings; a middle table's null slot hits
-    when the next table's does. None when no hop leaves the fact, or the
-    fact holds fewer rows than the first hop's target: that filter scans
-    instead."""
-    fact = cube.tables[fact_id]
+def _far_end(cube: Cube, fact_id: str, col: Column, test) -> list[int]:
+    """The rows (null slot included) of the first hop's target that the fact
+    positions whose ``col`` passes ``test`` reference: ``test`` runs once per
+    row of the last table ``_steps``' hops reach, and the hits walk back
+    through each later hop's postings, a null slot hitting when the next one does."""
     steps, hops = _steps(cube, fact_id, col, test)
-    if not hops or fact.size < fact.targets[hops[0][1]].size:
-        return None
     table, ref = hops[-1]
-    tested = _mapped(map(_function, steps[len(hops):]), range(table.targets[ref].size + 1))  # its rows and null slot
-    hits = list(compress(count(), tested))
+    hits = list(compress(count(), _mapped(map(_function, steps[len(hops):]), range(table.targets[ref].size + 1))))
     for table, ref in reversed(hops[1:]):
         rows = list(table.referencing((ref,), hits))
         if hits and hits[-1] == table.targets[ref].size:  # the null slot comes last
             rows.append(table.size)
         hits = rows
-    return (hops[0][1],), hits
+    return hits
 
 
 # ---------------------------------------------------------------------------
@@ -793,37 +760,29 @@ class CubeView:
         return Rows(self.cube.tables[self.fact_id], self.positions)
 
 
-def _filtered(cube: Cube, fact_id: str, filters, bindings: dict | None) -> Sequence[int]:
-    """The fact positions that the filters keep. Each filter tests the
-    positions the filters before it kept; the first, over the whole fact,
-    keeps the positions that reference the rows ``_far_end`` walks back to,
-    when it can, in postings order."""
-    values = [_bound_value(cube.model, f, bindings or {}) for f in filters]
+def _filtered(cube: Cube, fact_id: str, filters, paths, values) -> Sequence[int]:
+    """The fact positions that ``filters`` keep, each along its path in ``paths``
+    with its bound value in ``values``, testing what the filters before it
+    kept; a far end keeps the positions that reference its rows, in postings order."""
     fact = cube.tables[fact_id]
     positions = range(fact.size)
-    for filt, value in zip(filters, values):
+    for filt, path, value in zip(filters, paths, values):
         test = partial(eq, value)
-        far = _far_end(cube, fact_id, filt.column, test) if positions == range(fact.size) else None
-        if far is None:
-            positions = list(compress(positions, _reader(cube, fact_id, filt.column, len(positions), test)(positions)))
+        if path.__class__ is FarEnd:
+            positions = list(fact.referencing((path.ref,), _far_end(cube, fact_id, filt.column, test)))
         else:
-            positions = list(fact.referencing(*far))
+            positions = list(compress(positions, _reader(cube, fact_id, filt.column, len(positions), test)(positions)))
     return positions
 
 
-def _sliced(cube: Cube, fact_id: str, filters, bindings: dict | None, exprs) -> tuple[int, tuple]:
+def _sliced(cube: Cube, fact_id: str, filters, access: "AccessPlan", values, exprs) -> tuple[int, tuple]:
     """``(row_count, cells)``: how many fact rows the filters keep, and the
-    measures over them. A query by one filter combines the member folds of
-    the filter's first reference at the rows of its target that ``_far_end``
-    keeps, where ``_member_program`` gives them; any other reads the kept
-    fact positions."""
-    if len(filters) == 1:
-        col = filters[0].column
-        combine = _member_program(cube, fact_id, (_first_reference(col),), exprs)
-        far = combine and _far_end(cube, fact_id, col, partial(eq, _bound_value(cube.model, filters[0], bindings or {})))
-        if far:
-            return combine(_gather(far[1]))
-    positions = _filtered(cube, fact_id, filters, bindings)
+    measures over them, by ``access.measures``: the member folds of a
+    Slice's far end (``Folds``), or the kept positions (``Positions``)."""
+    if access.measures.__class__ is Folds:
+        rows = _far_end(cube, fact_id, filters[0].column, partial(eq, values[0]))
+        return _member_program(cube, fact_id, access.measures.refs, exprs)(_gather(rows))
+    positions = _filtered(cube, fact_id, filters, access.filters, values)
     return len(positions), _measure_program(cube, fact_id, exprs, len(positions))(positions)
 
 
@@ -1060,28 +1019,18 @@ class _Members:
 
 
 def _member_program(cube: Cube, fact_id: str, refs: tuple, exprs):
-    """A function from a ``_gather`` of members of the fact references
-    ``refs`` (and their row count, when it is known) to ``(row_count,
-    cells)`` over the fact rows those members hold, which combines member
-    folds. None until ``refs`` have postings, that is until they have served
-    a query on this cube (a one-shot query builds no folds), or when a
-    measure fold has no entry in ``_MEMBER_FOLDS``. The members' row counts
-    are taken once per ``refs`` and the plan once per measure program, and
-    both are kept (``_Members``)."""
+    """A function from a ``_gather`` of members of the fact references ``refs``
+    (and their row count, when known) to ``(row_count, cells)`` over their fact
+    rows, combining member folds (``Folds``); it is kept per measure program."""
     fact = cube.tables[fact_id]
-    if refs not in fact.postings:
-        return None
     program = measure_program(cube.model, fact_id, exprs)
     kept = fact.folds.get(refs)
-    plan = kept and kept.plans.get(id(program))
-    if plan is None:
-        if any(_leaf_input(cube.model, leaf)[3] not in _MEMBER_FOLDS for leaf in program.leaves):
-            return None
-        if kept is None:
-            offsets = fact.postings[refs][0]
-            kept = fact.folds[refs] = _Members(array(offsets.typecode, _counts(offsets)))
-        plan = kept.plans[id(program)] = (program, _combine_plan(cube, fact_id, refs, program))
-    return plan[1]
+    if kept is None:
+        offsets = fact.postings[refs][0]
+        kept = fact.folds[refs] = _Members(array(offsets.typecode, _counts(offsets)))
+    if id(program) not in kept.plans:
+        kept.plans[id(program)] = (program, _combine_plan(cube, fact_id, refs, program))
+    return kept.plans[id(program)][1]
 
 
 def _combine_plan(cube: Cube, fact_id: str, refs: tuple, program):
@@ -1174,31 +1123,17 @@ def _member_grouping(fact: Table, refs: tuple, reads, counts, ids) -> list:
     return sorted(groups.items(), key=lambda group: order(group[0]))
 
 
-def _member_groups(cube: Cube, fact_id: str, keys, exprs) -> list | None:
+def _member_groups(cube: Cube, fact_id: str, keys, exprs, path) -> list:
     """``(key value, cells)`` in key order for each group of the whole fact by
-    ``keys``, grouped by member (``_member_lists``): the members of the
-    keys' distinct first references, grouped by key value. Each group
-    combines its members' folds, where ``_member_program`` gives them, and
-    the grouping is kept beside them; else the measures run over the fact
-    positions its members hold in the references' postings, which the first
-    query through them builds. A group no fact row reaches is left out. None
-    when a key is not read through a fact reference, or the references have
-    more members than the fact has rows + 1."""
-    fact = cube.tables[fact_id]
-    reads = []  # per key: its first reference, its later steps as functions
-    for key in keys:
-        steps, hops = _steps(cube, fact_id, key)
-        if not hops:
-            return None
-        reads.append((hops[0][1], list(map(_function, steps[1:]))))
-    refs = tuple(dict.fromkeys(ref for ref, _ in reads))
-    if _member_space(fact, refs) > fact.size + 1:
-        return None
-    combine = _member_program(cube, fact_id, refs, exprs)
-    if combine is None:
+    ``keys``, by member of ``path.refs`` (``Postings`` or ``Folds``, whose
+    grouping is kept); a group no fact row reaches is left out."""
+    fact, refs = cube.tables[fact_id], path.refs
+    reads = [(_first_reference(key), list(map(_function, _steps(cube, fact_id, key)[0][1:]))) for key in keys]
+    if path.__class__ is Postings:
         program = _measure_program(cube, fact_id, exprs, fact.size)
         grouping = _member_grouping(fact, refs, reads, _counts(fact.posted(refs)[0]), count())
         return [(value, program(list(fact.referencing(refs, members)))) for value, members in grouping]
+    combine = _member_program(cube, fact_id, refs, exprs)
     kept = fact.folds[refs]
     name = tuple((key.chain, key.attribute.id) for key in keys)
     grouping = kept.groupings.get(name)
@@ -1209,19 +1144,18 @@ def _member_groups(cube: Cube, fact_id: str, keys, exprs) -> list | None:
     return [(value, combine(gather, rows)[1]) for value, gather, rows in grouping]
 
 
-def aggregate(cube: Cube, plan: Plan) -> ResultTable:
-    """Group the fact's rows by ``plan.keys``, by member (``_member_groups``)
-    where it can, else reading every position, and evaluate ``plan.measures``
-    per group. ``run_plan`` runs it for a roll-up or drill-down (they differ
-    only in reporting metadata) and a pivot; ``perfbench/spans.py`` wraps it
-    by name."""
+def aggregate(cube: Cube, plan: Plan, path) -> ResultTable:
+    """Group the fact's rows by ``plan.keys`` along ``path``, by member or reading
+    every position (``RowLoop``), and evaluate ``plan.measures`` per group, for a
+    roll-up, drill-down or pivot; ``perfbench/spans.py`` wraps it by name."""
     fact_id, keys = plan.fact.id, plan.keys
     positions = range(cube.tables[fact_id].size)
     exprs = [a.measure for a in plan.measures]
 
     single = len(keys) == 1  # groups on bare values, made 1-tuples once per group
-    grouped = _member_groups(cube, fact_id, keys, exprs) if keys and positions else None  # (group key, cells) in key order
-    if grouped is None:
+    if path.__class__ is not RowLoop:
+        grouped = _member_groups(cube, fact_id, keys, exprs, path)  # (group key, cells) in key order
+    else:
         readers = [_reader(cube, fact_id, key, len(positions)) for key in keys]
         groups = defaultdict(list)  # each in file order
         values = readers[0](positions) if single else zip(*(read(positions) for read in readers)) if readers else repeat(())
@@ -1256,16 +1190,114 @@ def run_use_case(cube: Cube, use_case_id: str, op_id: str, bindings: dict | None
 
 
 def run_plan(cube: Cube, plan: Plan, bindings: dict | None = None) -> ResultTable:
-    """Run one query: a Slice or Dice answers ``row_count``, then every measure
-    over the kept rows; a roll-up or drill-down one row per group, and a
-    pivot the same groups with their two keys swapped."""
+    """Run one query along its ``access_plan``: a Slice or Dice answers ``row_count``
+    and every measure over the kept rows, a roll-up or drill-down one row per
+    group, a pivot the same groups with their keys swapped."""
     cube.view(plan.fact.id)  # ENG030 for a cube whose load reported an error, or a fact with no table
+    access = access_plan(cube, plan)
     if plan.kind in ("Slice", "Dice"):
-        row_count, cells = _sliced(cube, plan.fact.id, plan.filters, bindings, [attr.measure for attr in plan.measures])
+        values = [_bound_value(cube.model, f, bindings or {}) for f in plan.filters]
+        row_count, cells = _sliced(cube, plan.fact.id, plan.filters, access, values, [a.measure for a in plan.measures])
         return ResultTable((), ("row_count",) + tuple(a.id for a in plan.measures), ((row_count,) + cells,))
     if plan.kind in ("RollUp", "DrillDown"):
-        return aggregate(cube, plan)
-    return pivot(aggregate(cube, plan))
+        return aggregate(cube, plan, access.measures)
+    return pivot(aggregate(cube, plan, access.measures))
+
+
+# ---------------------------------------------------------------------------
+# Access paths
+# ---------------------------------------------------------------------------
+
+
+@value
+class FarEnd:
+    """A filter tested at the far end of its path, from the fact reference ``ref`` (``_far_end``)."""
+
+    ref: str
+
+
+@value
+class Scan:
+    """A filter that tests each fact position it is given, for ``reason``."""
+
+    reason: str
+
+
+@value
+class Folds:
+    """Combine the member folds (``_Members``) the fact keeps for its references ``refs``."""
+
+    refs: tuple[str, ...]
+
+
+@value
+class Postings:
+    """Group by member of ``refs`` through their postings; ``reason``: why no folds combine."""
+
+    refs: tuple[str, ...]
+    reason: str
+
+
+@value
+class RowLoop:
+    """Group by the keys read at every fact position, for ``reason``."""
+
+    reason: str
+
+
+@value
+class Positions:
+    """Run the measures over the fact positions the filters keep, for ``reason``."""
+
+    reason: str
+
+
+@value
+class AccessPlan:
+    """Each filter's ``FarEnd`` or ``Scan``, and how the measures read the fact rows (``access_plan``)."""
+
+    filters: tuple
+    measures: object
+
+
+def access_plan(cube: Cube, plan: Plan) -> AccessPlan:
+    """The access paths ``run_plan`` follows for ``plan`` on ``cube`` as it
+    stands: what postings and folds exist decides some, so each run makes one."""
+    fact, exprs = cube.tables[plan.fact.id], [attr.measure for attr in plan.measures]
+    filters = tuple(_filter_path(fact, f.column) if not i else Scan("after an earlier filter") for i, f in enumerate(plan.filters))
+    if plan.kind not in ("Slice", "Dice"):
+        return AccessPlan(filters, _grouping_path(cube, fact, plan.keys, exprs))
+    if len(filters) != 1 or filters[0].__class__ is Scan:
+        return AccessPlan(filters, Positions("several filters" if len(filters) > 1 else filters[0].reason if filters else "no filter"))
+    return AccessPlan(filters, _member_path(cube, fact, (filters[0].ref,), exprs, Positions))
+
+
+def _filter_path(fact: Table, col: Column):
+    """A filter over the whole fact on ``col``: ``FarEnd`` unless no hop leaves
+    the fact or the fact holds fewer rows than the first hop's target."""
+    ref = _first_reference(col)
+    if ref not in fact.targets:
+        return Scan("no hop leaves the fact")
+    return FarEnd(ref) if fact.size >= fact.targets[ref].size else Scan("fact smaller than first target")
+
+
+def _grouping_path(cube: Cube, fact: Table, keys, exprs):
+    """By member of the keys' distinct first references, where each is a fact
+    reference and they have no more members than the fact has rows + 1."""
+    refs = tuple(dict.fromkeys(map(_first_reference, keys)))
+    reason = ("no group keys" if not keys else "empty fact" if not fact.size
+              else "key not read through a fact reference" if not fact.targets.keys() >= set(refs)
+              else "more members than fact rows" if _member_space(fact, refs) > fact.size + 1 else None)
+    return RowLoop(reason) if reason else _member_path(cube, fact, refs, exprs, partial(Postings, refs))
+
+
+def _member_path(cube: Cube, fact: Table, refs: tuple, exprs, other):
+    """``Folds(refs)`` once ``refs`` have postings and every fold combines from member folds, else ``other(reason)``."""
+    if refs not in fact.postings:
+        return other("references have no postings yet")
+    leaves = measure_program(cube.model, fact.entity_id, exprs).leaves
+    foldable = all(_leaf_input(cube.model, leaf)[3] in _MEMBER_FOLDS for leaf in leaves)
+    return Folds(refs) if foldable else other("Decimal SUM or AVERAGE")
 
 
 # ---------------------------------------------------------------------------

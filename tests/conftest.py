@@ -150,6 +150,14 @@ def query(model, fact_id: str, where=None, group_by=None, measures=None) -> Plan
     return Plan("AdHoc", operation, fact, filters, keys, executable_measures(fact) if measures is None else tuple(measures))
 
 
+def kept_positions(cube, plan: Plan, bindings=None) -> list[int]:
+    """The fact positions ``plan``'s filters keep, in the engine's order (a
+    far end's in postings order), each filter along the path that
+    ``engine.access_plan`` picks for it and its value bound as ``run_plan`` binds it."""
+    values = [engine._bound_value(cube.model, f, bindings or {}) for f in plan.filters]
+    return engine._filtered(cube, plan.fact.id, plan.filters, engine.access_plan(cube, plan).filters, values)
+
+
 def oracle_result(model, tables, plan: Plan, bindings=None) -> ResultTable:
     """What ``run_plan`` answers for ``plan``, from ``tests/oracle.py`` over
     ``tables``: for a Slice or Dice of predicates, the row count and the

@@ -12,8 +12,7 @@ import sys
 
 import bispec
 from bispec import model as m
-from bispec.plan import plan_filters
-from conftest import DATA_DIR, ROOT
+from conftest import DATA_DIR, ROOT, kept_positions, query
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 
@@ -36,8 +35,8 @@ def _run_session(model):
         for op in uc.operations
     ]
     view = cube.view("AppointmentRequest")
-    female = plan_filters(model, view.fact_id, [m.Predicate(m.AttributePath.parse("Patient.gender"), m.Literal("Female"))])
-    sliced = dataclasses.replace(view, positions=sorted(bispec.engine._filtered(cube, view.fact_id, female, None)))
+    female = query(model, view.fact_id, [m.Predicate(m.AttributePath.parse("Patient.gender"), m.Literal("Female"))])
+    sliced = dataclasses.replace(view, positions=sorted(kept_positions(cube, female)))
     count = bispec.engine.evaluate_measure(view, model.entity("AppointmentRequest").attribute("CountAppointments").measure)
     return cube, diags, outputs, len(sliced.rows()), count
 

@@ -343,19 +343,32 @@ def test_olap_warns_about_a_binding_no_parameter_takes(capsys, op, used, unused,
     assert [(e["severity"], e["message"]) for e in entries if e["code"] == "ENG011"] == [("warning", message)]
 
 
-def test_json_flag_makes_every_stderr_line_json(capsys, tmp_path):
+def test_json_flag_makes_every_stderr_line_json(capsys, tmp_path, monkeypatch):
+    """A bad binding value, a malformed ``--bind`` and an unknown ``--op`` each
+    end as one coded error and exit 1; the last two are found before the load."""
+    olap = ("olap", str(CORPUS_CNLBI), "--data", str(DATA_DIR), "--usecase", "AnalysisAppointmentsInstitutionOnNationalLevel")
     runs = [
-        ("olap", str(CORPUS_CNLBI), "--data", str(DATA_DIR),
-         "--usecase", "AnalysisAppointmentsInstitutionOnNationalLevel",
-         "--op", "ScheduledAppointmentsInSpecificYear", "--bind", "year=abc"),
+        (*olap, "--op", "ScheduledAppointmentsInSpecificYear", "--bind", "year=abc"),
+        (*olap, "--op", "ScheduledAppointmentsInSpecificYear", "--bind", "year"),
+        (*olap, "--op", "NoSuchOperation", "--bind", "year=2023"),
         ("gen", str(CORPUS_ASL), "--out-dir", str(tmp_path / "generated")),
     ]
+    errors = {
+        "year=abc": ("ENG010", "parameter 'year' expects Integer, got 'abc'"),
+        "year": ("ENG010", "--bind expects key=value, got 'year'"),
+        "year=2023": ("ENG030", "use case AnalysisAppointmentsInstitutionOnNationalLevel has no operation 'NoSuchOperation'"),
+    }
+    loads = []
+    load_cube = engine.load_cube
+    monkeypatch.setattr(engine, "load_cube", lambda *args: loads.append(args[1]) or load_cube(*args))
     for argv in runs:
-        _, _, err = run(capsys, *argv, "--json")
+        loads.clear()
+        code, _, err = run(capsys, *argv, "--json")
         entries = [json.loads(line) for line in err.splitlines()]
         assert entries, argv
         if argv[0] == "olap":
-            assert entries[-1]["code"] == "ENG010" and entries[-1]["severity"] == "error"
+            assert code == 1 and [(e["code"], e["message"]) for e in entries if e["severity"] == "error"] == [errors[argv[-1]]]
+            assert len(loads) == (argv[-1] == "year=abc"), argv
         else:
             skipped = [e for e in entries if e["message"].startswith("skipping ")]
             assert len(skipped) == 13 and {(e["code"], e["severity"]) for e in skipped} == {("GEN010", "warning")}
