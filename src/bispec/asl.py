@@ -146,13 +146,14 @@ class _Parser(Parser):
     def body(self, what: str, at: Token, clauses: dict) -> Clauses:
         """``[ clause* ]``: each clause opens with a keyword of ``clauses``; the
         keyword is consumed and the reader of its entry called with the parser,
-        the keyword and ``at``. ASL011 at ``at`` when the input ends first; a
-        token that opens no clause is reported (ASL010) and skipped."""
+        the keyword and ``at``. ASL011 at ``at`` when the input ends, or a
+        declaration keyword that opens no clause comes, first; any other token
+        that opens no clause is reported (ASL010) and skipped."""
         self.expect_punct("[")
         found = Clauses()
         cur = self.cur
         while not cur.at_punct("]"):
-            if cur.at_eof():
+            if cur.at_eof() or (self.at_declaration() and cur.peek().text not in clauses):
                 raise self.fail("ASL011", f"unbalanced bracket in {what} body", at.span)
             tok = cur.next()
             entry = clauses.get(tok.text)

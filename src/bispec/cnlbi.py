@@ -191,11 +191,11 @@ class _Parser(Parser):
         self.expect_word("with")
         self.expect_word("attributes")
 
-        raw_attrs = [self.attribute()]
-        while self.cur.eat_punct(","):
-            if self.cur.at_word("described") or self.at_declaration() or self.cur.at_eof():
-                break
+        raw_attrs = []
+        while not (self.cur.at_word("described") or self.at_declaration() or self.cur.at_eof()):
             raw_attrs.append(self.attribute())
+            if not self.cur.eat_punct(","):
+                break
 
         description = None
         if self.cur.eat_word("described"):

@@ -248,10 +248,16 @@ class Parser:
 
     def declarations(self, table: dict) -> Clauses:
         """Every top-level declaration, each read by ``table[keyword](self)``. A
-        ParseError is reported and reading resumes at the next declaration."""
+        ParseError is reported and reading resumes at the first declaration
+        keyword, at or after the token where the construct failed, at bracket
+        depth 0 counted from the construct's first token (``resume``): a
+        construct that failed after its last token resumes where it stopped,
+        and one that failed before its ``[ ... ]`` body closed skips the rest
+        of that body, its nested ``component`` lines included."""
         found = Clauses()
         while not self.cur.at_eof():
             tok = self.cur.peek()
+            start = self.cur.pos
             try:
                 reader = table.get(tok.text)
                 if reader is None:
@@ -259,10 +265,25 @@ class Parser:
                 found.setdefault(tok.text, []).append(reader(self))
             except ParseError as exc:
                 self.diags.append(exc.diag)
-                self.cur.next()
-                while not self.cur.at_eof() and not self.at_declaration():
-                    self.cur.next()
+                self.resume(start)
         return found
+
+    def resume(self, start: int) -> None:
+        """Move past a construct that began at token ``start`` and failed at the
+        cursor, to the first declaration keyword at or after the cursor that no
+        ``[ ... ]`` opened since ``start`` encloses; a ``[`` never closed encloses nothing."""
+        stop, opened, found = max(self.cur.pos, start + 1), [], []  # found: (position, brackets open there)
+        self.cur.pos = start
+        while not self.cur.at_eof():
+            if self.cur.pos >= stop and self.at_declaration():
+                found.append((self.cur.pos, len(opened)))
+            tok = self.cur.next()
+            if tok.kind is TokenKind.PUNCT and tok.text == "[":
+                opened.append(self.cur.pos)
+            elif tok.kind is TokenKind.PUNCT and tok.text == "]" and opened:
+                opened.pop()
+        # ``opened`` now holds the brackets never closed, which stay open from where they open
+        self.cur.pos = next((at for at, open_there in found if open_there == bisect_right(opened, at)), self.cur.pos)
 
     def fail(self, code: str, message: str, span: Span | None = None) -> ParseError:
         return ParseError(error(code, message, span if span is not None else self.cur.peek().span))
