@@ -276,6 +276,8 @@ class Parser:
         self.cur.pos = start
         while not self.cur.at_eof():
             if self.cur.pos >= stop and self.at_declaration():
+                if not opened:  # no bracket encloses it, and each that enclosed an earlier one closed
+                    return
                 found.append((self.cur.pos, len(opened)))
             tok = self.cur.next()
             if tok.kind is TokenKind.PUNCT and tok.text == "[":
