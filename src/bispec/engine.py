@@ -1022,8 +1022,7 @@ def _member_program(cube: Cube, fact_id: str, refs: tuple, exprs):
     """A function from a ``_gather`` of members of the fact references ``refs``
     (and their row count, when known) to ``(row_count, cells)`` over their fact
     rows, combining member folds (``Folds``); it is kept per measure program."""
-    fact = cube.tables[fact_id]
-    program = measure_program(cube.model, fact_id, exprs)
+    fact, program = cube.tables[fact_id], measure_program(cube.model, fact_id, exprs)
     kept = fact.folds.get(refs)
     if kept is None:
         offsets = fact.postings[refs][0]
@@ -1149,8 +1148,7 @@ def aggregate(cube: Cube, plan: Plan, path) -> ResultTable:
     every position (``RowLoop``), and evaluate ``plan.measures`` per group, for a
     roll-up, drill-down or pivot; ``perfbench/spans.py`` wraps it by name."""
     fact_id, keys = plan.fact.id, plan.keys
-    positions = range(cube.tables[fact_id].size)
-    exprs = [a.measure for a in plan.measures]
+    positions, exprs = range(cube.tables[fact_id].size), [a.measure for a in plan.measures]
 
     single = len(keys) == 1  # groups on bare values, made 1-tuples once per group
     if path.__class__ is not RowLoop:
@@ -1295,8 +1293,10 @@ def _member_path(cube: Cube, fact: Table, refs: tuple, exprs, other):
     """``Folds(refs)`` once ``refs`` have postings and every fold combines from member folds, else ``other(reason)``."""
     if refs not in fact.postings:
         return other("references have no postings yet")
-    leaves = measure_program(cube.model, fact.entity_id, exprs).leaves
-    foldable = all(_leaf_input(cube.model, leaf)[3] in _MEMBER_FOLDS for leaf in leaves)
+    program, kept = measure_program(cube.model, fact.entity_id, exprs), fact.folds.get(refs)
+    if kept is not None and id(program) in kept.plans:  # it has combined them before
+        return Folds(refs)
+    foldable = all(_leaf_input(cube.model, leaf)[3] in _MEMBER_FOLDS for leaf in program.leaves)
     return Folds(refs) if foldable else other("Decimal SUM or AVERAGE")
 
 
