@@ -775,7 +775,7 @@ def _filtered(cube: Cube, fact_id: str, filters, paths, values) -> Sequence[int]
     return positions
 
 
-def _sliced(cube: Cube, fact_id: str, filters, access: "AccessPlan", values, exprs) -> tuple[int, tuple]:
+def _sliced(cube: Cube, fact_id: str, filters, access: AccessPlan, values, exprs) -> tuple[int, tuple]:
     """``(row_count, cells)``: how many fact rows the filters keep, and the
     measures over them, by ``access.measures``: the member folds of a
     Slice's far end (``Folds``), or the kept positions (``Positions``)."""
