@@ -203,25 +203,23 @@ def _reached(*roots) -> list:
 
 
 @pytest.fixture(scope="module")
-def values(medbuddy, medbuddy_asl, cube):
+def values(medbuddy, medbuddy_asl):
     """Values of the corpus models, a planned operation with its measure
-    program, a check report with located diagnostics, query results, and
-    the access plans of the use case's operations and of a grand total on a
-    fresh cube, before and after a run; the corpus holds no literal and no
-    unparsed measure, so two are added."""
+    program, a check report with located diagnostics, and the results and
+    access plans of the use case's operations and of a grand total on a
+    fresh cube, each plan before and after its run; the corpus holds no
+    literal and no unparsed measure, so two are added."""
     use_case, slice_op = "AnalysisAppointmentsInstitutionOnNationalLevel", "ScheduledAppointmentsInSpecificYear"
     planned = plan.plan_operation(medbuddy, use_case, slice_op)
     program = plan.measure_program(medbuddy, planned.fact.id, [a.measure for a in planned.measures])
     broken = dataclasses.replace(medbuddy, actors=medbuddy.actors[:1] * 2)  # a duplicate id: a located diagnostic
-    results = [engine.run_use_case(cube, use_case, op.id, {"year": 2023, "id": "c1"}) for op in medbuddy.use_case(use_case).operations]
+    cube = engine.load_cube(medbuddy, DATA_DIR)[0]
     view = cube.view(planned.fact.id)
-    fresh = engine.load_cube(medbuddy, DATA_DIR)[0]
     plans = [plan.plan_operation(medbuddy, use_case, op.id) for op in medbuddy.use_case(use_case).operations]
     plans.append(dataclasses.replace(plans[-1], keys=()))
-    access = [engine.access_plan(fresh, each) for each in plans]
-    for each in plans:
-        engine.run_plan(fresh, each, {"year": 2023, "id": "c1"})
-    access += [engine.access_plan(fresh, each) for each in plans]
+    access = [engine.access_plan(cube, each) for each in plans]
+    results = [engine.run_plan(cube, each, {"year": 2023, "id": "c1"}) for each in plans]
+    access += [engine.access_plan(cube, each) for each in plans]
     extra = m.Literal(2023), m.OpaqueMeasure("SUM(")
     return _reached(medbuddy, medbuddy_asl, planned, program, semantics.check_model(broken), view, *results, *access, *extra)
 
