@@ -97,19 +97,9 @@ class Table:
     folds: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
-    def columns(self) -> tuple[str, ...]:
-        return tuple(self.data)
-
-    @property
-    def rows(self) -> "Rows":
-        """Every row as a dict (``Rows``); kept because ``perfbench/spans.py``
-        counts a load's rows through it."""
-        return Rows(self, range(self.size))
-
-    def values(self, attr_id: str) -> list:
-        """The column as loaded: a reference reads as its key."""
-        target = self.targets.get(attr_id)
-        return self.data[attr_id] if target is None else list(map(target.pk_values().__getitem__, self.data[attr_id]))
+    def rows(self) -> range:
+        """The row positions, kept only for ``perfbench/spans.py``, whose tracer takes their ``len``."""
+        return range(self.size)
 
     def pk_values(self) -> list:
         """The primary key of each row position, null slot included."""
@@ -181,30 +171,6 @@ def _member_rows(table: Table, refs: tuple, ref: str) -> Iterator[int]:
     space = _member_space(table, refs)
     rows = range(space) if stride == 1 else map(floordiv, range(space), repeat(stride))
     return rows if stride * radix == space else map(mod, rows, repeat(radix))
-
-
-class Rows(Sequence):
-    """The rows of ``table`` at ``positions`` as dicts, each built when read;
-    the engine itself never reads them. Kept for ``Table.rows`` and
-    ``CubeView.rows``, which ``perfbench/spans.py`` looks up by name."""
-
-    def __init__(self, table: Table, positions):
-        self.table = table
-        self.positions = positions
-
-    @cached_property
-    def _columns(self) -> list:
-        return [(name, self.table.values(name)) for name in self.table.columns]
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-    def __getitem__(self, index: int) -> dict:
-        position = self.positions[index]
-        return {name: values[position] for name, values in self._columns}
-
-    def __eq__(self, other):
-        return list(self) == (list(other) if isinstance(other, Rows) else other)
 
 
 @dataclass
@@ -741,8 +707,7 @@ def _bound_value(model: m.SpecificationModel, filt: Filter, bindings: dict):
 @value
 class CubeView:
     """Fact row positions of a cube. ``Cube.view`` makes one over the whole
-    fact, which ``run_plan`` takes as its ENG030 gate; ``rows`` is kept
-    because ``perfbench/spans.py`` looks it up by name."""
+    fact, which ``run_plan`` takes as its ENG030 gate."""
 
     cube: Cube
     fact_id: str
@@ -756,8 +721,9 @@ class CubeView:
         if self.fact_id not in self.cube.tables:
             raise EngineError("ENG030", f"no data loaded for {self.fact_id}")
 
-    def rows(self) -> Rows:
-        return Rows(self.cube.tables[self.fact_id], self.positions)
+    def rows(self) -> Sequence[int]:
+        """The view's positions, kept only for ``perfbench/spans.py``, whose tracer takes their ``len``."""
+        return self.positions
 
 
 def _filtered(cube: Cube, fact_id: str, filters, paths, values) -> Sequence[int]:
@@ -926,12 +892,9 @@ def _measure_program(cube: Cube, fact_id: str, exprs, reads: int):
     return run
 
 
-def evaluate_measure(view: CubeView, expr, rows: Rows | None = None):
-    """Evaluate a measure over a subset of the view's rows, as ``CubeView.rows()``
-    returns them (defaults to the whole view). No query calls it: it is kept
-    because ``perfbench/spans.py`` looks it up by name."""
-    positions = view.positions if rows is None else rows.positions
-    return _measure_program(view.cube, view.fact_id, (expr,), len(positions))(positions)[0]
+def evaluate_measure(view: CubeView, expr):
+    """The measure ``expr`` over the view's positions, kept only for ``perfbench/spans.py``, whose tracer wraps it."""
+    return _measure_program(view.cube, view.fact_id, (expr,), len(view.positions))(view.positions)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -291,8 +291,11 @@ class Parser:
         return ParseError(error(code, message, span if span is not None else self.cur.peek().span))
 
     def ident(self, what: str) -> Token:
+        """The next word as an identifier; never a word that opens a declaration
+        (``at_declaration``), so a construct cut short before it fails there,
+        and reading resumes at that declaration."""
         tok = self.cur.peek()
-        if tok.is_word() and is_identifier(tok.text):
+        if tok.is_word() and is_identifier(tok.text) and not self.at_declaration():
             return self.cur.next()
         raise self.fail(f"{self.prefix}010", f"expected {what}, found {tok.text or 'end of input'!r}")
 

@@ -332,8 +332,16 @@ MeasureExpression = (Aggregate, MeasureRef, Arithmetic, Literal, OpaqueMeasure)
 # ---------------------------------------------------------------------------
 
 
+class _Named:
+    """A model element with an ``id`` and an optional display ``name``."""
+
+    @property
+    def display_name(self) -> str:
+        return self.name if self.name is not None else self.id
+
+
 @value
-class DataEnumeration:
+class DataEnumeration(_Named):
     id: str
     name: str | None = None
     values: tuple[str, ...] = ()
@@ -350,13 +358,9 @@ class DataEnumeration:
                 raise ModelError(f"duplicate value {v!r} in enumeration {self.id}")
             seen.add(v)
 
-    @property
-    def display_name(self) -> str:
-        return self.name if self.name is not None else self.id
-
 
 @value
-class DataAttribute:
+class DataAttribute(_Named):
     id: str
     attr_type: AttributeType
     name: str | None = None
@@ -383,10 +387,6 @@ class DataAttribute:
             object.__setattr__(self, "constraints", kept)
 
     @property
-    def display_name(self) -> str:
-        return self.name if self.name is not None else self.id
-
-    @property
     def is_measure(self) -> bool:
         return self.measure is not None
 
@@ -404,7 +404,7 @@ class DataAttribute:
 
 
 @value
-class DataEntity:
+class DataEntity(_Named):
     id: str
     entity_type: str
     attributes: tuple[DataAttribute, ...]
@@ -420,10 +420,6 @@ class DataEntity:
             _require_identifier(self.sub_type, "entity subtype")
         if not self.attributes:
             raise ModelError(f"entity {self.id} must declare at least one attribute")
-
-    @property
-    def display_name(self) -> str:
-        return self.name if self.name is not None else self.id
 
     @property
     def is_fact(self) -> bool:
@@ -456,7 +452,7 @@ class DataEntity:
 
 
 @value
-class DataEntityCluster:
+class DataEntityCluster(_Named):
     id: str
     entity_type: str
     main: str
@@ -472,13 +468,9 @@ class DataEntityCluster:
         for u in self.uses:
             _require_identifier(u, "cluster member")
 
-    @property
-    def display_name(self) -> str:
-        return self.name if self.name is not None else self.id
-
 
 @value
-class Actor:
+class Actor(_Named):
     id: str
     actor_type: str
     name: str | None = None
@@ -491,13 +483,9 @@ class Actor:
         _require_identifier(self.id, "actor id")
         _require_term(self.actor_type, ACTOR_TYPES, "actor type")
 
-    @property
-    def display_name(self) -> str:
-        return self.name if self.name is not None else self.id
-
 
 @value
-class OlapOperation:
+class OlapOperation(_Named):
     id: str
     kind: str
     name: str | None = None
@@ -526,10 +514,6 @@ class OlapOperation:
                 raise ModelError(f"Pivot operation {self.id} must swap two distinct dimensions")
 
     @property
-    def display_name(self) -> str:
-        return self.name if self.name is not None else self.id
-
-    @property
     def is_underspecified(self) -> bool:
         """True for operations decoded from bare action tags (no clause detail)."""
         if self.kind in ("Slice", "Dice"):
@@ -540,7 +524,7 @@ class OlapOperation:
 
 
 @value
-class UseCase:
+class UseCase(_Named):
     id: str
     uc_type: str
     primary_actor: str
@@ -560,13 +544,9 @@ class UseCase:
         for kind in self.action_kinds:
             _require_term(kind, OLAP_KINDS, "action kind")
 
-    @property
-    def display_name(self) -> str:
-        return self.name if self.name is not None else self.id
-
 
 @value
-class UIPart:
+class UIPart(_Named):
     id: str
     part_kind: str
     binding: AttributePath
@@ -576,10 +556,6 @@ class UIPart:
     def __post_init__(self):
         _require_identifier(self.id, "part id")
         _require_identifier(self.part_kind, "part kind")
-
-    @property
-    def display_name(self) -> str:
-        return self.name if self.name is not None else self.id
 
 
 @value
@@ -595,7 +571,7 @@ class NavigationEvent:
 
 
 @value
-class UIComponent:
+class UIComponent(_Named):
     id: str
     component_type: str
     name: str | None = None
@@ -621,16 +597,12 @@ class UIComponent:
             raise ModelError(f"component {self.id} carries a chart subtype but is not an InteractiveChart")
 
     @property
-    def display_name(self) -> str:
-        return self.name if self.name is not None else self.id
-
-    @property
     def chart_subtype(self) -> str | None:
         return self.component_subtype if self.component_type == "InteractiveChart" else None
 
 
 @value
-class UIContainer:
+class UIContainer(_Named):
     id: str
     container_type: str = "MainWindow"
     name: str | None = None
@@ -645,10 +617,6 @@ class UIContainer:
         _require_term(self.container_type, CONTAINER_TYPES, "container type")
         if self.container_subtype is not None:
             _require_identifier(self.container_subtype, "container subtype")
-
-    @property
-    def display_name(self) -> str:
-        return self.name if self.name is not None else self.id
 
     def component(self, comp_id: str) -> UIComponent | None:
         for comp in self.components:

@@ -20,7 +20,7 @@ CORPUS_ASL = ROOT / "corpus" / "medbuddy.asl"
 DATA_DIR = ROOT / "fixtures" / "medbuddy_data"
 
 # Property tests run the same examples on every run and write no example database.
-# ``--hypothesis-profile deep`` runs 20 times as many, as CI does for the lexer and writer properties.
+# ``--hypothesis-profile deep`` runs 20 times as many, as CI does for every property test.
 settings.register_profile("tier1", derandomize=True, deadline=None, database=None, max_examples=100)
 settings.register_profile("deep", derandomize=True, deadline=None, database=None, max_examples=2000)
 settings.load_profile("tier1")
@@ -103,16 +103,12 @@ def _sql_value(value):
     return value
 
 
-def _loaded_columns(table) -> list[list]:
-    """The table's columns without their null slots, each reference mapped
-    from row positions in its target to the target's primary keys."""
-    columns = []
-    for attr_id, values in table.data.items():
-        target = table.targets.get(attr_id)
-        if target is not None:
-            values = list(map(target.data[target.pk].__getitem__, values))
-        columns.append(values[:table.size])
-    return columns
+def loaded_column(table, attr_id: str) -> list:
+    """The column ``attr_id`` of ``table`` without its null slot, each
+    reference read from its row position in the target as the target's key."""
+    column = table.data[attr_id][:table.size]
+    target = table.targets.get(attr_id)
+    return column if target is None else list(map(target.pk_values().__getitem__, column))
 
 
 def sqlite_from_cube(model, cube) -> sqlite3.Connection:
@@ -121,9 +117,9 @@ def sqlite_from_cube(model, cube) -> sqlite3.Connection:
     conn.executescript(gen_schema_sql(model))
     for entity in model.entities:
         table = cube.table(entity.id)
-        columns = ", ".join(f'"{c}"' for c in table.columns)
-        holes = ", ".join("?" for _ in table.columns)
-        rows = zip(*([_sql_value(value) for value in values] for values in _loaded_columns(table)))
+        columns = ", ".join(f'"{c}"' for c in table.data)
+        holes = ", ".join("?" for _ in table.data)
+        rows = zip(*([_sql_value(value) for value in loaded_column(table, attr_id)] for attr_id in table.data))
         conn.executemany(f'INSERT INTO "{entity.id}" ({columns}) VALUES ({holes})', rows)
     conn.commit()
     return conn

@@ -197,7 +197,7 @@ def test_criterion_4_olap_oracle_equivalence(medbuddy, cube):
         ["Institution.city", "AppointmentRequest.scheduled_date.year"],
         ["Patient.gender", "Institution.city"],
     ]
-    total = len(cube.table("AppointmentRequest").rows)
+    total = cube.table("AppointmentRequest").size
     for keys in groupings:
         paths = [m.AttributePath.parse(k) for k in keys]
         result = run_plan(cube, query(medbuddy, "AppointmentRequest", group_by=paths))

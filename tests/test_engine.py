@@ -17,8 +17,8 @@ from bispec.cli import main
 from bispec.engine import CubeView, EngineError, load_cube, pivot, result_to_csv, run_plan, run_use_case
 from bispec.generators import gen_olap_sql
 from bispec.plan import Column, operation_plan, plan_operation
-from conftest import (DATA_DIR, assert_rows_match_sql, folds_built, measure, oracle_result, postings_built, query,
-                      sqlite_from_cube)
+from conftest import (DATA_DIR, assert_rows_match_sql, folds_built, loaded_column, measure, oracle_result, postings_built,
+                      query, sqlite_from_cube)
 
 YEAR_PRED = m.Predicate(
     m.AttributePath(("AppointmentRequest", "scheduled_date", "year")),
@@ -62,7 +62,7 @@ def _rollup(cube, keys):
 def test_cube_loads_with_expected_joins(cube):
     fact = cube.model.entity("AppointmentRequest")
     assert len(fact.dimension_refs) == 5
-    assert len(cube.table("AppointmentRequest").rows) == 10
+    assert cube.table("AppointmentRequest").size == 10
     assert set(cube.tables) == {"City", "Time", "RequestState", "Patient", "Institution", "AppointmentRequest"}
 
 
@@ -203,7 +203,7 @@ def test_utf8_bom_on_a_header_is_ignored(medbuddy, tmp_path):
     (tmp_path / "manifest.toml").write_text("\ufeff" + mappings, encoding="utf-8")
     cube, diags = load_cube(medbuddy, tmp_path)
     assert not any(d.is_error for d in diags), [f"{d.code} {d.message}" for d in diags]
-    assert [row["id"] for row in cube.table("City").rows] == ["c1", "c2", "c3"]
+    assert loaded_column(cube.table("City"), "id") == ["c1", "c2", "c3"]
     assert oracle.load_tables(medbuddy, tmp_path) == oracle.load_tables(medbuddy, DATA_DIR)
 
 
@@ -214,7 +214,7 @@ def test_empty_fact_csv_is_a_valid_cube(medbuddy, tmp_path):
     (tmp_path / "AppointmentRequest.csv").write_text(header + "\n")
     cube, diags = load_cube(medbuddy, tmp_path)
     assert not any(d.is_error for d in diags)
-    assert cube.table("AppointmentRequest").rows == []
+    assert cube.table("AppointmentRequest").size == 0
     row = _measures(cube)
     # empty-set semantics: COUNT -> 0, AVERAGE/MIN/MAX -> null, 0/0 -> null
     assert row["row_count"] == row["CountAppointments"] == 0
@@ -492,7 +492,7 @@ def test_self_reference_resolves_once_its_table_has_loaded(tmp_path):
     assert cube.table("Employee").data["manager"] == [2, 0, 4, 4, 4]  # e4's dangling manager at the null slot, as e3's null one
     (tmp_path / "Employee.csv").write_text("id,name,manager\ne1,Ann,e3\ne2,Bob,e1\ne3,Cid,\ne4,Dan,\n")
     cube, diags = load_cube(model, tmp_path)
-    assert diags == [] and [row["manager"] for row in cube.table("Employee").rows] == ["e3", "e1", None, None]
+    assert diags == [] and loaded_column(cube.table("Employee"), "manager") == ["e3", "e1", None, None]
     assert run_plan(cube, query(model, "Sale", group_by=["Employee.name"])).rows == (("Ann", 1.5), ("Bob", 2.6), ("Cid", 3.0))
     assert run_plan(cube, query(model, "Sale", group_by=["Employee.manager"])).rows == ((None, 3.0), ("e1", 2.6), ("e3", 1.5))
 
@@ -529,7 +529,7 @@ def test_integer_primary_key_is_read_through_every_reference(medbuddy, cube, tmp
     data = _package(tmp_path / "data", City=numbered, Patient=numbered, Institution=numbered)
     integer_cube, diags = load_cube(model, data)
     assert [d.code for d in diags] == []
-    assert [row["residence"] for row in integer_cube.table("Patient").rows] == [1, 2, 3, 1]
+    assert loaded_column(integer_cube.table("Patient"), "residence") == [1, 2, 3, 1]
 
     conn = sqlite_from_cube(model, integer_cube)
     try:

@@ -31,6 +31,22 @@ def test_a_declaration_that_fails_its_model_check_keeps_the_next(parse, text, ke
     assert [e.id for e in (*model.enumerations, *model.entities)] == [kept]
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_cnlbi, "Data enumeration\nData enumeration States with values A and B.\n", "CNL010 expected an enumeration id, found 'Data'"),
+    (parse_asl, 'DataEnumeration\nDataEnumeration E "E" values (a, b)\n', "ASL010 expected an enumeration id, found 'DataEnumeration'"),
+    (parse_asl, 'DataEntity A "A" : Master [\n  attribute id : String [constraints (PrimaryKey NotNull)]\n'
+                '  attribute x : DataEnumeration\nDataEnumeration E "E" values (a, b)\n',
+     "ASL010 expected an enumeration id, found 'DataEnumeration'"),
+], ids=["cnlbi enumeration head", "asl enumeration head", "asl attribute type"])
+def test_a_declaration_keyword_is_never_read_as_an_identifier(parse, text, message):
+    """A declaration cut short where an identifier should stand fails at the
+    next declaration's keyword, which reading resumes at (at the parent the
+    keyword was read as the identifier and the enumeration was lost)."""
+    model, diags = parse(text, "cut.spec")
+    assert [f"{d.code} {d.message}" for d in diags] == [message]
+    assert [e.id for e in model.enumerations] == ["States" if parse is parse_cnlbi else "E"]
+
+
 def test_a_failing_container_head_does_not_read_its_nested_lines_as_declarations(asl_source):
     """The body of a UIContainer whose head fails is skipped whole: its nested
     ``component`` lines are no top-level components (three ASL010 at the parent)."""
